@@ -4,107 +4,87 @@
 //! ```text
 //! cargo run --release -p socialtube-bench --bin campaign -- \
 //!     [--scale demo|figure|full] [--seeds N] [--seed BASE] [--workers N] \
-//!     [--shards N] [--protocols socialtube,pavod,...] [--out PATH] \
+//!     [--protocols socialtube,pavod,...] [--out PATH] \
 //!     [--metrics-out PATH] [--trace-out PATH] [--progress-out PATH]
 //! ```
-//!
-//! `--shards N` runs every cell under `Execution::Sharded { workers: N }`;
-//! cell results are bitwise identical to serial execution, so the
-//! serial-vs-parallel verification still holds.
 //!
 //! Runs the protocols × seeds grid twice — once on a single thread, once on
 //! the worker pool with the metrics recorder attached — verifies the two
 //! reports agree bitwise per cell (which also proves recording never
-//! perturbs a run), and writes `BENCH_campaign.json` with wall-clock,
-//! speedup, events/sec, and each protocol's resolution split, search-hop
-//! distribution, cache/prefetch hit rates and top interest communities
-//! (`by_community`, sliced from the dimensional metrics). `--metrics-out`
-//! dumps the full merged per-protocol snapshots; `--progress-out` streams
-//! one NDJSON line per completed cell of the parallel pass;
-//! `--trace-out` re-runs each protocol once at the base seed with timeline
-//! capture and writes a Chrome-trace file (one process per protocol)
-//! loadable in Perfetto or `chrome://tracing`.
+//! perturbs a run), and writes a JSON report (`--out`, default
+//! `target/campaign.json`) with wall-clock, speedup, events/sec, and each
+//! protocol's resolution split, search-hop distribution, cache/prefetch
+//! hit rates and top interest communities (`by_community`, sliced from the
+//! dimensional metrics). `--metrics-out` dumps the full merged
+//! per-protocol snapshots; `--progress-out` streams one NDJSON line per
+//! completed cell of the parallel pass; `--trace-out` re-runs each
+//! protocol once at the base seed with timeline capture and writes a
+//! Chrome-trace file (one process per protocol) loadable in Perfetto or
+//! `chrome://tracing`. A malformed argument exits 2.
 
-use std::io::Write;
-
+use socialtube_bench::{usage_error, Scale};
 use socialtube_experiments::{
-    configs, figures, Campaign, CampaignReport, Execution, ExperimentOptions, ProgressConfig,
-    Protocol, RecorderConfig, RunSpec,
+    figures, Campaign, CampaignReport, ExperimentOptions, ProgressConfig, Protocol, RecorderConfig,
+    RunSpec,
 };
 use socialtube_obs::chrome_trace;
 
 fn main() {
-    let mut scale = "demo".to_string();
+    let mut scale = Scale::Demo;
     let mut seeds: usize = 4;
     let mut base_seed: u64 = 42;
     let mut workers: usize = socialtube_experiments::campaign::default_workers();
-    let mut execution = Execution::Serial;
     let mut protocols: Vec<Protocol> = Protocol::ALL.to_vec();
-    let mut out = "BENCH_campaign.json".to_string();
+    let mut out = "target/campaign.json".to_string();
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut progress_out: Option<String> = None;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage_error(format!("{arg} needs a value")))
         };
         match arg.as_str() {
-            "--scale" => scale = value("--scale"),
-            "--seeds" => seeds = value("--seeds").parse().expect("--seeds: integer"),
-            "--seed" => base_seed = value("--seed").parse().expect("--seed: integer"),
-            "--workers" => workers = value("--workers").parse().expect("--workers: integer"),
-            "--shards" => {
-                let n: usize = value("--shards").parse().expect("--shards: integer >= 1");
-                assert!(n >= 1, "--shards: integer >= 1");
-                execution = Execution::Sharded { workers: n };
-            }
-            "--execution" => {
-                execution = value("--execution").parse().unwrap_or_else(|e| {
-                    eprintln!("--execution: {e}");
-                    std::process::exit(2);
+            "--scale" => {
+                let name = value();
+                scale = Scale::parse(&name).unwrap_or_else(|| {
+                    usage_error(format!("unknown scale {name} (use demo|figure|full)"))
                 });
             }
+            "--seeds" => seeds = integer(&arg, &value()),
+            "--seed" => base_seed = integer(&arg, &value()),
+            "--workers" => workers = integer(&arg, &value()),
             "--protocols" => {
-                protocols = value("--protocols")
+                protocols = value()
                     .split(',')
                     .map(|name| {
-                        name.parse().unwrap_or_else(|e| {
-                            eprintln!("--protocols: {e}");
-                            std::process::exit(2);
-                        })
+                        name.parse()
+                            .unwrap_or_else(|e| usage_error(format!("--protocols: {e}")))
                     })
                     .collect();
             }
-            "--out" => out = value("--out"),
-            "--metrics-out" => metrics_out = Some(value("--metrics-out")),
-            "--trace-out" => trace_out = Some(value("--trace-out")),
-            "--progress-out" => progress_out = Some(value("--progress-out")),
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            "--out" => out = value(),
+            "--metrics-out" => metrics_out = Some(value()),
+            "--trace-out" => trace_out = Some(value()),
+            "--progress-out" => progress_out = Some(value()),
+            other => usage_error(format!("unknown argument {other}")),
         }
     }
 
-    let mut options: ExperimentOptions = options_for_scale(&scale);
+    let mut options = scale.sim_options();
     options.seed = base_seed;
 
-    let campaign = Campaign::new(options)
+    let campaign = Campaign::new(options.clone())
         .protocols(&protocols)
         .replicates(seeds)
-        .workers(workers)
-        .execution(execution);
+        .workers(workers);
     let runs = campaign.plan().len();
     println!(
-        "# campaign: {} protocols × {seeds} seeds = {runs} runs (scale {scale}, \
-         execution {execution})",
-        protocols.len()
+        "# campaign: {} protocols × {seeds} seeds = {runs} runs (scale {})",
+        protocols.len(),
+        scale.name()
     );
 
     println!("# serial baseline ...");
@@ -150,47 +130,38 @@ fn main() {
         }
     }
 
-    let json = render_json(&scale, seeds, base_seed, &serial, &parallel, speedup);
-    let mut file = std::fs::File::create(&out).expect("create report file");
-    file.write_all(json.as_bytes()).expect("write report");
+    let json = render_json(scale.name(), seeds, base_seed, &serial, &parallel, speedup);
+    write_output(&out, &json);
     println!("# report written to {out}");
 
     if let Some(path) = metrics_out {
-        let json = render_metrics(&parallel, &protocols);
-        std::fs::write(&path, json).expect("write metrics file");
+        write_output(&path, &render_metrics(&parallel, &protocols));
         println!("# merged per-protocol metrics written to {path}");
     }
 
     if let Some(path) = trace_out {
-        let json = render_trace(&campaign_options(&scale, base_seed), &protocols);
-        std::fs::write(&path, json).expect("write trace file");
+        write_output(&path, &render_trace(&options, &protocols));
         println!("# chrome trace written to {path}");
     }
 }
 
-/// Rebuilds the scale's options for the timeline pass (one run per
-/// protocol at the base seed).
-fn campaign_options(scale: &str, base_seed: u64) -> ExperimentOptions {
-    let mut options = options_for_scale(scale);
-    options.seed = base_seed;
-    options
+/// Parses the integer value of `flag`, or exits 2 naming the flag.
+fn integer<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(format!("{flag} needs an integer, got {value:?}")))
 }
 
-/// The experiment options behind each `--scale` name.
-fn options_for_scale(scale: &str) -> ExperimentOptions {
-    match scale {
-        "demo" => {
-            let mut o = configs::smoke_test_long();
-            o.trace.users = 300;
-            o.network.server_bandwidth_bps = 30_000_000;
-            o
-        }
-        "figure" => configs::figure_scale(),
-        "full" => configs::table1(),
-        other => {
-            eprintln!("unknown scale {other} (use demo|figure|full)");
-            std::process::exit(2);
-        }
+/// Writes one output file, creating its directory first (the default
+/// report lands under `target/`, which a fresh checkout does not have).
+fn write_output(path: &str, contents: &str) {
+    let written = std::path::Path::new(path)
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, contents));
+    if let Err(e) = written {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -321,7 +292,7 @@ fn render_snapshot_fields(report: &CampaignReport, protocol: Protocol) -> String
     s
 }
 
-/// Hand-rendered JSON (the workspace's serde stub does not serialize).
+/// The report, rendered by hand.
 fn render_json(
     scale: &str,
     seeds: usize,

@@ -2,162 +2,146 @@
 //!
 //! ```text
 //! cargo run --release -p socialtube-bench --bin figures -- [TARGETS] \
-//!     [--scale demo|figure|full] [--shards N] [--metrics-out PATH] \
-//!     [--trace-out PATH]
+//!     [--scale demo|figure|full] [--seed N]
 //! ```
 //!
-//! `--shards N` runs the simulation comparison sharded; every figure is
-//! bitwise identical to the serial run.
-//!
-//! Targets: `all` (default), `table1`, `fig2`..`fig13`, `fig15`,
-//! `fig16a`, `fig16b`, `fig17a`, `fig17b`, `fig18a`, `fig18b`,
-//! `prefetch`, `ablate-ttl`, `ablate-links`, `ablate-prefetch`.
+//! Targets: `all` (default) or any name in [`TARGETS`] — `table1`,
+//! `fig2`..`fig13`, `fig15`, `fig16a`..`fig18b`, `prefetch`, `timeline`
+//! and the `ablate-*` studies. An unknown target is an error (exit 2)
+//! before any work starts.
 //!
 //! CSV series land in `target/figures/`; summaries print to stdout with the
-//! paper's qualitative expectation next to the measured value.
-//! `--metrics-out` additionally runs every protocol once at the chosen
-//! scale with the metrics recorder on and writes the per-protocol counter/
-//! histogram snapshots (resolution split, search hops, cache hits);
-//! `--trace-out` does the same with timeline capture and writes a
-//! Chrome-trace file, one process per protocol, loadable in Perfetto.
-
-use std::collections::BTreeSet;
+//! paper's qualitative expectation next to the measured value. Recorder
+//! artifacts (metrics snapshots, Chrome traces) come from the `campaign`
+//! bin.
 
 use socialtube::analysis::prefetch_accuracy;
 use socialtube::SocialTubeConfig;
-use socialtube_bench::CsvWriter;
+use socialtube_bench::{usage_error, CsvWriter, Scale};
 use socialtube_experiments::figures as xfig;
-use socialtube_experiments::{
-    configs, net_driver, Execution, ExperimentOptions, Protocol, RecorderConfig, RunSpec,
-};
+use socialtube_experiments::{configs, net_driver, Protocol, RunSpec};
 use socialtube_trace::{
-    analysis, generate, generate_shared, stats::Percentiles, Trace, TraceConfig,
+    analysis, generate, generate_shared,
+    stats::{Ecdf, Percentiles},
+    Trace, TraceConfig,
 };
 
 const OUT_DIR: &str = "target/figures";
 
-#[derive(Clone, Copy, PartialEq)]
-enum Scale {
-    /// Seconds per protocol; qualitative shape only.
-    Demo,
-    /// The scaled-down Table I (2,000 nodes); minutes per protocol.
-    Figure,
-    /// The paper's full Table I (10,000 nodes); expect long runtimes.
-    Full,
+type NetRuns = [(Protocol, net_driver::NetRun)];
+
+/// How a target is produced, which is also what it needs prepared: the
+/// generated trace, the five-variant simulation, or the TCP deployments.
+#[derive(Clone, Copy)]
+enum Target {
+    Plain(fn()),
+    Trace(fn(&Trace)),
+    /// A CDF over the trace: what it is of, and how to compute it.
+    Cdf(&'static str, fn(&Trace) -> Ecdf),
+    Sim(fn(&xfig::ComparisonRun)),
+    Net(fn(&NetRuns)),
+    Ablation(fn(Scale)),
 }
 
+/// Every target, in the order `all` runs them.
+const TARGETS: &[(&str, Target)] = &[
+    ("table1", Target::Plain(table1)),
+    ("fig2", Target::Trace(fig2)),
+    (
+        "fig3",
+        Target::Cdf(
+            "per-channel daily view frequency",
+            analysis::channel_view_frequency,
+        ),
+    ),
+    (
+        "fig4",
+        Target::Cdf("subscribers per channel", analysis::subscriber_distribution),
+    ),
+    ("fig5", Target::Trace(fig5)),
+    (
+        "fig6",
+        Target::Cdf("videos per channel", analysis::videos_per_channel),
+    ),
+    (
+        "fig7",
+        Target::Cdf("views per video", analysis::video_view_distribution),
+    ),
+    ("fig8", Target::Trace(fig8)),
+    ("fig9", Target::Trace(fig9)),
+    ("fig10", Target::Trace(fig10)),
+    (
+        "fig11",
+        Target::Cdf("categories per channel", analysis::channel_interest_count),
+    ),
+    (
+        "fig12",
+        Target::Cdf(
+            "user interest/subscription similarity",
+            analysis::interest_similarity,
+        ),
+    ),
+    (
+        "fig13",
+        Target::Cdf("interests per user", analysis::user_interest_count),
+    ),
+    ("fig15", Target::Plain(fig15)),
+    ("fig16a", Target::Sim(fig16a)),
+    ("fig16b", Target::Net(fig16b)),
+    ("fig17a", Target::Sim(fig17a)),
+    ("fig17b", Target::Net(fig17b)),
+    ("fig18a", Target::Sim(fig18a)),
+    ("fig18b", Target::Net(fig18b)),
+    ("prefetch", Target::Plain(prefetch_table)),
+    ("timeline", Target::Sim(timeline)),
+    ("ablate-ttl", Target::Ablation(ablate_ttl)),
+    ("ablate-links", Target::Ablation(ablate_links)),
+    ("ablate-prefetch", Target::Ablation(ablate_prefetch)),
+    ("ablate-cache", Target::Ablation(ablate_cache)),
+    ("ablate-server", Target::Ablation(ablate_server)),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Demo;
     let mut seed: u64 = 42;
-    let mut execution = Execution::Serial;
-    let mut metrics_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut targets: BTreeSet<String> = BTreeSet::new();
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
+    let mut names: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--seed" => {
-                seed = iter.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an integer");
-                    std::process::exit(2);
-                });
-            }
-            "--shards" => {
-                let workers: usize = iter
+                seed = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--shards needs an integer >= 1");
-                        std::process::exit(2);
-                    });
-                execution = Execution::Sharded { workers };
-            }
-            "--metrics-out" => {
-                metrics_out = Some(iter.next().cloned().unwrap_or_else(|| {
-                    eprintln!("--metrics-out needs a path");
-                    std::process::exit(2);
-                }));
-            }
-            "--trace-out" => {
-                trace_out = Some(iter.next().cloned().unwrap_or_else(|| {
-                    eprintln!("--trace-out needs a path");
-                    std::process::exit(2);
-                }));
+                    .unwrap_or_else(|| usage_error("--seed needs an integer"));
             }
             "--scale" => {
-                scale = match iter.next().map(String::as_str) {
-                    Some("demo") => Scale::Demo,
-                    Some("figure") => Scale::Figure,
-                    Some("full") => Scale::Full,
-                    other => {
-                        eprintln!("unknown scale {other:?} (use demo|figure|full)");
-                        std::process::exit(2);
-                    }
-                };
+                scale = args
+                    .next()
+                    .and_then(|v| Scale::parse(&v))
+                    .unwrap_or_else(|| usage_error("--scale needs one of demo|figure|full"));
             }
-            t => {
-                targets.insert(t.to_string());
-            }
+            _ => names.push(arg),
         }
     }
-    // `--metrics-out`/`--trace-out` alone run just the recorded pass, not
-    // every figure.
-    let only_observability = targets.is_empty() && (metrics_out.is_some() || trace_out.is_some());
-    if (targets.is_empty() && !only_observability) || targets.contains("all") {
-        targets = [
-            "table1",
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig15",
-            "fig16a",
-            "fig16b",
-            "fig17a",
-            "fig17b",
-            "fig18a",
-            "fig18b",
-            "prefetch",
-            "timeline",
-            "ablate-ttl",
-            "ablate-links",
-            "ablate-prefetch",
-            "ablate-cache",
-            "ablate-server",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+    if let Some(unknown) = names
+        .iter()
+        .find(|n| *n != "all" && TARGETS.iter().all(|(name, _)| name != n))
+    {
+        let known: Vec<&str> = TARGETS.iter().map(|(name, _)| *name).collect();
+        usage_error(format!(
+            "unknown target {unknown} (use all or one of: {})",
+            known.join(", ")
+        ));
     }
+    let all = names.is_empty() || names.iter().any(|n| n == "all");
+    let chosen: Vec<(&str, Target)> = TARGETS
+        .iter()
+        .filter(|(name, _)| all || names.iter().any(|n| n == name))
+        .copied()
+        .collect();
+    let wants = |pred: fn(&Target) -> bool| chosen.iter().any(|(_, t)| pred(t));
 
-    let wants_trace = targets.iter().any(|t| {
-        matches!(
-            t.as_str(),
-            "fig2"
-                | "fig3"
-                | "fig4"
-                | "fig5"
-                | "fig6"
-                | "fig7"
-                | "fig8"
-                | "fig9"
-                | "fig10"
-                | "fig11"
-                | "fig12"
-                | "fig13"
-        )
-    });
-    let trace = wants_trace.then(|| {
+    let trace = wants(|t| matches!(t, Target::Trace(_) | Target::Cdf(..))).then(|| {
         let config = match scale {
             Scale::Full => TraceConfig::paper(),
             _ => TraceConfig::default(),
@@ -168,180 +152,35 @@ fn main() {
         );
         generate(&config, seed)
     });
-
-    let wants_sim = targets
-        .iter()
-        .any(|t| matches!(t.as_str(), "fig16a" | "fig17a" | "fig18a" | "timeline"));
-    let sim_run = wants_sim.then(|| {
-        let mut options = sim_options(scale);
+    let sim_run = wants(|t| matches!(t, Target::Sim(_))).then(|| {
+        let mut options = scale.sim_options();
         options.seed = seed;
         println!(
-            "# simulating 5 protocol variants: {} nodes × {} sessions × {} videos \
-             (execution {execution})",
+            "# simulating 5 protocol variants: {} nodes × {} sessions × {} videos",
             options.trace.users,
             options.workload.sessions_per_node,
             options.workload.videos_per_session
         );
-        xfig::run_comparison_with(&options, &Protocol::ALL, execution)
+        xfig::run_comparison(&options, &Protocol::ALL)
     });
+    let net_runs = wants(|t| matches!(t, Target::Net(_))).then(|| run_net_all(scale, seed));
 
-    let wants_net = targets
-        .iter()
-        .any(|t| matches!(t.as_str(), "fig16b" | "fig17b" | "fig18b"));
-    let net_runs = wants_net.then(|| run_net_all(scale, seed));
-
-    for t in &targets {
-        match t.as_str() {
-            "table1" => table1(),
-            "fig2" => fig2(trace.as_ref().expect("trace generated")),
-            "fig3" => cdf_figure(
+    for (name, target) in chosen {
+        match target {
+            Target::Plain(run) => run(),
+            Target::Trace(run) => run(trace.as_ref().expect("trace generated")),
+            Target::Cdf(what, compute) => cdf_figure(
                 trace.as_ref().expect("trace generated"),
-                "fig3",
-                "per-channel daily view frequency",
-                analysis::channel_view_frequency,
+                name,
+                what,
+                compute,
             ),
-            "fig4" => cdf_figure(
-                trace.as_ref().expect("trace generated"),
-                "fig4",
-                "subscribers per channel",
-                analysis::subscriber_distribution,
-            ),
-            "fig5" => fig5(trace.as_ref().expect("trace generated")),
-            "fig6" => cdf_figure(
-                trace.as_ref().expect("trace generated"),
-                "fig6",
-                "videos per channel",
-                analysis::videos_per_channel,
-            ),
-            "fig7" => cdf_figure(
-                trace.as_ref().expect("trace generated"),
-                "fig7",
-                "views per video",
-                analysis::video_view_distribution,
-            ),
-            "fig8" => fig8(trace.as_ref().expect("trace generated")),
-            "fig9" => fig9(trace.as_ref().expect("trace generated")),
-            "fig10" => fig10(trace.as_ref().expect("trace generated")),
-            "fig11" => cdf_figure(
-                trace.as_ref().expect("trace generated"),
-                "fig11",
-                "categories per channel",
-                analysis::channel_interest_count,
-            ),
-            "fig12" => cdf_figure(
-                trace.as_ref().expect("trace generated"),
-                "fig12",
-                "user interest/subscription similarity",
-                analysis::interest_similarity,
-            ),
-            "fig13" => cdf_figure(
-                trace.as_ref().expect("trace generated"),
-                "fig13",
-                "interests per user",
-                analysis::user_interest_count,
-            ),
-            "fig15" => fig15(),
-            "fig16a" => fig16a(sim_run.as_ref().expect("sim run")),
-            "fig17a" => fig17a(sim_run.as_ref().expect("sim run")),
-            "fig18a" => fig18a(sim_run.as_ref().expect("sim run")),
-            "fig16b" => fig16b(net_runs.as_ref().expect("net runs")),
-            "fig17b" => fig17b(net_runs.as_ref().expect("net runs")),
-            "fig18b" => fig18b(net_runs.as_ref().expect("net runs")),
-            "prefetch" => prefetch_table(),
-            "timeline" => timeline(sim_run.as_ref().expect("sim run")),
-            "ablate-ttl" => ablate_ttl(scale),
-            "ablate-links" => ablate_links(scale),
-            "ablate-prefetch" => ablate_prefetch(scale),
-            "ablate-cache" => ablate_cache(scale),
-            "ablate-server" => ablate_server(scale),
-            other => eprintln!("unknown target {other}, skipping"),
+            Target::Sim(run) => run(sim_run.as_ref().expect("sim run")),
+            Target::Net(run) => run(net_runs.as_ref().expect("net runs")),
+            Target::Ablation(run) => run(scale),
         }
-    }
-    if metrics_out.is_some() || trace_out.is_some() {
-        observability_outputs(scale, seed, metrics_out.as_deref(), trace_out.as_deref());
     }
     println!("\nCSV series written to {OUT_DIR}/");
-}
-
-/// Runs every protocol once at `scale` with the recorder attached and
-/// writes the requested observability artifacts: merged metrics snapshots
-/// (`--metrics-out`) and/or a multi-process Chrome trace (`--trace-out`).
-fn observability_outputs(
-    scale: Scale,
-    seed: u64,
-    metrics_out: Option<&str>,
-    trace_out: Option<&str>,
-) {
-    let mut options = sim_options(scale);
-    options.seed = seed;
-    let config = if trace_out.is_some() {
-        RecorderConfig::full()
-    } else {
-        RecorderConfig::metrics_only()
-    };
-    let shared = generate_shared(&options.trace, seed);
-    println!(
-        "# recorded pass: 5 protocol variants, {} nodes",
-        options.trace.users
-    );
-    let mut recordings = Vec::new();
-    for protocol in Protocol::ALL {
-        let outcome = RunSpec::new(protocol)
-            .options(options.clone())
-            .trace(shared.clone())
-            .with_recorder(config)
-            .run();
-        let recording = outcome.recording.expect("recording requested");
-        if let Some((ch, cat, srv)) = recording.snapshot.resolution_split() {
-            println!(
-                "#   {protocol}: {:.0}% channel / {:.0}% category / {:.0}% server",
-                ch * 100.0,
-                cat * 100.0,
-                srv * 100.0
-            );
-        }
-        recordings.push((protocol, recording));
-    }
-    if let Some(path) = metrics_out {
-        let mut s = String::from("{\n");
-        for (i, (protocol, recording)) in recordings.iter().enumerate() {
-            if i > 0 {
-                s.push_str(",\n");
-            }
-            let body = recording
-                .snapshot
-                .to_json(2)
-                .lines()
-                .collect::<Vec<_>>()
-                .join("\n  ");
-            s.push_str(&format!("  \"{}\": {body}", protocol.key()));
-        }
-        s.push_str("\n}\n");
-        std::fs::write(path, s).expect("write metrics file");
-        println!("# per-protocol metrics written to {path}");
-    }
-    if let Some(path) = trace_out {
-        let parts: Vec<(&str, &socialtube_obs::Timeline)> = recordings
-            .iter()
-            .map(|(p, r)| (p.key(), r.timeline.as_ref().expect("timeline requested")))
-            .collect();
-        std::fs::write(path, socialtube_obs::chrome_trace(&parts)).expect("write trace file");
-        println!("# chrome trace written to {path}");
-    }
-}
-
-fn sim_options(scale: Scale) -> ExperimentOptions {
-    match scale {
-        Scale::Demo => {
-            let mut o = configs::smoke_test_long();
-            o.trace.users = 300;
-            // Keep the Table I per-user server budget (100 kbps/user).
-            o.network.server_bandwidth_bps = 30_000_000;
-            o
-        }
-        Scale::Figure => configs::figure_scale(),
-        Scale::Full => configs::table1(),
-    }
 }
 
 fn net_options(scale: Scale) -> net_driver::NetExperimentOptions {
@@ -440,12 +279,7 @@ fn fig2(trace: &Trace) {
     );
 }
 
-fn cdf_figure(
-    trace: &Trace,
-    name: &str,
-    what: &str,
-    compute: impl Fn(&Trace) -> socialtube_trace::stats::Ecdf,
-) {
+fn cdf_figure(trace: &Trace, name: &str, what: &str, compute: fn(&Trace) -> Ecdf) {
     section(&format!("{name} — CDF of {what}"));
     let cdf = compute(trace);
     let mut csv = CsvWriter::create(OUT_DIR, name).expect("create csv");
@@ -594,7 +428,7 @@ fn fig16a(run: &xfig::ComparisonRun) {
     write_fig16(run, "fig16a");
 }
 
-fn fig16b(runs: &[(Protocol, net_driver::NetRun)]) {
+fn fig16b(runs: &NetRuns) {
     section("Fig 16b — normalized peer bandwidth, TCP testbed");
     let mut csv = CsvWriter::create(OUT_DIR, "fig16b").expect("create csv");
     csv.header(&["protocol", "p1", "p50", "p99"])
@@ -658,7 +492,7 @@ fn fig17a(run: &xfig::ComparisonRun) {
     write_fig17(xfig::fig17(run), "fig17a");
 }
 
-fn fig17b(runs: &[(Protocol, net_driver::NetRun)]) {
+fn fig17b(runs: &NetRuns) {
     section("Fig 17b — startup delay, TCP testbed");
     let bars: Vec<xfig::Fig17Bar> = runs
         .iter()
@@ -722,7 +556,7 @@ fn fig18a(run: &xfig::ComparisonRun) {
     write_fig18(xfig::fig18(run), "fig18a");
 }
 
-fn fig18b(runs: &[(Protocol, net_driver::NetRun)]) {
+fn fig18b(runs: &NetRuns) {
     section("Fig 18b — maintenance overhead, TCP testbed");
     let curves: Vec<xfig::Fig18Curve> = runs
         .iter()
@@ -844,7 +678,7 @@ fn ablate_ttl(scale: Scale) {
     ])
     .expect("write");
     for ttl in [1u8, 2, 3] {
-        let mut options = sim_options(scale);
+        let mut options = scale.sim_options();
         options.socialtube = SocialTubeConfig {
             ttl,
             ..options.socialtube
@@ -873,7 +707,7 @@ fn ablate_links(scale: Scale) {
     csv.header(&["n_l", "n_h", "mean_peer_bandwidth", "steady_links"])
         .expect("write");
     for (n_l, n_h) in [(2, 4), (5, 10), (10, 20)] {
-        let mut options = sim_options(scale);
+        let mut options = scale.sim_options();
         options.socialtube = SocialTubeConfig {
             inner_links: n_l,
             inter_links: n_h,
@@ -908,7 +742,7 @@ fn ablate_prefetch(scale: Scale) {
     ])
     .expect("write");
     for m in [0usize, 1, 3, 5] {
-        let mut options = sim_options(scale);
+        let mut options = scale.sim_options();
         options.socialtube = SocialTubeConfig {
             prefetch: m > 0,
             prefetch_count: m.max(1),
@@ -945,7 +779,7 @@ fn ablate_cache(scale: Scale) {
     ])
     .expect("write");
     for cap in [Some(5usize), Some(20), Some(80), None] {
-        let mut options = sim_options(scale);
+        let mut options = scale.sim_options();
         options.socialtube = SocialTubeConfig {
             cache_capacity: cap,
             ..options.socialtube
@@ -980,7 +814,7 @@ fn ablate_server(scale: Scale) {
         "mean_peer_bandwidth",
     ])
     .expect("write");
-    let base = sim_options(scale);
+    let base = scale.sim_options();
     for fraction in [1.0f64, 0.5, 0.25] {
         for protocol in [Protocol::SocialTube, Protocol::PaVod] {
             let mut options = base.clone();

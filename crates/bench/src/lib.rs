@@ -1,16 +1,63 @@
-//! Benchmarks and figure regeneration for the SocialTube reproduction.
+//! Figure regeneration and campaign sweeps for the SocialTube reproduction.
 //!
 //! * `src/bin/figures.rs` — regenerates **every table and figure** of the
 //!   paper (Table I, Figs 2–13, 15, 16a/b, 17a/b, 18a/b, the prefetch
 //!   analysis) plus the ablation studies, writing CSV series to
 //!   `target/figures/` and printing paper-versus-measured summaries.
-//! * `benches/` — Criterion micro-benchmarks of the building blocks:
-//!   trace generation and analysis, the event engine, overlay/search
-//!   handling, and the wire codec.
+//! * `src/bin/campaign.rs` — runs a protocols × seeds sweep serially and
+//!   on worker threads, checks the two agree bitwise, and writes a JSON
+//!   report plus optional recorder artifacts.
 //!
 //! Run `cargo run -p socialtube-bench --bin figures -- all` for the whole
 //! evaluation, or name an individual target (`fig16a`, `fig9`, ...).
+//! Performance is measured by the benchmark package under `perf/`, not
+//! here.
 
 pub mod csv;
 
 pub use csv::CsvWriter;
+use socialtube_experiments::{configs, ExperimentOptions};
+
+/// The `--scale` both bins take.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scale {
+    /// Seconds per protocol; qualitative shape only.
+    Demo,
+    /// The scaled-down Table I (2,000 nodes); minutes per protocol.
+    Figure,
+    /// The paper's full Table I (10,000 nodes); expect long runtimes.
+    Full,
+}
+
+impl Scale {
+    /// Parses `demo`, `figure` or `full`.
+    pub fn parse(name: &str) -> Option<Scale> {
+        [Scale::Demo, Scale::Figure, Scale::Full]
+            .into_iter()
+            .find(|scale| scale.name() == name)
+    }
+
+    /// The name [`parse`](Scale::parse) accepts.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Demo => "demo",
+            Scale::Figure => "figure",
+            Scale::Full => "full",
+        }
+    }
+
+    /// The simulation options behind this scale.
+    pub fn sim_options(self) -> ExperimentOptions {
+        match self {
+            Scale::Demo => configs::demo(),
+            Scale::Figure => configs::figure_scale(),
+            Scale::Full => configs::table1(),
+        }
+    }
+}
+
+/// Reports a command-line mistake and exits 2, before any work starts.
+pub fn usage_error(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}

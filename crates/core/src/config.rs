@@ -1,6 +1,5 @@
 //! SocialTube protocol parameters.
 
-use serde::{Deserialize, Serialize};
 use socialtube_sim::SimDuration;
 
 /// Tunable parameters of the SocialTube peer (Section V defaults).
@@ -15,7 +14,7 @@ use socialtube_sim::SimDuration;
 /// assert_eq!(config.inter_links, 10);
 /// assert_eq!(config.ttl, 2);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SocialTubeConfig {
     /// `N_l`: maximum inner-links in the channel overlay (paper: 5).
     pub inner_links: usize,

@@ -6,14 +6,13 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use socialtube_model::{CategoryId, ChannelId, ChunkIndex, NodeId, VideoId};
 
 use crate::traits::TransferKind;
 
 /// Identifier of one video request (search + transfer), unique per origin:
 /// the high 32 bits carry the origin node, the low 32 a local counter.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RequestId(pub u64);
 
 impl RequestId {
@@ -35,7 +34,7 @@ impl std::fmt::Display for RequestId {
 }
 
 /// The sender/recipient of a protocol message: another peer or the server.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum PeerAddr {
     /// A peer node.
     Peer(NodeId),
@@ -53,7 +52,7 @@ impl std::fmt::Display for PeerAddr {
 }
 
 /// Which overlay a flooded query is traversing.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum QueryScope {
     /// SocialTube lower level: the channel overlay, along inner-links.
     Channel(ChannelId),
@@ -65,7 +64,7 @@ pub enum QueryScope {
 }
 
 /// Kind of an overlay link (SocialTube terminology, Section IV-A).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum LinkKind {
     /// A link inside the node's current channel overlay (≤ `N_l`).
     Inner,
@@ -81,7 +80,7 @@ pub enum LinkKind {
 /// a two-word shared slice, cheap to clone and immutable by construction.
 /// A layout test pins `size_of::<Message>()` so new variants can't silently
 /// re-bloat deliveries.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 #[allow(missing_docs)] // field meanings documented per variant
 pub enum Message {
     // ------------------------------------------------- search (peer↔peer)

@@ -7,14 +7,13 @@
 //! one protocol implementation serve both of the paper's evaluation
 //! platforms.
 
-use serde::{Deserialize, Serialize};
 use socialtube_model::{ChunkIndex, NodeId, VideoId};
 use socialtube_sim::{SimDuration, SimTime};
 
 use crate::messages::{Message, PeerAddr, RequestId};
 
 /// Why a chunk transfer exists.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum TransferKind {
     /// The user asked to watch this video now.
     Playback,
@@ -23,7 +22,7 @@ pub enum TransferKind {
 }
 
 /// Where a chunk (or an instant playback start) came from.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ChunkSource {
     /// Served out of the local cache (full video already present).
     Cache,
@@ -36,7 +35,7 @@ pub enum ChunkSource {
 }
 
 /// Phase of a SocialTube search (Algorithm 1).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum SearchPhase {
     /// Flooding the channel overlay over inner-links.
     Channel,
@@ -47,7 +46,7 @@ pub enum SearchPhase {
 }
 
 /// Timers a peer can arm; the driver echoes them back at expiry.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum TimerKind {
     /// Periodic neighbor probing (structure maintenance, Section IV-A).
     ProbeTick,
@@ -288,7 +287,7 @@ impl Outbox {
     /// Drains all queued commands, leaving the outbox empty.
     ///
     /// The backing buffer's capacity is kept: one outbox is reused across
-    /// millions of events, so draining must not hand the allocation back.
+    /// every event of a run, so draining must not hand the allocation back.
     pub fn drain(&mut self) -> std::vec::Drain<'_, Command> {
         self.commands.drain(..)
     }

@@ -40,7 +40,7 @@ use socialtube_trace::{generate_shared, SharedTrace};
 use crate::configs::ExperimentOptions;
 use crate::driver::{RunSpec, SimOutcome};
 use crate::metrics::MetricsSummary;
-use crate::{Execution, Protocol};
+use crate::Protocol;
 
 /// A planned sweep over protocols × seeds, sharing one trace per seed.
 ///
@@ -54,7 +54,6 @@ pub struct Campaign {
     seeds: Vec<u64>,
     workers: usize,
     recorder: RecorderConfig,
-    execution: Execution,
     progress: Option<ProgressConfig>,
 }
 
@@ -163,18 +162,8 @@ impl Campaign {
             seeds,
             workers: default_workers(),
             recorder: RecorderConfig::default(),
-            execution: Execution::Serial,
             progress: None,
         }
-    }
-
-    /// Runs every cell under `execution` ([`RunSpec::execution`]). With
-    /// [`Execution::Sharded`] each run shards internally, so keep the
-    /// campaign's own [`workers`](Campaign::workers) low to avoid
-    /// oversubscription. Outcomes are bitwise identical either way.
-    pub fn execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
-        self
     }
 
     /// Attaches a recorder to every cell ([`RunSpec::with_recorder`]):
@@ -276,7 +265,6 @@ impl Campaign {
                     .seed(p.seed)
                     .trace(traces[p.sweep_index].clone())
                     .with_recorder(self.recorder)
-                    .execution(self.execution)
             })
             .collect();
         // One shared sink for the whole grid: workers report completed
@@ -608,26 +596,6 @@ mod tests {
             .sum();
         assert_eq!(snap.counter("ev_login"), per_cell);
         assert!(snap.counter("ev_login") > 0);
-    }
-
-    #[test]
-    fn sharded_campaign_matches_serial_campaign_bitwise() {
-        let campaign = Campaign::new(tiny())
-            .protocols(&[Protocol::SocialTube, Protocol::PaVod])
-            .replicates(2)
-            .workers(2);
-        let serial = campaign.run_serial();
-        let sharded = campaign
-            .clone()
-            .execution(Execution::Sharded { workers: 2 })
-            .run_serial();
-        for (a, b) in serial.cells.iter().zip(&sharded.cells) {
-            assert_eq!(a.plan, b.plan);
-            assert_eq!(a.outcome.metrics, b.outcome.metrics, "{}", a.plan.protocol);
-            assert_eq!(a.outcome.events, b.outcome.events);
-            assert_eq!(a.outcome.sim_end, b.outcome.sim_end);
-            assert_eq!(b.outcome.shards.len(), 2, "sharded cells report 2 shards");
-        }
     }
 
     #[test]

@@ -108,25 +108,6 @@ pub fn figure_scale() -> ExperimentOptions {
     o
 }
 
-/// The PlanetLab-style configuration (Section V): 250 nodes, 6 categories ×
-/// 10 channels × 40 videos = 2,400 videos, 50 sessions, 2-minute mean
-/// off-time. The TCP testbed uses the same parameters.
-#[allow(clippy::field_reassign_with_default)] // config presets read best as deltas
-pub fn planetlab_scale() -> ExperimentOptions {
-    let mut o = ExperimentOptions::default();
-    o.trace = TraceConfig {
-        users: 250,
-        channels: 60,
-        categories: 6,
-        videos: 2_400,
-        ..TraceConfig::default()
-    };
-    o.workload.sessions_per_node = 50;
-    o.workload.mean_off = SimDuration::from_mins(2);
-    o.network.server_bandwidth_bps = 25_000_000;
-    o
-}
-
 /// A seconds-scale configuration for unit/integration tests and doctests.
 ///
 /// Unlike `TraceConfig::tiny`, the channel count is kept low relative to
@@ -161,7 +142,18 @@ pub fn smoke_test_long() -> ExperimentOptions {
     o
 }
 
-/// A throughput-oriented configuration for the `scale` bench: `peers` nodes
+/// The `demo` scale of the `figures` and `campaign` bins:
+/// [`smoke_test_long`] over 300 users, seconds per protocol.
+pub fn demo() -> ExperimentOptions {
+    let mut o = smoke_test_long();
+    o.trace.users = 300;
+    // Keep the Table I per-user server budget (100 kbps/user).
+    o.network.server_bandwidth_bps = 30_000_000;
+    o
+}
+
+/// A throughput-oriented configuration for the benchmark's `sim-scale`
+/// workload: `peers` nodes
 /// with Table I's per-node ratios (videos and channels per node, server
 /// bandwidth per node) but a deliberately short workload — one session of
 /// three videos per node — so a 200k-peer run stays minutes, not hours,
@@ -206,16 +198,6 @@ mod tests {
         assert_eq!(o.network.server_bandwidth_bps, 1_000_000_000);
         assert_eq!(o.socialtube.inner_links, 5);
         assert_eq!(o.socialtube.inter_links, 10);
-    }
-
-    #[test]
-    fn planetlab_scale_matches_section_v() {
-        let o = planetlab_scale();
-        assert_eq!(o.trace.users, 250);
-        assert_eq!(o.trace.categories, 6);
-        assert_eq!(o.trace.videos, 2_400);
-        assert_eq!(o.workload.sessions_per_node, 50);
-        assert_eq!(o.workload.mean_off, SimDuration::from_mins(2));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use socialtube_trace::{generate_shared, SharedTrace};
 use crate::campaign::{default_workers, run_specs};
 use crate::configs::ExperimentOptions;
 use crate::driver::{RunSpec, SimOutcome};
-use crate::{Execution, Protocol};
+use crate::Protocol;
 
 /// Outcomes of running every protocol variant over one shared trace and
 /// workload.
@@ -41,17 +41,6 @@ impl ComparisonRun {
 /// variants out across worker threads (the results are identical to a
 /// serial loop — each variant is an independent [`RunSpec`]).
 pub fn run_comparison(options: &ExperimentOptions, protocols: &[Protocol]) -> ComparisonRun {
-    run_comparison_with(options, protocols, Execution::Serial)
-}
-
-/// [`run_comparison`] under an explicit executor. The figure extractors
-/// read the same [`SimOutcome`] shape either way, so a sharded comparison
-/// produces byte-identical figures — the executor never leaks past here.
-pub fn run_comparison_with(
-    options: &ExperimentOptions,
-    protocols: &[Protocol],
-    execution: Execution,
-) -> ComparisonRun {
     let trace = generate_shared(&options.trace, options.seed);
     let specs: Vec<RunSpec> = protocols
         .iter()
@@ -59,7 +48,6 @@ pub fn run_comparison_with(
             RunSpec::new(p)
                 .options(options.clone())
                 .trace(trace.clone())
-                .execution(execution)
         })
         .collect();
     let results = run_specs(specs, default_workers());

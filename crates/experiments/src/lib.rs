@@ -147,16 +147,9 @@ impl std::fmt::Display for Protocol {
 /// sharding changes only how the event load is processed. The default is
 /// [`Execution::Serial`].
 ///
-/// # Examples
-///
-/// ```
-/// use socialtube_experiments::Execution;
-///
-/// let e: Execution = "sharded:4".parse().unwrap();
-/// assert_eq!(e, Execution::Sharded { workers: 4 });
-/// assert_eq!(e.to_string(), "sharded:4");
-/// assert_eq!("serial".parse::<Execution>(), Ok(Execution::Serial));
-/// ```
+/// It is a library choice with two callers, the serial≡sharded differential
+/// tests and the benchmark's traced run (`perf/`); no CLI exposes it, and
+/// sharded runs are slower than serial in every measurement so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Execution {
     /// One engine, one thread: the reference executor.
@@ -177,61 +170,6 @@ impl Execution {
         match self {
             Execution::Serial => 1,
             Execution::Sharded { workers } => workers,
-        }
-    }
-}
-
-impl std::fmt::Display for Execution {
-    /// The stable machine-readable key (`serial` or `sharded:N`), which
-    /// [`FromStr`](std::str::FromStr) round-trips.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Execution::Serial => f.write_str("serial"),
-            Execution::Sharded { workers } => write!(f, "sharded:{workers}"),
-        }
-    }
-}
-
-/// Error parsing an [`Execution`] from a string.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseExecutionError {
-    input: String,
-}
-
-impl std::fmt::Display for ParseExecutionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown execution {:?} (expected \"serial\" or \"sharded:N\" with N >= 1)",
-            self.input
-        )
-    }
-}
-
-impl std::error::Error for ParseExecutionError {}
-
-impl std::str::FromStr for Execution {
-    type Err = ParseExecutionError;
-
-    /// Parses the [`Display`](std::fmt::Display) form, case-insensitively:
-    /// `serial`, or `sharded:N` with a positive shard count.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let trimmed = s.trim();
-        let err = || ParseExecutionError {
-            input: trimmed.to_string(),
-        };
-        if trimmed.eq_ignore_ascii_case("serial") {
-            return Ok(Execution::Serial);
-        }
-        match trimmed.split_once(':') {
-            Some((kind, n)) if kind.eq_ignore_ascii_case("sharded") => n
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|n| *n >= 1)
-                .map(|workers| Execution::Sharded { workers })
-                .ok_or_else(err),
-            _ => Err(err()),
         }
     }
 }
@@ -303,41 +241,9 @@ mod tests {
     }
 
     #[test]
-    fn execution_round_trips_through_from_str() {
-        for e in [
-            Execution::Serial,
-            Execution::Sharded { workers: 1 },
-            Execution::Sharded { workers: 4 },
-            Execution::Sharded { workers: 16 },
-        ] {
-            assert_eq!(e.to_string().parse::<Execution>(), Ok(e));
-            assert_eq!(
-                e.to_string().to_uppercase().parse::<Execution>(),
-                Ok(e),
-                "keys parse case-insensitively"
-            );
-        }
-        assert_eq!(
-            " sharded:2 ".parse::<Execution>(),
-            Ok(Execution::Sharded { workers: 2 })
-        );
+    fn execution_defaults_to_serial() {
         assert_eq!(Execution::default(), Execution::Serial);
         assert_eq!(Execution::Serial.shard_count(), 1);
         assert_eq!(Execution::Sharded { workers: 3 }.shard_count(), 3);
-    }
-
-    #[test]
-    fn malformed_execution_strings_are_errors() {
-        for bad in [
-            "",
-            "sharded",
-            "sharded:",
-            "sharded:0",
-            "sharded:x",
-            "parallel:2",
-        ] {
-            let err = bad.parse::<Execution>().unwrap_err();
-            assert!(err.to_string().contains("sharded:N"), "{bad}: {err}");
-        }
     }
 }

@@ -1,7 +1,5 @@
 //! The catalog: every category, channel and video, with indices.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CategoryId, Channel, ChannelId, ModelError, Video, VideoId};
 
 /// Immutable index of all categories, channels and videos in the system.
@@ -31,7 +29,7 @@ use crate::{CategoryId, Channel, ChannelId, ModelError, Video, VideoId};
 /// // v1 is more popular, so it ranks first for prefetching.
 /// assert_eq!(catalog.channel_videos_by_popularity(ch), vec![v1, v0]);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Catalog {
     category_names: Vec<String>,
     channels: Vec<Channel>,
@@ -175,7 +173,7 @@ impl Catalog {
 }
 
 /// Summary counts of a [`Catalog`], for reports and sanity checks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CatalogStats {
     /// Number of interest categories.
     pub categories: usize,

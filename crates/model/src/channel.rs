@@ -1,7 +1,5 @@
 //! Channels: one uploader's page of videos, focused on a few categories.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CategoryId, ChannelId, VideoId};
 
 /// A YouTube channel — the *community* unit of SocialTube's lower-level
@@ -21,7 +19,7 @@ use crate::{CategoryId, ChannelId, VideoId};
 /// assert_eq!(channel.name(), "ReutersVideo");
 /// assert!(channel.has_category(CategoryId::new(3)));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Channel {
     id: ChannelId,
     name: String,

@@ -2,8 +2,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Catalog, CategoryId, ChannelId, ModelError, NodeId, User};
 
 /// The bipartite user↔channel subscription graph plus per-user interests —
@@ -24,7 +22,7 @@ use crate::{Catalog, CategoryId, ChannelId, ModelError, NodeId, User};
 /// g.subscribe(NodeId::new(1), ChannelId::new(0));
 /// assert_eq!(g.subscribers(ChannelId::new(0)).len(), 2);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SocialGraph {
     users: Vec<User>,
     /// Subscribers of each channel, indexed by `ChannelId`.
@@ -176,7 +174,7 @@ impl SocialGraph {
 
 /// One edge of the Fig 10 channel graph: channels `a` and `b` share
 /// `shared` subscribers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SharedSubscriberEdge {
     /// First channel (smaller identifier).
     pub a: ChannelId,

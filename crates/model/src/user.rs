@@ -1,7 +1,5 @@
 //! Users: interests, channel subscriptions, and favorites.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CategoryId, ChannelId, NodeId, VideoId};
 
 /// One registered user of the VoD service, i.e. one peer node.
@@ -22,7 +20,7 @@ use crate::{CategoryId, ChannelId, NodeId, VideoId};
 /// assert!(user.is_subscribed(ChannelId::new(7)));
 /// assert_eq!(user.interests(), &[CategoryId::new(1)]);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct User {
     id: NodeId,
     interests: Vec<CategoryId>,

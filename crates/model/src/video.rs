@@ -1,7 +1,5 @@
 //! Videos and their chunked representation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ChannelId, VideoId};
 
 /// Average bitrate of a YouTube video reported by Cheng et al. and used by
@@ -36,7 +34,7 @@ pub type ChunkIndex = u32;
 /// assert_eq!(video.chunk_count(), 8);
 /// assert!(video.size_bits() > 0);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Video {
     id: VideoId,
     channel: ChannelId,

@@ -2,10 +2,10 @@
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use socialtube::harness::{CommandInterpreter, PeerSubstrate, ServerSubstrate};
 use socialtube::{Message, Outbox, PeerAddr, Report, ServerOutbox, TimerKind, VodPeer, VodServer};
 use socialtube_model::{Catalog, NodeId, VideoId};
@@ -97,7 +97,7 @@ impl PeerDaemon {
         let local_addr = listener.local_addr()?;
         registry.register(me, local_addr);
 
-        let (input_tx, input_rx) = unbounded::<PeerInput>();
+        let (input_tx, input_rx) = mpsc::channel::<PeerInput>();
         let delays = Arc::new(DelayQueue::spawn(input_tx.clone()));
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut threads = Vec::new();
@@ -340,7 +340,7 @@ impl ServerDaemon {
         let local_addr = listener.local_addr()?;
         registry.register(SERVER_INDEX, local_addr);
 
-        let (input_tx, input_rx) = unbounded::<ServerInput>();
+        let (input_tx, input_rx) = mpsc::channel::<ServerInput>();
         let delays = Arc::new(DelayQueue::spawn(input_tx.clone()));
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut threads = Vec::new();
@@ -542,7 +542,6 @@ mod tests {
 #[cfg(test)]
 mod daemon_tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use socialtube::{SocialTubeConfig, SocialTubePeer, SocialTubeServer};
     use socialtube_model::CatalogBuilder;
     use socialtube_sim::SimRng;
@@ -562,7 +561,7 @@ mod daemon_tests {
             socialtube_sim::SimDuration::from_millis(5),
         ));
         let clock = TestbedClock::start();
-        let (events_tx, events_rx) = unbounded();
+        let (events_tx, events_rx) = mpsc::channel();
 
         let server = ServerDaemon::spawn(
             Box::new(SocialTubeServer::new(Arc::clone(&catalog), SimRng::seed(1))),

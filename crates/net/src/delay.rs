@@ -6,11 +6,11 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::Sender;
 use parking_lot::{Condvar, Mutex};
 
 struct Entry<T> {
@@ -58,10 +58,10 @@ struct Shared<T> {
 ///
 /// ```
 /// use std::time::{Duration, Instant};
-/// use crossbeam::channel::unbounded;
+/// use std::sync::mpsc;
 /// use socialtube_net::delay::DelayQueue;
 ///
-/// let (tx, rx) = unbounded();
+/// let (tx, rx) = mpsc::channel();
 /// let queue = DelayQueue::spawn(tx);
 /// queue.schedule(Instant::now() + Duration::from_millis(5), "hello");
 /// assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), "hello");
@@ -166,12 +166,12 @@ impl<T: Send + 'static> Drop for DelayQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc;
     use std::time::Duration;
 
     #[test]
     fn delivers_in_due_order() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         let q = DelayQueue::spawn(tx);
         let now = Instant::now();
         q.schedule(now + Duration::from_millis(30), 3);
@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn past_deadlines_deliver_immediately() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         let q = DelayQueue::spawn(tx);
         q.schedule(Instant::now() - Duration::from_secs(1), "late");
         assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), "late");
@@ -195,7 +195,7 @@ mod tests {
 
     #[test]
     fn respects_delays_approximately() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         let q = DelayQueue::spawn(tx);
         let start = Instant::now();
         q.schedule(start + Duration::from_millis(50), ());
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn shutdown_discards_pending() {
-        let (tx, rx) = unbounded::<u8>();
+        let (tx, rx) = mpsc::channel::<u8>();
         let q = DelayQueue::spawn(tx);
         q.schedule(Instant::now() + Duration::from_secs(60), 1);
         assert_eq!(q.pending(), 1);
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn drop_stops_thread() {
-        let (tx, _rx) = unbounded::<u8>();
+        let (tx, _rx) = mpsc::channel::<u8>();
         let q = DelayQueue::spawn(tx);
         q.schedule(Instant::now() + Duration::from_secs(60), 1);
         drop(q); // must not hang
@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn many_items_all_arrive() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         let q = DelayQueue::spawn(tx);
         let now = Instant::now();
         for i in 0..500 {

@@ -9,10 +9,10 @@
 //! in `socialtube-experiments` for real runs, a fixed script for the
 //! cross-platform equivalence tests).
 
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver};
 use socialtube::{ChunkSource, Report, VodPeer, VodServer};
 use socialtube_model::{Catalog, NodeId, VideoId};
 use socialtube_sim::{LatencyModel, SimDuration, SimRng};
@@ -166,7 +166,7 @@ impl Deployment {
             config.latency_min,
             config.latency_max,
         ));
-        let (events_tx, events_rx) = unbounded::<NetEvent>();
+        let (events_tx, events_rx) = mpsc::channel::<NetEvent>();
 
         let server_daemon = ServerDaemon::spawn(
             server,

@@ -4,9 +4,9 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use crate::wire::{decode_frame, encode_frame, Frame, MAX_FRAME_BYTES};
@@ -129,7 +129,7 @@ impl ConnectionPool {
         if write_frame(&mut stream, &Frame::Hello { sender: self.me }).is_err() {
             return false;
         }
-        let (tx, rx) = unbounded::<Frame>();
+        let (tx, rx) = mpsc::channel::<Frame>();
         std::thread::Builder::new()
             .name(format!("conn-writer-{}-{to}", self.me))
             .spawn(move || {

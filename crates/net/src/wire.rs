@@ -7,7 +7,6 @@
 //! deliberately explicit — no reflection, no schema evolution — because the
 //! testbed always runs matching builds on both ends.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use socialtube::{LinkKind, Message, QueryScope, RequestId, TransferKind};
 use socialtube_model::{CategoryId, ChannelId, NodeId, VideoId};
 
@@ -53,11 +52,32 @@ pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
 // ---------------------------------------------------------------- helpers
 
-fn put_node(buf: &mut BytesMut, n: NodeId) {
+/// Big-endian appends to the frame under construction.
+trait Put {
+    fn put_u8(&mut self, v: u8);
+    fn put_u32(&mut self, v: u32);
+    fn put_u64(&mut self, v: u64);
+}
+
+impl Put for Vec<u8> {
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+
+    fn put_u32(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+}
+
+fn put_node(buf: &mut Vec<u8>, n: NodeId) {
     buf.put_u32(n.as_u32());
 }
 
-fn put_opt_u32(buf: &mut BytesMut, v: Option<u32>) {
+fn put_opt_u32(buf: &mut Vec<u8>, v: Option<u32>) {
     match v {
         Some(x) => {
             buf.put_u8(1);
@@ -67,34 +87,29 @@ fn put_opt_u32(buf: &mut BytesMut, v: Option<u32>) {
     }
 }
 
-fn put_nodes(buf: &mut BytesMut, nodes: &[NodeId]) {
-    buf.put_u32(nodes.len() as u32);
-    for n in nodes {
-        put_node(buf, *n);
+/// A counted collection of ids, each written as its `u32`.
+fn put_ids<T: Copy>(buf: &mut Vec<u8>, ids: &[T], as_u32: fn(T) -> u32) {
+    buf.put_u32(ids.len() as u32);
+    for id in ids {
+        buf.put_u32(as_u32(*id));
     }
 }
 
-fn put_videos(buf: &mut BytesMut, videos: &[VideoId]) {
-    buf.put_u32(videos.len() as u32);
-    for v in videos {
-        buf.put_u32(v.as_u32());
-    }
-}
-
-fn put_kind(buf: &mut BytesMut, kind: TransferKind) {
+fn put_kind(buf: &mut Vec<u8>, kind: TransferKind) {
     buf.put_u8(match kind {
         TransferKind::Playback => 0,
         TransferKind::Prefetch => 1,
     });
 }
 
-fn put_link(buf: &mut BytesMut, kind: LinkKind) {
+fn put_link(buf: &mut Vec<u8>, kind: LinkKind) {
     buf.put_u8(match kind {
         LinkKind::Inner => 0,
         LinkKind::Inter => 1,
     });
 }
 
+/// Cursor over one frame payload; every read checks what is left.
 struct Reader<'a> {
     buf: &'a [u8],
 }
@@ -104,25 +119,42 @@ impl<'a> Reader<'a> {
         Self { buf }
     }
 
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self.buf.split_first_chunk().ok_or(WireError::Truncated)?;
+        self.buf = rest;
+        Ok(*head)
+    }
+
     fn u8(&mut self) -> Result<u8, WireError> {
-        if self.buf.remaining() < 1 {
-            return Err(WireError::Truncated);
-        }
-        Ok(self.buf.get_u8())
+        Ok(u8::from_be_bytes(self.take()?))
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        if self.buf.remaining() < 4 {
-            return Err(WireError::Truncated);
-        }
-        Ok(self.buf.get_u32())
+        Ok(u32::from_be_bytes(self.take()?))
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        if self.buf.remaining() < 8 {
+        Ok(u64::from_be_bytes(self.take()?))
+    }
+
+    /// Reads the `u32` element count of a collection of 4-byte ids. A
+    /// count the rest of the payload cannot hold is refused before
+    /// anything is allocated for it.
+    fn count(&mut self) -> Result<usize, WireError> {
+        let n = self.u32()? as usize;
+        if n > MAX_FRAME_BYTES / 4 {
+            return Err(WireError::OversizedFrame(n));
+        }
+        if n > self.buf.len() / 4 {
             return Err(WireError::Truncated);
         }
-        Ok(self.buf.get_u64())
+        Ok(n)
+    }
+
+    /// A counted collection of ids, each built from its `u32`.
+    fn ids<T>(&mut self, new: fn(u32) -> T) -> Result<Vec<T>, WireError> {
+        let n = self.count()?;
+        (0..n).map(|_| self.u32().map(new)).collect()
     }
 
     fn node(&mut self) -> Result<NodeId, WireError> {
@@ -139,22 +171,6 @@ impl<'a> Reader<'a> {
             1 => Ok(Some(self.u32()?)),
             t => Err(WireError::UnknownTag(t)),
         }
-    }
-
-    fn nodes(&mut self) -> Result<Vec<NodeId>, WireError> {
-        let n = self.u32()? as usize;
-        if n > MAX_FRAME_BYTES / 4 {
-            return Err(WireError::OversizedFrame(n));
-        }
-        (0..n).map(|_| self.node()).collect()
-    }
-
-    fn videos(&mut self) -> Result<Vec<VideoId>, WireError> {
-        let n = self.u32()? as usize;
-        if n > MAX_FRAME_BYTES / 4 {
-            return Err(WireError::OversizedFrame(n));
-        }
-        (0..n).map(|_| self.video()).collect()
     }
 
     fn kind(&mut self) -> Result<TransferKind, WireError> {
@@ -177,22 +193,24 @@ impl<'a> Reader<'a> {
 // ------------------------------------------------------------- frame codec
 
 /// Encodes a frame, prefixing the `u32` payload length.
-pub fn encode_frame(frame: &Frame) -> Bytes {
-    let mut payload = BytesMut::with_capacity(64);
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    // The prefix is reserved first and patched once the payload's length
+    // is known, so a frame is one allocation.
+    let mut out = Vec::with_capacity(64);
+    out.put_u32(0);
     match frame {
         Frame::Hello { sender } => {
-            payload.put_u8(0);
-            payload.put_u32(*sender);
+            out.put_u8(0);
+            out.put_u32(*sender);
         }
         Frame::Msg(msg) => {
-            payload.put_u8(1);
-            encode_message(msg, &mut payload);
+            out.put_u8(1);
+            encode_message(msg, &mut out);
         }
     }
-    let mut out = BytesMut::with_capacity(payload.len() + 4);
-    out.put_u32(payload.len() as u32);
-    out.extend_from_slice(&payload);
-    out.freeze()
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_be_bytes());
+    out
 }
 
 /// Decodes one frame payload (without the length prefix).
@@ -209,7 +227,7 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, WireError> {
     }
 }
 
-fn encode_message(msg: &Message, buf: &mut BytesMut) {
+fn encode_message(msg: &Message, buf: &mut Vec<u8>) {
     match msg {
         Message::Query {
             id,
@@ -315,7 +333,7 @@ fn encode_message(msg: &Message, buf: &mut BytesMut) {
         Message::Leave => buf.put_u8(10),
         Message::CacheDigest { videos } => {
             buf.put_u8(11);
-            put_videos(buf, videos);
+            put_ids(buf, videos, VideoId::as_u32);
         }
         Message::JoinRequest { video } => {
             buf.put_u8(12);
@@ -348,10 +366,7 @@ fn encode_message(msg: &Message, buf: &mut BytesMut) {
         }
         Message::SubscriptionUpdate { subscribed } => {
             buf.put_u8(17);
-            buf.put_u32(subscribed.len() as u32);
-            for c in subscribed.iter() {
-                buf.put_u32(c.as_u32());
-            }
+            put_ids(buf, subscribed, ChannelId::as_u32);
         }
         Message::LogOff => buf.put_u8(18),
         Message::JoinResponse {
@@ -361,13 +376,13 @@ fn encode_message(msg: &Message, buf: &mut BytesMut) {
         } => {
             buf.put_u8(19);
             buf.put_u32(video.as_u32());
-            put_nodes(buf, channel_contacts);
-            put_nodes(buf, category_contacts);
+            put_ids(buf, channel_contacts, NodeId::as_u32);
+            put_ids(buf, category_contacts, NodeId::as_u32);
         }
         Message::OverlayContacts { video, contacts } => {
             buf.put_u8(20);
             buf.put_u32(video.as_u32());
-            put_nodes(buf, contacts);
+            put_ids(buf, contacts, NodeId::as_u32);
         }
         Message::ProviderList {
             id,
@@ -377,12 +392,12 @@ fn encode_message(msg: &Message, buf: &mut BytesMut) {
             buf.put_u8(21);
             buf.put_u64(id.0);
             buf.put_u32(video.as_u32());
-            put_nodes(buf, providers);
+            put_ids(buf, providers, NodeId::as_u32);
         }
         Message::PopularityDigest { channel, ranked } => {
             buf.put_u8(22);
             buf.put_u32(channel.as_u32());
-            put_videos(buf, ranked);
+            put_ids(buf, ranked, VideoId::as_u32);
         }
     }
 }
@@ -440,7 +455,7 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, WireError> {
         9 => Message::ProbeAck { nonce: r.u64()? },
         10 => Message::Leave,
         11 => Message::CacheDigest {
-            videos: r.videos()?.into(),
+            videos: r.ids(VideoId::new)?.into(),
         },
         12 => Message::JoinRequest { video: r.video()? },
         13 => Message::VideoRequest {
@@ -455,37 +470,27 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, WireError> {
         },
         15 => Message::WatchStarted { video: r.video()? },
         16 => Message::WatchStopped { video: r.video()? },
-        17 => {
-            let n = r.u32()? as usize;
-            if n > MAX_FRAME_BYTES / 4 {
-                return Err(WireError::OversizedFrame(n));
-            }
-            let mut subscribed = Vec::with_capacity(n);
-            for _ in 0..n {
-                subscribed.push(ChannelId::new(r.u32()?));
-            }
-            Message::SubscriptionUpdate {
-                subscribed: subscribed.into(),
-            }
-        }
+        17 => Message::SubscriptionUpdate {
+            subscribed: r.ids(ChannelId::new)?.into(),
+        },
         18 => Message::LogOff,
         19 => Message::JoinResponse {
             video: r.video()?,
-            channel_contacts: r.nodes()?.into(),
-            category_contacts: r.nodes()?.into(),
+            channel_contacts: r.ids(NodeId::new)?.into(),
+            category_contacts: r.ids(NodeId::new)?.into(),
         },
         20 => Message::OverlayContacts {
             video: r.video()?,
-            contacts: r.nodes()?.into(),
+            contacts: r.ids(NodeId::new)?.into(),
         },
         21 => Message::ProviderList {
             id: RequestId(r.u64()?),
             video: r.video()?,
-            providers: r.nodes()?.into(),
+            providers: r.ids(NodeId::new)?.into(),
         },
         22 => Message::PopularityDigest {
             channel: ChannelId::new(r.u32()?),
-            ranked: r.videos()?.into(),
+            ranked: r.ids(VideoId::new)?.into(),
         },
         t => return Err(WireError::UnknownTag(t)),
     })
@@ -658,6 +663,20 @@ mod tests {
             decode_frame(&payload),
             Err(WireError::OversizedFrame(_))
         ));
+        // Within the cap but more than the rest of the payload holds: each
+        // collection is refused at its count, before anything is sized
+        // from it.
+        let count = ((MAX_FRAME_BYTES / 4) as u32).to_be_bytes();
+        let video = 1u32.to_be_bytes();
+        let claims: [&[&[u8]]; 4] = [
+            &[&[1, 17], &count],                   // SubscriptionUpdate
+            &[&[1, 11], &count],                   // CacheDigest
+            &[&[1, 20], &video, &count],           // OverlayContacts
+            &[&[1, 22], &video, &count, &[0; 40]], // PopularityDigest, ten ids present
+        ];
+        for parts in claims {
+            assert_eq!(decode_frame(&parts.concat()), Err(WireError::Truncated));
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Dimensional metric attribution.
 //!
-//! A [`Dim`] names one slice of a run — an interest community, a shard, a
-//! peer class — and a [`DimStore`] keeps a sparse counter/histogram family
-//! per slice, so a [`MetricsSnapshot`](crate::MetricsSnapshot) can break
+//! A [`Dim`] names one slice of a run — an interest community or a shard —
+//! and a [`DimStore`] keeps a sparse counter/histogram family per slice, so a [`MetricsSnapshot`](crate::MetricsSnapshot) can break
 //! cache hits, search hops or server offload down by the community that
 //! produced them instead of reporting only run-wide totals.
 //!
@@ -18,7 +17,7 @@ use crate::snapshot::DimSnapshot;
 /// One slice of a run that metrics can be attributed to.
 ///
 /// The ordering (used for canonical storage) is: all communities, then all
-/// shards, then all peer classes, each ascending by id.
+/// shards, each ascending by id.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Dim {
     /// An interest community, keyed by the defining channel's id (the same
@@ -27,20 +26,14 @@ pub enum Dim {
     Community(u32),
     /// One shard of a sharded execution (shard 0 for serial runs).
     Shard(u32),
-    /// A heterogeneous peer class (reserved for the scenario engine's
-    /// mobile-like vs seedbox-like peer populations; no driver emits it
-    /// yet).
-    PeerClass(u8),
 }
 
 impl Dim {
-    /// Stable serialization key, e.g. `"community:12"`, `"shard:3"`,
-    /// `"class:1"`.
+    /// Stable serialization key, e.g. `"community:12"`, `"shard:3"`.
     pub fn label(self) -> String {
         match self {
             Dim::Community(c) => format!("community:{c}"),
             Dim::Shard(s) => format!("shard:{s}"),
-            Dim::PeerClass(k) => format!("class:{k}"),
         }
     }
 }
@@ -145,10 +138,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dims_order_communities_then_shards_then_classes() {
+    fn dims_order_communities_then_shards() {
         let mut dims = vec![
             Dim::Shard(0),
-            Dim::PeerClass(1),
             Dim::Community(9),
             Dim::Community(2),
             Dim::Shard(3),
@@ -161,7 +153,6 @@ mod tests {
                 Dim::Community(9),
                 Dim::Shard(0),
                 Dim::Shard(3),
-                Dim::PeerClass(1),
             ]
         );
     }
@@ -170,7 +161,6 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(Dim::Community(12).label(), "community:12");
         assert_eq!(Dim::Shard(3).label(), "shard:3");
-        assert_eq!(Dim::PeerClass(1).label(), "class:1");
     }
 
     #[test]

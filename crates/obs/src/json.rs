@@ -1,10 +1,9 @@
 //! A minimal JSON reader used to validate this crate's hand-rendered
-//! output (the workspace vendors API-subset dependency stubs, so there is
-//! no `serde_json` to lean on).
+//! output (the workspace has no JSON dependency).
 //!
 //! It parses the full JSON grammar this crate emits — objects, arrays,
 //! strings without exotic escapes, integer/float numbers, booleans, null —
-//! which is also enough for tests and bench bins to inspect metrics
+//! which is also enough for tests and the benchmark to inspect metrics
 //! snapshots and Chrome traces structurally.
 
 /// A parsed JSON value.

@@ -22,7 +22,7 @@
 //! Beyond run-wide totals, the crate records along three more axes:
 //!
 //! * **Dimensional attribution** ([`Dim`]): counters and histograms can be
-//!   sliced per interest community, shard or peer class, so a
+//!   sliced per interest community or shard, so a
 //!   [`MetricsSnapshot`] can report cache-hit rates or search hops *by the
 //!   community that produced them* — the paper's per-community structure
 //!   made measurable.
@@ -34,8 +34,7 @@
 //!   on a wall-clock/sim-time cadence. Progress is wall-clock-driven and
 //!   therefore *never* feeds deterministic outputs; it only reads.
 //!
-//! The crate is dependency-free; export formats are rendered by hand
-//! (the workspace's vendored `serde` stub does not serialize).
+//! The crate is dependency-free; export formats are rendered by hand.
 
 #![warn(missing_docs)]
 

@@ -44,7 +44,7 @@ impl HistogramSnapshot {
 }
 
 /// Serializable per-[`Dim`] slice of a snapshot: the counters and
-/// histograms recorded against one community, shard or peer class.
+/// histograms recorded against one community or shard.
 ///
 /// Kept canonically ordered (counters in [`Counter::ALL`] order,
 /// histograms in [`HistKind::ALL`] order) so merging slices is associative

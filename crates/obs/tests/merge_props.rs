@@ -25,10 +25,9 @@ fn mix(state: &mut u64) -> u64 {
 /// Applies one random observation. Dims are drawn from a small pool so
 /// that independently salted recorders overlap on dimensional keys.
 fn apply_op<R: Recorder>(r: &mut R, state: &mut u64) {
-    let dim = match mix(state) % 3 {
+    let dim = match mix(state) % 2 {
         0 => Dim::Community((mix(state) % 4) as u32),
-        1 => Dim::Shard((mix(state) % 3) as u32),
-        _ => Dim::PeerClass((mix(state) % 2) as u8),
+        _ => Dim::Shard((mix(state) % 3) as u32),
     };
     let counter = Counter::ALL[(mix(state) as usize) % Counter::COUNT];
     let kind = HistKind::ALL[(mix(state) as usize) % HistKind::COUNT];

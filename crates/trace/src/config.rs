@@ -1,7 +1,5 @@
 //! Trace generation parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the synthetic YouTube social network.
 ///
 /// Defaults reproduce the scale of the paper's crawl (20,310 users and
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Distribution parameters are chosen to match the shapes reported in
 /// Section III; see the `generator` module docs for the mapping.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceConfig {
     /// Number of users (peer nodes).
     pub users: usize,

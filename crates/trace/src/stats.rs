@@ -1,7 +1,5 @@
 //! Statistics toolkit: empirical CDFs, percentiles, correlation, Zipf fits.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical cumulative distribution function over `f64` samples.
 ///
 /// Backs every CDF figure of the paper (Figs 3, 4, 6, 7, 8, 11, 12, 13).
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cdf.quantile(0.5), 2.0);
 /// assert_eq!(cdf.fraction_at_or_below(2.5), 0.5);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -234,7 +232,7 @@ pub fn jain_fairness(xs: &[f64]) -> Option<f64> {
 
 /// Summary percentiles used throughout the evaluation (1st, 50th, 99th —
 /// the whiskers of Figs 16a/16b).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Percentiles {
     /// 1st percentile.
     pub p1: f64,
