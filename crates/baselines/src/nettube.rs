@@ -1,12 +1,12 @@
 //! NetTube: per-video overlays with session caching and random-neighbor
 //! prefetching (Cheng & Liu, INFOCOM'09).
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use socialtube::{
     ChunkSource, LinkKind, Message, Outbox, PeerAddr, QueryScope, Report, RequestId, SearchPhase,
-    ServerOutbox, TimerKind, TransferKind, VecMap, VideoCache, VodPeer, VodServer,
+    SeenWindow, ServerOutbox, TimerKind, TransferKind, VecMap, VideoCache, VodPeer, VodServer,
 };
 use socialtube_model::{Catalog, NodeId, VideoId};
 use socialtube_sim::{SimDuration, SimRng, SimTime};
@@ -109,11 +109,8 @@ pub struct NetTubePeer {
     neighbor_digests: VecMap<NodeId, Arc<[VideoId]>>,
 
     searches: VecMap<RequestId, Search>,
-    /// Hash-based mirror of `seen_order` for O(1) duplicate checks: unlike
-    /// SocialTube's 8-entry window, NetTube's spans 512 ids — too long to
-    /// scan per delivered query.
-    seen_queries: HashSet<RequestId>,
-    seen_order: VecDeque<RequestId>,
+    /// Flooded queries already handled, `seen_query_window` ids back.
+    seen_queries: SeenWindow,
     pending_probes: VecMap<u64, NodeId>,
     /// Whether this session's initial server-directed join happened.
     /// NetTube asks the server for overlay providers only on the *first*
@@ -129,6 +126,7 @@ impl NetTubePeer {
     /// Creates an offline NetTube peer.
     pub fn new(node: NodeId, catalog: Arc<Catalog>, config: NetTubeConfig, rng: SimRng) -> Self {
         let cache = VideoCache::from_config(config.cache_capacity);
+        let seen_queries = SeenWindow::new(config.seen_query_window);
         Self {
             node,
             catalog,
@@ -141,8 +139,7 @@ impl NetTubePeer {
             cache,
             neighbor_digests: VecMap::new(),
             searches: VecMap::new(),
-            seen_queries: HashSet::new(),
-            seen_order: VecDeque::new(),
+            seen_queries,
             pending_probes: VecMap::new(),
             joined_session: false,
             next_request: 0,
@@ -204,19 +201,6 @@ impl NetTubePeer {
             .video(video)
             .map(|v| v.chunk_size_bits())
             .unwrap_or(0)
-    }
-
-    fn mark_seen(&mut self, id: RequestId) -> bool {
-        if !self.seen_queries.insert(id) {
-            return false;
-        }
-        self.seen_order.push_back(id);
-        while self.seen_order.len() > self.config.seen_query_window {
-            if let Some(old) = self.seen_order.pop_front() {
-                self.seen_queries.remove(&old);
-            }
-        }
-        true
     }
 
     fn overlay_link_count(&self, video: VideoId) -> usize {
@@ -487,7 +471,7 @@ impl VodPeer for NetTubePeer {
                 origin,
                 scope,
             } => {
-                if origin == self.node || !self.mark_seen(id) {
+                if origin == self.node || !self.seen_queries.insert(id) {
                     return;
                 }
                 if self.cache.has_full(video) {
@@ -902,6 +886,11 @@ pub struct NetTubeServer {
     /// Per-video overlay membership, indexed densely by video id (video
     /// ids are contiguous in the catalog).
     overlays: Vec<Vec<NodeId>>,
+    /// The overlays each node is a member of, so a log-off visits those
+    /// and not one list per video in the catalog.
+    joined: HashMap<NodeId, Vec<VideoId>>,
+    /// Σ overlay sizes, kept as members come and go.
+    tracked: usize,
     contacts_per_join: usize,
     rng: SimRng,
 }
@@ -913,6 +902,8 @@ impl NetTubeServer {
         Self {
             catalog,
             overlays: vec![Vec::new(); videos],
+            joined: HashMap::new(),
+            tracked: 0,
             contacts_per_join: NetTubeConfig::default().links_per_video,
             rng,
         }
@@ -928,12 +919,13 @@ impl VodServer for NetTubeServer {
     fn on_message(&mut self, _now: SimTime, from: NodeId, msg: Message, out: &mut ServerOutbox) {
         match msg {
             Message::JoinRequest { video } => {
-                let members: Vec<NodeId> = self
+                let members = self
                     .overlays
                     .get(video.index())
-                    .map(|m| m.iter().copied().filter(|n| *n != from).collect())
-                    .unwrap_or_default();
-                let contacts = self.rng.pick_distinct(&members, self.contacts_per_join);
+                    .map_or(&[][..], Vec::as_slice);
+                let contacts =
+                    self.rng
+                        .pick_distinct_except(members, &from, self.contacts_per_join);
                 out.to_peer(
                     from,
                     Message::OverlayContacts {
@@ -947,13 +939,18 @@ impl VodServer for NetTubeServer {
                 if let Some(members) = self.overlays.get_mut(video.index()) {
                     if !members.contains(&from) {
                         members.push(from);
+                        self.joined.entry(from).or_default().push(video);
+                        self.tracked += 1;
                     }
                 }
             }
 
             Message::LogOff => {
-                for members in &mut self.overlays {
+                for video in self.joined.remove(&from).unwrap_or_default() {
+                    let members = &mut self.overlays[video.index()];
+                    let before = members.len();
                     members.retain(|n| *n != from);
+                    self.tracked -= before - members.len();
                 }
             }
 
@@ -977,7 +974,7 @@ impl VodServer for NetTubeServer {
     }
 
     fn tracked_entries(&self) -> usize {
-        self.overlays.iter().map(Vec::len).sum()
+        self.tracked
     }
 }
 
@@ -1341,5 +1338,36 @@ mod tests {
             );
         }
         assert_eq!(s.tracked_entries(), 3, "one entry per watched video");
+    }
+
+    #[test]
+    fn log_off_leaves_exactly_the_joined_overlays_in_retain_order() {
+        let (catalog, vids) = fixture();
+        let mut s = NetTubeServer::new(catalog, SimRng::seed(1));
+        let mut out = ServerOutbox::new();
+        let mut watch = |s: &mut NetTubeServer, node: u32, video: VideoId| {
+            let msg = Message::WatchStarted { video };
+            s.on_message(SimTime::ZERO, NodeId::new(node), msg, &mut out);
+            let total: usize = s.overlays.iter().map(Vec::len).sum();
+            assert_eq!(s.tracked_entries(), total);
+        };
+        for node in 1..=3 {
+            watch(&mut s, node, vids[0]);
+        }
+        watch(&mut s, 2, vids[2]);
+        watch(&mut s, 2, vids[2]); // a repeat joins nothing twice
+        watch(&mut s, 3, vids[2]);
+        assert_eq!(s.tracked_entries(), 5);
+        let mut out = ServerOutbox::new();
+        s.on_message(SimTime::ZERO, NodeId::new(2), Message::LogOff, &mut out);
+        assert_eq!(
+            s.overlays[vids[0].index()],
+            [NodeId::new(1), NodeId::new(3)]
+        );
+        assert_eq!(s.overlays[vids[2].index()], [NodeId::new(3)]);
+        assert_eq!(s.tracked_entries(), 3);
+        // A second log-off finds nothing left to leave.
+        s.on_message(SimTime::ZERO, NodeId::new(2), Message::LogOff, &mut out);
+        assert_eq!(s.tracked_entries(), 3);
     }
 }

@@ -69,6 +69,7 @@ mod config;
 mod messages;
 mod neighbors;
 mod peer;
+mod seen;
 mod server;
 mod traits;
 mod vecmap;
@@ -78,6 +79,7 @@ pub use config::SocialTubeConfig;
 pub use messages::{LinkKind, Message, PeerAddr, QueryScope, RequestId};
 pub use neighbors::{Neighbor, NeighborTable};
 pub use peer::SocialTubePeer;
+pub use seen::SeenWindow;
 pub use server::SocialTubeServer;
 pub use traits::{
     ChunkSource, Command, Outbox, Report, SearchPhase, ServerCommand, ServerOutbox, TimerKind,

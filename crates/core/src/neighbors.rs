@@ -43,6 +43,16 @@ pub struct NeighborTable {
     current_channel: Option<ChannelId>,
 }
 
+/// The `index`-th neighbor in table order (`index < len()`), for walking
+/// the table while the caller mutates other state of its own.
+impl std::ops::Index<usize> for NeighborTable {
+    type Output = Neighbor;
+
+    fn index(&self, index: usize) -> &Neighbor {
+        &self.neighbors[index]
+    }
+}
+
 impl NeighborTable {
     /// Creates an empty table with the given capacities (`N_l`, `N_h`).
     pub fn new(inner_cap: usize, inter_cap: usize) -> Self {

@@ -1,6 +1,5 @@
 //! The SocialTube peer state machine.
 
-use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use socialtube_model::{Catalog, CategoryId, ChannelId, ChunkIndex, NodeId, VideoId};
@@ -10,6 +9,7 @@ use crate::cache::VideoCache;
 use crate::config::SocialTubeConfig;
 use crate::messages::{LinkKind, Message, PeerAddr, QueryScope, RequestId};
 use crate::neighbors::NeighborTable;
+use crate::seen::SeenWindow;
 use crate::traits::{ChunkSource, Outbox, Report, SearchPhase, TimerKind, TransferKind, VodPeer};
 use crate::vecmap::VecMap;
 
@@ -48,10 +48,8 @@ pub struct SocialTubePeer {
     /// In-flight searches, probed on every chunk delivery — a sorted
     /// vec map (see [`VecMap`]) since a peer runs at most a few at once.
     searches: VecMap<RequestId, Search>,
-    /// Hash-based mirror of `seen_order` for O(1) duplicate checks — the
-    /// 512-id suppression window is too long to scan per delivered query.
-    seen_queries: HashSet<RequestId>,
-    seen_order: VecDeque<RequestId>,
+    /// Flooded queries already handled, `seen_query_window` ids back.
+    seen_queries: SeenWindow,
     /// Server popularity digests, sorted by channel for binary search —
     /// a peer holds a handful of digests, so a sorted vec beats a map.
     /// Rankings are shared (`Arc`) with the server's cached copy.
@@ -80,6 +78,7 @@ impl SocialTubePeer {
             .unwrap_or_else(|e| panic!("invalid SocialTube config: {e}"));
         let neighbors = NeighborTable::new(config.inner_links, config.inter_links);
         let cache = VideoCache::from_config(config.cache_capacity);
+        let seen_queries = SeenWindow::new(config.seen_query_window);
         Self {
             node,
             catalog,
@@ -91,8 +90,7 @@ impl SocialTubePeer {
             neighbors,
             cache,
             searches: VecMap::new(),
-            seen_queries: HashSet::new(),
-            seen_order: VecDeque::new(),
+            seen_queries,
             digests: Vec::new(),
             pending_probes: VecMap::new(),
             next_request: 0,
@@ -192,19 +190,6 @@ impl SocialTubePeer {
 
     fn video_category(&self, video: VideoId) -> Option<CategoryId> {
         self.catalog.video_category(video).ok().flatten()
-    }
-
-    fn mark_seen(&mut self, id: RequestId) -> bool {
-        if !self.seen_queries.insert(id) {
-            return false;
-        }
-        self.seen_order.push_back(id);
-        while self.seen_order.len() > self.config.seen_query_window {
-            if let Some(old) = self.seen_order.pop_front() {
-                self.seen_queries.remove(&old);
-            }
-        }
-        true
     }
 
     /// Starts (or advances) the community search for an active request.
@@ -404,10 +389,12 @@ impl VodPeer for SocialTubePeer {
         });
         // Reconnect to the neighbors remembered from the previous session;
         // those that fail to answer are dropped at the deadline.
-        for neighbor in self.neighbors.iter().map(|n| n.node).collect::<Vec<_>>() {
+        for i in 0..self.neighbors.len() {
+            let link = self.neighbors[i];
+            let neighbor = link.node;
             let nonce = self.fresh_nonce();
             self.pending_probes.insert(nonce, neighbor);
-            let kind = self.neighbors.kind_of(neighbor).unwrap_or(LinkKind::Inter);
+            let kind = self.neighbors.classify(link.channel);
             out.to_peer(
                 neighbor,
                 Message::ConnectRequest {
@@ -428,8 +415,8 @@ impl VodPeer for SocialTubePeer {
         self.online = false;
         // Graceful departure: notify neighbors so they drop their links,
         // but *remember* them to try first at the next login (Section IV-A).
-        for n in self.neighbors.nodes() {
-            out.to_peer(n, Message::Leave);
+        for n in self.neighbors.iter() {
+            out.to_peer(n.node, Message::Leave);
         }
         out.to_server(Message::LogOff);
         self.searches.clear();
@@ -504,7 +491,7 @@ impl VodPeer for SocialTubePeer {
                 origin,
                 scope,
             } => {
-                if origin == self.node || !self.mark_seen(id) {
+                if origin == self.node || !self.seen_queries.insert(id) {
                     return;
                 }
                 if self.cache.has_full(video) {
@@ -826,7 +813,8 @@ impl VodPeer for SocialTubePeer {
         }
         match timer {
             TimerKind::ProbeTick => {
-                for neighbor in self.neighbors.nodes() {
+                for i in 0..self.neighbors.len() {
+                    let neighbor = self.neighbors[i].node;
                     let nonce = self.fresh_nonce();
                     self.pending_probes.insert(nonce, neighbor);
                     out.to_peer(neighbor, Message::Probe { nonce });
@@ -956,12 +944,12 @@ mod tests {
         };
         let mut p = SocialTubePeer::new(NodeId::new(0), catalog, vec![chans[0]], config);
         for i in 0..100u32 {
-            assert!(p.mark_seen(RequestId::new(NodeId::new(1), i)));
-            assert!(p.seen_order.len() <= 8, "window grew past the cap");
+            assert!(p.seen_queries.insert(RequestId::new(NodeId::new(1), i)));
+            assert!(p.seen_queries.len() <= 8, "window grew past the cap");
         }
         // Evicted ids are forgotten (accepted again); recent ones are not.
-        assert!(p.mark_seen(RequestId::new(NodeId::new(1), 0)));
-        assert!(!p.mark_seen(RequestId::new(NodeId::new(1), 99)));
+        assert!(p.seen_queries.insert(RequestId::new(NodeId::new(1), 0)));
+        assert!(!p.seen_queries.insert(RequestId::new(NodeId::new(1), 99)));
     }
 
     #[test]

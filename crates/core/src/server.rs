@@ -30,7 +30,13 @@ pub struct SocialTubeServer {
     subscriptions: HashMap<NodeId, Arc<[ChannelId]>>,
     /// Online subscribers per channel — the joinable channel overlays,
     /// indexed densely by channel id (channel ids are contiguous).
+    ///
+    /// Invariant: a node is a member of channel *c* only if *c* is in
+    /// `subscriptions[node]`, so removing a node means visiting the
+    /// channels of its recorded set, not every channel.
     members: Vec<Vec<NodeId>>,
+    /// Σ member-list lengths, kept as members come and go.
+    tracked: usize,
     /// Lazily built per-channel popularity rankings, shared across every
     /// digest sent for the channel (the catalog is immutable, so rankings
     /// never change within a run).
@@ -54,6 +60,7 @@ impl SocialTubeServer {
             catalog,
             subscriptions: HashMap::new(),
             members: vec![Vec::new(); channels],
+            tracked: 0,
             popularity: vec![None; channels],
             online: HashSet::new(),
             max_category_contacts: 10,
@@ -85,28 +92,32 @@ impl SocialTubeServer {
             .unwrap_or(&[])
     }
 
-    fn pick_member(&mut self, channel: ChannelId, exclude: NodeId) -> Option<NodeId> {
-        self.pick_members(channel, exclude, 1).into_iter().next()
-    }
-
     fn pick_members(&mut self, channel: ChannelId, exclude: NodeId, n: usize) -> Vec<NodeId> {
         let Some(members) = self.members.get(channel.index()) else {
             return Vec::new();
         };
-        let candidates: Vec<NodeId> = members.iter().copied().filter(|m| *m != exclude).collect();
-        self.rng.pick_distinct(&candidates, n)
+        self.rng.pick_distinct_except(members, &exclude, n)
     }
 
     fn add_member(&mut self, channel: ChannelId, node: NodeId) {
         let members = &mut self.members[channel.index()];
         if !members.contains(&node) {
             members.push(node);
+            self.tracked += 1;
         }
     }
 
+    /// Takes `node` out of every overlay it is in — by the invariant on
+    /// `members`, those of its recorded subscription set.
     fn remove_everywhere(&mut self, node: NodeId) {
-        for members in &mut self.members {
+        let Some(subscribed) = self.subscriptions.get(&node) else {
+            return;
+        };
+        for channel in subscribed.iter() {
+            let members = &mut self.members[channel.index()];
+            let before = members.len();
             members.retain(|n| *n != node);
+            self.tracked -= before - members.len();
         }
     }
 
@@ -175,19 +186,17 @@ impl VodServer for SocialTubeServer {
                     .and_then(|c| c.primary_category());
                 let mut category_contacts = Vec::new();
                 if let Some(cat) = category {
-                    let siblings: Vec<ChannelId> = self
-                        .catalog
-                        .channels_in_category(cat)
-                        .iter()
-                        .copied()
-                        .filter(|c| *c != channel)
-                        .collect();
-                    for sibling in siblings {
+                    // One contact per sibling channel that has one.
+                    for &sibling in self.catalog.channels_in_category(cat) {
                         if category_contacts.len() >= self.max_category_contacts {
                             break;
                         }
-                        if let Some(contact) = self.pick_member(sibling, from) {
-                            category_contacts.push(contact);
+                        if sibling == channel {
+                            continue;
+                        }
+                        let members = &self.members[sibling.index()];
+                        if let Some(contact) = self.rng.pick_except(members, &from) {
+                            category_contacts.push(*contact);
                         }
                     }
                 }
@@ -228,7 +237,7 @@ impl VodServer for SocialTubeServer {
     }
 
     fn tracked_entries(&self) -> usize {
-        self.members.iter().map(Vec::len).sum()
+        self.tracked
     }
 }
 
@@ -455,6 +464,63 @@ mod tests {
         login(&mut s, 1, vec![chans[1]], &mut out);
         assert!(s.channel_members(chans[0]).is_empty());
         assert_eq!(s.channel_members(chans[1]), &[NodeId::new(1)]);
+    }
+
+    /// After every message of a login → join → re-login → log-off
+    /// sequence: membership ⊆ recorded subscriptions (what
+    /// `remove_everywhere` relies on) and the running count equals the
+    /// member lists' total length.
+    #[test]
+    fn membership_stays_within_subscriptions_and_the_count_stays_exact() {
+        fn check(s: &SocialTubeServer) {
+            let total: usize = s.members.iter().map(Vec::len).sum();
+            assert_eq!(s.tracked_entries(), total);
+            for (index, members) in s.members.iter().enumerate() {
+                for node in members {
+                    let subscribed = &s.subscriptions[node];
+                    assert!(
+                        subscribed.iter().any(|c| c.index() == index),
+                        "{node} in channel {index} without subscribing to it"
+                    );
+                }
+            }
+        }
+        let join = |s: &mut SocialTubeServer, node: u32, video: VideoId| {
+            let mut out = ServerOutbox::new();
+            let msg = Message::JoinRequest { video };
+            s.on_message(SimTime::ZERO, NodeId::new(node), msg, &mut out);
+            check(s);
+        };
+        let (mut s, chans, vids) = server();
+        let mut out = ServerOutbox::new();
+        login(&mut s, 1, vec![chans[0]], &mut out);
+        check(&s);
+        login(&mut s, 2, vec![chans[0], chans[1]], &mut out);
+        check(&s);
+        join(&mut s, 1, vids[0]); // subscriber, already a member
+        join(&mut s, 1, vids[1]); // non-subscriber: served, not admitted
+        assert_eq!(s.channel_members(chans[1]), &[NodeId::new(2)]);
+        join(&mut s, 3, vids[0]); // never logged in
+        assert_eq!(s.tracked_entries(), 3);
+        // Re-login with a different set re-homes node 1.
+        login(&mut s, 1, vec![chans[1]], &mut out);
+        check(&s);
+        assert_eq!(s.channel_members(chans[0]), &[NodeId::new(2)]);
+        assert_eq!(
+            s.channel_members(chans[1]),
+            &[NodeId::new(2), NodeId::new(1)]
+        );
+        // A log-off empties the overlays but keeps the recorded set, so a
+        // late join (in flight across the log-off) re-admits the node.
+        s.on_message(SimTime::ZERO, NodeId::new(1), Message::LogOff, &mut out);
+        check(&s);
+        assert_eq!(s.tracked_entries(), 2);
+        join(&mut s, 1, vids[1]);
+        assert_eq!(s.tracked_entries(), 3);
+        s.on_message(SimTime::ZERO, NodeId::new(1), Message::LogOff, &mut out);
+        s.on_message(SimTime::ZERO, NodeId::new(2), Message::LogOff, &mut out);
+        check(&s);
+        assert_eq!(s.tracked_entries(), 0);
     }
 
     #[test]

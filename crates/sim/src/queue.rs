@@ -5,12 +5,15 @@ use std::collections::BinaryHeap;
 
 use crate::SimTime;
 
-/// Number of tick-granular buckets in the calendar wheel (one window).
+/// Number of tick-granular buckets in the near wheel (one epoch).
 const WHEEL_BUCKETS: usize = 4096;
 /// Bucket width as a power-of-two of microseconds: 2^10 µs ≈ 1 ms.
 pub(crate) const TICK_SHIFT: u32 = 10;
-/// Words in the occupancy bitmap (one bit per bucket).
-const BITMAP_WORDS: usize = WHEEL_BUCKETS / 64;
+/// Ticks-to-epoch shift: an epoch is one near-wheel revolution.
+const EPOCH_SHIFT: u32 = WHEEL_BUCKETS.trailing_zeros();
+/// Number of epoch-granular buckets in the far wheel: with ~4.2 s epochs
+/// the two wheels together reach ~71 min ahead.
+const FAR_BUCKETS: usize = 1024;
 
 /// Snapshot of the calendar queue's internal layout, for instrumentation.
 ///
@@ -18,19 +21,20 @@ const BITMAP_WORDS: usize = WHEEL_BUCKETS / 64;
 /// queue depending on any observation crate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct QueueOccupancy {
-    /// Buckets of the calendar wheel currently holding at least one event.
+    /// Buckets of the near wheel currently holding at least one event.
     pub occupied_buckets: usize,
-    /// Events stored in wheel buckets (inside the current time window).
+    /// Events stored in near-wheel buckets (inside the current epoch).
     pub wheel_events: usize,
-    /// Events parked in the far-future overflow heap.
+    /// Events parked beyond the current epoch: far wheel plus the
+    /// past-horizon heap.
     pub overflow_events: usize,
     /// Events in the sorted working set of the current tick.
     pub current_events: usize,
 }
 
-/// A time-ordered queue of pending events, laid out as a calendar queue:
-/// tick-granular wheel buckets for the near future plus an overflow heap
-/// for events beyond the wheel's window.
+/// A time-ordered queue of pending events, laid out as a two-level timer
+/// wheel: tick-granular buckets for the current epoch, epoch-granular
+/// buckets for the next ~71 minutes, and a heap for anything later.
 ///
 /// Events that share a timestamp are delivered in insertion order (FIFO),
 /// which makes simulations fully deterministic: the queue never depends on
@@ -55,14 +59,17 @@ pub struct QueueOccupancy {
 ///
 /// # Layout
 ///
-/// The wheel covers a fixed window of `WHEEL_BUCKETS` ticks starting at
-/// `wheel_base`; bucket `t % WHEEL_BUCKETS` holds the (unsorted) events of
-/// tick `t`. When the cursor reaches a bucket, its events are sorted by
-/// `(time, seq)` into a working set popped from cheapest to latest —
+/// Time is cut into *epochs* of `WHEEL_BUCKETS` ticks. The near wheel holds
+/// the current epoch: bucket `t % WHEEL_BUCKETS` keeps the (unsorted) events
+/// of tick `t`. When the cursor reaches a bucket, its events are sorted by
+/// `(time, seq)` into a working set popped from earliest to latest —
 /// because sequence numbers are globally monotonic, this reproduces exact
-/// heap order. Events past the window wait in the overflow heap; when the
-/// wheel drains, the window re-bases at the overflow's earliest tick and
-/// the overflow prefix migrates into buckets.
+/// heap order. The far wheel holds the next `FAR_BUCKETS - 1` epochs, one
+/// unsorted bucket per epoch; events past that horizon wait in a heap.
+/// When the near wheel drains, the queue re-bases on the next non-empty
+/// epoch: heap entries the horizon now covers drop into the wheels, and
+/// that epoch's far bucket is dealt out to the near buckets — O(1) per
+/// entry, no comparisons.
 ///
 /// # Examples
 ///
@@ -78,23 +85,29 @@ pub struct QueueOccupancy {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Ring of tick buckets covering ticks `[wheel_base, wheel_base +
-    /// WHEEL_BUCKETS)`.
+    /// Near wheel: tick buckets of epoch `epoch`.
     buckets: Vec<Vec<Entry<E>>>,
-    /// One bit per bucket: set iff the bucket is non-empty.
-    occupied: [u64; BITMAP_WORDS],
+    /// One bit per near bucket: set iff the bucket is non-empty.
+    occupied: [u64; WHEEL_BUCKETS / 64],
     /// Working set of the tick at `cursor`, sorted *descending* by
     /// `(time, seq)` so [`Vec::pop`] yields the earliest entry.
     current: Vec<Entry<E>>,
-    /// Events at ticks `>= wheel_base + WHEEL_BUCKETS`.
-    overflow: BinaryHeap<Reverse<Key<E>>>,
-    /// First tick of the wheel's window.
-    wheel_base: u64,
+    /// Far wheel: bucket `e % FAR_BUCKETS` holds the events of epoch `e`
+    /// for `epoch < e < epoch + FAR_BUCKETS`.
+    far: Vec<Vec<Entry<E>>>,
+    /// One bit per far bucket: set iff the bucket is non-empty.
+    far_occupied: [u64; FAR_BUCKETS / 64],
+    /// Events at epochs `>= epoch + FAR_BUCKETS`.
+    past_horizon: BinaryHeap<Reverse<Key<E>>>,
+    /// Epoch the near wheel covers.
+    epoch: u64,
     /// Tick currently being drained.
     cursor: u64,
-    /// Events currently held in wheel buckets.
+    /// Events currently held in near-wheel buckets.
     wheel_len: usize,
-    /// Total pending events (current + wheel + overflow).
+    /// Events currently held in far-wheel buckets.
+    far_len: usize,
+    /// Total pending events (current + near + far + past horizon).
     len: usize,
     next_seq: u64,
     /// Last popped `(time, seq)`, for the monotonicity debug-assertion.
@@ -143,17 +156,34 @@ fn tick_of(time: SimTime) -> u64 {
     time.as_micros() >> TICK_SHIFT
 }
 
+/// Index of the first set bit at or after `from`, scanning word-wise.
+fn first_set_from(bits: &[u64], from: usize) -> Option<usize> {
+    let mut at = from;
+    while at < bits.len() * 64 {
+        // Bits [at % 64..64) of this word cover indices at..at + 64 - at % 64.
+        let word = bits[at / 64] >> (at % 64);
+        if word != 0 {
+            return Some(at + word.trailing_zeros() as usize);
+        }
+        at += 64 - at % 64;
+    }
+    None
+}
+
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self {
             buckets: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: [0; BITMAP_WORDS],
+            occupied: [0; WHEEL_BUCKETS / 64],
             current: Vec::new(),
-            overflow: BinaryHeap::new(),
-            wheel_base: 0,
+            far: (0..FAR_BUCKETS).map(|_| Vec::new()).collect(),
+            far_occupied: [0; FAR_BUCKETS / 64],
+            past_horizon: BinaryHeap::new(),
+            epoch: 0,
             cursor: 0,
             wheel_len: 0,
+            far_len: 0,
             len: 0,
             next_seq: 0,
             last_popped: None,
@@ -194,15 +224,29 @@ impl<E> EventQueue<E> {
             // schedule at or after `now`, usually ticks ahead).
             let at = self.current.partition_point(|e| e.key() > entry.key());
             self.current.insert(at, entry);
-        } else if tick < self.wheel_base + WHEEL_BUCKETS as u64 {
+        } else {
+            self.place(tick, entry);
+        }
+        self.len += 1;
+    }
+
+    /// Files an entry of a tick after `cursor` under the level its epoch
+    /// belongs to.
+    fn place(&mut self, tick: u64, entry: Entry<E>) {
+        let epoch = tick >> EPOCH_SHIFT;
+        if epoch == self.epoch {
             let idx = (tick % WHEEL_BUCKETS as u64) as usize;
             self.buckets[idx].push(entry);
             self.occupied[idx / 64] |= 1 << (idx % 64);
             self.wheel_len += 1;
+        } else if epoch < self.epoch + FAR_BUCKETS as u64 {
+            let idx = (epoch % FAR_BUCKETS as u64) as usize;
+            self.far[idx].push(entry);
+            self.far_occupied[idx / 64] |= 1 << (idx % 64);
+            self.far_len += 1;
         } else {
-            self.overflow.push(Reverse(Key(entry)));
+            self.past_horizon.push(Reverse(Key(entry)));
         }
-        self.len += 1;
     }
 
     /// Removes and returns the earliest event, FIFO among ties.
@@ -238,34 +282,15 @@ impl<E> EventQueue<E> {
     /// Moves the cursor to the next non-empty tick and loads its bucket as
     /// the working set. Caller guarantees `len > 0` and `current` empty.
     fn advance(&mut self) {
-        if self.wheel_len == 0 {
-            // The window is spent: re-base it at the overflow's earliest
-            // tick and migrate everything now inside the new window.
-            let Some(Reverse(min)) = self.overflow.peek() else {
-                unreachable!("len > 0 with empty wheel and empty overflow");
-            };
-            let base = tick_of(min.0.time);
-            self.wheel_base = base;
-            self.cursor = base;
-            let window_end = base + WHEEL_BUCKETS as u64;
-            while let Some(Reverse(k)) = self.overflow.peek() {
-                if tick_of(k.0.time) >= window_end {
-                    break;
-                }
-                let Some(Reverse(Key(entry))) = self.overflow.pop() else {
-                    unreachable!("peeked entry vanished");
-                };
-                let idx = (tick_of(entry.time) % WHEEL_BUCKETS as u64) as usize;
-                self.buckets[idx].push(entry);
-                self.occupied[idx / 64] |= 1 << (idx % 64);
-                self.wheel_len += 1;
-            }
+        let from = if self.wheel_len == 0 {
+            self.rebase();
+            0
         } else {
-            self.cursor = self
-                .next_occupied_tick()
-                .expect("wheel_len > 0 but no occupied bucket in the window");
-        }
-        let idx = (self.cursor % WHEEL_BUCKETS as u64) as usize;
+            (self.cursor % WHEEL_BUCKETS as u64) as usize + 1
+        };
+        let idx = first_set_from(&self.occupied, from)
+            .expect("wheel_len > 0 but no occupied bucket ahead of the cursor");
+        self.cursor = (self.epoch << EPOCH_SHIFT) + idx as u64;
         // Swap recycles the working set's capacity into the drained bucket.
         std::mem::swap(&mut self.current, &mut self.buckets[idx]);
         self.occupied[idx / 64] &= !(1 << (idx % 64));
@@ -278,24 +303,53 @@ impl<E> EventQueue<E> {
         debug_assert!(!self.current.is_empty(), "advanced to an empty bucket");
     }
 
-    /// First occupied tick strictly after `cursor` within the window, via
-    /// a word-wise scan of the occupancy bitmap.
-    fn next_occupied_tick(&self) -> Option<u64> {
-        let end = self.wheel_base + WHEEL_BUCKETS as u64;
-        let mut t = self.cursor + 1;
-        while t < end {
-            let idx = (t % WHEEL_BUCKETS as u64) as usize;
-            let bit = idx % 64;
-            // Bits [bit..64) of this word cover ticks t..t + (64 - bit).
-            let word = self.occupied[idx / 64] >> bit;
-            if word != 0 {
-                let cand = t + u64::from(word.trailing_zeros());
-                debug_assert!(cand < end, "occupied bucket outside the window");
-                return Some(cand);
+    /// The epoch is spent: moves the near wheel to the next epoch holding
+    /// an event. Caller guarantees the near wheel and the working set are
+    /// empty and `len > 0`.
+    fn rebase(&mut self) {
+        self.epoch = self
+            .next_far_epoch()
+            .or_else(|| {
+                let Reverse(min) = self.past_horizon.peek()?;
+                Some(tick_of(min.0.time) >> EPOCH_SHIFT)
+            })
+            .expect("len > 0 with every level empty");
+        // The horizon moved with the epoch: file what it now covers.
+        let horizon = (self.epoch + FAR_BUCKETS as u64) << EPOCH_SHIFT;
+        while let Some(Reverse(k)) = self.past_horizon.peek() {
+            let tick = tick_of(k.0.time);
+            if tick >= horizon {
+                break;
             }
-            t += 64 - bit as u64;
+            let Some(Reverse(Key(entry))) = self.past_horizon.pop() else {
+                unreachable!("peeked entry vanished");
+            };
+            self.place(tick, entry);
         }
-        None
+        // Deal the epoch's far bucket out to the tick buckets. The bucket's
+        // allocation is dropped, not kept: 1024 retained capacities would
+        // pin the queue's peak footprint for the rest of the run.
+        let idx = (self.epoch % FAR_BUCKETS as u64) as usize;
+        let due = std::mem::take(&mut self.far[idx]);
+        self.far_occupied[idx / 64] &= !(1 << (idx % 64));
+        self.far_len -= due.len();
+        for entry in due {
+            self.place(tick_of(entry.time), entry);
+        }
+    }
+
+    /// The first epoch after `epoch` with a non-empty far bucket. Far
+    /// slots wrap, so the scan runs from the slot after the current
+    /// epoch's to the end and then from slot 0 up to it.
+    fn next_far_epoch(&self) -> Option<u64> {
+        if self.far_len == 0 {
+            return None;
+        }
+        let here = (self.epoch % FAR_BUCKETS as u64) as usize;
+        let slot = first_set_from(&self.far_occupied, here + 1)
+            .or_else(|| first_set_from(&self.far_occupied, 0))?;
+        let ahead = (slot + FAR_BUCKETS - here) % FAR_BUCKETS;
+        Some(self.epoch + ahead as u64)
     }
 
     /// Returns the timestamp of the earliest pending event.
@@ -303,12 +357,15 @@ impl<E> EventQueue<E> {
         if let Some(e) = self.current.last() {
             return Some(e.time);
         }
+        let earliest = |bucket: &[Entry<E>]| bucket.iter().map(|e| e.time).min();
         if self.wheel_len > 0 {
-            let tick = self.next_occupied_tick()?;
-            let idx = (tick % WHEEL_BUCKETS as u64) as usize;
-            return self.buckets[idx].iter().map(|e| e.time).min();
+            let from = (self.cursor % WHEEL_BUCKETS as u64) as usize + 1;
+            return earliest(&self.buckets[first_set_from(&self.occupied, from)?]);
         }
-        self.overflow.peek().map(|Reverse(k)| k.0.time)
+        if let Some(epoch) = self.next_far_epoch() {
+            return earliest(&self.far[(epoch % FAR_BUCKETS as u64) as usize]);
+        }
+        self.past_horizon.peek().map(|Reverse(k)| k.0.time)
     }
 
     /// Number of pending events.
@@ -329,10 +386,17 @@ impl<E> EventQueue<E> {
                 b.clear();
             }
         }
-        self.occupied = [0; BITMAP_WORDS];
+        if self.far_len > 0 {
+            for b in &mut self.far {
+                *b = Vec::new();
+            }
+        }
+        self.occupied = [0; WHEEL_BUCKETS / 64];
+        self.far_occupied = [0; FAR_BUCKETS / 64];
         self.current.clear();
-        self.overflow.clear();
+        self.past_horizon.clear();
         self.wheel_len = 0;
+        self.far_len = 0;
         self.len = 0;
     }
 
@@ -341,7 +405,7 @@ impl<E> EventQueue<E> {
         QueueOccupancy {
             occupied_buckets: self.occupied.iter().map(|w| w.count_ones() as usize).sum(),
             wheel_events: self.wheel_len,
-            overflow_events: self.overflow.len(),
+            overflow_events: self.far_len + self.past_horizon.len(),
             current_events: self.current.len(),
         }
     }
@@ -409,11 +473,16 @@ mod tests {
     #[test]
     fn peek_sees_through_every_layer() {
         let mut q = EventQueue::new();
-        // Overflow only.
+        // Past-horizon heap only.
+        let late = SimTime::from_micros(2 * 3600 * 1_000_000);
+        q.push(late, 0);
+        assert_eq!(q.peek_time(), Some(late));
+        // Far wheel beats the heap; the earliest of an unsorted far bucket.
         let far = SimTime::from_micros(3600 * 1_000_000);
+        q.push(far + crate::SimDuration::from_micros(7), 1);
         q.push(far, 1);
         assert_eq!(q.peek_time(), Some(far));
-        // Wheel bucket beats overflow.
+        // Near bucket beats the far wheel.
         let near = SimTime::from_micros(5_000);
         q.push(near, 2);
         assert_eq!(q.peek_time(), Some(near));
@@ -452,17 +521,18 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cross_the_overflow_heap() {
+    fn far_future_events_cross_far_wheel_and_heap() {
         let mut q = EventQueue::new();
-        // Span several wheel windows: logins staggered over hours plus
-        // near-term chatter, interleaved.
+        // Logins staggered over ~2.7 h — the first 44 inside the far
+        // wheel's ~71 min horizon, the rest past it — plus near-term
+        // chatter, interleaved.
         let mut expect = Vec::new();
-        for i in 0..50u64 {
-            let t = SimTime::from_micros(i * 97 * 1_000_000); // ~1.6 min apart, far > window
+        for i in 0..100u64 {
+            let t = SimTime::from_micros(i * 97 * 1_000_000); // ~1.6 min apart
             q.push(t, i);
             expect.push((t, i));
         }
-        for i in 50..60u64 {
+        for i in 100..110u64 {
             let t = SimTime::from_micros(i);
             q.push(t, i);
             expect.push((t, i));
@@ -479,11 +549,12 @@ mod tests {
         assert_eq!(q.occupancy(), QueueOccupancy::default());
         q.push(SimTime::from_micros(2_000), 1); // wheel bucket
         q.push(SimTime::from_micros(2_040), 2); // same 1024 µs bucket
-        q.push(SimTime::from_micros(7_200_000_000), 3); // overflow
+        q.push(SimTime::from_micros(60_000_000), 3); // far wheel
+        q.push(SimTime::from_micros(7_200_000_000), 4); // past the horizon
         let occ = q.occupancy();
         assert_eq!(occ.occupied_buckets, 1);
         assert_eq!(occ.wheel_events, 2);
-        assert_eq!(occ.overflow_events, 1);
+        assert_eq!(occ.overflow_events, 2);
         q.pop();
         let occ = q.occupancy();
         assert_eq!(occ.occupied_buckets, 0);
@@ -518,6 +589,10 @@ mod tests {
                 self.heap.pop().map(|Reverse(Key(e))| (e.time, e.event))
             }
 
+            pub fn peek_time(&self) -> Option<SimTime> {
+                self.heap.peek().map(|Reverse(k)| k.0.time)
+            }
+
             pub fn len(&self) -> usize {
                 self.heap.len()
             }
@@ -528,6 +603,18 @@ mod tests {
         use super::reference::HeapQueue;
         use super::*;
         use proptest::prelude::*;
+
+        const EPOCH_MICROS: u64 = (WHEEL_BUCKETS as u64) << TICK_SHIFT;
+        const HORIZON_MICROS: u64 = FAR_BUCKETS as u64 * EPOCH_MICROS;
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            /// Push this many µs after the last popped time.
+            After(u64),
+            /// Push `.1 - 1` µs off the boundary `.0` epochs ahead.
+            Boundary(u64, u64),
+            Pop,
+        }
 
         proptest! {
             /// Any push sequence pops in non-decreasing time order, and
@@ -567,20 +654,27 @@ mod tests {
 
             /// Differential test against the binary-heap reference: random
             /// interleavings of schedules and drains — with time offsets
-            /// spanning the working set, the wheel, and the overflow heap,
-            /// plus deliberate same-tick ties — deliver identically from
-            /// both implementations.
+            /// spanning the working set, the near wheel, the far wheel and
+            /// the past-horizon heap, timestamps exactly on and one µs
+            /// either side of epoch boundaries, plus deliberate same-tick
+            /// ties — deliver identically from both implementations, and
+            /// `peek_time` names the reference's minimum after every op.
             #[test]
             fn matches_heap_reference(
                 ops in proptest::collection::vec(
                     prop_oneof![
-                        // Near pushes: same tick / same wheel window.
-                        (0u64..5_000).prop_map(Some),
-                        // Far pushes: land in the overflow heap.
-                        (4_000_000u64..400_000_000).prop_map(Some),
+                        // Near pushes: same tick / same epoch.
+                        (0u64..5_000).prop_map(Op::After),
+                        // Far pushes: land in the far wheel.
+                        (4_000_000u64..400_000_000).prop_map(Op::After),
+                        // Past the far horizon (> 71 min): the heap.
+                        (HORIZON_MICROS..3 * HORIZON_MICROS).prop_map(Op::After),
                         // Exact ties on a handful of timestamps.
-                        (0u64..4).prop_map(|t| Some(t * 1_000_000)),
-                        Just(None), // pop
+                        (0u64..4).prop_map(|t| Op::After(t * 1_000_000)),
+                        // On an epoch boundary, or one µs before / after it.
+                        (1u64..1_500, 0u64..3).prop_map(|(e, d)| Op::Boundary(e, d)),
+                        Just(Op::Pop),
+                        Just(Op::Pop),
                     ],
                     1..400,
                 ),
@@ -591,28 +685,34 @@ mod tests {
                 // last popped time, so the cursor keeps moving forward.
                 let mut now = 0u64;
                 for (i, op) in ops.into_iter().enumerate() {
-                    match op {
-                        Some(offset) => {
-                            let t = SimTime::from_micros(now + offset);
-                            calendar.push(t, i);
-                            heap.push(t, i);
+                    let at = match op {
+                        Op::After(offset) => Some(now + offset),
+                        Op::Boundary(epochs, d) => {
+                            Some((now / EPOCH_MICROS + epochs) * EPOCH_MICROS + d - 1)
                         }
-                        None => {
-                            let got = calendar.pop();
-                            let want = heap.pop();
-                            prop_assert_eq!(got, want, "queues diverged");
-                            if let Some((t, _)) = got {
-                                now = t.as_micros();
-                            }
+                        Op::Pop => None,
+                    };
+                    if let Some(at) = at {
+                        let t = SimTime::from_micros(at);
+                        calendar.push(t, i);
+                        heap.push(t, i);
+                    } else {
+                        let got = calendar.pop();
+                        let want = heap.pop();
+                        prop_assert_eq!(got, want, "queues diverged");
+                        if let Some((t, _)) = got {
+                            now = t.as_micros();
                         }
                     }
                     prop_assert_eq!(calendar.len(), heap.len());
+                    prop_assert_eq!(calendar.peek_time(), heap.peek_time());
                 }
                 // Drain both completely: every remaining event must match.
                 loop {
                     let got = calendar.pop();
                     let want = heap.pop();
                     prop_assert_eq!(got, want, "queues diverged at drain");
+                    prop_assert_eq!(calendar.peek_time(), heap.peek_time());
                     if got.is_none() {
                         break;
                     }
@@ -624,13 +724,42 @@ mod tests {
     mod layout {
         use super::*;
 
-        /// The queue entry stays three words of header plus the payload:
+        /// The queue entry stays two words of header plus the payload:
         /// growth here multiplies across every pending event.
         #[test]
         fn entry_header_is_two_words() {
             assert_eq!(std::mem::size_of::<Entry<()>>(), 16);
             // A boxed payload adds exactly one pointer.
             assert_eq!(std::mem::size_of::<Entry<Box<u64>>>(), 24);
+        }
+
+        /// The far wheel stores the same entries as every other level (no
+        /// per-level wrapper), reaches ~71 min, and costs an empty queue
+        /// one `Vec` header per bucket and nothing per event.
+        #[test]
+        fn far_wheel_is_a_fixed_cost() {
+            let horizon_micros = (FAR_BUCKETS as u64) << (EPOCH_SHIFT + TICK_SHIFT);
+            assert_eq!(horizon_micros / 60_000_000, 71);
+            let q: EventQueue<[u64; 7]> = EventQueue::new();
+            assert_eq!(q.far.len(), FAR_BUCKETS);
+            assert!(q.far.iter().all(|b| b.capacity() == 0));
+            assert_eq!(std::mem::size_of_val(&q.far[..]), FAR_BUCKETS * 24);
+            assert_eq!(std::mem::size_of_val(&q.far_occupied), FAR_BUCKETS / 8);
+        }
+
+        /// A drained far bucket gives its allocation back.
+        #[test]
+        fn drained_far_bucket_keeps_no_capacity() {
+            let mut q = EventQueue::new();
+            let t = SimTime::from_micros(60_000_000);
+            for i in 0..100 {
+                q.push(t, i);
+            }
+            let slot = ((tick_of(t) >> EPOCH_SHIFT) % FAR_BUCKETS as u64) as usize;
+            assert!(q.far[slot].capacity() >= 100);
+            q.pop();
+            assert_eq!(q.far[slot].capacity(), 0);
+            assert_eq!(q.occupancy().overflow_events, 0);
         }
     }
 }

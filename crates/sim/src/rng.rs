@@ -96,17 +96,71 @@ impl SimRng {
         }
     }
 
+    /// Picks a uniformly random element of `slice` other than `exclude`
+    /// (which `slice` holds at most once), or `None` if there is none —
+    /// the draw [`pick`](SimRng::pick) makes over a copy of `slice`
+    /// without `exclude`, without making the copy.
+    pub fn pick_except<'a, T: PartialEq>(&mut self, slice: &'a [T], exclude: &T) -> Option<&'a T> {
+        let skip = slice.iter().position(|x| x == exclude);
+        let len = slice.len() - usize::from(skip.is_some());
+        if len == 0 {
+            return None;
+        }
+        let i = self.inner.gen_range(0..len);
+        Some(&slice[unskip(i, skip)])
+    }
+
     /// Picks up to `n` distinct elements of `slice` uniformly at random
     /// (partial Fisher–Yates over indices).
     pub fn pick_distinct<T: Clone>(&mut self, slice: &[T], n: usize) -> Vec<T> {
-        let mut indices: Vec<usize> = (0..slice.len()).collect();
-        let take = n.min(slice.len());
-        for i in 0..take {
-            let j = self.inner.gen_range(i..indices.len());
-            indices.swap(i, j);
-        }
-        indices[..take].iter().map(|&i| slice[i].clone()).collect()
+        let mut picked = Vec::with_capacity(n.min(slice.len()));
+        self.draw_distinct(slice.len(), n, |i| picked.push(slice[i].clone()));
+        picked
     }
+
+    /// [`pick_distinct`](SimRng::pick_distinct) over `slice` without
+    /// `exclude` (which `slice` holds at most once): the same picks from
+    /// the same draws as filtering first, without copying the slice.
+    pub fn pick_distinct_except<T: Clone + PartialEq>(
+        &mut self,
+        slice: &[T],
+        exclude: &T,
+        n: usize,
+    ) -> Vec<T> {
+        let skip = slice.iter().position(|x| x == exclude);
+        let len = slice.len() - usize::from(skip.is_some());
+        let mut picked = Vec::with_capacity(n.min(len));
+        self.draw_distinct(len, n, |i| picked.push(slice[unskip(i, skip)].clone()));
+        picked
+    }
+
+    /// Hands `pick` the first `min(n, len)` indices of a Fisher–Yates
+    /// shuffle of `0..len`, in order, drawing one `gen_range(i..len)` per
+    /// index like the dense shuffle does but remembering only the
+    /// positions a swap moved — O(n²) over a handful of contacts instead
+    /// of O(len) over a whole member list.
+    fn draw_distinct(&mut self, len: usize, n: usize, mut pick: impl FnMut(usize)) {
+        // `(position, index now there)`; an absent position still holds
+        // its own index.
+        let mut moved: Vec<(usize, usize)> = Vec::new();
+        for i in 0..n.min(len) {
+            let j = self.inner.gen_range(i..len);
+            let at = |p: usize| moved.iter().find(|(q, _)| *q == p).map_or(p, |&(_, v)| v);
+            let (front, drawn) = (at(i), at(j));
+            pick(drawn);
+            // The swap's other half: position `i` is never read again.
+            match moved.iter_mut().find(|(q, _)| *q == j) {
+                Some(slot) => slot.1 = front,
+                None => moved.push((j, front)),
+            }
+        }
+    }
+}
+
+/// Maps index `i` of a slice with position `skip` left out back to the
+/// full slice.
+fn unskip(i: usize, skip: Option<usize>) -> usize {
+    i + usize::from(skip.is_some_and(|s| i >= s))
 }
 
 /// 64-bit FNV-1a over `bytes`, used to mix stream labels into seeds.
@@ -209,6 +263,60 @@ mod tests {
         let data = [1, 2, 3];
         let picked = rng.pick_distinct(&data, 10);
         assert_eq!(picked.len(), 3);
+    }
+
+    /// The dense partial Fisher–Yates the sparse draw replaced.
+    fn dense_pick_distinct<T: Clone>(rng: &mut SimRng, slice: &[T], n: usize) -> Vec<T> {
+        let mut indices: Vec<usize> = (0..slice.len()).collect();
+        let take = n.min(slice.len());
+        for i in 0..take {
+            let j = rng.inner.gen_range(i..indices.len());
+            indices.swap(i, j);
+        }
+        indices[..take].iter().map(|&i| slice[i].clone()).collect()
+    }
+
+    #[test]
+    fn pick_distinct_matches_the_dense_shuffle() {
+        for len in 0..200u32 {
+            let data: Vec<u32> = (0..len).map(|x| x * 3 + 1).collect();
+            for n in 0..12 {
+                let seed = u64::from(len) * 31 + n as u64;
+                let (mut sparse, mut dense) = (SimRng::seed(seed), SimRng::seed(seed));
+                assert_eq!(
+                    sparse.pick_distinct(&data, n),
+                    dense_pick_distinct(&mut dense, &data, n),
+                    "len={len} n={n}"
+                );
+                // Both consumed the same number of draws.
+                assert_eq!(sparse.next_u64(), dense.next_u64(), "len={len} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn picks_with_exclusion_match_filter_then_pick() {
+        for len in 0..40u32 {
+            let data: Vec<u32> = (0..len).collect();
+            // Excluded element first, in the middle, last, absent.
+            for exclude in [0, len / 2, len.saturating_sub(1), len + 7] {
+                let filtered: Vec<u32> = data.iter().copied().filter(|x| *x != exclude).collect();
+                for n in 0..8 {
+                    let seed = u64::from(len * 1_000 + exclude * 10) + n as u64;
+                    let (mut a, mut b) = (SimRng::seed(seed), SimRng::seed(seed));
+                    assert_eq!(
+                        a.pick_distinct_except(&data, &exclude, n),
+                        b.pick_distinct(&filtered, n),
+                        "len={len} exclude={exclude} n={n}"
+                    );
+                    assert_eq!(
+                        a.pick_except(&data, &exclude),
+                        b.pick_distinct(&filtered, 1).first()
+                    );
+                    assert_eq!(a.next_u64(), b.next_u64());
+                }
+            }
+        }
     }
 
     #[test]

@@ -502,7 +502,7 @@ mod tests {
             }
             let h = mix(ev.tag ^ (u64::from(ev.node) << 32 | u64::from(ev.hops)));
             // Cross-node send: pays at least the lookahead, sometimes far
-            // enough to cross the wheel into the overflow heap.
+            // enough to leave the near wheel for the far one.
             let extra = if h.is_multiple_of(5) {
                 6_000_000
             } else {
