@@ -1,12 +1,12 @@
 //! NetTube: per-video overlays with session caching and random-neighbor
 //! prefetching (Cheng & Liu, INFOCOM'09).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use socialtube::{
-    ChunkSource, LinkKind, Message, Outbox, PeerAddr, QueryScope, Report, RequestId, SearchPhase,
-    SeenWindow, ServerOutbox, TimerKind, TransferKind, VecMap, VideoCache, VodPeer, VodServer,
+    serve_from_origin, IndexedTracker, LinkKind, Message, Outbox, PeerAddr, Prober, QueryScope,
+    Report, RequestId, SearchPhase, SeenWindow, ServerOutbox, TimerKind, TransferKind, Transfers,
+    VecMap, VideoCache, VodPeer, VodServer,
 };
 use socialtube_model::{Catalog, NodeId, VideoId};
 use socialtube_sim::{SimDuration, SimRng, SimTime};
@@ -67,19 +67,6 @@ impl NetTubeConfig {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Search {
-    video: VideoId,
-    kind: TransferKind,
-    requested_at: SimTime,
-    provider: Option<NodeId>,
-    candidates: Vec<NodeId>,
-    from_chunk: u32,
-    playback_reported: bool,
-    asked_server: bool,
-    served_by_server: bool,
-}
-
 /// A NetTube peer.
 ///
 /// Keeps one overlay's worth of links *per watched video* — links accumulate
@@ -89,8 +76,6 @@ struct Search {
 /// first chunks of *random* videos from neighbors' caches.
 #[derive(Debug)]
 pub struct NetTubePeer {
-    node: NodeId,
-    catalog: Arc<Catalog>,
     config: NetTubeConfig,
     rng: SimRng,
 
@@ -108,18 +93,18 @@ pub struct NetTubePeer {
     /// the message that carried it (digests are immutable snapshots).
     neighbor_digests: VecMap<NodeId, Arc<[VideoId]>>,
 
-    searches: VecMap<RequestId, Search>,
+    /// Requests in flight: flooding (`Channel` phase) until the server
+    /// serves them.
+    transfers: Transfers,
     /// Flooded queries already handled, `seen_query_window` ids back.
     seen_queries: SeenWindow,
-    pending_probes: VecMap<u64, NodeId>,
-    /// Whether this session's initial server-directed join happened.
+    prober: Prober,
+    /// The request whose flood miss sent this session's `JoinRequest`.
     /// NetTube asks the server for overlay providers only on the *first*
-    /// request; later flood misses are served by the server directly
-    /// ("if the video is not found, the user resorts to the server").
-    joined_session: bool,
-
-    next_request: u32,
-    next_nonce: u64,
+    /// miss of a session; once this is set, later misses are served by
+    /// the server directly ("if the video is not found, the user resorts
+    /// to the server").
+    join_search: Option<RequestId>,
 }
 
 impl NetTubePeer {
@@ -128,8 +113,6 @@ impl NetTubePeer {
         let cache = VideoCache::from_config(config.cache_capacity);
         let seen_queries = SeenWindow::new(config.seen_query_window);
         Self {
-            node,
-            catalog,
             config,
             rng,
             online: false,
@@ -138,12 +121,10 @@ impl NetTubePeer {
             distinct_dirty: false,
             cache,
             neighbor_digests: VecMap::new(),
-            searches: VecMap::new(),
+            transfers: Transfers::new(node, catalog),
             seen_queries,
-            pending_probes: VecMap::new(),
-            joined_session: false,
-            next_request: 0,
-            next_nonce: 0,
+            prober: Prober::new(),
+            join_search: None,
         }
     }
 
@@ -178,37 +159,12 @@ impl NetTubePeer {
         self.distinct_dirty = false;
     }
 
-    fn fresh_request(&mut self) -> RequestId {
-        let id = RequestId::new(self.node, self.next_request);
-        self.next_request = self.next_request.wrapping_add(1);
-        id
-    }
-
-    fn fresh_nonce(&mut self) -> u64 {
-        self.next_nonce = self.next_nonce.wrapping_add(1);
-        self.next_nonce
-    }
-
-    fn total_chunks(&self, video: VideoId) -> u32 {
-        self.catalog
-            .video(video)
-            .map(|v| v.chunk_count())
-            .unwrap_or(1)
-    }
-
-    fn chunk_bits(&self, video: VideoId) -> u64 {
-        self.catalog
-            .video(video)
-            .map(|v| v.chunk_size_bits())
-            .unwrap_or(0)
-    }
-
     fn overlay_link_count(&self, video: VideoId) -> usize {
         self.links.iter().filter(|(_, v)| *v == video).count()
     }
 
     fn add_link(&mut self, neighbor: NodeId, video: VideoId) -> bool {
-        if neighbor == self.node {
+        if neighbor == self.transfers.node() {
             return false;
         }
         if self.links.contains(&(neighbor, video)) {
@@ -229,7 +185,7 @@ impl NetTubePeer {
     }
 
     fn connect_to(&mut self, target: NodeId, video: VideoId, out: &mut Outbox) {
-        if target == self.node || self.links.contains(&(target, video)) {
+        if target == self.transfers.node() || self.links.contains(&(target, video)) {
             return;
         }
         if self.overlay_link_count(video) >= self.config.links_per_video {
@@ -245,91 +201,56 @@ impl NetTubePeer {
         );
     }
 
+    /// The flood (or the contacts the server named) found no provider for
+    /// request `id`.
     fn ask_server(&mut self, id: RequestId, out: &mut Outbox) {
-        let joined = self.joined_session;
-        let Some(search) = self.searches.get_mut(&id) else {
+        let Some(t) = self.transfers.get(id) else {
             return;
         };
-        if joined && !search.asked_server {
-            // Past the initial join, a flood miss goes straight to the
-            // server for service, not for more contacts.
-            search.asked_server = true;
-        }
-        if search.asked_server {
-            if search.kind == TransferKind::Prefetch {
-                // Opportunistic prefetches never burden the server.
-                let video = search.video;
-                self.searches.remove(&id);
-                out.report(Report::PrefetchAbandoned {
-                    node: self.node,
-                    video,
-                });
-                return;
-            }
-            // Contacts exhausted (or past the initial join): the server
-            // serves the video itself.
-            if !search.served_by_server {
-                search.served_by_server = true;
-                out.report(Report::ServerFallback {
-                    node: self.node,
-                    video: search.video,
-                });
-                out.to_server(Message::VideoRequest {
-                    id,
-                    video: search.video,
-                    from_chunk: search.from_chunk,
-                    kind: search.kind,
-                });
-            }
-            return;
-        }
-        search.asked_server = true;
-        if search.kind == TransferKind::Prefetch {
+        let video = t.video;
+        if t.kind == TransferKind::Prefetch {
             // Prefetches never escalate to the server in NetTube — they are
-            // opportunistic grabs from neighbors; just drop the search.
-            let video = search.video;
-            self.searches.remove(&id);
+            // opportunistic grabs from neighbors; just drop the request.
+            self.transfers.remove(id);
             out.report(Report::PrefetchAbandoned {
-                node: self.node,
+                node: self.transfers.node(),
                 video,
             });
-            return;
-        }
-        self.joined_session = true;
-        out.to_server(Message::JoinRequest {
-            video: search.video,
-        });
-        out.timer(
-            self.config.search_timeout,
-            TimerKind::SearchDeadline {
-                id,
-                phase: SearchPhase::Server,
-            },
-        );
-    }
-
-    fn try_candidate(&mut self, id: RequestId, out: &mut Outbox) {
-        let Some(search) = self.searches.get_mut(&id) else {
-            return;
-        };
-        let video = search.video;
-        let from_chunk = search.from_chunk;
-        let kind = search.kind;
-        if let Some(candidate) = search.candidates.pop() {
-            search.provider = Some(candidate);
-            out.to_peer(
-                candidate,
-                Message::ChunkRequest {
+        } else if self.join_search.is_none() {
+            self.join_search = Some(id);
+            out.to_server(Message::JoinRequest { video });
+            out.timer(
+                self.config.search_timeout,
+                TimerKind::SearchDeadline {
                     id,
-                    video,
-                    from_chunk,
-                    kind,
+                    phase: SearchPhase::Server,
                 },
             );
-            out.timer(self.config.chunk_timeout, TimerKind::ChunkDeadline { id });
-            self.connect_to(candidate, video, out);
-        } else {
-            self.ask_server(id, out);
+        } else if !t.at_origin() {
+            // Contacts exhausted (or past the initial join): the server
+            // serves the video itself, not more contacts.
+            self.transfers.ask_origin(id, out);
+        }
+    }
+
+    /// Asks the next contact the server named for request `id`, linking to
+    /// it; the server itself when none is left.
+    fn try_candidate(&mut self, id: RequestId, out: &mut Outbox) {
+        let Some(video) = self.transfers.get(id).map(|t| t.video) else {
+            return;
+        };
+        let timeout = self.config.chunk_timeout;
+        match self.transfers.next_candidate(id, timeout, out) {
+            Some(candidate) => self.connect_to(candidate, video, out),
+            None => self.ask_server(id, out),
+        }
+    }
+
+    /// The provider of `id` failed: continue from the next missing chunk.
+    fn provider_failed(&mut self, id: RequestId, out: &mut Outbox) {
+        if let Some(t) = self.transfers.get_mut(id) {
+            t.from_chunk = self.cache.chunks_of(t.video);
+            self.try_candidate(id, out);
         }
     }
 
@@ -342,7 +263,7 @@ impl NetTubePeer {
 
 impl VodPeer for NetTubePeer {
     fn node(&self) -> NodeId {
-        self.node
+        self.transfers.node()
     }
 
     fn on_login(&mut self, _now: SimTime, out: &mut Outbox) {
@@ -353,86 +274,46 @@ impl VodPeer for NetTubePeer {
         // This is what makes NetTube's link count grow cumulatively with
         // videos watched (Fig 18).
         for neighbor in self.distinct_neighbors() {
-            let video = self
-                .links
-                .iter()
-                .find(|(n, _)| *n == neighbor)
-                .map(|(_, v)| *v);
-            let nonce = self.fresh_nonce();
-            self.pending_probes.insert(nonce, neighbor);
-            out.to_peer(
-                neighbor,
-                Message::ConnectRequest {
-                    kind: LinkKind::Inner,
-                    channel: None,
-                    video,
-                },
-            );
-            out.timer(
-                self.config.probe_timeout,
-                TimerKind::ProbeDeadline { neighbor, nonce },
-            );
+            let request = Message::ConnectRequest {
+                kind: LinkKind::Inner,
+                channel: None,
+                video: self
+                    .links
+                    .iter()
+                    .find(|(n, _)| *n == neighbor)
+                    .map(|(_, v)| *v),
+            };
+            self.prober
+                .reconnect(neighbor, request, self.config.probe_timeout, out);
         }
         out.timer(self.config.probe_interval, TimerKind::ProbeTick);
     }
 
     fn on_logout(&mut self, _now: SimTime, out: &mut Outbox) {
         self.online = false;
-        self.joined_session = false;
+        self.join_search = None;
         for neighbor in self.distinct_neighbors() {
             out.to_peer(neighbor, Message::Leave);
         }
         out.to_server(Message::LogOff);
-        self.searches.clear();
-        self.pending_probes.clear();
+        self.transfers.clear();
+        self.prober.clear();
     }
 
     fn watch(&mut self, now: SimTime, video: VideoId, out: &mut Outbox) {
         debug_assert!(self.online, "watch() on an offline peer");
-        let total = self.total_chunks(video);
-        if self.cache.has_full(video) {
-            self.cache.touch(video, now.as_micros());
-            out.report(Report::PlaybackStarted {
-                node: self.node,
-                video,
-                requested_at: now,
-                source: ChunkSource::Cache,
-            });
+        let (started, missing) = self
+            .transfers
+            .start_from_cache(now, video, &mut self.cache, out);
+        if started {
             self.schedule_prefetch(out);
-            return;
         }
-        let (from_chunk, playback_reported) = if self.cache.has_first_chunk(video) {
-            out.report(Report::PlaybackStarted {
-                node: self.node,
-                video,
-                requested_at: now,
-                source: ChunkSource::Prefetched,
-            });
-            self.schedule_prefetch(out);
-            let from = self.cache.chunks_of(video);
-            if from >= total {
-                return;
-            }
-            (from, true)
-        } else {
-            (0, false)
+        let Some(from_chunk) = missing else {
+            return;
         };
-
-        let id = self.fresh_request();
-        self.searches.insert(
-            id,
-            Search {
-                video,
-                kind: TransferKind::Playback,
-                requested_at: now,
-                provider: None,
-                candidates: Vec::new(),
-                from_chunk,
-                playback_reported,
-                asked_server: false,
-                served_by_server: false,
-            },
-        );
+        let id = self
+            .transfers
+            .begin(now, video, TransferKind::Playback, from_chunk, started);
         let neighbors = self.distinct_neighbors();
         if neighbors.is_empty() {
             self.ask_server(id, out);
@@ -445,7 +326,7 @@ impl VodPeer for NetTubePeer {
                     id,
                     video,
                     ttl: self.config.ttl,
-                    origin: self.node,
+                    origin: self.transfers.node(),
                     scope: QueryScope::PerVideo,
                 },
             );
@@ -471,28 +352,17 @@ impl VodPeer for NetTubePeer {
                 origin,
                 scope,
             } => {
-                if origin == self.node || !self.seen_queries.insert(id) {
+                if origin == self.transfers.node() || !self.seen_queries.insert(id) {
                     return;
                 }
-                if self.cache.has_full(video) {
+                let held = self.cache.has_full(video);
+                if held {
                     self.cache.touch(video, now.as_micros());
-                    out.to_peer(
-                        origin,
-                        Message::QueryHit {
-                            id,
-                            video,
-                            provider: self.node,
-                            provider_channel: None,
-                            ttl,
-                        },
-                    );
-                    return;
                 }
-                if ttl == 0 {
-                    out.report(Report::TtlExpired {
-                        node: self.node,
-                        video,
-                    });
+                if !self
+                    .transfers
+                    .answer_query(held, id, video, ttl, origin, None, out)
+                {
                     return;
                 }
                 let sender = match from {
@@ -527,52 +397,40 @@ impl VodPeer for NetTubePeer {
                 ttl,
                 ..
             } => {
-                let Some(search) = self.searches.get_mut(&id) else {
+                // NetTube has a single flood tier, reported as the channel
+                // phase with the hop count the TTL encodes.
+                let Some(phase) = self.transfers.searching(id) else {
                     return;
                 };
-                if search.provider.is_some() || search.served_by_server {
-                    return;
-                }
-                search.provider = Some(provider);
-                // NetTube has a single flood tier; report it under the
-                // channel phase with the hop count the TTL encodes.
                 out.report(Report::SearchResolved {
-                    node: self.node,
+                    node: self.transfers.node(),
                     video,
-                    phase: SearchPhase::Channel,
+                    phase,
                     hops: self.config.ttl.saturating_sub(ttl).saturating_add(1),
                 });
-                let from_chunk = search.from_chunk;
-                let kind = search.kind;
-                out.to_peer(
-                    provider,
-                    Message::ChunkRequest {
-                        id,
-                        video,
-                        from_chunk,
-                        kind,
-                    },
-                );
-                out.timer(self.config.chunk_timeout, TimerKind::ChunkDeadline { id });
+                self.transfers
+                    .ask_provider(id, provider, Some(self.config.chunk_timeout), out);
                 self.connect_to(provider, video, out);
             }
 
             Message::OverlayContacts { video, contacts } => {
                 // Response to our JoinRequest: adopt contacts as transfer
-                // candidates and overlay links.
+                // candidates and overlay links. The request is one the
+                // server was asked about (for contacts or for service)
+                // that nobody is serving from a peer.
                 let search_id = self
-                    .searches
+                    .transfers
                     .iter()
-                    .find(|(_, s)| s.video == video && s.asked_server && s.provider.is_none())
-                    .map(|(id, _)| *id);
+                    .find(|(id, t)| {
+                        let asked = t.at_origin() || self.join_search == Some(*id);
+                        t.video == video && asked && t.provider.is_none()
+                    })
+                    .map(|(id, _)| id);
                 for c in contacts.iter().take(self.config.links_per_video) {
                     self.connect_to(*c, video, out);
                 }
                 if let Some(id) = search_id {
-                    if let Some(search) = self.searches.get_mut(&id) {
-                        search.candidates = contacts.to_vec();
-                        search.candidates.reverse(); // pop() in server order
-                    }
+                    self.transfers.set_candidates(id, &contacts);
                     self.try_candidate(id, out);
                 }
             }
@@ -583,31 +441,12 @@ impl VodPeer for NetTubePeer {
                 from_chunk,
                 kind,
             } => {
-                let PeerAddr::Peer(requester) = from else {
-                    return;
-                };
-                if !self.cache.has_full(video) {
-                    out.to_peer(requester, Message::ChunkUnavailable { id, video });
-                    return;
-                }
-                self.cache.touch(video, now.as_micros());
-                let total = self.total_chunks(video);
-                let bits = self.chunk_bits(video);
-                let last = match kind {
-                    TransferKind::Prefetch => from_chunk,
-                    TransferKind::Playback => total.saturating_sub(1),
-                };
-                for chunk in from_chunk..=last.min(total.saturating_sub(1)) {
-                    out.to_peer(
-                        requester,
-                        Message::ChunkData {
-                            id,
-                            video,
-                            chunk,
-                            bits,
-                            kind,
-                        },
-                    );
+                let held = self.cache.has_full(video);
+                if self
+                    .transfers
+                    .serve(held, from, id, video, from_chunk, kind, out)
+                {
+                    self.cache.touch(video, now.as_micros());
                 }
             }
 
@@ -618,66 +457,22 @@ impl VodPeer for NetTubePeer {
                 bits,
                 kind,
             } => {
-                let source = match from {
-                    PeerAddr::Peer(_) => ChunkSource::Peer,
-                    PeerAddr::Server => ChunkSource::Server,
-                };
-                out.report(Report::ChunkReceived {
-                    node: self.node,
-                    video,
-                    bits,
-                    source,
-                    kind,
-                });
-                let total = self.total_chunks(video);
+                let total = self.transfers.chunks_in(video);
                 self.cache
                     .record_chunk(video, chunk, total, now.as_micros());
-                let mut done = false;
-                let mut playback_began = false;
-                if let Some(search) = self.searches.get_mut(&id) {
-                    if kind == TransferKind::Playback
-                        && !search.playback_reported
-                        && chunk == search.from_chunk
-                    {
-                        search.playback_reported = true;
-                        playback_began = true;
-                        out.report(Report::PlaybackStarted {
-                            node: self.node,
-                            video,
-                            requested_at: search.requested_at,
-                            source,
-                        });
-                    }
-                    done = match kind {
-                        TransferKind::Prefetch => chunk == search.from_chunk,
-                        TransferKind::Playback => chunk + 1 >= total,
-                    };
-                }
-                if playback_began {
+                let progress = self
+                    .transfers
+                    .on_chunk(from, id, video, chunk, bits, kind, out);
+                if progress.started {
                     self.schedule_prefetch(out);
                 }
-                if done {
-                    self.searches.remove(&id);
-                    if kind == TransferKind::Playback {
-                        // Join the video's overlay as a future provider.
-                        out.to_server(Message::WatchStarted { video });
-                    }
+                if progress.done && kind == TransferKind::Playback {
+                    // Join the video's overlay as a future provider.
+                    out.to_server(Message::WatchStarted { video });
                 }
             }
 
-            Message::ChunkUnavailable { id, .. } => {
-                let stalled = self
-                    .searches
-                    .get_mut(&id)
-                    .map(|s| {
-                        s.provider = None;
-                        s.from_chunk = self.cache.chunks_of(s.video);
-                    })
-                    .is_some();
-                if stalled {
-                    self.try_candidate(id, out);
-                }
-            }
+            Message::ChunkUnavailable { id, .. } => self.provider_failed(id, out),
 
             Message::ConnectRequest { video, .. } => {
                 let PeerAddr::Peer(requester) = from else {
@@ -720,7 +515,7 @@ impl VodPeer for NetTubePeer {
                 let PeerAddr::Peer(accepter) = from else {
                     return;
                 };
-                self.pending_probes.retain(|_, n| *n != accepter);
+                self.prober.answered(accepter);
                 if let Some(video) = video {
                     self.add_link(accepter, video);
                 }
@@ -734,7 +529,7 @@ impl VodPeer for NetTubePeer {
 
             Message::ConnectReject { .. } => {
                 if let PeerAddr::Peer(rejecter) = from {
-                    self.pending_probes.retain(|_, n| *n != rejecter);
+                    self.prober.answered(rejecter);
                 }
             }
 
@@ -744,15 +539,9 @@ impl VodPeer for NetTubePeer {
                 }
             }
 
-            Message::Probe { nonce } => {
-                if let PeerAddr::Peer(p) = from {
-                    out.to_peer(p, Message::ProbeAck { nonce });
-                }
-            }
+            Message::Probe { nonce } => Prober::acknowledge(from, nonce, out),
 
-            Message::ProbeAck { nonce } => {
-                self.pending_probes.remove(&nonce);
-            }
+            Message::ProbeAck { nonce } => self.prober.acked(nonce),
 
             Message::Leave => {
                 if let PeerAddr::Peer(p) = from {
@@ -764,57 +553,32 @@ impl VodPeer for NetTubePeer {
         }
     }
 
-    fn on_timer(&mut self, _now: SimTime, timer: TimerKind, out: &mut Outbox) {
+    fn on_timer(&mut self, now: SimTime, timer: TimerKind, out: &mut Outbox) {
         if !self.online {
             return;
         }
         match timer {
-            TimerKind::ProbeTick => {
-                for neighbor in self.distinct_neighbors() {
-                    let nonce = self.fresh_nonce();
-                    self.pending_probes.insert(nonce, neighbor);
-                    out.to_peer(neighbor, Message::Probe { nonce });
-                    out.timer(
-                        self.config.probe_timeout,
-                        TimerKind::ProbeDeadline { neighbor, nonce },
-                    );
-                }
-                out.timer(self.config.probe_interval, TimerKind::ProbeTick);
-            }
+            TimerKind::ProbeTick => self.prober.tick(
+                self.distinct_neighbors(),
+                self.config.probe_interval,
+                self.config.probe_timeout,
+                out,
+            ),
 
             TimerKind::ProbeDeadline { neighbor, nonce } => {
-                if self.pending_probes.remove(&nonce).is_some() {
+                let node = self.transfers.node();
+                if self.prober.expired(node, neighbor, nonce, out) {
                     self.remove_node_links(neighbor);
-                    out.report(Report::NeighborLost {
-                        node: self.node,
-                        neighbor,
-                    });
                 }
             }
 
             TimerKind::SearchDeadline { id, .. } => {
-                let stalled = self
-                    .searches
-                    .get(&id)
-                    .is_some_and(|s| s.provider.is_none() && !s.served_by_server);
-                if stalled {
+                if self.transfers.searching(id).is_some() {
                     self.ask_server(id, out);
                 }
             }
 
-            TimerKind::ChunkDeadline { id } => {
-                let stalled = self
-                    .searches
-                    .get_mut(&id)
-                    .map(|s| {
-                        s.provider = None;
-                        s.from_chunk = self.cache.chunks_of(s.video);
-                    })
-                    .is_some();
-                if stalled {
-                    self.try_candidate(id, out);
-                }
-            }
+            TimerKind::ChunkDeadline { id } => self.provider_failed(id, out),
 
             TimerKind::PrefetchKick => {
                 if !self.config.prefetch {
@@ -835,34 +599,14 @@ impl VodPeer for NetTubePeer {
                 pool.sort_unstable();
                 let picks = self.rng.pick_distinct(&pool, self.config.prefetch_count);
                 for (neighbor, video) in picks {
-                    let id = self.fresh_request();
-                    self.searches.insert(
-                        id,
-                        Search {
-                            video,
-                            kind: TransferKind::Prefetch,
-                            requested_at: _now,
-                            provider: Some(neighbor),
-                            candidates: Vec::new(),
-                            from_chunk: 0,
-                            playback_reported: true,
-                            asked_server: false,
-                            served_by_server: false,
-                        },
-                    );
-                    out.to_peer(
-                        neighbor,
-                        Message::ChunkRequest {
-                            id,
-                            video,
-                            from_chunk: 0,
-                            kind: TransferKind::Prefetch,
-                        },
-                    );
+                    // No deadline: an unanswered grab just lingers until
+                    // logout.
+                    let id = self
+                        .transfers
+                        .begin(now, video, TransferKind::Prefetch, 0, true);
+                    self.transfers.ask_provider(id, neighbor, None, out);
                 }
             }
-
-            TimerKind::LoginDeadline => {}
         }
     }
 
@@ -883,14 +627,9 @@ impl VodPeer for NetTubePeer {
 #[derive(Debug)]
 pub struct NetTubeServer {
     catalog: Arc<Catalog>,
-    /// Per-video overlay membership, indexed densely by video id (video
-    /// ids are contiguous in the catalog).
-    overlays: Vec<Vec<NodeId>>,
-    /// The overlays each node is a member of, so a log-off visits those
-    /// and not one list per video in the catalog.
-    joined: HashMap<NodeId, Vec<VideoId>>,
-    /// Σ overlay sizes, kept as members come and go.
-    tracked: usize,
+    /// Per-video overlay membership, one group per video id (video ids
+    /// are contiguous in the catalog).
+    overlays: IndexedTracker,
     contacts_per_join: usize,
     rng: SimRng,
 }
@@ -901,9 +640,7 @@ impl NetTubeServer {
         let videos = catalog.video_count();
         Self {
             catalog,
-            overlays: vec![Vec::new(); videos],
-            joined: HashMap::new(),
-            tracked: 0,
+            overlays: IndexedTracker::new(videos),
             contacts_per_join: NetTubeConfig::default().links_per_video,
             rng,
         }
@@ -911,7 +648,7 @@ impl NetTubeServer {
 
     /// Members of a video overlay (tests and diagnostics).
     pub fn overlay_size(&self, video: VideoId) -> usize {
-        self.overlays.get(video.index()).map_or(0, Vec::len)
+        self.overlays.groups().members(video.index()).len()
     }
 }
 
@@ -919,13 +656,12 @@ impl VodServer for NetTubeServer {
     fn on_message(&mut self, _now: SimTime, from: NodeId, msg: Message, out: &mut ServerOutbox) {
         match msg {
             Message::JoinRequest { video } => {
-                let members = self
-                    .overlays
-                    .get(video.index())
-                    .map_or(&[][..], Vec::as_slice);
-                let contacts =
-                    self.rng
-                        .pick_distinct_except(members, &from, self.contacts_per_join);
+                let contacts = self.overlays.groups().pick(
+                    &mut self.rng,
+                    video.index(),
+                    from,
+                    self.contacts_per_join,
+                );
                 out.to_peer(
                     from,
                     Message::OverlayContacts {
@@ -935,46 +671,23 @@ impl VodServer for NetTubeServer {
                 );
             }
 
-            Message::WatchStarted { video } => {
-                if let Some(members) = self.overlays.get_mut(video.index()) {
-                    if !members.contains(&from) {
-                        members.push(from);
-                        self.joined.entry(from).or_default().push(video);
-                        self.tracked += 1;
-                    }
-                }
-            }
+            Message::WatchStarted { video } => self.overlays.join(video.index(), from),
 
-            Message::LogOff => {
-                for video in self.joined.remove(&from).unwrap_or_default() {
-                    let members = &mut self.overlays[video.index()];
-                    let before = members.len();
-                    members.retain(|n| *n != from);
-                    self.tracked -= before - members.len();
-                }
-            }
+            Message::LogOff => self.overlays.leave_all(from),
 
             Message::VideoRequest {
                 id,
                 video,
                 from_chunk,
                 kind,
-            } => {
-                if self.catalog.video(video).is_err() {
-                    return;
-                }
-                if kind == TransferKind::Playback {
-                    out.report(Report::ServedFromOrigin { node: from, video });
-                }
-                out.serve_chunks(from, id, video, from_chunk, kind);
-            }
+            } => serve_from_origin(&self.catalog, from, id, video, from_chunk, kind, out),
 
             _ => {}
         }
     }
 
     fn tracked_entries(&self) -> usize {
-        self.tracked
+        self.overlays.groups().tracked()
     }
 }
 
@@ -1348,7 +1061,8 @@ mod tests {
         let mut watch = |s: &mut NetTubeServer, node: u32, video: VideoId| {
             let msg = Message::WatchStarted { video };
             s.on_message(SimTime::ZERO, NodeId::new(node), msg, &mut out);
-            let total: usize = s.overlays.iter().map(Vec::len).sum();
+            let videos = 0..s.catalog.video_count();
+            let total: usize = videos.map(|v| s.overlay_size(VideoId::new(v as u32))).sum();
             assert_eq!(s.tracked_entries(), total);
         };
         for node in 1..=3 {
@@ -1360,11 +1074,10 @@ mod tests {
         assert_eq!(s.tracked_entries(), 5);
         let mut out = ServerOutbox::new();
         s.on_message(SimTime::ZERO, NodeId::new(2), Message::LogOff, &mut out);
-        assert_eq!(
-            s.overlays[vids[0].index()],
-            [NodeId::new(1), NodeId::new(3)]
-        );
-        assert_eq!(s.overlays[vids[2].index()], [NodeId::new(3)]);
+        let members =
+            |s: &NetTubeServer, v: VideoId| s.overlays.groups().members(v.index()).to_vec();
+        assert_eq!(members(&s, vids[0]), [NodeId::new(1), NodeId::new(3)]);
+        assert_eq!(members(&s, vids[2]), [NodeId::new(3)]);
         assert_eq!(s.tracked_entries(), 3);
         // A second log-off finds nothing left to leave.
         s.on_message(SimTime::ZERO, NodeId::new(2), Message::LogOff, &mut out);

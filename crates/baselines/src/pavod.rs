@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use socialtube::{
-    ChunkSource, Message, Outbox, PeerAddr, Report, RequestId, SearchPhase, ServerOutbox,
-    TimerKind, TransferKind, VecMap, VodPeer, VodServer,
+    serve_from_origin, IndexedTracker, Message, Outbox, PeerAddr, RequestId, SearchPhase,
+    ServerOutbox, TimerKind, TransferKind, Transfers, VodPeer, VodServer,
 };
 use socialtube_model::{Catalog, NodeId, VideoId};
 use socialtube_sim::{SimDuration, SimRng, SimTime};
@@ -32,19 +32,6 @@ impl Default for PaVodConfig {
     }
 }
 
-/// One in-flight PA-VoD request.
-#[derive(Clone, Debug)]
-struct Transfer {
-    video: VideoId,
-    requested_at: SimTime,
-    /// Provider candidates not yet tried.
-    candidates: Vec<NodeId>,
-    provider: Option<NodeId>,
-    playback_reported: bool,
-    received: u32,
-    went_to_server: bool,
-}
-
 /// A PA-VoD peer.
 ///
 /// No overlay is maintained: every request is a server lookup for peers
@@ -55,88 +42,43 @@ struct Transfer {
 /// providing when it moves on.
 #[derive(Debug)]
 pub struct PaVodPeer {
-    node: NodeId,
-    catalog: Arc<Catalog>,
     config: PaVodConfig,
     online: bool,
     /// The video currently held (id, chunks downloaded).
     holding: Option<(VideoId, u32)>,
-    transfers: VecMap<RequestId, Transfer>,
-    next_request: u32,
+    /// Requests in flight; the providers the server named are their
+    /// candidates.
+    transfers: Transfers,
 }
 
 impl PaVodPeer {
     /// Creates an offline PA-VoD peer.
     pub fn new(node: NodeId, catalog: Arc<Catalog>, config: PaVodConfig) -> Self {
         Self {
-            node,
-            catalog,
             config,
             online: false,
             holding: None,
-            transfers: VecMap::new(),
-            next_request: 0,
+            transfers: Transfers::new(node, catalog),
         }
     }
 
-    fn fresh_request(&mut self) -> RequestId {
-        let id = RequestId::new(self.node, self.next_request);
-        self.next_request = self.next_request.wrapping_add(1);
-        id
-    }
-
-    fn total_chunks(&self, video: VideoId) -> u32 {
-        self.catalog
-            .video(video)
-            .map(|v| v.chunk_count())
-            .unwrap_or(1)
-    }
-
-    fn chunk_bits(&self, video: VideoId) -> u64 {
-        self.catalog
-            .video(video)
-            .map(|v| v.chunk_size_bits())
-            .unwrap_or(0)
-    }
-
+    /// Asks the next provider the server named for what request `id` has
+    /// not received yet; the server itself when none is left.
     fn try_next_candidate(&mut self, id: RequestId, out: &mut Outbox) {
-        let Some(t) = self.transfers.get_mut(&id) else {
+        let Some(t) = self.transfers.get_mut(id) else {
             return;
         };
-        let video = t.video;
-        let from_chunk = t.received;
-        if let Some(candidate) = t.candidates.pop() {
-            t.provider = Some(candidate);
-            out.to_peer(
-                candidate,
-                Message::ChunkRequest {
-                    id,
-                    video,
-                    from_chunk,
-                    kind: TransferKind::Playback,
-                },
-            );
-            out.timer(self.config.chunk_timeout, TimerKind::ChunkDeadline { id });
-        } else {
-            t.provider = None;
-            t.went_to_server = true;
-            out.report(Report::ServerFallback {
-                node: self.node,
-                video,
-            });
-            out.to_server(Message::VideoRequest {
-                id,
-                video,
-                from_chunk,
-                kind: TransferKind::Playback,
-            });
+        t.from_chunk = t.received;
+        let timeout = self.config.chunk_timeout;
+        if self.transfers.next_candidate(id, timeout, out).is_none() {
+            self.transfers.ask_origin(id, out);
         }
     }
 }
 
 impl VodPeer for PaVodPeer {
     fn node(&self) -> NodeId {
-        self.node
+        self.transfers.node()
     }
 
     fn on_login(&mut self, _now: SimTime, _out: &mut Outbox) {
@@ -159,19 +101,9 @@ impl VodPeer for PaVodPeer {
             out.to_server(Message::WatchStopped { video: previous });
         }
         self.holding = Some((video, 0));
-        let id = self.fresh_request();
-        self.transfers.insert(
-            id,
-            Transfer {
-                video,
-                requested_at: now,
-                candidates: Vec::new(),
-                provider: None,
-                playback_reported: false,
-                received: 0,
-                went_to_server: false,
-            },
-        );
+        let id = self
+            .transfers
+            .begin(now, video, TransferKind::Playback, 0, false);
         out.to_server(Message::ProviderLookup { id, video });
         out.timer(
             self.config.lookup_timeout,
@@ -182,21 +114,17 @@ impl VodPeer for PaVodPeer {
         );
     }
 
-    fn on_message(&mut self, now: SimTime, from: PeerAddr, msg: Message, out: &mut Outbox) {
+    fn on_message(&mut self, _now: SimTime, from: PeerAddr, msg: Message, out: &mut Outbox) {
         if !self.online {
             return;
         }
         match msg {
             Message::ProviderList { id, providers, .. } => {
-                let Some(t) = self.transfers.get_mut(&id) else {
-                    return;
-                };
-                if t.provider.is_some() || t.went_to_server {
+                if self.transfers.searching(id).is_none() {
                     return;
                 }
-                t.candidates = providers.to_vec();
-                t.candidates.truncate(self.config.providers_per_lookup);
-                t.candidates.reverse(); // pop() tries them in server order
+                let offered = providers.len().min(self.config.providers_per_lookup);
+                self.transfers.set_candidates(id, &providers[..offered]);
                 self.try_next_candidate(id, out);
             }
 
@@ -204,31 +132,11 @@ impl VodPeer for PaVodPeer {
                 id,
                 video,
                 from_chunk,
-                ..
+                kind,
             } => {
-                let PeerAddr::Peer(requester) = from else {
-                    return;
-                };
-                let total = self.total_chunks(video);
-                let have_full =
-                    matches!(self.holding, Some((v, chunks)) if v == video && chunks >= total);
-                if !have_full {
-                    out.to_peer(requester, Message::ChunkUnavailable { id, video });
-                    return;
-                }
-                let bits = self.chunk_bits(video);
-                for chunk in from_chunk..total {
-                    out.to_peer(
-                        requester,
-                        Message::ChunkData {
-                            id,
-                            video,
-                            chunk,
-                            bits,
-                            kind: TransferKind::Playback,
-                        },
-                    );
-                }
+                let held = self.has_cached(video);
+                self.transfers
+                    .serve(held, from, id, video, from_chunk, kind, out);
             }
 
             Message::ChunkData {
@@ -236,53 +144,26 @@ impl VodPeer for PaVodPeer {
                 video,
                 chunk,
                 bits,
-                ..
+                kind,
             } => {
-                let source = match from {
-                    PeerAddr::Peer(_) => ChunkSource::Peer,
-                    PeerAddr::Server => ChunkSource::Server,
-                };
-                out.report(Report::ChunkReceived {
-                    node: self.node,
-                    video,
-                    bits,
-                    source,
-                    kind: TransferKind::Playback,
-                });
                 if let Some((held, chunks)) = &mut self.holding {
                     if *held == video {
                         *chunks = (*chunks).max(chunk + 1);
                     }
                 }
-                let total = self.total_chunks(video);
-                let mut finished = false;
-                if let Some(t) = self.transfers.get_mut(&id) {
-                    t.received = t.received.max(chunk + 1);
-                    if !t.playback_reported && chunk == 0 {
-                        t.playback_reported = true;
-                        out.report(Report::PlaybackStarted {
-                            node: self.node,
-                            video,
-                            requested_at: t.requested_at,
-                            source,
-                        });
-                    }
-                    finished = t.received >= total;
-                }
-                if finished {
-                    self.transfers.remove(&id);
+                let progress = self
+                    .transfers
+                    .on_chunk(from, id, video, chunk, bits, kind, out);
+                if progress.done {
                     // Fully downloaded: now a provider until the next watch.
                     out.to_server(Message::WatchStarted { video });
                 }
             }
 
-            Message::ChunkUnavailable { id, .. } if self.transfers.contains_key(&id) => {
-                self.try_next_candidate(id, out);
-            }
+            Message::ChunkUnavailable { id, .. } => self.try_next_candidate(id, out),
 
             _ => {}
         }
-        let _ = now;
     }
 
     fn on_timer(&mut self, _now: SimTime, timer: TimerKind, out: &mut Outbox) {
@@ -292,22 +173,15 @@ impl VodPeer for PaVodPeer {
         match timer {
             TimerKind::SearchDeadline { id, .. } => {
                 // The provider list never arrived: go straight to the server.
-                let stalled = self
-                    .transfers
-                    .get(&id)
-                    .is_some_and(|t| t.provider.is_none() && !t.went_to_server && t.received == 0);
-                if stalled {
-                    if let Some(t) = self.transfers.get_mut(&id) {
-                        t.candidates.clear();
-                    }
+                let nothing_yet = self.transfers.get(id).is_some_and(|t| t.received == 0);
+                if nothing_yet && self.transfers.searching(id).is_some() {
                     self.try_next_candidate(id, out);
                 }
             }
-            TimerKind::ChunkDeadline { id } => {
-                let stalled = self.transfers.get(&id).is_some_and(|t| !t.went_to_server);
-                if stalled {
-                    self.try_next_candidate(id, out);
-                }
+            TimerKind::ChunkDeadline { id }
+                if self.transfers.get(id).is_some_and(|t| !t.at_origin()) =>
+            {
+                self.try_next_candidate(id, out);
             }
             _ => {}
         }
@@ -316,8 +190,8 @@ impl VodPeer for PaVodPeer {
     fn link_count(&self) -> usize {
         // PA-VoD maintains no overlay; only transient transfer connections.
         self.transfers
-            .values()
-            .filter(|t| t.provider.is_some())
+            .iter()
+            .filter(|(_, t)| t.provider.is_some())
             .count()
     }
 
@@ -326,7 +200,7 @@ impl VodPeer for PaVodPeer {
     }
 
     fn has_cached(&self, video: VideoId) -> bool {
-        let total = self.total_chunks(video);
+        let total = self.transfers.chunks_in(video);
         matches!(self.holding, Some((v, chunks)) if v == video && chunks >= total)
     }
 }
@@ -337,8 +211,10 @@ impl VodPeer for PaVodPeer {
 pub struct PaVodServer {
     catalog: Arc<Catalog>,
     /// Peers currently holding (fully downloaded, still watching) a video,
-    /// indexed densely by video id (video ids are contiguous).
-    watching: Vec<Vec<NodeId>>,
+    /// one group per video id (video ids are contiguous). A node can be in
+    /// more than one: a download that completes after its user moved on
+    /// registers the old video again, and only a log-off takes it out.
+    watching: IndexedTracker,
     providers_per_lookup: usize,
     rng: SimRng,
 }
@@ -349,7 +225,7 @@ impl PaVodServer {
         let videos = catalog.video_count();
         Self {
             catalog,
-            watching: vec![Vec::new(); videos],
+            watching: IndexedTracker::new(videos),
             providers_per_lookup: PaVodConfig::default().providers_per_lookup,
             rng,
         }
@@ -357,7 +233,7 @@ impl PaVodServer {
 
     /// Current provider count for `video` (tests and diagnostics).
     pub fn providers_of(&self, video: VideoId) -> usize {
-        self.watching.get(video.index()).map_or(0, Vec::len)
+        self.watching.groups().members(video.index()).len()
     }
 }
 
@@ -365,14 +241,12 @@ impl VodServer for PaVodServer {
     fn on_message(&mut self, _now: SimTime, from: NodeId, msg: Message, out: &mut ServerOutbox) {
         match msg {
             Message::ProviderLookup { id, video } => {
-                let candidates: Vec<NodeId> = self
-                    .watching
-                    .get(video.index())
-                    .map(|v| v.iter().copied().filter(|n| *n != from).collect())
-                    .unwrap_or_default();
-                let providers = self
-                    .rng
-                    .pick_distinct(&candidates, self.providers_per_lookup);
+                let providers = self.watching.groups().pick(
+                    &mut self.rng,
+                    video.index(),
+                    from,
+                    self.providers_per_lookup,
+                );
                 out.to_peer(
                     from,
                     Message::ProviderList {
@@ -383,45 +257,25 @@ impl VodServer for PaVodServer {
                 );
             }
 
-            Message::WatchStarted { video } => {
-                if let Some(watchers) = self.watching.get_mut(video.index()) {
-                    if !watchers.contains(&from) {
-                        watchers.push(from);
-                    }
-                }
-            }
+            Message::WatchStarted { video } => self.watching.join(video.index(), from),
 
-            Message::WatchStopped { video } => {
-                if let Some(watchers) = self.watching.get_mut(video.index()) {
-                    watchers.retain(|n| *n != from);
-                }
-            }
+            Message::WatchStopped { video } => self.watching.leave(video.index(), from),
 
-            Message::LogOff => {
-                for watchers in &mut self.watching {
-                    watchers.retain(|n| *n != from);
-                }
-            }
+            Message::LogOff => self.watching.leave_all(from),
 
             Message::VideoRequest {
                 id,
                 video,
                 from_chunk,
                 kind,
-            } => {
-                if self.catalog.video(video).is_err() {
-                    return;
-                }
-                out.report(Report::ServedFromOrigin { node: from, video });
-                out.serve_chunks(from, id, video, from_chunk, kind);
-            }
+            } => serve_from_origin(&self.catalog, from, id, video, from_chunk, kind, out),
 
             _ => {}
         }
     }
 
     fn tracked_entries(&self) -> usize {
-        self.watching.iter().map(Vec::len).sum()
+        self.watching.groups().tracked()
     }
 }
 
@@ -486,49 +340,28 @@ mod tests {
     }
 
     #[test]
-    fn provider_chain_falls_through_candidates_then_server() {
+    fn at_most_providers_per_lookup_are_tried_before_the_server() {
         let (catalog, v) = fixture();
         let mut p = PaVodPeer::new(NodeId::new(0), catalog, PaVodConfig::default());
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.watch(SimTime::ZERO, v, &mut out);
-        out.drain();
         let id = RequestId::new(NodeId::new(0), 0);
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Server,
-            Message::ProviderList {
-                id,
-                video: v,
-                providers: vec![NodeId::new(1), NodeId::new(2)].into(),
-            },
-            &mut out,
-        );
-        // First candidate tried in order.
-        assert!(out.commands().iter().any(|c| matches!(
-            c,
-            Command::ToPeer { to, msg: Message::ChunkRequest { .. } } if *to == NodeId::new(1)
-        )));
-        out.drain();
-        // It says unavailable: try next.
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Peer(NodeId::new(1)),
-            Message::ChunkUnavailable { id, video: v },
-            &mut out,
-        );
-        assert!(out.commands().iter().any(|c| matches!(
-            c,
-            Command::ToPeer { to, msg: Message::ChunkRequest { .. } } if *to == NodeId::new(2)
-        )));
-        out.drain();
-        // Second also fails: server fallback.
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Peer(NodeId::new(2)),
-            Message::ChunkUnavailable { id, video: v },
-            &mut out,
-        );
+        let providers: Vec<NodeId> = (1..=7).map(NodeId::new).collect();
+        let list = Message::ProviderList {
+            id,
+            video: v,
+            providers: providers.clone().into(),
+        };
+        p.on_message(SimTime::ZERO, PeerAddr::Server, list, &mut out);
+        for tried in &providers[..PaVodConfig::default().providers_per_lookup] {
+            assert!(server_msgs(&out)
+                .iter()
+                .all(|m| !matches!(m, Message::VideoRequest { .. })));
+            assert_eq!(p.transfers.get(id).unwrap().provider, Some(*tried));
+            let gone = Message::ChunkUnavailable { id, video: v };
+            p.on_message(SimTime::ZERO, PeerAddr::Peer(*tried), gone, &mut out);
+        }
         assert!(server_msgs(&out)
             .iter()
             .any(|m| matches!(m, Message::VideoRequest { .. })));
@@ -562,33 +395,6 @@ mod tests {
         assert!(server_msgs(&out)
             .iter()
             .any(|m| matches!(m, Message::WatchStarted { .. })));
-        out.drain();
-        // Serving while holding.
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Peer(NodeId::new(9)),
-            Message::ChunkRequest {
-                id: RequestId::new(NodeId::new(9), 0),
-                video: v,
-                from_chunk: 0,
-                kind: TransferKind::Playback,
-            },
-            &mut out,
-        );
-        let served = out
-            .commands()
-            .iter()
-            .filter(|c| {
-                matches!(
-                    c,
-                    Command::ToPeer {
-                        msg: Message::ChunkData { .. },
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(served as u32, total);
         out.drain();
         // Next watch drops the held video.
         p.watch(SimTime::from_micros(1), v, &mut out);
@@ -626,6 +432,54 @@ mod tests {
         assert_eq!(s.providers_of(v), 1);
         s.on_message(SimTime::ZERO, NodeId::new(2), Message::LogOff, &mut out);
         assert_eq!(s.providers_of(v), 0);
+    }
+
+    /// A download that completes after its user moved on registers the old
+    /// video again; nothing but the log-off takes the node out of it. After
+    /// every message the lists equal plain swept lists and the count their
+    /// sum.
+    #[test]
+    fn late_finish_lingers_until_log_off_and_the_count_stays_exact() {
+        let mut b = CatalogBuilder::new();
+        let cat = b.add_category("k");
+        let ch = b.add_channel("c", [cat]);
+        let (a, later) = (b.add_video(ch, 100, 0), b.add_video(ch, 100, 1));
+        let mut s = PaVodServer::new(Arc::new(b.build()), SimRng::seed(1));
+        let mut reference: Vec<Vec<NodeId>> = vec![Vec::new(); 2];
+        let mut step = |node: u32, msg: Message| {
+            let node = NodeId::new(node);
+            match &msg {
+                Message::WatchStarted { video } if !reference[video.index()].contains(&node) => {
+                    reference[video.index()].push(node);
+                }
+                Message::WatchStopped { video } => reference[video.index()].retain(|n| *n != node),
+                Message::LogOff => reference.iter_mut().for_each(|l| l.retain(|n| *n != node)),
+                _ => {}
+            }
+            s.on_message(SimTime::ZERO, node, msg, &mut ServerOutbox::new());
+            for video in [a, later] {
+                let members = s.watching.groups().members(video.index());
+                assert_eq!(members, reference[video.index()], "{video}");
+            }
+            assert_eq!(
+                s.tracked_entries(),
+                reference.iter().map(Vec::len).sum::<usize>()
+            );
+        };
+        step(2, Message::WatchStarted { video: a }); // a bystander holding A
+        step(1, Message::WatchStarted { video: a }); // finish A
+        step(1, Message::WatchStopped { video: a }); // watch B
+        step(1, Message::WatchStarted { video: a }); // late finish of A
+        step(1, Message::WatchStarted { video: later }); // finish B
+        step(3, Message::WatchStarted { video: a });
+        step(1, Message::WatchStopped { video: later }); // logging off...
+        step(1, Message::LogOff); // ...which is what leaves A
+        step(1, Message::LogOff);
+        assert_eq!(
+            s.watching.groups().members(a.index()),
+            [NodeId::new(2), NodeId::new(3)]
+        );
+        assert_eq!(s.providers_of(later), 0);
     }
 
     #[test]

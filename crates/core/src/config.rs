@@ -37,9 +37,6 @@ pub struct SocialTubeConfig {
     /// How long a chunk transfer may stall before falling back to the
     /// server for the remaining chunks.
     pub chunk_timeout: SimDuration,
-    /// How long to wait for previous neighbors to answer after login before
-    /// rejoining through the server.
-    pub login_timeout: SimDuration,
     /// Delay after playback start before prefetching kicks in (lets the
     /// playback transfer claim the downlink first).
     pub prefetch_delay: SimDuration,
@@ -65,7 +62,6 @@ impl Default for SocialTubeConfig {
             probe_timeout: SimDuration::from_secs(5),
             search_phase_timeout: SimDuration::from_millis(1_500),
             chunk_timeout: SimDuration::from_secs(60),
-            login_timeout: SimDuration::from_secs(3),
             prefetch_delay: SimDuration::from_secs(2),
             cache_capacity: None,
             seen_query_window: 512,

@@ -27,9 +27,8 @@ use socialtube_model::{Catalog, NodeId};
 use socialtube_sim::SimDuration;
 
 use crate::messages::Message;
-use crate::traits::{
-    Command, Outbox, Report, ServerCommand, ServerOutbox, TimerKind, TransferKind,
-};
+use crate::traits::{Command, Outbox, Report, ServerCommand, ServerOutbox, TimerKind};
+use crate::transfer::served_chunks;
 
 /// Primitive effects a peer-side driver must provide.
 ///
@@ -150,9 +149,8 @@ impl CommandInterpreter {
     /// Drains the server's outbox, expanding each
     /// [`ServerCommand::ServeChunks`] into per-chunk messages.
     ///
-    /// A `Prefetch` request serves exactly the one requested chunk; a
-    /// `Playback` request serves from `from_chunk` through the last chunk.
-    /// Unknown videos are skipped.
+    /// The chunks are the [`served_chunks`] a peer would answer the same
+    /// request with. Unknown videos are skipped.
     pub fn flush_server<S: ServerSubstrate>(
         &self,
         outbox: &mut ServerOutbox,
@@ -172,13 +170,8 @@ impl CommandInterpreter {
                     let Ok(v) = self.catalog.video(video) else {
                         continue;
                     };
-                    let total = v.chunk_count();
                     let bits = v.chunk_size_bits();
-                    let last = match kind {
-                        TransferKind::Prefetch => from_chunk,
-                        TransferKind::Playback => total.saturating_sub(1),
-                    };
-                    for chunk in from_chunk..=last.min(total.saturating_sub(1)) {
+                    for chunk in served_chunks(from_chunk, v.chunk_count(), kind) {
                         sub.server_chunk(
                             to,
                             bits,
@@ -202,6 +195,7 @@ impl CommandInterpreter {
 mod tests {
     use super::*;
     use crate::messages::RequestId;
+    use crate::traits::TransferKind;
     use socialtube_model::{CatalogBuilder, VideoId};
 
     #[derive(Debug, Default)]

@@ -69,9 +69,12 @@ mod config;
 mod messages;
 mod neighbors;
 mod peer;
+mod probe;
 mod seen;
 mod server;
+mod tracker;
 mod traits;
+mod transfer;
 mod vecmap;
 
 pub use cache::{CacheEntry, VideoCache};
@@ -79,10 +82,13 @@ pub use config::SocialTubeConfig;
 pub use messages::{LinkKind, Message, PeerAddr, QueryScope, RequestId};
 pub use neighbors::{Neighbor, NeighborTable};
 pub use peer::SocialTubePeer;
+pub use probe::Prober;
 pub use seen::SeenWindow;
 pub use server::SocialTubeServer;
+pub use tracker::{serve_from_origin, IndexedTracker, Tracker};
 pub use traits::{
     ChunkSource, Command, Outbox, Report, SearchPhase, ServerCommand, ServerOutbox, TimerKind,
     TransferKind, VodPeer, VodServer,
 };
+pub use transfer::{served_chunks, Progress, Transfer, Transfers};
 pub use vecmap::VecMap;

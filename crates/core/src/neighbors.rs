@@ -43,16 +43,6 @@ pub struct NeighborTable {
     current_channel: Option<ChannelId>,
 }
 
-/// The `index`-th neighbor in table order (`index < len()`), for walking
-/// the table while the caller mutates other state of its own.
-impl std::ops::Index<usize> for NeighborTable {
-    type Output = Neighbor;
-
-    fn index(&self, index: usize) -> &Neighbor {
-        &self.neighbors[index]
-    }
-}
-
 impl NeighborTable {
     /// Creates an empty table with the given capacities (`N_l`, `N_h`).
     pub fn new(inner_cap: usize, inter_cap: usize) -> Self {
@@ -137,33 +127,6 @@ impl NeighborTable {
             .collect()
     }
 
-    /// Neighbors last seen watching exactly `channel` — the forwarding set
-    /// for a channel-scoped query, regardless of what *we* are watching.
-    pub fn in_channel(&self, channel: ChannelId) -> Vec<NodeId> {
-        self.neighbors
-            .iter()
-            .filter(|n| n.channel == Some(channel))
-            .map(|n| n.node)
-            .collect()
-    }
-
-    /// Neighbors whose last-known channel belongs to `category` — the
-    /// forwarding set for a category-scoped query.
-    pub fn in_category(&self, category: CategoryId, catalog: &Catalog) -> Vec<NodeId> {
-        self.neighbors
-            .iter()
-            .filter(|n| {
-                n.channel.is_some_and(|ch| {
-                    catalog
-                        .channel(ch)
-                        .map(|c| c.has_category(category))
-                        .unwrap_or(false)
-                })
-            })
-            .map(|n| n.node)
-            .collect()
-    }
-
     /// Whether a link of `kind` can still be added.
     pub fn has_capacity(&self, kind: LinkKind) -> bool {
         match kind {
@@ -193,13 +156,6 @@ impl NeighborTable {
         let before = self.neighbors.len();
         self.neighbors.retain(|n| n.node != node);
         self.neighbors.len() != before
-    }
-
-    /// Updates the channel a neighbor is known to watch.
-    pub fn update_channel(&mut self, node: NodeId, channel: Option<ChannelId>) {
-        if let Some(n) = self.neighbors.iter_mut().find(|n| n.node == node) {
-            n.channel = channel;
-        }
     }
 
     /// Drops links that belong to neither the current channel overlay, nor
@@ -239,13 +195,6 @@ impl NeighborTable {
         // Enforce caps after reclassification: shed newest-first overflow.
         self.enforce_caps(&mut dropped);
         dropped
-    }
-
-    /// Drops every link (logoff). Returns the former neighbor ids.
-    pub fn clear(&mut self) -> Vec<NodeId> {
-        let nodes = self.nodes();
-        self.neighbors.clear();
-        nodes
     }
 
     fn enforce_caps(&mut self, dropped: &mut Vec<NodeId>) {
@@ -377,16 +326,6 @@ mod tests {
         assert_eq!(t.inner(), vec![NodeId::new(3)]);
     }
 
-    #[test]
-    fn clear_returns_all_nodes() {
-        let mut t = table();
-        t.try_add(NodeId::new(1), Some(ChannelId::new(0)));
-        t.try_add(NodeId::new(2), Some(ChannelId::new(1)));
-        let cleared = t.clear();
-        assert_eq!(cleared.len(), 2);
-        assert!(t.is_empty());
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -396,7 +335,6 @@ mod tests {
             Add(u32, Option<u32>),
             Remove(u32),
             Switch(Option<u32>),
-            Update(u32, Option<u32>),
         }
 
         fn op_strategy() -> impl Strategy<Value = Op> {
@@ -404,7 +342,6 @@ mod tests {
                 (0u32..40, proptest::option::of(0u32..6)).prop_map(|(n, c)| Op::Add(n, c)),
                 (0u32..40).prop_map(Op::Remove),
                 proptest::option::of(0u32..6).prop_map(Op::Switch),
-                (0u32..40, proptest::option::of(0u32..6)).prop_map(|(n, c)| Op::Update(n, c)),
             ]
         }
 
@@ -435,9 +372,6 @@ mod tests {
                         Op::Switch(c) => {
                             t.set_current_channel(c.map(ChannelId::new));
                         }
-                        Op::Update(n, c) => {
-                            t.update_channel(NodeId::new(n), c.map(ChannelId::new));
-                        }
                     }
                     // Invariant: node ids are unique.
                     let mut nodes = t.nodes();
@@ -450,7 +384,7 @@ mod tests {
                 }
             }
 
-            /// `clear` always empties; shedding never *increases* the table.
+            /// Shedding never *increases* the table.
             #[test]
             fn shedding_is_monotone(
                 adds in proptest::collection::vec((0u32..40, 0u32..6), 0..50),
@@ -473,19 +407,7 @@ mod tests {
                 prop_assert_eq!(t.len() + dropped.len(), before);
                 prop_assert!(t.inner().len() <= 3);
                 prop_assert!(t.inter().len() <= 5);
-                let cleared = t.clear();
-                prop_assert_eq!(cleared.len() + dropped.len(), before);
-                prop_assert!(t.is_empty());
             }
         }
-    }
-
-    #[test]
-    fn update_channel_changes_classification() {
-        let mut t = table();
-        t.try_add(NodeId::new(1), Some(ChannelId::new(1)));
-        assert_eq!(t.kind_of(NodeId::new(1)), Some(LinkKind::Inter));
-        t.update_channel(NodeId::new(1), Some(ChannelId::new(0)));
-        assert_eq!(t.kind_of(NodeId::new(1)), Some(LinkKind::Inner));
     }
 }

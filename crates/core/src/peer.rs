@@ -1,4 +1,7 @@
-//! The SocialTube peer state machine.
+//! The SocialTube peer state machine: the two-level community overlay,
+//! the channel → category → server search over it, and popularity-driven
+//! prefetching. Moving chunks and probing neighbours are the shared
+//! [`Transfers`] and [`Prober`].
 
 use std::sync::Arc;
 
@@ -9,21 +12,10 @@ use crate::cache::VideoCache;
 use crate::config::SocialTubeConfig;
 use crate::messages::{LinkKind, Message, PeerAddr, QueryScope, RequestId};
 use crate::neighbors::NeighborTable;
+use crate::probe::Prober;
 use crate::seen::SeenWindow;
-use crate::traits::{ChunkSource, Outbox, Report, SearchPhase, TimerKind, TransferKind, VodPeer};
-use crate::vecmap::VecMap;
-
-/// One in-flight video request (search and transfer), Algorithm 1 state.
-#[derive(Clone, Debug)]
-struct Search {
-    video: VideoId,
-    kind: TransferKind,
-    phase: SearchPhase,
-    requested_at: SimTime,
-    provider: Option<NodeId>,
-    from_chunk: ChunkIndex,
-    playback_reported: bool,
-}
+use crate::traits::{Outbox, Report, SearchPhase, TimerKind, TransferKind, VodPeer};
+use crate::transfer::Transfers;
 
 /// A SocialTube peer: joins the two-level community overlay, searches
 /// channel-then-category-then-server, caches watched videos, and prefetches
@@ -34,31 +26,23 @@ struct Search {
 /// protocol state lives inside.
 #[derive(Debug)]
 pub struct SocialTubePeer {
-    node: NodeId,
-    catalog: Arc<Catalog>,
     subscriptions: Vec<ChannelId>,
     config: SocialTubeConfig,
 
     online: bool,
     current_channel: Option<ChannelId>,
-    current_video: Option<VideoId>,
     neighbors: NeighborTable,
     cache: VideoCache,
 
-    /// In-flight searches, probed on every chunk delivery — a sorted
-    /// vec map (see [`VecMap`]) since a peer runs at most a few at once.
-    searches: VecMap<RequestId, Search>,
+    /// Requests in flight; a request's `phase` is its Algorithm 1 state.
+    transfers: Transfers,
     /// Flooded queries already handled, `seen_query_window` ids back.
     seen_queries: SeenWindow,
     /// Server popularity digests, sorted by channel for binary search —
     /// a peer holds a handful of digests, so a sorted vec beats a map.
     /// Rankings are shared (`Arc`) with the server's cached copy.
     digests: Vec<(ChannelId, Arc<[VideoId]>)>,
-    /// Outstanding probes / reconnects: nonce → neighbor.
-    pending_probes: VecMap<u64, NodeId>,
-
-    next_request: u32,
-    next_nonce: u64,
+    prober: Prober,
 }
 
 impl SocialTubePeer {
@@ -80,21 +64,16 @@ impl SocialTubePeer {
         let cache = VideoCache::from_config(config.cache_capacity);
         let seen_queries = SeenWindow::new(config.seen_query_window);
         Self {
-            node,
-            catalog,
             subscriptions,
             config,
             online: false,
             current_channel: None,
-            current_video: None,
             neighbors,
             cache,
-            searches: VecMap::new(),
+            transfers: Transfers::new(node, catalog),
             seen_queries,
             digests: Vec::new(),
-            pending_probes: VecMap::new(),
-            next_request: 0,
-            next_nonce: 0,
+            prober: Prober::new(),
         }
     }
 
@@ -120,7 +99,7 @@ impl SocialTubePeer {
 
     /// Number of in-flight searches (tests and diagnostics).
     pub fn active_searches(&self) -> usize {
-        self.searches.len()
+        self.transfers.iter().count()
     }
 
     /// Subscribes to `channel` and reports the change to the server
@@ -151,158 +130,97 @@ impl SocialTubePeer {
             out.to_server(Message::SubscriptionUpdate {
                 subscribed: self.subscriptions.as_slice().into(),
             });
-            let subscribed = self.subscriptions.clone();
-            for dropped in self
-                .neighbors
-                .shed_out_of_community(&self.catalog, &subscribed)
-            {
-                out.to_peer(dropped, Message::Leave);
-            }
+            self.shed_out_of_community(out);
         }
     }
 
     // ------------------------------------------------------------ helpers
 
-    fn fresh_request(&mut self) -> RequestId {
-        let id = RequestId::new(self.node, self.next_request);
-        self.next_request = self.next_request.wrapping_add(1);
-        id
-    }
-
-    fn fresh_nonce(&mut self) -> u64 {
-        self.next_nonce = self.next_nonce.wrapping_add(1);
-        self.next_nonce
-    }
-
-    fn total_chunks(&self, video: VideoId) -> u32 {
-        self.catalog
-            .video(video)
-            .map(|v| v.chunk_count())
-            .unwrap_or(1)
-    }
-
-    fn chunk_bits(&self, video: VideoId) -> u64 {
-        self.catalog
-            .video(video)
-            .map(|v| v.chunk_size_bits())
-            .unwrap_or(0)
-    }
-
     fn video_category(&self, video: VideoId) -> Option<CategoryId> {
-        self.catalog.video_category(video).ok().flatten()
+        self.transfers
+            .catalog()
+            .video_category(video)
+            .ok()
+            .flatten()
     }
 
-    /// Starts (or advances) the community search for an active request.
-    fn run_phase(&mut self, now: SimTime, id: RequestId, out: &mut Outbox) {
-        let Some(search) = self.searches.get(&id).cloned() else {
-            return;
-        };
-        match search.phase {
-            SearchPhase::Channel => {
-                let inner = self.neighbors.inner();
-                if inner.is_empty() {
-                    self.advance_phase(now, id, out);
-                    return;
-                }
-                let scope =
-                    QueryScope::Channel(self.current_channel.expect("channel set before search"));
-                for n in inner {
-                    out.to_peer(
-                        n,
-                        Message::Query {
-                            id,
-                            video: search.video,
-                            ttl: self.config.ttl,
-                            origin: self.node,
-                            scope,
-                        },
-                    );
-                }
-                out.timer(
-                    self.config.search_phase_timeout,
-                    TimerKind::SearchDeadline {
-                        id,
-                        phase: SearchPhase::Channel,
-                    },
-                );
-            }
-            SearchPhase::Category => {
-                let inter = self.neighbors.inter();
-                let category = self.video_category(search.video);
-                if inter.is_empty() || category.is_none() {
-                    self.advance_phase(now, id, out);
-                    return;
-                }
-                let scope = QueryScope::Category(category.expect("checked above"));
-                for n in inter {
-                    out.to_peer(
-                        n,
-                        Message::Query {
-                            id,
-                            video: search.video,
-                            ttl: self.config.ttl,
-                            origin: self.node,
-                            scope,
-                        },
-                    );
-                }
-                out.timer(
-                    self.config.search_phase_timeout,
-                    TimerKind::SearchDeadline {
-                        id,
-                        phase: SearchPhase::Category,
-                    },
-                );
-            }
-            SearchPhase::Server => {
-                if search.kind == TransferKind::Playback {
-                    out.report(Report::ServerFallback {
-                        node: self.node,
-                        video: search.video,
-                    });
-                }
-                out.to_server(Message::VideoRequest {
-                    id,
-                    video: search.video,
-                    from_chunk: search.from_chunk,
-                    kind: search.kind,
-                });
-            }
+    /// Drops, with a `Leave`, the links the current channel and the
+    /// subscriptions no longer justify.
+    fn shed_out_of_community(&mut self, out: &mut Outbox) {
+        for dropped in self
+            .neighbors
+            .shed_out_of_community(self.transfers.catalog(), &self.subscriptions)
+        {
+            out.to_peer(dropped, Message::Leave);
         }
     }
 
-    fn advance_phase(&mut self, now: SimTime, id: RequestId, out: &mut Outbox) {
-        let next = {
-            let Some(search) = self.searches.get_mut(&id) else {
-                return;
-            };
-            if search.provider.is_some() {
-                return; // a hit already claimed this search
-            }
-            match (search.phase, search.kind) {
-                (SearchPhase::Channel, TransferKind::Playback) => {
-                    search.phase = SearchPhase::Category;
-                }
-                (SearchPhase::Channel, TransferKind::Prefetch) => {
-                    // Prefetches are opportunistic community transfers: a
-                    // miss is dropped, never amplified into category floods
-                    // or origin load (symmetric with NetTube's
-                    // neighbor-cache prefetching).
-                    let video = search.video;
-                    self.searches.remove(&id);
-                    out.report(Report::PrefetchAbandoned {
-                        node: self.node,
-                        video,
-                    });
-                    return;
-                }
-                (SearchPhase::Category, _) => search.phase = SearchPhase::Server,
-                (SearchPhase::Server, _) => return,
-            }
-            search.phase
+    /// Runs the current phase of request `id`: floods the phase's links
+    /// and arms its deadline, moves on at once when there is nobody to
+    /// ask, and hands the request to the origin in the last phase.
+    fn run_phase(&mut self, id: RequestId, out: &mut Outbox) {
+        let Some(t) = self.transfers.get(id) else {
+            return;
         };
-        let _ = next;
-        self.run_phase(now, id, out);
+        let (video, phase) = (t.video, t.phase);
+        let flood = match phase {
+            SearchPhase::Channel => self
+                .current_channel
+                .map(|c| (self.neighbors.inner(), QueryScope::Channel(c))),
+            SearchPhase::Category => self
+                .video_category(video)
+                .map(|c| (self.neighbors.inter(), QueryScope::Category(c))),
+            SearchPhase::Server => return self.transfers.ask_origin(id, out),
+        };
+        match flood {
+            Some((targets, scope)) if !targets.is_empty() => {
+                for n in targets {
+                    out.to_peer(
+                        n,
+                        Message::Query {
+                            id,
+                            video,
+                            ttl: self.config.ttl,
+                            origin: self.transfers.node(),
+                            scope,
+                        },
+                    );
+                }
+                out.timer(
+                    self.config.search_phase_timeout,
+                    TimerKind::SearchDeadline { id, phase },
+                );
+            }
+            _ => self.advance_phase(id, out),
+        }
+    }
+
+    fn advance_phase(&mut self, id: RequestId, out: &mut Outbox) {
+        let Some(t) = self.transfers.get_mut(id) else {
+            return;
+        };
+        if t.provider.is_some() {
+            return; // a hit already claimed this search
+        }
+        match (t.phase, t.kind) {
+            (SearchPhase::Channel, TransferKind::Playback) => t.phase = SearchPhase::Category,
+            (SearchPhase::Channel, TransferKind::Prefetch) => {
+                // Prefetches are opportunistic community transfers: a
+                // miss is dropped, never amplified into category floods
+                // or origin load (symmetric with NetTube's
+                // neighbor-cache prefetching).
+                let video = t.video;
+                self.transfers.remove(id);
+                out.report(Report::PrefetchAbandoned {
+                    node: self.transfers.node(),
+                    video,
+                });
+                return;
+            }
+            (SearchPhase::Category, _) => t.phase = SearchPhase::Server,
+            (SearchPhase::Server, _) => return,
+        }
+        self.run_phase(id, out);
     }
 
     fn start_search(
@@ -314,20 +232,19 @@ impl SocialTubePeer {
         playback_reported: bool,
         out: &mut Outbox,
     ) {
-        let id = self.fresh_request();
-        self.searches.insert(
-            id,
-            Search {
-                video,
-                kind,
-                phase: SearchPhase::Channel,
-                requested_at: now,
-                provider: None,
-                from_chunk,
-                playback_reported,
-            },
-        );
-        self.run_phase(now, id, out);
+        let id = self
+            .transfers
+            .begin(now, video, kind, from_chunk, playback_reported);
+        self.run_phase(id, out);
+    }
+
+    /// The provider of `id` failed: the server takes over from the next
+    /// missing chunk.
+    fn fall_back_to_server(&mut self, id: RequestId, out: &mut Outbox) {
+        if let Some(t) = self.transfers.get_mut(id) {
+            t.from_chunk = self.cache.chunks_of(t.video);
+            self.transfers.ask_origin(id, out);
+        }
     }
 
     /// Ensures this peer participates in the current channel's overlay,
@@ -341,7 +258,7 @@ impl SocialTubePeer {
     }
 
     fn connect_to(&mut self, target: NodeId, kind: LinkKind, out: &mut Outbox) {
-        if target == self.node || self.neighbors.contains(target) {
+        if target == self.transfers.node() || self.neighbors.contains(target) {
             return;
         }
         if !self.neighbors.has_capacity(kind) {
@@ -370,13 +287,16 @@ impl SocialTubePeer {
         if let Ok(at) = self.digests.binary_search_by_key(&channel, |(c, _)| *c) {
             return self.digests[at].1.clone();
         }
-        self.catalog.channel_videos_by_popularity(channel).into()
+        self.transfers
+            .catalog()
+            .channel_videos_by_popularity(channel)
+            .into()
     }
 }
 
 impl VodPeer for SocialTubePeer {
     fn node(&self) -> NodeId {
-        self.node
+        self.transfers.node()
     }
 
     fn on_login(&mut self, _now: SimTime, out: &mut Outbox) {
@@ -389,24 +309,14 @@ impl VodPeer for SocialTubePeer {
         });
         // Reconnect to the neighbors remembered from the previous session;
         // those that fail to answer are dropped at the deadline.
-        for i in 0..self.neighbors.len() {
-            let link = self.neighbors[i];
-            let neighbor = link.node;
-            let nonce = self.fresh_nonce();
-            self.pending_probes.insert(nonce, neighbor);
-            let kind = self.neighbors.classify(link.channel);
-            out.to_peer(
-                neighbor,
-                Message::ConnectRequest {
-                    kind,
-                    channel: self.current_channel,
-                    video: None,
-                },
-            );
-            out.timer(
-                self.config.probe_timeout,
-                TimerKind::ProbeDeadline { neighbor, nonce },
-            );
+        for link in self.neighbors.iter() {
+            let request = Message::ConnectRequest {
+                kind: self.neighbors.classify(link.channel),
+                channel: self.current_channel,
+                video: None,
+            };
+            self.prober
+                .reconnect(link.node, request, self.config.probe_timeout, out);
         }
         out.timer(self.config.probe_interval, TimerKind::ProbeTick);
     }
@@ -419,62 +329,34 @@ impl VodPeer for SocialTubePeer {
             out.to_peer(n.node, Message::Leave);
         }
         out.to_server(Message::LogOff);
-        self.searches.clear();
-        self.pending_probes.clear();
-        self.current_video = None;
+        self.transfers.clear();
+        self.prober.clear();
     }
 
     fn watch(&mut self, now: SimTime, video: VideoId, out: &mut Outbox) {
         debug_assert!(self.online, "watch() on an offline peer");
-        let channel = match self.catalog.video(video) {
+        let channel = match self.transfers.catalog().video(video) {
             Ok(v) => v.channel(),
             Err(_) => return,
         };
-        self.current_video = Some(video);
         if self.current_channel != Some(channel) {
             self.current_channel = Some(channel);
             self.neighbors.set_current_channel(Some(channel));
-            let subscribed = self.subscriptions.clone();
-            for dropped in self
-                .neighbors
-                .shed_out_of_community(&self.catalog, &subscribed)
-            {
-                out.to_peer(dropped, Message::Leave);
-            }
-            self.ensure_joined(video, out);
-        } else {
-            self.ensure_joined(video, out);
+            self.shed_out_of_community(out);
         }
+        self.ensure_joined(video, out);
 
-        let total = self.total_chunks(video);
-        if self.cache.has_full(video) {
-            self.cache.touch(video, now.as_micros());
-            out.report(Report::PlaybackStarted {
-                node: self.node,
-                video,
-                requested_at: now,
-                source: ChunkSource::Cache,
-            });
+        // A cached video plays at once; so does a prefetched first chunk,
+        // with the rest fetched in the background.
+        let (started, missing) = self
+            .transfers
+            .start_from_cache(now, video, &mut self.cache, out);
+        if started {
             self.schedule_prefetch(out);
-            return;
         }
-        if self.cache.has_first_chunk(video) {
-            // Prefetch hit: playback starts immediately; fetch the rest in
-            // the background.
-            out.report(Report::PlaybackStarted {
-                node: self.node,
-                video,
-                requested_at: now,
-                source: ChunkSource::Prefetched,
-            });
-            self.schedule_prefetch(out);
-            let from = self.cache.chunks_of(video);
-            if from < total {
-                self.start_search(now, video, TransferKind::Playback, from, true, out);
-            }
-            return;
+        if let Some(from) = missing {
+            self.start_search(now, video, TransferKind::Playback, from, started, out);
         }
-        self.start_search(now, video, TransferKind::Playback, 0, false, out);
     }
 
     fn on_message(&mut self, now: SimTime, from: PeerAddr, msg: Message, out: &mut Outbox) {
@@ -491,28 +373,18 @@ impl VodPeer for SocialTubePeer {
                 origin,
                 scope,
             } => {
-                if origin == self.node || !self.seen_queries.insert(id) {
+                if origin == self.transfers.node() || !self.seen_queries.insert(id) {
                     return;
                 }
-                if self.cache.has_full(video) {
+                let held = self.cache.has_full(video);
+                if held {
                     self.cache.touch(video, now.as_micros());
-                    out.to_peer(
-                        origin,
-                        Message::QueryHit {
-                            id,
-                            video,
-                            provider: self.node,
-                            provider_channel: self.current_channel,
-                            ttl,
-                        },
-                    );
-                    return;
                 }
-                if ttl == 0 {
-                    out.report(Report::TtlExpired {
-                        node: self.node,
-                        video,
-                    });
+                let channel = self.current_channel;
+                if !self
+                    .transfers
+                    .answer_query(held, id, video, ttl, origin, channel, out)
+                {
                     return;
                 }
                 // Forward along the overlay the query is traversing:
@@ -526,6 +398,7 @@ impl VodPeer for SocialTubePeer {
                     PeerAddr::Peer(n) => Some(n),
                     PeerAddr::Server => None,
                 };
+                let catalog = self.transfers.catalog();
                 for n in self.neighbors.iter() {
                     let t = n.node;
                     if Some(t) == sender || t == origin {
@@ -534,7 +407,7 @@ impl VodPeer for SocialTubePeer {
                     let eligible = match scope {
                         QueryScope::Channel(c) => n.channel == Some(c),
                         QueryScope::Category(cat) => n.channel.is_some_and(|ch| {
-                            self.catalog
+                            catalog
                                 .channel(ch)
                                 .map(|c| c.has_category(cat))
                                 .unwrap_or(false)
@@ -563,33 +436,20 @@ impl VodPeer for SocialTubePeer {
                 provider_channel,
                 ttl,
             } => {
-                let Some(search) = self.searches.get_mut(&id) else {
+                // First hit wins; later responses are ignored.
+                let Some(phase) = self.transfers.searching(id) else {
                     return;
                 };
-                if search.provider.is_some() || search.phase == SearchPhase::Server {
-                    return; // first hit wins; later responses are ignored
-                }
-                search.provider = Some(provider);
-                let kind = search.kind;
-                let from_chunk = search.from_chunk;
                 // Both phases flood with a fresh `config.ttl`, so the
                 // remaining TTL at the provider recovers the hop count.
                 out.report(Report::SearchResolved {
-                    node: self.node,
+                    node: self.transfers.node(),
                     video,
-                    phase: search.phase,
+                    phase,
                     hops: self.config.ttl.saturating_sub(ttl).saturating_add(1),
                 });
-                out.to_peer(
-                    provider,
-                    Message::ChunkRequest {
-                        id,
-                        video,
-                        from_chunk,
-                        kind,
-                    },
-                );
-                out.timer(self.config.chunk_timeout, TimerKind::ChunkDeadline { id });
+                self.transfers
+                    .ask_provider(id, provider, Some(self.config.chunk_timeout), out);
                 // Connect to the provider: it tends to watch what we watch
                 // (the paper's link-building rule after a successful search).
                 let link_kind = self.neighbors.classify(provider_channel);
@@ -602,37 +462,12 @@ impl VodPeer for SocialTubePeer {
                 from_chunk,
                 kind,
             } => {
-                if !self.cache.has_full(video) {
-                    out.to_peer(
-                        match from {
-                            PeerAddr::Peer(n) => n,
-                            PeerAddr::Server => return,
-                        },
-                        Message::ChunkUnavailable { id, video },
-                    );
-                    return;
-                }
-                let PeerAddr::Peer(requester) = from else {
-                    return;
-                };
-                self.cache.touch(video, now.as_micros());
-                let total = self.total_chunks(video);
-                let bits = self.chunk_bits(video);
-                let last = match kind {
-                    TransferKind::Prefetch => from_chunk, // first chunk only
-                    TransferKind::Playback => total.saturating_sub(1),
-                };
-                for chunk in from_chunk..=last.min(total.saturating_sub(1)) {
-                    out.to_peer(
-                        requester,
-                        Message::ChunkData {
-                            id,
-                            video,
-                            chunk,
-                            bits,
-                            kind,
-                        },
-                    );
+                let held = self.cache.has_full(video);
+                if self
+                    .transfers
+                    .serve(held, from, id, video, from_chunk, kind, out)
+                {
+                    self.cache.touch(video, now.as_micros());
                 }
             }
 
@@ -643,60 +478,19 @@ impl VodPeer for SocialTubePeer {
                 bits,
                 kind,
             } => {
-                let source = match from {
-                    PeerAddr::Peer(_) => ChunkSource::Peer,
-                    PeerAddr::Server => ChunkSource::Server,
-                };
-                out.report(Report::ChunkReceived {
-                    node: self.node,
-                    video,
-                    bits,
-                    source,
-                    kind,
-                });
-                let total = self.total_chunks(video);
+                let total = self.transfers.chunks_in(video);
                 self.cache
                     .record_chunk(video, chunk, total, now.as_micros());
-                let mut done = false;
-                let mut playback_began = false;
-                if let Some(search) = self.searches.get_mut(&id) {
-                    if kind == TransferKind::Playback
-                        && !search.playback_reported
-                        && chunk == search.from_chunk
-                    {
-                        search.playback_reported = true;
-                        playback_began = true;
-                        out.report(Report::PlaybackStarted {
-                            node: self.node,
-                            video,
-                            requested_at: search.requested_at,
-                            source,
-                        });
-                    }
-                    done = match kind {
-                        TransferKind::Prefetch => chunk == search.from_chunk,
-                        TransferKind::Playback => chunk + 1 >= total,
-                    };
-                }
-                if playback_began {
+                let progress = self
+                    .transfers
+                    .on_chunk(from, id, video, chunk, bits, kind, out);
+                if progress.started {
                     self.schedule_prefetch(out);
-                }
-                if done {
-                    self.searches.remove(&id);
                 }
             }
 
-            Message::ChunkUnavailable { id, video } => {
-                let Some(search) = self.searches.get_mut(&id) else {
-                    return;
-                };
-                // The provider lost the video (logoff race): fall straight
-                // back to the server for the remaining chunks.
-                search.provider = None;
-                search.phase = SearchPhase::Server;
-                search.from_chunk = self.cache.chunks_of(video);
-                self.run_phase(now, id, out);
-            }
+            // The provider lost the video (logoff race).
+            Message::ChunkUnavailable { id, .. } => self.fall_back_to_server(id, out),
 
             Message::ConnectRequest {
                 kind: _,
@@ -706,31 +500,20 @@ impl VodPeer for SocialTubePeer {
                 let PeerAddr::Peer(requester) = from else {
                     return;
                 };
+                // A known requester's link is refreshed (`try_add` records
+                // its channel); a new one needs room in its bucket.
                 let kind = self.neighbors.classify(channel);
-                if self.neighbors.contains(requester) {
-                    self.neighbors.update_channel(requester, channel);
-                    out.to_peer(
-                        requester,
-                        Message::ConnectAccept {
-                            kind,
-                            channel: self.current_channel,
-                            video: None,
-                        },
-                    );
-                } else if self.neighbors.has_capacity(kind)
-                    && self.neighbors.try_add(requester, channel)
-                {
-                    out.to_peer(
-                        requester,
-                        Message::ConnectAccept {
-                            kind,
-                            channel: self.current_channel,
-                            video: None,
-                        },
-                    );
+                let known = self.neighbors.contains(requester);
+                let answer = if self.neighbors.try_add(requester, channel) || known {
+                    Message::ConnectAccept {
+                        kind,
+                        channel: self.current_channel,
+                        video: None,
+                    }
                 } else {
-                    out.to_peer(requester, Message::ConnectReject { kind });
-                }
+                    Message::ConnectReject { kind }
+                };
+                out.to_peer(requester, answer);
             }
 
             Message::ConnectAccept {
@@ -741,31 +524,21 @@ impl VodPeer for SocialTubePeer {
                 let PeerAddr::Peer(accepter) = from else {
                     return;
                 };
-                // Clear any reconnect-deadline bookkeeping for this peer.
-                self.pending_probes.retain(|_, n| *n != accepter);
-                if self.neighbors.contains(accepter) {
-                    self.neighbors.update_channel(accepter, channel);
-                } else {
-                    self.neighbors.try_add(accepter, channel);
-                }
+                self.prober.answered(accepter);
+                // Adds the link, or records the channel of a known one.
+                self.neighbors.try_add(accepter, channel);
             }
 
             Message::ConnectReject { .. } => {
                 if let PeerAddr::Peer(rejecter) = from {
-                    self.pending_probes.retain(|_, n| *n != rejecter);
+                    self.prober.answered(rejecter);
                     self.neighbors.remove(rejecter);
                 }
             }
 
-            Message::Probe { nonce } => {
-                if let PeerAddr::Peer(p) = from {
-                    out.to_peer(p, Message::ProbeAck { nonce });
-                }
-            }
+            Message::Probe { nonce } => Prober::acknowledge(from, nonce, out),
 
-            Message::ProbeAck { nonce } => {
-                self.pending_probes.remove(&nonce);
-            }
+            Message::ProbeAck { nonce } => self.prober.acked(nonce),
 
             Message::Leave => {
                 if let PeerAddr::Peer(p) = from {
@@ -812,55 +585,32 @@ impl VodPeer for SocialTubePeer {
             return;
         }
         match timer {
-            TimerKind::ProbeTick => {
-                for i in 0..self.neighbors.len() {
-                    let neighbor = self.neighbors[i].node;
-                    let nonce = self.fresh_nonce();
-                    self.pending_probes.insert(nonce, neighbor);
-                    out.to_peer(neighbor, Message::Probe { nonce });
-                    out.timer(
-                        self.config.probe_timeout,
-                        TimerKind::ProbeDeadline { neighbor, nonce },
-                    );
-                }
-                out.timer(self.config.probe_interval, TimerKind::ProbeTick);
-            }
+            TimerKind::ProbeTick => self.prober.tick(
+                self.neighbors.iter().map(|n| n.node),
+                self.config.probe_interval,
+                self.config.probe_timeout,
+                out,
+            ),
 
             TimerKind::ProbeDeadline { neighbor, nonce } => {
-                if self.pending_probes.remove(&nonce).is_some() {
-                    // No answer in time: the neighbor failed abruptly.
+                // No answer in time: the neighbor failed abruptly.
+                let node = self.transfers.node();
+                if self.prober.expired(node, neighbor, nonce, out) {
                     self.neighbors.remove(neighbor);
-                    out.report(Report::NeighborLost {
-                        node: self.node,
-                        neighbor,
-                    });
                 }
             }
 
             TimerKind::SearchDeadline { id, phase } => {
-                let stalled = self
-                    .searches
-                    .get(&id)
-                    .is_some_and(|s| s.phase == phase && s.provider.is_none());
-                if stalled {
-                    self.advance_phase(now, id, out);
+                if self.transfers.searching(id) == Some(phase) {
+                    self.advance_phase(id, out);
                 }
             }
 
+            // Transfer stalled (provider died).
             TimerKind::ChunkDeadline { id } => {
-                let Some(search) = self.searches.get_mut(&id) else {
-                    return;
-                };
-                if search.phase == SearchPhase::Server {
-                    return;
+                if self.transfers.get(id).is_some_and(|t| !t.at_origin()) {
+                    self.fall_back_to_server(id, out);
                 }
-                // Transfer stalled (provider died): server takes over from
-                // the next missing chunk.
-                let video = search.video;
-                search.provider = None;
-                search.phase = SearchPhase::Server;
-                search.from_chunk = self.cache.chunks_of(video);
-                self.run_phase(now, id, out);
             }
 
             TimerKind::PrefetchKick => {
@@ -881,8 +631,6 @@ impl VodPeer for SocialTubePeer {
                     self.start_search(now, video, TransferKind::Prefetch, 0, true, out);
                 }
             }
-
-            TimerKind::LoginDeadline => {}
         }
     }
 
@@ -902,7 +650,7 @@ impl VodPeer for SocialTubePeer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::Command;
+    use crate::traits::{ChunkSource, Command};
     use socialtube_model::CatalogBuilder;
 
     /// Two channels in one category, one channel elsewhere; two videos per
@@ -1012,13 +760,8 @@ mod tests {
 
     #[test]
     fn first_watch_with_no_neighbors_goes_to_server() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            catalog,
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+        let (_, _, vids) = fixture();
+        let mut p = peer(0);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         out.drain();
@@ -1038,13 +781,8 @@ mod tests {
 
     #[test]
     fn cached_video_plays_instantly() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            Arc::clone(&catalog),
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+        let (catalog, _, vids) = fixture();
+        let mut p = peer(0);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         out.drain();
@@ -1085,81 +823,9 @@ mod tests {
     }
 
     #[test]
-    fn query_hit_claims_provider_and_requests_chunks() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            catalog,
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
-        let mut out = Outbox::new();
-        p.on_login(SimTime::ZERO, &mut out);
-        // Give the peer one inner neighbor so the search floods.
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Peer(NodeId::new(9)),
-            Message::ConnectRequest {
-                kind: LinkKind::Inner,
-                channel: Some(chans[0]),
-                video: None,
-            },
-            &mut out,
-        );
-        p.current_channel = Some(chans[0]);
-        p.neighbors.set_current_channel(Some(chans[0]));
-        out.drain();
-        p.watch(SimTime::ZERO, vids[0], &mut out);
-        let peers = sent_to_peers(&out);
-        assert!(peers
-            .iter()
-            .any(|(to, m)| *to == NodeId::new(9) && matches!(m, Message::Query { .. })));
-        out.drain();
-
-        let id = RequestId::new(NodeId::new(0), 0);
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Peer(NodeId::new(9)),
-            Message::QueryHit {
-                id,
-                video: vids[0],
-                provider: NodeId::new(9),
-                provider_channel: Some(chans[0]),
-                ttl: 2,
-            },
-            &mut out,
-        );
-        let peers = sent_to_peers(&out);
-        assert!(peers
-            .iter()
-            .any(|(to, m)| *to == NodeId::new(9) && matches!(m, Message::ChunkRequest { .. })));
-
-        // A second hit from elsewhere is ignored (first hit wins).
-        out.drain();
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Peer(NodeId::new(8)),
-            Message::QueryHit {
-                id,
-                video: vids[0],
-                provider: NodeId::new(8),
-                provider_channel: Some(chans[0]),
-                ttl: 2,
-            },
-            &mut out,
-        );
-        assert!(sent_to_peers(&out).is_empty());
-    }
-
-    #[test]
     fn query_forwarding_decrements_ttl_and_dedupes() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(5),
-            catalog,
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+        let (_, chans, vids) = fixture();
+        let mut p = peer(5);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.current_channel = Some(chans[0]);
@@ -1201,13 +867,8 @@ mod tests {
 
     #[test]
     fn cached_provider_answers_queries() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(5),
-            Arc::clone(&catalog),
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+        let (_, chans, vids) = fixture();
+        let mut p = peer(5);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.cache.insert_full(vids[0], 2, 0);
@@ -1232,13 +893,8 @@ mod tests {
 
     #[test]
     fn ttl_zero_queries_are_not_forwarded() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(5),
-            catalog,
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+        let (_, chans, vids) = fixture();
+        let mut p = peer(5);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.current_channel = Some(chans[0]);
@@ -1261,76 +917,9 @@ mod tests {
     }
 
     #[test]
-    fn playback_report_fires_on_first_chunk() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            Arc::clone(&catalog),
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
-        let mut out = Outbox::new();
-        p.on_login(SimTime::ZERO, &mut out);
-        out.drain();
-        p.watch(SimTime::ZERO, vids[0], &mut out);
-        out.drain();
-        let id = RequestId::new(NodeId::new(0), 0);
-        p.on_message(
-            SimTime::from_micros(500_000),
-            PeerAddr::Server,
-            Message::ChunkData {
-                id,
-                video: vids[0],
-                chunk: 0,
-                bits: 100,
-                kind: TransferKind::Playback,
-            },
-            &mut out,
-        );
-        let total = catalog.video(vids[0]).unwrap().chunk_count();
-        let rs = reports(&out);
-        let started = rs
-            .iter()
-            .find_map(|r| match r {
-                Report::PlaybackStarted {
-                    requested_at,
-                    source,
-                    ..
-                } => Some((*requested_at, *source)),
-                _ => None,
-            })
-            .expect("playback started");
-        assert_eq!(started.0, SimTime::ZERO);
-        assert_eq!(started.1, ChunkSource::Server);
-        // The remaining chunks complete the video and the search.
-        out.drain();
-        for chunk in 1..total {
-            p.on_message(
-                SimTime::from_micros(600_000),
-                PeerAddr::Server,
-                Message::ChunkData {
-                    id,
-                    video: vids[0],
-                    chunk,
-                    bits: 100,
-                    kind: TransferKind::Playback,
-                },
-                &mut out,
-            );
-        }
-        assert_eq!(p.active_searches(), 0);
-        assert!(p.has_cached(vids[0]));
-    }
-
-    #[test]
     fn search_deadline_advances_channel_to_category_to_server() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            catalog,
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+        let (_, chans, vids) = fixture();
+        let mut p = peer(0);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.current_channel = Some(chans[0]);
@@ -1379,13 +968,8 @@ mod tests {
 
     #[test]
     fn stale_search_deadline_is_ignored() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            catalog,
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+        let (_, chans, vids) = fixture();
+        let mut p = peer(0);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.current_channel = Some(chans[0]);
@@ -1423,98 +1007,46 @@ mod tests {
     }
 
     #[test]
-    fn probe_deadline_removes_dead_neighbor() {
-        let (catalog, chans, _) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            catalog,
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+    fn probing_keeps_the_neighbor_that_acks_and_evicts_the_silent_one() {
+        let (_, chans, _) = fixture();
+        let mut p = peer(0);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
-        p.neighbors.try_add(NodeId::new(6), Some(chans[0]));
+        let (acking, silent) = (NodeId::new(6), NodeId::new(7));
+        p.neighbors.try_add(acking, Some(chans[0]));
+        p.neighbors.try_add(silent, Some(chans[0]));
         out.drain();
         p.on_timer(SimTime::ZERO, TimerKind::ProbeTick, &mut out);
-        assert!(sent_to_peers(&out)
+        let probes: Vec<(NodeId, u64)> = sent_to_peers(&out)
             .iter()
-            .any(|(_, m)| matches!(m, Message::Probe { .. })));
-        // Probe 6 never answers.
-        let nonce = out
-            .commands()
-            .iter()
-            .find_map(|c| match c {
-                Command::ToPeer {
-                    msg: Message::Probe { nonce },
-                    ..
-                } => Some(*nonce),
+            .filter_map(|(to, m)| match m {
+                Message::Probe { nonce } => Some((*to, *nonce)),
                 _ => None,
             })
-            .expect("probe sent");
+            .collect();
+        assert_eq!(probes.len(), 2, "one probe per neighbor");
         out.drain();
-        p.on_timer(
-            SimTime::from_micros(1),
-            TimerKind::ProbeDeadline {
-                neighbor: NodeId::new(6),
-                nonce,
-            },
-            &mut out,
-        );
-        assert!(!p.neighbors().contains(NodeId::new(6)));
-    }
-
-    #[test]
-    fn probe_ack_keeps_neighbor() {
-        let (catalog, chans, _) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            catalog,
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
-        let mut out = Outbox::new();
-        p.on_login(SimTime::ZERO, &mut out);
-        p.neighbors.try_add(NodeId::new(6), Some(chans[0]));
-        out.drain();
-        p.on_timer(SimTime::ZERO, TimerKind::ProbeTick, &mut out);
-        let nonce = out
-            .commands()
-            .iter()
-            .find_map(|c| match c {
-                Command::ToPeer {
-                    msg: Message::Probe { nonce },
-                    ..
-                } => Some(*nonce),
-                _ => None,
-            })
-            .expect("probe sent");
-        out.drain();
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Peer(NodeId::new(6)),
-            Message::ProbeAck { nonce },
-            &mut out,
-        );
-        p.on_timer(
-            SimTime::from_micros(1),
-            TimerKind::ProbeDeadline {
-                neighbor: NodeId::new(6),
-                nonce,
-            },
-            &mut out,
-        );
-        assert!(p.neighbors().contains(NodeId::new(6)));
+        for (neighbor, nonce) in probes {
+            if neighbor == acking {
+                let ack = Message::ProbeAck { nonce };
+                p.on_message(SimTime::ZERO, PeerAddr::Peer(neighbor), ack, &mut out);
+            }
+            let deadline = TimerKind::ProbeDeadline { neighbor, nonce };
+            p.on_timer(SimTime::from_micros(1), deadline, &mut out);
+        }
+        assert!(p.neighbors().contains(acking));
+        assert!(!p.neighbors().contains(silent));
+        let lost = Report::NeighborLost {
+            node: NodeId::new(0),
+            neighbor: silent,
+        };
+        assert_eq!(reports(&out), [&lost]);
     }
 
     #[test]
     fn logout_notifies_neighbors_but_remembers_them() {
-        let (catalog, chans, _) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            catalog,
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+        let (_, chans, _) = fixture();
+        let mut p = peer(0);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.neighbors.try_add(NodeId::new(6), Some(chans[0]));
@@ -1538,13 +1070,8 @@ mod tests {
 
     #[test]
     fn prefetch_kick_prefetches_top_videos() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            Arc::clone(&catalog),
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+        let (_, chans, vids) = fixture();
+        let mut p = peer(0);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.current_channel = Some(chans[0]);
@@ -1576,13 +1103,8 @@ mod tests {
 
     #[test]
     fn prefetched_video_starts_playback_instantly() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            Arc::clone(&catalog),
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+        let (_, _, vids) = fixture();
+        let mut p = peer(0);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.cache.insert_first_chunk(vids[0], 2, 0);
@@ -1601,13 +1123,8 @@ mod tests {
 
     #[test]
     fn channel_switch_sheds_out_of_community_links() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            Arc::clone(&catalog),
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+        let (_, chans, vids) = fixture();
+        let mut p = peer(0);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.current_channel = Some(chans[2]);
@@ -1669,13 +1186,8 @@ mod tests {
 
     #[test]
     fn chunk_unavailable_falls_back_to_server() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            catalog,
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+        let (_, chans, vids) = fixture();
+        let mut p = peer(0);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.current_channel = Some(chans[0]);
@@ -1711,13 +1223,8 @@ mod tests {
 
     #[test]
     fn subscription_changes_are_reported_and_shed_links() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            Arc::clone(&catalog),
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+        let (_, chans, vids) = fixture();
+        let mut p = peer(0);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         out.drain();
@@ -1750,13 +1257,8 @@ mod tests {
 
     #[test]
     fn offline_subscription_changes_are_silent() {
-        let (catalog, chans, _) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            catalog,
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+        let (_, chans, _) = fixture();
+        let mut p = peer(0);
         let mut out = Outbox::new();
         p.subscribe(chans[1], &mut out);
         p.unsubscribe(chans[0], &mut out);
@@ -1772,13 +1274,8 @@ mod tests {
 
     #[test]
     fn offline_peer_ignores_everything() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            catalog,
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
+        let (_, chans, vids) = fixture();
+        let mut p = peer(0);
         let mut out = Outbox::new();
         p.on_message(
             SimTime::ZERO,
@@ -1794,82 +1291,5 @@ mod tests {
         );
         p.on_timer(SimTime::ZERO, TimerKind::ProbeTick, &mut out);
         assert!(out.commands().is_empty());
-    }
-
-    #[test]
-    fn chunk_request_for_missing_video_answers_unavailable() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            catalog,
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
-        let mut out = Outbox::new();
-        p.on_login(SimTime::ZERO, &mut out);
-        out.drain();
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Peer(NodeId::new(6)),
-            Message::ChunkRequest {
-                id: RequestId::new(NodeId::new(6), 0),
-                video: vids[0],
-                from_chunk: 0,
-                kind: TransferKind::Playback,
-            },
-            &mut out,
-        );
-        assert!(sent_to_peers(&out)
-            .iter()
-            .any(|(to, m)| *to == NodeId::new(6) && matches!(m, Message::ChunkUnavailable { .. })));
-    }
-
-    #[test]
-    fn provider_serves_all_chunks_for_playback_one_for_prefetch() {
-        let (catalog, chans, vids) = fixture();
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            Arc::clone(&catalog),
-            vec![chans[0]],
-            SocialTubeConfig::default(),
-        );
-        let mut out = Outbox::new();
-        p.on_login(SimTime::ZERO, &mut out);
-        let total = catalog.video(vids[0]).unwrap().chunk_count();
-        p.cache.insert_full(vids[0], total, 0);
-        out.drain();
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Peer(NodeId::new(6)),
-            Message::ChunkRequest {
-                id: RequestId::new(NodeId::new(6), 0),
-                video: vids[0],
-                from_chunk: 0,
-                kind: TransferKind::Playback,
-            },
-            &mut out,
-        );
-        let chunks = sent_to_peers(&out)
-            .iter()
-            .filter(|(_, m)| matches!(m, Message::ChunkData { .. }))
-            .count();
-        assert_eq!(chunks as u32, total);
-        out.drain();
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Peer(NodeId::new(6)),
-            Message::ChunkRequest {
-                id: RequestId::new(NodeId::new(6), 1),
-                video: vids[0],
-                from_chunk: 0,
-                kind: TransferKind::Prefetch,
-            },
-            &mut out,
-        );
-        let chunks = sent_to_peers(&out)
-            .iter()
-            .filter(|(_, m)| matches!(m, Message::ChunkData { .. }))
-            .count();
-        assert_eq!(chunks, 1);
     }
 }

@@ -1,14 +1,22 @@
 //! The SocialTube server: tracker for the community overlay plus origin
 //! video store.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use socialtube_model::{Catalog, ChannelId, NodeId, VideoId};
 use socialtube_sim::{SimRng, SimTime};
 
 use crate::messages::Message;
-use crate::traits::{Report, ServerOutbox, TransferKind, VodServer};
+use crate::tracker::{serve_from_origin, Tracker};
+use crate::traits::{ServerOutbox, VodServer};
+
+/// Maximum channel contacts returned on join (the joining node's
+/// inner-link budget; paper `N_l` = 5).
+const MAX_CHANNEL_CONTACTS: usize = 5;
+/// Maximum category contacts returned on join (the joining node's
+/// inter-link budget; paper `N_h` = 10).
+const MAX_CATEGORY_CONTACTS: usize = 10;
 
 /// The centralized server of the SocialTube system.
 ///
@@ -28,26 +36,18 @@ pub struct SocialTubeServer {
     /// Channels each known node subscribes to (latest report, shared with
     /// the peer's own copy — subscription sets are immutable once sent).
     subscriptions: HashMap<NodeId, Arc<[ChannelId]>>,
-    /// Online subscribers per channel — the joinable channel overlays,
-    /// indexed densely by channel id (channel ids are contiguous).
+    /// Online subscribers per channel — the joinable channel overlays, one
+    /// group per channel id (channel ids are contiguous).
     ///
     /// Invariant: a node is a member of channel *c* only if *c* is in
-    /// `subscriptions[node]`, so removing a node means visiting the
-    /// channels of its recorded set, not every channel.
-    members: Vec<Vec<NodeId>>,
-    /// Σ member-list lengths, kept as members come and go.
-    tracked: usize,
+    /// `subscriptions[node]`, so removing a node means leaving the
+    /// channels of its recorded set, not every channel — and the tracker
+    /// needs no node → groups index of its own.
+    members: Tracker,
     /// Lazily built per-channel popularity rankings, shared across every
     /// digest sent for the channel (the catalog is immutable, so rankings
     /// never change within a run).
     popularity: Vec<Option<Arc<[VideoId]>>>,
-    online: HashSet<NodeId>,
-    /// Maximum category contacts returned on join (the joining node's
-    /// inter-link budget; paper `N_h` = 10).
-    max_category_contacts: usize,
-    /// Maximum channel contacts returned on join (the joining node's
-    /// inner-link budget; paper `N_l` = 5).
-    max_channel_contacts: usize,
     rng: SimRng,
 }
 
@@ -59,52 +59,15 @@ impl SocialTubeServer {
         Self {
             catalog,
             subscriptions: HashMap::new(),
-            members: vec![Vec::new(); channels],
-            tracked: 0,
+            members: Tracker::new(channels),
             popularity: vec![None; channels],
-            online: HashSet::new(),
-            max_category_contacts: 10,
-            max_channel_contacts: 5,
             rng,
         }
     }
 
-    /// Sets how many cross-channel contacts a join response may carry.
-    pub fn set_max_category_contacts(&mut self, max: usize) {
-        self.max_category_contacts = max;
-    }
-
-    /// Sets how many in-channel contacts a join response may carry.
-    pub fn set_max_channel_contacts(&mut self, max: usize) {
-        self.max_channel_contacts = max;
-    }
-
-    /// Number of online nodes currently known.
-    pub fn online_count(&self) -> usize {
-        self.online.len()
-    }
-
     /// Online members of `channel`'s overlay (tests and diagnostics).
     pub fn channel_members(&self, channel: ChannelId) -> &[NodeId] {
-        self.members
-            .get(channel.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    fn pick_members(&mut self, channel: ChannelId, exclude: NodeId, n: usize) -> Vec<NodeId> {
-        let Some(members) = self.members.get(channel.index()) else {
-            return Vec::new();
-        };
-        self.rng.pick_distinct_except(members, &exclude, n)
-    }
-
-    fn add_member(&mut self, channel: ChannelId, node: NodeId) {
-        let members = &mut self.members[channel.index()];
-        if !members.contains(&node) {
-            members.push(node);
-            self.tracked += 1;
-        }
+        self.members.members(channel.index())
     }
 
     /// Takes `node` out of every overlay it is in — by the invariant on
@@ -114,10 +77,7 @@ impl SocialTubeServer {
             return;
         };
         for channel in subscribed.iter() {
-            let members = &mut self.members[channel.index()];
-            let before = members.len();
-            members.retain(|n| *n != node);
-            self.tracked -= before - members.len();
+            self.members.leave(channel.index(), node);
         }
     }
 
@@ -134,11 +94,10 @@ impl VodServer for SocialTubeServer {
     fn on_message(&mut self, _now: SimTime, from: NodeId, msg: Message, out: &mut ServerOutbox) {
         match msg {
             Message::SubscriptionUpdate { subscribed } => {
-                self.online.insert(from);
                 // Re-home the node's memberships to the new subscription set.
                 self.remove_everywhere(from);
                 for ch in subscribed.iter().copied() {
-                    self.add_member(ch, from);
+                    self.members.join(ch.index(), from);
                     // Publish the channel's popularity ranking so the node
                     // can prefetch (Section IV-B: "the server provides the
                     // popularities of videos in each channel to its
@@ -155,10 +114,7 @@ impl VodServer for SocialTubeServer {
                 self.subscriptions.insert(from, subscribed);
             }
 
-            Message::LogOff => {
-                self.online.remove(&from);
-                self.remove_everywhere(from);
-            }
+            Message::LogOff => self.remove_everywhere(from),
 
             Message::JoinRequest { video } => {
                 let Ok(v) = self.catalog.video(video) else {
@@ -173,10 +129,11 @@ impl VodServer for SocialTubeServer {
                 // A subscriber joins the channel overlay (possibly as its
                 // first node); a non-subscriber is only served contacts
                 // without entering the overlay (Section IV-A).
-                let max = self.max_channel_contacts;
-                let channel_contacts = self.pick_members(channel, from, max);
+                let channel_contacts =
+                    self.members
+                        .pick(&mut self.rng, channel.index(), from, MAX_CHANNEL_CONTACTS);
                 if subscribed {
-                    self.add_member(channel, from);
+                    self.members.join(channel.index(), from);
                 }
 
                 let category = self
@@ -188,13 +145,13 @@ impl VodServer for SocialTubeServer {
                 if let Some(cat) = category {
                     // One contact per sibling channel that has one.
                     for &sibling in self.catalog.channels_in_category(cat) {
-                        if category_contacts.len() >= self.max_category_contacts {
+                        if category_contacts.len() >= MAX_CATEGORY_CONTACTS {
                             break;
                         }
                         if sibling == channel {
                             continue;
                         }
-                        let members = &self.members[sibling.index()];
+                        let members = self.members.members(sibling.index());
                         if let Some(contact) = self.rng.pick_except(members, &from) {
                             category_contacts.push(*contact);
                         }
@@ -220,15 +177,7 @@ impl VodServer for SocialTubeServer {
                 video,
                 from_chunk,
                 kind,
-            } => {
-                if self.catalog.video(video).is_err() {
-                    return;
-                }
-                if kind == TransferKind::Playback {
-                    out.report(Report::ServedFromOrigin { node: from, video });
-                }
-                out.serve_chunks(from, id, video, from_chunk, kind);
-            }
+            } => serve_from_origin(&self.catalog, from, id, video, from_chunk, kind, out),
 
             // Messages belonging to the baseline protocols or peer↔peer
             // traffic; the SocialTube server ignores them.
@@ -237,7 +186,7 @@ impl VodServer for SocialTubeServer {
     }
 
     fn tracked_entries(&self) -> usize {
-        self.tracked
+        self.members.tracked()
     }
 }
 
@@ -245,9 +194,8 @@ impl VodServer for SocialTubeServer {
 mod tests {
     use super::*;
     use crate::messages::RequestId;
-    use crate::traits::ServerCommand;
+    use crate::traits::{Report, ServerCommand, TransferKind};
     use socialtube_model::CatalogBuilder;
-    use socialtube_model::VideoId;
 
     fn fixture() -> (Arc<Catalog>, Vec<ChannelId>, Vec<VideoId>) {
         let mut b = CatalogBuilder::new();
@@ -283,7 +231,6 @@ mod tests {
         let mut out = ServerOutbox::new();
         login(&mut s, 1, vec![chans[0]], &mut out);
         assert_eq!(s.channel_members(chans[0]), &[NodeId::new(1)]);
-        assert_eq!(s.online_count(), 1);
         assert!(out.commands().iter().any(|c| matches!(
             c,
             ServerCommand::ToPeer {
@@ -407,7 +354,6 @@ mod tests {
         assert_eq!(s.tracked_entries(), 2);
         s.on_message(SimTime::ZERO, NodeId::new(1), Message::LogOff, &mut out);
         assert_eq!(s.tracked_entries(), 0);
-        assert_eq!(s.online_count(), 0);
     }
 
     #[test]
@@ -473,10 +419,11 @@ mod tests {
     #[test]
     fn membership_stays_within_subscriptions_and_the_count_stays_exact() {
         fn check(s: &SocialTubeServer) {
-            let total: usize = s.members.iter().map(Vec::len).sum();
+            let channels = 0..s.catalog.channel_count();
+            let total: usize = channels.clone().map(|c| s.members.members(c).len()).sum();
             assert_eq!(s.tracked_entries(), total);
-            for (index, members) in s.members.iter().enumerate() {
-                for node in members {
+            for index in channels {
+                for node in s.members.members(index) {
                     let subscribed = &s.subscriptions[node];
                     assert!(
                         subscribed.iter().any(|c| c.index() == index),
@@ -535,7 +482,6 @@ mod tests {
             chans.push(c);
         }
         let mut s = SocialTubeServer::new(Arc::new(b.build()), SimRng::seed(1));
-        s.set_max_category_contacts(3);
         let mut out = ServerOutbox::new();
         for (i, ch) in chans.iter().enumerate().skip(1) {
             login(&mut s, i as u32 + 100, vec![*ch], &mut out);
@@ -561,6 +507,6 @@ mod tests {
                 _ => None,
             })
             .expect("join response");
-        assert_eq!(contacts, 3);
+        assert_eq!(contacts, MAX_CATEGORY_CONTACTS, "19 siblings have a member");
     }
 }

@@ -71,9 +71,6 @@ pub enum TimerKind {
     },
     /// Start prefetching: playback is underway and bandwidth is idle.
     PrefetchKick,
-    /// Deadline for reconnecting to previous neighbors after login; if no
-    /// neighbor answered, rejoin through the server.
-    LoginDeadline,
 }
 
 /// Effects a peer asks its driver to perform.

@@ -52,11 +52,6 @@ impl<K: Ord, V> VecMap<K, V> {
         self.entries.is_empty()
     }
 
-    /// Returns `true` if `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.position(key).is_ok()
-    }
-
     /// A reference to the value at `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
         self.position(key).ok().map(|at| &self.entries[at].1)
@@ -132,7 +127,6 @@ mod tests {
         assert_eq!(m.insert(3, 'c'), None);
         assert_eq!(m.len(), 3);
         assert_eq!(m.get(&2), Some(&'b'));
-        assert!(m.contains_key(&1));
         assert_eq!(m.insert(2, 'B'), Some('b'));
         assert_eq!(m.remove(&2), Some('B'));
         assert_eq!(m.remove(&2), None);

@@ -177,9 +177,8 @@ impl Campaign {
 
     /// Streams one NDJSON progress line per completed cell (`cells_done`
     /// of `cells_total`, cumulative events, wall-clock ETA from the mean
-    /// cell time) to the configured target; see [`RunSpec::with_progress`]
-    /// for the within-run form. Write-only: campaign results are bitwise
-    /// identical with it on or off.
+    /// cell time) to the configured target. Write-only: campaign results
+    /// are bitwise identical with it on or off.
     pub fn progress(mut self, config: ProgressConfig) -> Self {
         self.progress = Some(config);
         self

@@ -29,8 +29,8 @@ use socialtube::harness::CommandInterpreter;
 use socialtube::{Message, Outbox, PeerAddr, Report, ServerOutbox, TimerKind, VodPeer, VodServer};
 use socialtube_model::{Catalog, NodeId};
 use socialtube_obs::{
-    Counter, Dim, HistKind, NullRecorder, ProgressConfig, ProgressSink, Recorder, RecorderConfig,
-    RunRecorder, RunRecording, Track,
+    Counter, Dim, HistKind, NullRecorder, Recorder, RecorderConfig, RunRecorder, RunRecording,
+    Track,
 };
 use socialtube_sim::{
     epoch_length, Delivery, Engine, EpochLog, EventScheduler, LatencyModel, MergeState,
@@ -125,8 +125,6 @@ pub struct ExecutionProfile {
     /// ratio: 1.0 is perfect balance, `shards` means one shard did all the
     /// work that epoch.
     pub imbalance_mean: f64,
-    /// Worst single-epoch `max/mean` shard-event ratio.
-    pub imbalance_max: f64,
 }
 
 impl ExecutionProfile {
@@ -223,7 +221,6 @@ pub struct RunSpec {
     trace: Option<SharedTrace>,
     recorder: RecorderConfig,
     execution: Execution,
-    progress: Option<ProgressConfig>,
 }
 
 impl RunSpec {
@@ -236,7 +233,6 @@ impl RunSpec {
             trace: None,
             recorder: RecorderConfig::default(),
             execution: Execution::Serial,
-            progress: None,
         }
     }
 
@@ -281,39 +277,9 @@ impl RunSpec {
         self
     }
 
-    /// Streams flight-recorder progress snapshots (NDJSON) while the run
-    /// executes — events/s, queue occupancy, RSS, per-shard load — to the
-    /// configured [`ProgressTarget`](socialtube_obs::ProgressTarget).
-    /// Progress is wall-clock-driven and write-only: it never touches the
-    /// engine, the RNG, or the recorder, so deterministic outputs are
-    /// unaffected.
-    pub fn with_progress(mut self, config: ProgressConfig) -> Self {
-        self.progress = Some(config);
-        self
-    }
-
-    /// Builds the progress sink for this run, if one was requested. An
-    /// unwritable target degrades to a stderr warning rather than failing
-    /// the run.
-    fn make_progress(&self) -> Option<ProgressSink> {
-        let config = self.progress.clone()?;
-        match ProgressSink::new(config) {
-            Ok(sink) => Some(sink),
-            Err(err) => {
-                eprintln!("warning: progress sink disabled: {err}");
-                None
-            }
-        }
-    }
-
     /// The protocol this spec runs.
     pub fn protocol(&self) -> Protocol {
         self.protocol
-    }
-
-    /// The executor this spec runs under.
-    pub fn execution_mode(&self) -> Execution {
-        self.execution
     }
 
     /// The seed the run will actually use.
@@ -349,7 +315,6 @@ impl RunSpec {
     /// `None` — the caller holds the recorder.
     pub fn run_recorded<R: Recorder>(&self, rec: &mut R) -> SimOutcome {
         let seed = self.effective_seed();
-        let mut progress = self.make_progress();
         match &self.trace {
             Some(shared) => run_with_catalog(
                 shared,
@@ -358,7 +323,6 @@ impl RunSpec {
                 &self.options,
                 seed,
                 rec,
-                progress.as_mut(),
             ),
             None => {
                 let shared = SharedTrace::new(generate(&self.options.trace, seed));
@@ -369,7 +333,6 @@ impl RunSpec {
                     &self.options,
                     seed,
                     rec,
-                    progress.as_mut(),
                 )
             }
         }
@@ -380,7 +343,6 @@ impl RunSpec {
     fn run_sharded(&self, workers: usize) -> SimOutcome {
         let seed = self.effective_seed();
         let go = |trace: &Trace, catalog: Arc<Catalog>| -> SimOutcome {
-            let mut progress = self.make_progress();
             if self.recorder.enabled() {
                 let config = self.recorder;
                 let (mut outcome, recs) = run_sharded_with(
@@ -391,7 +353,6 @@ impl RunSpec {
                     seed,
                     workers,
                     |_| RunRecorder::new(config),
-                    progress.as_mut(),
                 );
                 let mut recording: Option<RunRecording> = None;
                 for rec in recs {
@@ -412,7 +373,6 @@ impl RunSpec {
                     seed,
                     workers,
                     |_| NullRecorder,
-                    progress.as_mut(),
                 )
                 .0
             }
@@ -725,7 +685,6 @@ fn run_with_catalog<R: Recorder>(
     options: &ExperimentOptions,
     seed: u64,
     rec: &mut R,
-    mut progress: Option<&mut ProgressSink>,
 ) -> SimOutcome {
     let root = SimRng::seed(seed ^ 0x50c1_a17b);
     let users = trace.graph.user_count();
@@ -798,14 +757,6 @@ fn run_with_catalog<R: Recorder>(
                 );
                 rec.observe_dim(Dim::Shard(0), HistKind::QueueDepth, depth);
             }
-            if let Some(p) = progress.as_deref_mut() {
-                p.tick(
-                    now.as_micros(),
-                    engine.processed(),
-                    engine.pending() as u64,
-                    &[],
-                );
-            }
         }
         let mut sink = SerialSink {
             metrics: &mut metrics,
@@ -816,11 +767,6 @@ fn run_with_catalog<R: Recorder>(
         // The high-water mark complements the per-minute samples: a burst
         // between sampling points still shows up in the distribution.
         rec.observe(HistKind::QueueDepth, engine.peak_pending() as u64);
-    }
-    if let Some(p) = progress {
-        // Final snapshot: even a run shorter than every trigger period
-        // leaves one line behind.
-        p.emit(engine.now().as_micros(), engine.processed(), 0, &[]);
     }
 
     let contributions: Vec<f64> = (0..users)
@@ -941,9 +887,6 @@ struct EpochOut {
     note_ends: Vec<u32>,
     /// Timestamp of the shard's earliest still-pending event.
     next: Option<SimTime>,
-    /// Events still queued on the shard after the window — the
-    /// coordinator's progress snapshots sum these.
-    pending: usize,
 }
 
 /// A shard's final figures, returned when the run finishes.
@@ -1021,7 +964,6 @@ fn run_shard_epoch<R: Recorder>(
         notes: std::mem::take(&mut sink.notes),
         note_ends,
         next: engine.peek_time(),
-        pending: engine.pending(),
     }
 }
 
@@ -1111,7 +1053,6 @@ fn shard_worker<R: Recorder>(
 ///
 /// Panics if `shards` is 0 or the configured minimum latency is below one
 /// calendar bucket (no conservative lookahead exists).
-#[allow(clippy::too_many_arguments)] // two call sites; the args are the run's whole setup
 fn run_sharded_with<R, F>(
     trace: &Trace,
     catalog: Arc<Catalog>,
@@ -1120,7 +1061,6 @@ fn run_sharded_with<R, F>(
     seed: u64,
     shards: usize,
     make_recorder: F,
-    progress: Option<&mut ProgressSink>,
 ) -> (SimOutcome, Vec<R>)
 where
     R: Recorder + Send,
@@ -1217,9 +1157,7 @@ where
     };
     let mut imbalance_sum = 0f64;
     let mut imbalance_epochs = 0u64;
-    let mut shard_events_cum: Vec<u64> = vec![0; shards];
     let mut compute0_s = 0f64;
-    let mut progress = progress;
 
     let mut worlds_iter = worlds.into_iter();
     let mut engines_iter = engines.into_iter();
@@ -1297,7 +1235,6 @@ where
             let mut logs: Vec<EpochLog<Ev>> = Vec::with_capacity(shards);
             let mut notes: Vec<Vec<MetricNote>> = Vec::with_capacity(shards);
             let mut note_ends: Vec<Vec<u32>> = Vec::with_capacity(shards);
-            let mut pending_now = 0u64;
             let mut epoch_max = 0u64;
             let mut epoch_total = 0u64;
             for (s, out) in outs.into_iter().enumerate() {
@@ -1305,10 +1242,8 @@ where
                 debug_assert_eq!(out.shard, s);
                 next_times[s] = out.next;
                 let count = out.log.processed() as u64;
-                shard_events_cum[s] += count;
                 epoch_max = epoch_max.max(count);
                 epoch_total += count;
-                pending_now += out.pending as u64;
                 logs.push(out.log);
                 notes.push(out.notes);
                 note_ends.push(out.note_ends);
@@ -1318,7 +1253,6 @@ where
                 let ratio = epoch_max as f64 / mean;
                 imbalance_sum += ratio;
                 imbalance_epochs += 1;
-                profile.imbalance_max = profile.imbalance_max.max(ratio);
             }
 
             // Barrier: replay this epoch's events in canonical serial
@@ -1365,24 +1299,10 @@ where
             for d in replay.deliveries {
                 let s = route_shard(&d.event, &shard_of);
                 profile.cross_shard_msgs[d.from][s] += 1;
-                pending_now += 1;
                 routed[s].push(d);
-            }
-            if let Some(p) = progress.as_deref_mut() {
-                p.tick(
-                    end.as_micros(),
-                    processed_total,
-                    pending_now,
-                    &shard_events_cum,
-                );
             }
         }
 
-        if let Some(p) = progress {
-            // Final snapshot: even a run shorter than every trigger period
-            // leaves one line behind.
-            p.emit(sim_end.as_micros(), processed_total, 0, &shard_events_cum);
-        }
         for tx in &to_workers {
             let _ = tx.send(ToWorker::Finish);
         }
@@ -1561,7 +1481,6 @@ mod tests {
         // Peers talk across communities (inter-cluster links), so some
         // traffic must cross shards.
         assert!(profile.cross_shard_total() > 0, "no cross-shard messages");
-        assert!(profile.imbalance_max >= profile.imbalance_mean);
         assert!(profile.imbalance_mean >= 1.0, "max/mean ratio below 1");
         assert!(profile.epoch_compute_s >= 0.0);
 
@@ -1569,44 +1488,6 @@ mod tests {
             .options(configs::smoke_test())
             .run();
         assert!(serial.profile.is_none(), "serial runs do not self-profile");
-    }
-
-    #[test]
-    fn progress_sink_streams_ndjson_snapshots() {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "socialtube-driver-progress-{}.ndjson",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let progress = socialtube_obs::ProgressConfig::to_file(&path)
-            .wall_period_ms(0)
-            .sim_period_us(60_000_000);
-        let with_progress = RunSpec::new(Protocol::SocialTube)
-            .options(configs::smoke_test())
-            .with_progress(progress)
-            .run();
-        let text = std::fs::read_to_string(&path).expect("progress file written");
-        let _ = std::fs::remove_file(&path);
-        assert!(
-            text.lines().count() >= 3,
-            "expected >= 3 progress snapshots, got {}:\n{text}",
-            text.lines().count()
-        );
-        for line in text.lines() {
-            assert!(
-                line.starts_with("{\"wall_s\": ") && line.ends_with('}'),
-                "malformed NDJSON line: {line}"
-            );
-            assert!(line.contains("\"events\": "), "no event count: {line}");
-        }
-        // Streaming progress is write-only: the run is bitwise unaffected.
-        let plain = RunSpec::new(Protocol::SocialTube)
-            .options(configs::smoke_test())
-            .run();
-        assert_eq!(plain.metrics, with_progress.metrics);
-        assert_eq!(plain.events, with_progress.events);
-        assert_eq!(plain.sim_end, with_progress.sim_end);
     }
 
     #[test]
@@ -1633,7 +1514,6 @@ mod tests {
             .seed(7);
         assert_eq!(spec.effective_seed(), 7);
         assert_eq!(spec.protocol(), Protocol::PaVod);
-        assert_eq!(spec.execution_mode(), Execution::Serial);
         options.seed = 7;
         let via_override = spec.run();
         let via_options = RunSpec::new(Protocol::PaVod).options(options).run();

@@ -58,11 +58,6 @@ pub fn run_comparison(options: &ExperimentOptions, protocols: &[Protocol]) -> Co
     ComparisonRun { trace, outcomes }
 }
 
-/// Runs all five variants (the full evaluation).
-pub fn run_full_comparison(options: &ExperimentOptions) -> ComparisonRun {
-    run_comparison(options, &Protocol::ALL)
-}
-
 /// Fig 15 — the analytical overhead comparison, with the paper's
 /// parameters (`u` = 500 viewers/video, `u_c` = 5,000 channel users,
 /// `u_t` = 25,000 category users, `m` = 1..14).

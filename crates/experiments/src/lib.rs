@@ -80,8 +80,7 @@ pub use driver::{ExecutionProfile, RunSpec, ShardLoad, SimOutcome};
 pub use metrics::{MetricsCollector, MetricsSummary};
 pub use net_driver::{run_net, NetExperimentOptions, NetRun};
 pub use socialtube_obs::{
-    Dim, DimSnapshot, MetricsSnapshot, ProgressConfig, ProgressSink, ProgressTarget,
-    RecorderConfig, RunRecording,
+    Dim, DimSnapshot, MetricsSnapshot, ProgressConfig, ProgressSink, RecorderConfig, RunRecording,
 };
 pub use workload::{SelectionMix, WorkloadConfig, WorkloadPlanner};
 
@@ -164,16 +163,6 @@ pub enum Execution {
     },
 }
 
-impl Execution {
-    /// The shard count this execution runs with (1 for serial).
-    pub fn shard_count(self) -> usize {
-        match self {
-            Execution::Serial => 1,
-            Execution::Sharded { workers } => workers,
-        }
-    }
-}
-
 /// Error parsing a [`Protocol`] from a string.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseProtocolError {
@@ -243,7 +232,5 @@ mod tests {
     #[test]
     fn execution_defaults_to_serial() {
         assert_eq!(Execution::default(), Execution::Serial);
-        assert_eq!(Execution::Serial.shard_count(), 1);
-        assert_eq!(Execution::Sharded { workers: 3 }.shard_count(), 3);
     }
 }

@@ -13,7 +13,7 @@ use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use socialtube::{ChunkSource, Report, VodPeer, VodServer};
+use socialtube::{Report, VodPeer, VodServer};
 use socialtube_model::{Catalog, NodeId, VideoId};
 use socialtube_sim::{LatencyModel, SimDuration, SimRng};
 
@@ -108,24 +108,6 @@ impl NetOutcome {
             0.0
         } else {
             delays.iter().sum::<f64>() / delays.len() as f64
-        }
-    }
-
-    /// Fraction of playbacks that started from cache or a prefetched chunk.
-    pub fn instant_start_fraction(&self) -> f64 {
-        let (mut instant, mut total) = (0usize, 0usize);
-        for e in &self.events {
-            if let Report::PlaybackStarted { source, .. } = e.report {
-                total += 1;
-                if matches!(source, ChunkSource::Cache | ChunkSource::Prefetched) {
-                    instant += 1;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            instant as f64 / total as f64
         }
     }
 }

@@ -29,10 +29,10 @@
 //! * **Timelines** ([`Timeline`], [`Track`]): span/instant/counter series
 //!   in virtual time, exported as Chrome traces (with per-peer lanes
 //!   capped for large runs — see [`chrome_trace_capped`]).
-//! * **Streaming progress** ([`ProgressSink`]): NDJSON flight-recorder
-//!   snapshots of a live run (events/s, queue depth, RSS, per-shard load)
-//!   on a wall-clock/sim-time cadence. Progress is wall-clock-driven and
-//!   therefore *never* feeds deterministic outputs; it only reads.
+//! * **Streaming progress** ([`ProgressSink`]): one NDJSON line per
+//!   completed campaign cell (cells done, events, RSS, ETA). Progress is
+//!   wall-clock-driven and therefore *never* feeds deterministic outputs;
+//!   it only reads.
 //!
 //! The crate is dependency-free; export formats are rendered by hand.
 
@@ -46,7 +46,7 @@ mod snapshot;
 mod timeline;
 
 pub use dims::{Dim, DimStore};
-pub use progress::{current_rss_bytes, ProgressConfig, ProgressSink, ProgressTarget};
+pub use progress::{current_rss_bytes, ProgressConfig, ProgressSink};
 pub use recorder::{
     Counter, CountingRecorder, HistKind, Histogram, NullRecorder, Recorder, RecorderConfig,
     RunRecorder, RunRecording, Track,

@@ -1,12 +1,11 @@
-//! Streaming run progress: an NDJSON flight recorder.
+//! Streaming campaign progress: an NDJSON flight recorder.
 //!
-//! Long runs (a 200k-peer scale bench takes minutes) are a black box
-//! until they exit. A [`ProgressSink`] fixes that: the driver loop calls
-//! [`ProgressSink::tick`] at its sampling points, and every N simulated
-//! minutes or M wall-seconds (whichever fires first) the sink appends one
-//! JSON object per line to stderr or a file — events/s, queue occupancy,
-//! resident set size, per-shard load — so progress can be tailed live and
-//! a killed run still leaves its last snapshot behind.
+//! A campaign of many runs is a black box until it exits. A
+//! [`ProgressSink`] fixes that: the campaign runner calls
+//! [`ProgressSink::emit_cell`] as each run completes, and the sink appends
+//! one JSON object per line to a file — cells done, cumulative
+//! events, resident set size, ETA — so progress can be tailed live and a
+//! killed campaign still leaves its last line behind.
 //!
 //! The sink only *reads* run state and writes to its own output; it never
 //! feeds anything back into the simulation, so enabling it cannot perturb
@@ -17,214 +16,62 @@ use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Where a [`ProgressSink`] writes its NDJSON lines.
-#[derive(Clone, Debug)]
-pub enum ProgressTarget {
-    /// One line per snapshot to standard error.
-    Stderr,
-    /// Append to a file (created if missing). Appending — rather than
-    /// truncating — lets several runs of one bench invocation share a
-    /// single flight-recorder log.
-    File(PathBuf),
-}
-
-/// Configuration for a [`ProgressSink`].
+/// Configuration for a [`ProgressSink`]: the file its lines go to.
 #[derive(Clone, Debug)]
 pub struct ProgressConfig {
-    /// Emit when this much wall time passed since the last snapshot
-    /// (milliseconds; 0 disables the wall trigger). Default 5000.
-    pub wall_period_ms: u64,
-    /// Emit when simulated time crosses a multiple of this period
-    /// (microseconds; 0 disables the sim trigger). Default one simulated
-    /// minute.
-    pub sim_period_us: u64,
-    /// Output destination.
-    pub target: ProgressTarget,
-    /// Expected simulated end time in microseconds, when known: enables
-    /// the `eta_s` field (wall-clock estimate of time remaining).
-    pub expected_sim_us: Option<u64>,
+    /// Appended to, and created if missing. Appending — rather than
+    /// truncating — lets several campaigns share one flight-recorder log.
+    pub path: PathBuf,
 }
 
 impl ProgressConfig {
-    /// Snapshots to standard error with default periods.
-    pub fn stderr() -> Self {
-        Self {
-            wall_period_ms: 5_000,
-            sim_period_us: 60_000_000,
-            target: ProgressTarget::Stderr,
-            expected_sim_us: None,
-        }
-    }
-
-    /// Snapshots appended to `path` with default periods.
+    /// Lines appended to `path`.
     pub fn to_file(path: impl Into<PathBuf>) -> Self {
-        Self {
-            target: ProgressTarget::File(path.into()),
-            ..Self::stderr()
-        }
-    }
-
-    /// Sets the wall-clock emission period (milliseconds, 0 disables).
-    pub fn wall_period_ms(mut self, ms: u64) -> Self {
-        self.wall_period_ms = ms;
-        self
-    }
-
-    /// Sets the simulated-time emission period (microseconds, 0 disables).
-    pub fn sim_period_us(mut self, us: u64) -> Self {
-        self.sim_period_us = us;
-        self
-    }
-
-    /// Declares the expected simulated end time, enabling ETA estimates.
-    pub fn expected_sim_us(mut self, us: u64) -> Self {
-        self.expected_sim_us = Some(us);
-        self
+        Self { path: path.into() }
     }
 }
 
-enum Output {
-    Stderr,
-    File(BufWriter<File>),
-}
-
-impl std::fmt::Debug for Output {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Output::Stderr => f.write_str("Stderr"),
-            Output::File(_) => f.write_str("File"),
-        }
-    }
-}
-
-/// Emits NDJSON progress snapshots according to a [`ProgressConfig`].
+/// Appends NDJSON progress lines to a [`ProgressConfig`]'s file.
 ///
 /// # Examples
 ///
 /// ```no_run
 /// use socialtube_obs::{ProgressConfig, ProgressSink};
 ///
-/// let mut sink = ProgressSink::new(ProgressConfig::stderr()).unwrap();
-/// // Inside a driver loop, once per sampling boundary:
-/// sink.tick(60_000_000, 12_345, 17, &[]);
-/// assert!(sink.emitted() >= 1);
+/// let mut sink = ProgressSink::new(ProgressConfig::to_file("progress.ndjson")).unwrap();
+/// // As each of 10 runs completes:
+/// sink.emit_cell(1, 10, 12_345);
+/// assert_eq!(sink.emitted(), 1);
 /// ```
 #[derive(Debug)]
 pub struct ProgressSink {
-    config: ProgressConfig,
-    out: Output,
+    out: BufWriter<File>,
     started: Instant,
-    last_emit: Instant,
-    last_events: u64,
-    next_sim_us: u64,
     emitted: u64,
 }
 
 impl ProgressSink {
-    /// Opens the sink's output. Fails only for an unwritable file target.
+    /// Opens the sink's file. Fails only when it cannot be written.
     pub fn new(config: ProgressConfig) -> std::io::Result<Self> {
-        let out = match &config.target {
-            ProgressTarget::Stderr => Output::Stderr,
-            ProgressTarget::File(path) => Output::File(BufWriter::new(
-                OpenOptions::new().create(true).append(true).open(path)?,
-            )),
-        };
-        let next_sim_us = config.sim_period_us.max(1);
-        let now = Instant::now();
+        let file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(config.path)?;
         Ok(Self {
-            config,
-            out,
-            started: now,
-            last_emit: now,
-            last_events: 0,
-            next_sim_us,
+            out: BufWriter::new(file),
+            started: Instant::now(),
             emitted: 0,
         })
     }
 
-    /// Number of snapshots emitted so far.
+    /// Number of lines emitted so far.
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
 
-    fn due(&self, sim_us: u64) -> bool {
-        let sim_due = self.config.sim_period_us > 0 && sim_us >= self.next_sim_us;
-        let wall_due = self.config.wall_period_ms > 0
-            && self.last_emit.elapsed().as_millis() as u64 >= self.config.wall_period_ms;
-        sim_due || wall_due
-    }
-
-    /// Checks the emission triggers and, when one fires, appends one
-    /// snapshot line. Call this at the driver's sampling boundaries with
-    /// the current simulated time, cumulative processed-event count, total
-    /// pending-event count, and (for sharded runs) cumulative per-shard
-    /// processed counts.
-    pub fn tick(&mut self, sim_us: u64, events: u64, pending: u64, shard_events: &[u64]) {
-        if !self.due(sim_us) {
-            return;
-        }
-        self.emit(sim_us, events, pending, shard_events);
-    }
-
-    /// Unconditionally appends one snapshot line (used for final
-    /// end-of-run snapshots; [`tick`](Self::tick) is the throttled form).
-    pub fn emit(&mut self, sim_us: u64, events: u64, pending: u64, shard_events: &[u64]) {
-        let wall_s = self.started.elapsed().as_secs_f64();
-        let delta_wall = self.last_emit.elapsed().as_secs_f64();
-        let delta_events = events.saturating_sub(self.last_events);
-        let rate = if self.emitted == 0 {
-            if wall_s > 0.0 {
-                events as f64 / wall_s
-            } else {
-                0.0
-            }
-        } else if delta_wall > 0.0 {
-            delta_events as f64 / delta_wall
-        } else {
-            0.0
-        };
-        let eta = self.config.expected_sim_us.map(|total| {
-            if sim_us == 0 || sim_us >= total {
-                0.0
-            } else {
-                wall_s * (total - sim_us) as f64 / sim_us as f64
-            }
-        });
-        let mut line = format!(
-            "{{\"wall_s\": {wall_s:.3}, \"sim_s\": {:.3}, \"events\": {events}, \
-             \"events_per_sec\": {rate:.0}, \"pending\": {pending}, \"rss_bytes\": {}",
-            sim_us as f64 / 1e6,
-            current_rss_bytes(),
-        );
-        match eta {
-            Some(e) => line.push_str(&format!(", \"eta_s\": {e:.1}")),
-            None => line.push_str(", \"eta_s\": null"),
-        }
-        if !shard_events.is_empty() {
-            line.push_str(", \"shards\": [");
-            for (i, e) in shard_events.iter().enumerate() {
-                if i > 0 {
-                    line.push_str(", ");
-                }
-                line.push_str(&e.to_string());
-            }
-            line.push(']');
-        }
-        line.push('}');
-        self.write_line(&line);
-        self.last_emit = Instant::now();
-        self.last_events = events;
-        if self.config.sim_period_us > 0 {
-            let p = self.config.sim_period_us;
-            self.next_sim_us = (sim_us / p + 1) * p;
-        }
-        self.emitted += 1;
-    }
-
-    /// Appends one arbitrary progress line with campaign-level fields
-    /// (`cells_done` of `cells_total`, cumulative events, wall-clock ETA
-    /// from the mean cell time). Used by the campaign runner, where the
-    /// unit of progress is a completed run, not simulated time.
+    /// Appends one progress line with campaign-level fields (`cells_done`
+    /// of `cells_total`, cumulative events, wall-clock ETA from the mean
+    /// cell time): the unit of progress is a completed run.
     pub fn emit_cell(&mut self, done: u64, total: u64, events: u64) {
         let wall_s = self.started.elapsed().as_secs_f64();
         let eta = if done > 0 && total > done {
@@ -238,21 +85,13 @@ impl ProgressSink {
             current_rss_bytes(),
         );
         self.write_line(&line);
-        self.last_emit = Instant::now();
         self.emitted += 1;
     }
 
     fn write_line(&mut self, line: &str) {
-        match &mut self.out {
-            Output::Stderr => {
-                eprintln!("{line}");
-            }
-            Output::File(w) => {
-                // Flush per line so a killed run keeps its tail.
-                let _ = writeln!(w, "{line}");
-                let _ = w.flush();
-            }
-        }
+        // Flush per line so a killed campaign keeps its tail.
+        let _ = writeln!(self.out, "{line}");
+        let _ = self.out.flush();
     }
 }
 
@@ -290,68 +129,23 @@ mod tests {
     }
 
     #[test]
-    fn sim_trigger_emits_once_per_period() {
-        let path = temp_path("sim-trigger");
-        let _ = std::fs::remove_file(&path);
-        let config = ProgressConfig::to_file(&path)
-            .wall_period_ms(0)
-            .sim_period_us(60_000_000);
-        let mut sink = ProgressSink::new(config).expect("open sink");
-        for minute in 0..5u64 {
-            // Two ticks per boundary: only the first of each pair emits.
-            sink.tick(minute * 60_000_000 + 60_000_000, minute * 100, 3, &[]);
-            sink.tick(minute * 60_000_000 + 60_000_001, minute * 100, 3, &[]);
-        }
-        assert_eq!(sink.emitted(), 5);
-        drop(sink);
-        let text = std::fs::read_to_string(&path).expect("progress file");
-        assert_eq!(text.lines().count(), 5);
-        for line in text.lines() {
-            let v = crate::json::parse(line).expect("valid NDJSON line");
-            assert!(v.get("events").is_some());
-            assert!(v.get("events_per_sec").is_some());
-            assert!(v.get("pending").is_some());
-            assert!(v.get("rss_bytes").is_some());
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn shard_loads_and_eta_appear_when_configured() {
-        let path = temp_path("shards");
-        let _ = std::fs::remove_file(&path);
-        let config = ProgressConfig::to_file(&path)
-            .wall_period_ms(0)
-            .sim_period_us(1)
-            .expected_sim_us(100);
-        let mut sink = ProgressSink::new(config).expect("open sink");
-        sink.tick(50, 10, 0, &[4, 6]);
-        drop(sink);
-        let text = std::fs::read_to_string(&path).expect("progress file");
-        let v = crate::json::parse(text.lines().next().unwrap()).expect("valid line");
-        let shards = v
-            .get("shards")
-            .and_then(|s| s.as_array())
-            .expect("shards array");
-        assert_eq!(shards[0].as_u64(), Some(4));
-        assert_eq!(shards[1].as_u64(), Some(6));
-        assert!(v.get("eta_s").is_some());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn file_target_appends_across_sinks() {
+    fn file_target_appends_valid_lines_across_sinks() {
         let path = temp_path("append");
         let _ = std::fs::remove_file(&path);
-        for _ in 0..2 {
-            let config = ProgressConfig::to_file(&path)
-                .wall_period_ms(0)
-                .sim_period_us(1);
-            let mut sink = ProgressSink::new(config).expect("open sink");
-            sink.emit(1, 1, 0, &[]);
+        for done in 1..=2 {
+            let mut sink = ProgressSink::new(ProgressConfig::to_file(&path)).expect("open sink");
+            sink.emit_cell(done, 2, 100 * done);
+            assert_eq!(sink.emitted(), 1);
         }
         let text = std::fs::read_to_string(&path).expect("progress file");
         assert_eq!(text.lines().count(), 2);
+        for line in text.lines() {
+            let v = crate::json::parse(line).expect("valid NDJSON line");
+            assert_eq!(v.get("cells_total").and_then(|t| t.as_u64()), Some(2));
+            assert!(v.get("events").is_some());
+            assert!(v.get("rss_bytes").is_some());
+            assert!(v.get("eta_s").is_some());
+        }
         let _ = std::fs::remove_file(&path);
     }
 
