@@ -352,10 +352,12 @@ impl VodPeer for NetTubePeer {
                 origin,
                 scope,
             } => {
+                // The cache lookup is pure and the dedup probe does not
+                // depend on it: issued first, their two cold loads overlap.
+                let held = self.cache.has_full(video);
                 if origin == self.transfers.node() || !self.seen_queries.insert(id) {
                     return;
                 }
-                let held = self.cache.has_full(video);
                 if held {
                     self.cache.touch(video, now.as_micros());
                 }

@@ -33,7 +33,7 @@ pub struct Neighbor {
 /// let mut table = NeighborTable::new(2, 3);
 /// table.set_current_channel(Some(ChannelId::new(0)));
 /// assert!(table.try_add(NodeId::new(1), Some(ChannelId::new(0))));
-/// assert_eq!(table.kind_of(NodeId::new(1)), Some(LinkKind::Inner));
+/// assert_eq!(table.of_kind(LinkKind::Inner).count(), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct NeighborTable {
@@ -52,11 +52,6 @@ impl NeighborTable {
             inter_cap,
             current_channel: None,
         }
-    }
-
-    /// The channel used to classify links.
-    pub fn current_channel(&self) -> Option<ChannelId> {
-        self.current_channel
     }
 
     /// Sets the channel the node is currently watching. Does **not** shed
@@ -82,11 +77,6 @@ impl NeighborTable {
         self.neighbors.iter()
     }
 
-    /// All neighbor node ids.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        self.neighbors.iter().map(|n| n.node).collect()
-    }
-
     /// Classifies the link to `neighbor_channel` relative to the current
     /// channel: same channel → inner, anything else → inter.
     pub fn classify(&self, neighbor_channel: Option<ChannelId>) -> LinkKind {
@@ -96,43 +86,25 @@ impl NeighborTable {
         }
     }
 
-    /// The link kind of an existing neighbor, if present.
-    pub fn kind_of(&self, node: NodeId) -> Option<LinkKind> {
-        self.neighbors
-            .iter()
-            .find(|n| n.node == node)
-            .map(|n| self.classify(n.channel))
-    }
-
     /// Returns `true` if `node` is a neighbor.
     pub fn contains(&self, node: NodeId) -> bool {
         self.neighbors.iter().any(|n| n.node == node)
     }
 
-    /// Current inner-neighbors (same channel as the current one).
-    pub fn inner(&self) -> Vec<NodeId> {
+    /// The links of `kind` relative to the current channel, in table order.
+    pub fn of_kind(&self, kind: LinkKind) -> impl Iterator<Item = &Neighbor> {
         self.neighbors
             .iter()
-            .filter(|n| self.classify(n.channel) == LinkKind::Inner)
-            .map(|n| n.node)
-            .collect()
-    }
-
-    /// Current inter-neighbors (everything that is not inner).
-    pub fn inter(&self) -> Vec<NodeId> {
-        self.neighbors
-            .iter()
-            .filter(|n| self.classify(n.channel) == LinkKind::Inter)
-            .map(|n| n.node)
-            .collect()
+            .filter(move |n| self.classify(n.channel) == kind)
     }
 
     /// Whether a link of `kind` can still be added.
     pub fn has_capacity(&self, kind: LinkKind) -> bool {
-        match kind {
-            LinkKind::Inner => self.inner().len() < self.inner_cap,
-            LinkKind::Inter => self.inter().len() < self.inter_cap,
-        }
+        let cap = match kind {
+            LinkKind::Inner => self.inner_cap,
+            LinkKind::Inter => self.inter_cap,
+        };
+        self.of_kind(kind).count() < cap
     }
 
     /// Tries to add a link to `node` (last seen in `channel`). Returns
@@ -231,6 +203,10 @@ mod tests {
         t
     }
 
+    fn nodes_of(t: &NeighborTable, kind: LinkKind) -> Vec<NodeId> {
+        t.of_kind(kind).map(|n| n.node).collect()
+    }
+
     #[test]
     fn classification_follows_current_channel() {
         let t = table();
@@ -245,7 +221,7 @@ mod tests {
         assert!(t.try_add(NodeId::new(1), Some(ChannelId::new(0))));
         assert!(t.try_add(NodeId::new(2), Some(ChannelId::new(0))));
         assert!(!t.try_add(NodeId::new(3), Some(ChannelId::new(0))));
-        assert_eq!(t.inner().len(), 2);
+        assert_eq!(t.of_kind(LinkKind::Inner).count(), 2);
         assert!(!t.has_capacity(LinkKind::Inner));
         assert!(t.has_capacity(LinkKind::Inter));
     }
@@ -256,7 +232,7 @@ mod tests {
         assert!(t.try_add(NodeId::new(1), Some(ChannelId::new(0))));
         assert!(!t.try_add(NodeId::new(1), Some(ChannelId::new(5))));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.kind_of(NodeId::new(1)), Some(LinkKind::Inter));
+        assert_eq!(nodes_of(&t, LinkKind::Inter), vec![NodeId::new(1)]);
     }
 
     #[test]
@@ -274,10 +250,10 @@ mod tests {
         let mut t = table();
         t.try_add(NodeId::new(1), Some(ChannelId::new(0)));
         t.try_add(NodeId::new(2), Some(ChannelId::new(1)));
-        assert_eq!(t.inner(), vec![NodeId::new(1)]);
+        assert_eq!(nodes_of(&t, LinkKind::Inner), vec![NodeId::new(1)]);
         t.set_current_channel(Some(ChannelId::new(1)));
-        assert_eq!(t.inner(), vec![NodeId::new(2)]);
-        assert_eq!(t.inter(), vec![NodeId::new(1)]);
+        assert_eq!(nodes_of(&t, LinkKind::Inner), vec![NodeId::new(2)]);
+        assert_eq!(nodes_of(&t, LinkKind::Inter), vec![NodeId::new(1)]);
     }
 
     #[test]
@@ -322,8 +298,8 @@ mod tests {
         t.set_current_channel(Some(c1));
         let dropped = t.shed_out_of_community(&catalog, &[]);
         assert_eq!(dropped.len(), 1);
-        assert_eq!(t.inter().len(), 1);
-        assert_eq!(t.inner(), vec![NodeId::new(3)]);
+        assert_eq!(t.of_kind(LinkKind::Inter).count(), 1);
+        assert_eq!(nodes_of(&t, LinkKind::Inner), vec![NodeId::new(3)]);
     }
 
     mod properties {
@@ -374,13 +350,16 @@ mod tests {
                         }
                     }
                     // Invariant: node ids are unique.
-                    let mut nodes = t.nodes();
+                    let mut nodes: Vec<NodeId> = t.iter().map(|n| n.node).collect();
                     nodes.sort_unstable();
                     let before = nodes.len();
                     nodes.dedup();
                     prop_assert_eq!(nodes.len(), before, "duplicate neighbor");
                     // Invariant: inner + inter partitions the table.
-                    prop_assert_eq!(t.inner().len() + t.inter().len(), t.len());
+                    prop_assert_eq!(
+                        t.of_kind(LinkKind::Inner).count() + t.of_kind(LinkKind::Inter).count(),
+                        t.len()
+                    );
                 }
             }
 
@@ -405,8 +384,8 @@ mod tests {
                 t.set_current_channel(Some(ChannelId::new(switch_to)));
                 let dropped = t.shed_out_of_community(&catalog, &[]);
                 prop_assert_eq!(t.len() + dropped.len(), before);
-                prop_assert!(t.inner().len() <= 3);
-                prop_assert!(t.inter().len() <= 5);
+                prop_assert!(t.of_kind(LinkKind::Inner).count() <= 3);
+                prop_assert!(t.of_kind(LinkKind::Inter).count() <= 5);
             }
         }
     }

@@ -166,32 +166,35 @@ impl SocialTubePeer {
         let flood = match phase {
             SearchPhase::Channel => self
                 .current_channel
-                .map(|c| (self.neighbors.inner(), QueryScope::Channel(c))),
+                .map(|c| (LinkKind::Inner, QueryScope::Channel(c))),
             SearchPhase::Category => self
                 .video_category(video)
-                .map(|c| (self.neighbors.inter(), QueryScope::Category(c))),
+                .map(|c| (LinkKind::Inter, QueryScope::Category(c))),
             SearchPhase::Server => return self.transfers.ask_origin(id, out),
         };
-        match flood {
-            Some((targets, scope)) if !targets.is_empty() => {
-                for n in targets {
-                    out.to_peer(
-                        n,
-                        Message::Query {
-                            id,
-                            video,
-                            ttl: self.config.ttl,
-                            origin: self.transfers.node(),
-                            scope,
-                        },
-                    );
-                }
-                out.timer(
-                    self.config.search_phase_timeout,
-                    TimerKind::SearchDeadline { id, phase },
+        let mut asked = false;
+        if let Some((kind, scope)) = flood {
+            for n in self.neighbors.of_kind(kind) {
+                out.to_peer(
+                    n.node,
+                    Message::Query {
+                        id,
+                        video,
+                        ttl: self.config.ttl,
+                        origin: self.transfers.node(),
+                        scope,
+                    },
                 );
+                asked = true;
             }
-            _ => self.advance_phase(id, out),
+        }
+        if asked {
+            out.timer(
+                self.config.search_phase_timeout,
+                TimerKind::SearchDeadline { id, phase },
+            );
+        } else {
+            self.advance_phase(id, out);
         }
     }
 
@@ -252,7 +255,7 @@ impl SocialTubePeer {
     /// (the paper: a node "builds its links to other nodes in the
     /// lower-level channel overlay until the number reaches N_l").
     fn ensure_joined(&mut self, video: VideoId, out: &mut Outbox) {
-        if self.neighbors.inner().len() < self.config.inner_links {
+        if self.neighbors.has_capacity(LinkKind::Inner) {
             out.to_server(Message::JoinRequest { video });
         }
     }
@@ -373,10 +376,12 @@ impl VodPeer for SocialTubePeer {
                 origin,
                 scope,
             } => {
+                // The cache lookup is pure and the dedup probe does not
+                // depend on it: issued first, their two cold loads overlap.
+                let held = self.cache.has_full(video);
                 if origin == self.transfers.node() || !self.seen_queries.insert(id) {
                     return;
                 }
-                let held = self.cache.has_full(video);
                 if held {
                     self.cache.touch(video, now.as_micros());
                 }

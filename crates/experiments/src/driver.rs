@@ -1375,6 +1375,9 @@ mod tests {
     fn event_stays_within_size_budget() {
         // PeerMsg is the ceiling: a 40-byte Message plus addressing.
         assert_eq!(std::mem::size_of::<Ev>(), 56);
+        // The queue's slab keeps each one in an `Option`, which must fit in
+        // the enum's spare tag values.
+        assert_eq!(std::mem::size_of::<Option<Ev>>(), 56);
     }
 
     #[test]

@@ -14,6 +14,9 @@ const EPOCH_SHIFT: u32 = WHEEL_BUCKETS.trailing_zeros();
 /// Number of epoch-granular buckets in the far wheel: with ~4.2 s epochs
 /// the two wheels together reach ~71 min ahead.
 const FAR_BUCKETS: usize = 1024;
+/// End of a slot list. Never a valid slot: [`EventQueue::alloc`] keeps the
+/// slab shorter than this, so indexing the slab with it finds nothing.
+const NIL: u32 = u32::MAX;
 
 /// Snapshot of the calendar queue's internal layout, for instrumentation.
 ///
@@ -33,8 +36,9 @@ pub struct QueueOccupancy {
 }
 
 /// A time-ordered queue of pending events, laid out as a two-level timer
-/// wheel: tick-granular buckets for the current epoch, epoch-granular
-/// buckets for the next ~71 minutes, and a heap for anything later.
+/// wheel over one slab: tick-granular buckets for the current epoch,
+/// epoch-granular buckets for the next ~71 minutes, and a heap for anything
+/// later.
 ///
 /// Events that share a timestamp are delivered in insertion order (FIFO),
 /// which makes simulations fully deterministic: the queue never depends on
@@ -59,17 +63,23 @@ pub struct QueueOccupancy {
 ///
 /// # Layout
 ///
+/// Every pending event lives in one slab slot from push to pop; the levels
+/// below only link or name slots, so an event is written once and read
+/// once. A pop threads its slot onto a LIFO free list and the next push
+/// takes it back, so the slab never grows past the largest number of
+/// events ever pending at once.
+///
 /// Time is cut into *epochs* of `WHEEL_BUCKETS` ticks. The near wheel holds
-/// the current epoch: bucket `t % WHEEL_BUCKETS` keeps the (unsorted) events
-/// of tick `t`. When the cursor reaches a bucket, its events are sorted by
-/// `(time, seq)` into a working set popped from earliest to latest —
-/// because sequence numbers are globally monotonic, this reproduces exact
-/// heap order. The far wheel holds the next `FAR_BUCKETS - 1` epochs, one
-/// unsorted bucket per epoch; events past that horizon wait in a heap.
-/// When the near wheel drains, the queue re-bases on the next non-empty
-/// epoch: heap entries the horizon now covers drop into the wheels, and
-/// that epoch's far bucket is dealt out to the near buckets — O(1) per
-/// entry, no comparisons.
+/// the current epoch: bucket `t % WHEEL_BUCKETS` heads the (unsorted) list
+/// of the events of tick `t`. When the cursor reaches a bucket, the keys of
+/// its events are sorted by `(time, seq)` into a working set popped from
+/// earliest to latest — because sequence numbers are globally monotonic,
+/// this reproduces exact heap order. The far wheel holds the next
+/// `FAR_BUCKETS - 1` epochs, one unsorted list per epoch; events past that
+/// horizon wait in a heap of keys. When the near wheel drains, the queue
+/// re-bases on the next non-empty epoch: heap entries the horizon now
+/// covers drop into the wheels, and that epoch's far list is relinked into
+/// the near buckets — O(1) per event, no comparisons, nothing moved.
 ///
 /// # Examples
 ///
@@ -85,20 +95,24 @@ pub struct QueueOccupancy {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Near wheel: tick buckets of epoch `epoch`.
-    buckets: Vec<Vec<Entry<E>>>,
+    /// The slab: every pending event, plus the vacated slots on `free`.
+    nodes: Vec<Node<E>>,
+    /// Head of the list of vacated slots, most recently vacated first.
+    free: u32,
+    /// Near wheel: heads of the tick lists of epoch `epoch`.
+    buckets: Vec<u32>,
     /// One bit per near bucket: set iff the bucket is non-empty.
     occupied: [u64; WHEEL_BUCKETS / 64],
-    /// Working set of the tick at `cursor`, sorted *descending* by
-    /// `(time, seq)` so [`Vec::pop`] yields the earliest entry.
-    current: Vec<Entry<E>>,
-    /// Far wheel: bucket `e % FAR_BUCKETS` holds the events of epoch `e`
-    /// for `epoch < e < epoch + FAR_BUCKETS`.
-    far: Vec<Vec<Entry<E>>>,
+    /// Working set of the tick at `cursor`, sorted *descending* so
+    /// [`Vec::pop`] yields the earliest key.
+    current: Vec<Key>,
+    /// Far wheel: bucket `e % FAR_BUCKETS` heads the list of the events of
+    /// epoch `e` for `epoch < e < epoch + FAR_BUCKETS`.
+    far: Vec<u32>,
     /// One bit per far bucket: set iff the bucket is non-empty.
     far_occupied: [u64; FAR_BUCKETS / 64],
     /// Events at epochs `>= epoch + FAR_BUCKETS`.
-    past_horizon: BinaryHeap<Reverse<Key<E>>>,
+    past_horizon: BinaryHeap<Reverse<Key>>,
     /// Epoch the near wheel covers.
     epoch: u64,
     /// Tick currently being drained.
@@ -114,43 +128,20 @@ pub struct EventQueue<E> {
     last_popped: Option<(SimTime, u64)>,
 }
 
+/// One slab slot. `event` is `None` exactly while the slot is on the free
+/// list; `next` links the slot into whichever list holds it.
 #[derive(Debug)]
-struct Entry<E> {
+struct Node<E> {
     time: SimTime,
     seq: u64,
-    event: E,
+    next: u32,
+    event: Option<E>,
 }
 
-impl<E> Entry<E> {
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-/// Heap entry ordered by `(time, seq)` only — the payload never
-/// participates in comparisons.
-#[derive(Debug)]
-struct Key<E>(Entry<E>);
-
-impl<E> PartialEq for Key<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.key() == other.0.key()
-    }
-}
-
-impl<E> Eq for Key<E> {}
-
-impl<E> PartialOrd for Key<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Key<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.key().cmp(&other.0.key())
-    }
-}
+/// `(time, seq, slot)`: ordered by the delivery order of the event in
+/// `slot` — the payload never participates in comparisons, and `(time,
+/// seq)` is unique among pending events, so the slot never decides.
+type Key = (SimTime, u64, u32);
 
 fn tick_of(time: SimTime) -> u64 {
     time.as_micros() >> TICK_SHIFT
@@ -170,14 +161,31 @@ fn first_set_from(bits: &[u64], from: usize) -> Option<usize> {
     None
 }
 
+/// The slots of the list headed by `head`, with their nodes.
+fn chain<E>(nodes: &[Node<E>], head: u32) -> impl Iterator<Item = (u32, &Node<E>)> {
+    let mut at = head;
+    std::iter::from_fn(move || {
+        let node = nodes.get(at as usize)?; // NIL is past the end
+        let slot = std::mem::replace(&mut at, node.next);
+        Some((slot, node))
+    })
+}
+
+/// Puts `slot` at the head of the list `head` names.
+fn link<E>(nodes: &mut [Node<E>], head: &mut u32, slot: u32) {
+    nodes[slot as usize].next = std::mem::replace(head, slot);
+}
+
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self {
-            buckets: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            buckets: vec![NIL; WHEEL_BUCKETS],
             occupied: [0; WHEEL_BUCKETS / 64],
             current: Vec::new(),
-            far: (0..FAR_BUCKETS).map(|_| Vec::new()).collect(),
+            far: vec![NIL; FAR_BUCKETS],
             far_occupied: [0; FAR_BUCKETS / 64],
             past_horizon: BinaryHeap::new(),
             epoch: 0,
@@ -194,7 +202,7 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert(Entry { time, seq, event });
+        self.push_with_seq(time, seq, event);
     }
 
     /// Schedules `event` at `time` under a caller-chosen sequence number,
@@ -211,41 +219,59 @@ impl<E> EventQueue<E> {
     /// Mixing with plain [`push`](EventQueue::push) on the same queue is
     /// only sound if the caller keeps the two key ranges disjoint.
     pub fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) {
-        self.insert(Entry { time, seq, event });
-    }
-
-    fn insert(&mut self, entry: Entry<E>) {
-        let tick = tick_of(entry.time);
+        let slot = self.alloc(Node {
+            time,
+            seq,
+            next: NIL,
+            event: Some(event),
+        });
+        let tick = tick_of(time);
         if tick <= self.cursor {
             // At (or before) the tick being drained: insert into the
             // descending working set. A same-tick FIFO push carries the
             // largest key so far and lands near the front; the common
             // cross-tick push never takes this branch (simulation drivers
             // schedule at or after `now`, usually ticks ahead).
-            let at = self.current.partition_point(|e| e.key() > entry.key());
-            self.current.insert(at, entry);
+            let key = (time, seq, slot);
+            let at = self.current.partition_point(|k| *k > key);
+            self.current.insert(at, key);
         } else {
-            self.place(tick, entry);
+            self.place(tick, slot);
         }
         self.len += 1;
     }
 
-    /// Files an entry of a tick after `cursor` under the level its epoch
-    /// belongs to.
-    fn place(&mut self, tick: u64, entry: Entry<E>) {
+    /// Stores `node` in the most recently vacated slot — its cache line is
+    /// the likeliest to still be hot — or in a new one when none is vacant.
+    fn alloc(&mut self, node: Node<E>) -> u32 {
+        let slot = self.free;
+        if let Some(vacant) = self.nodes.get_mut(slot as usize) {
+            self.free = vacant.next;
+            *vacant = node;
+            return slot;
+        }
+        assert!(self.nodes.len() < NIL as usize, "slot ids exhausted");
+        self.nodes.push(node);
+        (self.nodes.len() - 1) as u32
+    }
+
+    /// Files the event in `slot`, of a tick after `cursor`, under the level
+    /// its epoch belongs to.
+    fn place(&mut self, tick: u64, slot: u32) {
         let epoch = tick >> EPOCH_SHIFT;
         if epoch == self.epoch {
             let idx = (tick % WHEEL_BUCKETS as u64) as usize;
-            self.buckets[idx].push(entry);
+            link(&mut self.nodes, &mut self.buckets[idx], slot);
             self.occupied[idx / 64] |= 1 << (idx % 64);
             self.wheel_len += 1;
         } else if epoch < self.epoch + FAR_BUCKETS as u64 {
             let idx = (epoch % FAR_BUCKETS as u64) as usize;
-            self.far[idx].push(entry);
+            link(&mut self.nodes, &mut self.far[idx], slot);
             self.far_occupied[idx / 64] |= 1 << (idx % 64);
             self.far_len += 1;
         } else {
-            self.past_horizon.push(Reverse(Key(entry)));
+            let node = &self.nodes[slot as usize];
+            self.past_horizon.push(Reverse((node.time, node.seq, slot)));
         }
     }
 
@@ -264,19 +290,22 @@ impl<E> EventQueue<E> {
         if self.current.is_empty() {
             self.advance();
         }
-        let entry = self
+        let (time, seq, slot) = self
             .current
             .pop()
             .expect("advance() always yields a non-empty working set");
         self.len -= 1;
         debug_assert!(
-            self.last_popped.is_none_or(|last| last < entry.key()),
+            self.last_popped.is_none_or(|last| last < (time, seq)),
             "event queue delivery order regressed"
         );
         if cfg!(debug_assertions) {
-            self.last_popped = Some(entry.key());
+            self.last_popped = Some((time, seq));
         }
-        Some((entry.time, entry.seq, entry.event))
+        let node = &mut self.nodes[slot as usize];
+        let event = node.event.take().expect("pending key, vacant slot");
+        node.next = std::mem::replace(&mut self.free, slot);
+        Some((time, seq, event))
     }
 
     /// Moves the cursor to the next non-empty tick and loads its bucket as
@@ -291,15 +320,15 @@ impl<E> EventQueue<E> {
         let idx = first_set_from(&self.occupied, from)
             .expect("wheel_len > 0 but no occupied bucket ahead of the cursor");
         self.cursor = (self.epoch << EPOCH_SHIFT) + idx as u64;
-        // Swap recycles the working set's capacity into the drained bucket.
-        std::mem::swap(&mut self.current, &mut self.buckets[idx]);
+        let head = std::mem::replace(&mut self.buckets[idx], NIL);
         self.occupied[idx / 64] &= !(1 << (idx % 64));
+        self.current
+            .extend(chain(&self.nodes, head).map(|(slot, n)| (n.time, n.seq, slot)));
         self.wheel_len -= self.current.len();
         // Seq numbers are globally monotonic, so sorting by (time, seq)
         // reproduces exact push order among same-time entries. Descending,
         // so Vec::pop takes the earliest.
-        self.current
-            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+        self.current.sort_unstable_by(|a, b| b.cmp(a));
         debug_assert!(!self.current.is_empty(), "advanced to an empty bucket");
     }
 
@@ -310,31 +339,30 @@ impl<E> EventQueue<E> {
         self.epoch = self
             .next_far_epoch()
             .or_else(|| {
-                let Reverse(min) = self.past_horizon.peek()?;
-                Some(tick_of(min.0.time) >> EPOCH_SHIFT)
+                let Reverse((time, ..)) = self.past_horizon.peek()?;
+                Some(tick_of(*time) >> EPOCH_SHIFT)
             })
             .expect("len > 0 with every level empty");
         // The horizon moved with the epoch: file what it now covers.
         let horizon = (self.epoch + FAR_BUCKETS as u64) << EPOCH_SHIFT;
-        while let Some(Reverse(k)) = self.past_horizon.peek() {
-            let tick = tick_of(k.0.time);
+        while let Some(&Reverse((time, _, slot))) = self.past_horizon.peek() {
+            let tick = tick_of(time);
             if tick >= horizon {
                 break;
             }
-            let Some(Reverse(Key(entry))) = self.past_horizon.pop() else {
-                unreachable!("peeked entry vanished");
-            };
-            self.place(tick, entry);
+            self.past_horizon.pop();
+            self.place(tick, slot);
         }
-        // Deal the epoch's far bucket out to the tick buckets. The bucket's
-        // allocation is dropped, not kept: 1024 retained capacities would
-        // pin the queue's peak footprint for the rest of the run.
+        // Deal the epoch's far list out to the tick buckets: each event is
+        // relinked where it lies.
         let idx = (self.epoch % FAR_BUCKETS as u64) as usize;
-        let due = std::mem::take(&mut self.far[idx]);
+        let mut at = std::mem::replace(&mut self.far[idx], NIL);
         self.far_occupied[idx / 64] &= !(1 << (idx % 64));
-        self.far_len -= due.len();
-        for entry in due {
-            self.place(tick_of(entry.time), entry);
+        while let Some(node) = self.nodes.get(at as usize) {
+            let (slot, tick) = (at, tick_of(node.time));
+            at = node.next;
+            self.far_len -= 1;
+            self.place(tick, slot);
         }
     }
 
@@ -354,18 +382,18 @@ impl<E> EventQueue<E> {
 
     /// Returns the timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.current.last() {
-            return Some(e.time);
+        if let Some(&(time, ..)) = self.current.last() {
+            return Some(time);
         }
-        let earliest = |bucket: &[Entry<E>]| bucket.iter().map(|e| e.time).min();
+        let earliest = |head: u32| chain(&self.nodes, head).map(|(_, n)| n.time).min();
         if self.wheel_len > 0 {
             let from = (self.cursor % WHEEL_BUCKETS as u64) as usize + 1;
-            return earliest(&self.buckets[first_set_from(&self.occupied, from)?]);
+            return earliest(self.buckets[first_set_from(&self.occupied, from)?]);
         }
         if let Some(epoch) = self.next_far_epoch() {
-            return earliest(&self.far[(epoch % FAR_BUCKETS as u64) as usize]);
+            return earliest(self.far[(epoch % FAR_BUCKETS as u64) as usize]);
         }
-        self.past_horizon.peek().map(|Reverse(k)| k.0.time)
+        self.past_horizon.peek().map(|&Reverse((time, ..))| time)
     }
 
     /// Number of pending events.
@@ -381,16 +409,10 @@ impl<E> EventQueue<E> {
     /// Drops all pending events. The sequence counter is *not* reset, so
     /// the FIFO tie-break contract holds across a clear.
     pub fn clear(&mut self) {
-        if self.wheel_len > 0 {
-            for b in &mut self.buckets {
-                b.clear();
-            }
-        }
-        if self.far_len > 0 {
-            for b in &mut self.far {
-                *b = Vec::new();
-            }
-        }
+        self.nodes.clear();
+        self.free = NIL;
+        self.buckets.fill(NIL);
+        self.far.fill(NIL);
         self.occupied = [0; WHEEL_BUCKETS / 64];
         self.far_occupied = [0; FAR_BUCKETS / 64];
         self.current.clear();
@@ -566,8 +588,36 @@ mod tests {
     mod reference {
         use super::*;
 
+        /// Heap entry ordered by `(time, seq)` only — the payload never
+        /// participates in comparisons.
+        struct Entry<E> {
+            time: SimTime,
+            seq: u64,
+            event: E,
+        }
+
+        impl<E> PartialEq for Entry<E> {
+            fn eq(&self, other: &Self) -> bool {
+                (self.time, self.seq) == (other.time, other.seq)
+            }
+        }
+
+        impl<E> Eq for Entry<E> {}
+
+        impl<E> PartialOrd for Entry<E> {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        impl<E> Ord for Entry<E> {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                (self.time, self.seq).cmp(&(other.time, other.seq))
+            }
+        }
+
         pub struct HeapQueue<E> {
-            heap: BinaryHeap<Reverse<Key<E>>>,
+            heap: BinaryHeap<Reverse<Entry<E>>>,
             next_seq: u64,
         }
 
@@ -582,19 +632,24 @@ mod tests {
             pub fn push(&mut self, time: SimTime, event: E) {
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                self.heap.push(Reverse(Key(Entry { time, seq, event })));
+                self.heap.push(Reverse(Entry { time, seq, event }));
             }
 
             pub fn pop(&mut self) -> Option<(SimTime, E)> {
-                self.heap.pop().map(|Reverse(Key(e))| (e.time, e.event))
+                self.heap.pop().map(|Reverse(e)| (e.time, e.event))
             }
 
             pub fn peek_time(&self) -> Option<SimTime> {
-                self.heap.peek().map(|Reverse(k)| k.0.time)
+                self.heap.peek().map(|Reverse(e)| e.time)
             }
 
             pub fn len(&self) -> usize {
                 self.heap.len()
+            }
+
+            /// Like the calendar queue's: the counter survives.
+            pub fn clear(&mut self) {
+                self.heap.clear();
             }
         }
     }
@@ -614,6 +669,7 @@ mod tests {
             /// Push `.1 - 1` µs off the boundary `.0` epochs ahead.
             Boundary(u64, u64),
             Pop,
+            Clear,
         }
 
         proptest! {
@@ -657,7 +713,8 @@ mod tests {
             /// spanning the working set, the near wheel, the far wheel and
             /// the past-horizon heap, timestamps exactly on and one µs
             /// either side of epoch boundaries, plus deliberate same-tick
-            /// ties — deliver identically from both implementations, and
+            /// ties, and the occasional `clear` with events pending at every
+            /// level — deliver identically from both implementations, and
             /// `peek_time` names the reference's minimum after every op.
             #[test]
             fn matches_heap_reference(
@@ -674,7 +731,9 @@ mod tests {
                         // On an epoch boundary, or one µs before / after it.
                         (1u64..1_500, 0u64..3).prop_map(|(e, d)| Op::Boundary(e, d)),
                         Just(Op::Pop),
-                        Just(Op::Pop),
+                        // Mostly pops; a rare clear, so the queues are
+                        // deep at every level when one lands.
+                        (0u64..12).prop_map(|r| if r == 0 { Op::Clear } else { Op::Pop }),
                     ],
                     1..400,
                 ),
@@ -690,19 +749,24 @@ mod tests {
                         Op::Boundary(epochs, d) => {
                             Some((now / EPOCH_MICROS + epochs) * EPOCH_MICROS + d - 1)
                         }
-                        Op::Pop => None,
+                        Op::Pop => {
+                            let got = calendar.pop();
+                            prop_assert_eq!(got, heap.pop(), "queues diverged");
+                            if let Some((t, _)) = got {
+                                now = t.as_micros();
+                            }
+                            None
+                        }
+                        Op::Clear => {
+                            calendar.clear();
+                            heap.clear();
+                            None
+                        }
                     };
                     if let Some(at) = at {
                         let t = SimTime::from_micros(at);
                         calendar.push(t, i);
                         heap.push(t, i);
-                    } else {
-                        let got = calendar.pop();
-                        let want = heap.pop();
-                        prop_assert_eq!(got, want, "queues diverged");
-                        if let Some((t, _)) = got {
-                            now = t.as_micros();
-                        }
                     }
                     prop_assert_eq!(calendar.len(), heap.len());
                     prop_assert_eq!(calendar.peek_time(), heap.peek_time());
@@ -724,42 +788,60 @@ mod tests {
     mod layout {
         use super::*;
 
-        /// The queue entry stays two words of header plus the payload:
-        /// growth here multiplies across every pending event.
+        /// A slab slot is the payload plus at most three words of header
+        /// (`time`, `seq`, `next` and the vacancy niche): growth here
+        /// multiplies across every pending event.
         #[test]
-        fn entry_header_is_two_words() {
-            assert_eq!(std::mem::size_of::<Entry<()>>(), 16);
-            // A boxed payload adds exactly one pointer.
-            assert_eq!(std::mem::size_of::<Entry<Box<u64>>>(), 24);
+        fn node_header_is_at_most_three_words() {
+            assert_eq!(std::mem::size_of::<Node<()>>(), 24);
+            // A payload with a niche (the driver's event enum has one)
+            // pays nothing for the `Option`.
+            assert_eq!(std::mem::size_of::<Node<Box<u64>>>(), 24 + 8);
+            assert_eq!(std::mem::size_of::<Key>(), 24);
         }
 
-        /// The far wheel stores the same entries as every other level (no
-        /// per-level wrapper), reaches ~71 min, and costs an empty queue
-        /// one `Vec` header per bucket and nothing per event.
+        /// The wheels reach ~71 min and cost an empty queue one `u32` list
+        /// head per bucket, nothing per event, and no slab.
         #[test]
-        fn far_wheel_is_a_fixed_cost() {
+        fn empty_wheels_cost_four_bytes_a_bucket() {
             let horizon_micros = (FAR_BUCKETS as u64) << (EPOCH_SHIFT + TICK_SHIFT);
             assert_eq!(horizon_micros / 60_000_000, 71);
             let q: EventQueue<[u64; 7]> = EventQueue::new();
-            assert_eq!(q.far.len(), FAR_BUCKETS);
-            assert!(q.far.iter().all(|b| b.capacity() == 0));
-            assert_eq!(std::mem::size_of_val(&q.far[..]), FAR_BUCKETS * 24);
+            assert_eq!(std::mem::size_of_val(&q.buckets[..]), WHEEL_BUCKETS * 4);
+            assert_eq!(std::mem::size_of_val(&q.far[..]), FAR_BUCKETS * 4);
+            assert_eq!(std::mem::size_of_val(&q.occupied), WHEEL_BUCKETS / 8);
             assert_eq!(std::mem::size_of_val(&q.far_occupied), FAR_BUCKETS / 8);
+            assert_eq!(q.nodes.capacity(), 0);
         }
 
-        /// A drained far bucket gives its allocation back.
+        /// The regression the slab replaced: per-bucket buffers kept every
+        /// burst's capacity for the rest of the run. Bursts that visit
+        /// 10,000 different ticks leave the slab exactly as large as the
+        /// most events ever pending at once.
         #[test]
-        fn drained_far_bucket_keeps_no_capacity() {
+        fn slab_is_bounded_by_peak_pending() {
             let mut q = EventQueue::new();
-            let t = SimTime::from_micros(60_000_000);
-            for i in 0..100 {
-                q.push(t, i);
+            let mut peak = 0;
+            for tick in 1..=10_000u64 {
+                // A straggler a few epochs out, pending to the end, keeps
+                // the far wheel in play.
+                if tick % 1_000 == 0 {
+                    q.push(SimTime::from_micros((tick + 20_000) << TICK_SHIFT), 0);
+                }
+                for i in 0..64 {
+                    q.push(SimTime::from_micros((tick << TICK_SHIFT) + i % 7), i);
+                }
+                peak = peak.max(q.len());
+                for _ in 0..64 {
+                    q.pop().expect("the burst is pending");
+                }
             }
-            let slot = ((tick_of(t) >> EPOCH_SHIFT) % FAR_BUCKETS as u64) as usize;
-            assert!(q.far[slot].capacity() >= 100);
-            q.pop();
-            assert_eq!(q.far[slot].capacity(), 0);
-            assert_eq!(q.occupancy().overflow_events, 0);
+            assert_eq!(peak, 64 + 10);
+            assert_eq!(q.nodes.len(), peak);
+            while q.pop().is_some() {}
+            // Every slot is vacant and on the free list, each exactly once.
+            assert_eq!(chain(&q.nodes, q.free).count(), q.nodes.len());
+            assert!(q.nodes.iter().all(|n| n.event.is_none()));
         }
     }
 }
