@@ -20,11 +20,7 @@ use socialtube::SocialTubeConfig;
 use socialtube_bench::{usage_error, CsvWriter, Scale};
 use socialtube_experiments::figures as xfig;
 use socialtube_experiments::{configs, net_driver, Protocol, RunSpec};
-use socialtube_trace::{
-    analysis, generate, generate_shared,
-    stats::{Ecdf, Percentiles},
-    Trace, TraceConfig,
-};
+use socialtube_trace::{analysis, generate, generate_shared, stats::Ecdf, Trace, TraceConfig};
 
 const OUT_DIR: &str = "target/figures";
 
@@ -183,16 +179,17 @@ fn main() {
     println!("\nCSV series written to {OUT_DIR}/");
 }
 
-fn net_options(scale: Scale) -> net_driver::NetExperimentOptions {
-    match scale {
+fn net_options(scale: Scale, seed: u64) -> net_driver::NetExperimentOptions {
+    let mut options = match scale {
         Scale::Demo => net_driver::NetExperimentOptions::smoke_test(),
         _ => net_driver::NetExperimentOptions::planetlab_style(),
-    }
+    };
+    options.testbed.seed = seed;
+    options
 }
 
 fn run_net_all(scale: Scale, seed: u64) -> Vec<(Protocol, net_driver::NetRun)> {
-    let mut options = net_options(scale);
-    options.seed = seed;
+    let options = net_options(scale, seed);
     println!(
         "# deploying TCP testbed ({} peers, {} sessions × {} videos) for 5 protocol variants",
         options.trace.users, options.testbed.sessions_per_node, options.testbed.videos_per_session
@@ -200,7 +197,7 @@ fn run_net_all(scale: Scale, seed: u64) -> Vec<(Protocol, net_driver::NetRun)> {
     // One shared trace for all five variants (the paper's methodology);
     // each deployment borrows the same Arc'd catalog instead of
     // regenerating it.
-    let shared = generate_shared(&options.trace, options.seed);
+    let shared = generate_shared(&options.trace, seed);
     Protocol::ALL
         .iter()
         .map(|p| {
@@ -425,46 +422,42 @@ fn fig16a(run: &xfig::ComparisonRun) {
     section(
         "Fig 16a — normalized peer bandwidth, simulation (paper: SocialTube > NetTube > PA-VoD)",
     );
-    write_fig16(run, "fig16a");
+    write_fig16(xfig::fig16(run), "fig16a");
 }
 
 fn fig16b(runs: &NetRuns) {
     section("Fig 16b — normalized peer bandwidth, TCP testbed");
-    let mut csv = CsvWriter::create(OUT_DIR, "fig16b").expect("create csv");
-    csv.header(&["protocol", "p1", "p50", "p99"])
-        .expect("write");
-    for (p, run) in runs {
-        if !matches!(
-            p,
-            Protocol::PaVod | Protocol::SocialTube | Protocol::NetTube
-        ) {
-            continue;
-        }
-        let pct = run.metrics.peer_bandwidth_percentiles;
-        print_percentiles(p.label(), pct);
-        csv.row_strs(&[
-            p.label().to_string(),
-            pct.p1.to_string(),
-            pct.p50.to_string(),
-            pct.p99.to_string(),
-        ])
-        .expect("write");
-    }
-    csv.finish().expect("flush");
+    let bars: Vec<xfig::Fig16Bar> = runs
+        .iter()
+        .filter(|(p, _)| {
+            matches!(
+                p,
+                Protocol::PaVod | Protocol::SocialTube | Protocol::NetTube
+            )
+        })
+        .map(|(p, run)| xfig::Fig16Bar {
+            protocol: p.label(),
+            percentiles: run.metrics.peer_bandwidth_percentiles,
+        })
+        .collect();
+    write_fig16(bars, "fig16b");
 }
 
-fn write_fig16(run: &xfig::ComparisonRun, name: &str) {
-    let bars = xfig::fig16(run);
+fn write_fig16(bars: Vec<xfig::Fig16Bar>, name: &str) {
     let mut csv = CsvWriter::create(OUT_DIR, name).expect("create csv");
     csv.header(&["protocol", "p1", "p50", "p99"])
         .expect("write");
     for bar in &bars {
-        print_percentiles(bar.protocol, bar.percentiles);
+        let p = bar.percentiles;
+        println!(
+            "  {:<22} p1={:.3}  p50={:.3}  p99={:.3}",
+            bar.protocol, p.p1, p.p50, p.p99
+        );
         csv.row_strs(&[
             bar.protocol.to_string(),
-            bar.percentiles.p1.to_string(),
-            bar.percentiles.p50.to_string(),
-            bar.percentiles.p99.to_string(),
+            p.p1.to_string(),
+            p.p50.to_string(),
+            p.p99.to_string(),
         ])
         .expect("write");
     }
@@ -477,13 +470,6 @@ fn write_fig16(run: &xfig::ComparisonRun, name: &str) {
     println!(
         "  ordering SocialTube ≥ NetTube ≥ PA-VoD: {}",
         verdict(median("SocialTube") >= median("NetTube") && median("NetTube") >= median("PA-VoD"))
-    );
-}
-
-fn print_percentiles(label: &str, p: Percentiles) {
-    println!(
-        "  {label:<22} p1={:.3}  p50={:.3}  p99={:.3}",
-        p.p1, p.p50, p.p99
     );
 }
 
@@ -528,7 +514,6 @@ fn write_fig17(bars: Vec<xfig::Fig17Bar>, name: &str) {
             .map_or(f64::NAN, |b| b.mean_ms)
     };
     let st = mean("SocialTube w/ PF");
-    let st_no = mean("SocialTube w/o PF");
     let nt = mean("NetTube w/ PF");
     let pv = mean("PA-VoD");
     let median = |label: &str| {
@@ -546,7 +531,6 @@ fn write_fig17(bars: Vec<xfig::Fig17Bar>, name: &str) {
             verdict(!st_no_med.is_finite() || st_med <= st_no_med)
         );
     }
-    let _ = st_no;
 }
 
 fn fig18a(run: &xfig::ComparisonRun) {
@@ -844,5 +828,21 @@ fn verdict(ok: bool) -> &'static str {
         "[matches paper]"
     } else {
         "[DIVERGES]"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--seed` must reach the injected link latencies, not only the trace.
+    #[test]
+    fn seed_reaches_the_testbed_latencies() {
+        let delay = |seed| {
+            let latency = net_options(Scale::Demo, seed).testbed.latency_model();
+            (latency.delay(0, 1), latency.server_delay(0))
+        };
+        assert_eq!(delay(7), delay(7));
+        assert_ne!(delay(7), delay(42));
     }
 }

@@ -9,9 +9,9 @@
 //! that every search, fallback and transfer completes before the next
 //! action fires. Both runners build their stack from the same
 //! [`StackBuilder::for_testbed`] root and the same pairwise
-//! [`LatencyModel`], so the protocol observes identical inputs in identical
-//! order — and must therefore emit the identical [`Report`] sequence,
-//! captured as [`ReportKey`]s.
+//! [`TestbedConfig::latency_model`], so the protocol observes identical
+//! inputs in identical order — and must therefore emit the identical
+//! [`Report`] sequence, captured as [`ReportKey`]s.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,9 +21,7 @@ use socialtube::{Message, Outbox, PeerAddr, Report, ServerOutbox, TimerKind, Tra
 use socialtube_model::{Catalog, CatalogBuilder, NodeId, SocialGraph, VideoId};
 use socialtube_net::testbed::{Deployment, TestbedConfig};
 use socialtube_obs::{NullRecorder, Recorder};
-use socialtube_sim::{
-    Engine, LatencyModel, ServerQueue, SimDuration, SimRng, SimTime, UploadScheduler,
-};
+use socialtube_sim::{Engine, ServerQueue, SimDuration, SimRng, SimTime, UploadScheduler};
 use socialtube_trace::{Trace, TraceConfig};
 
 use super::{SimEvent, SimSubstrate, StackBuilder};
@@ -233,13 +231,8 @@ pub fn run_script_sim_recorded<R: Recorder>(
     let mut peers = stack.peers;
     let mut server = stack.server;
     let interpreter = CommandInterpreter::new(Arc::clone(&catalog));
-    // Same pairwise delays the Deployment injects: the model hashes
-    // `(seed, pair)`, so equal seeds mean equal delays on both platforms.
-    let latency = LatencyModel::new(
-        &SimRng::seed(config.seed),
-        config.latency_min,
-        config.latency_max,
-    );
+    // The very delays the Deployment injects.
+    let latency = config.latency_model();
     let mut uploads = UploadScheduler::new(users, config.peer_upload_bps);
     let mut server_queue = ServerQueue::new(config.server_bandwidth_bps);
 
@@ -351,18 +344,9 @@ pub fn run_script_tcp(
 
     let start = Instant::now();
     let mut events = Vec::new();
-    let drain_until = |deadline: Instant, events: &mut Vec<_>, deployment: &Deployment| loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            break;
-        }
-        if let Some(event) = deployment.recv_timeout(left) {
-            events.push(event);
-        }
-    };
     for step in script {
         let due = start + Duration::from_micros(step.at.as_micros());
-        drain_until(due, &mut events, &deployment);
+        events.extend(std::iter::from_fn(|| deployment.recv_until(due)));
         match step.action {
             ScriptAction::Login(node) => deployment.login(node),
             ScriptAction::Watch(node, video) => deployment.watch(node, video),
@@ -370,7 +354,7 @@ pub fn run_script_tcp(
         }
     }
     let settle_end = Instant::now() + Duration::from_micros(SETTLE.as_micros());
-    drain_until(settle_end, &mut events, &deployment);
+    events.extend(std::iter::from_fn(|| deployment.recv_until(settle_end)));
     let outcome = deployment.finish(events, Duration::from_millis(100));
     Ok(outcome
         .events

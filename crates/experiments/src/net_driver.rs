@@ -22,11 +22,11 @@ use crate::metrics::{MetricsCollector, MetricsSummary};
 use crate::workload::{SelectionMix, WorkloadConfig};
 use crate::Protocol;
 
-/// Parameters of one TCP-testbed experiment.
+/// Parameters of one TCP-testbed experiment. `testbed.seed` is the one
+/// seed: it roots the trace, the workload, the protocol stack and the
+/// injected latencies.
 #[derive(Clone, Debug)]
 pub struct NetExperimentOptions {
-    /// Root seed (trace, workload, latencies).
-    pub seed: u64,
     /// Trace parameters — keep videos *small* (short, low bitrate) so
     /// transfers complete at wall-clock speed.
     pub trace: TraceConfig,
@@ -61,11 +61,7 @@ impl NetExperimentOptions {
             peer_upload_bps: 8_000_000,
             ..TestbedConfig::default()
         };
-        Self {
-            seed: 42,
-            trace,
-            testbed,
-        }
+        Self { trace, testbed }
     }
 
     /// The paper's PlanetLab shape scaled to one machine: 60 peers,
@@ -93,11 +89,7 @@ impl NetExperimentOptions {
             peer_upload_bps: 2_000_000,
             ..TestbedConfig::default()
         };
-        Self {
-            seed: 42,
-            trace,
-            testbed,
-        }
+        Self { trace, testbed }
     }
 }
 
@@ -128,7 +120,7 @@ fn testbed_workload(config: &TestbedConfig) -> WorkloadConfig {
 
 /// Wall-clock actions on the real-time heap: the testbed analogues of the
 /// sim driver's workload events.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Action {
     Login(usize),
     NextVideo(usize),
@@ -140,24 +132,6 @@ enum Action {
     WatchTimeout(usize, u64),
 }
 
-#[derive(Debug, PartialEq, Eq)]
-struct Scheduled {
-    due: Instant,
-    seq: u64,
-    action: Action,
-}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.due.cmp(&other.due).then(self.seq.cmp(&other.seq))
-    }
-}
-
 /// Runs `protocol` on the real TCP testbed and reduces the events to the
 /// common metrics.
 ///
@@ -165,7 +139,7 @@ impl Ord for Scheduled {
 ///
 /// Panics if the deployment cannot bind localhost sockets.
 pub fn run_net(protocol: Protocol, options: &NetExperimentOptions) -> NetRun {
-    let shared = generate_shared(&options.trace, options.seed);
+    let shared = generate_shared(&options.trace, options.testbed.seed);
     run_net_on(&shared, protocol, options)
 }
 
@@ -183,7 +157,7 @@ pub fn run_net_on(
     protocol: Protocol,
     options: &NetExperimentOptions,
 ) -> NetRun {
-    let root = SimRng::seed(options.seed ^ 0x6e65_7462u64);
+    let root = SimRng::seed(options.testbed.seed ^ 0x6e65_7462u64);
     let users = shared.graph.user_count();
     let stack = StackBuilder::for_testbed(protocol, Arc::clone(shared.catalog()))
         .build(shared.trace(), &root);
@@ -196,11 +170,12 @@ pub fn run_net_on(
     )
     .expect("testbed deployment binds localhost sockets");
 
-    let mut heap: BinaryHeap<Reverse<Scheduled>> = BinaryHeap::new();
+    // Due time first, then insertion order; the action never decides.
+    let mut heap: BinaryHeap<Reverse<(Instant, u64, Action)>> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut schedule = |heap: &mut BinaryHeap<Reverse<Scheduled>>, due: Instant, action| {
+    let mut schedule = |heap: &mut BinaryHeap<_>, due: Instant, action| {
         seq += 1;
-        heap.push(Reverse(Scheduled { due, seq, action }));
+        heap.push(Reverse((due, seq, action)));
     };
     let start = Instant::now();
     for u in 0..users {
@@ -215,12 +190,11 @@ pub fn run_net_on(
     let mut events = Vec::new();
     while remaining > 0 {
         // Wait for either the next scheduled action or a report.
-        let now = Instant::now();
-        let timeout = heap
-            .peek()
-            .map(|Reverse(s)| s.due.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(50));
-        if let Some(event) = deployment.recv_timeout(timeout) {
+        let next_due = match heap.peek() {
+            Some(Reverse((due, ..))) => *due,
+            None => Instant::now() + Duration::from_millis(50),
+        };
+        if let Some(event) = deployment.recv_until(next_due) {
             if let Report::PlaybackStarted { node, video, .. } = event.report {
                 if node.index() < users && director.on_playback_started(node, video).is_some() {
                     schedule(
@@ -235,11 +209,8 @@ pub fn run_net_on(
         }
         // Execute every due action.
         let now = Instant::now();
-        while let Some(Reverse(s)) = heap.peek() {
-            if s.due > now {
-                break;
-            }
-            let Reverse(s) = heap.pop().expect("peeked entry");
+        while matches!(heap.peek(), Some(Reverse((due, ..))) if *due <= now) {
+            let Reverse((_, _, action)) = heap.pop().expect("peeked entry");
             let next_step = |step: SessionStep| match step {
                 SessionStep::Continue(browse) => (
                     Duration::from_micros(browse.as_micros()),
@@ -247,7 +218,7 @@ pub fn run_net_on(
                 ),
                 SessionStep::EndSession => (Duration::ZERO, Action::Logout as fn(usize) -> Action),
             };
-            match s.action {
+            match action {
                 Action::Login(i) => {
                     if done[i] {
                         continue;

@@ -35,16 +35,6 @@ impl TestbedClock {
     pub fn now(&self) -> SimTime {
         SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
-
-    /// Converts a protocol instant back to the wall-clock `Instant`.
-    pub fn instant_of(&self, t: SimTime) -> Instant {
-        self.epoch + std::time::Duration::from_micros(t.as_micros())
-    }
-
-    /// The epoch this clock started from.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
-    }
 }
 
 #[cfg(test)]
@@ -60,16 +50,6 @@ mod tests {
             assert!(t >= last);
             last = t;
         }
-    }
-
-    #[test]
-    fn instant_round_trip() {
-        let clock = TestbedClock::start();
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let t = clock.now();
-        let back = clock.instant_of(t);
-        let diff = back.duration_since(clock.epoch());
-        assert_eq!(diff.as_micros() as u64, t.as_micros());
     }
 
     #[test]

@@ -1,40 +1,50 @@
-//! Peer and server daemons: OS threads wrapping the sans-IO state machines.
+//! The daemon: OS threads wrapping one sans-IO state machine. A peer and
+//! the tracker/origin server run the same listener, readers, delay queue
+//! and event loop; the server is simply the daemon whose index is
+//! [`SERVER_INDEX`].
 
-use std::net::TcpListener;
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use socialtube::harness::{CommandInterpreter, PeerSubstrate, ServerSubstrate};
-use socialtube::{Message, Outbox, PeerAddr, Report, ServerOutbox, TimerKind, VodPeer, VodServer};
-use socialtube_model::{Catalog, NodeId, VideoId};
+use socialtube::{Message, Outbox, PeerAddr, ServerOutbox, TimerKind, VodPeer, VodServer};
+use socialtube_model::{NodeId, VideoId};
 use socialtube_sim::{LatencyModel, SimDuration};
 
 use crate::clock::TestbedClock;
 use crate::delay::DelayQueue;
-use crate::transport::{read_frame, ConnectionPool, Registry, SERVER_INDEX};
+use crate::testbed::NetEvent;
+use crate::transport::{read_frame, AddressBook, ConnectionPool, SERVER_INDEX};
 use crate::wire::Frame;
-use socialtube_sim::SimTime;
 
-/// A protocol observation emitted by a daemon: the report, when it
-/// happened, and the emitting peer's link count at that moment (the Fig 18
-/// sample).
-#[derive(Clone, Copy, Debug)]
-pub struct NetEvent {
-    /// Protocol time of the event.
-    pub time: SimTime,
-    /// The report.
-    pub report: Report,
-    /// Links the emitting peer maintained (0 for server reports).
-    pub links: usize,
+/// The state machine a daemon runs.
+pub(crate) enum Actor {
+    Peer(Box<dyn VodPeer + Send>),
+    /// The interpreter expands the server's `ServeChunks` out of the catalog.
+    Server(Box<dyn VodServer + Send>, CommandInterpreter),
 }
 
-/// Control and network inputs to a peer daemon's event loop.
+/// Everything a daemon shares with the rest of its deployment.
+#[derive(Clone)]
+pub(crate) struct Fabric {
+    pub(crate) book: Arc<AddressBook>,
+    pub(crate) latency: Arc<LatencyModel>,
+    pub(crate) clock: TestbedClock,
+    pub(crate) events: Sender<NetEvent>,
+}
+
+/// Control and network inputs to a daemon's event loop. The user actions
+/// (`Login`, `Logout`, `Watch`) and timers address peers; a server daemon
+/// ignores them.
 #[derive(Debug)]
-enum PeerInput {
-    Deliver { from: PeerAddr, msg: Message },
-    Transmit { to: u32, frame: Frame },
+pub(crate) enum Input {
+    Deliver { from: u32, msg: Message },
+    Transmit { to: u32, msg: Message },
     Timer(TimerKind),
     Login,
     Logout,
@@ -68,442 +78,261 @@ impl RealTimeLink {
     }
 }
 
-/// Handle to a running peer daemon.
+/// Handle to a running daemon.
 #[derive(Debug)]
-pub struct PeerDaemon {
-    node: NodeId,
-    inputs: Sender<PeerInput>,
+pub(crate) struct Daemon {
+    inputs: Sender<Input>,
     shutdown: Arc<AtomicBool>,
-    local_port: u16,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    addr: SocketAddr,
+    threads: Vec<JoinHandle<()>>,
 }
 
-impl PeerDaemon {
-    /// Spawns a daemon around `peer`: a listener on an ephemeral localhost
-    /// port, per-connection reader threads, and the event-loop thread.
-    /// Registers the daemon's address in `registry`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn(
-        peer: Box<dyn VodPeer + Send>,
-        registry: Arc<Registry>,
-        latency: Arc<LatencyModel>,
-        clock: TestbedClock,
+impl Daemon {
+    /// Spawns a daemon around `actor`, accepting on `listener` (the one the
+    /// address book lists for the actor's index): the accept thread with a
+    /// reader per inbound connection, the delay queue, and the event loop,
+    /// whose upload link runs at `upload_bps`.
+    pub(crate) fn spawn(
+        actor: Actor,
+        listener: TcpListener,
         upload_bps: u64,
-        events: Sender<NetEvent>,
-    ) -> std::io::Result<PeerDaemon> {
-        let node = peer.node();
-        let me = node.as_u32();
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let local_addr = listener.local_addr()?;
-        registry.register(me, local_addr);
-
-        let (input_tx, input_rx) = mpsc::channel::<PeerInput>();
-        let delays = Arc::new(DelayQueue::spawn(input_tx.clone()));
+        fabric: Fabric,
+    ) -> io::Result<Daemon> {
+        let (me, name) = match &actor {
+            Actor::Peer(peer) => (
+                peer.node().as_u32(),
+                format!("peer-{}", peer.node().index()),
+            ),
+            Actor::Server(..) => (SERVER_INDEX, "server".to_owned()),
+        };
+        let addr = listener.local_addr()?;
+        let (inputs, input_rx) = mpsc::channel::<Input>();
+        let delays = Arc::new(DelayQueue::spawn(inputs.clone()));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
 
-        // Listener: accept connections, spawn a reader per connection.
-        // Incoming messages are fed through the delay queue to emulate the
-        // link's propagation delay (the PlanetLab geography stand-in)
-        // without blocking the socket.
-        {
-            let delays = Arc::clone(&delays);
-            let shutdown = Arc::clone(&shutdown);
-            let latency = Arc::clone(&latency);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("peer-{me}-listener"))
-                    .spawn(move || {
-                        for stream in listener.incoming() {
-                            if shutdown.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            let Ok(mut stream) = stream else { continue };
-                            let _ = stream.set_nodelay(true);
-                            let delays = Arc::clone(&delays);
-                            let latency = Arc::clone(&latency);
-                            std::thread::Builder::new()
-                                .name(format!("peer-{me}-reader"))
-                                .spawn(move || {
-                                    let Ok(Some(Frame::Hello { sender })) = read_frame(&mut stream)
-                                    else {
-                                        return;
-                                    };
-                                    let from = if sender == SERVER_INDEX {
-                                        PeerAddr::Server
-                                    } else {
-                                        PeerAddr::Peer(NodeId::new(sender))
-                                    };
-                                    let delay = Duration::from_micros(
-                                        latency.delay(me, sender).as_micros(),
-                                    );
-                                    while let Ok(Some(frame)) = read_frame(&mut stream) {
-                                        if let Frame::Msg(msg) = frame {
-                                            delays.schedule(
-                                                Instant::now() + delay,
-                                                PeerInput::Deliver { from, msg },
-                                            );
-                                        }
-                                    }
-                                })
-                                .ok();
-                        }
-                    })?,
-            );
-        }
+        let reader = Reader {
+            me,
+            book: Arc::clone(&fabric.book),
+            latency: fabric.latency,
+            delays: Arc::clone(&delays),
+        };
+        let stop = Arc::clone(&shutdown);
+        let accept = std::thread::Builder::new()
+            .name(format!("{name}-listener"))
+            .spawn(move || accept_loop(&listener, &stop, &reader))?;
 
-        // Event loop.
-        {
-            let events = events;
-            let registry = Arc::clone(&registry);
-            let input_tx_loop = input_tx.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("peer-{me}-loop"))
-                    .spawn(move || {
-                        peer_event_loop(
-                            peer,
-                            input_rx,
-                            input_tx_loop,
-                            delays,
-                            registry,
-                            clock,
-                            upload_bps,
-                            events,
-                            me,
-                        );
-                    })?,
-            );
-        }
+        let net = TcpSubstrate {
+            pool: ConnectionPool::new(me, fabric.book),
+            delays,
+            link: RealTimeLink::new(upload_bps),
+        };
+        let (clock, events) = (fabric.clock, fabric.events);
+        let event_loop = std::thread::Builder::new()
+            .name(format!("{name}-loop"))
+            .spawn(move || event_loop(actor, input_rx, net, clock, &events))?;
 
-        Ok(PeerDaemon {
-            node,
-            inputs: input_tx,
+        Ok(Daemon {
+            inputs,
             shutdown,
-            local_port: local_addr.port(),
-            threads,
+            addr,
+            threads: vec![accept, event_loop],
         })
     }
 
-    /// This daemon's node id.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The localhost port the daemon listens on.
-    pub fn port(&self) -> u16 {
-        self.local_port
-    }
-
-    /// Starts a session.
-    pub fn login(&self) {
-        let _ = self.inputs.send(PeerInput::Login);
-    }
-
-    /// Ends the session.
-    pub fn logout(&self) {
-        let _ = self.inputs.send(PeerInput::Logout);
-    }
-
-    /// The user selects a video.
-    pub fn watch(&self, video: VideoId) {
-        let _ = self.inputs.send(PeerInput::Watch(video));
+    /// Queues `input` for the event loop (a no-op once it has exited).
+    pub(crate) fn send(&self, input: Input) {
+        let _ = self.inputs.send(input);
     }
 
     /// Stops the daemon. Threads exit asynchronously.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.inputs.send(PeerInput::Shutdown);
+        self.send(Input::Shutdown);
         // Unblock the accept loop.
-        let _ = std::net::TcpStream::connect(("127.0.0.1", self.local_port));
+        let _ = TcpStream::connect(self.addr);
     }
 
-    /// Waits for the event loop to finish (after [`shutdown`]).
-    ///
-    /// [`shutdown`]: PeerDaemon::shutdown
-    pub fn join(mut self) {
+    /// Stops the daemon and waits for its accept and event-loop threads.
+    pub(crate) fn join(self) {
         self.shutdown();
-        for t in self.threads.drain(..) {
+        for t in self.threads {
             let _ = t.join();
         }
     }
 }
 
-/// The TCP implementation of [`PeerSubstrate`]: control frames go straight
-/// to the connection pool; bulk frames are paced through the real-time
-/// upload link first; timers ride the daemon's delay queue.
-struct TcpPeerSubstrate<'a> {
-    pool: &'a ConnectionPool,
-    delays: &'a DelayQueue<PeerInput>,
-    upload: &'a mut RealTimeLink,
+/// What a reader thread needs to turn one inbound connection into delayed
+/// [`Input::Deliver`]s.
+#[derive(Clone)]
+struct Reader {
+    me: u32,
+    book: Arc<AddressBook>,
+    latency: Arc<LatencyModel>,
+    delays: Arc<DelayQueue<Input>>,
 }
 
-impl PeerSubstrate for TcpPeerSubstrate<'_> {
+/// Accepts connections until shutdown, one reader thread per connection.
+fn accept_loop(listener: &TcpListener, shutdown: &AtomicBool, reader: &Reader) {
+    for stream in listener.incoming() {
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok(stream) = stream else { continue };
+        let _ = stream.set_nodelay(true);
+        let reader = reader.clone();
+        // A reader ends with its connection: when the remote writer hangs
+        // up, or here, when the remote sends something this daemon must not
+        // act on. Neither touches the daemon's other connections.
+        let _ = std::thread::Builder::new()
+            .name(format!("reader-{}", reader.me))
+            .spawn(move || {
+                if let Err(e) = reader.run(stream) {
+                    eprintln!("daemon {}: dropped an inbound connection: {e}", reader.me);
+                }
+            });
+    }
+}
+
+impl Reader {
+    /// Reads one connection to its end. The first frame must be a `Hello`
+    /// from another index of the address book; every later frame is a
+    /// message, delivered after the link's propagation delay (the PlanetLab
+    /// geography stand-in) without blocking the socket.
+    ///
+    /// # Errors
+    ///
+    /// Socket errors, malformed or truncated frames, a missing or
+    /// unacceptable `Hello`: each ends the connection.
+    fn run(&self, mut stream: TcpStream) -> io::Result<()> {
+        let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+        let from = match read_frame(&mut stream)? {
+            None => return Ok(()),
+            Some(Frame::Hello { sender })
+                if sender != self.me && self.book.lookup(sender).is_some() =>
+            {
+                sender
+            }
+            Some(other) => {
+                return Err(invalid(format!(
+                    "expected a Hello from a known index, got {other:?}"
+                )))
+            }
+        };
+        // `SERVER_INDEX == LatencyModel::SERVER` and delays are symmetric,
+        // so one lookup covers peer↔peer and both directions of peer↔server.
+        let delay = Duration::from_micros(self.latency.delay(self.me, from).as_micros());
+        while let Some(frame) = read_frame(&mut stream)? {
+            let Frame::Msg(msg) = frame else {
+                return Err(invalid(format!("{frame:?} after the handshake")));
+            };
+            self.delays
+                .schedule(Instant::now() + delay, Input::Deliver { from, msg });
+        }
+        Ok(())
+    }
+}
+
+/// The TCP implementation of [`PeerSubstrate`] and [`ServerSubstrate`]:
+/// control frames go straight to the connection pool; bulk frames (peer
+/// chunks, origin chunks) are paced through the daemon's real-time upload
+/// link first; timers ride the daemon's delay queue.
+struct TcpSubstrate {
+    pool: ConnectionPool,
+    delays: Arc<DelayQueue<Input>>,
+    link: RealTimeLink,
+}
+
+impl TcpSubstrate {
+    fn control(&mut self, to: u32, msg: Message) {
+        self.pool.send(to, Frame::Msg(msg));
+    }
+
+    fn bulk(&mut self, to: u32, bits: u64, msg: Message) {
+        let due = self.link.transfer(Instant::now(), bits);
+        self.delays.schedule(due, Input::Transmit { to, msg });
+    }
+}
+
+impl PeerSubstrate for TcpSubstrate {
     fn peer_control(&mut self, _from: NodeId, to: NodeId, msg: Message) {
-        self.pool.send(to.as_u32(), Frame::Msg(msg));
+        self.control(to.as_u32(), msg);
     }
 
     fn peer_bulk(&mut self, _from: NodeId, to: NodeId, bits: u64, msg: Message) {
-        let due = self.upload.transfer(Instant::now(), bits);
-        self.delays.schedule(
-            due,
-            PeerInput::Transmit {
-                to: to.as_u32(),
-                frame: Frame::Msg(msg),
-            },
-        );
+        self.bulk(to.as_u32(), bits, msg);
     }
 
     fn to_server(&mut self, _from: NodeId, msg: Message) {
-        self.pool.send(SERVER_INDEX, Frame::Msg(msg));
+        self.control(SERVER_INDEX, msg);
     }
 
     fn arm_timer(&mut self, _node: NodeId, delay: SimDuration, kind: TimerKind) {
         let due = Instant::now() + Duration::from_micros(delay.as_micros());
-        self.delays.schedule(due, PeerInput::Timer(kind));
+        self.delays.schedule(due, Input::Timer(kind));
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn peer_event_loop(
-    mut peer: Box<dyn VodPeer + Send>,
-    inputs: Receiver<PeerInput>,
-    _loopback: Sender<PeerInput>,
-    delays: Arc<DelayQueue<PeerInput>>,
-    registry: Arc<Registry>,
-    clock: TestbedClock,
-    upload_bps: u64,
-    events: Sender<NetEvent>,
-    me: u32,
-) {
-    let pool = ConnectionPool::new(me, registry);
-    let mut upload = RealTimeLink::new(upload_bps);
-    let mut out = Outbox::new();
-    for input in inputs {
-        let now = clock.now();
-        match input {
-            PeerInput::Deliver { from, msg } => peer.on_message(now, from, msg, &mut out),
-            PeerInput::Timer(kind) => peer.on_timer(now, kind, &mut out),
-            PeerInput::Login => peer.on_login(now, &mut out),
-            PeerInput::Logout => peer.on_logout(now, &mut out),
-            PeerInput::Watch(video) => peer.watch(now, video, &mut out),
-            PeerInput::Transmit { to, frame } => {
-                pool.send(to, frame);
-                continue;
-            }
-            PeerInput::Shutdown => return,
-        }
-        let mut sub = TcpPeerSubstrate {
-            pool: &pool,
-            delays: &delays,
-            upload: &mut upload,
-        };
-        CommandInterpreter::flush_peer(peer.node(), &mut out, &mut sub, |_, report| {
-            let _ = events.send(NetEvent {
-                time: clock.now(),
-                report,
-                links: peer.link_count(),
-            });
-        });
-    }
-}
-
-/// Inputs to the server daemon's event loop.
-#[derive(Debug)]
-enum ServerInput {
-    Deliver { from: NodeId, msg: Message },
-    Transmit { to: u32, frame: Frame },
-    Shutdown,
-}
-
-/// Handle to the running tracker/origin server daemon.
-#[derive(Debug)]
-pub struct ServerDaemon {
-    inputs: Sender<ServerInput>,
-    shutdown: Arc<AtomicBool>,
-    local_port: u16,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ServerDaemon {
-    /// Spawns the server daemon, registering it as [`SERVER_INDEX`].
-    pub fn spawn(
-        server: Box<dyn VodServer + Send>,
-        catalog: Arc<Catalog>,
-        registry: Arc<Registry>,
-        latency: Arc<LatencyModel>,
-        clock: TestbedClock,
-        bandwidth_bps: u64,
-        events: Sender<NetEvent>,
-    ) -> std::io::Result<ServerDaemon> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let local_addr = listener.local_addr()?;
-        registry.register(SERVER_INDEX, local_addr);
-
-        let (input_tx, input_rx) = mpsc::channel::<ServerInput>();
-        let delays = Arc::new(DelayQueue::spawn(input_tx.clone()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
-
-        {
-            let delays_in = Arc::clone(&delays);
-            let shutdown = Arc::clone(&shutdown);
-            let latency = Arc::clone(&latency);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("server-listener".into())
-                    .spawn(move || {
-                        for stream in listener.incoming() {
-                            if shutdown.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            let Ok(mut stream) = stream else { continue };
-                            let _ = stream.set_nodelay(true);
-                            let delays = Arc::clone(&delays_in);
-                            let latency = Arc::clone(&latency);
-                            std::thread::Builder::new()
-                                .name("server-reader".into())
-                                .spawn(move || {
-                                    let Ok(Some(Frame::Hello { sender })) = read_frame(&mut stream)
-                                    else {
-                                        return;
-                                    };
-                                    let delay = Duration::from_micros(
-                                        latency.server_delay(sender).as_micros(),
-                                    );
-                                    while let Ok(Some(frame)) = read_frame(&mut stream) {
-                                        if let Frame::Msg(msg) = frame {
-                                            delays.schedule(
-                                                Instant::now() + delay,
-                                                ServerInput::Deliver {
-                                                    from: NodeId::new(sender),
-                                                    msg,
-                                                },
-                                            );
-                                        }
-                                    }
-                                })
-                                .ok();
-                        }
-                    })?,
-            );
-        }
-
-        {
-            let delays_loop = Arc::clone(&delays);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("server-loop".into())
-                    .spawn(move || {
-                        server_event_loop(
-                            server,
-                            catalog,
-                            input_rx,
-                            delays_loop,
-                            registry,
-                            clock,
-                            bandwidth_bps,
-                            events,
-                        );
-                    })?,
-            );
-        }
-
-        Ok(ServerDaemon {
-            inputs: input_tx,
-            shutdown,
-            local_port: local_addr.port(),
-            threads,
-        })
-    }
-
-    /// The localhost port the server listens on.
-    pub fn port(&self) -> u16 {
-        self.local_port
-    }
-
-    /// Stops the daemon.
-    pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.inputs.send(ServerInput::Shutdown);
-        let _ = std::net::TcpStream::connect(("127.0.0.1", self.local_port));
-    }
-
-    /// Waits for the event loop to finish (after [`shutdown`]).
-    ///
-    /// [`shutdown`]: ServerDaemon::shutdown
-    pub fn join(mut self) {
-        self.shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-/// The TCP implementation of [`ServerSubstrate`]: control frames go to the
-/// pool; every origin chunk is serialized through the server's bounded
-/// real-time pipe before transmission.
-struct TcpServerSubstrate<'a> {
-    pool: &'a ConnectionPool,
-    delays: &'a DelayQueue<ServerInput>,
-    pipe: &'a mut RealTimeLink,
-}
-
-impl ServerSubstrate for TcpServerSubstrate<'_> {
+impl ServerSubstrate for TcpSubstrate {
     fn server_control(&mut self, to: NodeId, msg: Message) {
-        self.pool.send(to.as_u32(), Frame::Msg(msg));
+        self.control(to.as_u32(), msg);
     }
 
     fn server_chunk(&mut self, to: NodeId, bits: u64, msg: Message) {
-        let due = self.pipe.transfer(Instant::now(), bits);
-        self.delays.schedule(
-            due,
-            ServerInput::Transmit {
-                to: to.as_u32(),
-                frame: Frame::Msg(msg),
-            },
-        );
+        self.bulk(to.as_u32(), bits, msg);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn server_event_loop(
-    mut server: Box<dyn VodServer + Send>,
-    catalog: Arc<Catalog>,
-    inputs: Receiver<ServerInput>,
-    delays: Arc<DelayQueue<ServerInput>>,
-    registry: Arc<Registry>,
+/// Feeds inputs to the actor and drains what it queued, until `Shutdown`.
+fn event_loop(
+    mut actor: Actor,
+    inputs: Receiver<Input>,
+    mut net: TcpSubstrate,
     clock: TestbedClock,
-    bandwidth_bps: u64,
-    events: Sender<NetEvent>,
+    events: &Sender<NetEvent>,
 ) {
-    let pool = ConnectionPool::new(SERVER_INDEX, registry);
-    let interpreter = CommandInterpreter::new(catalog);
-    let mut pipe = RealTimeLink::new(bandwidth_bps);
-    let mut out = ServerOutbox::new();
+    let mut out = Outbox::new();
+    let mut server_out = ServerOutbox::new();
     for input in inputs {
-        match input {
-            ServerInput::Deliver { from, msg } => {
-                server.on_message(clock.now(), from, msg, &mut out);
-            }
-            ServerInput::Transmit { to, frame } => {
-                pool.send(to, frame);
+        let now = clock.now();
+        match (&mut actor, input) {
+            (_, Input::Shutdown) => return,
+            (_, Input::Transmit { to, msg }) => {
+                net.control(to, msg);
                 continue;
             }
-            ServerInput::Shutdown => return,
+            (Actor::Peer(peer), Input::Deliver { from, msg }) => {
+                let from = match from {
+                    SERVER_INDEX => PeerAddr::Server,
+                    index => PeerAddr::Peer(NodeId::new(index)),
+                };
+                peer.on_message(now, from, msg, &mut out);
+            }
+            (Actor::Peer(peer), Input::Timer(kind)) => peer.on_timer(now, kind, &mut out),
+            (Actor::Peer(peer), Input::Login) => peer.on_login(now, &mut out),
+            (Actor::Peer(peer), Input::Logout) => peer.on_logout(now, &mut out),
+            (Actor::Peer(peer), Input::Watch(video)) => peer.watch(now, video, &mut out),
+            (Actor::Server(server, _), Input::Deliver { from, msg }) => {
+                server.on_message(now, NodeId::new(from), msg, &mut server_out);
+            }
+            (Actor::Server(..), _) => continue,
         }
-        let mut sub = TcpServerSubstrate {
-            pool: &pool,
-            delays: &delays,
-            pipe: &mut pipe,
-        };
-        interpreter.flush_server(&mut out, &mut sub, |_, report| {
+        let emit = |report, links| {
             let _ = events.send(NetEvent {
                 time: clock.now(),
                 report,
-                links: 0,
+                links,
             });
-        });
+        };
+        match &actor {
+            Actor::Peer(peer) => {
+                CommandInterpreter::flush_peer(peer.node(), &mut out, &mut net, |_, report| {
+                    emit(report, peer.link_count());
+                });
+            }
+            Actor::Server(_, interpreter) => {
+                interpreter.flush_server(&mut server_out, &mut net, |_, report| emit(report, 0));
+            }
+        }
     }
 }
 
@@ -542,82 +371,186 @@ mod tests {
 #[cfg(test)]
 mod daemon_tests {
     use super::*;
-    use socialtube::{SocialTubeConfig, SocialTubePeer, SocialTubeServer};
-    use socialtube_model::CatalogBuilder;
+    use std::io::Write;
+
+    use socialtube::{
+        LinkKind, Report, RequestId, SocialTubeConfig, SocialTubePeer, SocialTubeServer,
+        TransferKind,
+    };
+    use socialtube_model::{CatalogBuilder, ChannelId};
     use socialtube_sim::SimRng;
 
-    /// One peer + the server over real sockets: a watch must produce a
-    /// PlaybackStarted report fed entirely by origin chunks.
-    #[test]
-    fn single_peer_fetches_from_origin_over_tcp() {
+    use crate::wire::encode_frame;
+
+    /// An index the one-peer address book does not hold.
+    const STRANGER: u32 = 7;
+
+    /// One peer + the server over real sockets, 5 ms apart.
+    struct OriginAndPeer {
+        server: Daemon,
+        peer: Daemon,
+        events: Receiver<NetEvent>,
+        video: VideoId,
+        channel: ChannelId,
+    }
+
+    fn origin_and_peer() -> OriginAndPeer {
         let mut b = CatalogBuilder::new();
         let cat = b.add_category("k");
-        let ch = b.add_channel("c", [cat]);
-        let video = b.add_video(ch, 2, 0); // 2 s × 320 kbps
+        let channel = b.add_channel("c", [cat]);
+        let video = b.add_video(channel, 2, 0); // 2 s × 320 kbps
         let catalog = Arc::new(b.build());
 
-        let registry = Arc::new(crate::transport::Registry::new());
-        let latency = Arc::new(LatencyModel::constant(
-            socialtube_sim::SimDuration::from_millis(5),
-        ));
-        let clock = TestbedClock::start();
-        let (events_tx, events_rx) = mpsc::channel();
-
-        let server = ServerDaemon::spawn(
-            Box::new(SocialTubeServer::new(Arc::clone(&catalog), SimRng::seed(1))),
-            Arc::clone(&catalog),
-            Arc::clone(&registry),
-            Arc::clone(&latency),
-            clock,
+        let (book, mut listeners) = AddressBook::bind(1).expect("bind localhost");
+        let (events_tx, events) = mpsc::channel();
+        let fabric = Fabric {
+            book,
+            latency: Arc::new(LatencyModel::constant(SimDuration::from_millis(5))),
+            clock: TestbedClock::start(),
+            events: events_tx,
+        };
+        let server = Daemon::spawn(
+            Actor::Server(
+                Box::new(SocialTubeServer::new(Arc::clone(&catalog), SimRng::seed(1))),
+                CommandInterpreter::new(Arc::clone(&catalog)),
+            ),
+            listeners.pop().expect("server listener"),
             10_000_000,
-            events_tx.clone(),
+            fabric.clone(),
         )
         .expect("server spawns");
-
-        let peer = PeerDaemon::spawn(
-            Box::new(SocialTubePeer::new(
+        let peer = Daemon::spawn(
+            Actor::Peer(Box::new(SocialTubePeer::new(
                 NodeId::new(0),
-                Arc::clone(&catalog),
-                vec![ch],
+                catalog,
+                vec![channel],
                 SocialTubeConfig {
-                    search_phase_timeout: socialtube_sim::SimDuration::from_millis(100),
+                    search_phase_timeout: SimDuration::from_millis(100),
                     ..SocialTubeConfig::default()
                 },
-            )),
-            Arc::clone(&registry),
-            Arc::clone(&latency),
-            clock,
+            ))),
+            listeners.pop().expect("peer listener"),
             10_000_000,
-            events_tx,
+            fabric,
         )
         .expect("peer spawns");
+        OriginAndPeer {
+            server,
+            peer,
+            events,
+            video,
+            channel,
+        }
+    }
 
-        peer.login();
-        peer.watch(video);
-
-        let deadline = std::time::Duration::from_secs(10);
-        let mut playback = None;
-        let mut chunks = 0;
-        let start = Instant::now();
-        while start.elapsed() < deadline {
-            match events_rx.recv_timeout(std::time::Duration::from_millis(200)) {
-                Ok(ev) => match ev.report {
-                    Report::PlaybackStarted { video: v, .. } => playback = Some(v),
+    impl OriginAndPeer {
+        /// The peer watches the video: it must produce a PlaybackStarted
+        /// report fed entirely by origin chunks, each arriving exactly once.
+        /// Tears both daemons down and returns every event seen.
+        fn fetch_and_join(self) -> Vec<NetEvent> {
+            self.peer.send(Input::Watch(self.video));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut seen = Vec::new();
+            let (mut playback, mut chunks) = (None, 0);
+            while playback.is_none() || chunks < 8 {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let Ok(event) = self.events.recv_timeout(left) else {
+                    break;
+                };
+                match event.report {
+                    Report::PlaybackStarted { video, .. } => playback = Some(video),
                     Report::ChunkReceived { .. } => chunks += 1,
                     _ => {}
-                },
-                Err(_) => {
-                    if playback.is_some() && chunks >= 8 {
-                        break;
-                    }
                 }
+                seen.push(event);
             }
-        }
-        peer.logout();
-        peer.join();
-        server.join();
+            // A duplicate chunk would trail the eighth.
+            seen.extend(self.events.recv_timeout(Duration::from_millis(200)));
+            self.peer.send(Input::Logout);
+            self.peer.join();
+            self.server.join();
 
-        assert_eq!(playback, Some(video), "playback never started over TCP");
-        assert_eq!(chunks, 8, "all chunks must arrive exactly once");
+            assert_eq!(
+                playback,
+                Some(self.video),
+                "playback never started over TCP"
+            );
+            let chunks = seen
+                .iter()
+                .filter(|e| matches!(e.report, Report::ChunkReceived { .. }))
+                .count();
+            assert_eq!(chunks, 8, "all chunks must arrive exactly once");
+            seen
+        }
+    }
+
+    #[test]
+    fn single_peer_fetches_from_origin_over_tcp() {
+        let net = origin_and_peer();
+        net.peer.send(Input::Login);
+        net.fetch_and_join();
+    }
+
+    /// What a socket can carry that a daemon must not act on: each blob goes
+    /// over its own connection to `target`, and the last one is a
+    /// well-formed `message` behind a `Hello` from [`STRANGER`].
+    fn abuse(target: SocketAddr, message: Message) {
+        let hello = encode_frame(&Frame::Hello { sender: 0 });
+        let msg = encode_frame(&Frame::Msg(message));
+        let blobs: [Vec<u8>; 5] = [
+            vec![0, 0, 0, 3, 0xff, 0xff, 0xff], // garbage payload
+            hello[..hello.len() - 1].to_vec(),  // truncated frame
+            u32::MAX.to_be_bytes().to_vec(),    // absurd length prefix
+            msg.clone(),                        // message before any Hello
+            [encode_frame(&Frame::Hello { sender: STRANGER }), msg].concat(),
+        ];
+        for blob in blobs {
+            let mut stream = TcpStream::connect(target).expect("daemon accepts");
+            stream.write_all(&blob).expect("daemon reads");
+        }
+    }
+
+    /// The read-loop counterpart of the codec's arbitrary-bytes proptest,
+    /// against a peer-role and a server-role daemon: malformed input costs
+    /// the connection it arrived on and nothing else, and a message from an
+    /// index outside the address book is never delivered.
+    #[test]
+    fn malformed_and_unknown_sender_input_is_dropped_by_both_roles() {
+        // Peer role: delivered, the stranger's ConnectRequest would be
+        // accepted and show as a link in every later event of the peer.
+        let net = origin_and_peer();
+        net.peer.send(Input::Login);
+        let request = Message::ConnectRequest {
+            kind: LinkKind::Inner,
+            channel: Some(net.channel),
+            video: None,
+        };
+        abuse(net.peer.addr, request);
+        let events = net.fetch_and_join();
+        assert!(
+            events.iter().all(|e| e.links == 0),
+            "the peer linked to an index outside the address book"
+        );
+
+        // Server role: delivered, the stranger's VideoRequest would be
+        // served and reported under the stranger's node id.
+        let net = origin_and_peer();
+        net.peer.send(Input::Login);
+        let stranger = NodeId::new(STRANGER);
+        let request = Message::VideoRequest {
+            id: RequestId::new(stranger, 0),
+            video: net.video,
+            from_chunk: 0,
+            kind: TransferKind::Playback,
+        };
+        abuse(net.server.addr, request);
+        let events = net.fetch_and_join();
+        assert!(
+            !events.iter().any(|e| matches!(
+                e.report,
+                Report::ServedFromOrigin { node, .. } if node == stranger
+            )),
+            "the server served an index outside the address book"
+        );
     }
 }

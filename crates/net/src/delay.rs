@@ -4,48 +4,32 @@
 //! testbed uses delay queues for three things: protocol timers, artificial
 //! propagation latency, and bandwidth pacing of chunk sends.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
-
-struct Entry<T> {
-    due: Instant,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.due.cmp(&other.due).then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// Heap plus sequence counter plus shutdown flag, under one lock.
-struct HeapState<T> {
-    heap: BinaryHeap<Reverse<Entry<T>>>,
+/// Pending items by due time then insertion order, plus the sequence
+/// counter and the shutdown flag, under one lock.
+struct State<T> {
+    pending: BTreeMap<(Instant, u64), T>,
     next_seq: u64,
     shutdown: bool,
 }
 
 struct Shared<T> {
-    state: Mutex<HeapState<T>>,
+    state: Mutex<State<T>>,
     wake: Condvar,
+}
+
+impl<T> Shared<T> {
+    /// Locks the state. Poisoning is ignored: every critical section is one
+    /// insert, one removal or one flag store, so a thread that panicked
+    /// while holding the lock left the state valid.
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Handle to a delay-queue thread; scheduled items are forwarded to the
@@ -84,8 +68,8 @@ impl<T: Send + 'static> DelayQueue<T> {
     /// Spawns the delay thread, forwarding due items to `out`.
     pub fn spawn(out: Sender<T>) -> Self {
         let shared = Arc::new(Shared {
-            state: Mutex::new(HeapState {
-                heap: BinaryHeap::new(),
+            state: Mutex::new(State {
+                pending: BTreeMap::new(),
                 next_seq: 0,
                 shutdown: false,
             }),
@@ -95,26 +79,30 @@ impl<T: Send + 'static> DelayQueue<T> {
         let handle = std::thread::Builder::new()
             .name("delay-queue".into())
             .spawn(move || loop {
-                let mut guard = worker.state.lock();
+                let mut guard = worker.lock();
+                // Every wake-up (notified, timed out or spurious) re-checks
+                // the flag and the earliest pending item.
                 loop {
                     if guard.shutdown {
                         return; // shutdown requested
                     }
                     let now = Instant::now();
-                    match guard.heap.peek() {
-                        Some(Reverse(e)) if e.due <= now => break,
-                        Some(Reverse(e)) => {
-                            let due = e.due;
-                            worker.wake.wait_until(&mut guard, due);
-                        }
-                        None => {
-                            worker.wake.wait(&mut guard);
-                        }
-                    }
+                    let head = guard.pending.first_key_value().map(|(&(due, _), _)| due);
+                    guard = match head {
+                        Some(due) if due <= now => break,
+                        Some(due) => worker
+                            .wake
+                            .wait_timeout(guard, due - now)
+                            .map_or_else(|e| e.into_inner().0, |(guard, _)| guard),
+                        None => worker
+                            .wake
+                            .wait(guard)
+                            .unwrap_or_else(PoisonError::into_inner),
+                    };
                 }
-                let Reverse(entry) = guard.heap.pop().expect("peeked entry exists");
+                let (_, item) = guard.pending.pop_first().expect("peeked entry exists");
                 drop(guard);
-                if out.send(entry.item).is_err() {
+                if out.send(item).is_err() {
                     return; // receiver gone
                 }
             })
@@ -127,17 +115,17 @@ impl<T: Send + 'static> DelayQueue<T> {
 
     /// Schedules `item` for delivery at `due` (immediately if in the past).
     pub fn schedule(&self, due: Instant, item: T) {
-        let mut guard = self.shared.state.lock();
+        let mut guard = self.shared.lock();
         let seq = guard.next_seq;
         guard.next_seq += 1;
-        guard.heap.push(Reverse(Entry { due, seq, item }));
+        guard.pending.insert((due, seq), item);
         drop(guard);
         self.shared.wake.notify_one();
     }
 
     /// Number of items not yet delivered.
     pub fn pending(&self) -> usize {
-        self.shared.state.lock().heap.len()
+        self.shared.lock().pending.len()
     }
 
     /// Stops the thread; pending items are discarded.
@@ -146,10 +134,7 @@ impl<T: Send + 'static> DelayQueue<T> {
     }
 
     fn stop(&mut self) {
-        {
-            let mut guard = self.shared.state.lock();
-            guard.shutdown = true;
-        }
+        self.shared.lock().shutdown = true;
         self.shared.wake.notify_all();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();

@@ -12,14 +12,17 @@
 //!   [`SimTime`](socialtube_sim::SimTime) axis;
 //! * [`delay`] — a timer/delay queue thread used for protocol timers,
 //!   latency injection and bandwidth pacing;
-//! * [`transport`] — framed connections and an outgoing-connection cache;
-//! * [`daemon`] — one OS-thread-backed daemon per peer plus the
-//!   tracker/origin server daemon; each daemon drains its outbox through
-//!   the shared [`CommandInterpreter`](socialtube::harness::CommandInterpreter)
-//!   over a TCP substrate (connection pool + real-time pacing links);
-//! * [`testbed`] — [`Deployment`]: spawns a whole deployment in-process and
-//!   surfaces protocol reports; the workload loop that drives it lives with
-//!   the caller (the shared `SessionDirector` in `socialtube-experiments`).
+//! * [`transport`] — framed connections, the deployment's immutable
+//!   address book and each daemon's outgoing-connection cache;
+//! * `daemon` (private) — the one OS-thread-backed daemon every node runs,
+//!   the tracker/origin server being the daemon at the address book's
+//!   server index; it drains its actor's outbox through the shared
+//!   [`CommandInterpreter`](socialtube::harness::CommandInterpreter) over
+//!   one TCP substrate (connection pool + real-time pacing link);
+//! * [`testbed`] — [`Deployment`]: binds every listener, spawns a whole
+//!   deployment in-process and surfaces protocol reports as
+//!   [`NetEvent`]s; the workload loop that drives it lives with the caller
+//!   (the shared `SessionDirector` in `socialtube-experiments`).
 //!
 //! Real sockets keep what the paper went to PlanetLab for — actual
 //! transmission and connection failures, head-of-line queueing, racing
@@ -29,11 +32,11 @@
 #![warn(missing_debug_implementations)]
 
 pub mod clock;
-pub mod daemon;
+mod daemon;
 pub mod delay;
 pub mod testbed;
 pub mod transport;
 pub mod wire;
 
-pub use testbed::{Deployment, NetOutcome, TestbedConfig};
+pub use testbed::{Deployment, NetEvent, NetOutcome, TestbedConfig};
 pub use wire::{decode_frame, encode_frame, Frame, WireError};

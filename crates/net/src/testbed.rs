@@ -13,13 +13,14 @@ use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use socialtube::harness::CommandInterpreter;
 use socialtube::{Report, VodPeer, VodServer};
 use socialtube_model::{Catalog, NodeId, VideoId};
-use socialtube_sim::{LatencyModel, SimDuration, SimRng};
+use socialtube_sim::{LatencyModel, SimDuration, SimRng, SimTime};
 
 use crate::clock::TestbedClock;
-use crate::daemon::{NetEvent, PeerDaemon, ServerDaemon};
-use crate::transport::Registry;
+use crate::daemon::{Actor, Daemon, Fabric, Input};
+use crate::transport::AddressBook;
 
 /// Real-time parameters of a testbed run.
 ///
@@ -28,7 +29,8 @@ use crate::transport::Registry;
 /// compress the paper's session structure into seconds.
 #[derive(Clone, Debug)]
 pub struct TestbedConfig {
-    /// Seed for latency assignment and any per-run randomness.
+    /// The experiment's one seed: pairwise latencies here, and whatever
+    /// the caller derives from it (trace, workload, protocol randomness).
     pub seed: u64,
     /// Per-peer upload capacity in bits/second.
     pub peer_upload_bps: u64,
@@ -72,6 +74,28 @@ impl Default for TestbedConfig {
     }
 }
 
+impl TestbedConfig {
+    /// The pairwise delays a deployment under this config injects. The
+    /// model hashes `(seed, pair)`, so a simulation built from the same
+    /// config sees the same delay on every link.
+    pub fn latency_model(&self) -> LatencyModel {
+        LatencyModel::new(&SimRng::seed(self.seed), self.latency_min, self.latency_max)
+    }
+}
+
+/// A protocol observation emitted by a daemon: the report, when it
+/// happened, and the emitting peer's link count at that moment (the Fig 18
+/// sample).
+#[derive(Clone, Copy, Debug)]
+pub struct NetEvent {
+    /// Protocol time of the event.
+    pub time: SimTime,
+    /// The report.
+    pub report: Report,
+    /// Links the emitting peer maintained (0 for server reports).
+    pub links: usize,
+}
+
 /// Everything a testbed run produced.
 #[derive(Debug)]
 pub struct NetOutcome {
@@ -83,35 +107,6 @@ pub struct NetOutcome {
     pub peers: usize,
 }
 
-impl NetOutcome {
-    /// Count of playback-started reports.
-    pub fn playbacks(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.report, Report::PlaybackStarted { .. }))
-            .count()
-    }
-
-    /// Mean startup delay in milliseconds over all playbacks.
-    pub fn mean_startup_delay_ms(&self) -> f64 {
-        let delays: Vec<f64> = self
-            .events
-            .iter()
-            .filter_map(|e| match e.report {
-                Report::PlaybackStarted { requested_at, .. } => {
-                    Some(e.time.duration_since(requested_at).as_micros() as f64 / 1_000.0)
-                }
-                _ => None,
-            })
-            .collect();
-        if delays.is_empty() {
-            0.0
-        } else {
-            delays.iter().sum::<f64>() / delays.len() as f64
-        }
-    }
-}
-
 /// A running testbed deployment: one daemon per peer plus the server, all
 /// live on localhost sockets.
 ///
@@ -121,19 +116,21 @@ impl NetOutcome {
 /// reports and joins every thread.
 #[derive(Debug)]
 pub struct Deployment {
-    daemons: Vec<PeerDaemon>,
-    server: ServerDaemon,
+    /// Peer daemons by node index, then the server's.
+    daemons: Vec<Daemon>,
     events: Receiver<NetEvent>,
     started: Instant,
 }
 
 impl Deployment {
     /// Deploys `peers` (node ids must be dense `0..n`) and `server` as
-    /// socket daemons with latency and bandwidth from `config`.
+    /// socket daemons with latency and bandwidth from `config`. Every
+    /// listener is bound before the first daemon starts, so all of them
+    /// share one immutable address book.
     ///
     /// # Errors
     ///
-    /// Returns an error if sockets cannot be bound.
+    /// Returns an error if sockets cannot be bound or threads not spawned.
     pub fn spawn(
         catalog: Arc<Catalog>,
         peers: Vec<Box<dyn VodPeer + Send>>,
@@ -141,70 +138,52 @@ impl Deployment {
         config: &TestbedConfig,
     ) -> std::io::Result<Deployment> {
         let started = Instant::now();
-        let clock = TestbedClock::start();
-        let registry = Arc::new(Registry::new());
-        let latency = Arc::new(LatencyModel::new(
-            &SimRng::seed(config.seed),
-            config.latency_min,
-            config.latency_max,
-        ));
-        let (events_tx, events_rx) = mpsc::channel::<NetEvent>();
-
-        let server_daemon = ServerDaemon::spawn(
-            server,
-            Arc::clone(&catalog),
-            Arc::clone(&registry),
-            Arc::clone(&latency),
-            clock,
-            config.server_bandwidth_bps,
-            events_tx.clone(),
-        )?;
-
-        let mut daemons = Vec::with_capacity(peers.len());
-        for peer in peers {
-            daemons.push(PeerDaemon::spawn(
-                peer,
-                Arc::clone(&registry),
-                Arc::clone(&latency),
-                clock,
-                config.peer_upload_bps,
-                events_tx.clone(),
-            )?);
-        }
-        drop(events_tx);
-
+        let (book, listeners) = AddressBook::bind(peers.len())?;
+        let (events_tx, events) = mpsc::channel::<NetEvent>();
+        let fabric = Fabric {
+            book,
+            latency: Arc::new(config.latency_model()),
+            clock: TestbedClock::start(),
+            events: events_tx,
+        };
+        let actors = peers
+            .into_iter()
+            .map(|peer| (Actor::Peer(peer), config.peer_upload_bps))
+            .chain([(
+                Actor::Server(server, CommandInterpreter::new(catalog)),
+                config.server_bandwidth_bps,
+            )]);
+        let daemons = actors
+            .zip(listeners)
+            .map(|((actor, bps), listener)| Daemon::spawn(actor, listener, bps, fabric.clone()))
+            .collect::<std::io::Result<Vec<_>>>()?;
         Ok(Deployment {
             daemons,
-            server: server_daemon,
-            events: events_rx,
+            events,
             started,
         })
     }
 
-    /// Number of peer daemons deployed.
-    pub fn peers(&self) -> usize {
-        self.daemons.len()
-    }
-
     /// Starts a session at `node`.
     pub fn login(&self, node: NodeId) {
-        self.daemons[node.index()].login();
+        self.daemons[node.index()].send(Input::Login);
     }
 
     /// Ends `node`'s session.
     pub fn logout(&self, node: NodeId) {
-        self.daemons[node.index()].logout();
+        self.daemons[node.index()].send(Input::Logout);
     }
 
     /// The user at `node` selects `video`.
     pub fn watch(&self, node: NodeId, video: VideoId) {
-        self.daemons[node.index()].watch(video);
+        self.daemons[node.index()].send(Input::Watch(video));
     }
 
-    /// Waits up to `timeout` for the next protocol report; `None` on
-    /// timeout (or if every daemon already exited).
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<NetEvent> {
-        self.events.recv_timeout(timeout).ok()
+    /// Waits until `deadline` for the next protocol report; `None` once it
+    /// passed (or if every daemon already exited).
+    pub fn recv_until(&self, deadline: Instant) -> Option<NetEvent> {
+        let left = deadline.saturating_duration_since(Instant::now());
+        self.events.recv_timeout(left).ok()
     }
 
     /// Drains straggling reports for `settle`, tears every daemon down, and
@@ -212,22 +191,17 @@ impl Deployment {
     /// loop collected so far.
     pub fn finish(self, mut events: Vec<NetEvent>, settle: Duration) -> NetOutcome {
         let drain_deadline = Instant::now() + settle;
-        while let Ok(event) = self
-            .events
-            .recv_timeout(drain_deadline.saturating_duration_since(Instant::now()))
-        {
+        while let Some(event) = self.recv_until(drain_deadline) {
             events.push(event);
         }
+        // Stop them all before joining any: shutdowns run in parallel.
         for d in &self.daemons {
             d.shutdown();
         }
-        self.server.shutdown();
-        let peers = self.daemons.len();
+        let peers = self.daemons.len() - 1;
         for d in self.daemons {
             d.join();
         }
-        self.server.join();
-
         NetOutcome {
             events,
             wall_time: self.started.elapsed(),
@@ -288,14 +262,7 @@ mod tests {
                 let video = vids[(round * 5 + i) % vids.len()];
                 deployment.watch(node, video);
                 let deadline = Instant::now() + config.watch_timeout;
-                loop {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        break;
-                    }
-                    let Some(event) = deployment.recv_timeout(left) else {
-                        break;
-                    };
+                while let Some(event) = deployment.recv_until(deadline) {
                     let started = matches!(
                         event.report,
                         Report::PlaybackStarted { node: n, video: v, .. }
@@ -314,13 +281,16 @@ mod tests {
         let outcome = deployment.finish(events, Duration::from_millis(300));
 
         // 5 peers × 2 videos = 10 playbacks expected.
+        let playbacks = outcome
+            .events
+            .iter()
+            .filter(|e| matches!(e.report, Report::PlaybackStarted { .. }))
+            .count();
         assert!(
-            outcome.playbacks() >= 8,
-            "only {} playbacks (events: {})",
-            outcome.playbacks(),
+            playbacks >= 8,
+            "only {playbacks} playbacks (events: {})",
             outcome.events.len()
         );
         assert_eq!(outcome.peers, 5);
-        assert!(outcome.mean_startup_delay_ms() >= 0.0);
     }
 }

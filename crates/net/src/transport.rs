@@ -1,17 +1,15 @@
-//! Framed TCP transport: blocking frame IO, an address registry, and an
-//! outgoing-connection pool with writer threads.
+//! Framed TCP transport: blocking frame IO, the deployment's address book,
+//! and an outgoing-connection pool with writer threads.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc::{self, Sender};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{self, SendError, Sender};
 use std::sync::Arc;
-
-use parking_lot::{Mutex, RwLock};
 
 use crate::wire::{decode_frame, encode_frame, Frame, MAX_FRAME_BYTES};
 
-/// Pseudo node index addressing the server in the registry.
+/// Pseudo node index addressing the server in the address book.
 pub const SERVER_INDEX: u32 = u32::MAX;
 
 /// Writes one length-prefixed frame.
@@ -51,78 +49,85 @@ pub fn read_frame(stream: &mut TcpStream) -> io::Result<Option<Frame>> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// Shared address book mapping node indices (and [`SERVER_INDEX`]) to
-/// socket addresses.
-#[derive(Debug, Default)]
-pub struct Registry {
-    addrs: RwLock<HashMap<u32, SocketAddr>>,
+/// The deployment's address book: where peer `0..n` and the server
+/// ([`SERVER_INDEX`]) listen. Written once, before any daemon starts, so
+/// every thread reads it without a lock.
+#[derive(Debug)]
+pub(crate) struct AddressBook {
+    peers: Vec<SocketAddr>,
+    server: SocketAddr,
 }
 
-impl Registry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
+impl AddressBook {
+    /// Binds one ephemeral localhost listener per peer plus the server's
+    /// (returned last) and records where they landed.
+    pub(crate) fn bind(peers: usize) -> io::Result<(Arc<AddressBook>, Vec<TcpListener>)> {
+        let listeners = (0..=peers)
+            .map(|_| TcpListener::bind("127.0.0.1:0"))
+            .collect::<io::Result<Vec<_>>>()?;
+        let mut addrs = listeners
+            .iter()
+            .map(TcpListener::local_addr)
+            .collect::<io::Result<Vec<_>>>()?;
+        let server = addrs.pop().expect("the server's listener is bound last");
+        let book = AddressBook {
+            peers: addrs,
+            server,
+        };
+        Ok((Arc::new(book), listeners))
     }
 
-    /// Registers (or replaces) the address of `index`.
-    pub fn register(&self, index: u32, addr: SocketAddr) {
-        self.addrs.write().insert(index, addr);
-    }
-
-    /// Looks up the address of `index`.
-    pub fn lookup(&self, index: u32) -> Option<SocketAddr> {
-        self.addrs.read().get(&index).copied()
-    }
-
-    /// Number of registered endpoints.
-    pub fn len(&self) -> usize {
-        self.addrs.read().len()
-    }
-
-    /// Returns `true` when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.addrs.read().is_empty()
+    /// Looks up the address of `index`; `None` for an index nobody holds.
+    pub(crate) fn lookup(&self, index: u32) -> Option<SocketAddr> {
+        if index == SERVER_INDEX {
+            Some(self.server)
+        } else {
+            self.peers.get(index as usize).copied()
+        }
     }
 }
 
 /// Outgoing-connection cache: one TCP connection (and writer thread) per
-/// destination, created on first use and dropped on error.
+/// destination, created on first use and replaced on error. Plain state
+/// of the one event-loop thread that sends through it.
 ///
 /// Sends are fire-and-forget: if the destination is down (between
 /// sessions), the frame is silently lost — exactly the semantics the
 /// protocols expect from churn.
 #[derive(Debug)]
-pub struct ConnectionPool {
+pub(crate) struct ConnectionPool {
     me: u32,
-    registry: Arc<Registry>,
-    conns: Mutex<HashMap<u32, Sender<Frame>>>,
+    book: Arc<AddressBook>,
+    conns: HashMap<u32, Sender<Frame>>,
 }
 
 impl ConnectionPool {
     /// Creates a pool identifying outgoing connections as `me`.
-    pub fn new(me: u32, registry: Arc<Registry>) -> Self {
+    pub(crate) fn new(me: u32, book: Arc<AddressBook>) -> Self {
         Self {
             me,
-            registry,
-            conns: Mutex::new(HashMap::new()),
+            book,
+            conns: HashMap::new(),
         }
     }
 
     /// Sends `frame` to `to`, connecting first if needed. Returns `false`
     /// if no route existed or the connection failed.
-    pub fn send(&self, to: u32, frame: Frame) -> bool {
-        // Fast path: an established writer.
-        if let Some(tx) = self.conns.lock().get(&to) {
-            if tx.send(frame.clone()).is_ok() {
-                return true;
-            }
-        }
-        // (Re)connect.
-        let Some(addr) = self.registry.lookup(to) else {
+    pub(crate) fn send(&mut self, to: u32, frame: Frame) -> bool {
+        // Fast path: an established writer. A writer that died hands the
+        // frame back for the reconnect.
+        let frame = match self.conns.get(&to) {
+            Some(tx) => match tx.send(frame) {
+                Ok(()) => return true,
+                Err(SendError(frame)) => frame,
+            },
+            None => frame,
+        };
+        self.conns.remove(&to);
+        let Some(addr) = self.book.lookup(to) else {
             return false;
         };
         let Ok(mut stream) = TcpStream::connect(addr) else {
-            self.conns.lock().remove(&to);
             return false;
         };
         let _ = stream.set_nodelay(true);
@@ -130,7 +135,7 @@ impl ConnectionPool {
             return false;
         }
         let (tx, rx) = mpsc::channel::<Frame>();
-        std::thread::Builder::new()
+        let writer = std::thread::Builder::new()
             .name(format!("conn-writer-{}-{to}", self.me))
             .spawn(move || {
                 for f in rx {
@@ -138,21 +143,12 @@ impl ConnectionPool {
                         return;
                     }
                 }
-            })
-            .expect("spawn writer thread");
-        let ok = tx.send(frame).is_ok();
-        self.conns.lock().insert(to, tx);
-        ok
-    }
-
-    /// Drops every cached connection (e.g. at logoff).
-    pub fn disconnect_all(&self) {
-        self.conns.lock().clear();
-    }
-
-    /// Number of live outgoing connections.
-    pub fn connection_count(&self) -> usize {
-        self.conns.lock().len()
+            });
+        if writer.is_err() || tx.send(frame).is_err() {
+            return false;
+        }
+        self.conns.insert(to, tx);
+        true
     }
 }
 
@@ -160,7 +156,6 @@ impl ConnectionPool {
 mod tests {
     use super::*;
     use socialtube::Message;
-    use std::net::TcpListener;
     use std::time::Duration;
 
     #[test]
@@ -186,59 +181,68 @@ mod tests {
         );
     }
 
+    /// A book whose only peer (index 0) listens at `peer`; the server's
+    /// slot holds a port nobody listens on any more.
+    fn book_of(peer: SocketAddr) -> Arc<AddressBook> {
+        Arc::new(AddressBook {
+            peers: vec![peer],
+            server: dead_addr(),
+        })
+    }
+
+    /// Bind and immediately drop to get a (very likely) dead port.
+    fn dead_addr() -> SocketAddr {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap()
+    }
+
     #[test]
-    fn registry_lookup() {
-        let r = Registry::new();
-        assert!(r.is_empty());
-        let addr: SocketAddr = "127.0.0.1:9999".parse().unwrap();
-        r.register(5, addr);
-        assert_eq!(r.lookup(5), Some(addr));
-        assert_eq!(r.lookup(6), None);
-        assert_eq!(r.len(), 1);
+    fn address_book_lookup() {
+        let (book, listeners) = AddressBook::bind(2).unwrap();
+        assert_eq!(listeners.len(), 3, "two peers and the server");
+        for (index, listener) in [0, 1, SERVER_INDEX].into_iter().zip(&listeners) {
+            assert_eq!(book.lookup(index), Some(listener.local_addr().unwrap()));
+        }
+        assert_eq!(book.lookup(2), None);
+        assert_eq!(book.lookup(SERVER_INDEX - 1), None);
     }
 
     #[test]
     fn pool_sends_hello_then_frames() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let registry = Arc::new(Registry::new());
-        registry.register(9, addr);
+        let book = book_of(listener.local_addr().unwrap());
 
+        // One connection carries both frames: a second Hello (or a second
+        // connection, which `accept` here never sees) would fail the reads.
         let reader = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let hello = read_frame(&mut stream).unwrap().unwrap();
-            let msg = read_frame(&mut stream).unwrap().unwrap();
-            (hello, msg)
+            [(); 3].map(|()| read_frame(&mut stream).unwrap().unwrap())
         });
 
-        let pool = ConnectionPool::new(1, registry);
-        assert!(pool.send(9, Frame::Msg(Message::LogOff)));
-        let (hello, msg) = reader.join().unwrap();
-        assert_eq!(hello, Frame::Hello { sender: 1 });
-        assert_eq!(msg, Frame::Msg(Message::LogOff));
-        assert_eq!(pool.connection_count(), 1);
-        pool.disconnect_all();
-        assert_eq!(pool.connection_count(), 0);
+        let mut pool = ConnectionPool::new(1, book);
+        assert!(pool.send(0, Frame::Msg(Message::LogOff)));
+        assert!(pool.send(0, Frame::Msg(Message::Leave)));
+        assert_eq!(
+            reader.join().unwrap(),
+            [
+                Frame::Hello { sender: 1 },
+                Frame::Msg(Message::LogOff),
+                Frame::Msg(Message::Leave)
+            ]
+        );
     }
 
     #[test]
     fn send_to_unknown_destination_fails_quietly() {
-        let pool = ConnectionPool::new(1, Arc::new(Registry::new()));
+        let mut pool = ConnectionPool::new(1, book_of(dead_addr()));
         assert!(!pool.send(42, Frame::Msg(Message::Leave)));
     }
 
     #[test]
     fn send_to_dead_endpoint_fails_quietly() {
-        let registry = Arc::new(Registry::new());
-        // Bind and immediately drop to get a (very likely) dead port.
-        let dead = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        registry.register(7, dead);
-        let pool = ConnectionPool::new(1, registry);
+        let mut pool = ConnectionPool::new(1, book_of(dead_addr()));
         // May take one RTT to fail, but must not panic or hang.
-        let _ = pool.send(7, Frame::Msg(Message::Leave));
+        let _ = pool.send(0, Frame::Msg(Message::Leave));
     }
 
     #[test]
