@@ -35,7 +35,8 @@ pub struct NetTubeConfig {
     /// Optional cache capacity in videos.
     pub cache_capacity: Option<usize>,
     /// Bound on the duplicate-suppression window for flooded queries
-    /// (oldest request ids evicted first).
+    /// (oldest request ids evicted first), at most
+    /// [`SeenWindow::MAX_WINDOW`].
     pub seen_query_window: usize,
 }
 
@@ -109,6 +110,11 @@ pub struct NetTubePeer {
 
 impl NetTubePeer {
     /// Creates an offline NetTube peer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.seen_query_window` exceeds
+    /// [`SeenWindow::MAX_WINDOW`] or `config.cache_capacity` is `Some(0)`.
     pub fn new(node: NodeId, catalog: Arc<Catalog>, config: NetTubeConfig, rng: SimRng) -> Self {
         let cache = VideoCache::from_config(config.cache_capacity);
         let seen_queries = SeenWindow::new(config.seen_query_window);
@@ -755,6 +761,16 @@ mod tests {
                 out,
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_WINDOW")]
+    fn a_window_past_the_dedup_bound_is_refused() {
+        let config = NetTubeConfig {
+            seen_query_window: SeenWindow::MAX_WINDOW + 1,
+            ..NetTubeConfig::default()
+        };
+        NetTubePeer::new(NodeId::new(0), fixture().0, config, SimRng::seed(0));
     }
 
     #[test]

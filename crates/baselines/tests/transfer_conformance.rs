@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use socialtube::{
-    ChunkSource, Command, LinkKind, Message, Outbox, PeerAddr, Report, RequestId, SocialTubeConfig,
-    SocialTubePeer, TimerKind, TransferKind, VodPeer,
+    ChunkSource, Command, LinkKind, Message, Outbox, PeerAddr, QueryScope, Report, RequestId,
+    SocialTubeConfig, SocialTubePeer, TimerKind, TransferKind, VodPeer,
 };
 use socialtube_baselines::{NetTubeConfig, NetTubePeer, PaVodConfig, PaVodPeer};
 use socialtube_model::{Catalog, CatalogBuilder, ChannelId, NodeId, VideoId};
@@ -316,5 +316,51 @@ fn all_three_peers_move_chunks_by_the_same_rules() {
             video: OTHER,
         };
         assert_eq!(request(peer, OTHER, 0, playback), [refused], "{name}");
+    }
+}
+
+/// The simulator's loops deliver every peer message without asking
+/// `is_online()` first: a logged-off peer drops whatever it is sent,
+/// including what it answered a moment before.
+#[test]
+fn a_logged_off_peer_drops_what_it_is_sent() {
+    let id = RequestId::new(REQUESTER, 0);
+    let total = catalog().video(VIDEO).unwrap().chunk_count();
+    for mut case in cases() {
+        let name = case.name;
+        let peer = case.peer.as_mut();
+        let mut out = Outbox::new();
+        (case.discover)(peer, &mut out);
+        for chunk in 0..total {
+            deliver(peer, PeerAddr::Peer(P1), chunk, &mut out);
+        }
+        let playback = TransferKind::Playback;
+        assert_eq!(request(peer, VIDEO, 0, playback).len(), total as usize);
+
+        peer.on_logout(SimTime::from_micros(950_000), &mut out);
+        out.drain();
+        let links = peer.link_count();
+        for msg in [
+            Message::Query {
+                id,
+                video: VIDEO,
+                ttl: 2,
+                origin: REQUESTER,
+                scope: QueryScope::Channel(CHANNEL),
+            },
+            Message::ChunkRequest {
+                id,
+                video: VIDEO,
+                from_chunk: 0,
+                kind: playback,
+            },
+            Message::Probe { nonce: 1 },
+        ] {
+            let now = SimTime::from_micros(1_000_000);
+            peer.on_message(now, PeerAddr::Peer(REQUESTER), msg.clone(), &mut out);
+            assert_eq!(out.commands(), [], "{name}: {msg:?} while logged off");
+            assert_eq!(peer.link_count(), links, "{name}: {msg:?}");
+        }
+        assert!(!peer.is_online(), "{name}");
     }
 }

@@ -1,5 +1,6 @@
 //! SocialTube protocol parameters.
 
+use crate::seen::SeenWindow;
 use socialtube_sim::SimDuration;
 
 /// Tunable parameters of the SocialTube peer (Section V defaults).
@@ -46,7 +47,8 @@ pub struct SocialTubeConfig {
     /// Bound on the duplicate-suppression window for flooded queries: the
     /// peer remembers at most this many recent request ids, evicting the
     /// oldest first. Keeps long-lived peers at O(window) memory instead of
-    /// growing with every query ever seen.
+    /// growing with every query ever seen. From 1 to
+    /// [`SeenWindow::MAX_WINDOW`].
     pub seen_query_window: usize,
 }
 
@@ -100,6 +102,12 @@ impl SocialTubeConfig {
         if self.seen_query_window == 0 {
             return Err("seen_query_window must be positive".into());
         }
+        if self.seen_query_window > SeenWindow::MAX_WINDOW {
+            return Err(format!(
+                "seen_query_window must not exceed {}",
+                SeenWindow::MAX_WINDOW
+            ));
+        }
         Ok(())
     }
 }
@@ -145,5 +153,11 @@ mod tests {
         let mut c = SocialTubeConfig::default();
         c.search_phase_timeout = SimDuration::ZERO;
         assert!(c.validate().is_err());
+
+        let mut c = SocialTubeConfig::default();
+        c.seen_query_window = SeenWindow::MAX_WINDOW;
+        assert_eq!(c.validate(), Ok(()));
+        c.seen_query_window += 1;
+        assert!(c.validate().unwrap_err().contains("32767"));
     }
 }

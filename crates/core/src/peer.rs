@@ -364,8 +364,8 @@ impl VodPeer for SocialTubePeer {
 
     fn on_message(&mut self, now: SimTime, from: PeerAddr, msg: Message, out: &mut Outbox) {
         if !self.online {
-            // Paper model: an offline node's client is gone; the driver
-            // normally drops such messages, this is a second line of defense.
+            // Paper model: an offline node's client is gone. The drivers
+            // deliver unconditionally and rely on this.
             return;
         }
         match msg {

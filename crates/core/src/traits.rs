@@ -366,7 +366,8 @@ pub trait VodPeer {
     /// The user selects `video` to watch.
     fn watch(&mut self, now: SimTime, video: VideoId, out: &mut Outbox);
 
-    /// A message arrived from `from`.
+    /// A message arrived from `from`. An offline peer drops it: drivers
+    /// deliver without asking [`VodPeer::is_online`] first.
     fn on_message(&mut self, now: SimTime, from: PeerAddr, msg: Message, out: &mut Outbox);
 
     /// A previously armed timer fired.

@@ -599,9 +599,8 @@ fn handle_event<S, R, K>(
 
         Ev::PeerMsg { to, from, msg } => {
             actor = Some(to);
-            if peer(peers, to).is_online() {
-                peer(peers, to).on_message(now, from, msg, outbox);
-            }
+            // Offline peers drop messages themselves (`VodPeer::on_message`).
+            peer(peers, to).on_message(now, from, msg, outbox);
         }
 
         Ev::ServerMsg { from, msg } => {

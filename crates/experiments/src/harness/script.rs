@@ -272,9 +272,7 @@ pub fn run_script_sim_recorded<R: Recorder>(
             },
             Ev::PeerMsg { to, from, msg } => {
                 actor = Some(to);
-                if peers[to.index()].is_online() {
-                    peers[to.index()].on_message(now, from, msg, &mut outbox);
-                }
+                peers[to.index()].on_message(now, from, msg, &mut outbox);
             }
             Ev::ServerMsg { from, msg } => {
                 server.on_message(now, from, msg, &mut server_outbox);
