@@ -5,6 +5,8 @@ use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
+use socialtube_experiments::figures::Table;
+
 /// Writes one figure's series as a CSV file under an output directory.
 ///
 /// # Examples
@@ -37,6 +39,20 @@ impl CsvWriter {
         })
     }
 
+    /// Writes `table`'s series as `<dir>/<table.file>.csv`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem and IO errors.
+    pub fn write_table(dir: impl AsRef<Path>, table: &Table) -> io::Result<PathBuf> {
+        let mut csv = Self::create(dir, &table.file)?;
+        csv.header(&table.header)?;
+        for row in &table.rows {
+            csv.row_strs(row)?;
+        }
+        csv.finish()
+    }
+
     /// The file being written.
     pub fn path(&self) -> &Path {
         &self.path
@@ -48,7 +64,7 @@ impl CsvWriter {
     ///
     /// Propagates IO errors.
     pub fn header(&mut self, columns: &[&str]) -> io::Result<()> {
-        writeln!(self.out, "{}", columns.join(","))
+        self.write_cells(columns)
     }
 
     /// Writes one row of displayable values.
@@ -58,7 +74,7 @@ impl CsvWriter {
     /// Propagates IO errors.
     pub fn row<T: Display>(&mut self, values: &[T]) -> io::Result<()> {
         let cells: Vec<String> = values.iter().map(T::to_string).collect();
-        writeln!(self.out, "{}", cells.join(","))
+        self.write_cells(&cells)
     }
 
     /// Writes one row of heterogeneous, already-formatted cells.
@@ -67,7 +83,22 @@ impl CsvWriter {
     ///
     /// Propagates IO errors.
     pub fn row_strs(&mut self, values: &[String]) -> io::Result<()> {
-        writeln!(self.out, "{}", values.join(","))
+        self.write_cells(values)
+    }
+
+    /// Writes one record, quoting (RFC 4180) any cell that holds a comma,
+    /// a quote or a line break.
+    fn write_cells<S: AsRef<str>>(&mut self, cells: &[S]) -> io::Result<()> {
+        let quoted: Vec<String> = cells
+            .iter()
+            .map(|cell| match cell.as_ref() {
+                c if c.contains([',', '"', '\n', '\r']) => {
+                    format!("\"{}\"", c.replace('"', "\"\""))
+                }
+                c => c.to_string(),
+            })
+            .collect();
+        writeln!(self.out, "{}", quoted.join(","))
     }
 
     /// Flushes the file.
@@ -95,6 +126,19 @@ mod tests {
         let path = w.finish().unwrap();
         let content = std::fs::read_to_string(path).unwrap();
         assert_eq!(content, "a,b\n1,2\nx,3.5\n");
+
+        // A table cell holding a comma or a quote is quoted, so a CSV
+        // reader gets back `N_l, N_h` and `say "hi"`.
+        let table = Table {
+            file: "quoted".into(),
+            title: String::new(),
+            header: vec!["a", "b"],
+            rows: vec![vec!["N_l, N_h".into(), "say \"hi\"".into()]],
+            notes: Vec::new(),
+        };
+        let path = CsvWriter::write_table(&dir, &table).unwrap();
+        let content = std::fs::read_to_string(path).unwrap();
+        assert_eq!(content, "a,b\n\"N_l, N_h\",\"say \"\"hi\"\"\"\n");
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -2,8 +2,12 @@
 //!
 //! * `src/bin/figures.rs` — regenerates **every table and figure** of the
 //!   paper (Table I, Figs 2–13, 15, 16a/b, 17a/b, 18a/b, the prefetch
-//!   analysis) plus the ablation studies, writing CSV series to
-//!   `target/figures/` and printing paper-versus-measured summaries.
+//!   analysis) plus the ablation studies. Each target is one
+//!   `socialtube_experiments::figures` function returning a `Table`; the
+//!   bin parses arguments, prepares the trace / simulated campaign / TCP
+//!   runs the chosen targets read, and emits each table — its CSV series
+//!   through [`CsvWriter::write_table`] to `target/figures/`, its
+//!   paper-versus-measured lines to stdout.
 //! * `src/bin/campaign.rs` — runs a protocols × seeds sweep serially and
 //!   on worker threads, checks the two agree bitwise, and writes a JSON
 //!   report plus optional recorder artifacts.

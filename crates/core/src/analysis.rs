@@ -49,14 +49,8 @@ pub fn fig15_series(
         .collect()
 }
 
-/// Probability that a single prefetched video (the rank-1 video of an
-/// `n`-video channel under Zipf popularity with exponent 1) is the one
-/// watched next: `p_1 = 1 / H_n` (Section IV-B).
-pub fn prefetch_accuracy_single(channel_videos: usize) -> f64 {
-    prefetch_accuracy(channel_videos, 1)
-}
-
-/// Probability that one of the top-`m` prefetched videos is watched next:
+/// Probability that one of the top-`m` prefetched videos of an `n`-video
+/// channel (Zipf popularity, exponent 1) is watched next:
 /// `Σ_{k=1..m} (1/k) / H_n` (Section IV-B; the paper reports 26.2% for
 /// `m = 1` and ~54.6% for `m = 3..4` in a 25-video channel).
 ///
@@ -106,7 +100,7 @@ mod tests {
     #[test]
     fn prefetch_accuracy_matches_paper() {
         // 25-video channel: single prefetch ≈ 26.2%.
-        let p1 = prefetch_accuracy_single(25);
+        let p1 = prefetch_accuracy(25, 1);
         assert!((p1 - 0.262).abs() < 0.005, "p1={p1}");
         // 3-4 prefetches: ≈ 54.6%.
         let p4 = prefetch_accuracy(25, 4);

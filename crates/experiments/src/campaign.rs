@@ -282,9 +282,7 @@ impl Campaign {
         let cells_done = AtomicU64::new(0);
         let events_done = AtomicU64::new(0);
         let cells_total = specs.len() as u64;
-        let run_workers = workers.min(specs.len()).max(1);
-        let outcomes = parallel_map(&specs, run_workers, |_, spec| {
-            let outcome = spec.run();
+        let outcomes = run_specs(&specs, workers, |outcome| {
             if let Some(sink) = &progress {
                 let done = cells_done.fetch_add(1, Ordering::Relaxed) + 1;
                 let events =
@@ -293,7 +291,6 @@ impl Campaign {
                     sink.emit_cell(done, cells_total, events);
                 }
             }
-            outcome
         });
 
         let cells = plan
@@ -311,12 +308,18 @@ impl Campaign {
     }
 }
 
-/// Executes arbitrary [`RunSpec`]s on `workers` threads, returning outcomes
-/// in input order. The building block under [`Campaign::run`], exposed for
-/// callers (like the figure runners) that assemble their own spec lists.
-pub fn run_specs(specs: Vec<RunSpec>, workers: usize) -> Vec<SimOutcome> {
-    let workers = workers.min(specs.len()).max(1);
-    parallel_map(&specs, workers, |_, spec| spec.run())
+/// Executes `specs` on `workers` threads, returning outcomes in input
+/// order; `on_done` sees each outcome on the worker that produced it.
+fn run_specs(
+    specs: &[RunSpec],
+    workers: usize,
+    on_done: impl Fn(&SimOutcome) + Sync,
+) -> Vec<SimOutcome> {
+    parallel_map(specs, workers.min(specs.len()).max(1), |_, spec| {
+        let outcome = spec.run();
+        on_done(&outcome);
+        outcome
+    })
 }
 
 /// Default worker count: the machine's parallelism, capped to keep a
@@ -389,6 +392,16 @@ impl CampaignReport {
             .iter()
             .find(|c| c.plan.protocol == protocol && c.plan.seed == seed)
             .map(|c| &c.outcome)
+    }
+
+    /// The replicate that ran at `seed`: each variant's metrics, in plan
+    /// order — what [`figures`](crate::figures) reads.
+    pub fn replicate(&self, seed: u64) -> Vec<(Protocol, &MetricsSummary)> {
+        self.cells
+            .iter()
+            .filter(|c| c.plan.seed == seed)
+            .map(|c| (c.plan.protocol, &c.outcome.metrics))
+            .collect()
     }
 
     /// Per-seed metric summaries of `protocol`, in sweep order.
@@ -650,7 +663,7 @@ mod tests {
             .iter()
             .map(|&p| RunSpec::new(p).options(base.clone()).trace(shared.clone()))
             .collect();
-        let outcomes = run_specs(specs.clone(), 2);
+        let outcomes = run_specs(&specs, 2, |_| {});
         assert_eq!(outcomes.len(), 2);
         // Each slot must hold exactly the outcome of the spec that was
         // submitted there, regardless of which worker finished first.

@@ -1670,22 +1670,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetching_reduces_startup_delay() {
-        // Prefetching needs warm community caches to draw from; use the
-        // longer workload (the paper's runs are 25-session steady state).
-        let options = configs::smoke_test_long();
-        let with = run(Protocol::SocialTube, &options);
-        let without = run(Protocol::SocialTubeNoPrefetch, &options);
-        assert!(with.metrics.prefetch_hits > 0, "no prefetch hits at all");
-        assert!(
-            with.metrics.mean_startup_delay_ms <= without.metrics.mean_startup_delay_ms,
-            "prefetch did not help: {} vs {}",
-            with.metrics.mean_startup_delay_ms,
-            without.metrics.mean_startup_delay_ms
-        );
-    }
-
-    #[test]
     fn nettube_accumulates_more_links_than_socialtube() {
         // The crossover needs long viewing histories (Fig 15: NetTube is
         // *cheaper* for small m and overtakes SocialTube as m grows).

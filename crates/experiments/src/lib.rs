@@ -23,11 +23,15 @@
 //!   perturbing the run.
 //! * [`configs`] — Table I parameters and the scaled-down
 //!   PlanetLab-style configuration.
-//! * [`figures`] — one runner per evaluation figure (16, 17, 18 and the
-//!   analytical 15), each returning the series the paper plots.
+//! * [`figures`] — the evaluation layer: every table and figure is one
+//!   function returning a plain [`figures::Table`]; Figs 16–18 read a
+//!   replicate (`&[(Protocol, &MetricsSummary)]`) from either platform, and
+//!   [`figures::claims`] is the one statement of the eight Section V
+//!   orderings.
 //! * [`campaign`] — multi-run fan-out: expands a protocols × seeds grid
 //!   into [`RunSpec`]s, shares one trace per seed, executes on worker
-//!   threads, and aggregates mean/min/max/CI per protocol.
+//!   threads, and aggregates mean/min/max/CI per protocol. The paper's
+//!   five-variant comparison is a one-seed campaign.
 //!
 //! # Examples
 //!
@@ -73,7 +77,7 @@ pub mod recording;
 pub mod workload;
 
 pub use campaign::{
-    run_specs, Aggregate, Campaign, CampaignCell, CampaignReport, PlannedRun, ProtocolSummary,
+    Aggregate, Campaign, CampaignCell, CampaignReport, PlannedRun, ProtocolSummary,
 };
 pub use configs::{ExperimentOptions, NetworkOptions};
 pub use driver::{ExecutionProfile, RunSpec, ShardLoad, SimOutcome};

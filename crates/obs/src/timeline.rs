@@ -1,4 +1,4 @@
-//! Per-run timelines and their Chrome trace-event / JSONL export.
+//! Per-run timelines and their Chrome trace-event export.
 //!
 //! Timestamps are the simulation's virtual clock in microseconds, which is
 //! exactly the unit the trace-event format wants in `ts` — a run opened in
@@ -83,36 +83,9 @@ impl Timeline {
     pub fn absorb(&mut self, other: Timeline) {
         self.events.extend(other.events);
     }
-
-    /// Renders the timeline as a single-process Chrome trace file.
-    pub fn to_chrome_trace(&self) -> String {
-        chrome_trace(&[("run", self)])
-    }
-
-    /// Renders the timeline as JSON Lines, one event object per line.
-    pub fn to_jsonl(&self) -> String {
-        let mut s = String::new();
-        for e in &self.events {
-            let phase = match e.phase {
-                TracePhase::Begin => "B",
-                TracePhase::End => "E",
-                TracePhase::Instant => "i",
-                TracePhase::Counter => "C",
-            };
-            s.push_str(&format!(
-                "{{\"ts_us\": {}, \"track\": \"{}\", \"ph\": \"{phase}\", \
-                 \"name\": \"{}\", \"value\": {}}}\n",
-                e.ts_us,
-                track_label(e.track),
-                e.name,
-                e.value,
-            ));
-        }
-        s
-    }
 }
 
-/// Human label for a track (used by JSONL and thread-name metadata).
+/// Human label for a track (the Chrome trace's thread-name metadata).
 fn track_label(track: Track) -> String {
     match track {
         Track::Engine => "engine".into(),
@@ -291,7 +264,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_with_trace_events_array() {
         let t = demo_timeline();
-        let rendered = t.to_chrome_trace();
+        let rendered = chrome_trace(&[("run", &t)]);
         let v = json::parse(&rendered).expect("valid json");
         let events = v
             .get("traceEvents")
@@ -413,18 +386,5 @@ mod tests {
         // 4 folded peers: each had 1 begin (now instant) + `id` instants
         // (0+1+2+3) and a dropped end.
         assert_eq!(aggregate_events, 4 + 6);
-    }
-
-    #[test]
-    fn jsonl_has_one_valid_object_per_event() {
-        let t = demo_timeline();
-        let jsonl = t.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), t.events().len());
-        for line in lines {
-            let v = json::parse(line).expect("valid json line");
-            assert!(v.get("ts_us").is_some());
-            assert!(v.get("track").is_some());
-        }
     }
 }

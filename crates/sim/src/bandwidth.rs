@@ -210,11 +210,6 @@ impl UploadScheduler {
     pub fn bits_uploaded(&self, node: usize) -> u64 {
         self.links[node].bits_served
     }
-
-    /// Total bits uploaded by all peers (peer bandwidth contribution).
-    pub fn total_bits_uploaded(&self) -> u64 {
-        self.links.iter().map(|l| l.bits_served).sum()
-    }
 }
 
 #[cfg(test)]
@@ -270,7 +265,7 @@ mod tests {
         // Independent links: both finish at 1s.
         assert_eq!(a, b);
         assert_eq!(u.bits_uploaded(0), 1_000_000);
-        assert_eq!(u.total_bits_uploaded(), 2_000_000);
+        assert_eq!(u.bits_uploaded(1), 1_000_000);
         assert_eq!(u.node_count(), 2);
     }
 

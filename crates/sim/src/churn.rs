@@ -4,15 +4,6 @@ use rand_distr::{Distribution, Poisson};
 
 use crate::{SimDuration, SimRng};
 
-/// Which phase of the on/off cycle a node is in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SessionPhase {
-    /// Logged in, watching videos and serving peers.
-    Online,
-    /// Logged off; links are torn down, cache is kept for the next session.
-    Offline,
-}
-
 /// Generates a node's session schedule.
 ///
 /// The paper's evaluation (Section V) runs each user through a fixed number
@@ -124,10 +115,5 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(a.next_off_period(), b.next_off_period());
         }
-    }
-
-    #[test]
-    fn phase_enum_is_comparable() {
-        assert_ne!(SessionPhase::Online, SessionPhase::Offline);
     }
 }

@@ -40,8 +40,6 @@ pub struct Engine<E> {
     queue: EventQueue<E>,
     now: SimTime,
     processed: u64,
-    /// Events at or after this horizon are silently dropped, ending the run.
-    horizon: Option<SimTime>,
     /// Deliver at most this many events (`None` = unlimited).
     event_budget: Option<u64>,
     /// True once [`next_event`](Engine::next_event) refused to deliver
@@ -58,19 +56,10 @@ impl<E> Engine<E> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
-            horizon: None,
             event_budget: None,
             budget_exhausted: false,
             peak_pending: 0,
         }
-    }
-
-    /// Creates an engine that ignores events scheduled at or after `end` —
-    /// the simulation-duration cutoff (Table I: 30 days).
-    pub fn with_horizon(end: SimTime) -> Self {
-        let mut engine = Self::new();
-        engine.horizon = Some(end);
-        engine
     }
 
     /// Returns the current simulated time.
@@ -101,13 +90,8 @@ impl<E> Engine<E> {
         self.queue.occupancy()
     }
 
-    /// Returns the configured end-of-simulation horizon, if any.
-    pub fn horizon(&self) -> Option<SimTime> {
-        self.horizon
-    }
-
     /// Returns true when no events remain to deliver — the run completed on
-    /// its own rather than being cut short by a budget or horizon.
+    /// its own rather than being cut short by a budget.
     pub fn is_drained(&self) -> bool {
         self.pending() == 0
     }
@@ -116,11 +100,10 @@ impl<E> Engine<E> {
     /// runaway-simulation safety valve. `0` removes the cap.
     ///
     /// Once `max_events` events have been delivered, [`next_event`]
-    /// (and therefore [`run_with`]) returns `None` even if events remain
-    /// queued, and [`budget_exhausted`] reports true.
+    /// returns `None` even if events remain queued, and
+    /// [`budget_exhausted`] reports true.
     ///
     /// [`next_event`]: Engine::next_event
-    /// [`run_with`]: Engine::run_with
     /// [`budget_exhausted`]: Engine::budget_exhausted
     pub fn set_event_budget(&mut self, max_events: u64) {
         self.event_budget = (max_events > 0).then_some(max_events);
@@ -138,11 +121,6 @@ impl<E> Engine<E> {
     /// clock never runs backwards.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         let at = at.max(self.now);
-        if let Some(h) = self.horizon {
-            if at >= h {
-                return;
-            }
-        }
         self.queue.push(at, event);
         self.peak_pending = self.peak_pending.max(self.queue.len());
     }
@@ -167,22 +145,6 @@ impl<E> Engine<E> {
         self.now = time;
         self.processed += 1;
         Some((time, event))
-    }
-
-    /// Runs the simulation to completion, calling `handler` for each event.
-    ///
-    /// The handler receives the engine (to schedule follow-up events), the
-    /// delivery time, and the event. This is a convenience over the
-    /// [`next_event`](Engine::next_event) pull loop for worlds whose state
-    /// lives outside the engine.
-    pub fn run_with<S>(
-        &mut self,
-        state: &mut S,
-        mut handler: impl FnMut(&mut Self, &mut S, SimTime, E),
-    ) {
-        while let Some((time, event)) = self.next_event() {
-            handler(self, state, time, event);
-        }
     }
 }
 
@@ -217,20 +179,6 @@ mod tests {
         let (t, ev) = e.next_event().unwrap();
         assert_eq!(t, SimTime::from_micros(100));
         assert_eq!(ev, 2);
-    }
-
-    #[test]
-    fn horizon_drops_late_events() {
-        let mut e: Engine<u8> = Engine::with_horizon(SimTime::from_micros(1_000));
-        e.schedule_at(SimTime::from_micros(999), 1);
-        e.schedule_at(SimTime::from_micros(1_000), 2);
-        e.schedule_at(SimTime::from_micros(5_000), 3);
-        let mut seen = Vec::new();
-        while let Some((_, ev)) = e.next_event() {
-            seen.push(ev);
-        }
-        assert_eq!(seen, vec![1]);
-        assert_eq!(e.horizon(), Some(SimTime::from_micros(1_000)));
     }
 
     #[test]
@@ -298,21 +246,5 @@ mod tests {
         while e.next_event().is_some() {}
         // Draining does not lower the high-water mark.
         assert_eq!(e.peak_pending(), 3);
-    }
-
-    #[test]
-    fn run_with_drains_queue() {
-        let mut e: Engine<u32> = Engine::new();
-        e.schedule_in(SimDuration::from_millis(1), 3);
-        let mut total = 0u32;
-        e.run_with(&mut total, |engine, total, _, ev| {
-            *total += ev;
-            if ev > 1 {
-                engine.schedule_in(SimDuration::from_millis(1), ev - 1);
-            }
-        });
-        // 3 + 2 + 1
-        assert_eq!(total, 6);
-        assert_eq!(e.pending(), 0);
     }
 }

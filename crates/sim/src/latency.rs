@@ -18,9 +18,10 @@ use rand::Rng;
 /// # Examples
 ///
 /// ```
-/// use socialtube_sim::{LatencyModel, SimRng};
+/// use socialtube_sim::{LatencyModel, SimDuration, SimRng};
 ///
-/// let model = LatencyModel::planetlab(&SimRng::seed(1));
+/// let (min, max) = (SimDuration::from_millis(20), SimDuration::from_millis(200));
+/// let model = LatencyModel::new(&SimRng::seed(1), min, max);
 /// let d = model.delay(3, 9);
 /// assert_eq!(d, model.delay(9, 3));
 /// assert!(d.as_millis() >= 20 && d.as_millis() <= 200);
@@ -48,15 +49,6 @@ impl LatencyModel {
             min,
             max,
         }
-    }
-
-    /// A PlanetLab-like wide-area spread: 20–200 ms one-way.
-    pub fn planetlab(rng: &SimRng) -> Self {
-        Self::new(
-            rng,
-            SimDuration::from_millis(20),
-            SimDuration::from_millis(200),
-        )
     }
 
     /// A constant-latency model (useful in tests).
@@ -101,9 +93,18 @@ impl LatencyModel {
 mod tests {
     use super::*;
 
+    /// The 20–200 ms wide-area spread the struct docs describe.
+    fn wide_area() -> LatencyModel {
+        LatencyModel::new(
+            &SimRng::seed(5),
+            SimDuration::from_millis(20),
+            SimDuration::from_millis(200),
+        )
+    }
+
     #[test]
     fn delays_are_symmetric_and_stable() {
-        let m = LatencyModel::planetlab(&SimRng::seed(5));
+        let m = wide_area();
         for a in 0..20u32 {
             for b in 0..20u32 {
                 assert_eq!(m.delay(a, b), m.delay(b, a));
@@ -135,7 +136,7 @@ mod tests {
 
     #[test]
     fn different_pairs_get_different_delays() {
-        let m = LatencyModel::planetlab(&SimRng::seed(5));
+        let m = wide_area();
         let distinct: std::collections::HashSet<u64> =
             (0..50u32).map(|a| m.delay(a, a + 1).as_micros()).collect();
         assert!(distinct.len() > 25, "delays look degenerate");
@@ -143,7 +144,7 @@ mod tests {
 
     #[test]
     fn server_delay_uses_sentinel() {
-        let m = LatencyModel::planetlab(&SimRng::seed(5));
+        let m = wide_area();
         assert_eq!(m.server_delay(3), m.delay(3, LatencyModel::SERVER));
     }
 

@@ -49,7 +49,7 @@ mod shard;
 mod time;
 
 pub use bandwidth::{ServerQueue, UploadScheduler};
-pub use churn::{ChurnProcess, SessionPhase};
+pub use churn::ChurnProcess;
 pub use engine::Engine;
 pub use latency::LatencyModel;
 pub use queue::{EventQueue, QueueOccupancy};

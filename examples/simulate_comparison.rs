@@ -1,13 +1,13 @@
 //! Run the paper's three-way protocol comparison (SocialTube vs NetTube vs
 //! PA-VoD) under the discrete-event simulator and print the evaluation
-//! metrics of Figs 16–18.
+//! metrics of Figs 16–18 with the eight Section V claims.
 //!
 //! ```text
 //! cargo run --release --example simulate_comparison
 //! ```
 
-use socialtube_experiments::figures::{fig16, fig17, fig18, run_comparison};
-use socialtube_experiments::{configs, Protocol};
+use socialtube_experiments::figures::{fig16, fig17, fig18, sim_claims, Platform};
+use socialtube_experiments::{configs, Campaign};
 
 fn main() {
     let options = configs::smoke_test_long();
@@ -17,47 +17,17 @@ fn main() {
         options.workload.sessions_per_node,
         options.workload.videos_per_session
     );
-    let run = run_comparison(&options, &Protocol::ALL);
+    let report = Campaign::new(options.clone()).run();
+    let replicate = report.replicate(options.seed);
+    let claims = sim_claims(&report, options.seed, &options.socialtube);
 
-    println!("\nFig 16a — normalized peer bandwidth (fraction of chunk bits from peers):");
-    for bar in fig16(&run) {
-        println!(
-            "  {:<22} p1={:.3}  p50={:.3}  p99={:.3}",
-            bar.protocol, bar.percentiles.p1, bar.percentiles.p50, bar.percentiles.p99
-        );
+    for figure in [fig16, fig17, fig18] {
+        let table = figure(Platform::Sim, &replicate, &claims);
+        println!("\n{}:", table.title);
+        for note in &table.notes {
+            println!("  {note}");
+        }
     }
-
-    println!("\nFig 17a — startup delay:");
-    for bar in fig17(&run) {
-        println!(
-            "  {:<22} mean={:>9.1} ms   median={:>9.1} ms",
-            bar.protocol, bar.mean_ms, bar.median_ms
-        );
-    }
-
-    println!("\nFig 18a — maintenance overhead (links vs videos watched):");
-    for curve in fig18(&run) {
-        let first = curve.points.first().copied().unwrap_or((0, 0.0));
-        let mid = curve
-            .points
-            .get(curve.points.len() / 2)
-            .copied()
-            .unwrap_or(first);
-        let last = curve.points.last().copied().unwrap_or(first);
-        println!(
-            "  {:<22} after {:>3} videos: {:>5.1} links | after {:>3}: {:>5.1} | after {:>3}: {:>5.1}",
-            curve.protocol, first.0, first.1, mid.0, mid.1, last.0, last.1
-        );
-    }
-
-    println!("\nServer-side tracking state (scalability, Section IV-A):");
-    for p in [Protocol::SocialTube, Protocol::NetTube, Protocol::PaVod] {
-        let o = run.outcome(p);
-        println!(
-            "  {:<22} peak tracked entries: {:>6}   origin bits served: {} Mbit",
-            p.label(),
-            o.server_tracked_peak,
-            o.server_bits_served / 1_000_000
-        );
-    }
+    let held = claims.iter().filter(|c| c.held == Some(true)).count();
+    println!("\n{held} of {} Section V claims held.", claims.len());
 }

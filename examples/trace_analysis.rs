@@ -5,7 +5,8 @@
 //! cargo run --release --example trace_analysis
 //! ```
 
-use socialtube_trace::{analysis, crawl, generate, TraceConfig};
+use socialtube_experiments::figures;
+use socialtube_trace::{crawl, generate, TraceConfig};
 
 fn main() {
     let config = TraceConfig::default();
@@ -15,87 +16,29 @@ fn main() {
     );
     let trace = generate(&config, 42);
 
-    // O1 — Fig 2: upload volume accelerates.
-    let growth = analysis::video_growth(&trace);
-    let half = growth.len() / 2;
-    let first: usize = growth[..half].iter().map(|(_, c)| c).sum();
-    let second: usize = growth[half..].iter().map(|(_, c)| c).sum();
-    println!("\nO1 (Fig 2): uploads {first} in the first half vs {second} in the second half");
-
-    // O2 — Figs 3-6: channel popularity varies widely.
-    let freq = analysis::channel_view_frequency(&trace);
-    println!(
-        "O2 (Fig 3): per-channel daily views p20={:.0}, p80={:.0}, p99={:.0}",
-        freq.quantile(0.20),
-        freq.quantile(0.80),
-        freq.quantile(0.99)
-    );
-    let subs = analysis::subscriber_distribution(&trace);
-    println!(
-        "O2 (Fig 4): subscribers per channel p25={:.0}, p75={:.0}",
-        subs.quantile(0.25),
-        subs.quantile(0.75)
-    );
-    let (_, r) = analysis::views_vs_subscriptions(&trace);
-    println!(
-        "O2 (Fig 5): views↔subscriptions Pearson r = {:.3}",
-        r.unwrap_or(0.0)
-    );
-    let vpc = analysis::videos_per_channel(&trace);
-    println!(
-        "O2 (Fig 6): videos per channel p50={:.0}, p75={:.0}, p90={:.0}",
-        vpc.quantile(0.5),
-        vpc.quantile(0.75),
-        vpc.quantile(0.90)
-    );
-
-    // O3 — Figs 7-9: video popularity is skewed; within-channel ≈ Zipf.
-    let views = analysis::video_view_distribution(&trace);
-    println!(
-        "O3 (Fig 7): views per video p50={:.0}, p90={:.0}",
-        views.quantile(0.5),
-        views.quantile(0.9)
-    );
-    let (favs, fr) = analysis::favorites_distribution(&trace);
-    println!(
-        "O3 (Fig 8): favorites p75={:.0}; views↔favorites Pearson r = {:.3}",
-        favs.quantile(0.75),
-        fr.unwrap_or(0.0)
-    );
-    let pop = analysis::within_channel_popularity(&trace);
-    println!(
-        "O3 (Fig 9): top channel's within-channel Zipf exponent s = {:.3}",
-        pop.zipf_exponent_high.unwrap_or(0.0)
-    );
-
-    // O4 — Fig 10: channels cluster by shared subscribers.
-    let clustering = analysis::channel_clustering(&trace, 25);
-    println!(
-        "O4 (Fig 10): {} shared-subscriber edges; {:.0}% within one category",
-        clustering.edges.len(),
-        clustering.intra_category_fraction * 100.0
-    );
-
-    // O5 — Figs 11-13: focused channels, focused users, aligned interests.
-    let chan_cats = analysis::channel_interest_count(&trace);
-    let similarity = analysis::interest_similarity(&trace);
-    let interests = analysis::user_interest_count(&trace);
-    println!(
-        "O5 (Fig 11): categories per channel p50={:.0}, max={:.0}",
-        chan_cats.quantile(0.5),
-        chan_cats.quantile(1.0)
-    );
-    println!(
-        "O5 (Fig 12): interest/subscription similarity p25={:.2}, p50={:.2}, p75={:.2}",
-        similarity.quantile(0.25),
-        similarity.quantile(0.50),
-        similarity.quantile(0.75)
-    );
-    println!(
-        "O5 (Fig 13): interests per user — {:.0}% have fewer than 10, max {:.0}",
-        interests.fraction_at_or_below(9.9) * 100.0,
-        interests.quantile(1.0)
-    );
+    // Figs 2–13, the evidence for observations O1–O5: the same tables the
+    // `figures` bin writes, here without their CSV series.
+    let section3 = [
+        figures::fig2,
+        figures::fig3,
+        figures::fig4,
+        figures::fig5,
+        figures::fig6,
+        figures::fig7,
+        figures::fig8,
+        figures::fig9,
+        figures::fig10,
+        figures::fig11,
+        figures::fig12,
+        figures::fig13,
+    ];
+    for figure in section3 {
+        let table = figure(&trace);
+        println!("\n{}", table.title);
+        for note in &table.notes {
+            println!("  {note}");
+        }
+    }
 
     // The paper's crawl methodology: a partial BFS preserves the shapes.
     let sample = crawl(&trace, config.users / 4, 7);
