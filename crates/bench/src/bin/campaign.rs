@@ -24,10 +24,11 @@
 
 use socialtube_bench::{usage_error, Scale};
 use socialtube_experiments::{
-    figures, Campaign, CampaignReport, ExperimentOptions, ProgressConfig, Protocol, RecorderConfig,
-    RunSpec,
+    figures, Aggregate, Campaign, CampaignReport, ExperimentOptions, ProgressConfig, Protocol,
+    RecorderConfig, RunSpec,
 };
 use socialtube_obs::chrome_trace;
+use socialtube_obs::json::Value;
 
 fn main() {
     let mut scale = Scale::Demo;
@@ -167,43 +168,29 @@ fn write_output(path: &str, contents: &str) {
 
 /// Merged per-protocol snapshots as one JSON object keyed by protocol.
 fn render_metrics(report: &CampaignReport, protocols: &[Protocol]) -> String {
-    let mut s = String::from("{\n");
-    let mut first = true;
-    for &protocol in protocols {
-        let Some(snap) = report.merged_snapshot(protocol) else {
-            continue;
-        };
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        let body = snap.to_json(2).lines().collect::<Vec<_>>().join("\n  ");
-        s.push_str(&format!("  \"{}\": {body}", protocol.key()));
-    }
-    s.push_str("\n}\n");
-    s
+    let snapshots = protocols
+        .iter()
+        .filter_map(|&p| Some((p.key(), report.merged_snapshot(p)?.to_value())));
+    Value::obj(snapshots).render(2, 3) + "\n"
 }
 
 /// One full-recording run per protocol at the base seed, exported as a
 /// multi-process Chrome trace (one pid per protocol).
 fn render_trace(options: &ExperimentOptions, protocols: &[Protocol]) -> String {
     let shared = socialtube_trace::generate_shared(&options.trace, options.seed);
-    let mut timelines = Vec::new();
-    for &protocol in protocols {
-        let outcome = RunSpec::new(protocol)
-            .options(options.clone())
-            .trace(shared.clone())
-            .with_recorder(RecorderConfig::full())
-            .run();
-        let timeline = outcome
-            .recording
-            .expect("recording requested")
-            .timeline
-            .expect("timeline requested");
-        timelines.push((protocol.key(), timeline));
-    }
-    let parts: Vec<(&str, &socialtube_obs::Timeline)> =
-        timelines.iter().map(|(k, t)| (*k, t)).collect();
+    let timelines: Vec<_> = protocols
+        .iter()
+        .map(|&protocol| {
+            let outcome = RunSpec::new(protocol)
+                .options(options.clone())
+                .trace(shared.clone())
+                .with_recorder(RecorderConfig::full())
+                .run();
+            let timeline = outcome.recording.and_then(|r| r.timeline);
+            (protocol.key(), timeline.expect("timeline requested"))
+        })
+        .collect();
+    let parts: Vec<_> = timelines.iter().map(|(k, t)| (*k, t)).collect();
     chrome_trace(&parts)
 }
 
@@ -223,76 +210,56 @@ fn verify_bitwise(serial: &CampaignReport, parallel: &CampaignReport) {
 }
 
 /// The recorder-derived fields of one per-protocol report entry:
-/// resolution split, search-hop distribution and cache/prefetch hit rates.
-/// Empty when the protocol's cells carry no recording.
-fn render_snapshot_fields(report: &CampaignReport, protocol: Protocol) -> String {
+/// resolution split, search-hop distribution, cache/prefetch hit rates and
+/// the top communities. Empty when the protocol's cells carry no recording.
+fn snapshot_fields(report: &CampaignReport, protocol: Protocol) -> Vec<(&'static str, Value)> {
     let Some(snap) = report.merged_snapshot(protocol) else {
-        return String::new();
+        return Vec::new();
     };
-    let mut s = String::new();
+    let mut fields = Vec::new();
     if let Some((ch, cat, srv)) = snap.resolution_split() {
-        s.push_str(&format!(
-            ", \"resolution_split\": {{\"channel\": {ch:.4}, \"category\": {cat:.4}, \"server\": {srv:.4}}}"
+        let split = [("channel", ch), ("category", cat), ("server", srv)];
+        fields.push((
+            "resolution_split",
+            Value::obj(split.map(|(k, v)| (k, v.into()))),
         ));
     }
     if let Some(hops) = snap.histogram("search_hops") {
         let buckets = hops
-            .buckets
-            .iter()
-            .map(|(lo, c)| format!("[{lo}, {c}]"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        s.push_str(&format!(
-            ", \"search_hops\": {{\"count\": {}, \"mean\": {:.3}, \"max\": {}, \"buckets\": [{buckets}]}}",
-            hops.count,
-            hops.mean(),
-            hops.max,
-        ));
+            .buckets()
+            .map(|(lo, c)| Value::Arr(vec![lo.into(), c.into()]));
+        let hops = Value::obj([
+            ("count", hops.count().into()),
+            ("mean", hops.mean().into()),
+            ("max", hops.max().into()),
+            ("buckets", Value::Arr(buckets.collect())),
+        ]);
+        fields.push(("search_hops", hops));
     }
-    let rate = |hit: u64, miss: u64| {
-        let total = hit + miss;
-        if total == 0 {
-            0.0
-        } else {
-            hit as f64 / total as f64
-        }
-    };
-    s.push_str(&format!(
-        ", \"cache_hit_rate\": {:.4}, \"prefetch_hit_rate\": {:.4}",
-        rate(snap.counter("cache_hit"), snap.counter("cache_miss")),
-        rate(snap.counter("prefetch_hit"), snap.counter("prefetch_miss")),
-    ));
+    let (cache_hit_rate, prefetch_hit_rate) = snap.hit_rates();
+    fields.push(("cache_hit_rate", cache_hit_rate.into()));
+    fields.push(("prefetch_hit_rate", prefetch_hit_rate.into()));
     let slices = figures::community_slices(&snap);
     if !slices.is_empty() {
-        let top = slices
-            .iter()
-            .take(8)
-            .map(|c| {
-                format!(
-                    "{{\"community\": {}, \"playbacks\": {}, \"cache_hit_rate\": {:.4}, \
-                     \"prefetch_hit_rate\": {:.4}, \"search_hops_mean\": {:.3}, \
-                     \"resolved_p2p\": {}, \"resolved_server\": {}, \"origin_serves\": {}}}",
-                    c.community,
-                    c.playbacks,
-                    c.cache_hit_rate,
-                    c.prefetch_hit_rate,
-                    c.search_hops_mean,
-                    c.resolved_p2p,
-                    c.resolved_server,
-                    c.origin_serves,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        s.push_str(&format!(
-            ", \"communities\": {}, \"by_community\": [{top}]",
-            slices.len()
-        ));
+        let top = slices.iter().take(8).map(|c| {
+            Value::obj([
+                ("community", c.community.into()),
+                ("playbacks", c.playbacks.into()),
+                ("cache_hit_rate", c.cache_hit_rate.into()),
+                ("prefetch_hit_rate", c.prefetch_hit_rate.into()),
+                ("search_hops_mean", c.search_hops_mean.into()),
+                ("resolved_p2p", c.resolved_p2p.into()),
+                ("resolved_server", c.resolved_server.into()),
+                ("origin_serves", c.origin_serves.into()),
+            ])
+        });
+        fields.push(("communities", slices.len().into()));
+        fields.push(("by_community", Value::Arr(top.collect())));
     }
-    s
+    fields
 }
 
-/// The report, rendered by hand.
+/// The campaign report: one line per top-level field and per protocol.
 fn render_json(
     scale: &str,
     seeds: usize,
@@ -301,53 +268,41 @@ fn render_json(
     parallel: &CampaignReport,
     speedup: f64,
 ) -> String {
-    let mut protocols = String::new();
-    for (i, summary) in parallel.summaries().iter().enumerate() {
-        if i > 0 {
-            protocols.push_str(",\n");
-        }
-        protocols.push_str(&format!(
-            "    {{\"protocol\": \"{}\", \"startup_delay_ms\": {{\"mean\": {:.3}, \"min\": {:.3}, \"max\": {:.3}, \"ci95\": {:.3}}}, \"peer_bandwidth\": {{\"mean\": {:.4}, \"min\": {:.4}, \"max\": {:.4}, \"ci95\": {:.4}}}{}}}",
-            summary.protocol,
-            summary.startup_delay_ms.mean,
-            summary.startup_delay_ms.min,
-            summary.startup_delay_ms.max,
-            summary.startup_delay_ms.ci95,
-            summary.peer_bandwidth.mean,
-            summary.peer_bandwidth.min,
-            summary.peer_bandwidth.max,
-            summary.peer_bandwidth.ci95,
-            render_snapshot_fields(parallel, summary.protocol),
-        ));
-    }
-    format!(
-        r#"{{
-  "benchmark": "campaign",
-  "scale": "{scale}",
-  "base_seed": {base_seed},
-  "seeds": {seeds},
-  "runs_completed": {runs},
-  "traces_generated": {traces},
-  "workers": {workers},
-  "serial_wall_clock_s": {serial_s:.3},
-  "parallel_wall_clock_s": {parallel_s:.3},
-  "speedup": {speedup:.3},
-  "total_events": {events},
-  "serial_events_per_sec": {serial_eps:.0},
-  "parallel_events_per_sec": {parallel_eps:.0},
-  "bitwise_identical": true,
-  "per_protocol": [
-{protocols}
-  ]
-}}
-"#,
-        runs = parallel.cells.len(),
-        traces = parallel.traces_generated,
-        workers = parallel.workers,
-        serial_s = serial.wall_clock.as_secs_f64(),
-        parallel_s = parallel.wall_clock.as_secs_f64(),
-        events = parallel.total_events(),
-        serial_eps = serial.events_per_sec(),
-        parallel_eps = parallel.events_per_sec(),
-    )
+    let secs = |r: &CampaignReport| r.wall_clock.as_secs_f64();
+    let stats = |a: &Aggregate| {
+        let fields = [
+            ("mean", a.mean),
+            ("min", a.min),
+            ("max", a.max),
+            ("ci95", a.ci95),
+        ];
+        Value::obj(fields.map(|(k, v)| (k, v.into())))
+    };
+    let per_protocol = parallel.summaries().into_iter().map(|summary| {
+        let mut fields = vec![
+            ("protocol", Value::Str(summary.protocol.to_string())),
+            ("startup_delay_ms", stats(&summary.startup_delay_ms)),
+            ("peer_bandwidth", stats(&summary.peer_bandwidth)),
+        ];
+        fields.extend(snapshot_fields(parallel, summary.protocol));
+        Value::obj(fields)
+    });
+    let report = Value::obj([
+        ("benchmark", "campaign".into()),
+        ("scale", scale.into()),
+        ("base_seed", base_seed.into()),
+        ("seeds", seeds.into()),
+        ("runs_completed", parallel.cells.len().into()),
+        ("traces_generated", parallel.traces_generated.into()),
+        ("workers", parallel.workers.into()),
+        ("serial_wall_clock_s", secs(serial).into()),
+        ("parallel_wall_clock_s", secs(parallel).into()),
+        ("speedup", speedup.into()),
+        ("total_events", parallel.total_events().into()),
+        ("serial_events_per_sec", serial.events_per_sec().into()),
+        ("parallel_events_per_sec", parallel.events_per_sec().into()),
+        ("bitwise_identical", Value::Bool(true)),
+        ("per_protocol", Value::Arr(per_protocol.collect())),
+    ]);
+    report.render(2, 2) + "\n"
 }

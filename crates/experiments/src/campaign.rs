@@ -439,18 +439,16 @@ impl CampaignReport {
     /// across seeds: counters add, histograms add bucketwise. `None` when
     /// the campaign ran without a recorder or the protocol never ran.
     pub fn merged_snapshot(&self, protocol: Protocol) -> Option<MetricsSnapshot> {
-        let mut merged: Option<MetricsSnapshot> = None;
-        for cell in &self.cells {
-            if cell.plan.protocol != protocol {
-                continue;
-            }
-            let snap = &cell.outcome.recording.as_ref()?.snapshot;
-            match &mut merged {
-                Some(m) => m.merge(snap),
-                None => merged = Some(snap.clone()),
-            }
+        let mut snapshots = self
+            .cells
+            .iter()
+            .filter(|c| c.plan.protocol == protocol)
+            .map(|c| c.outcome.recording.as_ref().map(|r| &r.snapshot));
+        let mut merged = snapshots.next()??.clone();
+        for snapshot in snapshots {
+            merged.merge(snapshot?);
         }
-        merged
+        Some(merged)
     }
 
     /// One aggregate row per protocol that ran, in first-seen order.

@@ -43,7 +43,7 @@ use crate::harness::{
     ProtocolStack, SessionDirector, SessionStep, SimEvent, SimSubstrate, StackBuilder,
 };
 use crate::metrics::{MetricsCollector, MetricsSummary};
-use crate::recording::{record_report, record_report_dims};
+use crate::recording::record_report_in;
 use crate::{Execution, Protocol};
 
 /// Events the driver schedules on the engine.
@@ -354,15 +354,13 @@ impl RunSpec {
                     workers,
                     |_| RunRecorder::new(config),
                 );
-                let mut recording: Option<RunRecording> = None;
-                for rec in recs {
-                    let part = rec.finish();
-                    match &mut recording {
-                        Some(r) => r.absorb(part),
-                        None => recording = Some(part),
-                    }
-                }
-                outcome.recording = recording;
+                outcome.recording = recs
+                    .into_iter()
+                    .map(RunRecorder::finish)
+                    .reduce(|mut a, b| {
+                        a.absorb(b);
+                        a
+                    });
                 outcome
             } else {
                 run_sharded_with(
@@ -487,7 +485,7 @@ struct World<'a> {
     server_outbox: ServerOutbox,
     tracked_peak: usize,
     /// Each node's interest-community key for dimensional metric
-    /// attribution ([`crate::recording::record_report_dims`]); empty when
+    /// attribution ([`crate::recording::record_report_in`]); empty when
     /// the recorder is disabled — attribution then skips every report.
     community_of: Arc<[u32]>,
 }
@@ -629,8 +627,7 @@ fn handle_event<S, R, K>(
         };
         CommandInterpreter::flush_peer(actor, outbox, &mut sub, |sub, report| {
             sink.on_report(now, report);
-            record_report(sub.recorder, now, &report);
-            record_report_dims(sub.recorder, community_of, &report);
+            record_report_in(sub.recorder, now, community_of, &report);
             if let Report::PlaybackStarted { node, video, .. } = report {
                 if let Some(watched) = director.on_playback_started(node, video) {
                     // A real playback: sample maintenance overhead and
@@ -661,8 +658,7 @@ fn handle_event<S, R, K>(
         };
         interpreter.flush_server(server_outbox, &mut sub, |sub, report| {
             sink.on_report(now, report);
-            record_report(sub.recorder, now, &report);
-            record_report_dims(sub.recorder, community_of, &report);
+            record_report_in(sub.recorder, now, community_of, &report);
         });
     }
     sink.on_server_busy(server_queue.busy_until());
@@ -737,17 +733,6 @@ fn run_with_catalog<R: Recorder>(
                 let depth = engine.pending() as u64;
                 rec.observe(HistKind::QueueDepth, depth);
                 rec.sample(Track::Engine, "queue_depth", now.as_micros(), depth);
-                let occupancy = engine.queue_occupancy();
-                rec.observe(
-                    HistKind::QueueBucketOccupancy,
-                    occupancy.occupied_buckets as u64,
-                );
-                rec.sample(
-                    Track::Engine,
-                    "queue_buckets",
-                    now.as_micros(),
-                    occupancy.occupied_buckets as u64,
-                );
                 rec.sample(
                     Track::Server,
                     "backlog_ms",
@@ -937,17 +922,6 @@ fn run_shard_epoch<R: Recorder>(
             "queue_depth",
             end.as_micros(),
             depth,
-        );
-        let occupancy = engine.queue_occupancy();
-        rec.observe(
-            HistKind::QueueBucketOccupancy,
-            occupancy.occupied_buckets as u64,
-        );
-        rec.sample(
-            Track::Shard(shard as u32),
-            "queue_buckets",
-            end.as_micros(),
-            occupancy.occupied_buckets as u64,
         );
         rec.sample(
             Track::Shard(shard as u32),
@@ -1418,8 +1392,8 @@ mod tests {
         assert!(channel > 0.0, "no channel-overlay resolutions");
         assert!(server < 1.0, "everything fell back to the server");
         let hops = snap.histogram("search_hops").expect("hop histogram");
-        assert!(hops.count > 0);
-        assert!(hops.max >= 1);
+        assert!(hops.count() > 0);
+        assert!(hops.max() >= 1);
     }
 
     #[test]
@@ -1443,7 +1417,7 @@ mod tests {
         assert!(
             communities
                 .iter()
-                .any(|(_, d)| d.histogram("search_hops").is_some_and(|h| h.count > 0)),
+                .any(|(_, d)| d.histogram("search_hops").is_some_and(|h| h.count() > 0)),
             "no community carries a search-hop histogram"
         );
     }

@@ -833,25 +833,13 @@ pub fn community_slices(snapshot: &MetricsSnapshot) -> Vec<CommunitySlice> {
     let mut slices: Vec<CommunitySlice> = snapshot
         .communities()
         .map(|(community, dim)| {
-            let hits = dim.counter("cache_hit");
-            let misses = dim.counter("cache_miss");
-            let playbacks = hits + misses;
-            let prefetch_hits = dim.counter("prefetch_hit");
-            let hops = dim.histogram("search_hops");
+            let (cache_hit_rate, prefetch_hit_rate) = dim.hit_rates();
             CommunitySlice {
                 community,
-                playbacks,
-                cache_hit_rate: if playbacks > 0 {
-                    hits as f64 / playbacks as f64
-                } else {
-                    0.0
-                },
-                prefetch_hit_rate: if misses > 0 {
-                    prefetch_hits as f64 / misses as f64
-                } else {
-                    0.0
-                },
-                search_hops_mean: hops.map_or(0.0, |h| h.mean()),
+                playbacks: dim.counter("cache_hit") + dim.counter("cache_miss"),
+                cache_hit_rate,
+                prefetch_hit_rate,
+                search_hops_mean: dim.histogram("search_hops").map_or(0.0, |h| h.mean()),
                 resolved_p2p: dim.counter("resolved_channel") + dim.counter("resolved_category"),
                 resolved_server: dim.counter("resolved_server"),
                 origin_serves: dim.counter("origin_serve"),

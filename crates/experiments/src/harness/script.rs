@@ -408,7 +408,8 @@ mod tests {
         let config = TestbedConfig::default();
         for protocol in Protocol::ALL {
             let plain = run_script_sim(protocol, &trace, &script, &config);
-            let mut rec = socialtube_obs::CountingRecorder::new();
+            let mut rec =
+                socialtube_obs::RunRecorder::new(socialtube_obs::RecorderConfig::metrics_only());
             let recorded = run_script_sim_recorded(protocol, &trace, &script, &config, &mut rec);
             assert_eq!(
                 plain, recorded,

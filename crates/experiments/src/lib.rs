@@ -84,7 +84,7 @@ pub use driver::{ExecutionProfile, RunSpec, ShardLoad, SimOutcome};
 pub use metrics::{MetricsCollector, MetricsSummary};
 pub use net_driver::{run_net, NetExperimentOptions, NetRun};
 pub use socialtube_obs::{
-    Dim, DimSnapshot, MetricsSnapshot, ProgressConfig, ProgressSink, RecorderConfig, RunRecording,
+    Dim, MetricsSnapshot, ProgressConfig, ProgressSink, RecorderConfig, RunRecording,
 };
 pub use workload::{SelectionMix, WorkloadConfig, WorkloadPlanner};
 

@@ -14,118 +14,92 @@ use socialtube_sim::SimTime;
 /// attributed to no community slice (the run-wide totals still count them).
 pub const NO_COMMUNITY: u32 = u32::MAX;
 
-/// Feeds one report into `rec`: resolution-split and repair counters, the
-/// search-hop histogram, cache/prefetch hit accounting, and the matching
-/// timeline instants on the reporting peer's track.
+/// Feeds one report into `rec`'s run-wide totals: resolution-split and
+/// repair counters, the search-hop histogram, cache/prefetch hit
+/// accounting, and the matching timeline instants on the reporting peer's
+/// track.
 pub fn record_report<R: Recorder>(rec: &mut R, now: SimTime, report: &Report) {
+    record_report_in(rec, now, &[], report);
+}
+
+/// [`record_report`], plus the same counters and hops against the
+/// reporting node's interest-community slice ([`Dim::Community`]).
+/// `community_of` maps node index to community key — the same
+/// first-subscription key the sharded executor partitions by — with
+/// [`NO_COMMUNITY`] (or a missing entry) meaning "unattributed".
+pub fn record_report_in<R: Recorder>(
+    rec: &mut R,
+    now: SimTime,
+    community_of: &[u32],
+    report: &Report,
+) {
     if !R::ENABLED {
         return;
     }
-    let ts = now.as_micros();
-    match *report {
+    use Counter::*;
+    // The one Report → observation mapping. `attributed` is false where the
+    // report names a *forwarding* node (TTL expiry, neighbor loss), whose
+    // community is not the requester's — a slice would be mislabelled.
+    let (node, counters, hops, instant, attributed): (_, &[Counter], _, _, _) = match *report {
         Report::PlaybackStarted { node, source, .. } => {
-            match source {
-                ChunkSource::Cache => rec.count(Counter::CacheHit),
-                ChunkSource::Prefetched => {
-                    // The session cache missed, but the speculative first
-                    // chunk was there: an instant start anyway.
-                    rec.count(Counter::CacheMiss);
-                    rec.count(Counter::PrefetchHit);
-                }
-                ChunkSource::Peer | ChunkSource::Server => {
-                    rec.count(Counter::CacheMiss);
-                    rec.count(Counter::PrefetchMiss);
-                }
-            }
-            rec.instant(Track::Peer(node.as_u32()), "playback", ts);
+            let counters: &[Counter] = match source {
+                ChunkSource::Cache => &[CacheHit],
+                // The session cache missed, but the speculative first chunk
+                // was there: an instant start anyway.
+                ChunkSource::Prefetched => &[CacheMiss, PrefetchHit],
+                ChunkSource::Peer | ChunkSource::Server => &[CacheMiss, PrefetchMiss],
+            };
+            (node, counters, None, Some("playback"), true)
         }
         // Chunk arrivals are the hottest report; the evaluation metrics
         // already aggregate them, so the recorder skips them entirely.
-        Report::ChunkReceived { .. } => {}
+        Report::ChunkReceived { .. } => return,
         Report::ServerFallback { node, .. } => {
-            rec.count(Counter::ResolvedServer);
-            rec.instant(Track::Peer(node.as_u32()), "server-fallback", ts);
+            (node, &[ResolvedServer], None, Some("server-fallback"), true)
         }
-        Report::ServedFromOrigin { .. } => rec.count(Counter::OriginServe),
+        Report::ServedFromOrigin { node, .. } => (node, &[OriginServe], None, None, true),
         Report::SearchResolved {
             node, phase, hops, ..
         } => {
-            rec.count(match phase {
-                SearchPhase::Channel => Counter::ResolvedChannel,
-                SearchPhase::Category => Counter::ResolvedCategory,
+            let counter: &[Counter] = match phase {
+                SearchPhase::Channel => &[ResolvedChannel],
+                SearchPhase::Category => &[ResolvedCategory],
                 // Server resolutions arrive as `ServerFallback`; a
                 // `SearchResolved` should never carry the server phase.
-                SearchPhase::Server => Counter::ResolvedServer,
-            });
-            rec.observe(HistKind::SearchHops, u64::from(hops));
-            rec.instant(Track::Peer(node.as_u32()), "search-hit", ts);
+                SearchPhase::Server => &[ResolvedServer],
+            };
+            (
+                node,
+                counter,
+                Some(u64::from(hops)),
+                Some("search-hit"),
+                true,
+            )
         }
-        Report::TtlExpired { .. } => rec.count(Counter::TtlExpired),
+        Report::TtlExpired { node, .. } => (node, &[TtlExpired], None, None, false),
         Report::NeighborLost { node, .. } => {
-            rec.count(Counter::NeighborLost);
-            rec.instant(Track::Peer(node.as_u32()), "neighbor-lost", ts);
+            (node, &[NeighborLost], None, Some("neighbor-lost"), false)
         }
-        Report::PrefetchAbandoned { .. } => rec.count(Counter::PrefetchAbandoned),
-    }
-}
-
-/// Attributes one report to the acting node's interest-community slice
-/// ([`Dim::Community`]). `community_of` maps node index to community key —
-/// the same first-subscription key the sharded executor partitions by —
-/// with [`NO_COMMUNITY`] (or a missing entry) meaning "unattributed". Like
-/// [`record_report`], this only observes: run-wide totals are untouched
-/// and nothing feeds back into the simulation.
-pub fn record_report_dims<R: Recorder>(rec: &mut R, community_of: &[u32], report: &Report) {
-    if !R::ENABLED {
-        return;
-    }
-    let node = match *report {
-        Report::PlaybackStarted { node, .. }
-        | Report::ServerFallback { node, .. }
-        | Report::ServedFromOrigin { node, .. }
-        | Report::SearchResolved { node, .. }
-        | Report::PrefetchAbandoned { node, .. } => node,
-        // Chunk arrivals are skipped run-wide too; TTL expiry and neighbor
-        // loss report the *forwarding* node, whose community is not the
-        // requester's — attributing them would mislabel the slice.
-        Report::ChunkReceived { .. } | Report::TtlExpired { .. } | Report::NeighborLost { .. } => {
-            return;
-        }
+        Report::PrefetchAbandoned { node, .. } => (node, &[PrefetchAbandoned], None, None, true),
     };
-    let Some(&community) = community_of.get(node.index()) else {
-        return;
-    };
-    if community == NO_COMMUNITY {
-        return;
-    }
-    let dim = Dim::Community(community);
-    match *report {
-        Report::PlaybackStarted { source, .. } => match source {
-            ChunkSource::Cache => rec.count_dim(dim, Counter::CacheHit),
-            ChunkSource::Prefetched => {
-                rec.count_dim(dim, Counter::CacheMiss);
-                rec.count_dim(dim, Counter::PrefetchHit);
-            }
-            ChunkSource::Peer | ChunkSource::Server => {
-                rec.count_dim(dim, Counter::CacheMiss);
-                rec.count_dim(dim, Counter::PrefetchMiss);
-            }
-        },
-        Report::ServerFallback { .. } => rec.count_dim(dim, Counter::ResolvedServer),
-        Report::ServedFromOrigin { .. } => rec.count_dim(dim, Counter::OriginServe),
-        Report::SearchResolved { phase, hops, .. } => {
-            rec.count_dim(
-                dim,
-                match phase {
-                    SearchPhase::Channel => Counter::ResolvedChannel,
-                    SearchPhase::Category => Counter::ResolvedCategory,
-                    SearchPhase::Server => Counter::ResolvedServer,
-                },
-            );
-            rec.observe_dim(dim, HistKind::SearchHops, u64::from(hops));
+    let community = community_of
+        .get(node.index())
+        .filter(|&&c| attributed && c != NO_COMMUNITY)
+        .map(|&c| Dim::Community(c));
+    for &counter in counters {
+        rec.count(counter);
+        if let Some(dim) = community {
+            rec.add_dim(dim, counter, 1);
         }
-        Report::PrefetchAbandoned { .. } => rec.count_dim(dim, Counter::PrefetchAbandoned),
-        _ => {}
+    }
+    if let Some(hops) = hops {
+        rec.observe(HistKind::SearchHops, hops);
+        if let Some(dim) = community {
+            rec.observe_dim(dim, HistKind::SearchHops, hops);
+        }
+    }
+    if let Some(name) = instant {
+        rec.instant(Track::Peer(node.as_u32()), name, now.as_micros());
     }
 }
 
@@ -133,66 +107,77 @@ pub fn record_report_dims<R: Recorder>(rec: &mut R, community_of: &[u32], report
 mod tests {
     use super::*;
     use socialtube_model::{NodeId, VideoId};
-    use socialtube_obs::CountingRecorder;
+    use socialtube_obs::{MetricsSnapshot, RecorderConfig, RunRecorder};
+
+    fn snapshot_of(reports: &[Report]) -> MetricsSnapshot {
+        let mut rec = RunRecorder::new(RecorderConfig::metrics_only());
+        // Node 0 in community 7, node 1 unattributed.
+        let community_of = [7, NO_COMMUNITY];
+        for report in reports {
+            record_report_in(&mut rec, SimTime::ZERO, &community_of, report);
+        }
+        rec.finish().snapshot
+    }
 
     #[test]
     fn resolution_split_and_hops_accumulate() {
-        let mut rec = CountingRecorder::new();
-        let node = NodeId::new(1);
-        let video = VideoId::new(2);
-        record_report(
-            &mut rec,
-            SimTime::ZERO,
-            &Report::SearchResolved {
-                node,
-                video,
-                phase: SearchPhase::Channel,
-                hops: 2,
+        let (n0, n1, video) = (NodeId::new(0), NodeId::new(1), VideoId::new(2));
+        let resolved = |node, phase, hops| Report::SearchResolved {
+            node,
+            video,
+            phase,
+            hops,
+        };
+        let snap = snapshot_of(&[
+            resolved(n0, SearchPhase::Channel, 2),
+            resolved(n1, SearchPhase::Category, 1),
+            Report::ServerFallback { node: n1, video },
+            // Forwarder reports: node 0 is not the requester here.
+            Report::TtlExpired { node: n0, video },
+            Report::NeighborLost {
+                node: n0,
+                neighbor: n1,
             },
-        );
-        record_report(
-            &mut rec,
-            SimTime::ZERO,
-            &Report::SearchResolved {
-                node,
-                video,
-                phase: SearchPhase::Category,
-                hops: 1,
-            },
-        );
-        record_report(
-            &mut rec,
-            SimTime::ZERO,
-            &Report::ServerFallback { node, video },
-        );
-        assert_eq!(rec.counter(Counter::ResolvedChannel), 1);
-        assert_eq!(rec.counter(Counter::ResolvedCategory), 1);
-        assert_eq!(rec.counter(Counter::ResolvedServer), 1);
-        let hops = rec.hist(HistKind::SearchHops);
-        assert_eq!(hops.count(), 2);
-        assert_eq!(hops.sum(), 3);
+        ]);
+        let counters = ["resolved_channel", "resolved_category", "resolved_server"];
+        for key in counters.into_iter().chain(["ttl_expired", "neighbor_lost"]) {
+            assert_eq!(snap.counter(key), 1, "{key}");
+        }
+        let hops = snap.histogram("search_hops").expect("hops observed");
+        assert_eq!((hops.count(), hops.sum()), (2, 3));
+        // Only node 0's own search reaches its community's slice.
+        let c7 = snap.dim(Dim::Community(7)).expect("community 7 slice");
+        let sliced = [
+            "resolved_channel",
+            "resolved_server",
+            "ttl_expired",
+            "neighbor_lost",
+        ];
+        assert_eq!(sliced.map(|key| c7.counter(key)), [1, 0, 0, 0]);
+        assert_eq!(c7.histogram("search_hops").map(|h| h.sum()), Some(2));
+        assert_eq!(snap.communities().count(), 1);
     }
 
     #[test]
     fn playback_sources_split_cache_and_prefetch() {
-        let mut rec = CountingRecorder::new();
         let mk = |source| Report::PlaybackStarted {
             node: NodeId::new(0),
             video: VideoId::new(0),
             requested_at: SimTime::ZERO,
             source,
         };
-        for source in [
-            ChunkSource::Cache,
-            ChunkSource::Prefetched,
-            ChunkSource::Peer,
-            ChunkSource::Server,
-        ] {
-            record_report(&mut rec, SimTime::ZERO, &mk(source));
+        let snap = snapshot_of(&[
+            mk(ChunkSource::Cache),
+            mk(ChunkSource::Prefetched),
+            mk(ChunkSource::Peer),
+            mk(ChunkSource::Server),
+        ]);
+        let c7 = snap.dim(Dim::Community(7)).expect("community 7 slice");
+        for scope in [&snap, c7] {
+            assert_eq!(scope.counter("cache_hit"), 1);
+            assert_eq!(scope.counter("cache_miss"), 3);
+            assert_eq!(scope.counter("prefetch_hit"), 1);
+            assert_eq!(scope.counter("prefetch_miss"), 2);
         }
-        assert_eq!(rec.counter(Counter::CacheHit), 1);
-        assert_eq!(rec.counter(Counter::CacheMiss), 3);
-        assert_eq!(rec.counter(Counter::PrefetchHit), 1);
-        assert_eq!(rec.counter(Counter::PrefetchMiss), 2);
     }
 }

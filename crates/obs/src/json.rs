@@ -1,19 +1,20 @@
-//! A minimal JSON reader used to validate this crate's hand-rendered
-//! output (the workspace has no JSON dependency).
+//! The workspace's one JSON writer and reader (it has no JSON dependency).
 //!
-//! It parses the full JSON grammar this crate emits — objects, arrays,
-//! strings without exotic escapes, integer/float numbers, booleans, null —
-//! which is also enough for tests and the benchmark to inspect metrics
-//! snapshots and Chrome traces structurally.
+//! Every JSON file the repo emits — metrics snapshots, Chrome traces,
+//! progress lines, the campaign report — is built as a [`Value`] and
+//! written by [`Value::render`]; [`parse`] reads the same grammar back, so
+//! tests and the benchmark inspect those outputs structurally.
 
-/// A parsed JSON value.
+use std::fmt::{self, Write as _};
+
+/// A JSON value.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Value {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (kept as `f64`).
+    /// Any number (kept as `f64`, so integers are exact up to 2^53).
     Num(f64),
     /// A string.
     Str(String),
@@ -24,6 +25,11 @@ pub enum Value {
 }
 
 impl Value {
+    /// An object with `members` in the order given.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Value)>) -> Value {
+        Value::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Member `key` of an object, or element `key`-named lookup on
     /// anything else returns `None`.
     pub fn get(&self, key: &str) -> Option<&Value> {
@@ -64,6 +70,142 @@ impl Value {
             _ => None,
         }
     }
+
+    /// Writes this value as JSON. Arrays and objects nested fewer than
+    /// `levels` deep put each element on its own line, indented `indent`
+    /// spaces per level; deeper ones stay on one line, so `levels == 0` is
+    /// the one-line form [`Display`](fmt::Display) writes. Numbers print
+    /// in their shortest exact form (integral ones without a fraction);
+    /// non-finite ones, which JSON cannot carry, print as `null`.
+    pub fn render(&self, indent: usize, levels: usize) -> String {
+        let mut out = String::new();
+        self.write(&mut out, indent, levels, 0);
+        out
+    }
+
+    fn write(&self, out: &mut String, indent: usize, levels: usize, depth: usize) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Num(n) if n.is_finite() => {
+                let _ = write!(out, "{n}");
+            }
+            Value::Num(_) => out.push_str("null"),
+            Value::Str(s) => write_str(out, s),
+            Value::Arr(items) => {
+                write_seq(out, ['[', ']'], items, indent, levels, depth, |out, v| {
+                    v.write(out, indent, levels, depth + 1);
+                })
+            }
+            Value::Obj(members) => {
+                write_seq(
+                    out,
+                    ['{', '}'],
+                    members,
+                    indent,
+                    levels,
+                    depth,
+                    |out, (k, v)| {
+                        write_str(out, k);
+                        out.push_str(": ");
+                        v.write(out, indent, levels, depth + 1);
+                    },
+                );
+            }
+        }
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.render(0, 0))
+    }
+}
+
+macro_rules! from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(n: $t) -> Self {
+                Value::Num(n as f64)
+            }
+        }
+    )*};
+}
+from_number!(f64, u64, u32, usize);
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Str(s.to_owned())
+    }
+}
+
+/// Writes `items` comma-separated between `open` and `close`, one per
+/// line when `depth < levels` (see [`Value::render`]).
+fn write_seq<T>(
+    out: &mut String,
+    [open, close]: [char; 2],
+    items: impl IntoIterator<Item = T>,
+    indent: usize,
+    levels: usize,
+    depth: usize,
+    mut item: impl FnMut(&mut String, T),
+) {
+    let expand = depth < levels;
+    let newline = |out: &mut String, depth: usize| {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', indent * depth));
+    };
+    out.push(open);
+    let mut empty = true;
+    for it in items {
+        if !empty {
+            out.push(',');
+        }
+        if expand {
+            newline(out, depth + 1);
+        } else if !empty {
+            out.push(' ');
+        }
+        item(out, it);
+        empty = false;
+    }
+    if expand && !empty {
+        newline(out, depth);
+    }
+    out.push(close);
+}
+
+/// Renders the object `{key: [items]}` as [`Value::render`]`(0, 2)` would
+/// — one item per line — but writes each item as `items` produces it, so
+/// an array too long to hold as one tree (a Chrome trace's events) never
+/// is one.
+pub fn render_streamed(key: &str, items: impl IntoIterator<Item = Value>) -> String {
+    let mut out = String::from("{\n");
+    write_str(&mut out, key);
+    out.push_str(": ");
+    write_seq(&mut out, ['[', ']'], items, 0, 2, 1, |out, v| {
+        v.write(out, 0, 2, 2)
+    });
+    out.push_str("\n}");
+    out
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parses `input` as a single JSON value (surrounding whitespace allowed).
@@ -154,6 +296,21 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     b'n' => s.push('\n'),
                     b't' => s.push('\t'),
                     b'r' => s.push('\r'),
+                    b'b' => s.push('\u{8}'),
+                    b'f' => s.push('\u{c}'),
+                    b'u' => {
+                        // Surrogate pairs are not decoded: the writer only
+                        // escapes control characters this way.
+                        let c = b
+                            .get(*pos..*pos + 4)
+                            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                            .and_then(|hex| std::str::from_utf8(hex).ok())
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                            .and_then(char::from_u32)
+                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
+                        s.push(c);
+                        *pos += 4;
+                    }
                     other => return Err(format!("unsupported escape '\\{}'", *other as char)),
                 }
             }
@@ -250,11 +407,78 @@ mod tests {
         assert!(parse(r#"{"a": 1,}"#).is_err());
         assert!(parse("[1 2]").is_err());
         assert!(parse("{} extra").is_err());
+        assert!(parse(r#""\u12""#).is_err());
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\ud800""#).is_err(), "lone surrogate");
     }
 
     #[test]
     fn handles_escapes_and_whitespace() {
         let v = parse(" { \"k\" : \"a\\nb\" } ").unwrap();
         assert_eq!(v.get("k").and_then(|k| k.as_str()), Some("a\nb"));
+        let v = parse(r#""\u0001é\b\f""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{1}é\u{8}\u{c}"));
+    }
+
+    #[test]
+    fn writer_and_reader_round_trip() {
+        let strings = [
+            "",
+            "quote \" and backslash \\ and slash /",
+            "controls \n \r \t \u{0} \u{1} \u{8} \u{c} \u{1f} \u{7f}",
+            "non-ASCII: café, 日本語, 🎬",
+        ];
+        let two_53 = 9_007_199_254_740_992.0;
+        let numbers = [
+            0.0,
+            1.0,
+            -1.0,
+            two_53,
+            -two_53,
+            0.5,
+            -0.25,
+            0.1,
+            1.0 / 3.0,
+            -7.5e-9,
+            1.5e300,
+        ];
+        let leaves: Vec<Value> = [Value::Null, Value::Bool(true), Value::Bool(false)]
+            .into_iter()
+            .chain(strings.map(Value::from))
+            .chain(numbers.map(Value::from))
+            .collect();
+        let nested = r#"{"empty": [], "none": {}, "deep": [[[]], {"k \"q\"": {"x": [1, -2.5]}}]}"#;
+        let tree = Value::obj([
+            ("leaves", Value::Arr(leaves.clone())),
+            ("nested", parse(nested).unwrap()),
+        ]);
+        for v in leaves.iter().chain([&tree]) {
+            for levels in 0..4 {
+                assert_eq!(parse(&v.render(2, levels)).as_ref(), Ok(v), "{v}");
+            }
+        }
+        // Integral numbers print without a fraction; `Display` is one line.
+        assert_eq!(Value::from(two_53).to_string(), "9007199254740992");
+        assert_eq!(Value::from(-3.0).to_string(), "-3");
+        assert_eq!(Value::from(f64::NAN).to_string(), "null");
+        assert_eq!(tree.to_string(), tree.render(2, 0));
+    }
+
+    #[test]
+    fn render_expands_only_the_outer_levels() {
+        let v = Value::obj([
+            ("a", Value::Arr(vec![1.0.into(), 2.0.into()])),
+            ("b", Value::Obj(Vec::new())),
+        ]);
+        assert_eq!(v.to_string(), r#"{"a": [1, 2], "b": {}}"#);
+        assert_eq!(v.render(2, 1), "{\n  \"a\": [1, 2],\n  \"b\": {}\n}");
+        assert_eq!(
+            v.render(2, 2),
+            "{\n  \"a\": [\n    1,\n    2\n  ],\n  \"b\": {}\n}"
+        );
+        for items in [vec![], vec![v.clone()], vec![v.clone(), Value::Null]] {
+            let tree = Value::obj([("events", Value::Arr(items.clone()))]);
+            assert_eq!(render_streamed("events", items), tree.render(0, 2));
+        }
     }
 }

@@ -15,9 +15,10 @@
 //!    [`ENABLED`](Recorder::ENABLED)` = false` and every call
 //!    monomorphizes to nothing. Input computation for a recording call can
 //!    be gated on `R::ENABLED` where it is not already free.
-//! 3. **No allocation on the hot path.** [`CountingRecorder`] is a pair of
-//!    fixed arrays; [`Timeline`] is a pre-sized vector of plain-old-data
-//!    events. Export (JSON/Chrome trace rendering) happens after the run.
+//! 3. **No allocation on the hot path.** A [`RunRecorder`] writes into the
+//!    [`MetricsSnapshot`] it finishes into, allocating a histogram or a
+//!    [`Dim`] slice only on first use; [`Timeline`] is a pre-sized vector
+//!    of plain-old-data events. Export happens after the run.
 //!
 //! Beyond run-wide totals, the crate records along three more axes:
 //!
@@ -25,16 +26,18 @@
 //!   sliced per interest community or shard, so a
 //!   [`MetricsSnapshot`] can report cache-hit rates or search hops *by the
 //!   community that produced them* — the paper's per-community structure
-//!   made measurable.
+//!   made measurable. A slice is a `MetricsSnapshot` too.
 //! * **Timelines** ([`Timeline`], [`Track`]): span/instant/counter series
 //!   in virtual time, exported as Chrome traces (with per-peer lanes
-//!   capped for large runs — see [`chrome_trace_capped`]).
+//!   capped for large runs — see [`chrome_trace`]).
 //! * **Streaming progress** ([`ProgressSink`]): one NDJSON line per
 //!   completed campaign cell (cells done, events, RSS, ETA). Progress is
 //!   wall-clock-driven and therefore *never* feeds deterministic outputs;
 //!   it only reads.
 //!
-//! The crate is dependency-free; export formats are rendered by hand.
+//! The crate is dependency-free. Every export is built as a
+//! [`json::Value`] and written by its one writer, which [`json::parse`]
+//! reads back.
 
 #![warn(missing_docs)]
 
@@ -45,13 +48,11 @@ mod recorder;
 mod snapshot;
 mod timeline;
 
-pub use dims::{Dim, DimStore};
+pub use dims::Dim;
 pub use progress::{current_rss_bytes, ProgressConfig, ProgressSink};
 pub use recorder::{
-    Counter, CountingRecorder, HistKind, Histogram, NullRecorder, Recorder, RecorderConfig,
-    RunRecorder, RunRecording, Track,
+    Counter, HistKind, Histogram, NullRecorder, Recorder, RecorderConfig, RunRecorder,
+    RunRecording, Track,
 };
-pub use snapshot::{DimSnapshot, HistogramSnapshot, MetricsSnapshot};
-pub use timeline::{
-    chrome_trace, chrome_trace_capped, Timeline, TraceEvent, TracePhase, DEFAULT_PEER_TRACK_CAP,
-};
+pub use snapshot::MetricsSnapshot;
+pub use timeline::{chrome_trace, Timeline, TraceEvent, TracePhase};

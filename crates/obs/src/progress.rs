@@ -16,6 +16,8 @@ use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::time::Instant;
 
+use crate::json::Value;
+
 /// Configuration for a [`ProgressSink`]: the file its lines go to.
 #[derive(Clone, Debug)]
 pub struct ProgressConfig {
@@ -41,13 +43,11 @@ impl ProgressConfig {
 /// let mut sink = ProgressSink::new(ProgressConfig::to_file("progress.ndjson")).unwrap();
 /// // As each of 10 runs completes:
 /// sink.emit_cell(1, 10, 12_345);
-/// assert_eq!(sink.emitted(), 1);
 /// ```
 #[derive(Debug)]
 pub struct ProgressSink {
     out: BufWriter<File>,
     started: Instant,
-    emitted: u64,
 }
 
 impl ProgressSink {
@@ -60,13 +60,7 @@ impl ProgressSink {
         Ok(Self {
             out: BufWriter::new(file),
             started: Instant::now(),
-            emitted: 0,
         })
-    }
-
-    /// Number of lines emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     /// Appends one progress line with campaign-level fields (`cells_done`
@@ -79,16 +73,14 @@ impl ProgressSink {
         } else {
             0.0
         };
-        let line = format!(
-            "{{\"wall_s\": {wall_s:.3}, \"cells_done\": {done}, \"cells_total\": {total}, \
-             \"events\": {events}, \"rss_bytes\": {}, \"eta_s\": {eta:.1}}}",
-            current_rss_bytes(),
-        );
-        self.write_line(&line);
-        self.emitted += 1;
-    }
-
-    fn write_line(&mut self, line: &str) {
+        let line = Value::obj([
+            ("wall_s", wall_s.into()),
+            ("cells_done", done.into()),
+            ("cells_total", total.into()),
+            ("events", events.into()),
+            ("rss_bytes", current_rss_bytes().into()),
+            ("eta_s", eta.into()),
+        ]);
         // Flush per line so a killed campaign keeps its tail.
         let _ = writeln!(self.out, "{line}");
         let _ = self.out.flush();
@@ -135,7 +127,6 @@ mod tests {
         for done in 1..=2 {
             let mut sink = ProgressSink::new(ProgressConfig::to_file(&path)).expect("open sink");
             sink.emit_cell(done, 2, 100 * done);
-            assert_eq!(sink.emitted(), 1);
         }
         let text = std::fs::read_to_string(&path).expect("progress file");
         assert_eq!(text.lines().count(), 2);

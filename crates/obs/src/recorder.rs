@@ -1,7 +1,7 @@
 //! The [`Recorder`] trait and its implementations.
 
-use crate::dims::{Dim, DimStore};
-use crate::snapshot::{HistogramSnapshot, MetricsSnapshot};
+use crate::dims::Dim;
+use crate::snapshot::MetricsSnapshot;
 use crate::timeline::{Timeline, TracePhase};
 
 /// Monotonic event counters a run can bump.
@@ -104,7 +104,7 @@ impl Counter {
 }
 
 /// The fixed-bucket histograms a run can feed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 #[repr(usize)]
 pub enum HistKind {
     /// Hop count of successful P2P search resolutions (linear buckets).
@@ -118,20 +118,15 @@ pub enum HistKind {
     /// Per-chunk wait in the server's bounded upload pipe, in µs
     /// (log2 buckets).
     ServerQueueWaitUs,
-    /// Occupied buckets of the engine's calendar event queue, sampled once
-    /// per simulated minute — how spread pending events are across the
-    /// wheel's time window (log2 buckets).
-    QueueBucketOccupancy,
 }
 
 impl HistKind {
     /// Every histogram kind, in serialization order.
-    pub const ALL: [HistKind; 5] = [
+    pub const ALL: [HistKind; 4] = [
         HistKind::SearchHops,
         HistKind::QueueDepth,
         HistKind::PeerUploadWaitUs,
         HistKind::ServerQueueWaitUs,
-        HistKind::QueueBucketOccupancy,
     ];
 
     /// Number of histogram kinds.
@@ -144,7 +139,6 @@ impl HistKind {
             HistKind::QueueDepth => "queue_depth",
             HistKind::PeerUploadWaitUs => "peer_upload_wait_us",
             HistKind::ServerQueueWaitUs => "server_queue_wait_us",
-            HistKind::QueueBucketOccupancy => "queue_bucket_occupancy",
         }
     }
 
@@ -217,6 +211,17 @@ impl Histogram {
         self.kind
     }
 
+    /// Adds `other`'s observations (of the same kind) into this histogram.
+    pub fn merge(&mut self, other: &Histogram) {
+        debug_assert_eq!(self.kind, other.kind);
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+    }
+
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -232,26 +237,22 @@ impl Histogram {
         self.max
     }
 
-    /// Raw bucket counts.
-    pub fn buckets(&self) -> &[u64; Self::BUCKETS] {
-        &self.buckets
+    /// Mean observed value (0.0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
     }
 
-    /// The sparse, serializable form of this histogram.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            kind: self.kind.key(),
-            count: self.count,
-            sum: self.sum,
-            max: self.max,
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| **c > 0)
-                .map(|(i, c)| (Self::bucket_lower_bound(self.kind, i), *c))
-                .collect(),
-        }
+    /// Non-empty buckets as `(inclusive lower bound, count)`, ascending.
+    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| **c > 0)
+            .map(|(i, c)| (Self::bucket_lower_bound(self.kind, i), *c))
     }
 }
 
@@ -296,12 +297,7 @@ pub trait Recorder {
         let _ = (kind, value);
     }
 
-    /// Bumps `counter` by one within `dim`'s slice (see [`Dim`]).
-    fn count_dim(&mut self, dim: Dim, counter: Counter) {
-        self.add_dim(dim, counter, 1);
-    }
-
-    /// Bumps `counter` by `n` within `dim`'s slice.
+    /// Bumps `counter` by `n` within `dim`'s slice (see [`Dim`]).
     fn add_dim(&mut self, dim: Dim, counter: Counter, n: u64) {
         let _ = (dim, counter, n);
     }
@@ -341,127 +337,50 @@ impl Recorder for NullRecorder {
     const ENABLED: bool = false;
 }
 
-/// Counters and histograms only — the metrics half of instrumentation.
-#[derive(Clone, Debug)]
-pub struct CountingRecorder {
-    counters: [u64; Counter::COUNT],
-    hists: [Histogram; HistKind::COUNT],
-    dims: DimStore,
-}
-
-impl Default for CountingRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CountingRecorder {
-    /// A recorder with all counters and histograms empty.
-    pub fn new() -> Self {
-        Self {
-            counters: [0; Counter::COUNT],
-            hists: HistKind::ALL.map(Histogram::new),
-            dims: DimStore::new(),
-        }
-    }
-
-    /// Current value of `counter`.
-    pub fn counter(&self, counter: Counter) -> u64 {
-        self.counters[counter as usize]
-    }
-
-    /// The `kind` histogram.
-    pub fn hist(&self, kind: HistKind) -> &Histogram {
-        &self.hists[kind as usize]
-    }
-
-    /// The dimensional store (live, mid-run).
-    pub fn dims(&self) -> &DimStore {
-        &self.dims
-    }
-
-    /// Current value of `counter` within `dim` (0 when absent).
-    pub fn dim_counter(&self, dim: Dim, counter: Counter) -> u64 {
-        self.dims.counter(dim, counter)
-    }
-
-    /// Serializable snapshot of everything recorded so far.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: Counter::ALL
-                .iter()
-                .map(|c| (c.key(), self.counters[*c as usize]))
-                .collect(),
-            histograms: self.hists.iter().map(Histogram::snapshot).collect(),
-            dims: self.dims.snapshot(),
-        }
-    }
-}
-
-impl Recorder for CountingRecorder {
-    fn add(&mut self, counter: Counter, n: u64) {
-        self.counters[counter as usize] += n;
-    }
-
-    fn observe(&mut self, kind: HistKind, value: u64) {
-        self.hists[kind as usize].record(value);
-    }
-
-    fn add_dim(&mut self, dim: Dim, counter: Counter, n: u64) {
-        self.dims.add(dim, counter, n);
-    }
-
-    fn observe_dim(&mut self, dim: Dim, kind: HistKind, value: u64) {
-        self.dims.observe(dim, kind, value);
-    }
-}
-
 /// What a [`RunRecorder`] should capture.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
-pub struct RecorderConfig {
-    /// Capture counters and histograms (the metrics snapshot).
-    pub metrics: bool,
-    /// Capture the per-run timeline (spans, instants, counter series).
-    pub timeline: bool,
+pub enum RecorderConfig {
+    /// Nothing: the run takes the zero-cost [`NullRecorder`] path.
+    #[default]
+    Off,
+    /// Counters, histograms and per-[`Dim`] slices (the metrics snapshot).
+    Metrics,
+    /// The metrics plus the per-run timeline (spans, instants, counter
+    /// series).
+    Full,
 }
 
 impl RecorderConfig {
     /// Metrics snapshot only — the cheap always-on-in-campaigns mode.
     pub fn metrics_only() -> Self {
-        Self {
-            metrics: true,
-            timeline: false,
-        }
+        Self::Metrics
     }
 
     /// Metrics plus full timeline capture.
     pub fn full() -> Self {
-        Self {
-            metrics: true,
-            timeline: true,
-        }
+        Self::Full
     }
 
     /// Whether anything at all is being captured.
     pub fn enabled(self) -> bool {
-        self.metrics || self.timeline
+        self != Self::Off
     }
 }
 
 /// Everything a recorded run produced.
 #[derive(Clone, Debug)]
 pub struct RunRecording {
-    /// Final counters and histograms.
+    /// Final counters, histograms and per-[`Dim`] slices.
     pub snapshot: MetricsSnapshot,
     /// The captured timeline, when timeline capture was on.
     pub timeline: Option<Timeline>,
 }
 
 impl RunRecording {
-    /// Folds another recording into this one: counters and histograms
-    /// merge, timelines concatenate (see [`Timeline::absorb`]). This is
-    /// how a sharded run's per-shard recordings become the single
-    /// recording its outcome reports.
+    /// Folds another recording into this one: snapshots merge, timelines
+    /// concatenate (see [`Timeline::absorb`]). This is how a sharded run's
+    /// per-shard recordings become the single recording its outcome
+    /// reports.
     pub fn absorb(&mut self, other: RunRecording) {
         self.snapshot.merge(&other.snapshot);
         match (&mut self.timeline, other.timeline) {
@@ -472,32 +391,29 @@ impl RunRecording {
     }
 }
 
-/// The full per-run recorder: counting plus optional timeline capture.
+/// The per-run recorder: writes counters, histograms and per-[`Dim`]
+/// slices straight into the [`MetricsSnapshot`] it finishes into, and
+/// events into a [`Timeline`] when the config asks for one.
 #[derive(Clone, Debug)]
 pub struct RunRecorder {
-    counting: CountingRecorder,
+    snapshot: MetricsSnapshot,
     timeline: Option<Timeline>,
 }
 
 impl RunRecorder {
-    /// A recorder capturing what `config` asks for (counting is always on;
-    /// it is two fixed arrays).
+    /// A recorder capturing what `config` asks for (the snapshot is always
+    /// kept; only the timeline is optional).
     pub fn new(config: RecorderConfig) -> Self {
         Self {
-            counting: CountingRecorder::new(),
-            timeline: config.timeline.then(Timeline::new),
+            snapshot: MetricsSnapshot::default(),
+            timeline: (config == RecorderConfig::Full).then(Timeline::new),
         }
-    }
-
-    /// The counting half (live, mid-run).
-    pub fn counting(&self) -> &CountingRecorder {
-        &self.counting
     }
 
     /// Consumes the recorder into its serializable result.
     pub fn finish(self) -> RunRecording {
         RunRecording {
-            snapshot: self.counting.snapshot(),
+            snapshot: self.snapshot,
             timeline: self.timeline,
         }
     }
@@ -505,19 +421,19 @@ impl RunRecorder {
 
 impl Recorder for RunRecorder {
     fn add(&mut self, counter: Counter, n: u64) {
-        self.counting.add(counter, n);
+        self.snapshot.add(counter, n);
     }
 
     fn observe(&mut self, kind: HistKind, value: u64) {
-        self.counting.observe(kind, value);
+        self.snapshot.observe(kind, value);
     }
 
     fn add_dim(&mut self, dim: Dim, counter: Counter, n: u64) {
-        self.counting.add_dim(dim, counter, n);
+        self.snapshot.slice_mut(dim).add(counter, n);
     }
 
     fn observe_dim(&mut self, dim: Dim, kind: HistKind, value: u64) {
-        self.counting.observe_dim(dim, kind, value);
+        self.snapshot.slice_mut(dim).observe(kind, value);
     }
 
     fn span_begin(&mut self, track: Track, name: &'static str, ts_us: u64) {
@@ -591,44 +507,43 @@ mod tests {
         for v in [0, 1, 5, 5, 100] {
             h.record(v);
         }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 111);
-        assert_eq!(h.max(), 100);
-        let snap = h.snapshot();
-        assert_eq!(snap.buckets.iter().map(|(_, c)| c).sum::<u64>(), 5);
-        assert!(snap.buckets.iter().all(|(_, c)| *c > 0));
+        assert_eq!((h.count(), h.sum(), h.max()), (5, 111, 100));
+        assert_eq!(h.buckets().map(|(_, c)| c).sum::<u64>(), 5);
+        assert_eq!(
+            h.buckets().collect::<Vec<_>>(),
+            vec![(0, 1), (1, 1), (4, 2), (64, 1)]
+        );
     }
 
     #[test]
-    fn counting_recorder_accumulates() {
-        let mut r = CountingRecorder::new();
+    fn run_recorder_accumulates() {
+        let mut r = RunRecorder::new(RecorderConfig::metrics_only());
         r.count(Counter::ResolvedChannel);
         r.add(Counter::ResolvedChannel, 2);
         r.observe(HistKind::SearchHops, 3);
-        assert_eq!(r.counter(Counter::ResolvedChannel), 3);
-        assert_eq!(r.counter(Counter::ResolvedServer), 0);
-        assert_eq!(r.hist(HistKind::SearchHops).count(), 1);
-        let snap = r.snapshot();
+        let snap = r.finish().snapshot;
         assert_eq!(snap.counter("resolved_channel"), 3);
+        assert_eq!(snap.counter("resolved_server"), 0);
+        assert_eq!(snap.histogram("search_hops").map(Histogram::count), Some(1));
+        assert_eq!(snap.histogram("queue_depth"), None, "never observed");
     }
 
     #[test]
-    fn counting_recorder_attributes_dims() {
-        let mut r = CountingRecorder::new();
-        r.count_dim(Dim::Community(7), Counter::CacheHit);
+    fn run_recorder_attributes_dims() {
+        let mut r = RunRecorder::new(RecorderConfig::metrics_only());
+        r.add_dim(Dim::Community(7), Counter::CacheHit, 1);
         r.add_dim(Dim::Community(7), Counter::CacheHit, 2);
-        r.count_dim(Dim::Community(2), Counter::CacheMiss);
+        r.add_dim(Dim::Community(2), Counter::CacheMiss, 1);
         r.observe_dim(Dim::Shard(1), HistKind::SearchHops, 4);
-        assert_eq!(r.dim_counter(Dim::Community(7), Counter::CacheHit), 3);
-        assert_eq!(r.dim_counter(Dim::Community(7), Counter::CacheMiss), 0);
-        let snap = r.snapshot();
-        assert_eq!(snap.dims.len(), 3);
+        let snap = r.finish().snapshot;
+        assert_eq!(snap.communities().count(), 2);
         let c7 = snap.dim(Dim::Community(7)).expect("community 7 slice");
         assert_eq!(c7.counter("cache_hit"), 3);
+        assert_eq!(c7.counter("cache_miss"), 0);
         let s1 = snap.dim(Dim::Shard(1)).expect("shard 1 slice");
-        assert_eq!(s1.histogram("search_hops").map(|h| h.count), Some(1));
+        assert_eq!(s1.histogram("search_hops").map(Histogram::count), Some(1));
         // Run-wide totals are untouched by dim attribution.
-        assert_eq!(r.counter(Counter::CacheHit), 0);
+        assert_eq!(snap.counter("cache_hit"), 0);
     }
 
     #[test]

@@ -1,203 +1,105 @@
-//! Serializable metrics snapshots and their hand-rendered JSON form.
+//! The one form recorded metrics take, and its JSON form.
 
 use crate::dims::Dim;
-use crate::recorder::{Counter, HistKind};
+use crate::json::Value;
+use crate::recorder::{Counter, HistKind, Histogram};
 
-/// Sparse, serializable form of one [`Histogram`](crate::Histogram).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct HistogramSnapshot {
-    /// The histogram's stable key (e.g. `"search_hops"`).
-    pub kind: &'static str,
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: u64,
-    /// Largest observed value (0 when empty).
-    pub max: u64,
-    /// Non-empty buckets as `(inclusive lower bound, count)`, ascending.
-    pub buckets: Vec<(u64, u64)>,
-}
-
-impl HistogramSnapshot {
-    /// Mean observed value (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Adds `other`'s observations into this snapshot.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        debug_assert_eq!(self.kind, other.kind);
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        for &(lo, c) in &other.buckets {
-            match self.buckets.binary_search_by_key(&lo, |b| b.0) {
-                Ok(i) => self.buckets[i].1 += c,
-                Err(i) => self.buckets.insert(i, (lo, c)),
-            }
-        }
-    }
-}
-
-/// Serializable per-[`Dim`] slice of a snapshot: the counters and
-/// histograms recorded against one community or shard.
+/// Counters and histograms of one scope — a whole run, or one [`Dim`]
+/// slice of it — and, at run scope, the per-`Dim` slices (a slice's own
+/// slice list is empty).
 ///
-/// Kept canonically ordered (counters in [`Counter::ALL`] order,
-/// histograms in [`HistKind::ALL`] order) so merging slices is associative
-/// and independent of merge order.
-#[derive(Clone, PartialEq, Debug)]
-pub struct DimSnapshot {
-    /// The slice this data belongs to.
-    pub dim: Dim,
-    /// `(key, value)` per counter recorded in this slice (sparse, in
-    /// [`Counter::ALL`] order).
-    pub counters: Vec<(&'static str, u64)>,
-    /// Histogram snapshots recorded in this slice (sparse, in
-    /// [`HistKind::ALL`] order).
-    pub histograms: Vec<HistogramSnapshot>,
-}
-
-/// Canonical position of a counter key (declaration order).
-fn counter_rank(key: &str) -> usize {
-    Counter::ALL
-        .iter()
-        .position(|c| c.key() == key)
-        .unwrap_or(usize::MAX)
-}
-
-/// Canonical position of a histogram kind key (declaration order).
-fn hist_rank(key: &str) -> usize {
-    HistKind::ALL
-        .iter()
-        .position(|k| k.key() == key)
-        .unwrap_or(usize::MAX)
-}
-
-impl DimSnapshot {
-    /// An empty slice for `dim`.
-    pub fn new(dim: Dim) -> Self {
-        Self {
-            dim,
-            counters: Vec::new(),
-            histograms: Vec::new(),
-        }
-    }
-
-    /// Value of the counter named `key` (0 when absent).
-    pub fn counter(&self, key: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// The histogram named `key`, if present.
-    pub fn histogram(&self, key: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.kind == key)
-    }
-
-    /// Adds `other`'s counts into this slice, preserving canonical order.
-    pub fn merge(&mut self, other: &DimSnapshot) {
-        debug_assert_eq!(self.dim, other.dim);
-        for (k, v) in &other.counters {
-            let rank = counter_rank(k);
-            match self
-                .counters
-                .binary_search_by_key(&rank, |(sk, _)| counter_rank(sk))
-            {
-                Ok(i) => self.counters[i].1 += v,
-                Err(i) => self.counters.insert(i, (k, *v)),
-            }
-        }
-        for h in &other.histograms {
-            let rank = hist_rank(h.kind);
-            match self
-                .histograms
-                .binary_search_by_key(&rank, |sh| hist_rank(sh.kind))
-            {
-                Ok(i) => self.histograms[i].merge(h),
-                Err(i) => self.histograms.insert(i, h.clone()),
-            }
-        }
-    }
-}
-
-/// Final counters and histograms of one (or several merged) runs.
-///
-/// Produced by [`CountingRecorder::snapshot`](crate::CountingRecorder::snapshot);
-/// campaigns merge the per-replicate snapshots of a protocol into one.
-#[derive(Clone, PartialEq, Debug, Default)]
+/// A [`RunRecorder`](crate::RunRecorder) writes into one and finishes into
+/// it; a sharded run folds its shards' snapshots and a campaign its
+/// replicates' with [`merge`](Self::merge). Storage is canonical —
+/// histograms in [`HistKind::ALL`] order and present once observed, slices
+/// in `Dim` order — so the same observations recorded or merged in any
+/// order give equal snapshots.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct MetricsSnapshot {
-    /// `(key, value)` per counter, in [`Counter::ALL`](crate::Counter::ALL)
-    /// order.
-    pub counters: Vec<(&'static str, u64)>,
-    /// One snapshot per histogram kind, in
-    /// [`HistKind::ALL`](crate::HistKind::ALL) order.
-    pub histograms: Vec<HistogramSnapshot>,
-    /// Dimensional slices (per community / shard / class), in canonical
-    /// [`Dim`] order; empty unless the run recorded dimensional metrics.
-    pub dims: Vec<DimSnapshot>,
+    counters: [u64; Counter::COUNT],
+    histograms: Vec<Histogram>,
+    dims: Vec<(Dim, MetricsSnapshot)>,
+}
+
+/// The element of `items` (sorted by `key_of`) keyed `key`, inserted from
+/// `new` where missing.
+fn entry<T, K: Ord>(
+    items: &mut Vec<T>,
+    key: K,
+    key_of: impl Fn(&T) -> K,
+    new: impl FnOnce() -> T,
+) -> &mut T {
+    let i = match items.binary_search_by_key(&key, key_of) {
+        Ok(i) => i,
+        Err(i) => {
+            items.insert(i, new());
+            i
+        }
+    };
+    &mut items[i]
 }
 
 impl MetricsSnapshot {
+    pub(crate) fn add(&mut self, counter: Counter, n: u64) {
+        self.counters[counter as usize] += n;
+    }
+
+    pub(crate) fn observe(&mut self, kind: HistKind, value: u64) {
+        self.histogram_mut(kind).record(value);
+    }
+
+    fn histogram_mut(&mut self, kind: HistKind) -> &mut Histogram {
+        entry(&mut self.histograms, kind, Histogram::kind, || {
+            Histogram::new(kind)
+        })
+    }
+
+    /// `dim`'s slice, created empty on first use.
+    pub(crate) fn slice_mut(&mut self, dim: Dim) -> &mut MetricsSnapshot {
+        let (_, slice) = entry(&mut self.dims, dim, |(d, _)| *d, || (dim, Self::default()));
+        slice
+    }
+
     /// Value of the counter named `key` (0 when absent).
     pub fn counter(&self, key: &str) -> u64 {
-        self.counters
+        Counter::ALL
             .iter()
-            .find(|(k, _)| *k == key)
-            .map_or(0, |(_, v)| *v)
+            .find(|c| c.key() == key)
+            .map_or(0, |c| self.counters[*c as usize])
     }
 
-    /// The histogram named `key`, if present.
-    pub fn histogram(&self, key: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.kind == key)
+    /// The histogram named `key`, if it received an observation.
+    pub fn histogram(&self, key: &str) -> Option<&Histogram> {
+        self.histograms.iter().find(|h| h.kind().key() == key)
     }
 
-    /// Adds `other`'s counts into this snapshot. An empty (default)
-    /// snapshot adopts `other` wholesale.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        if self.counters.is_empty() && self.histograms.is_empty() && self.dims.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        for (k, v) in &other.counters {
-            match self.counters.iter_mut().find(|(sk, _)| sk == k) {
-                Some((_, sv)) => *sv += v,
-                None => self.counters.push((k, *v)),
-            }
-        }
-        for h in &other.histograms {
-            match self.histograms.iter_mut().find(|sh| sh.kind == h.kind) {
-                Some(sh) => sh.merge(h),
-                None => self.histograms.push(h.clone()),
-            }
-        }
-        for d in &other.dims {
-            match self.dims.binary_search_by_key(&d.dim, |sd| sd.dim) {
-                Ok(i) => self.dims[i].merge(d),
-                Err(i) => self.dims.insert(i, d.clone()),
-            }
-        }
-    }
-
-    /// The dimensional slice recorded for `dim`, if any observation hit it.
-    pub fn dim(&self, dim: Dim) -> Option<&DimSnapshot> {
+    /// The slice recorded for `dim`, if any observation hit it.
+    pub fn dim(&self, dim: Dim) -> Option<&MetricsSnapshot> {
         self.dims
-            .binary_search_by_key(&dim, |d| d.dim)
+            .binary_search_by_key(&dim, |(d, _)| *d)
             .ok()
-            .map(|i| &self.dims[i])
+            .map(|i| &self.dims[i].1)
     }
 
     /// All per-community slices, ascending by community id.
-    pub fn communities(&self) -> impl Iterator<Item = (u32, &DimSnapshot)> {
-        self.dims.iter().filter_map(|d| match d.dim {
-            Dim::Community(c) => Some((c, d)),
-            _ => None,
+    pub fn communities(&self) -> impl Iterator<Item = (u32, &MetricsSnapshot)> {
+        self.dims.iter().filter_map(|(d, slice)| match d {
+            Dim::Community(c) => Some((*c, slice)),
+            Dim::Shard(_) => None,
         })
+    }
+
+    /// Adds `other`'s counts into this snapshot, slice by slice.
+    pub fn merge(&mut self, other: &MetricsSnapshot) {
+        for (mine, theirs) in self.counters.iter_mut().zip(&other.counters) {
+            *mine += theirs;
+        }
+        for h in &other.histograms {
+            self.histogram_mut(h.kind()).merge(h);
+        }
+        for (dim, slice) in &other.dims {
+            self.slice_mut(*dim).merge(slice);
+        }
     }
 
     /// Fraction of searches resolved at each tier, as
@@ -216,106 +118,87 @@ impl MetricsSnapshot {
         Some((ch / total, cat / total, srv / total))
     }
 
-    /// Renders the snapshot as a JSON object, indented by `indent` spaces
-    /// per level (fully deterministic: fixed key order, integer values).
+    /// `(cache hit rate over playbacks, prefetch hit rate over cache
+    /// misses)`, each 0 when nothing was counted. Every playback counts one
+    /// of `cache_hit`/`cache_miss`, every cache miss one of
+    /// `prefetch_hit`/`prefetch_miss`.
+    pub fn hit_rates(&self) -> (f64, f64) {
+        let ratio = |n: u64, of: u64| if of == 0 { 0.0 } else { n as f64 / of as f64 };
+        let (hits, misses) = (self.counter("cache_hit"), self.counter("cache_miss"));
+        (
+            ratio(hits, hits + misses),
+            ratio(self.counter("prefetch_hit"), misses),
+        )
+    }
+
+    /// The snapshot as a JSON object: `counters` (the non-zero ones, in
+    /// [`Counter::ALL`] order), `histograms` (count, sum, max, mean and
+    /// non-empty buckets of each observed one) and `dims`, one such object
+    /// per slice keyed by [`Dim::label`].
+    pub fn to_value(&self) -> Value {
+        let dims = self
+            .dims
+            .iter()
+            .map(|(dim, slice)| (dim.label(), Value::obj(slice.scope_members())));
+        Value::obj(
+            self.scope_members()
+                .into_iter()
+                .chain([("dims", Value::obj(dims))]),
+        )
+    }
+
+    /// [`to_value`](Self::to_value) rendered with `indent` spaces per
+    /// level, one line per counter, histogram and slice.
     pub fn to_json(&self, indent: usize) -> String {
-        let pad = |n: usize| " ".repeat(indent * n);
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("{}\"counters\": {{\n", pad(1)));
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            let comma = if i + 1 < self.counters.len() { "," } else { "" };
-            s.push_str(&format!("{}\"{k}\": {v}{comma}\n", pad(2)));
-        }
-        s.push_str(&format!("{}}},\n", pad(1)));
-        s.push_str(&format!("{}\"histograms\": {{\n", pad(1)));
-        for (i, h) in self.histograms.iter().enumerate() {
-            let comma = if i + 1 < self.histograms.len() {
-                ","
-            } else {
-                ""
-            };
+        self.to_value().render(indent, 2)
+    }
+
+    fn scope_members(&self) -> [(&'static str, Value); 2] {
+        let counters = Counter::ALL
+            .iter()
+            .map(|c| (c.key(), self.counters[*c as usize]))
+            .filter(|(_, n)| *n > 0)
+            .map(|(k, n)| (k, n.into()));
+        let histograms = self.histograms.iter().map(|h| {
             let buckets = h
-                .buckets
-                .iter()
-                .map(|(lo, c)| format!("[{lo}, {c}]"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            s.push_str(&format!(
-                "{}\"{}\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"mean\": {:.3}, \
-                 \"buckets\": [{buckets}]}}{comma}\n",
-                pad(2),
-                h.kind,
-                h.count,
-                h.sum,
-                h.max,
-                h.mean(),
-            ));
-        }
-        s.push_str(&format!("{}}},\n", pad(1)));
-        s.push_str(&format!("{}\"dims\": {{\n", pad(1)));
-        for (i, d) in self.dims.iter().enumerate() {
-            let comma = if i + 1 < self.dims.len() { "," } else { "" };
-            let counters = d
-                .counters
-                .iter()
-                .map(|(k, v)| format!("\"{k}\": {v}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let hists = d
-                .histograms
-                .iter()
-                .map(|h| {
-                    let buckets = h
-                        .buckets
-                        .iter()
-                        .map(|(lo, c)| format!("[{lo}, {c}]"))
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    format!(
-                        "\"{}\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"mean\": {:.3}, \
-                         \"buckets\": [{buckets}]}}",
-                        h.kind,
-                        h.count,
-                        h.sum,
-                        h.max,
-                        h.mean(),
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            s.push_str(&format!(
-                "{}\"{}\": {{\"counters\": {{{counters}}}, \"histograms\": {{{hists}}}}}{comma}\n",
-                pad(2),
-                d.dim.label(),
-            ));
-        }
-        s.push_str(&format!("{}}}\n", pad(1)));
-        s.push('}');
-        s
+                .buckets()
+                .map(|(lo, c)| Value::Arr(vec![lo.into(), c.into()]));
+            let value = Value::obj([
+                ("count", h.count().into()),
+                ("sum", h.sum().into()),
+                ("max", h.max().into()),
+                ("mean", h.mean().into()),
+                ("buckets", Value::Arr(buckets.collect())),
+            ]);
+            (h.kind().key(), value)
+        });
+        [
+            ("counters", Value::obj(counters)),
+            ("histograms", Value::obj(histograms)),
+        ]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Counter, CountingRecorder, Dim, HistKind, Recorder};
+    use crate::{Recorder, RecorderConfig, RunRecorder};
 
     fn sample_snapshot() -> MetricsSnapshot {
-        let mut r = CountingRecorder::new();
+        let mut r = RunRecorder::new(RecorderConfig::metrics_only());
         r.add(Counter::ResolvedChannel, 6);
         r.add(Counter::ResolvedCategory, 3);
         r.add(Counter::ResolvedServer, 1);
         r.observe(HistKind::SearchHops, 1);
         r.observe(HistKind::SearchHops, 2);
-        r.snapshot()
+        r.finish().snapshot
     }
 
     fn dim_snapshot(community: u32, hits: u64, hops: u64) -> MetricsSnapshot {
-        let mut r = CountingRecorder::new();
+        let mut r = RunRecorder::new(RecorderConfig::metrics_only());
         r.add_dim(Dim::Community(community), Counter::CacheHit, hits);
         r.observe_dim(Dim::Community(community), HistKind::SearchHops, hops);
-        r.snapshot()
+        r.finish().snapshot
     }
 
     #[test]
@@ -333,9 +216,9 @@ mod tests {
         a.merge(&sample_snapshot());
         assert_eq!(a.counter("resolved_channel"), 12);
         let hops = a.histogram("search_hops").expect("hops hist");
-        assert_eq!(hops.count, 4);
-        assert_eq!(hops.sum, 6);
-        assert_eq!(hops.buckets, vec![(1, 2), (2, 2)]);
+        assert_eq!(hops.count(), 4);
+        assert_eq!(hops.sum(), 6);
+        assert_eq!(hops.buckets().collect::<Vec<_>>(), vec![(1, 2), (2, 2)]);
     }
 
     #[test]
@@ -359,15 +242,11 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba, "dim merge is order-independent");
 
-        let dims: Vec<Dim> = ab.dims.iter().map(|d| d.dim).collect();
-        assert_eq!(
-            dims,
-            vec![Dim::Community(3), Dim::Community(5), Dim::Community(9)],
-            "merged dims stay in canonical order"
-        );
+        let ids: Vec<u32> = ab.communities().map(|(c, _)| c).collect();
+        assert_eq!(ids, vec![3, 5, 9], "merged dims stay in canonical order");
         let c3 = ab.dim(Dim::Community(3)).expect("overlapping slice");
         assert_eq!(c3.counter("cache_hit"), 7);
-        assert_eq!(c3.histogram("search_hops").map(|h| h.count), Some(2));
+        assert_eq!(c3.histogram("search_hops").map(Histogram::count), Some(2));
         let hits: Vec<u64> = ab
             .communities()
             .map(|(_, d)| d.counter("cache_hit"))
@@ -417,5 +296,6 @@ mod tests {
                 .and_then(|x| x.as_u64()),
             Some(1)
         );
+        assert!(c12.get("dims").is_none(), "slices carry no slices");
     }
 }

@@ -5,6 +5,9 @@
 //! Perfetto or `chrome://tracing` reads in simulated time. Each [`Track`]
 //! becomes one thread lane: engine, server, and one per peer.
 
+use std::collections::{BTreeMap, BTreeSet};
+
+use crate::json::{self, Value};
 use crate::recorder::Track;
 
 /// The kind of a timeline event (maps to trace-event `ph`).
@@ -107,10 +110,10 @@ fn track_tid(track: Track) -> u64 {
     }
 }
 
-/// Default cap on the number of per-peer lanes a Chrome trace renders —
-/// large enough for any inspection workload, small enough that a 200k-peer
-/// run does not open as 200k threads.
-pub const DEFAULT_PEER_TRACK_CAP: usize = 64;
+/// Cap on the number of per-peer lanes a Chrome trace renders — large
+/// enough for any inspection workload, small enough that a 200k-peer run
+/// does not open as 200k threads.
+const DEFAULT_PEER_TRACK_CAP: usize = 64;
 
 /// Thread id of the aggregate lane that folds all peers beyond the cap.
 /// Sits above the whole peer and shard tid ranges.
@@ -119,132 +122,113 @@ const AGGREGATE_PEER_TID: u64 = 2 + (1 << 33);
 /// Renders one or more timelines into a Chrome trace-event file: each
 /// `(process name, timeline)` pair becomes one process (so a campaign can
 /// put every protocol into a single trace), each track one named thread.
-/// Per-peer lanes are capped at [`DEFAULT_PEER_TRACK_CAP`]; see
-/// [`chrome_trace_capped`].
 ///
-/// The output is the object form (`{"traceEvents": [...]}`) accepted by
-/// `chrome://tracing` and Perfetto.
+/// The output is the object form (`{"traceEvents": [...]}`, one event per
+/// line) accepted by `chrome://tracing` and Perfetto. Per-peer lanes are
+/// capped at 64: beyond that, the 64 busiest peers (most events; ties
+/// broken by lower id) keep their own lanes and every other peer's events
+/// are folded onto one aggregate lane named `"peers (other N)"`. On the
+/// aggregate lane, span begins are demoted to instants and span ends
+/// dropped (interleaved spans from many peers cannot nest on one thread);
+/// instants and counter samples pass through unchanged.
 pub fn chrome_trace(parts: &[(&str, &Timeline)]) -> String {
     chrome_trace_capped(parts, DEFAULT_PEER_TRACK_CAP)
 }
 
 /// [`chrome_trace`] with an explicit cap on per-peer lanes.
-///
-/// When a process's timeline touches at most `peer_cap` distinct peers the
-/// output is byte-identical to the uncapped rendering. Beyond the cap, the
-/// `peer_cap` busiest peers (most events; ties broken by lower id) keep
-/// their own lanes and every other peer's events are folded onto one
-/// aggregate lane named `"peers (other N)"`. On the aggregate lane, span
-/// begins are demoted to instants and span ends dropped (interleaved spans
-/// from many peers cannot nest on one thread); instants and counter
-/// samples pass through unchanged.
-pub fn chrome_trace_capped(parts: &[(&str, &Timeline)], peer_cap: usize) -> String {
-    let mut out = String::from("{\"traceEvents\": [\n");
-    let mut first = true;
-    let mut push = |out: &mut String, line: String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&line);
+fn chrome_trace_capped(parts: &[(&str, &Timeline)], peer_cap: usize) -> String {
+    let events = parts
+        .iter()
+        .enumerate()
+        .flat_map(|(i, (name, timeline))| process_events(i + 1, name, timeline, peer_cap));
+    let mut out = json::render_streamed("traceEvents", events);
+    out.push('\n');
+    out
+}
+
+/// One process's trace events, produced lazily: its name, one thread name
+/// per surviving lane (tid-ordered, plus the aggregate lane when anything
+/// folds), then the timeline's events.
+fn process_events<'a>(
+    pid: usize,
+    name: &str,
+    timeline: &'a Timeline,
+    peer_cap: usize,
+) -> impl Iterator<Item = Value> + 'a {
+    let metadata = |tid: u64, kind: &str, name: String| {
+        Value::obj([
+            ("ph", "M".into()),
+            ("pid", pid.into()),
+            ("tid", tid.into()),
+            ("name", kind.into()),
+            ("args", Value::obj([("name", Value::Str(name))])),
+        ])
     };
-    for (i, (name, timeline)) in parts.iter().enumerate() {
-        let pid = i + 1;
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \"name\": \"process_name\", \
-                 \"args\": {{\"name\": \"{name}\"}}}}"
-            ),
-        );
-        // Which peers keep their own lane: all of them when under the cap
-        // (`kept: None`, the uncapped rendering), else the top-`peer_cap`
-        // by event count with ties broken by lower id.
-        let mut peer_events: std::collections::BTreeMap<u32, u64> =
-            std::collections::BTreeMap::new();
-        for e in timeline.events() {
-            if let Track::Peer(n) = e.track {
-                *peer_events.entry(n).or_insert(0) += 1;
-            }
-        }
-        let folded = peer_events.len().saturating_sub(peer_cap);
-        let kept: Option<std::collections::BTreeSet<u32>> = if folded == 0 {
-            None
-        } else {
-            let mut ranked: Vec<(u32, u64)> = peer_events.iter().map(|(n, c)| (*n, *c)).collect();
-            ranked.sort_by_key(|(n, c)| (std::cmp::Reverse(*c), *n));
-            Some(ranked.iter().take(peer_cap).map(|(n, _)| *n).collect())
-        };
-        let keeps_lane = |track: Track| match (track, &kept) {
-            (Track::Peer(n), Some(kept)) => kept.contains(&n),
-            _ => true,
-        };
-        // One thread-name metadata record per distinct surviving track,
-        // tid-ordered, plus the aggregate lane when anything folds.
-        let mut tracks: Vec<Track> = timeline.events().iter().map(|e| e.track).collect();
-        tracks.sort_unstable();
-        tracks.dedup();
-        tracks.retain(|t| keeps_lane(*t));
-        for track in &tracks {
-            push(
-                &mut out,
-                format!(
-                    "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": {}, \"name\": \"thread_name\", \
-                     \"args\": {{\"name\": \"{}\"}}}}",
-                    track_tid(*track),
-                    track_label(*track),
-                ),
-            );
-        }
-        if folded > 0 {
-            push(
-                &mut out,
-                format!(
-                    "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": {AGGREGATE_PEER_TID}, \
-                     \"name\": \"thread_name\", \
-                     \"args\": {{\"name\": \"peers (other {folded})\"}}}}"
-                ),
-            );
-        }
-        for e in timeline.events() {
-            let own_lane = keeps_lane(e.track);
-            let tid = if own_lane {
-                track_tid(e.track)
-            } else {
-                AGGREGATE_PEER_TID
-            };
-            let phase = match (e.phase, own_lane) {
-                // Folded spans cannot nest on a shared lane.
-                (TracePhase::Begin, false) => TracePhase::Instant,
-                (TracePhase::End, false) => continue,
-                (p, _) => p,
-            };
-            let line = match phase {
-                TracePhase::Begin => format!(
-                    "{{\"ph\": \"B\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {}, \
-                     \"name\": \"{}\", \"cat\": \"sim\"}}",
-                    e.ts_us, e.name
-                ),
-                TracePhase::End => format!(
-                    "{{\"ph\": \"E\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {}}}",
-                    e.ts_us
-                ),
-                TracePhase::Instant => format!(
-                    "{{\"ph\": \"i\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {}, \
-                     \"name\": \"{}\", \"s\": \"t\", \"cat\": \"sim\"}}",
-                    e.ts_us, e.name
-                ),
-                TracePhase::Counter => format!(
-                    "{{\"ph\": \"C\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {}, \
-                     \"name\": \"{}\", \"args\": {{\"value\": {}}}}}",
-                    e.ts_us, e.name, e.value
-                ),
-            };
-            push(&mut out, line);
+    // Which peers keep their own lane: all of them when under the cap
+    // (`kept: None`, the uncapped rendering), else the top-`peer_cap` by
+    // event count with ties broken by lower id.
+    let mut peer_events: BTreeMap<u32, u64> = BTreeMap::new();
+    for e in timeline.events() {
+        if let Track::Peer(n) = e.track {
+            *peer_events.entry(n).or_insert(0) += 1;
         }
     }
-    out.push_str("\n]}\n");
-    out
+    let folded = peer_events.len().saturating_sub(peer_cap);
+    let kept: Option<BTreeSet<u32>> = (folded > 0).then(|| {
+        let mut ranked: Vec<(u32, u64)> = peer_events.into_iter().collect();
+        ranked.sort_by_key(|(n, c)| (std::cmp::Reverse(*c), *n));
+        ranked.iter().take(peer_cap).map(|(n, _)| *n).collect()
+    });
+    let keeps_lane = move |track: Track| match (track, &kept) {
+        (Track::Peer(n), Some(kept)) => kept.contains(&n),
+        _ => true,
+    };
+    let mut tracks: Vec<Track> = timeline.events().iter().map(|e| e.track).collect();
+    tracks.sort_unstable();
+    tracks.dedup();
+    tracks.retain(|t| keeps_lane(*t));
+    let mut head = vec![metadata(0, "process_name", name.to_string())];
+    head.extend(
+        tracks
+            .into_iter()
+            .map(|track| metadata(track_tid(track), "thread_name", track_label(track))),
+    );
+    if folded > 0 {
+        let label = format!("peers (other {folded})");
+        head.push(metadata(AGGREGATE_PEER_TID, "thread_name", label));
+    }
+    let events = timeline.events().iter().filter_map(move |e| {
+        let own_lane = keeps_lane(e.track);
+        let tid = if own_lane {
+            track_tid(e.track)
+        } else {
+            AGGREGATE_PEER_TID
+        };
+        let name = ("name", e.name.into());
+        let cat = ("cat", "sim".into());
+        // Folded spans cannot nest on a shared lane: their begins become
+        // instants and their ends are dropped.
+        let (ph, rest) = match (e.phase, own_lane) {
+            (TracePhase::Begin, true) => ("B", vec![name, cat]),
+            (TracePhase::End, true) => ("E", vec![]),
+            (TracePhase::End, false) => return None,
+            (TracePhase::Instant, _) | (TracePhase::Begin, false) => {
+                ("i", vec![name, ("s", "t".into()), cat])
+            }
+            (TracePhase::Counter, _) => {
+                let args = Value::obj([("value", e.value.into())]);
+                ("C", vec![name, ("args", args)])
+            }
+        };
+        let head = [
+            ("ph", ph.into()),
+            ("pid", pid.into()),
+            ("tid", tid.into()),
+            ("ts", e.ts_us.into()),
+        ];
+        Some(Value::obj(head.into_iter().chain(rest)))
+    });
+    head.into_iter().chain(events)
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use socialtube_obs::{
-    Counter, CountingRecorder, Dim, HistKind, MetricsSnapshot, Recorder, RecorderConfig,
-    RunRecorder, RunRecording, Track,
+    Counter, Dim, HistKind, MetricsSnapshot, Recorder, RecorderConfig, RunRecorder, RunRecording,
+    Track,
 };
 
 /// splitmix64: a tiny deterministic stream for deriving op sequences from
@@ -40,12 +40,12 @@ fn apply_op<R: Recorder>(r: &mut R, state: &mut u64) {
 }
 
 fn snapshot_from(salt: u64, ops: usize) -> MetricsSnapshot {
-    let mut r = CountingRecorder::new();
+    let mut r = RunRecorder::new(RecorderConfig::metrics_only());
     let mut state = salt;
     for _ in 0..ops {
         apply_op(&mut r, &mut state);
     }
-    r.snapshot()
+    r.finish().snapshot
 }
 
 fn recording_from(salt: u64, ops: usize) -> RunRecording {

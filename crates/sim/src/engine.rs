@@ -1,6 +1,6 @@
 //! The simulation driver loop.
 
-use crate::{EventQueue, QueueOccupancy, SimDuration, SimTime};
+use crate::{EventQueue, SimDuration, SimTime};
 
 /// Owns the virtual clock and the event queue and drives a simulation to
 /// completion.
@@ -82,12 +82,6 @@ impl<E> Engine<E> {
     /// queue-depth histogram at drain.
     pub fn peak_pending(&self) -> usize {
         self.peak_pending
-    }
-
-    /// Returns the event queue's current layout statistics — calendar
-    /// bucket occupancy and overflow pressure — for instrumentation.
-    pub fn queue_occupancy(&self) -> QueueOccupancy {
-        self.queue.occupancy()
     }
 
     /// Returns true when no events remain to deliver — the run completed on

@@ -32,7 +32,7 @@
 //! order-sensitive side effects (metrics, samplers) identically to the
 //! serial run.
 
-use crate::{Engine, EventQueue, QueueOccupancy, SimDuration, SimTime};
+use crate::{Engine, EventQueue, SimDuration, SimTime};
 
 /// First provisional sequence key. Canonical numbers live below (a serial
 /// run would need ~292 years at 10⁹ events/s to reach `2^63`), provisional
@@ -228,11 +228,6 @@ impl<E> ShardEngine<E> {
     /// Largest queue depth this shard ever held.
     pub fn peak_pending(&self) -> usize {
         self.peak_pending
-    }
-
-    /// The queue's current layout statistics, for instrumentation.
-    pub fn queue_occupancy(&self) -> QueueOccupancy {
-        self.queue.occupancy()
     }
 
     /// Timestamp of this shard's earliest pending event.
