@@ -195,7 +195,9 @@ fn run_net_all(scale: Scale, seed: u64) -> Vec<(Protocol, net_driver::NetRun)> {
     let options = net_options(scale, seed);
     println!(
         "# deploying TCP testbed ({} peers, {} sessions × {} videos) for 5 protocol variants",
-        options.trace.users, options.testbed.sessions_per_node, options.testbed.videos_per_session
+        options.trace.users,
+        options.workload.sessions_per_node,
+        options.workload.videos_per_session
     );
     // One shared trace for all five variants (the paper's methodology);
     // each deployment borrows the same Arc'd catalog instead of

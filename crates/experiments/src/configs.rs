@@ -77,8 +77,8 @@ impl Default for ExperimentOptions {
 }
 
 /// The paper's full Table I configuration: 10,000 nodes, ~10,121 videos,
-/// 545 channels, 25 sessions of 10 videos, 500 s mean off-time, 50 Mbps
-/// server. Expect long runtimes; `figure_scale` keeps the same shape at a
+/// 545 channels, 25 sessions of 10 videos, 500 s mean off-time, 1 Gbps
+/// server (see [`NetworkOptions::server_bandwidth_bps`]). Expect long runtimes; `figure_scale` keeps the same shape at a
 /// fraction of the cost.
 pub fn table1() -> ExperimentOptions {
     ExperimentOptions::default()

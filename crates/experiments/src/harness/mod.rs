@@ -9,10 +9,11 @@
 //! * [`StackBuilder`] — the *single* `Protocol → peers/server` mapping,
 //!   with per-protocol configs and RNG stream derivation. Adding a fourth
 //!   protocol or changing a config default is a one-file change.
-//! * [`SessionDirector`] — the workload state machine: login stagger,
-//!   session churn, abrupt-departure draws and video selection. Both
-//!   platforms replay the identical session logic; only *when* its
-//!   transitions fire differs (virtual vs wall-clock time).
+//! * [`SessionDirector`] — the workload state machine from
+//!   [`crate::workload`]: login stagger, off periods, abrupt-departure
+//!   draws and video selection. Both platforms replay the identical
+//!   session logic; only *when* its transitions fire differs (virtual vs
+//!   wall-clock time).
 //! * [`SimSubstrate`] — the simulator's implementation of the
 //!   [`PeerSubstrate`]/[`ServerSubstrate`] traits from
 //!   [`socialtube::harness`]: virtual latency, fluid upload links and the
@@ -36,11 +37,10 @@
 //! [`PeerSubstrate`]: socialtube::harness::PeerSubstrate
 //! [`ServerSubstrate`]: socialtube::harness::ServerSubstrate
 
-mod director;
 pub mod script;
 mod sim;
 mod stack;
 
-pub use director::{SessionDirector, SessionStep};
+pub use crate::workload::{SessionDirector, SessionStep};
 pub use sim::{SimEvent, SimSubstrate};
 pub use stack::{ProtocolStack, StackBuilder};

@@ -348,7 +348,7 @@ pub fn run_script_tcp(
         match step.action {
             ScriptAction::Login(node) => deployment.login(node),
             ScriptAction::Watch(node, video) => deployment.watch(node, video),
-            ScriptAction::Logout(node) => deployment.logout(node),
+            ScriptAction::Logout(node) => deployment.logout(node, false),
         }
     }
     let settle_end = Instant::now() + Duration::from_micros(SETTLE.as_micros());

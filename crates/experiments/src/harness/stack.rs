@@ -97,31 +97,8 @@ impl StackBuilder {
         Self::new(protocol, catalog).compress_timeouts()
     }
 
-    /// Overrides the SocialTube parameters.
-    pub fn socialtube(mut self, config: SocialTubeConfig) -> Self {
-        self.socialtube = config;
-        self
-    }
-
-    /// Overrides the NetTube parameters.
-    pub fn nettube(mut self, config: NetTubeConfig) -> Self {
-        self.nettube = config;
-        self
-    }
-
-    /// Overrides the PA-VoD parameters.
-    pub fn pavod(mut self, config: PaVodConfig) -> Self {
-        self.pavod = config;
-        self
-    }
-
-    /// The protocol this builder constructs.
-    pub fn protocol(&self) -> Protocol {
-        self.protocol
-    }
-
     /// Shrinks every protocol timeout to real-time-deployment scale.
-    pub fn compress_timeouts(mut self) -> Self {
+    fn compress_timeouts(mut self) -> Self {
         self.socialtube = SocialTubeConfig {
             search_phase_timeout: SimDuration::from_millis(400),
             probe_interval: SimDuration::from_secs(2),

@@ -2,14 +2,15 @@
 //!
 //! Reassembles the paper's Section V methodology:
 //!
-//! * [`workload`] — the viewing model: each node runs a fixed number of
-//!   sessions of ten videos, with Poisson off-times; each next video is
-//!   picked 75% from the same channel, 15% from the same category, 10%
-//!   from a different category.
+//! * [`workload`] — the session model both platforms replay
+//!   ([`WorkloadConfig`], [`harness::SessionDirector`]): each node runs a
+//!   fixed number of sessions of ten videos, with Poisson off-times; each
+//!   next video is picked 75% from the same channel, 15% from the same
+//!   category, 10% from a different category.
 //! * [`harness`] — the shared protocol-harness layer: the single
 //!   `Protocol` → stack construction site ([`harness::StackBuilder`]), the
-//!   workload state machine ([`harness::SessionDirector`]) and the
-//!   simulator's substrate, all reused verbatim by the TCP testbed driver.
+//!   session director and the simulator's substrate, all reused verbatim
+//!   by the TCP testbed driver.
 //! * [`driver`] — the discrete-event simulation driver (PeerSim role):
 //!   binds any [`VodPeer`](socialtube::VodPeer)/[`VodServer`](socialtube::VodServer)
 //!   pair to the engine, modelling propagation latency, per-peer upload
@@ -86,7 +87,7 @@ pub use net_driver::{run_net, NetExperimentOptions, NetRun};
 pub use socialtube_obs::{
     Dim, MetricsSnapshot, ProgressConfig, ProgressSink, RecorderConfig, RunRecording,
 };
-pub use workload::{SelectionMix, WorkloadConfig, WorkloadPlanner};
+pub use workload::WorkloadConfig;
 
 /// Which protocol variant an experiment runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

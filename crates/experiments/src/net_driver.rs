@@ -1,10 +1,12 @@
 //! Driving the TCP testbed (the PlanetLab experiment) with the paper's
 //! workload, and folding its events into the common metrics.
 //!
-//! The workload here is the *same* [`SessionDirector`] the simulation
-//! driver replays — sessions, churn, abrupt draws and video selection run
-//! through one state machine on both platforms; only the scheduling medium
-//! differs (a wall-clock action heap here, the virtual event queue there).
+//! The workload here is the *same* [`WorkloadConfig`] and
+//! [`SessionDirector`] the simulation driver replays — sessions, off times,
+//! abrupt exits and video selection run through one state machine on both
+//! platforms; only the scheduling medium differs (a wall-clock action heap
+//! here, the virtual event queue there). One wall-clock second is one
+//! protocol second.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -19,7 +21,7 @@ use socialtube_trace::{generate_shared, SharedTrace, TraceConfig};
 
 use crate::harness::{SessionDirector, SessionStep, StackBuilder};
 use crate::metrics::{MetricsCollector, MetricsSummary};
-use crate::workload::{SelectionMix, WorkloadConfig};
+use crate::workload::WorkloadConfig;
 use crate::Protocol;
 
 /// Parameters of one TCP-testbed experiment. `testbed.seed` is the one
@@ -30,15 +32,25 @@ pub struct NetExperimentOptions {
     /// Trace parameters — keep videos *small* (short, low bitrate) so
     /// transfers complete at wall-clock speed.
     pub trace: TraceConfig,
-    /// Real-time deployment parameters.
+    /// Platform parameters: link capacities and injected latencies.
     pub testbed: TestbedConfig,
+    /// The session workload, in the simulator's vocabulary, compressed
+    /// into seconds.
+    pub workload: WorkloadConfig,
+    /// Real time between a playback start and the next request (stands in
+    /// for the playback duration).
+    pub watch_dwell: Duration,
+    /// Give up waiting for a playback after this long (dead-provider or
+    /// lost-message safety net; generous relative to injected latencies).
+    pub watch_timeout: Duration,
 }
 
 impl NetExperimentOptions {
     /// A seconds-scale deployment for tests and quick runs: 16 peers over a
     /// small, hot catalog (so caches overlap within a few sessions),
     /// 4-second 64 kbps videos, compressed session pacing, and a server
-    /// pipe sized to be the bottleneck the P2P overlays relieve.
+    /// pipe sized to be the bottleneck the P2P overlays relieve. Off
+    /// periods are the 1 s minimum the Poisson draw allows.
     pub fn smoke_test() -> Self {
         let trace = TraceConfig {
             users: 16,
@@ -51,17 +63,24 @@ impl NetExperimentOptions {
             subscriptions_mean: 2.0,
             ..TraceConfig::default()
         };
-        let testbed = TestbedConfig {
-            sessions_per_node: 3,
-            videos_per_session: 4,
+        Self {
+            trace,
+            testbed: TestbedConfig {
+                server_bandwidth_bps: 4_000_000,
+                peer_upload_bps: 8_000_000,
+                ..TestbedConfig::default()
+            },
+            workload: WorkloadConfig {
+                sessions_per_node: 3,
+                videos_per_session: 4,
+                mean_off: SimDuration::from_secs(1),
+                browse_delay: SimDuration::from_millis(40),
+                login_stagger: SimDuration::from_millis(250),
+                ..WorkloadConfig::default()
+            },
             watch_dwell: Duration::from_millis(120),
-            browse_delay: Duration::from_millis(40),
-            off_time: Duration::from_millis(250),
-            server_bandwidth_bps: 4_000_000,
-            peer_upload_bps: 8_000_000,
-            ..TestbedConfig::default()
-        };
-        Self { trace, testbed }
+            watch_timeout: Duration::from_secs(5),
+        }
     }
 
     /// The paper's PlanetLab shape scaled to one machine: 60 peers,
@@ -79,17 +98,24 @@ impl NetExperimentOptions {
             bitrate_kbps: 64,
             ..TraceConfig::default()
         };
-        let testbed = TestbedConfig {
-            sessions_per_node: 5,
-            videos_per_session: 5,
+        Self {
+            trace,
+            testbed: TestbedConfig {
+                server_bandwidth_bps: 8_000_000,
+                peer_upload_bps: 2_000_000,
+                ..TestbedConfig::default()
+            },
+            workload: WorkloadConfig {
+                sessions_per_node: 5,
+                videos_per_session: 5,
+                mean_off: SimDuration::from_secs(1),
+                browse_delay: SimDuration::from_millis(50),
+                login_stagger: SimDuration::from_millis(400),
+                ..WorkloadConfig::default()
+            },
             watch_dwell: Duration::from_millis(150),
-            browse_delay: Duration::from_millis(50),
-            off_time: Duration::from_millis(400),
-            server_bandwidth_bps: 8_000_000,
-            peer_upload_bps: 2_000_000,
-            ..TestbedConfig::default()
-        };
-        Self { trace, testbed }
+            watch_timeout: Duration::from_secs(5),
+        }
     }
 }
 
@@ -102,34 +128,31 @@ pub struct NetRun {
     pub outcome: NetOutcome,
 }
 
-/// The session workload a [`TestbedConfig`] implies, expressed in the
-/// shared [`WorkloadConfig`] vocabulary (durations land on the protocol
-/// time axis 1:1 — one wall-clock second is one protocol second).
-fn testbed_workload(config: &TestbedConfig) -> WorkloadConfig {
-    let to_sim = |d: Duration| SimDuration::from_micros(d.as_micros() as u64);
-    WorkloadConfig {
-        sessions_per_node: config.sessions_per_node,
-        videos_per_session: config.videos_per_session,
-        mean_off: to_sim(config.off_time),
-        browse_delay: to_sim(config.browse_delay),
-        mix: SelectionMix::paper(),
-        login_stagger: to_sim(config.off_time),
-        abrupt_departure_prob: 0.0,
-    }
-}
-
-/// Wall-clock actions on the real-time heap: the testbed analogues of the
-/// sim driver's workload events.
+/// Wall-clock actions on the real-time heap, each for one node: the
+/// testbed analogues of the sim driver's workload events.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Action {
-    Login(usize),
-    NextVideo(usize),
+    Login,
+    NextVideo,
     /// The dwell after a playback ended (stands in for watching the video).
-    WatchEnd(usize),
-    Logout(usize),
+    WatchEnd,
+    Logout,
     /// Safety net if a playback never starts; the sequence number guards
     /// against a stale timeout abandoning a newer watch.
-    WatchTimeout(usize, u64),
+    WatchTimeout(u64),
+}
+
+/// A director duration on the wall clock.
+fn wall(d: SimDuration) -> Duration {
+    Duration::from_micros(d.as_micros())
+}
+
+/// What a concluded watch leads to, and after how long.
+fn after(step: SessionStep) -> (Duration, Action) {
+    match step {
+        SessionStep::Continue(browse) => (wall(browse), Action::NextVideo),
+        SessionStep::EndSession => (Duration::ZERO, Action::Logout),
+    }
 }
 
 /// Runs `protocol` on the real TCP testbed and reduces the events to the
@@ -146,8 +169,9 @@ pub fn run_net(protocol: Protocol, options: &NetExperimentOptions) -> NetRun {
 /// Runs `protocol` over an existing shared trace on the TCP testbed.
 ///
 /// The stack comes from [`StackBuilder::for_testbed`] and the workload from
-/// the same [`SessionDirector`] the simulation replays; this function owns
-/// only the wall-clock action heap that fires the director's transitions.
+/// the same [`SessionDirector`] the simulation replays, built from
+/// `options.workload`; this function owns only the wall-clock action heap
+/// that fires the director's transitions, as the sim driver's loop does.
 ///
 /// # Panics
 ///
@@ -161,7 +185,7 @@ pub fn run_net_on(
     let users = shared.graph.user_count();
     let stack = StackBuilder::for_testbed(protocol, Arc::clone(shared.catalog()))
         .build(shared.trace(), &root);
-    let mut director = SessionDirector::new(users, testbed_workload(&options.testbed), &root);
+    let mut director = SessionDirector::new(users, options.workload.clone(), &root);
     let deployment = Deployment::spawn(
         Arc::clone(shared.catalog()),
         stack.peers,
@@ -170,18 +194,17 @@ pub fn run_net_on(
     )
     .expect("testbed deployment binds localhost sockets");
 
-    // Due time first, then insertion order; the action never decides.
-    let mut heap: BinaryHeap<Reverse<(Instant, u64, Action)>> = BinaryHeap::new();
+    // Due time first, then insertion order; node and action never decide.
+    let mut heap: BinaryHeap<Reverse<(Instant, u64, usize, Action)>> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut schedule = |heap: &mut BinaryHeap<_>, due: Instant, action| {
+    let mut schedule = |heap: &mut BinaryHeap<_>, due: Instant, i: usize, action| {
         seq += 1;
-        heap.push(Reverse((due, seq, action)));
+        heap.push(Reverse((due, seq, i, action)));
     };
     let start = Instant::now();
-    for u in 0..users {
-        let node = NodeId::new(u as u32);
-        let offset = Duration::from_micros(director.login_offset(node).as_micros());
-        schedule(&mut heap, start + offset, Action::Login(u));
+    for i in 0..users {
+        let offset = wall(director.login_offset(NodeId::new(i as u32)));
+        schedule(&mut heap, start + offset, i, Action::Login);
     }
 
     let mut watch_seq = vec![0u64; users];
@@ -197,11 +220,8 @@ pub fn run_net_on(
         if let Some(event) = deployment.recv_until(next_due) {
             if let Report::PlaybackStarted { node, video, .. } = event.report {
                 if node.index() < users && director.on_playback_started(node, video).is_some() {
-                    schedule(
-                        &mut heap,
-                        Instant::now() + options.testbed.watch_dwell,
-                        Action::WatchEnd(node.index()),
-                    );
+                    let due = Instant::now() + options.watch_dwell;
+                    schedule(&mut heap, due, node.index(), Action::WatchEnd);
                 }
             }
             events.push(event);
@@ -210,69 +230,44 @@ pub fn run_net_on(
         // Execute every due action.
         let now = Instant::now();
         while matches!(heap.peek(), Some(Reverse((due, ..))) if *due <= now) {
-            let Reverse((_, _, action)) = heap.pop().expect("peeked entry");
-            let next_step = |step: SessionStep| match step {
-                SessionStep::Continue(browse) => (
-                    Duration::from_micros(browse.as_micros()),
-                    Action::NextVideo as fn(usize) -> Action,
-                ),
-                SessionStep::EndSession => (Duration::ZERO, Action::Logout as fn(usize) -> Action),
-            };
+            let Reverse((_, _, i, action)) = heap.pop().expect("peeked entry");
+            if done[i] {
+                continue;
+            }
+            let node = NodeId::new(i as u32);
             match action {
-                Action::Login(i) => {
-                    if done[i] {
-                        continue;
-                    }
-                    director.on_login(NodeId::new(i as u32));
-                    deployment.login(NodeId::new(i as u32));
-                    schedule(
-                        &mut heap,
-                        now + options.testbed.browse_delay,
-                        Action::NextVideo(i),
-                    );
+                Action::Login => {
+                    director.on_login(node);
+                    deployment.login(node);
+                    let browse = wall(director.workload().browse_delay);
+                    schedule(&mut heap, now + browse, i, Action::NextVideo);
                 }
-                Action::NextVideo(i) => {
-                    if done[i] {
-                        continue;
+                Action::NextVideo => {
+                    if let Some(video) = director.next_video(shared, node) {
+                        watch_seq[i] += 1;
+                        deployment.watch(node, video);
+                        let due = now + options.watch_timeout;
+                        schedule(&mut heap, due, i, Action::WatchTimeout(watch_seq[i]));
                     }
-                    let node = NodeId::new(i as u32);
-                    let Some(video) = director.next_video(shared, node) else {
-                        continue;
-                    };
-                    watch_seq[i] += 1;
-                    deployment.watch(node, video);
-                    schedule(
-                        &mut heap,
-                        now + options.testbed.watch_timeout,
-                        Action::WatchTimeout(i, watch_seq[i]),
-                    );
                 }
-                Action::WatchEnd(i) => {
-                    if done[i] {
-                        continue;
-                    }
-                    let (delay, make) = next_step(director.on_watch_end(NodeId::new(i as u32)));
-                    schedule(&mut heap, now + delay, make(i));
+                Action::WatchEnd => {
+                    let (delay, next) = after(director.on_watch_end(node));
+                    schedule(&mut heap, now + delay, i, next);
                 }
-                Action::WatchTimeout(i, at_seq) => {
+                Action::WatchTimeout(at_seq) => {
                     // Playback never started: move on rather than hang.
-                    if done[i] || watch_seq[i] != at_seq {
-                        continue;
-                    }
-                    if let Some(step) = director.abandon_watch(NodeId::new(i as u32)) {
-                        let (delay, make) = next_step(step);
-                        schedule(&mut heap, now + delay, make(i));
+                    if watch_seq[i] == at_seq {
+                        if let Some(step) = director.abandon_watch(node) {
+                            let (delay, next) = after(step);
+                            schedule(&mut heap, now + delay, i, next);
+                        }
                     }
                 }
-                Action::Logout(i) => {
-                    if done[i] {
-                        continue;
-                    }
-                    let node = NodeId::new(i as u32);
-                    deployment.logout(node);
+                Action::Logout => {
+                    // An abrupt exit sends no goodbyes, as in the sim loop.
+                    deployment.logout(node, director.is_abrupt_exit(node));
                     if let Some(off) = director.on_logout(node) {
-                        let off = Duration::from_micros(off.as_micros());
-                        schedule(&mut heap, now + off, Action::Login(i));
+                        schedule(&mut heap, now + wall(off), i, Action::Login);
                     } else {
                         done[i] = true;
                         remaining -= 1;

@@ -40,14 +40,15 @@ pub(crate) struct Fabric {
 
 /// Control and network inputs to a daemon's event loop. The user actions
 /// (`Login`, `Logout`, `Watch`) and timers address peers; a server daemon
-/// ignores them.
+/// ignores them. An `abrupt` logout sends nothing the peer queued on its
+/// way out.
 #[derive(Debug)]
 pub(crate) enum Input {
     Deliver { from: u32, msg: Message },
     Transmit { to: u32, msg: Message },
     Timer(TimerKind),
     Login,
-    Logout,
+    Logout { abrupt: bool },
     Watch(VideoId),
     Shutdown,
 }
@@ -309,7 +310,14 @@ fn event_loop(
             }
             (Actor::Peer(peer), Input::Timer(kind)) => peer.on_timer(now, kind, &mut out),
             (Actor::Peer(peer), Input::Login) => peer.on_login(now, &mut out),
-            (Actor::Peer(peer), Input::Logout) => peer.on_logout(now, &mut out),
+            (Actor::Peer(peer), Input::Logout { abrupt }) => {
+                peer.on_logout(now, &mut out);
+                if abrupt {
+                    // The process died before any goodbye left the machine.
+                    out.drain();
+                    continue;
+                }
+            }
             (Actor::Peer(peer), Input::Watch(video)) => peer.watch(now, video, &mut out),
             (Actor::Server(server, _), Input::Deliver { from, msg }) => {
                 server.on_message(now, NodeId::new(from), msg, &mut server_out);
@@ -466,7 +474,7 @@ mod daemon_tests {
             }
             // A duplicate chunk would trail the eighth.
             seen.extend(self.events.recv_timeout(Duration::from_millis(200)));
-            self.peer.send(Input::Logout);
+            self.peer.send(Input::Logout { abrupt: false });
             self.peer.join();
             self.server.join();
 
@@ -551,6 +559,98 @@ mod daemon_tests {
                 Report::ServedFromOrigin { node, .. } if node == stranger
             )),
             "the server served an index outside the address book"
+        );
+    }
+
+    /// Every message that reaches `listener`, standing in for a daemon: it
+    /// reads one connection's frames until the sender hangs up.
+    fn sink(listener: TcpListener) -> (Receiver<Message>, JoinHandle<()>) {
+        let (tx, rx) = mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("the peer connects");
+            while let Ok(Some(frame)) = read_frame(&mut stream) {
+                if let Frame::Msg(msg) = frame {
+                    let _ = tx.send(msg);
+                }
+            }
+        });
+        (rx, reader)
+    }
+
+    /// Peer 0 logs in, accepts a link from neighbor 1 and logs out,
+    /// `abrupt`ly or not. Returns everything the server and the neighbor
+    /// received after that login and link.
+    fn goodbyes(abrupt: bool) -> (Vec<Message>, Vec<Message>) {
+        let mut b = CatalogBuilder::new();
+        let cat = b.add_category("k");
+        let channel = b.add_channel("c", [cat]);
+        let catalog = Arc::new(b.build());
+        let (book, mut listeners) = AddressBook::bind(2).expect("bind localhost");
+        let (server, server_reader) = sink(listeners.pop().expect("server listener"));
+        let (neighbor, neighbor_reader) = sink(listeners.pop().expect("neighbor listener"));
+        let first = |end: &Receiver<Message>| end.recv_timeout(Duration::from_secs(5));
+        let fabric = Fabric {
+            book,
+            latency: Arc::new(LatencyModel::constant(SimDuration::from_millis(5))),
+            clock: TestbedClock::start(),
+            events: mpsc::channel().0,
+        };
+        let peer = Daemon::spawn(
+            Actor::Peer(Box::new(SocialTubePeer::new(
+                NodeId::new(0),
+                catalog,
+                vec![channel],
+                SocialTubeConfig::default(),
+            ))),
+            listeners.pop().expect("peer listener"),
+            10_000_000,
+            fabric,
+        )
+        .expect("peer spawns");
+        peer.send(Input::Login);
+        assert!(
+            matches!(first(&server), Ok(Message::SubscriptionUpdate { .. })),
+            "the login never reached the server"
+        );
+        let mut link = TcpStream::connect(peer.addr).expect("peer accepts");
+        let request = Message::ConnectRequest {
+            kind: LinkKind::Inner,
+            channel: Some(channel),
+            video: None,
+        };
+        for frame in [Frame::Hello { sender: 1 }, Frame::Msg(request)] {
+            link.write_all(&encode_frame(&frame)).expect("peer reads");
+        }
+        assert!(
+            matches!(first(&neighbor), Ok(Message::ConnectAccept { .. })),
+            "the peer never accepted the link"
+        );
+        peer.send(Input::Logout { abrupt });
+        // The stopped daemon closes both connections, so each reader ends
+        // once it has read everything the logout sent.
+        peer.join();
+        for reader in [server_reader, neighbor_reader] {
+            reader.join().expect("reader ends at the hang-up");
+        }
+        (server.try_iter().collect(), neighbor.try_iter().collect())
+    }
+
+    /// An abrupt logout is a crash: the server sees no `LogOff` and a
+    /// linked neighbor no `Leave`. A graceful one sends both.
+    #[test]
+    fn abrupt_logout_sends_no_goodbyes() {
+        let (server, neighbor) = goodbyes(false);
+        assert!(server.contains(&Message::LogOff), "server got {server:?}");
+        assert!(
+            neighbor.contains(&Message::Leave),
+            "neighbor got {neighbor:?}"
+        );
+
+        let (server, neighbor) = goodbyes(true);
+        assert!(!server.contains(&Message::LogOff), "server got {server:?}");
+        assert!(
+            !neighbor.contains(&Message::Leave),
+            "neighbor got {neighbor:?}"
         );
     }
 }

@@ -4,10 +4,11 @@
 //! [`Deployment`] owns only the platform half of an experiment: it spawns
 //! one daemon per peer plus the server daemon, wires them through the
 //! localhost transport with injected latency, and hands protocol reports
-//! back as [`NetEvent`]s. *What* the nodes do — sessions, churn, video
+//! back as [`NetEvent`]s. *What* the nodes do — sessions, off times, video
 //! selection — is the caller's workload loop (the shared `SessionDirector`
 //! in `socialtube-experiments` for real runs, a fixed script for the
-//! cross-platform equivalence tests).
+//! cross-platform equivalence tests); this crate takes only the platform's
+//! parameters.
 
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
@@ -22,11 +23,11 @@ use crate::clock::TestbedClock;
 use crate::daemon::{Actor, Daemon, Fabric, Input};
 use crate::transport::AddressBook;
 
-/// Real-time parameters of a testbed run.
+/// The platform parameters of a testbed run: link capacities and injected
+/// latencies. The workload is the caller's.
 ///
 /// Video *sizes* come from the catalog; keep them small (short lengths, low
-/// bitrate) so transfers complete at wall-clock speed. The dwell times
-/// compress the paper's session structure into seconds.
+/// bitrate) so transfers complete at wall-clock speed.
 #[derive(Clone, Debug)]
 pub struct TestbedConfig {
     /// The experiment's one seed: pairwise latencies here, and whatever
@@ -40,20 +41,6 @@ pub struct TestbedConfig {
     pub latency_min: SimDuration,
     /// Maximum one-way injected latency.
     pub latency_max: SimDuration,
-    /// Sessions per node.
-    pub sessions_per_node: u32,
-    /// Videos per session.
-    pub videos_per_session: u32,
-    /// Real time between a playback start and the next request (stands in
-    /// for the playback duration).
-    pub watch_dwell: Duration,
-    /// Real think-time after login before the first request.
-    pub browse_delay: Duration,
-    /// Real off-time between sessions.
-    pub off_time: Duration,
-    /// Give up waiting for a playback after this long (dead-provider or
-    /// lost-message safety net; generous relative to injected latencies).
-    pub watch_timeout: Duration,
 }
 
 impl Default for TestbedConfig {
@@ -64,12 +51,6 @@ impl Default for TestbedConfig {
             server_bandwidth_bps: 50_000_000,
             latency_min: SimDuration::from_millis(10),
             latency_max: SimDuration::from_millis(60),
-            sessions_per_node: 2,
-            videos_per_session: 3,
-            watch_dwell: Duration::from_millis(150),
-            browse_delay: Duration::from_millis(50),
-            off_time: Duration::from_millis(300),
-            watch_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -169,9 +150,11 @@ impl Deployment {
         self.daemons[node.index()].send(Input::Login);
     }
 
-    /// Ends `node`'s session.
-    pub fn logout(&self, node: NodeId) {
-        self.daemons[node.index()].send(Input::Logout);
+    /// Ends `node`'s session. An `abrupt` end is a crash: nothing the
+    /// logout queues leaves the machine, so neighbors and the server learn
+    /// of it only through probe timeouts.
+    pub fn logout(&self, node: NodeId, abrupt: bool) {
+        self.daemons[node.index()].send(Input::Logout { abrupt });
     }
 
     /// The user at `node` selects `video`.
@@ -261,7 +244,7 @@ mod tests {
                 let node = NodeId::new(i as u32);
                 let video = vids[(round * 5 + i) % vids.len()];
                 deployment.watch(node, video);
-                let deadline = Instant::now() + config.watch_timeout;
+                let deadline = Instant::now() + Duration::from_secs(5);
                 while let Some(event) = deployment.recv_until(deadline) {
                     let started = matches!(
                         event.report,
@@ -276,7 +259,7 @@ mod tests {
             }
         }
         for i in 0..5u32 {
-            deployment.logout(NodeId::new(i));
+            deployment.logout(NodeId::new(i), false);
         }
         let outcome = deployment.finish(events, Duration::from_millis(300));
 

@@ -12,12 +12,11 @@
 //! * a pairwise [`LatencyModel`] standing in for Internet propagation delays,
 //! * a [`ServerQueue`] modelling the origin server's bounded upload capacity
 //!   (the source of the server-overload delays the paper observes), and
-//!   an [`UploadScheduler`] modelling per-peer upload bandwidth,
-//! * a [`ChurnProcess`] generating session on/off behaviour with
-//!   Poisson-distributed off times (Section V settings).
+//!   an [`UploadScheduler`] modelling per-peer upload bandwidth.
 //!
 //! The engine is domain-agnostic: protocol crates define their own event
-//! payload type and drive the loop.
+//! payload type and drive the loop, and the experiment crate owns the
+//! paper's workload (sessions, off times, video selection).
 //!
 //! # Examples
 //!
@@ -39,7 +38,6 @@
 #![warn(missing_debug_implementations)]
 
 mod bandwidth;
-mod churn;
 mod engine;
 mod latency;
 mod queue;
@@ -49,7 +47,6 @@ mod shard;
 mod time;
 
 pub use bandwidth::{ServerQueue, UploadScheduler};
-pub use churn::ChurnProcess;
 pub use engine::Engine;
 pub use latency::LatencyModel;
 pub use queue::{EventQueue, QueueOccupancy};

@@ -13,7 +13,9 @@ fn main() {
     let options = NetExperimentOptions::smoke_test();
     println!(
         "Deploying {} peer daemons + tracker over localhost TCP ({} sessions × {} videos each) ...",
-        options.trace.users, options.testbed.sessions_per_node, options.testbed.videos_per_session
+        options.trace.users,
+        options.workload.sessions_per_node,
+        options.workload.videos_per_session
     );
 
     for protocol in [Protocol::SocialTube, Protocol::PaVod] {

@@ -10,8 +10,8 @@ fn socialtube_swarm_runs_over_real_sockets() {
     let options = NetExperimentOptions::smoke_test();
     let run = run_net(Protocol::SocialTube, &options);
     let expected = options.trace.users as u64
-        * u64::from(options.testbed.sessions_per_node)
-        * u64::from(options.testbed.videos_per_session);
+        * u64::from(options.workload.sessions_per_node)
+        * u64::from(options.workload.videos_per_session);
     assert!(
         run.metrics.playbacks as f64 >= expected as f64 * 0.7,
         "playbacks {} of expected {expected}",
@@ -43,8 +43,8 @@ fn deployments_tear_down_cleanly() {
     // Two back-to-back deployments must not clash on ports or threads.
     let mut options = NetExperimentOptions::smoke_test();
     options.trace.users = 6;
-    options.testbed.sessions_per_node = 1;
-    options.testbed.videos_per_session = 2;
+    options.workload.sessions_per_node = 1;
+    options.workload.videos_per_session = 2;
     let first = run_net(Protocol::SocialTube, &options);
     let second = run_net(Protocol::SocialTube, &options);
     assert!(first.metrics.playbacks > 0);
