@@ -7,7 +7,8 @@
 //!   server.
 //! * [`nettube`] — **NetTube** (Cheng & Liu — INFOCOM'09): viewers of the
 //!   same video form a per-video overlay and keep a cache of watched videos;
-//!   queries flood two hops through the union of a node's overlays;
+//!   queries flood with TTL 2 through the union of a node's overlays,
+//!   reaching three hops (a receiver at TTL 0 still answers);
 //!   prefetching picks *random* videos from neighbors' caches. Watching many
 //!   videos accumulates one overlay's worth of links per video — the
 //!   maintenance blow-up of Fig 15/18.

@@ -14,7 +14,9 @@ use socialtube_sim::{SimDuration, SimRng, SimTime};
 /// NetTube parameters (Section V settings of the paper's comparison).
 #[derive(Clone, Debug, PartialEq)]
 pub struct NetTubeConfig {
-    /// Query TTL — NetTube searches neighbors within two hops.
+    /// Query TTL. A receiver at TTL 0 still answers (it only stops
+    /// forwarding), so a query reaches nodes TTL + 1 hops away: three at
+    /// the default 2.
     pub ttl: u8,
     /// Links kept per video overlay (the paper's analysis uses `log u`).
     pub links_per_video: usize,
@@ -139,30 +141,22 @@ impl NetTubePeer {
         &self.cache
     }
 
-    /// Distinct neighbor nodes across all per-video overlays.
+    /// Distinct neighbor nodes across all per-video overlays, in order of
+    /// first link.
     pub fn distinct_neighbors(&self) -> Vec<NodeId> {
         let mut nodes = Vec::with_capacity(self.links.len());
-        for (n, _) in &self.links {
-            if !nodes.contains(n) {
-                nodes.push(*n);
-            }
-        }
+        first_occurrences(&self.links, &mut nodes);
         nodes
     }
 
-    /// Rebuilds `distinct_cache` if link churn invalidated it. Keeps the
-    /// same first-occurrence order as [`Self::distinct_neighbors`].
+    /// Rebuilds `distinct_cache`, [`Self::distinct_neighbors`] without the
+    /// allocation, if link churn invalidated it.
     fn refresh_distinct(&mut self) {
-        if !self.distinct_dirty {
-            return;
+        if self.distinct_dirty {
+            self.distinct_cache.clear();
+            first_occurrences(&self.links, &mut self.distinct_cache);
+            self.distinct_dirty = false;
         }
-        self.distinct_cache.clear();
-        for (n, _) in &self.links {
-            if !self.distinct_cache.contains(n) {
-                self.distinct_cache.push(*n);
-            }
-        }
-        self.distinct_dirty = false;
     }
 
     fn overlay_link_count(&self, video: VideoId) -> usize {
@@ -267,6 +261,15 @@ impl NetTubePeer {
     }
 }
 
+/// Appends to `nodes` (empty) each neighbor of `links` at its first link.
+fn first_occurrences(links: &[(NodeId, VideoId)], nodes: &mut Vec<NodeId>) {
+    for (n, _) in links {
+        if !nodes.contains(n) {
+            nodes.push(*n);
+        }
+    }
+}
+
 impl VodPeer for NetTubePeer {
     fn node(&self) -> NodeId {
         self.transfers.node()
@@ -279,7 +282,8 @@ impl VodPeer for NetTubePeer {
         // its overlay"); unanswered nodes are dropped at the deadline.
         // This is what makes NetTube's link count grow cumulatively with
         // videos watched (Fig 18).
-        for neighbor in self.distinct_neighbors() {
+        self.refresh_distinct();
+        for &neighbor in &self.distinct_cache {
             let request = Message::ConnectRequest {
                 kind: LinkKind::Inner,
                 channel: None,
@@ -298,7 +302,8 @@ impl VodPeer for NetTubePeer {
     fn on_logout(&mut self, _now: SimTime, out: &mut Outbox) {
         self.online = false;
         self.join_search = None;
-        for neighbor in self.distinct_neighbors() {
+        self.refresh_distinct();
+        for &neighbor in &self.distinct_cache {
             out.to_peer(neighbor, Message::Leave);
         }
         out.to_server(Message::LogOff);
@@ -320,12 +325,12 @@ impl VodPeer for NetTubePeer {
         let id = self
             .transfers
             .begin(now, video, TransferKind::Playback, from_chunk, started);
-        let neighbors = self.distinct_neighbors();
-        if neighbors.is_empty() {
+        self.refresh_distinct();
+        if self.distinct_cache.is_empty() {
             self.ask_server(id, out);
             return;
         }
-        for n in neighbors {
+        for &n in &self.distinct_cache {
             out.to_peer(
                 n,
                 Message::Query {
@@ -358,8 +363,10 @@ impl VodPeer for NetTubePeer {
                 origin,
                 scope,
             } => {
-                // The cache lookup is pure and the dedup probe does not
-                // depend on it: issued first, their two cold loads overlap.
+                // Both checks are usually answered from this peer's own
+                // struct: a video not held in full mostly has a clear filter
+                // bit, and a duplicate is mostly one of the window's four
+                // newest ids.
                 let held = self.cache.has_full(video);
                 if origin == self.transfers.node() || !self.seen_queries.insert(id) {
                     return;
@@ -566,12 +573,15 @@ impl VodPeer for NetTubePeer {
             return;
         }
         match timer {
-            TimerKind::ProbeTick => self.prober.tick(
-                self.distinct_neighbors(),
-                self.config.probe_interval,
-                self.config.probe_timeout,
-                out,
-            ),
+            TimerKind::ProbeTick => {
+                self.refresh_distinct();
+                self.prober.tick(
+                    self.distinct_cache.iter().copied(),
+                    self.config.probe_interval,
+                    self.config.probe_timeout,
+                    out,
+                );
+            }
 
             TimerKind::ProbeDeadline { neighbor, nonce } => {
                 let node = self.transfers.node();
@@ -922,6 +932,59 @@ mod tests {
         assert_eq!(queries.len(), 2);
         assert!(queries.contains(&NodeId::new(1)));
         assert!(queries.contains(&NodeId::new(2)));
+    }
+
+    /// The twin of SocialTube's `query_floods_at_most_ttl_plus_one_hops`:
+    /// a receiver at TTL 0 still answers, so on a line of five peers the
+    /// default TTL 2 finds a holder three hops away and not one four away.
+    #[test]
+    fn query_floods_at_most_ttl_plus_one_hops() {
+        assert_eq!(NetTubeConfig::default().ttl, 2);
+        for (holder, found) in [(3, true), (4, false)] {
+            let mut line: Vec<NetTubePeer> = (0..5).map(|n| peer(n).0).collect();
+            let vids = fixture().1;
+            let mut out = Outbox::new();
+            for (n, p) in line.iter_mut().enumerate() {
+                p.on_login(SimTime::ZERO, &mut out);
+                for m in [n.wrapping_sub(1), n + 1].into_iter().filter(|m| *m < 5) {
+                    p.add_link(NodeId::new(m as u32), vids[0]);
+                }
+            }
+            let id = RequestId::new(NodeId::new(holder), 0);
+            complete_download(&mut line[holder as usize], vids[1], id, &mut out);
+            out.drain();
+
+            // Deliver queries until the flood dies out; a hit ends at 0.
+            let sent_by = |from: NodeId, out: &mut Outbox| -> Vec<_> {
+                let sent = out.drain().filter_map(|c| match c {
+                    Command::ToPeer { to, msg } => Some((to, from, msg)),
+                    _ => None,
+                });
+                sent.collect()
+            };
+            line[0].watch(SimTime::ZERO, vids[1], &mut out);
+            let mut sent = sent_by(NodeId::new(0), &mut out);
+            let mut hit = false;
+            while let Some((to, from, msg)) = sent.pop() {
+                match msg {
+                    Message::QueryHit { provider, .. } => {
+                        assert_eq!((to, provider), (NodeId::new(0), NodeId::new(holder)));
+                        hit = true;
+                    }
+                    Message::Query { .. } => {
+                        line[to.index()].on_message(
+                            SimTime::ZERO,
+                            PeerAddr::Peer(from),
+                            msg,
+                            &mut out,
+                        );
+                        sent.extend(sent_by(to, &mut out));
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(hit, found, "holder {holder} hops away");
+        }
     }
 
     #[test]

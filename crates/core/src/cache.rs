@@ -49,8 +49,21 @@ pub struct VideoCache {
     /// and allocation-light where a hash map pays per-entry overhead on
     /// every lookup of the chunk-transfer hot path.
     entries: Vec<(VideoId, CacheEntry, u64)>,
+    /// The [`filter_bit`]s of the full entries (nothing un-fills an entry,
+    /// and `remove` recomputes them): a clear bit answers `has_full`
+    /// without touching `entries`, a set bit may be another video's. Two
+    /// words rather than a `u128`, whose 16-byte alignment would pad every
+    /// peer.
+    full: [u64; 2],
     capacity: Option<usize>,
     clock: u64,
+}
+
+/// The filter bit of `video`: the top 7 bits of a multiplicative hash, so
+/// consecutive ids of one channel spread over the 128 bits.
+fn filter_bit(video: VideoId) -> (usize, u64) {
+    let bit = video.as_u32().wrapping_mul(0x9E37_79B1) >> 25;
+    ((bit >> 6) as usize, 1 << (bit & 63))
 }
 
 impl VideoCache {
@@ -58,6 +71,7 @@ impl VideoCache {
     pub fn unbounded() -> Self {
         Self {
             entries: Vec::new(),
+            full: [0; 2],
             capacity: None,
             clock: 0,
         }
@@ -72,6 +86,7 @@ impl VideoCache {
         assert!(capacity > 0, "cache capacity must be positive");
         Self {
             entries: Vec::new(),
+            full: [0; 2],
             capacity: Some(capacity),
             clock: 0,
         }
@@ -95,9 +110,12 @@ impl VideoCache {
         self.entries.is_empty()
     }
 
-    /// Whether the full video is cached.
+    /// Whether the full video is cached. Most probes of a flood are for
+    /// videos this cache does not hold in full, and the filter refuses
+    /// those without the binary search.
     pub fn has_full(&self, video: VideoId) -> bool {
-        self.get(video).is_some_and(|(e, _)| e.is_full())
+        let (word, mask) = filter_bit(video);
+        self.full[word] & mask != 0 && self.get(video).is_some_and(|(e, _)| e.is_full())
     }
 
     /// Whether at least the first chunk is cached.
@@ -124,16 +142,22 @@ impl VideoCache {
     /// total)` entry for a new video) and stamping the LRU clock.
     fn upsert(&mut self, video: VideoId, total: u32, update: impl FnOnce(&mut CacheEntry)) {
         let clock = self.clock;
-        match self.position(video) {
+        let entry = match self.position(video) {
             Ok(at) => {
                 update(&mut self.entries[at].1);
                 self.entries[at].2 = clock;
+                self.entries[at].1
             }
             Err(at) => {
                 let mut entry = CacheEntry { chunks: 0, total };
                 update(&mut entry);
                 self.entries.insert(at, (video, entry, clock));
+                entry
             }
+        };
+        if entry.is_full() {
+            let (word, mask) = filter_bit(video);
+            self.full[word] |= mask;
         }
     }
 
@@ -177,6 +201,15 @@ impl VideoCache {
         match self.position(video) {
             Ok(at) => {
                 self.entries.remove(at);
+                // Another full video may share the bit: rebuild from what
+                // is left (eviction is rare, and the paper's cache never
+                // evicts).
+                let mut full = [0; 2];
+                for video in self.full_videos() {
+                    let (word, mask) = filter_bit(video);
+                    full[word] |= mask;
+                }
+                self.full = full;
                 true
             }
             Err(_) => false,
@@ -311,6 +344,7 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeMap;
 
         #[derive(Clone, Debug)]
         enum Op {
@@ -357,6 +391,72 @@ mod tests {
                     prop_assert!(cache.len() <= cap, "capacity exceeded");
                     // full_videos is a subset of cached videos.
                     prop_assert!(cache.full_videos().count() <= cache.len());
+                }
+            }
+
+            /// After every operation the filtered cache answers every probe
+            /// as a filter-free model does, bounded and unbounded, over ids
+            /// of which a third share one filter bit.
+            #[test]
+            fn answers_match_a_filter_free_model(
+                ops in proptest::collection::vec(op_strategy(), 0..300),
+                cap in 0usize..8,
+            ) {
+                let shared = filter_bit(VideoId::new(0));
+                let pool: Vec<u32> = (0..)
+                    .filter(|v| filter_bit(VideoId::new(*v)) == shared)
+                    .take(10)
+                    .chain(1..21)
+                    .collect();
+                let mut cache = VideoCache::from_config((cap > 0).then_some(cap));
+                // video → (chunks of 8, step last used); operations stamp
+                // in step order, as the cache's own clock does.
+                let mut model: BTreeMap<u32, (u32, usize)> = BTreeMap::new();
+                for (step, op) in ops.into_iter().enumerate() {
+                    let t = step as u64;
+                    let mut upsert = |v: u32, chunks: &dyn Fn(u32) -> u32| {
+                        let e = model.entry(v).or_insert((0, step));
+                        *e = (chunks(e.0), step);
+                        Some(v)
+                    };
+                    let inserted = match op {
+                        Op::Full(v) => {
+                            cache.insert_full(VideoId::new(pool[v as usize]), 8, t);
+                            upsert(pool[v as usize], &|_| 8)
+                        }
+                        Op::First(v) => {
+                            cache.insert_first_chunk(VideoId::new(pool[v as usize]), 8, t);
+                            upsert(pool[v as usize], &|k| k.max(1))
+                        }
+                        Op::Chunk(v, c) => {
+                            cache.record_chunk(VideoId::new(pool[v as usize]), c, 8, t);
+                            upsert(pool[v as usize], &|k| k.max(c + 1))
+                        }
+                        Op::Touch(v) => {
+                            cache.touch(VideoId::new(pool[v as usize]), t);
+                            if let Some(e) = model.get_mut(&pool[v as usize]) {
+                                e.1 = step;
+                            }
+                            None
+                        }
+                        Op::Remove(v) => {
+                            let removed = model.remove(&pool[v as usize]).is_some();
+                            prop_assert_eq!(cache.remove(VideoId::new(pool[v as usize])), removed);
+                            None
+                        }
+                    };
+                    // Least recently used first, never the video just inserted.
+                    while let Some(v) = inserted.filter(|_| cap > 0 && model.len() > cap) {
+                        let victim = model.iter().filter(|(w, _)| **w != v).min_by_key(|(_, e)| e.1);
+                        let victim = *victim.expect("a second entry").0;
+                        model.remove(&victim);
+                    }
+                    for &v in &pool {
+                        let (video, chunks) = (VideoId::new(v), model.get(&v).map_or(0, |e| e.0));
+                        prop_assert_eq!(cache.has_full(video), chunks == 8, "{}", v);
+                        prop_assert_eq!(cache.has_first_chunk(video), chunks >= 1, "{}", v);
+                        prop_assert_eq!(cache.chunks_of(video), chunks, "{}", v);
+                    }
                 }
             }
 

@@ -21,7 +21,9 @@ pub struct SocialTubeConfig {
     pub inner_links: usize,
     /// `N_h`: maximum inter-links in the category cluster (paper: 10).
     pub inter_links: usize,
-    /// TTL of flooded queries (paper: 2).
+    /// TTL of flooded queries (paper: 2). A receiver at TTL 0 still
+    /// answers (it only stops forwarding), so a query reaches nodes
+    /// TTL + 1 hops away.
     pub ttl: u8,
     /// Number of popular videos to prefetch per channel, `M` (paper
     /// evaluation: first chunks of the top 3).

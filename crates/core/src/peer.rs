@@ -376,8 +376,10 @@ impl VodPeer for SocialTubePeer {
                 origin,
                 scope,
             } => {
-                // The cache lookup is pure and the dedup probe does not
-                // depend on it: issued first, their two cold loads overlap.
+                // Both checks are usually answered from this peer's own
+                // struct: a video not held in full mostly has a clear filter
+                // bit, and a duplicate is mostly one of the window's four
+                // newest ids.
                 let held = self.cache.has_full(video);
                 if origin == self.transfers.node() || !self.seen_queries.insert(id) {
                     return;

@@ -1,9 +1,13 @@
 //! The duplicate-suppression window for flooded queries.
 //!
-//! An id is stored once, in the ring, and indexed by a 4-byte position:
-//! ≈ 19 B per id at `sim-scale`'s 201 ids per peer (8 B of ring plus its
-//! doubling slack, 4 B ÷ load of index) where a table of the ids cost
-//! ≈ 27 B. In return a duplicate pays one ring read the table did not.
+//! An id is stored in the ring and indexed by a 4-byte position: ≈ 19 B
+//! per id at `sim-scale`'s 201 ids per peer (8 B of ring plus its doubling
+//! slack, 4 B ÷ load of index) where a table of the ids cost ≈ 27 B. The
+//! newest four are stored a second time, inline, for 32 B per peer: a
+//! flood re-reaches a peer soon after it forwarded the query, so almost
+//! every duplicate is one of them and is refused without a load beyond
+//! the peer's own struct. Any other duplicate pays the index probe and
+//! one ring read.
 
 use crate::messages::RequestId;
 
@@ -11,8 +15,9 @@ use crate::messages::RequestId;
 /// first — what a flooding peer consults to drop a query it has already
 /// forwarded.
 ///
-/// A ring of the ids in arrival order plus an open-addressed index of
-/// their ring positions for the membership test: one multiplicative hash
+/// The newest four ids inline, then a ring of the ids in arrival order
+/// plus an open-addressed index of their ring positions for the
+/// membership test: one multiplicative hash
 /// and, at load ≤ 3/4, a probe that rarely leaves the first cache line.
 /// A slot is `fingerprint << pos_bits | (position + 1)`, `0` when vacant,
 /// and its home the leading bits of its own fingerprint, so growth and
@@ -50,6 +55,9 @@ pub struct SeenWindow {
     table: Vec<u32>,
     /// The low `pos_bits` of a slot, which hold `position + 1 ≤ window`.
     pos_mask: u32,
+    /// The last accepted ids, newest first; the first `min(len, 4)` are
+    /// valid, and all of them are still inside the window.
+    newest: [u64; 4],
 }
 
 impl SeenWindow {
@@ -71,6 +79,7 @@ impl SeenWindow {
             oldest: 0,
             table: Vec::new(),
             pos_mask: (1 << (usize::BITS - window.leading_zeros())) - 1,
+            newest: [0; 4],
         }
     }
 
@@ -86,6 +95,9 @@ impl SeenWindow {
 
     /// Returns `true` if `id` is inside the window.
     pub fn contains(&self, id: RequestId) -> bool {
+        if self.newest[..self.ring.len().min(4)].contains(&id.0) {
+            return true;
+        }
         if self.table.is_empty() {
             return false;
         }
@@ -133,6 +145,8 @@ impl SeenWindow {
             self.grow();
         }
         self.place(self.fingerprint(id.0) | (position as u32 + 1));
+        self.newest.rotate_right(1);
+        self.newest[0] = id.0;
         true
     }
 
@@ -247,6 +261,8 @@ mod tests {
         for id in &model.order {
             assert!(seen.contains(RequestId(*id)), "lost {id}");
         }
+        let recent = model.order.iter().rev().take(4);
+        assert!(recent.eq(&seen.newest[..seen.len().min(4)]));
         // Each occupied slot carries the fingerprint of the id at its
         // position, and each ring position has exactly one slot.
         let occupied = seen.table.iter().filter(|slot| **slot != 0);
@@ -385,30 +401,37 @@ mod tests {
 
     proptest! {
         /// Every insert answers as the model does, for windows small enough
-        /// to wrap many times and large enough to grow the index while
-        /// evictions are already under way. Ids come from a pool a little
-        /// larger than the window, so repeats inside the window, re-offers
-        /// of evicted ids and clustered probes are all common; the pool
-        /// includes `0` and `u64::MAX`.
+        /// to wrap many times (at and around the four ids kept inline) and
+        /// large enough to grow the index while evictions are already under
+        /// way. Ids come from a pool a little larger than the window, so
+        /// repeats inside the window, re-offers of evicted ids and clustered
+        /// probes are all common; the pool includes `0` and `u64::MAX`. A
+        /// third of the offers repeat one of the last six, as a flood that
+        /// re-reaches a peer does.
         #[test]
         fn matches_hash_set_and_deque(
-            which in 0usize..4,
+            which in 0usize..8,
             spread in 0u32..3,
             picks in proptest::collection::vec(0u64..1_400, 1..3_000),
         ) {
-            let window = [1, 8, 150, 512][which];
+            let window = [1, 2, 3, 4, 5, 8, 150, 512][which];
             let pool = (window as u64 * 5 / 2).min(1_400);
-            let ids = picks.into_iter().map(|pick| {
+            let mut offered: Vec<u64> = Vec::new();
+            for pick in picks {
                 let k = pick % (pool + 1);
-                match (k == pool, spread) {
+                let id = match (k == pool, spread) {
+                    _ if pick % 3 == 0 && !offered.is_empty() => {
+                        offered[offered.len() - 1 - (pick as usize / 3) % offered.len().min(6)]
+                    }
                     (true, _) => u64::MAX,
                     // Counter-only, origin-only and mixed id patterns.
                     (_, 0) => k,
                     (_, 1) => k << 32,
                     _ => ((k % 7) << 32) | (k / 7),
-                }
-            });
-            check_against_model(window, ids);
+                };
+                offered.push(id);
+            }
+            check_against_model(window, offered);
         }
     }
 }

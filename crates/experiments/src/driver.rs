@@ -39,9 +39,7 @@ use socialtube_sim::{
 use socialtube_trace::{generate, SharedTrace, Trace};
 
 use crate::configs::ExperimentOptions;
-use crate::harness::{
-    ProtocolStack, SessionDirector, SessionStep, SimEvent, SimSubstrate, StackBuilder,
-};
+use crate::harness::{SessionDirector, SessionStep, SimEvent, SimPeer, SimSubstrate, StackBuilder};
 use crate::metrics::{MetricsCollector, MetricsSummary};
 use crate::recording::record_report_in;
 use crate::{Execution, Protocol};
@@ -474,7 +472,7 @@ struct World<'a> {
     catalog: Arc<Catalog>,
     interpreter: CommandInterpreter,
     latency: LatencyModel,
-    peers: Vec<Option<Box<dyn VodPeer + Send>>>,
+    peers: Vec<Option<SimPeer>>,
     /// The origin server — present only on the serial executor and the
     /// server-owning shard 0.
     server: Option<Box<dyn VodServer + Send>>,
@@ -491,9 +489,9 @@ struct World<'a> {
 }
 
 /// Mutable access to an owned peer slot; panics on a routing bug.
-fn peer(peers: &mut [Option<Box<dyn VodPeer + Send>>], node: NodeId) -> &mut (dyn VodPeer + Send) {
+fn peer(peers: &mut [Option<SimPeer>], node: NodeId) -> &mut SimPeer {
     peers[node.index()]
-        .as_deref_mut()
+        .as_mut()
         .expect("event routed to a node owned by another shard")
 }
 
@@ -684,8 +682,8 @@ fn run_with_catalog<R: Recorder>(
     let root = SimRng::seed(seed ^ 0x50c1_a17b);
     let users = trace.graph.user_count();
 
-    let ProtocolStack { peers, server } =
-        StackBuilder::from_options(protocol, Arc::clone(&catalog), options).build(trace, &root);
+    let (peers, server) =
+        StackBuilder::from_options(protocol, Arc::clone(&catalog), options).build_sim(trace, &root);
     let director = SessionDirector::new(users, options.workload.clone(), &root);
     let latency = LatencyModel::new(
         &root,
@@ -1056,8 +1054,8 @@ where
     // Identical construction to the serial path: every RNG consumer draws
     // from an independent labelled stream off the root, so build order is
     // immaterial and both executors see the same randomness.
-    let ProtocolStack { peers, server } =
-        StackBuilder::from_options(protocol, Arc::clone(&catalog), options).build(trace, &root);
+    let (peers, server) =
+        StackBuilder::from_options(protocol, Arc::clone(&catalog), options).build_sim(trace, &root);
     let director = SessionDirector::new(users, options.workload.clone(), &root);
     let latency = LatencyModel::new(
         &root,
@@ -1073,7 +1071,7 @@ where
     let community_of = community_keys::<R>(trace);
 
     // Deal the stack's peers into per-shard full-length slot vectors.
-    let mut peer_slots: Vec<Vec<Option<Box<dyn VodPeer + Send>>>> = (0..shards)
+    let mut peer_slots: Vec<Vec<Option<SimPeer>>> = (0..shards)
         .map(|_| (0..users).map(|_| None).collect())
         .collect();
     for (u, p) in peers.into_iter().enumerate() {

@@ -43,4 +43,4 @@ mod stack;
 
 pub use crate::workload::{SessionDirector, SessionStep};
 pub use sim::{SimEvent, SimSubstrate};
-pub use stack::{ProtocolStack, StackBuilder};
+pub use stack::{ProtocolStack, SimPeer, StackBuilder};

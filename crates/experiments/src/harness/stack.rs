@@ -2,12 +2,15 @@
 
 use std::sync::Arc;
 
-use socialtube::{SocialTubeConfig, SocialTubePeer, SocialTubeServer, VodPeer, VodServer};
+use socialtube::{
+    Message, Outbox, PeerAddr, SocialTubeConfig, SocialTubePeer, SocialTubeServer, TimerKind,
+    VodPeer, VodServer,
+};
 use socialtube_baselines::{
     NetTubeConfig, NetTubePeer, NetTubeServer, PaVodConfig, PaVodPeer, PaVodServer,
 };
-use socialtube_model::{Catalog, NodeId};
-use socialtube_sim::{SimDuration, SimRng};
+use socialtube_model::{Catalog, NodeId, VideoId};
+use socialtube_sim::{SimDuration, SimRng, SimTime};
 use socialtube_trace::Trace;
 
 use crate::configs::ExperimentOptions;
@@ -126,73 +129,139 @@ impl StackBuilder {
     /// Builds the stack over `trace`, deriving protocol randomness from
     /// `root` (streams `"server"` and, for NetTube, indexed
     /// `"nettube-peer"` — stable labels are what keep refactors
-    /// bitwise-reproducible).
+    /// bitwise-reproducible). Each peer is boxed: the testbed's daemons
+    /// and the scripted harness hold them as trait objects.
     pub fn build(&self, trace: &Trace, root: &SimRng) -> ProtocolStack {
-        let users = trace.graph.user_count();
+        let (peers, server) = self.build_sim(trace, root);
+        ProtocolStack {
+            peers: peers.into_iter().map(SimPeer::boxed).collect(),
+            server,
+        }
+    }
+
+    /// [`build`](Self::build) with the peers held by value, for the
+    /// simulator's event loops: a delivery then reads the receiving peer
+    /// where the slot vector holds it, with no pointer to follow first.
+    pub fn build_sim(
+        &self,
+        trace: &Trace,
+        root: &SimRng,
+    ) -> (Vec<SimPeer>, Box<dyn VodServer + Send>) {
         let catalog = &self.catalog;
-        let mut peers: Vec<Box<dyn VodPeer + Send>> = Vec::with_capacity(users);
+        let nodes = (0..trace.graph.user_count()).map(|u| NodeId::new(u as u32));
         match self.protocol {
             Protocol::SocialTube | Protocol::SocialTubeNoPrefetch => {
                 let config = SocialTubeConfig {
                     prefetch: self.protocol == Protocol::SocialTube,
                     ..self.socialtube.clone()
                 };
-                for u in 0..users {
-                    let node = NodeId::new(u as u32);
+                let peers = nodes.map(|node| {
                     let subs = trace
                         .graph
                         .user(node)
                         .map(|x| x.subscriptions().to_vec())
                         .unwrap_or_default();
-                    peers.push(Box::new(SocialTubePeer::new(
-                        node,
-                        Arc::clone(catalog),
-                        subs,
-                        config.clone(),
-                    )));
-                }
+                    let peer = SocialTubePeer::new(node, Arc::clone(catalog), subs, config.clone());
+                    SimPeer::SocialTube(peer)
+                });
                 let server = SocialTubeServer::new(Arc::clone(catalog), root.stream("server"));
-                ProtocolStack {
-                    peers,
-                    server: Box::new(server),
-                }
+                (peers.collect(), Box::new(server))
             }
             Protocol::NetTube | Protocol::NetTubeNoPrefetch => {
                 let config = NetTubeConfig {
                     prefetch: self.protocol == Protocol::NetTube,
                     ..self.nettube.clone()
                 };
-                for u in 0..users {
-                    let node = NodeId::new(u as u32);
-                    peers.push(Box::new(NetTubePeer::new(
-                        node,
-                        Arc::clone(catalog),
-                        config.clone(),
-                        root.stream_indexed("nettube-peer", u as u64),
-                    )));
-                }
+                let peers = nodes.map(|node| {
+                    let rng = root.stream_indexed("nettube-peer", u64::from(node.as_u32()));
+                    let peer = NetTubePeer::new(node, Arc::clone(catalog), config.clone(), rng);
+                    SimPeer::NetTube(peer)
+                });
                 let server = NetTubeServer::new(Arc::clone(catalog), root.stream("server"));
-                ProtocolStack {
-                    peers,
-                    server: Box::new(server),
-                }
+                (peers.collect(), Box::new(server))
             }
             Protocol::PaVod => {
-                for u in 0..users {
-                    let node = NodeId::new(u as u32);
-                    peers.push(Box::new(PaVodPeer::new(
-                        node,
-                        Arc::clone(catalog),
-                        self.pavod.clone(),
-                    )));
-                }
+                let peers = nodes.map(|node| {
+                    let peer = PaVodPeer::new(node, Arc::clone(catalog), self.pavod.clone());
+                    SimPeer::PaVod(peer)
+                });
                 let server = PaVodServer::new(Arc::clone(catalog), root.stream("server"));
-                ProtocolStack {
-                    peers,
-                    server: Box::new(server),
-                }
+                (peers.collect(), Box::new(server))
             }
         }
+    }
+}
+
+/// A peer of any of the three protocols, held by value.
+///
+/// The simulator keeps its whole population in one `Vec<SimPeer>`, so a
+/// delivery's first load is the receiving peer's own struct rather than a
+/// box pointer and then the struct. A PA-VoD peer pads to the size of the
+/// largest variant, about 120 KB over a 300-peer population.
+#[allow(clippy::large_enum_variant)] // by-value peers are the point
+#[derive(Debug)]
+pub enum SimPeer {
+    /// A SocialTube peer (with or without prefetch).
+    SocialTube(SocialTubePeer),
+    /// A NetTube peer (with or without prefetch).
+    NetTube(NetTubePeer),
+    /// A PA-VoD peer.
+    PaVod(PaVodPeer),
+}
+
+/// Runs `$body` with `$peer` bound to whichever protocol's peer `$sim` holds.
+macro_rules! with_peer {
+    ($sim:expr, $peer:ident => $body:expr) => {
+        match $sim {
+            SimPeer::SocialTube($peer) => $body,
+            SimPeer::NetTube($peer) => $body,
+            SimPeer::PaVod($peer) => $body,
+        }
+    };
+}
+
+impl SimPeer {
+    /// The peer itself behind a trait object, as [`ProtocolStack`] holds it.
+    fn boxed(self) -> Box<dyn VodPeer + Send> {
+        with_peer!(self, p => Box::new(p))
+    }
+}
+
+impl VodPeer for SimPeer {
+    fn node(&self) -> NodeId {
+        with_peer!(self, p => p.node())
+    }
+
+    fn on_login(&mut self, now: SimTime, out: &mut Outbox) {
+        with_peer!(self, p => p.on_login(now, out))
+    }
+
+    fn on_logout(&mut self, now: SimTime, out: &mut Outbox) {
+        with_peer!(self, p => p.on_logout(now, out))
+    }
+
+    fn watch(&mut self, now: SimTime, video: VideoId, out: &mut Outbox) {
+        with_peer!(self, p => p.watch(now, video, out))
+    }
+
+    fn on_message(&mut self, now: SimTime, from: PeerAddr, msg: Message, out: &mut Outbox) {
+        with_peer!(self, p => p.on_message(now, from, msg, out))
+    }
+
+    fn on_timer(&mut self, now: SimTime, timer: TimerKind, out: &mut Outbox) {
+        with_peer!(self, p => p.on_timer(now, timer, out))
+    }
+
+    fn link_count(&self) -> usize {
+        with_peer!(self, p => p.link_count())
+    }
+
+    fn is_online(&self) -> bool {
+        with_peer!(self, p => p.is_online())
+    }
+
+    fn has_cached(&self, video: VideoId) -> bool {
+        with_peer!(self, p => p.has_cached(video))
     }
 }
 
@@ -226,6 +295,23 @@ mod tests {
                 .build(&shared, &SimRng::seed(7));
             assert_eq!(stack.peers.len(), shared.graph.user_count());
         }
+    }
+
+    /// What a by-value population costs per peer, and what the two parts
+    /// a flood delivery reads add to it: the cache's 16-byte full-video
+    /// filter and the dedup window's 32 bytes of newest ids. A PA-VoD
+    /// peer pads to the largest variant.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn by_value_peers_have_pinned_sizes() {
+        use socialtube::{SeenWindow, VideoCache};
+        use std::mem::size_of;
+        assert_eq!(size_of::<VideoCache>(), 64);
+        assert_eq!(size_of::<SeenWindow>(), 104);
+        assert_eq!(size_of::<SocialTubePeer>(), 472);
+        assert_eq!(size_of::<NetTubePeer>(), 488);
+        assert_eq!(size_of::<PaVodPeer>(), 104);
+        assert_eq!(size_of::<SimPeer>(), size_of::<NetTubePeer>());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Pairwise network propagation delays.
 
+use crate::rng::{splitmix, GOLDEN_GAMMA};
 use crate::{SimDuration, SimRng};
-use rand::Rng;
 
 /// Deterministic pairwise latency model.
 ///
@@ -67,10 +67,9 @@ impl LatencyModel {
         if span == 0 {
             return self.min;
         }
-        let mut rng = SimRng::seed(
-            self.seed ^ (u64::from(lo) << 32 | u64::from(hi)).wrapping_mul(0x2545_F491_4F6C_DD1D),
-        );
-        SimDuration::from_micros(self.min.as_micros() + rng.gen_range(0..=span))
+        let key =
+            self.seed ^ (u64::from(lo) << 32 | u64::from(hi)).wrapping_mul(0x2545_F491_4F6C_DD1D);
+        SimDuration::from_micros(self.min.as_micros() + first_draw(key, span))
     }
 
     /// One-way delay between node `a` and the server.
@@ -89,9 +88,26 @@ impl LatencyModel {
     }
 }
 
+/// `SimRng::seed(key).gen_range(0..=span)` without building the
+/// generator. SplitMix64 seeding makes state word `k` `splitmix(key + (k +
+/// 1) · γ)`, and xoshiro256++'s first output reads words 0 and 3 only. The
+/// all-zero-state nudge cannot fire: it needs both `key + γ` and `key + 4γ`
+/// to be 0, so `3γ ≡ 0 mod 2⁶⁴`, and γ is odd.
+fn first_draw(key: u64, span: u64) -> u64 {
+    let s0 = splitmix(key.wrapping_add(GOLDEN_GAMMA));
+    let s3 = splitmix(key.wrapping_add(GOLDEN_GAMMA.wrapping_mul(4)));
+    let x = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
+    match span.checked_add(1) {
+        // Multiply-shift into `0..=span`, as `gen_range` bounds a draw.
+        Some(n) => ((u128::from(x) * u128::from(n)) >> 64) as u64,
+        None => x,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     /// The 20–200 ms wide-area spread the struct docs describe.
     fn wide_area() -> LatencyModel {
@@ -140,6 +156,47 @@ mod tests {
         let distinct: std::collections::HashSet<u64> =
             (0..50u32).map(|a| m.delay(a, a + 1).as_micros()).collect();
         assert!(distinct.len() > 25, "delays look degenerate");
+    }
+
+    /// The generator the closed form replaced.
+    fn reference(model: &LatencyModel, a: u32, b: u32) -> SimDuration {
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let span = model.max.as_micros() - model.min.as_micros();
+        if span == 0 {
+            return model.min;
+        }
+        let mut rng = SimRng::seed(
+            model.seed ^ (u64::from(lo) << 32 | u64::from(hi)).wrapping_mul(0x2545_F491_4F6C_DD1D),
+        );
+        SimDuration::from_micros(model.min.as_micros() + rng.gen_range(0..=span))
+    }
+
+    #[test]
+    fn closed_form_matches_the_seeded_generator() {
+        let peers = (0..300).chain([LatencyModel::SERVER]);
+        for seed in [0, 1, 5, 42, 2001, u64::MAX] {
+            let m = LatencyModel::new(
+                &SimRng::seed(seed),
+                SimDuration::from_millis(20),
+                SimDuration::from_millis(200),
+            );
+            for a in 0..300 {
+                for b in peers.clone() {
+                    assert_eq!(m.delay(a, b), reference(&m, a, b), "seed {seed}: {a}-{b}");
+                }
+            }
+        }
+        let constant = LatencyModel::constant(SimDuration::from_millis(30));
+        let full = LatencyModel::new(
+            &SimRng::seed(7),
+            SimDuration::ZERO,
+            SimDuration::from_micros(u64::MAX),
+        );
+        for m in [constant, full] {
+            for (a, b) in [(0, 1), (3, 9), (299, LatencyModel::SERVER), (7, 7)] {
+                assert_eq!(m.delay(a, b), reference(&m, a, b), "{a}-{b}");
+            }
+        }
     }
 
     #[test]

@@ -51,9 +51,7 @@ impl SimRng {
     /// Derives an independent child generator for an indexed entity
     /// (e.g. one per node).
     pub fn stream_indexed(&self, label: &str, index: u64) -> SimRng {
-        SimRng::seed(
-            self.seed ^ fnv1a(label.as_bytes()) ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        )
+        SimRng::seed(self.seed ^ fnv1a(label.as_bytes()) ^ index.wrapping_mul(GOLDEN_GAMMA))
     }
 
     /// Derives the root seed of run number `run_index` in a multi-run
@@ -69,10 +67,7 @@ impl SimRng {
         if run_index == 0 {
             return base_seed;
         }
-        let mut z = base_seed.wrapping_add(run_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix(base_seed.wrapping_add(run_index.wrapping_mul(GOLDEN_GAMMA)))
     }
 
     /// Samples `true` with probability `p` (clamped to `[0, 1]`).
@@ -161,6 +156,18 @@ impl SimRng {
 /// full slice.
 fn unskip(i: usize, skip: Option<usize>) -> usize {
     i + usize::from(skip.is_some_and(|s| i >= s))
+}
+
+/// SplitMix64's increment: its `k`-th output from state `x` is
+/// `splitmix(x + k · GOLDEN_GAMMA)`, which is how [`SimRng::seed`] fills
+/// the generator's four state words (`k = 1..=4`).
+pub(crate) const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output finalizer, a bijection of `u64`.
+pub(crate) fn splitmix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// 64-bit FNV-1a over `bytes`, used to mix stream labels into seeds.
