@@ -4,9 +4,9 @@
 use std::sync::Arc;
 
 use socialtube::{
-    serve_from_origin, IndexedTracker, LinkKind, Message, Outbox, PeerAddr, Prober, QueryScope,
-    Report, RequestId, SearchPhase, SeenWindow, ServerOutbox, TimerKind, TransferKind, Transfers,
-    VecMap, VideoCache, VodPeer, VodServer,
+    serve_from_origin, Flood, IndexedTracker, LinkKind, Message, Outbox, PeerAddr, Prober,
+    QueryScope, Report, RequestId, SearchPhase, ServerOutbox, TimerKind, TransferKind, Transfers,
+    VecMap, VodPeer, VodServer,
 };
 use socialtube_model::{Catalog, NodeId, VideoId};
 use socialtube_sim::{SimDuration, SimRng, SimTime};
@@ -14,9 +14,8 @@ use socialtube_sim::{SimDuration, SimRng, SimTime};
 /// NetTube parameters (Section V settings of the paper's comparison).
 #[derive(Clone, Debug, PartialEq)]
 pub struct NetTubeConfig {
-    /// Query TTL. A receiver at TTL 0 still answers (it only stops
-    /// forwarding), so a query reaches nodes TTL + 1 hops away: three at
-    /// the default 2.
+    /// Query TTL; a query reaches nodes TTL + 1 hops away (see
+    /// [`Flood::on_query`]), three at the default 2.
     pub ttl: u8,
     /// Links kept per video overlay (the paper's analysis uses `log u`).
     pub links_per_video: usize,
@@ -36,10 +35,6 @@ pub struct NetTubeConfig {
     pub prefetch_delay: SimDuration,
     /// Optional cache capacity in videos.
     pub cache_capacity: Option<usize>,
-    /// Bound on the duplicate-suppression window for flooded queries
-    /// (oldest request ids evicted first), at most
-    /// [`SeenWindow::MAX_WINDOW`].
-    pub seen_query_window: usize,
 }
 
 impl Default for NetTubeConfig {
@@ -55,7 +50,6 @@ impl Default for NetTubeConfig {
             chunk_timeout: SimDuration::from_secs(60),
             prefetch_delay: SimDuration::from_secs(2),
             cache_capacity: None,
-            seen_query_window: 512,
         }
     }
 }
@@ -91,7 +85,7 @@ pub struct NetTubePeer {
     /// less often.
     distinct_cache: Vec<NodeId>,
     distinct_dirty: bool,
-    cache: VideoCache,
+    flood: Flood,
     /// Latest cache digest per overlay neighbor; the slice is shared with
     /// the message that carried it (digests are immutable snapshots).
     neighbor_digests: VecMap<NodeId, Arc<[VideoId]>>,
@@ -99,8 +93,6 @@ pub struct NetTubePeer {
     /// Requests in flight: flooding (`Channel` phase) until the server
     /// serves them.
     transfers: Transfers,
-    /// Flooded queries already handled, `seen_query_window` ids back.
-    seen_queries: SeenWindow,
     prober: Prober,
     /// The request whose flood miss sent this session's `JoinRequest`.
     /// NetTube asks the server for overlay providers only on the *first*
@@ -115,11 +107,9 @@ impl NetTubePeer {
     ///
     /// # Panics
     ///
-    /// Panics if `config.seen_query_window` exceeds
-    /// [`SeenWindow::MAX_WINDOW`] or `config.cache_capacity` is `Some(0)`.
+    /// Panics if `config.cache_capacity` is `Some(0)`.
     pub fn new(node: NodeId, catalog: Arc<Catalog>, config: NetTubeConfig, rng: SimRng) -> Self {
-        let cache = VideoCache::from_config(config.cache_capacity);
-        let seen_queries = SeenWindow::new(config.seen_query_window);
+        let flood = Flood::new(config.cache_capacity);
         Self {
             config,
             rng,
@@ -127,18 +117,12 @@ impl NetTubePeer {
             links: Vec::new(),
             distinct_cache: Vec::new(),
             distinct_dirty: false,
-            cache,
+            flood,
             neighbor_digests: VecMap::new(),
             transfers: Transfers::new(node, catalog),
-            seen_queries,
             prober: Prober::new(),
             join_search: None,
         }
-    }
-
-    /// Read-only view of the cache (tests and diagnostics).
-    pub fn cache(&self) -> &VideoCache {
-        &self.cache
     }
 
     /// Distinct neighbor nodes across all per-video overlays, in order of
@@ -249,7 +233,7 @@ impl NetTubePeer {
     /// The provider of `id` failed: continue from the next missing chunk.
     fn provider_failed(&mut self, id: RequestId, out: &mut Outbox) {
         if let Some(t) = self.transfers.get_mut(id) {
-            t.from_chunk = self.cache.chunks_of(t.video);
+            t.from_chunk = self.flood.cache().chunks_of(t.video);
             self.try_candidate(id, out);
         }
     }
@@ -314,8 +298,8 @@ impl VodPeer for NetTubePeer {
     fn watch(&mut self, now: SimTime, video: VideoId, out: &mut Outbox) {
         debug_assert!(self.online, "watch() on an offline peer");
         let (started, missing) = self
-            .transfers
-            .start_from_cache(now, video, &mut self.cache, out);
+            .flood
+            .start_from_cache(&self.transfers, now, video, out);
         if started {
             self.schedule_prefetch(out);
         }
@@ -326,29 +310,12 @@ impl VodPeer for NetTubePeer {
             .transfers
             .begin(now, video, TransferKind::Playback, from_chunk, started);
         self.refresh_distinct();
-        if self.distinct_cache.is_empty() {
+        let to = self.distinct_cache.iter().copied();
+        let (ttl, deadline) = (self.config.ttl, self.config.search_timeout);
+        let scope = QueryScope::PerVideo;
+        if !Flood::start(&self.transfers, id, ttl, deadline, scope, to, out) {
             self.ask_server(id, out);
-            return;
         }
-        for &n in &self.distinct_cache {
-            out.to_peer(
-                n,
-                Message::Query {
-                    id,
-                    video,
-                    ttl: self.config.ttl,
-                    origin: self.transfers.node(),
-                    scope: QueryScope::PerVideo,
-                },
-            );
-        }
-        out.timer(
-            self.config.search_timeout,
-            TimerKind::SearchDeadline {
-                id,
-                phase: SearchPhase::Channel,
-            },
-        );
     }
 
     fn on_message(&mut self, now: SimTime, from: PeerAddr, msg: Message, out: &mut Outbox) {
@@ -356,76 +323,21 @@ impl VodPeer for NetTubePeer {
             return;
         }
         match msg {
-            Message::Query {
-                id,
-                video,
-                ttl,
-                origin,
-                scope,
-            } => {
-                // Both checks are usually answered from this peer's own
-                // struct: a video not held in full mostly has a clear filter
-                // bit, and a duplicate is mostly one of the window's four
-                // newest ids.
-                let held = self.cache.has_full(video);
-                if origin == self.transfers.node() || !self.seen_queries.insert(id) {
-                    return;
-                }
-                if held {
-                    self.cache.touch(video, now.as_micros());
-                }
-                if !self
-                    .transfers
-                    .answer_query(held, id, video, ttl, origin, None, out)
-                {
-                    return;
-                }
-                let sender = match from {
-                    PeerAddr::Peer(n) => Some(n),
-                    PeerAddr::Server => None,
-                };
-                // The flood is the hottest path in the simulation: read the
-                // lazily-maintained dedup instead of allocating (or
-                // re-deriving) a target list per delivered query.
+            msg @ Message::Query { .. } => {
                 self.refresh_distinct();
-                for &t in &self.distinct_cache {
-                    if Some(t) == sender || t == origin {
-                        continue;
-                    }
-                    out.to_peer(
-                        t,
-                        Message::Query {
-                            id,
-                            video,
-                            ttl: ttl - 1,
-                            origin,
-                            scope,
-                        },
-                    );
-                }
+                let forward = self.distinct_cache.iter().copied();
+                let transfers = &self.transfers;
+                self.flood
+                    .on_query(transfers, now, from, msg, None, forward, out);
             }
 
-            Message::QueryHit {
-                id,
-                video,
-                provider,
-                ttl,
-                ..
+            msg @ Message::QueryHit {
+                video, provider, ..
             } => {
-                // NetTube has a single flood tier, reported as the channel
-                // phase with the hop count the TTL encodes.
-                let Some(phase) = self.transfers.searching(id) else {
-                    return;
-                };
-                out.report(Report::SearchResolved {
-                    node: self.transfers.node(),
-                    video,
-                    phase,
-                    hops: self.config.ttl.saturating_sub(ttl).saturating_add(1),
-                });
-                self.transfers
-                    .ask_provider(id, provider, Some(self.config.chunk_timeout), out);
-                self.connect_to(provider, video, out);
+                let (ttl, timeout) = (self.config.ttl, self.config.chunk_timeout);
+                if Flood::on_hit(&mut self.transfers, msg, ttl, timeout, out) {
+                    self.connect_to(provider, video, out);
+                }
             }
 
             Message::OverlayContacts { video, contacts } => {
@@ -450,34 +362,11 @@ impl VodPeer for NetTubePeer {
                 }
             }
 
-            Message::ChunkRequest {
-                id,
-                video,
-                from_chunk,
-                kind,
-            } => {
-                let held = self.cache.has_full(video);
-                if self
-                    .transfers
-                    .serve(held, from, id, video, from_chunk, kind, out)
-                {
-                    self.cache.touch(video, now.as_micros());
-                }
-            }
-
-            Message::ChunkData {
-                id,
-                video,
-                chunk,
-                bits,
-                kind,
-            } => {
-                let total = self.transfers.chunks_in(video);
-                self.cache
-                    .record_chunk(video, chunk, total, now.as_micros());
+            msg @ (Message::ChunkRequest { video, kind, .. }
+            | Message::ChunkData { video, kind, .. }) => {
                 let progress = self
-                    .transfers
-                    .on_chunk(from, id, video, chunk, bits, kind, out);
+                    .flood
+                    .on_chunk(&mut self.transfers, now, from, msg, out);
                 if progress.started {
                     self.schedule_prefetch(out);
                 }
@@ -513,7 +402,7 @@ impl VodPeer for NetTubePeer {
                     out.to_peer(
                         requester,
                         Message::CacheDigest {
-                            videos: self.cache.full_videos().collect(),
+                            videos: self.flood.cache().full_videos().collect(),
                         },
                     );
                 } else {
@@ -537,7 +426,7 @@ impl VodPeer for NetTubePeer {
                 out.to_peer(
                     accepter,
                     Message::CacheDigest {
-                        videos: self.cache.full_videos().collect(),
+                        videos: self.flood.cache().full_videos().collect(),
                     },
                 );
             }
@@ -607,7 +496,7 @@ impl VodPeer for NetTubePeer {
                 let mut pool: Vec<(NodeId, VideoId)> = Vec::new();
                 for (n, vids) in &self.neighbor_digests {
                     for v in vids.iter() {
-                        if !self.cache.has_first_chunk(*v) {
+                        if !self.flood.cache().has_first_chunk(*v) {
                             pool.push((*n, *v));
                         }
                     }
@@ -637,7 +526,7 @@ impl VodPeer for NetTubePeer {
     }
 
     fn has_cached(&self, video: VideoId) -> bool {
-        self.cache.has_full(video)
+        self.flood.cache().has_full(video)
     }
 }
 
@@ -771,16 +660,6 @@ mod tests {
                 out,
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "MAX_WINDOW")]
-    fn a_window_past_the_dedup_bound_is_refused() {
-        let config = NetTubeConfig {
-            seen_query_window: SeenWindow::MAX_WINDOW + 1,
-            ..NetTubeConfig::default()
-        };
-        NetTubePeer::new(NodeId::new(0), fixture().0, config, SimRng::seed(0));
     }
 
     #[test]

@@ -146,6 +146,9 @@ impl VodPeer for PaVodPeer {
                 bits,
                 kind,
             } => {
+                if !self.transfers.has_chunk(video, chunk) {
+                    return;
+                }
                 if let Some((held, chunks)) = &mut self.holding {
                     if *held == video {
                         *chunks = (*chunks).max(chunk + 1);

@@ -1,13 +1,16 @@
 //! The chunk-transfer rules have one implementation
-//! (`socialtube::Transfers`); each protocol only decides how a provider is
-//! found. This drives the same transfer scenarios through all three peers
-//! behind `Box<dyn VodPeer>` and compares the transfer commands they emit.
+//! (`socialtube::Transfers`), and so do the flooding rules
+//! (`socialtube::Flood`); each protocol only decides how a provider is
+//! found and which neighbours a flood reaches. This drives the same
+//! transfer scenarios through all three peers, and the same flood scenarios
+//! through the two flooding peers, behind `Box<dyn VodPeer>` and compares
+//! the commands they emit.
 
 use std::sync::Arc;
 
 use socialtube::{
     ChunkSource, Command, LinkKind, Message, Outbox, PeerAddr, QueryScope, Report, RequestId,
-    SocialTubeConfig, SocialTubePeer, TimerKind, TransferKind, VodPeer,
+    SocialTubeConfig, SocialTubePeer, TimerKind, TransferKind, VodPeer, SEEN_QUERY_WINDOW,
 };
 use socialtube_baselines::{NetTubeConfig, NetTubePeer, PaVodConfig, PaVodPeer};
 use socialtube_model::{Catalog, CatalogBuilder, ChannelId, NodeId, VideoId};
@@ -22,6 +25,8 @@ const NEIGHBOR: NodeId = NodeId::new(9);
 const CHANNEL: ChannelId = ChannelId::new(0);
 const VIDEO: VideoId = VideoId::new(0);
 const OTHER: VideoId = VideoId::new(1);
+/// A video the catalog does not have.
+const UNKNOWN: VideoId = VideoId::new(2);
 /// The watching peer's one request.
 const ID: RequestId = RequestId(0);
 /// When the user selects the video.
@@ -239,6 +244,24 @@ fn all_three_peers_move_chunks_by_the_same_rules() {
         (case.discover)(peer, &mut out);
         assert_eq!(transfer_commands(&mut out), ask(P1, 0), "{name}");
 
+        // A chunk the catalog does not have (the wire carries any index) is
+        // dropped before anything stores or counts it.
+        for (video, chunk) in [(VIDEO, total), (VIDEO, u32::MAX), (UNKNOWN, 0)] {
+            let data = Message::ChunkData {
+                id: ID,
+                video,
+                chunk,
+                bits: BITS,
+                kind: TransferKind::Playback,
+            };
+            peer.on_message(T0, PeerAddr::Peer(P1), data, &mut out);
+            assert_eq!(out.commands(), [], "{name}: chunk {chunk} of {video:?}");
+            assert!(
+                !peer.has_cached(video),
+                "{name}: chunk {chunk} of {video:?}"
+            );
+        }
+
         // Playback is reported on the first chunk, once.
         deliver(peer, PeerAddr::Peer(P1), 0, &mut out);
         let started = Command::Report(Report::PlaybackStarted {
@@ -362,5 +385,139 @@ fn a_logged_off_peer_drops_what_it_is_sent() {
             assert_eq!(peer.link_count(), links, "{name}: {msg:?}");
         }
         assert!(!peer.is_online(), "{name}");
+    }
+}
+
+/// The flood's neighbours: the one a query arrives from, its origin, and
+/// two more.
+const SENDER: NodeId = NodeId::new(3);
+const ORIGIN: NodeId = NodeId::new(4);
+const N1: NodeId = NodeId::new(5);
+const N2: NodeId = NodeId::new(6);
+
+/// The two flooding peers, logged in with `SENDER`, `ORIGIN`, `N1` and `N2`
+/// as neighbours a `CHANNEL` query reaches, holding `VIDEO` in full and
+/// nothing of `OTHER`.
+fn flooding_peers() -> Vec<(&'static str, Box<dyn VodPeer>)> {
+    let social = SocialTubePeer::new(ME, catalog(), vec![CHANNEL], SocialTubeConfig::default());
+    let net = NetTubePeer::new(ME, catalog(), NetTubeConfig::default(), SimRng::seed(1));
+    let mut peers: Vec<(&'static str, Box<dyn VodPeer>)> =
+        vec![("SocialTube", Box::new(social)), ("NetTube", Box::new(net))];
+    let total = catalog().video(VIDEO).unwrap().chunk_count();
+    for (_, peer) in &mut peers {
+        let mut out = Outbox::new();
+        peer.on_login(SimTime::ZERO, &mut out);
+        for neighbor in [SENDER, ORIGIN, N1, N2] {
+            let connect = Message::ConnectRequest {
+                kind: LinkKind::Inner,
+                channel: Some(CHANNEL),
+                video: Some(VIDEO),
+            };
+            peer.on_message(SimTime::ZERO, PeerAddr::Peer(neighbor), connect, &mut out);
+        }
+        for chunk in 0..total {
+            deliver(peer.as_mut(), PeerAddr::Server, chunk, &mut out);
+        }
+    }
+    peers
+}
+
+/// A query of `ORIGIN`'s with request counter `n`.
+fn query(n: u32, video: VideoId, ttl: u8) -> Message {
+    Message::Query {
+        id: RequestId::new(ORIGIN, n),
+        video,
+        ttl,
+        origin: ORIGIN,
+        scope: QueryScope::Channel(CHANNEL),
+    }
+}
+
+/// What the peer emits when `from` delivers `msg`.
+fn flood(peer: &mut dyn VodPeer, from: NodeId, msg: Message) -> Vec<Command> {
+    let mut out = Outbox::new();
+    peer.on_message(SimTime::from_micros(5), PeerAddr::Peer(from), msg, &mut out);
+    out.drain().collect()
+}
+
+/// `query(n, OTHER, ttl)` passed on to `N1` and `N2` with `ttl − 1`.
+fn forwarded(n: u32, ttl: u8) -> Vec<Command> {
+    let msg = query(n, OTHER, ttl - 1);
+    [N1, N2]
+        .map(|to| Command::ToPeer {
+            to,
+            msg: msg.clone(),
+        })
+        .into()
+}
+
+/// `ME`'s answer to `query(n, VIDEO, ttl)`, sent to the origin.
+fn hit(n: u32, ttl: u8) -> Vec<Command> {
+    let msg = Message::QueryHit {
+        id: RequestId::new(ORIGIN, n),
+        video: VIDEO,
+        provider: ME,
+        provider_channel: None,
+        ttl,
+    };
+    vec![Command::ToPeer { to: ORIGIN, msg }]
+}
+
+#[test]
+fn both_flooding_peers_flood_by_the_same_rules() {
+    for (name, mut peer) in flooding_peers() {
+        let peer = peer.as_mut();
+
+        // A forward skips the sender and the origin, with `ttl − 1`.
+        assert_eq!(
+            flood(peer, SENDER, query(0, OTHER, 2)),
+            forwarded(0, 2),
+            "{name}"
+        );
+
+        // A duplicate is dropped, whoever delivers it.
+        assert_eq!(flood(peer, N1, query(0, OTHER, 2)), [], "{name}: duplicate");
+
+        // The window holds `SEEN_QUERY_WINDOW` ids: query 0 is a duplicate
+        // until that many newer ids push it out, then it is fresh again.
+        let window = SEEN_QUERY_WINDOW as u32;
+        for n in 1..window {
+            assert_eq!(flood(peer, SENDER, query(n, OTHER, 2)), forwarded(n, 2));
+        }
+        assert_eq!(flood(peer, N1, query(0, OTHER, 2)), [], "{name}: in window");
+        assert_eq!(
+            flood(peer, SENDER, query(window, OTHER, 2)),
+            forwarded(window, 2)
+        );
+        let again = flood(peer, SENDER, query(0, OTHER, 2));
+        assert_eq!(again, forwarded(0, 2), "{name}: evicted");
+
+        // A query this peer started is dropped.
+        let own = Message::Query {
+            id: RequestId::new(ME, 0),
+            video: VIDEO,
+            ttl: 2,
+            origin: ME,
+            scope: QueryScope::Channel(CHANNEL),
+        };
+        assert_eq!(flood(peer, SENDER, own), [], "{name}: own query");
+
+        // TTL 0 is answered, or reported expired, and never forwarded.
+        let expired = Command::Report(Report::TtlExpired {
+            node: ME,
+            video: OTHER,
+        });
+        let n = window + 1;
+        assert_eq!(flood(peer, SENDER, query(n, OTHER, 0)), [expired], "{name}");
+        assert_eq!(flood(peer, SENDER, query(n + 1, VIDEO, 0)), hit(n + 1, 0));
+
+        // A hit goes to the origin, not the sender, and ends the flood.
+        assert_eq!(flood(peer, SENDER, query(n + 2, VIDEO, 2)), hit(n + 2, 2));
+
+        // A logged-off peer drops everything, fresh queries included.
+        peer.on_logout(SimTime::from_micros(10), &mut Outbox::new());
+        for msg in [query(n + 3, OTHER, 2), query(n + 4, VIDEO, 2)] {
+            assert_eq!(flood(peer, SENDER, msg), [], "{name}: logged off");
+        }
     }
 }

@@ -1,6 +1,5 @@
 //! SocialTube protocol parameters.
 
-use crate::seen::SeenWindow;
 use socialtube_sim::SimDuration;
 
 /// Tunable parameters of the SocialTube peer (Section V defaults).
@@ -21,9 +20,8 @@ pub struct SocialTubeConfig {
     pub inner_links: usize,
     /// `N_h`: maximum inter-links in the category cluster (paper: 10).
     pub inter_links: usize,
-    /// TTL of flooded queries (paper: 2). A receiver at TTL 0 still
-    /// answers (it only stops forwarding), so a query reaches nodes
-    /// TTL + 1 hops away.
+    /// TTL of flooded queries (paper: 2); a query reaches nodes TTL + 1
+    /// hops away (see [`Flood::on_query`](crate::Flood::on_query)).
     pub ttl: u8,
     /// Number of popular videos to prefetch per channel, `M` (paper
     /// evaluation: first chunks of the top 3).
@@ -46,12 +44,6 @@ pub struct SocialTubeConfig {
     /// Optional cache capacity in videos (`None` = unbounded, the paper's
     /// setting: short videos make caching all watched videos cheap).
     pub cache_capacity: Option<usize>,
-    /// Bound on the duplicate-suppression window for flooded queries: the
-    /// peer remembers at most this many recent request ids, evicting the
-    /// oldest first. Keeps long-lived peers at O(window) memory instead of
-    /// growing with every query ever seen. From 1 to
-    /// [`SeenWindow::MAX_WINDOW`].
-    pub seen_query_window: usize,
 }
 
 impl Default for SocialTubeConfig {
@@ -68,7 +60,6 @@ impl Default for SocialTubeConfig {
             chunk_timeout: SimDuration::from_secs(60),
             prefetch_delay: SimDuration::from_secs(2),
             cache_capacity: None,
-            seen_query_window: 512,
         }
     }
 }
@@ -100,15 +91,6 @@ impl SocialTubeConfig {
         }
         if self.prefetch && self.prefetch_count == 0 {
             return Err("prefetch enabled but prefetch_count is zero".into());
-        }
-        if self.seen_query_window == 0 {
-            return Err("seen_query_window must be positive".into());
-        }
-        if self.seen_query_window > SeenWindow::MAX_WINDOW {
-            return Err(format!(
-                "seen_query_window must not exceed {}",
-                SeenWindow::MAX_WINDOW
-            ));
         }
         Ok(())
     }
@@ -155,11 +137,5 @@ mod tests {
         let mut c = SocialTubeConfig::default();
         c.search_phase_timeout = SimDuration::ZERO;
         assert!(c.validate().is_err());
-
-        let mut c = SocialTubeConfig::default();
-        c.seen_query_window = SeenWindow::MAX_WINDOW;
-        assert_eq!(c.validate(), Ok(()));
-        c.seen_query_window += 1;
-        assert!(c.validate().unwrap_err().contains("32767"));
     }
 }

@@ -66,6 +66,7 @@ pub mod harness;
 
 mod cache;
 mod config;
+mod flood;
 mod messages;
 mod neighbors;
 mod peer;
@@ -79,6 +80,7 @@ mod vecmap;
 
 pub use cache::{CacheEntry, VideoCache};
 pub use config::SocialTubeConfig;
+pub use flood::{Flood, SEEN_QUERY_WINDOW};
 pub use messages::{LinkKind, Message, PeerAddr, QueryScope, RequestId};
 pub use neighbors::{Neighbor, NeighborTable};
 pub use peer::SocialTubePeer;

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use socialtube_model::{CategoryId, ChannelId, ChunkIndex, NodeId, VideoId};
+use socialtube_model::{Catalog, CategoryId, ChannelId, ChunkIndex, NodeId, VideoId};
 
 use crate::traits::TransferKind;
 
@@ -61,6 +61,22 @@ pub enum QueryScope {
     Category(CategoryId),
     /// NetTube: the union of the node's per-video overlays.
     PerVideo,
+}
+
+impl QueryScope {
+    /// Whether a query in this scope travels over a link to a neighbour
+    /// watching `channel` (Section IV-A): a channel query stays in its
+    /// channel's overlay, a category query crosses the overlays of every
+    /// channel in the category, a per-video query crosses every link.
+    pub fn admits(self, channel: Option<ChannelId>, catalog: &Catalog) -> bool {
+        match self {
+            QueryScope::Channel(c) => channel == Some(c),
+            QueryScope::Category(cat) => {
+                channel.is_some_and(|ch| catalog.channel(ch).is_ok_and(|c| c.has_category(cat)))
+            }
+            QueryScope::PerVideo => true,
+        }
+    }
 }
 
 /// Kind of an overlay link (SocialTube terminology, Section IV-A).

@@ -1,19 +1,18 @@
 //! The SocialTube peer state machine: the two-level community overlay,
 //! the channel → category → server search over it, and popularity-driven
-//! prefetching. Moving chunks and probing neighbours are the shared
-//! [`Transfers`] and [`Prober`].
+//! prefetching. Flooding, moving chunks and probing neighbours are the
+//! shared [`Flood`], [`Transfers`] and [`Prober`].
 
 use std::sync::Arc;
 
-use socialtube_model::{Catalog, CategoryId, ChannelId, ChunkIndex, NodeId, VideoId};
+use socialtube_model::{Catalog, ChannelId, ChunkIndex, NodeId, VideoId};
 use socialtube_sim::SimTime;
 
-use crate::cache::VideoCache;
 use crate::config::SocialTubeConfig;
+use crate::flood::Flood;
 use crate::messages::{LinkKind, Message, PeerAddr, QueryScope, RequestId};
 use crate::neighbors::NeighborTable;
 use crate::probe::Prober;
-use crate::seen::SeenWindow;
 use crate::traits::{Outbox, Report, SearchPhase, TimerKind, TransferKind, VodPeer};
 use crate::transfer::Transfers;
 
@@ -32,12 +31,10 @@ pub struct SocialTubePeer {
     online: bool,
     current_channel: Option<ChannelId>,
     neighbors: NeighborTable,
-    cache: VideoCache,
+    flood: Flood,
 
     /// Requests in flight; a request's `phase` is its Algorithm 1 state.
     transfers: Transfers,
-    /// Flooded queries already handled, `seen_query_window` ids back.
-    seen_queries: SeenWindow,
     /// Server popularity digests, sorted by channel for binary search —
     /// a peer holds a handful of digests, so a sorted vec beats a map.
     /// Rankings are shared (`Arc`) with the server's cached copy.
@@ -61,17 +58,15 @@ impl SocialTubePeer {
             .validate()
             .unwrap_or_else(|e| panic!("invalid SocialTube config: {e}"));
         let neighbors = NeighborTable::new(config.inner_links, config.inter_links);
-        let cache = VideoCache::from_config(config.cache_capacity);
-        let seen_queries = SeenWindow::new(config.seen_query_window);
+        let flood = Flood::new(config.cache_capacity);
         Self {
             subscriptions,
             config,
             online: false,
             current_channel: None,
             neighbors,
-            cache,
+            flood,
             transfers: Transfers::new(node, catalog),
-            seen_queries,
             digests: Vec::new(),
             prober: Prober::new(),
         }
@@ -90,11 +85,6 @@ impl SocialTubePeer {
     /// Read-only view of the neighbor table (tests and diagnostics).
     pub fn neighbors(&self) -> &NeighborTable {
         &self.neighbors
-    }
-
-    /// Read-only view of the cache (tests and diagnostics).
-    pub fn cache(&self) -> &VideoCache {
-        &self.cache
     }
 
     /// Number of in-flight searches (tests and diagnostics).
@@ -136,14 +126,6 @@ impl SocialTubePeer {
 
     // ------------------------------------------------------------ helpers
 
-    fn video_category(&self, video: VideoId) -> Option<CategoryId> {
-        self.transfers
-            .catalog()
-            .video_category(video)
-            .ok()
-            .flatten()
-    }
-
     /// Drops, with a `Leave`, the links the current channel and the
     /// subscriptions no longer justify.
     fn shed_out_of_community(&mut self, out: &mut Outbox) {
@@ -162,38 +144,23 @@ impl SocialTubePeer {
         let Some(t) = self.transfers.get(id) else {
             return;
         };
-        let (video, phase) = (t.video, t.phase);
-        let flood = match phase {
+        let tier = match t.phase {
             SearchPhase::Channel => self
                 .current_channel
                 .map(|c| (LinkKind::Inner, QueryScope::Channel(c))),
-            SearchPhase::Category => self
-                .video_category(video)
-                .map(|c| (LinkKind::Inter, QueryScope::Category(c))),
+            SearchPhase::Category => {
+                let category = self.transfers.catalog().video_category(t.video);
+                let scope = category.ok().flatten().map(QueryScope::Category);
+                scope.map(|scope| (LinkKind::Inter, scope))
+            }
             SearchPhase::Server => return self.transfers.ask_origin(id, out),
         };
-        let mut asked = false;
-        if let Some((kind, scope)) = flood {
-            for n in self.neighbors.of_kind(kind) {
-                out.to_peer(
-                    n.node,
-                    Message::Query {
-                        id,
-                        video,
-                        ttl: self.config.ttl,
-                        origin: self.transfers.node(),
-                        scope,
-                    },
-                );
-                asked = true;
-            }
-        }
-        if asked {
-            out.timer(
-                self.config.search_phase_timeout,
-                TimerKind::SearchDeadline { id, phase },
-            );
-        } else {
+        let (ttl, deadline) = (self.config.ttl, self.config.search_phase_timeout);
+        let asked = tier.is_some_and(|(kind, scope)| {
+            let to = self.neighbors.of_kind(kind).map(|n| n.node);
+            Flood::start(&self.transfers, id, ttl, deadline, scope, to, out)
+        });
+        if !asked {
             self.advance_phase(id, out);
         }
     }
@@ -245,7 +212,7 @@ impl SocialTubePeer {
     /// missing chunk.
     fn fall_back_to_server(&mut self, id: RequestId, out: &mut Outbox) {
         if let Some(t) = self.transfers.get_mut(id) {
-            t.from_chunk = self.cache.chunks_of(t.video);
+            t.from_chunk = self.flood.cache().chunks_of(t.video);
             self.transfers.ask_origin(id, out);
         }
     }
@@ -352,8 +319,8 @@ impl VodPeer for SocialTubePeer {
         // A cached video plays at once; so does a prefetched first chunk,
         // with the rest fetched in the background.
         let (started, missing) = self
-            .transfers
-            .start_from_cache(now, video, &mut self.cache, out);
+            .flood
+            .start_from_cache(&self.transfers, now, video, out);
         if started {
             self.schedule_prefetch(out);
         }
@@ -369,128 +336,37 @@ impl VodPeer for SocialTubePeer {
             return;
         }
         match msg {
-            Message::Query {
-                id,
-                video,
-                ttl,
-                origin,
-                scope,
-            } => {
-                // Both checks are usually answered from this peer's own
-                // struct: a video not held in full mostly has a clear filter
-                // bit, and a duplicate is mostly one of the window's four
-                // newest ids.
-                let held = self.cache.has_full(video);
-                if origin == self.transfers.node() || !self.seen_queries.insert(id) {
-                    return;
-                }
-                if held {
-                    self.cache.touch(video, now.as_micros());
-                }
-                let channel = self.current_channel;
-                if !self
-                    .transfers
-                    .answer_query(held, id, video, ttl, origin, channel, out)
-                {
-                    return;
-                }
-                // Forward along the overlay the query is traversing:
-                // channel-scope queries follow links into that channel,
-                // category-scope queries continue through any link inside
-                // the category's channel overlays (Section IV-A). The scope
-                // check runs per neighbor instead of materializing a target
-                // list — floods are the hottest message path in the
-                // simulation and must not allocate.
-                let sender = match from {
-                    PeerAddr::Peer(n) => Some(n),
-                    PeerAddr::Server => None,
-                };
+            msg @ Message::Query { scope, .. } => {
                 let catalog = self.transfers.catalog();
-                for n in self.neighbors.iter() {
-                    let t = n.node;
-                    if Some(t) == sender || t == origin {
-                        continue;
-                    }
-                    let eligible = match scope {
-                        QueryScope::Channel(c) => n.channel == Some(c),
-                        QueryScope::Category(cat) => n.channel.is_some_and(|ch| {
-                            catalog
-                                .channel(ch)
-                                .map(|c| c.has_category(cat))
-                                .unwrap_or(false)
-                        }),
-                        QueryScope::PerVideo => true,
-                    };
-                    if eligible {
-                        out.to_peer(
-                            t,
-                            Message::Query {
-                                id,
-                                video,
-                                ttl: ttl - 1,
-                                origin,
-                                scope,
-                            },
-                        );
-                    }
-                }
+                let admitted = self
+                    .neighbors
+                    .iter()
+                    .filter(|n| scope.admits(n.channel, catalog));
+                let forward = admitted.map(|n| n.node);
+                let (channel, transfers) = (self.current_channel, &self.transfers);
+                self.flood
+                    .on_query(transfers, now, from, msg, channel, forward, out);
             }
 
-            Message::QueryHit {
-                id,
-                video,
+            msg @ Message::QueryHit {
                 provider,
                 provider_channel,
-                ttl,
+                ..
             } => {
-                // First hit wins; later responses are ignored.
-                let Some(phase) = self.transfers.searching(id) else {
-                    return;
-                };
-                // Both phases flood with a fresh `config.ttl`, so the
-                // remaining TTL at the provider recovers the hop count.
-                out.report(Report::SearchResolved {
-                    node: self.transfers.node(),
-                    video,
-                    phase,
-                    hops: self.config.ttl.saturating_sub(ttl).saturating_add(1),
-                });
-                self.transfers
-                    .ask_provider(id, provider, Some(self.config.chunk_timeout), out);
-                // Connect to the provider: it tends to watch what we watch
-                // (the paper's link-building rule after a successful search).
-                let link_kind = self.neighbors.classify(provider_channel);
-                self.connect_to(provider, link_kind, out);
-            }
-
-            Message::ChunkRequest {
-                id,
-                video,
-                from_chunk,
-                kind,
-            } => {
-                let held = self.cache.has_full(video);
-                if self
-                    .transfers
-                    .serve(held, from, id, video, from_chunk, kind, out)
-                {
-                    self.cache.touch(video, now.as_micros());
+                let (ttl, timeout) = (self.config.ttl, self.config.chunk_timeout);
+                if Flood::on_hit(&mut self.transfers, msg, ttl, timeout, out) {
+                    // Connect to the provider: it tends to watch what we
+                    // watch (the paper's link-building rule after a
+                    // successful search).
+                    let link_kind = self.neighbors.classify(provider_channel);
+                    self.connect_to(provider, link_kind, out);
                 }
             }
 
-            Message::ChunkData {
-                id,
-                video,
-                chunk,
-                bits,
-                kind,
-            } => {
-                let total = self.transfers.chunks_in(video);
-                self.cache
-                    .record_chunk(video, chunk, total, now.as_micros());
+            msg @ (Message::ChunkRequest { .. } | Message::ChunkData { .. }) => {
                 let progress = self
-                    .transfers
-                    .on_chunk(from, id, video, chunk, bits, kind, out);
+                    .flood
+                    .on_chunk(&mut self.transfers, now, from, msg, out);
                 if progress.started {
                     self.schedule_prefetch(out);
                 }
@@ -631,7 +507,7 @@ impl VodPeer for SocialTubePeer {
                 let targets: Vec<VideoId> = ranked
                     .iter()
                     .copied()
-                    .filter(|v| !self.cache.has_first_chunk(*v))
+                    .filter(|v| !self.flood.cache().has_first_chunk(*v))
                     .take(self.config.prefetch_count)
                     .collect();
                 for video in targets {
@@ -650,7 +526,7 @@ impl VodPeer for SocialTubePeer {
     }
 
     fn has_cached(&self, video: VideoId) -> bool {
-        self.cache.has_full(video)
+        self.flood.cache().has_full(video)
     }
 }
 
@@ -690,32 +566,6 @@ mod tests {
         )
     }
 
-    #[test]
-    fn seen_query_window_caps_duplicate_suppression_state() {
-        let (catalog, chans, _) = fixture();
-        let config = SocialTubeConfig {
-            seen_query_window: 8,
-            ..SocialTubeConfig::default()
-        };
-        let mut p = SocialTubePeer::new(NodeId::new(0), catalog, vec![chans[0]], config);
-        for i in 0..100u32 {
-            assert!(p.seen_queries.insert(RequestId::new(NodeId::new(1), i)));
-            assert!(p.seen_queries.len() <= 8, "window grew past the cap");
-        }
-        // Evicted ids are forgotten (accepted again); recent ones are not.
-        assert!(p.seen_queries.insert(RequestId::new(NodeId::new(1), 0)));
-        assert!(!p.seen_queries.insert(RequestId::new(NodeId::new(1), 99)));
-    }
-
-    #[test]
-    fn zero_seen_query_window_fails_validation() {
-        let config = SocialTubeConfig {
-            seen_query_window: 0,
-            ..SocialTubeConfig::default()
-        };
-        assert!(config.validate().is_err());
-    }
-
     fn sent_to_server(out: &Outbox) -> Vec<&Message> {
         out.commands()
             .iter()
@@ -744,6 +594,18 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// Delivers the first chunk of `video` as a prefetch nobody asked for.
+    fn prefetch_first_chunk(p: &mut SocialTubePeer, video: VideoId, out: &mut Outbox) {
+        let first = Message::ChunkData {
+            id: RequestId::new(NodeId::new(9), 0),
+            video,
+            chunk: 0,
+            bits: 100,
+            kind: TransferKind::Prefetch,
+        };
+        p.on_message(SimTime::ZERO, PeerAddr::Peer(NodeId::new(9)), first, out);
     }
 
     #[test]
@@ -827,100 +689,6 @@ mod tests {
         assert!(sent_to_server(&out)
             .iter()
             .all(|m| !matches!(m, Message::VideoRequest { .. })));
-    }
-
-    #[test]
-    fn query_forwarding_decrements_ttl_and_dedupes() {
-        let (_, chans, vids) = fixture();
-        let mut p = peer(5);
-        let mut out = Outbox::new();
-        p.on_login(SimTime::ZERO, &mut out);
-        p.current_channel = Some(chans[0]);
-        p.neighbors.set_current_channel(Some(chans[0]));
-        p.neighbors.try_add(NodeId::new(6), Some(chans[0]));
-        p.neighbors.try_add(NodeId::new(7), Some(chans[0]));
-        out.drain();
-
-        let id = RequestId::new(NodeId::new(1), 0);
-        let query = Message::Query {
-            id,
-            video: vids[0],
-            ttl: 2,
-            origin: NodeId::new(1),
-            scope: QueryScope::Channel(chans[0]),
-        };
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Peer(NodeId::new(6)),
-            query.clone(),
-            &mut out,
-        );
-        let forwards = sent_to_peers(&out);
-        // Forwarded to 7 only (not back to sender 6), with ttl-1.
-        assert_eq!(forwards.len(), 1);
-        assert_eq!(forwards[0].0, NodeId::new(7));
-        assert!(matches!(forwards[0].1, Message::Query { ttl: 1, .. }));
-        out.drain();
-
-        // Duplicate delivery is suppressed.
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Peer(NodeId::new(7)),
-            query,
-            &mut out,
-        );
-        assert!(sent_to_peers(&out).is_empty());
-    }
-
-    #[test]
-    fn cached_provider_answers_queries() {
-        let (_, chans, vids) = fixture();
-        let mut p = peer(5);
-        let mut out = Outbox::new();
-        p.on_login(SimTime::ZERO, &mut out);
-        p.cache.insert_full(vids[0], 2, 0);
-        out.drain();
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Peer(NodeId::new(6)),
-            Message::Query {
-                id: RequestId::new(NodeId::new(1), 0),
-                video: vids[0],
-                ttl: 2,
-                origin: NodeId::new(1),
-                scope: QueryScope::Channel(chans[0]),
-            },
-            &mut out,
-        );
-        let sent = sent_to_peers(&out);
-        assert_eq!(sent.len(), 1);
-        assert_eq!(sent[0].0, NodeId::new(1), "hit goes straight to origin");
-        assert!(matches!(sent[0].1, Message::QueryHit { .. }));
-    }
-
-    #[test]
-    fn ttl_zero_queries_are_not_forwarded() {
-        let (_, chans, vids) = fixture();
-        let mut p = peer(5);
-        let mut out = Outbox::new();
-        p.on_login(SimTime::ZERO, &mut out);
-        p.current_channel = Some(chans[0]);
-        p.neighbors.set_current_channel(Some(chans[0]));
-        p.neighbors.try_add(NodeId::new(6), Some(chans[0]));
-        out.drain();
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Peer(NodeId::new(6)),
-            Message::Query {
-                id: RequestId::new(NodeId::new(1), 0),
-                video: vids[0],
-                ttl: 0,
-                origin: NodeId::new(1),
-                scope: QueryScope::Channel(chans[0]),
-            },
-            &mut out,
-        );
-        assert!(sent_to_peers(&out).is_empty());
     }
 
     #[test]
@@ -1098,7 +866,7 @@ mod tests {
         // With an inner neighbor, prefetch floods the channel overlay for
         // the top-M popular videos not yet cached.
         p.neighbors.try_add(NodeId::new(9), Some(chans[0]));
-        p.cache.insert_first_chunk(vids[0], 2, 1);
+        prefetch_first_chunk(&mut p, vids[0], &mut out);
         p.on_timer(SimTime::from_micros(1), TimerKind::PrefetchKick, &mut out);
         let queries = sent_to_peers(&out)
             .iter()
@@ -1114,7 +882,7 @@ mod tests {
         let mut p = peer(0);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
-        p.cache.insert_first_chunk(vids[0], 2, 0);
+        prefetch_first_chunk(&mut p, vids[0], &mut out);
         out.drain();
         p.watch(SimTime::ZERO, vids[0], &mut out);
         assert!(reports(&out).iter().any(|r| matches!(

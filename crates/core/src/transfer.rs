@@ -4,17 +4,15 @@
 //! The protocols differ in *how a provider is found* and in what is cached
 //! and prefetched; moving chunks is common ground and lives here once:
 //! request ids, the chunk range a request is answered with, answering a
-//! [`Message::ChunkRequest`], accounting a [`Message::ChunkData`], asking a
-//! provider or the origin, starting playback from the cache, and the part
-//! of [`Message::Query`] handling that does not depend on the overlay.
+//! [`Message::ChunkRequest`], checking and accounting a
+//! [`Message::ChunkData`], and asking a provider or the origin.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use socialtube_model::{Catalog, ChannelId, ChunkIndex, NodeId, VideoId};
+use socialtube_model::{Catalog, ChunkIndex, NodeId, VideoId};
 use socialtube_sim::{SimDuration, SimTime};
 
-use crate::cache::VideoCache;
 use crate::messages::{Message, PeerAddr, RequestId};
 use crate::traits::{ChunkSource, Outbox, Report, SearchPhase, TimerKind, TransferKind};
 use crate::vecmap::VecMap;
@@ -111,6 +109,14 @@ impl Transfers {
         self.catalog.video(video).map_or(1, |v| v.chunk_count())
     }
 
+    /// Whether `chunk` is one of `video`'s chunks in the catalog: the wire
+    /// carries any id and index, and a `ChunkData` failing this is dropped.
+    pub fn has_chunk(&self, video: VideoId, chunk: ChunkIndex) -> bool {
+        self.catalog
+            .video(video)
+            .is_ok_and(|v| chunk < v.chunk_count())
+    }
+
     /// The request `id`, if in flight.
     pub fn get(&self, id: RequestId) -> Option<&Transfer> {
         self.active.get(&id)
@@ -173,35 +179,6 @@ impl Transfers {
         self.get(id)
             .filter(|t| t.provider.is_none() && !t.at_origin())
             .map(|t| t.phase)
-    }
-
-    /// Starts playback of `video` from what `cache` holds: the whole video,
-    /// or a prefetched prefix. Returns whether playback started and the
-    /// first chunk still to fetch (`None`: nothing left to fetch).
-    pub fn start_from_cache(
-        &self,
-        now: SimTime,
-        video: VideoId,
-        cache: &mut VideoCache,
-        out: &mut Outbox,
-    ) -> (bool, Option<ChunkIndex>) {
-        let (source, missing) = if cache.has_full(video) {
-            cache.touch(video, now.as_micros());
-            (ChunkSource::Cache, None)
-        } else if cache.has_first_chunk(video) {
-            let missing = cache.chunks_of(video);
-            let rest = (missing < self.chunks_in(video)).then_some(missing);
-            (ChunkSource::Prefetched, rest)
-        } else {
-            return (false, Some(0));
-        };
-        out.report(Report::PlaybackStarted {
-            node: self.node,
-            video,
-            requested_at: now,
-            source,
-        });
-        (true, missing)
     }
 
     /// Asks `provider` for request `id` from its `from_chunk`, arming a
@@ -364,41 +341,6 @@ impl Transfers {
         }
         progress
     }
-
-    /// The overlay-independent part of handling a flooded query that
-    /// passed duplicate suppression: a node holding the video answers the
-    /// origin with a `QueryHit`, a query out of TTL dies here. Returns
-    /// whether the caller should forward it with `ttl - 1`.
-    #[allow(clippy::too_many_arguments)] // the message's fields and the answer's
-    pub fn answer_query(
-        &self,
-        held: bool,
-        id: RequestId,
-        video: VideoId,
-        ttl: u8,
-        origin: NodeId,
-        provider_channel: Option<ChannelId>,
-        out: &mut Outbox,
-    ) -> bool {
-        if held {
-            out.to_peer(
-                origin,
-                Message::QueryHit {
-                    id,
-                    video,
-                    provider: self.node,
-                    provider_channel,
-                    ttl,
-                },
-            );
-        } else if ttl == 0 {
-            out.report(Report::TtlExpired {
-                node: self.node,
-                video,
-            });
-        }
-        !held && ttl > 0
-    }
 }
 
 #[cfg(test)]
@@ -417,35 +359,6 @@ mod tests {
         let channel = b.add_channel("c", [category]);
         assert_eq!(b.add_video(channel, 100, 0), VIDEO);
         Transfers::new(ME, Arc::new(b.build()))
-    }
-
-    #[test]
-    fn playback_starts_from_whatever_the_cache_holds() {
-        let t = transfers();
-        let total = t.chunks_in(VIDEO);
-        let mut cache = VideoCache::unbounded();
-        let mut out = Outbox::new();
-        let now = SimTime::from_micros(5);
-        assert_eq!(
-            t.start_from_cache(now, VIDEO, &mut cache, &mut out),
-            (false, Some(0))
-        );
-        assert!(out.commands().is_empty(), "nothing local: nothing starts");
-        for (cached, source, missing) in [
-            (3, ChunkSource::Prefetched, Some(3)),
-            (total, ChunkSource::Cache, None),
-        ] {
-            cache.record_chunk(VIDEO, cached - 1, total, 0);
-            let got = t.start_from_cache(now, VIDEO, &mut cache, &mut out);
-            assert_eq!(got, (true, missing));
-            let started = Report::PlaybackStarted {
-                node: ME,
-                video: VIDEO,
-                requested_at: now,
-                source,
-            };
-            assert_eq!(out.drain().collect::<Vec<_>>(), [Command::Report(started)]);
-        }
     }
 
     #[test]

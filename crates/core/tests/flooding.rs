@@ -360,54 +360,6 @@ mod edge_cases {
     use socialtube::{RequestId, TimerKind, TransferKind};
 
     #[test]
-    fn seen_query_window_evicts_old_entries() {
-        let (catalog, ch, vids) = world(1);
-        let mut p = SocialTubePeer::new(
-            NodeId::new(0),
-            Arc::clone(&catalog),
-            vec![ch],
-            SocialTubeConfig::default(),
-        );
-        let mut out = Outbox::new();
-        p.on_login(SimTime::ZERO, &mut out);
-        p.cache().len(); // touch accessor
-        out.drain();
-        // Flood far more queries than the dedup window holds: the peer must
-        // neither panic nor grow unboundedly, and it still answers fresh
-        // queries afterwards.
-        for i in 0..2_000u32 {
-            p.on_message(
-                SimTime::ZERO,
-                PeerAddr::Peer(NodeId::new(1)),
-                Message::Query {
-                    id: RequestId::new(NodeId::new(1), i),
-                    video: vids[0],
-                    ttl: 1,
-                    origin: NodeId::new(1),
-                    scope: socialtube::QueryScope::Channel(ch),
-                },
-                &mut out,
-            );
-            out.drain();
-        }
-        // A long-evicted id is treated as fresh again (window semantics).
-        p.on_message(
-            SimTime::ZERO,
-            PeerAddr::Peer(NodeId::new(1)),
-            Message::Query {
-                id: RequestId::new(NodeId::new(1), 0),
-                video: vids[0],
-                ttl: 1,
-                origin: NodeId::new(1),
-                scope: socialtube::QueryScope::Channel(ch),
-            },
-            &mut out,
-        );
-        // No assertion beyond "did not blow up": the dedup window is an
-        // internal bound, and eviction means re-processing is permitted.
-    }
-
-    #[test]
     fn stale_chunk_deadline_after_completion_is_ignored() {
         let (catalog, ch, vids) = world(1);
         let total = catalog.video(vids[0]).unwrap().chunk_count();

@@ -299,17 +299,21 @@ mod tests {
 
     /// What a by-value population costs per peer, and what the two parts
     /// a flood delivery reads add to it: the cache's 16-byte full-video
-    /// filter and the dedup window's 32 bytes of newest ids. A PA-VoD
-    /// peer pads to the largest variant.
+    /// filter and the dedup window's 32 bytes of newest ids, held together
+    /// in the flooding peers' `Flood`. A PA-VoD peer pads to the largest
+    /// variant.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn by_value_peers_have_pinned_sizes() {
-        use socialtube::{SeenWindow, VideoCache};
+        use socialtube::{Flood, SeenWindow, SocialTubeConfig, VideoCache};
         use std::mem::size_of;
         assert_eq!(size_of::<VideoCache>(), 64);
         assert_eq!(size_of::<SeenWindow>(), 104);
-        assert_eq!(size_of::<SocialTubePeer>(), 472);
-        assert_eq!(size_of::<NetTubePeer>(), 488);
+        assert_eq!(size_of::<Flood>(), 168);
+        assert_eq!(size_of::<SocialTubeConfig>(), 88);
+        assert_eq!(size_of::<NetTubeConfig>(), 80);
+        assert_eq!(size_of::<SocialTubePeer>(), 464);
+        assert_eq!(size_of::<NetTubePeer>(), 480);
         assert_eq!(size_of::<PaVodPeer>(), 104);
         assert_eq!(size_of::<SimPeer>(), size_of::<NetTubePeer>());
     }
