@@ -11,14 +11,16 @@ use socialtube::{
 use socialtube_model::{Catalog, NodeId, VideoId};
 use socialtube_sim::{SimDuration, SimRng, SimTime};
 
+/// Links a peer keeps per video overlay, and contacts the server hands a
+/// joining peer (the paper's analysis uses `log u`).
+pub const LINKS_PER_VIDEO: usize = 5;
+
 /// NetTube parameters (Section V settings of the paper's comparison).
 #[derive(Clone, Debug, PartialEq)]
 pub struct NetTubeConfig {
     /// Query TTL; a query reaches nodes TTL + 1 hops away (see
     /// [`Flood::on_query`]), three at the default 2.
     pub ttl: u8,
-    /// Links kept per video overlay (the paper's analysis uses `log u`).
-    pub links_per_video: usize,
     /// Videos prefetched per playback (first chunks, random neighbors').
     pub prefetch_count: usize,
     /// Whether prefetching is enabled.
@@ -41,7 +43,6 @@ impl Default for NetTubeConfig {
     fn default() -> Self {
         Self {
             ttl: 2,
-            links_per_video: 5,
             prefetch_count: 3,
             prefetch: true,
             probe_interval: SimDuration::from_mins(10),
@@ -154,7 +155,7 @@ impl NetTubePeer {
         if self.links.contains(&(neighbor, video)) {
             return false;
         }
-        if self.overlay_link_count(video) >= self.config.links_per_video {
+        if self.overlay_link_count(video) >= LINKS_PER_VIDEO {
             return false;
         }
         self.links.push((neighbor, video));
@@ -172,7 +173,7 @@ impl NetTubePeer {
         if target == self.transfers.node() || self.links.contains(&(target, video)) {
             return;
         }
-        if self.overlay_link_count(video) >= self.config.links_per_video {
+        if self.overlay_link_count(video) >= LINKS_PER_VIDEO {
             return;
         }
         out.to_peer(
@@ -353,7 +354,7 @@ impl VodPeer for NetTubePeer {
                         t.video == video && asked && t.provider.is_none()
                     })
                     .map(|(id, _)| id);
-                for c in contacts.iter().take(self.config.links_per_video) {
+                for c in contacts.iter().take(LINKS_PER_VIDEO) {
                     self.connect_to(*c, video, out);
                 }
                 if let Some(id) = search_id {
@@ -537,7 +538,6 @@ pub struct NetTubeServer {
     /// Per-video overlay membership, one group per video id (video ids
     /// are contiguous in the catalog).
     overlays: IndexedTracker,
-    contacts_per_join: usize,
     rng: SimRng,
 }
 
@@ -548,7 +548,6 @@ impl NetTubeServer {
         Self {
             catalog,
             overlays: IndexedTracker::new(videos),
-            contacts_per_join: NetTubeConfig::default().links_per_video,
             rng,
         }
     }
@@ -567,7 +566,7 @@ impl VodServer for NetTubeServer {
                     &mut self.rng,
                     video.index(),
                     from,
-                    self.contacts_per_join,
+                    LINKS_PER_VIDEO,
                 );
                 out.to_peer(
                     from,
@@ -766,15 +765,11 @@ mod tests {
 
     #[test]
     fn per_overlay_link_budget_is_enforced() {
-        let (catalog, vids) = fixture();
-        let config = NetTubeConfig {
-            links_per_video: 2,
-            ..NetTubeConfig::default()
-        };
-        let mut p = NetTubePeer::new(NodeId::new(0), catalog, config, SimRng::seed(0));
+        let (mut p, vids) = peer(0);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
-        for i in 1..=3 {
+        let over = LINKS_PER_VIDEO as u32 + 1;
+        for i in 1..=over {
             p.on_message(
                 SimTime::ZERO,
                 PeerAddr::Peer(NodeId::new(i)),
@@ -786,10 +781,10 @@ mod tests {
                 &mut out,
             );
         }
-        assert_eq!(p.link_count(), 2);
+        assert_eq!(p.link_count(), LINKS_PER_VIDEO);
         assert!(to_peers(&out)
             .iter()
-            .any(|(to, m)| *to == NodeId::new(3) && matches!(m, Message::ConnectReject { .. })));
+            .any(|(to, m)| *to == NodeId::new(over) && matches!(m, Message::ConnectReject { .. })));
     }
 
     #[test]

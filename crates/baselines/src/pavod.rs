@@ -10,11 +10,13 @@ use socialtube::{
 use socialtube_model::{Catalog, NodeId, VideoId};
 use socialtube_sim::{SimDuration, SimRng, SimTime};
 
+/// How many candidate providers the server returns per lookup, and the
+/// most a peer tries before asking the server itself.
+pub const PROVIDERS_PER_LOOKUP: usize = 5;
+
 /// PA-VoD parameters.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PaVodConfig {
-    /// How many candidate providers the server returns per lookup.
-    pub providers_per_lookup: usize,
     /// How long a peer transfer may stall before the server takes over.
     pub chunk_timeout: SimDuration,
     /// How long to wait for the server's provider list before asking again
@@ -25,7 +27,6 @@ pub struct PaVodConfig {
 impl Default for PaVodConfig {
     fn default() -> Self {
         Self {
-            providers_per_lookup: 5,
             chunk_timeout: SimDuration::from_secs(60),
             lookup_timeout: SimDuration::from_secs(10),
         }
@@ -123,7 +124,7 @@ impl VodPeer for PaVodPeer {
                 if self.transfers.searching(id).is_none() {
                     return;
                 }
-                let offered = providers.len().min(self.config.providers_per_lookup);
+                let offered = providers.len().min(PROVIDERS_PER_LOOKUP);
                 self.transfers.set_candidates(id, &providers[..offered]);
                 self.try_next_candidate(id, out);
             }
@@ -218,7 +219,6 @@ pub struct PaVodServer {
     /// more than one: a download that completes after its user moved on
     /// registers the old video again, and only a log-off takes it out.
     watching: IndexedTracker,
-    providers_per_lookup: usize,
     rng: SimRng,
 }
 
@@ -229,7 +229,6 @@ impl PaVodServer {
         Self {
             catalog,
             watching: IndexedTracker::new(videos),
-            providers_per_lookup: PaVodConfig::default().providers_per_lookup,
             rng,
         }
     }
@@ -248,7 +247,7 @@ impl VodServer for PaVodServer {
                     &mut self.rng,
                     video.index(),
                     from,
-                    self.providers_per_lookup,
+                    PROVIDERS_PER_LOOKUP,
                 );
                 out.to_peer(
                     from,
@@ -357,7 +356,7 @@ mod tests {
             providers: providers.clone().into(),
         };
         p.on_message(SimTime::ZERO, PeerAddr::Server, list, &mut out);
-        for tried in &providers[..PaVodConfig::default().providers_per_lookup] {
+        for tried in &providers[..PROVIDERS_PER_LOOKUP] {
             assert!(server_msgs(&out)
                 .iter()
                 .all(|m| !matches!(m, Message::VideoRequest { .. })));

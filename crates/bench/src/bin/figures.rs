@@ -13,15 +13,16 @@
 //! Every target is one `socialtube_experiments::figures` function returning
 //! a `Table`; this bin prepares what the chosen targets read (the trace,
 //! the five-variant simulation, the TCP deployments) and emits each table:
-//! the CSV series to `target/figures/`, the summary lines — with the
-//! paper's expectation next to the measured value — to stdout. Recorder
+//! its rows to `target/figures/<file>.csv`, and the table itself to stdout
+//! (a result table's rows, then the lines no row says — verdicts with the
+//! paper's expectation next to the measured value). Recorder
 //! artifacts (metrics snapshots, Chrome traces) come from the `campaign`
 //! bin.
 
 use std::io;
 
 use socialtube::SocialTubeConfig;
-use socialtube_bench::{usage_error, CsvWriter, Scale};
+use socialtube_bench::{usage_error, write_table, Scale};
 use socialtube_experiments::figures::{self as xfig, Ablation, Claim, Platform, Table};
 use socialtube_experiments::{net_driver, Campaign, MetricsSummary, Protocol};
 use socialtube_trace::{generate, generate_shared, Trace, TraceConfig};
@@ -167,19 +168,11 @@ fn main() -> io::Result<()> {
             Target::Timeline => xfig::timeline(&sim.as_ref().expect("sim ran").0),
             Target::Ablation(study) => xfig::ablation(study, &scale.sim_options()),
         };
-        emit(&table)?;
+        println!("\n{table}");
+        write_table(OUT_DIR, &table)?;
     }
     println!("\nCSV series written to {OUT_DIR}/");
     Ok(())
-}
-
-/// Prints the table's heading and summary lines and writes its CSV series.
-fn emit(table: &Table) -> io::Result<()> {
-    println!("\n=== {} ===", table.title);
-    for note in &table.notes {
-        println!("  {note}");
-    }
-    CsvWriter::write_table(OUT_DIR, table).map(drop)
 }
 
 fn net_options(scale: Scale, seed: u64) -> net_driver::NetExperimentOptions {

@@ -1,142 +1,69 @@
-//! Minimal CSV emission for figure series.
+//! The one CSV writer: a [`Table`]'s header and rows as a file.
 
-use std::fmt::Display;
-use std::fs::{self, File};
-use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::{fs, io};
 
 use socialtube_experiments::figures::Table;
 
-/// Writes one figure's series as a CSV file under an output directory.
+/// Writes `table`'s header and rows as `<dir>/<table.file>.csv`, creating
+/// the directory if needed, and returns the file's path. A cell holding a
+/// comma, a quote or a line break is quoted (RFC 4180).
+///
+/// # Errors
+///
+/// Propagates filesystem and IO errors.
 ///
 /// # Examples
 ///
 /// ```no_run
-/// use socialtube_bench::CsvWriter;
+/// use socialtube_experiments::figures;
 ///
-/// let mut w = CsvWriter::create("target/figures", "fig7").unwrap();
-/// w.header(&["views", "cdf"]).unwrap();
-/// w.row(&[1000.0, 0.5]).unwrap();
+/// let path = socialtube_bench::write_table("target/figures", &figures::table1()).unwrap();
+/// assert!(path.ends_with("table1.csv"));
 /// ```
-#[derive(Debug)]
-pub struct CsvWriter {
-    out: BufWriter<File>,
-    path: PathBuf,
-}
-
-impl CsvWriter {
-    /// Creates `<dir>/<name>.csv`, creating the directory if needed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn create(dir: impl AsRef<Path>, name: &str) -> io::Result<Self> {
-        fs::create_dir_all(dir.as_ref())?;
-        let path = dir.as_ref().join(format!("{name}.csv"));
-        Ok(Self {
-            out: BufWriter::new(File::create(&path)?),
-            path,
-        })
+pub fn write_table(dir: impl AsRef<Path>, table: &Table) -> io::Result<PathBuf> {
+    let quote = |cell: &String| match cell {
+        c if c.contains([',', '"', '\n', '\r']) => format!("\"{}\"", c.replace('"', "\"\"")),
+        c => c.clone(),
+    };
+    let header: Vec<String> = table.header.iter().map(|h| h.to_string()).collect();
+    let mut csv = String::new();
+    for line in std::iter::once(&header).chain(&table.rows) {
+        let cells: Vec<String> = line.iter().map(quote).collect();
+        csv += &(cells.join(",") + "\n");
     }
-
-    /// Writes `table`'s series as `<dir>/<table.file>.csv`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem and IO errors.
-    pub fn write_table(dir: impl AsRef<Path>, table: &Table) -> io::Result<PathBuf> {
-        let mut csv = Self::create(dir, &table.file)?;
-        csv.header(&table.header)?;
-        for row in &table.rows {
-            csv.row_strs(row)?;
-        }
-        csv.finish()
-    }
-
-    /// The file being written.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Writes the header row.
-    ///
-    /// # Errors
-    ///
-    /// Propagates IO errors.
-    pub fn header(&mut self, columns: &[&str]) -> io::Result<()> {
-        self.write_cells(columns)
-    }
-
-    /// Writes one row of displayable values.
-    ///
-    /// # Errors
-    ///
-    /// Propagates IO errors.
-    pub fn row<T: Display>(&mut self, values: &[T]) -> io::Result<()> {
-        let cells: Vec<String> = values.iter().map(T::to_string).collect();
-        self.write_cells(&cells)
-    }
-
-    /// Writes one row of heterogeneous, already-formatted cells.
-    ///
-    /// # Errors
-    ///
-    /// Propagates IO errors.
-    pub fn row_strs(&mut self, values: &[String]) -> io::Result<()> {
-        self.write_cells(values)
-    }
-
-    /// Writes one record, quoting (RFC 4180) any cell that holds a comma,
-    /// a quote or a line break.
-    fn write_cells<S: AsRef<str>>(&mut self, cells: &[S]) -> io::Result<()> {
-        let quoted: Vec<String> = cells
-            .iter()
-            .map(|cell| match cell.as_ref() {
-                c if c.contains([',', '"', '\n', '\r']) => {
-                    format!("\"{}\"", c.replace('"', "\"\""))
-                }
-                c => c.to_string(),
-            })
-            .collect();
-        writeln!(self.out, "{}", quoted.join(","))
-    }
-
-    /// Flushes the file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates IO errors.
-    pub fn finish(mut self) -> io::Result<PathBuf> {
-        self.out.flush()?;
-        Ok(self.path)
-    }
+    fs::create_dir_all(dir.as_ref())?;
+    let path = dir.as_ref().join(format!("{}.csv", table.file));
+    fs::write(&path, csv)?;
+    Ok(path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn table(file: &str, header: Vec<&'static str>, rows: Vec<Vec<String>>) -> Table {
+        Table {
+            file: file.into(),
+            header,
+            rows,
+            result: true,
+            ..Table::default()
+        }
+    }
+
     #[test]
     fn writes_header_and_rows() {
         let dir = std::env::temp_dir().join("socialtube-csv-test");
-        let mut w = CsvWriter::create(&dir, "sample").unwrap();
-        w.header(&["a", "b"]).unwrap();
-        w.row(&[1, 2]).unwrap();
-        w.row_strs(&["x".into(), "3.5".into()]).unwrap();
-        let path = w.finish().unwrap();
+        let rows = vec![vec!["1".into(), "2".into()], vec!["x".into(), "3.5".into()]];
+        let path = write_table(&dir, &table("sample", vec!["a", "b"], rows)).unwrap();
         let content = std::fs::read_to_string(path).unwrap();
         assert_eq!(content, "a,b\n1,2\nx,3.5\n");
 
         // A table cell holding a comma or a quote is quoted, so a CSV
         // reader gets back `N_l, N_h` and `say "hi"`.
-        let table = Table {
-            file: "quoted".into(),
-            title: String::new(),
-            header: vec!["a", "b"],
-            rows: vec![vec!["N_l, N_h".into(), "say \"hi\"".into()]],
-            notes: Vec::new(),
-        };
-        let path = CsvWriter::write_table(&dir, &table).unwrap();
+        let rows = vec![vec!["N_l, N_h".into(), "say \"hi\"".into()]];
+        let path = write_table(&dir, &table("quoted", vec!["a", "b"], rows)).unwrap();
         let content = std::fs::read_to_string(path).unwrap();
         assert_eq!(content, "a,b\n\"N_l, N_h\",\"say \"\"hi\"\"\"\n");
         std::fs::remove_dir_all(dir).ok();
@@ -145,9 +72,23 @@ mod tests {
     #[test]
     fn path_is_under_directory() {
         let dir = std::env::temp_dir().join("socialtube-csv-test2");
-        let w = CsvWriter::create(&dir, "p").unwrap();
-        assert!(w.path().starts_with(&dir));
-        assert!(w.path().ends_with("p.csv"));
+        let path = write_table(&dir, &table("p", vec!["a"], Vec::new())).unwrap();
+        assert!(path.starts_with(&dir));
+        assert!(path.ends_with("p.csv"));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// stdout rounds a result table's cells; the CSV keeps them whole.
+    #[test]
+    fn rendering_leaves_the_csv_at_full_precision() {
+        let dir = std::env::temp_dir().join("socialtube-csv-test3");
+        let rows = vec![vec!["SocialTube".into(), "0.5887980608061064".into()]];
+        let t = table("rendered", vec!["protocol", "p1"], rows);
+        let before = std::fs::read(write_table(&dir, &t).unwrap()).unwrap();
+        assert!(t.to_string().contains("SocialTube  0.589"), "{t}");
+        let after = std::fs::read(write_table(&dir, &t).unwrap()).unwrap();
+        assert_eq!(before, after);
+        assert_eq!(after, b"protocol,p1\nSocialTube,0.5887980608061064\n");
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -5,9 +5,10 @@
 //!   analysis) plus the ablation studies. Each target is one
 //!   `socialtube_experiments::figures` function returning a `Table`; the
 //!   bin parses arguments, prepares the trace / simulated campaign / TCP
-//!   runs the chosen targets read, and emits each table — its CSV series
-//!   through [`CsvWriter::write_table`] to `target/figures/`, its
-//!   paper-versus-measured lines to stdout.
+//!   runs the chosen targets read, and emits each table — its rows
+//!   through [`write_table`], the one CSV function, to `target/figures/`,
+//!   and the table's `Display` to stdout (a result table's rows, a
+//!   series' summary, and the paper-versus-measured lines of both).
 //! * `src/bin/campaign.rs` — runs a protocols × seeds sweep serially and
 //!   on worker threads, checks the two agree bitwise, and writes a JSON
 //!   report plus optional recorder artifacts.
@@ -19,7 +20,7 @@
 
 pub mod csv;
 
-pub use csv::CsvWriter;
+pub use csv::write_table;
 use socialtube_experiments::{configs, ExperimentOptions};
 
 /// The `--scale` both bins take.

@@ -26,3 +26,30 @@ fn an_unknown_target_exits_2_before_any_work() {
     assert!(csv.starts_with("parameter,value\nNumber of nodes,10000\n"));
     std::fs::remove_dir_all(cwd).ok();
 }
+
+/// A result table prints its header and each row once; the rows are what
+/// the CSV holds.
+#[test]
+fn table1_prints_its_header_and_each_parameter_once() {
+    let cwd =
+        std::env::temp_dir().join(format!("socialtube-figures-table1-{}", std::process::id()));
+    let out = figures(&cwd, &["table1"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    let header = stdout
+        .lines()
+        .filter(|l| l.split_whitespace().eq(["parameter", "value"]))
+        .count();
+    assert_eq!(header, 1, "{stdout}");
+    let csv = std::fs::read_to_string(cwd.join("target/figures/table1.csv")).expect("csv");
+    let names: Vec<&str> = csv
+        .lines()
+        .skip(1)
+        .map(|l| l.split(',').next().unwrap())
+        .collect();
+    assert_eq!(names.len(), 13);
+    for name in names {
+        assert_eq!(stdout.matches(name).count(), 1, "{name}: {stdout}");
+    }
+    std::fs::remove_dir_all(cwd).ok();
+}

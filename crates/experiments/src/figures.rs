@@ -9,7 +9,7 @@
 //! decides whether a replicate "matches the paper": the eight Section V
 //! orderings the tests, the bin's verdict lines and the examples all read.
 
-use std::fmt::Display;
+use std::fmt::{self, Display};
 
 use socialtube::analysis::{fig15_series, prefetch_accuracy};
 use socialtube::SocialTubeConfig;
@@ -23,10 +23,11 @@ use crate::driver::RunSpec;
 use crate::metrics::MetricsSummary;
 use crate::Protocol;
 
-/// One figure or table: a CSV series plus the lines summarising it.
-#[derive(Clone, Debug, PartialEq)]
+/// One figure or table. Each value is stated once, in a row; the rows are
+/// the CSV file, and [`Display`] prints them for a result table.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Table {
-    /// File stem of the CSV series.
+    /// File stem of the CSV file.
     pub file: String,
     /// Section heading.
     pub title: String,
@@ -34,19 +35,60 @@ pub struct Table {
     pub header: Vec<&'static str>,
     /// CSV rows, one formatted cell per column.
     pub rows: Vec<Vec<String>>,
-    /// Human-readable summary lines, printed under the heading.
+    /// Whether stdout shows the rows: a result table's few rows are its
+    /// findings, while a series is a curve left to the CSV file.
+    pub result: bool,
+    /// What no row says — verdict lines, paper-versus-measured lines, the
+    /// summary of a series — printed after the rows.
     pub notes: Vec<String>,
 }
 
 impl Table {
+    /// A series until its builder sets `result`.
     fn new(file: impl Into<String>, title: impl Into<String>, header: &[&'static str]) -> Table {
         Table {
             file: file.into(),
             title: title.into(),
             header: header.to_vec(),
-            rows: Vec::new(),
-            notes: Vec::new(),
+            ..Table::default()
         }
+    }
+}
+
+/// The `=== title ===` heading; for a result table the header and every
+/// row in aligned columns, non-integer numbers at 3 decimals; then the
+/// notes. No trailing newline.
+impl Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "=== {} ===", self.title)?;
+        if self.result {
+            let rounded = |cell: &String| match cell.parse::<f64>() {
+                Ok(x) if x.fract() != 0.0 => format!("{x:.3}"),
+                _ => cell.clone(),
+            };
+            let header: Vec<String> = self.header.iter().map(|h| h.to_string()).collect();
+            let lines: Vec<Vec<String>> = std::iter::once(&header)
+                .chain(&self.rows)
+                .map(|line| line.iter().map(rounded).collect())
+                .collect();
+            let width = |column: usize| {
+                let cells = lines.iter().filter_map(|line| line.get(column));
+                cells.map(|cell| cell.chars().count()).max().unwrap_or(0)
+            };
+            let widths: Vec<usize> = (0..self.header.len()).map(width).collect();
+            for line in &lines {
+                let padded: Vec<String> = line
+                    .iter()
+                    .zip(&widths)
+                    .map(|(cell, width)| format!("{cell:<width$}"))
+                    .collect();
+                write!(f, "\n  {}", padded.join("  ").trim_end())?;
+            }
+        }
+        for note in &self.notes {
+            write!(f, "\n  {note}")?;
+        }
+        Ok(())
     }
 }
 
@@ -93,10 +135,11 @@ pub fn table1() -> Table {
         "Table I — experiment default parameters",
         &["parameter", "value"],
     );
-    for (name, value) in rows {
-        t.notes.push(format!("{name:<28} {value}"));
-        t.rows.push(cells([&name, value]));
-    }
+    t.result = true;
+    t.rows = rows
+        .iter()
+        .map(|(name, value)| cells([name, *value]))
+        .collect();
     t
 }
 
@@ -310,11 +353,10 @@ pub fn prefetch() -> Table {
         "Prefetch accuracy (Section IV-B; paper: 26.2% at m=1, ~54.6% at m=3-4)",
         &["m", "accuracy_25_video_channel"],
     );
-    for m in 1..=6 {
-        let accuracy = prefetch_accuracy(25, m);
-        t.rows.push(cells([&m, &accuracy]));
-        t.notes.push(format!("m={m}: {:.1}%", accuracy * 100.0));
-    }
+    t.result = true;
+    t.rows = (1..=6)
+        .map(|m| cells([&m, &prefetch_accuracy(25, m)]))
+        .collect();
     let (p1, p4) = (prefetch_accuracy(25, 1), prefetch_accuracy(25, 4));
     t.notes.push(format!(
         "paper-vs-measured: m=1 {:.1}% vs 26.2% {}; m=4 {:.1}% vs 54.6% {}",
@@ -382,16 +424,13 @@ pub fn fig16(platform: Platform, replicate: &Replicate<'_>, claims: &[Claim]) ->
         "SocialTube > NetTube > PA-VoD",
         &["protocol", "p1", "p50", "p99"],
     );
+    t.result = true;
     let bars = [Protocol::PaVod, Protocol::SocialTube, Protocol::NetTube];
     for (label, m) in ran(replicate, &bars) {
         let p = m.peer_bandwidth_percentiles;
         t.rows.push(cells([&label, &p.p1, &p.p50, &p.p99]));
-        t.notes.push(format!(
-            "{label:<22} p1={:.3}  p50={:.3}  p99={:.3}",
-            p.p1, p.p50, p.p99
-        ));
     }
-    t.notes.extend(verdicts(claims, 16));
+    t.notes = verdicts(claims, 16).collect();
     t
 }
 
@@ -404,22 +443,12 @@ pub fn fig17(platform: Platform, replicate: &Replicate<'_>, claims: &[Claim]) ->
         "SocialTube < NetTube < PA-VoD; PF helps",
         &["protocol", "mean_ms", "median_ms"],
     );
+    t.result = true;
     for (label, m) in ran(replicate, &Protocol::ALL) {
         let (mean, median) = (m.mean_startup_delay_ms, m.startup_delay_percentiles.p50);
         t.rows.push(cells([&label, &mean, &median]));
-        t.notes.push(format!(
-            "{label:<22} mean={mean:>10.1} ms   median={median:>10.1} ms"
-        ));
     }
-    t.notes.extend(verdicts(claims, 17));
-    let median = |p| metrics_of(replicate, p).map(|m| m.startup_delay_percentiles.p50);
-    let medians = median(Protocol::SocialTube).zip(median(Protocol::SocialTubeNoPrefetch));
-    if let Some((with, without)) = medians {
-        t.notes.push(format!(
-            "note: median startup delay SocialTube w/ PF {with:.1} ms, w/o PF {without:.1} ms \
-             (the prefetch claim above compares means)"
-        ));
-    }
+    t.notes = verdicts(claims, 17).collect();
     t
 }
 
@@ -616,8 +645,6 @@ pub struct Ablation {
     knobs: &'static [&'static str],
     variants: fn(&ExperimentOptions) -> Vec<Variant>,
     columns: &'static [Column],
-    /// The summary line of one run, given its variant's cells.
-    line: fn(&[String], &MetricsSummary) -> String,
 }
 
 /// A measured CSV column: its header and its cell for one run.
@@ -641,9 +668,9 @@ pub fn ablation(study: &Ablation, base: &ExperimentOptions) -> Table {
     let measured = study.columns.iter().map(|(name, _)| *name);
     let header: Vec<&str> = study.knobs.iter().copied().chain(measured).collect();
     let mut t = Table::new(study.file, study.title, &header);
+    t.result = true;
     for (mut row, protocol, options) in (study.variants)(base) {
         let metrics = RunSpec::new(protocol).options(options).run().metrics;
-        t.notes.push((study.line)(&row, &metrics));
         row.extend(study.columns.iter().map(|(_, cell)| cell(&metrics)));
         t.rows.push(row);
     }
@@ -664,12 +691,6 @@ pub const ABLATE_TTL: Ablation = Ablation {
         ("mean_startup_ms", |m| m.mean_startup_delay_ms.to_string()),
         ("server_fallbacks", |m| m.server_fallbacks.to_string()),
     ],
-    line: |v, m| {
-        format!(
-            "TTL={}: peer-bw={:.3}  delay={:.0} ms  fallbacks={}",
-            v[0], m.mean_peer_bandwidth, m.mean_startup_delay_ms, m.server_fallbacks
-        )
-    },
 };
 
 /// The link budgets `N_l`/`N_h`.
@@ -689,15 +710,6 @@ pub const ABLATE_LINKS: Ablation = Ablation {
         ("mean_peer_bandwidth", |m| m.mean_peer_bandwidth.to_string()),
         ("steady_links", |m| m.steady_state_links().to_string()),
     ],
-    line: |v, m| {
-        format!(
-            "N_l={:<2} N_h={:<2}: peer-bw={:.3}  links={:.1}",
-            v[0],
-            v[1],
-            m.mean_peer_bandwidth,
-            m.steady_state_links()
-        )
-    },
 };
 
 /// The prefetch budget `M` (0 disables prefetching).
@@ -721,16 +733,6 @@ pub const ABLATE_PREFETCH: Ablation = Ablation {
         }),
         ("prefetch_bits", |m| m.prefetch_bits.to_string()),
     ],
-    line: |v, m| {
-        format!(
-            "M={}: instant-starts={:<5} mean={:.0} ms  median={:.0} ms  prefetch-traffic={} Mbit",
-            v[0],
-            m.prefetch_hits,
-            m.mean_startup_delay_ms,
-            m.startup_delay_percentiles.p50,
-            m.prefetch_bits / 1_000_000
-        )
-    },
 };
 
 /// The session cache's capacity (the paper assumes it unbounded).
@@ -750,12 +752,6 @@ pub const ABLATE_CACHE: Ablation = Ablation {
         ("cache_hits", |m| m.cache_hits.to_string()),
         ("server_fallbacks", |m| m.server_fallbacks.to_string()),
     ],
-    line: |v, m| {
-        format!(
-            "cache={:<9}: peer-bw={:.3}  cache-hits={:<5} fallbacks={}",
-            v[0], m.mean_peer_bandwidth, m.cache_hits, m.server_fallbacks
-        )
-    },
 };
 
 /// Scalability sweep (observation O1): shrink the server pipe and watch the
@@ -783,12 +779,6 @@ pub const ABLATE_SERVER: Ablation = Ablation {
         }),
         ("mean_peer_bandwidth", |m| m.mean_peer_bandwidth.to_string()),
     ],
-    line: |v, m| {
-        format!(
-            "server ×{:<4} {:<18} median-delay={:>9.0} ms  peer-bw={:.3}",
-            v[0], v[1], m.startup_delay_percentiles.p50, m.mean_peer_bandwidth
-        )
-    },
 };
 
 /// Per-interest-community telemetry extracted from a recorded run's
@@ -934,7 +924,7 @@ mod tests {
     }
 
     #[test]
-    fn the_prefetch_claim_is_on_means_and_the_median_is_only_a_note() {
+    fn the_prefetch_claim_is_on_means_and_the_median_is_only_a_column() {
         let mut rows = Rows::holding();
         rows.delay[0] = 160.0; // mean worsens with prefetch (150 without) ...
         rows.median_delay = [0.0, 7000.0]; // ... while the median improves
@@ -943,12 +933,18 @@ mod tests {
         assert_eq!(claims[4].measured, Some((160.0, 150.0)));
         let metrics = rows.metrics();
         let replicate: Vec<_> = metrics.iter().map(|(p, m)| (*p, m)).collect();
-        let notes = fig17(Platform::Sim, &replicate, &claims).notes;
-        let verdict_line = notes.iter().find(|n| n.contains("w/ PF ≤ w/o PF"));
+        let table = fig17(Platform::Sim, &replicate, &claims);
+        let verdict_line = table.notes.iter().find(|n| n.contains("w/ PF ≤ w/o PF"));
         assert!(verdict_line.expect("claim printed").ends_with("[DIVERGES]"));
-        let median_note = notes.last().expect("median note");
-        assert!(median_note.starts_with("note: median"), "{median_note}");
-        assert!(!median_note.contains("[matches paper]"), "{median_note}");
+        assert!(table.notes.iter().all(|n| !n.contains("median")), "{table}");
+        // The medians are the `median_ms` cells beside the means.
+        let medians: Vec<(&str, &str)> = table
+            .rows
+            .iter()
+            .map(|r| (r[0].as_str(), r[2].as_str()))
+            .collect();
+        assert!(medians.contains(&("SocialTube w/ PF", "0")), "{table}");
+        assert!(medians.contains(&("SocialTube w/o PF", "7000")), "{table}");
     }
 
     #[test]
@@ -977,6 +973,51 @@ mod tests {
         let claims = super::claims(&replicate, &rows.config, None);
         let evaluated: Vec<usize> = (0..8).filter(|&i| claims[i].held.is_some()).collect();
         assert_eq!(evaluated, [6], "only SocialTube's own bound is left");
+    }
+
+    /// A result table prints its header and rows aligned, non-integers at
+    /// 3 decimals, then its notes; a series prints only heading and notes.
+    #[test]
+    fn a_result_prints_its_rows_and_a_series_only_its_notes() {
+        let mut table = Table::new("r", "R", &["protocol", "p50"]);
+        table.result = true;
+        table.rows = vec![
+            cells([&"PA-VoD", &0.5887980608061064]),
+            cells([&"SocialTube w/ PF", &12]),
+        ];
+        table.notes.push("a verdict [matches paper]".into());
+        assert_eq!(
+            table.to_string(),
+            "=== R ===\n  protocol          p50\n  PA-VoD            0.589\n  \
+             SocialTube w/ PF  12\n  a verdict [matches paper]"
+        );
+        let series = Table {
+            title: "S".into(),
+            result: false,
+            ..table
+        };
+        assert_eq!(series.to_string(), "=== S ===\n  a verdict [matches paper]");
+    }
+
+    /// Every table has rows, each with a cell per column: the CSV is
+    /// rectangular.
+    #[test]
+    fn every_table_is_rectangular() {
+        let trace = socialtube_trace::generate(&socialtube_trace::TraceConfig::tiny(), 7);
+        let section3: [fn(&Trace) -> Table; 12] = [
+            fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13,
+        ];
+        let tables = [table1(), fig15(), prefetch()]
+            .into_iter()
+            .chain(section3.map(|figure| figure(&trace)));
+        for t in tables {
+            assert!(!t.rows.is_empty(), "{}", t.file);
+            assert!(
+                t.rows.iter().all(|r| r.len() == t.header.len()),
+                "{}",
+                t.file
+            );
+        }
     }
 
     #[test]

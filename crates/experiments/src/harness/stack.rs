@@ -121,7 +121,6 @@ impl StackBuilder {
         self.pavod = PaVodConfig {
             chunk_timeout: SimDuration::from_secs(3),
             lookup_timeout: SimDuration::from_millis(800),
-            ..self.pavod
         };
         self
     }
@@ -311,10 +310,10 @@ mod tests {
         assert_eq!(size_of::<SeenWindow>(), 104);
         assert_eq!(size_of::<Flood>(), 168);
         assert_eq!(size_of::<SocialTubeConfig>(), 88);
-        assert_eq!(size_of::<NetTubeConfig>(), 80);
+        assert_eq!(size_of::<NetTubeConfig>(), 72);
         assert_eq!(size_of::<SocialTubePeer>(), 464);
-        assert_eq!(size_of::<NetTubePeer>(), 480);
-        assert_eq!(size_of::<PaVodPeer>(), 104);
+        assert_eq!(size_of::<NetTubePeer>(), 472);
+        assert_eq!(size_of::<PaVodPeer>(), 96);
         assert_eq!(size_of::<SimPeer>(), size_of::<NetTubePeer>());
     }
 

@@ -22,11 +22,7 @@ fn main() {
     let claims = sim_claims(&report, options.seed, &options.socialtube);
 
     for figure in [fig16, fig17, fig18] {
-        let table = figure(Platform::Sim, &replicate, &claims);
-        println!("\n{}:", table.title);
-        for note in &table.notes {
-            println!("  {note}");
-        }
+        println!("\n{}", figure(Platform::Sim, &replicate, &claims));
     }
     let held = claims.iter().filter(|c| c.held == Some(true)).count();
     println!("\n{held} of {} Section V claims held.", claims.len());

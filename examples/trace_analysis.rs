@@ -33,11 +33,7 @@ fn main() {
         figures::fig13,
     ];
     for figure in section3 {
-        let table = figure(&trace);
-        println!("\n{}", table.title);
-        for note in &table.notes {
-            println!("  {note}");
-        }
+        println!("\n{}", figure(&trace));
     }
 
     // The paper's crawl methodology: a partial BFS preserves the shapes.
