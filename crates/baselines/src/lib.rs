@@ -16,7 +16,9 @@
 //! Both reuse the sans-IO driver interface of the `socialtube` crate
 //! ([`VodPeer`](socialtube::VodPeer) / [`VodServer`](socialtube::VodServer)),
 //! so the simulator and the TCP testbed run all three protocols through the
-//! same machinery.
+//! same machinery, and both are built from SocialTube's parameter set
+//! ([`SocialTubeConfig`](socialtube::SocialTubeConfig)), as Section V
+//! compares them.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -24,5 +26,5 @@
 pub mod nettube;
 pub mod pavod;
 
-pub use nettube::{NetTubeConfig, NetTubePeer, NetTubeServer};
-pub use pavod::{PaVodConfig, PaVodPeer, PaVodServer};
+pub use nettube::{NetTubePeer, NetTubeServer};
+pub use pavod::{PaVodPeer, PaVodServer};

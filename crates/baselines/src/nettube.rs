@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use socialtube::{
     serve_from_origin, Flood, IndexedTracker, LinkKind, Message, Outbox, PeerAddr, Prober,
-    QueryScope, Report, RequestId, SearchPhase, ServerOutbox, TimerKind, TransferKind, Transfers,
-    VecMap, VodPeer, VodServer,
+    QueryScope, Report, RequestId, SearchPhase, ServerOutbox, SocialTubeConfig, TimerKind,
+    TransferKind, Transfers, VecMap, VodPeer, VodServer,
 };
 use socialtube_model::{Catalog, NodeId, VideoId};
 use socialtube_sim::{SimDuration, SimRng, SimTime};
@@ -15,66 +15,26 @@ use socialtube_sim::{SimDuration, SimRng, SimTime};
 /// joining peer (the paper's analysis uses `log u`).
 pub const LINKS_PER_VIDEO: usize = 5;
 
-/// NetTube parameters (Section V settings of the paper's comparison).
-#[derive(Clone, Debug, PartialEq)]
-pub struct NetTubeConfig {
-    /// Query TTL; a query reaches nodes TTL + 1 hops away (see
-    /// [`Flood::on_query`]), three at the default 2.
-    pub ttl: u8,
-    /// Videos prefetched per playback (first chunks, random neighbors').
-    pub prefetch_count: usize,
-    /// Whether prefetching is enabled.
-    pub prefetch: bool,
-    /// Neighbor probe period.
-    pub probe_interval: SimDuration,
-    /// Probe reply deadline.
-    pub probe_timeout: SimDuration,
-    /// Query-flood deadline before resorting to the server.
-    pub search_timeout: SimDuration,
-    /// Stalled-transfer deadline.
-    pub chunk_timeout: SimDuration,
-    /// Delay after playback start before prefetching.
-    pub prefetch_delay: SimDuration,
-    /// Optional cache capacity in videos.
-    pub cache_capacity: Option<usize>,
-}
-
-impl Default for NetTubeConfig {
-    fn default() -> Self {
-        Self {
-            ttl: 2,
-            prefetch_count: 3,
-            prefetch: true,
-            probe_interval: SimDuration::from_mins(10),
-            probe_timeout: SimDuration::from_secs(5),
-            search_timeout: SimDuration::from_millis(1_500),
-            chunk_timeout: SimDuration::from_secs(60),
-            prefetch_delay: SimDuration::from_secs(2),
-            cache_capacity: None,
-        }
-    }
-}
-
-impl NetTubeConfig {
-    /// The paper's "NetTube w/o PF" configuration.
-    pub fn without_prefetch() -> Self {
-        Self {
-            prefetch: false,
-            ..Self::default()
-        }
-    }
-}
-
 /// A NetTube peer.
 ///
 /// Keeps one overlay's worth of links *per watched video* — links accumulate
 /// with session length (the maintenance-overhead growth of Figs 15/18) and
 /// two nodes may hold redundant links through different overlays. Lookups
-/// flood all neighbors within [`NetTubeConfig::ttl`] hops; prefetching grabs
-/// first chunks of *random* videos from neighbors' caches.
+/// flood all neighbors within [`SocialTubeConfig::ttl`] hops; prefetching
+/// grabs first chunks of *random* videos from neighbors' caches.
 #[derive(Debug)]
 pub struct NetTubePeer {
-    config: NetTubeConfig,
+    // The fields of the run's `SocialTubeConfig` NetTube reads, kept by
+    // value: the simulator holds every peer in a slot the size of the
+    // largest, so a whole config here would grow each slot.
+    // `prefetch_count` 0 turns prefetching off.
+    ttl: u8,
+    prefetch_count: usize,
+    probe_interval: SimDuration,
+    probe_timeout: SimDuration,
+    search_phase_timeout: SimDuration,
+    chunk_timeout: SimDuration,
+    prefetch_delay: SimDuration,
     rng: SimRng,
 
     online: bool,
@@ -104,21 +64,31 @@ pub struct NetTubePeer {
 }
 
 impl NetTubePeer {
-    /// Creates an offline NetTube peer.
+    /// Creates an offline NetTube peer with the run's shared parameters.
     ///
     /// # Panics
     ///
     /// Panics if `config.cache_capacity` is `Some(0)`.
-    pub fn new(node: NodeId, catalog: Arc<Catalog>, config: NetTubeConfig, rng: SimRng) -> Self {
-        let flood = Flood::new(config.cache_capacity);
+    pub fn new(
+        node: NodeId,
+        catalog: Arc<Catalog>,
+        config: &SocialTubeConfig,
+        rng: SimRng,
+    ) -> Self {
         Self {
-            config,
+            ttl: config.ttl,
+            prefetch_count: config.prefetch_count,
+            probe_interval: config.probe_interval,
+            probe_timeout: config.probe_timeout,
+            search_phase_timeout: config.search_phase_timeout,
+            chunk_timeout: config.chunk_timeout,
+            prefetch_delay: config.prefetch_delay,
             rng,
             online: false,
             links: Vec::new(),
             distinct_cache: Vec::new(),
             distinct_dirty: false,
-            flood,
+            flood: Flood::new(config.cache_capacity),
             neighbor_digests: VecMap::new(),
             transfers: Transfers::new(node, catalog),
             prober: Prober::new(),
@@ -205,7 +175,7 @@ impl NetTubePeer {
             self.join_search = Some(id);
             out.to_server(Message::JoinRequest { video });
             out.timer(
-                self.config.search_timeout,
+                self.search_phase_timeout,
                 TimerKind::SearchDeadline {
                     id,
                     phase: SearchPhase::Server,
@@ -224,7 +194,7 @@ impl NetTubePeer {
         let Some(video) = self.transfers.get(id).map(|t| t.video) else {
             return;
         };
-        let timeout = self.config.chunk_timeout;
+        let timeout = self.chunk_timeout;
         match self.transfers.next_candidate(id, timeout, out) {
             Some(candidate) => self.connect_to(candidate, video, out),
             None => self.ask_server(id, out),
@@ -240,8 +210,8 @@ impl NetTubePeer {
     }
 
     fn schedule_prefetch(&mut self, out: &mut Outbox) {
-        if self.config.prefetch {
-            out.timer(self.config.prefetch_delay, TimerKind::PrefetchKick);
+        if self.prefetch_count > 0 {
+            out.timer(self.prefetch_delay, TimerKind::PrefetchKick);
         }
     }
 }
@@ -279,9 +249,9 @@ impl VodPeer for NetTubePeer {
                     .map(|(_, v)| *v),
             };
             self.prober
-                .reconnect(neighbor, request, self.config.probe_timeout, out);
+                .reconnect(neighbor, request, self.probe_timeout, out);
         }
-        out.timer(self.config.probe_interval, TimerKind::ProbeTick);
+        out.timer(self.probe_interval, TimerKind::ProbeTick);
     }
 
     fn on_logout(&mut self, _now: SimTime, out: &mut Outbox) {
@@ -312,7 +282,7 @@ impl VodPeer for NetTubePeer {
             .begin(now, video, TransferKind::Playback, from_chunk, started);
         self.refresh_distinct();
         let to = self.distinct_cache.iter().copied();
-        let (ttl, deadline) = (self.config.ttl, self.config.search_timeout);
+        let (ttl, deadline) = (self.ttl, self.search_phase_timeout);
         let scope = QueryScope::PerVideo;
         if !Flood::start(&self.transfers, id, ttl, deadline, scope, to, out) {
             self.ask_server(id, out);
@@ -335,7 +305,7 @@ impl VodPeer for NetTubePeer {
             msg @ Message::QueryHit {
                 video, provider, ..
             } => {
-                let (ttl, timeout) = (self.config.ttl, self.config.chunk_timeout);
+                let (ttl, timeout) = (self.ttl, self.chunk_timeout);
                 if Flood::on_hit(&mut self.transfers, msg, ttl, timeout, out) {
                     self.connect_to(provider, video, out);
                 }
@@ -467,8 +437,8 @@ impl VodPeer for NetTubePeer {
                 self.refresh_distinct();
                 self.prober.tick(
                     self.distinct_cache.iter().copied(),
-                    self.config.probe_interval,
-                    self.config.probe_timeout,
+                    self.probe_interval,
+                    self.probe_timeout,
                     out,
                 );
             }
@@ -489,9 +459,6 @@ impl VodPeer for NetTubePeer {
             TimerKind::ChunkDeadline { id } => self.provider_failed(id, out),
 
             TimerKind::PrefetchKick => {
-                if !self.config.prefetch {
-                    return;
-                }
                 // Random videos from neighbors' caches — NetTube's strategy,
                 // which SocialTube's popularity-based choice improves on.
                 let mut pool: Vec<(NodeId, VideoId)> = Vec::new();
@@ -505,7 +472,7 @@ impl VodPeer for NetTubePeer {
                 // The map iterates in hasher order, which varies between
                 // instances; sort so the RNG draws from a stable sequence.
                 pool.sort_unstable();
-                let picks = self.rng.pick_distinct(&pool, self.config.prefetch_count);
+                let picks = self.rng.pick_distinct(&pool, self.prefetch_count);
                 for (neighbor, video) in picks {
                     // No deadline: an unanswered grab just lingers until
                     // logout.
@@ -617,7 +584,7 @@ mod tests {
             NetTubePeer::new(
                 NodeId::new(node),
                 catalog,
-                NetTubeConfig::default(),
+                &SocialTubeConfig::default(),
                 SimRng::seed(u64::from(node)),
             ),
             vids,
@@ -813,7 +780,7 @@ mod tests {
     /// default TTL 2 finds a holder three hops away and not one four away.
     #[test]
     fn query_floods_at_most_ttl_plus_one_hops() {
-        assert_eq!(NetTubeConfig::default().ttl, 2);
+        assert_eq!(SocialTubeConfig::default().ttl, 2);
         for (holder, found) in [(3, true), (4, false)] {
             let mut line: Vec<NetTubePeer> = (0..5).map(|n| peer(n).0).collect();
             let vids = fixture().1;
@@ -914,7 +881,10 @@ mod tests {
         let mut p = NetTubePeer::new(
             NodeId::new(0),
             catalog,
-            NetTubeConfig::without_prefetch(),
+            &SocialTubeConfig {
+                prefetch_count: 0,
+                ..SocialTubeConfig::default()
+            },
             SimRng::seed(0),
         );
         let mut out = Outbox::new();

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use socialtube::{
     serve_from_origin, IndexedTracker, Message, Outbox, PeerAddr, RequestId, SearchPhase,
-    ServerOutbox, TimerKind, TransferKind, Transfers, VodPeer, VodServer,
+    ServerOutbox, SocialTubeConfig, TimerKind, TransferKind, Transfers, VodPeer, VodServer,
 };
 use socialtube_model::{Catalog, NodeId, VideoId};
 use socialtube_sim::{SimDuration, SimRng, SimTime};
@@ -13,25 +13,6 @@ use socialtube_sim::{SimDuration, SimRng, SimTime};
 /// How many candidate providers the server returns per lookup, and the
 /// most a peer tries before asking the server itself.
 pub const PROVIDERS_PER_LOOKUP: usize = 5;
-
-/// PA-VoD parameters.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PaVodConfig {
-    /// How long a peer transfer may stall before the server takes over.
-    pub chunk_timeout: SimDuration,
-    /// How long to wait for the server's provider list before asking again
-    /// (lost-message defence in the TCP deployment).
-    pub lookup_timeout: SimDuration,
-}
-
-impl Default for PaVodConfig {
-    fn default() -> Self {
-        Self {
-            chunk_timeout: SimDuration::from_secs(60),
-            lookup_timeout: SimDuration::from_secs(10),
-        }
-    }
-}
 
 /// A PA-VoD peer.
 ///
@@ -43,7 +24,10 @@ impl Default for PaVodConfig {
 /// providing when it moves on.
 #[derive(Debug)]
 pub struct PaVodPeer {
-    config: PaVodConfig,
+    /// How long a peer transfer may stall before the server takes over.
+    chunk_timeout: SimDuration,
+    /// How long to wait for the server's provider list before asking again.
+    lookup_timeout: SimDuration,
     online: bool,
     /// The video currently held (id, chunks downloaded).
     holding: Option<(VideoId, u32)>,
@@ -53,10 +37,12 @@ pub struct PaVodPeer {
 }
 
 impl PaVodPeer {
-    /// Creates an offline PA-VoD peer.
-    pub fn new(node: NodeId, catalog: Arc<Catalog>, config: PaVodConfig) -> Self {
+    /// Creates an offline PA-VoD peer with the run's shared parameters, of
+    /// which it reads the chunk and lookup deadlines.
+    pub fn new(node: NodeId, catalog: Arc<Catalog>, config: &SocialTubeConfig) -> Self {
         Self {
-            config,
+            chunk_timeout: config.chunk_timeout,
+            lookup_timeout: config.lookup_timeout,
             online: false,
             holding: None,
             transfers: Transfers::new(node, catalog),
@@ -70,7 +56,7 @@ impl PaVodPeer {
             return;
         };
         t.from_chunk = t.received;
-        let timeout = self.config.chunk_timeout;
+        let timeout = self.chunk_timeout;
         if self.transfers.next_candidate(id, timeout, out).is_none() {
             self.transfers.ask_origin(id, out);
         }
@@ -107,7 +93,7 @@ impl VodPeer for PaVodPeer {
             .begin(now, video, TransferKind::Playback, 0, false);
         out.to_server(Message::ProviderLookup { id, video });
         out.timer(
-            self.config.lookup_timeout,
+            self.lookup_timeout,
             TimerKind::SearchDeadline {
                 id,
                 phase: SearchPhase::Server,
@@ -295,6 +281,10 @@ mod tests {
         (Arc::new(b.build()), v)
     }
 
+    fn peer(catalog: Arc<Catalog>) -> PaVodPeer {
+        PaVodPeer::new(NodeId::new(0), catalog, &SocialTubeConfig::default())
+    }
+
     fn server_msgs(out: &Outbox) -> Vec<&Message> {
         out.commands()
             .iter()
@@ -308,7 +298,7 @@ mod tests {
     #[test]
     fn watch_asks_server_for_providers() {
         let (catalog, v) = fixture();
-        let mut p = PaVodPeer::new(NodeId::new(0), catalog, PaVodConfig::default());
+        let mut p = peer(catalog);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.watch(SimTime::ZERO, v, &mut out);
@@ -320,7 +310,7 @@ mod tests {
     #[test]
     fn empty_provider_list_falls_back_to_server() {
         let (catalog, v) = fixture();
-        let mut p = PaVodPeer::new(NodeId::new(0), catalog, PaVodConfig::default());
+        let mut p = peer(catalog);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.watch(SimTime::ZERO, v, &mut out);
@@ -344,7 +334,7 @@ mod tests {
     #[test]
     fn at_most_providers_per_lookup_are_tried_before_the_server() {
         let (catalog, v) = fixture();
-        let mut p = PaVodPeer::new(NodeId::new(0), catalog, PaVodConfig::default());
+        let mut p = peer(catalog);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.watch(SimTime::ZERO, v, &mut out);
@@ -372,7 +362,7 @@ mod tests {
     #[test]
     fn finishing_a_video_registers_as_provider_until_next_watch() {
         let (catalog, v) = fixture();
-        let mut p = PaVodPeer::new(NodeId::new(0), Arc::clone(&catalog), PaVodConfig::default());
+        let mut p = peer(Arc::clone(&catalog));
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.watch(SimTime::ZERO, v, &mut out);
@@ -522,7 +512,7 @@ mod tests {
     #[test]
     fn lookup_timeout_forces_server_service() {
         let (catalog, v) = fixture();
-        let mut p = PaVodPeer::new(NodeId::new(0), catalog, PaVodConfig::default());
+        let mut p = peer(catalog);
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         p.watch(SimTime::ZERO, v, &mut out);
@@ -544,7 +534,7 @@ mod tests {
     #[test]
     fn pavod_maintains_no_persistent_links() {
         let (catalog, v) = fixture();
-        let mut p = PaVodPeer::new(NodeId::new(0), Arc::clone(&catalog), PaVodConfig::default());
+        let mut p = peer(Arc::clone(&catalog));
         let mut out = Outbox::new();
         p.on_login(SimTime::ZERO, &mut out);
         assert_eq!(p.link_count(), 0);

@@ -12,7 +12,7 @@ use socialtube::{
     ChunkSource, Command, LinkKind, Message, Outbox, PeerAddr, QueryScope, Report, RequestId,
     SocialTubeConfig, SocialTubePeer, TimerKind, TransferKind, VodPeer, SEEN_QUERY_WINDOW,
 };
-use socialtube_baselines::{NetTubeConfig, NetTubePeer, PaVodConfig, PaVodPeer};
+use socialtube_baselines::{NetTubePeer, PaVodPeer};
 use socialtube_model::{Catalog, CatalogBuilder, ChannelId, NodeId, VideoId};
 use socialtube_sim::{SimDuration, SimRng, SimTime};
 
@@ -59,11 +59,16 @@ struct Case {
 }
 
 fn cases() -> Vec<Case> {
-    let social = SocialTubeConfig::default();
+    let config = SocialTubeConfig::default();
     vec![
         Case {
             name: "SocialTube",
-            peer: Box::new(SocialTubePeer::new(ME, catalog(), vec![CHANNEL], social)),
+            peer: Box::new(SocialTubePeer::new(
+                ME,
+                catalog(),
+                vec![CHANNEL],
+                config.clone(),
+            )),
             discover: |peer, out| {
                 peer.on_login(SimTime::ZERO, out);
                 // One channel neighbor to flood, then hits from P1 and P2.
@@ -89,12 +94,7 @@ fn cases() -> Vec<Case> {
         },
         Case {
             name: "NetTube",
-            peer: Box::new(NetTubePeer::new(
-                ME,
-                catalog(),
-                NetTubeConfig::default(),
-                SimRng::seed(1),
-            )),
+            peer: Box::new(NetTubePeer::new(ME, catalog(), &config, SimRng::seed(1))),
             discover: |peer, out| {
                 peer.on_login(SimTime::ZERO, out);
                 peer.watch(T0, VIDEO, out);
@@ -108,7 +108,7 @@ fn cases() -> Vec<Case> {
         },
         Case {
             name: "PA-VoD",
-            peer: Box::new(PaVodPeer::new(ME, catalog(), PaVodConfig::default())),
+            peer: Box::new(PaVodPeer::new(ME, catalog(), &config)),
             discover: |peer, out| {
                 peer.on_login(SimTime::ZERO, out);
                 peer.watch(T0, VIDEO, out);
@@ -399,8 +399,9 @@ const N2: NodeId = NodeId::new(6);
 /// as neighbours a `CHANNEL` query reaches, holding `VIDEO` in full and
 /// nothing of `OTHER`.
 fn flooding_peers() -> Vec<(&'static str, Box<dyn VodPeer>)> {
-    let social = SocialTubePeer::new(ME, catalog(), vec![CHANNEL], SocialTubeConfig::default());
-    let net = NetTubePeer::new(ME, catalog(), NetTubeConfig::default(), SimRng::seed(1));
+    let config = SocialTubeConfig::default();
+    let net = NetTubePeer::new(ME, catalog(), &config, SimRng::seed(1));
+    let social = SocialTubePeer::new(ME, catalog(), vec![CHANNEL], config);
     let mut peers: Vec<(&'static str, Box<dyn VodPeer>)> =
         vec![("SocialTube", Box::new(social)), ("NetTube", Box::new(net))];
     let total = catalog().video(VIDEO).unwrap().chunk_count();

@@ -74,8 +74,7 @@ fn main() {
         }
     }
 
-    let mut options = scale.sim_options();
-    options.seed = base_seed;
+    let options = scale.sim_options(base_seed);
 
     let campaign = Campaign::new(options.clone())
         .protocols(&protocols)

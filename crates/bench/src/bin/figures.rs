@@ -126,8 +126,7 @@ fn main() -> io::Result<()> {
         );
         generate(&config, seed)
     });
-    let mut options = scale.sim_options();
-    options.seed = seed;
+    let options = scale.sim_options(seed);
     let sim =
         wants(|t| matches!(t, Target::Eval(Platform::Sim, _) | Target::Timeline)).then(|| {
             println!(
@@ -166,7 +165,7 @@ fn main() -> io::Result<()> {
                 table(platform, replicate, claims)
             }
             Target::Timeline => xfig::timeline(&sim.as_ref().expect("sim ran").0),
-            Target::Ablation(study) => xfig::ablation(study, &scale.sim_options()),
+            Target::Ablation(study) => xfig::ablation(study, &options),
         };
         println!("\n{table}");
         write_table(OUT_DIR, &table)?;

@@ -51,13 +51,16 @@ impl Scale {
         }
     }
 
-    /// The simulation options behind this scale.
-    pub fn sim_options(self) -> ExperimentOptions {
-        match self {
+    /// The simulation options behind this scale, rooted at `seed` (the
+    /// bins' `--seed`).
+    pub fn sim_options(self, seed: u64) -> ExperimentOptions {
+        let mut options = match self {
             Scale::Demo => configs::demo(),
             Scale::Figure => configs::figure_scale(),
             Scale::Full => configs::table1(),
-        }
+        };
+        options.seed = seed;
+        options
     }
 }
 
@@ -65,4 +68,20 @@ impl Scale {
 pub fn usage_error(message: impl std::fmt::Display) -> ! {
     eprintln!("{message}");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every scale's options carry the seed they are asked for, so no
+    /// target (the ablations included) can run at another one.
+    #[test]
+    fn every_scale_carries_the_requested_seed() {
+        for scale in [Scale::Demo, Scale::Figure, Scale::Full] {
+            for seed in [7, 42] {
+                assert_eq!(scale.sim_options(seed).seed, seed, "{}", scale.name());
+            }
+        }
+    }
 }

@@ -1,8 +1,13 @@
-//! SocialTube protocol parameters.
+//! The protocol parameters of a run: SocialTube's, which the baselines share.
 
 use socialtube_sim::SimDuration;
 
 /// Tunable parameters of the SocialTube peer (Section V defaults).
+///
+/// Section V compares the protocols under one parameter set, so the NetTube
+/// and PA-VoD peers are built from this config too: each reads the fields
+/// its design has (NetTube its TTL, prefetch budget and timers, PA-VoD its
+/// chunk and lookup deadlines) and ignores the rest.
 ///
 /// # Examples
 ///
@@ -24,10 +29,9 @@ pub struct SocialTubeConfig {
     /// hops away (see [`Flood::on_query`](crate::Flood::on_query)).
     pub ttl: u8,
     /// Number of popular videos to prefetch per channel, `M` (paper
-    /// evaluation: first chunks of the top 3).
+    /// evaluation: first chunks of the top 3); 0 turns prefetching off
+    /// (the "w/o PF" bars of Fig 17).
     pub prefetch_count: usize,
-    /// Whether prefetching is enabled (Fig 17 compares with/without).
-    pub prefetch: bool,
     /// Neighbor probe period (paper: every 10 minutes).
     pub probe_interval: SimDuration,
     /// How long to wait for a `ProbeAck` before declaring the neighbor dead.
@@ -44,6 +48,9 @@ pub struct SocialTubeConfig {
     /// Optional cache capacity in videos (`None` = unbounded, the paper's
     /// setting: short videos make caching all watched videos cheap).
     pub cache_capacity: Option<usize>,
+    /// How long a PA-VoD peer waits for the server's provider list before
+    /// asking again (lost-message defence in the TCP deployment).
+    pub lookup_timeout: SimDuration,
 }
 
 impl Default for SocialTubeConfig {
@@ -53,27 +60,18 @@ impl Default for SocialTubeConfig {
             inter_links: 10,
             ttl: 2,
             prefetch_count: 3,
-            prefetch: true,
             probe_interval: SimDuration::from_mins(10),
             probe_timeout: SimDuration::from_secs(5),
             search_phase_timeout: SimDuration::from_millis(1_500),
             chunk_timeout: SimDuration::from_secs(60),
             prefetch_delay: SimDuration::from_secs(2),
             cache_capacity: None,
+            lookup_timeout: SimDuration::from_secs(10),
         }
     }
 }
 
 impl SocialTubeConfig {
-    /// The paper's configuration with prefetching disabled (the "w/o PF"
-    /// bars of Fig 17).
-    pub fn without_prefetch() -> Self {
-        Self {
-            prefetch: false,
-            ..Self::default()
-        }
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -88,9 +86,6 @@ impl SocialTubeConfig {
         }
         if self.search_phase_timeout == SimDuration::ZERO {
             return Err("search_phase_timeout must be positive".into());
-        }
-        if self.prefetch && self.prefetch_count == 0 {
-            return Err("prefetch enabled but prefetch_count is zero".into());
         }
         Ok(())
     }
@@ -107,15 +102,7 @@ mod tests {
         assert_eq!(c.inter_links, 10);
         assert_eq!(c.ttl, 2);
         assert_eq!(c.probe_interval, SimDuration::from_mins(10));
-        assert!(c.prefetch);
-        assert_eq!(c.validate(), Ok(()));
-    }
-
-    #[test]
-    fn without_prefetch_only_flips_prefetch() {
-        let c = SocialTubeConfig::without_prefetch();
-        assert!(!c.prefetch);
-        assert_eq!(c.inner_links, SocialTubeConfig::default().inner_links);
+        assert_eq!(c.prefetch_count, 3);
         assert_eq!(c.validate(), Ok(()));
     }
 
@@ -128,10 +115,6 @@ mod tests {
 
         let mut c = SocialTubeConfig::default();
         c.ttl = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = SocialTubeConfig::default();
-        c.prefetch_count = 0;
         assert!(c.validate().is_err());
 
         let mut c = SocialTubeConfig::default();

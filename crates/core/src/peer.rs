@@ -245,7 +245,7 @@ impl SocialTubePeer {
     }
 
     fn schedule_prefetch(&mut self, out: &mut Outbox) {
-        if self.config.prefetch {
+        if self.config.prefetch_count > 0 {
             out.timer(self.config.prefetch_delay, TimerKind::PrefetchKick);
         }
     }
@@ -497,9 +497,6 @@ impl VodPeer for SocialTubePeer {
             }
 
             TimerKind::PrefetchKick => {
-                if !self.config.prefetch {
-                    return;
-                }
                 let Some(channel) = self.current_channel else {
                     return;
                 };

@@ -2,7 +2,6 @@
 //! test-sized variants.
 
 use socialtube::SocialTubeConfig;
-use socialtube_baselines::{NetTubeConfig, PaVodConfig};
 use socialtube_sim::SimDuration;
 use socialtube_trace::TraceConfig;
 
@@ -51,12 +50,9 @@ pub struct ExperimentOptions {
     pub workload: WorkloadConfig,
     /// Bandwidth and latency model.
     pub network: NetworkOptions,
-    /// SocialTube protocol parameters.
+    /// Protocol parameters: SocialTube's, which the NetTube and PA-VoD
+    /// peers share (Section V compares them under one parameter set).
     pub socialtube: SocialTubeConfig,
-    /// NetTube protocol parameters.
-    pub nettube: NetTubeConfig,
-    /// PA-VoD protocol parameters.
-    pub pavod: PaVodConfig,
     /// Safety valve: abort the run after this many events (0 = unlimited).
     pub max_events: u64,
 }
@@ -69,8 +65,6 @@ impl Default for ExperimentOptions {
             workload: WorkloadConfig::default(),
             network: NetworkOptions::default(),
             socialtube: SocialTubeConfig::default(),
-            nettube: NetTubeConfig::default(),
-            pavod: PaVodConfig::default(),
             max_events: 0,
         }
     }

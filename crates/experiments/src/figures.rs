@@ -718,11 +718,7 @@ pub const ABLATE_PREFETCH: Ablation = Ablation {
     title: "Ablation — prefetch budget M (Section IV-B)",
     knobs: &["m"],
     variants: |base| {
-        let variant = |m: usize| {
-            socialtube_variant(base, cells([&m]), |c| {
-                (c.prefetch, c.prefetch_count) = (m > 0, m.max(1));
-            })
-        };
+        let variant = |m: usize| socialtube_variant(base, cells([&m]), |c| c.prefetch_count = m);
         [0, 1, 3, 5].map(variant).into()
     },
     columns: &[

@@ -7,8 +7,8 @@
 //! re-implement separately lives here exactly once:
 //!
 //! * [`StackBuilder`] — the *single* `Protocol → peers/server` mapping,
-//!   with per-protocol configs and RNG stream derivation. Adding a fourth
-//!   protocol or changing a config default is a one-file change.
+//!   with the run's one parameter set and RNG stream derivation. Adding a
+//!   fourth protocol or changing a config default is a one-file change.
 //! * [`SessionDirector`] — the workload state machine from
 //!   [`crate::workload`]: login stagger, off periods, abrupt-departure
 //!   draws and video selection. Both platforms replay the identical

@@ -6,9 +6,7 @@ use socialtube::{
     Message, Outbox, PeerAddr, SocialTubeConfig, SocialTubePeer, SocialTubeServer, TimerKind,
     VodPeer, VodServer,
 };
-use socialtube_baselines::{
-    NetTubeConfig, NetTubePeer, NetTubeServer, PaVodConfig, PaVodPeer, PaVodServer,
-};
+use socialtube_baselines::{NetTubePeer, NetTubeServer, PaVodPeer, PaVodServer};
 use socialtube_model::{Catalog, NodeId, VideoId};
 use socialtube_sim::{SimDuration, SimRng, SimTime};
 use socialtube_trace::Trace;
@@ -40,8 +38,10 @@ impl std::fmt::Debug for ProtocolStack {
 /// Both drivers used to carry their own copy of this mapping (the sim's
 /// `build_peers`, the testbed's `build`); divergence between them silently
 /// broke the "one stack, two platforms" property. The builder owns the
-/// per-protocol configs, the prefetch-variant override, and the RNG stream
-/// labels (`"server"`, `"nettube-peer"`) that keep runs reproducible.
+/// run's one parameter set (every protocol's peers read the
+/// [`SocialTubeConfig`]), the prefetch-variant override (a `*NoPrefetch`
+/// variant runs with a prefetch budget of 0), and the RNG stream labels
+/// (`"server"`, `"nettube-peer"`) that keep runs reproducible.
 ///
 /// # Examples
 ///
@@ -60,24 +60,20 @@ impl std::fmt::Debug for ProtocolStack {
 pub struct StackBuilder {
     protocol: Protocol,
     catalog: Arc<Catalog>,
-    socialtube: SocialTubeConfig,
-    nettube: NetTubeConfig,
-    pavod: PaVodConfig,
+    config: SocialTubeConfig,
 }
 
 impl StackBuilder {
-    /// Starts a builder for `protocol` with default protocol configs.
+    /// Starts a builder for `protocol` with the default parameters.
     pub fn new(protocol: Protocol, catalog: Arc<Catalog>) -> Self {
         Self {
             protocol,
             catalog,
-            socialtube: SocialTubeConfig::default(),
-            nettube: NetTubeConfig::default(),
-            pavod: PaVodConfig::default(),
+            config: SocialTubeConfig::default(),
         }
     }
 
-    /// A builder carrying the per-protocol configs from `options` (the
+    /// A builder carrying the protocol parameters of `options` (the
     /// simulation path).
     pub fn from_options(
         protocol: Protocol,
@@ -87,9 +83,7 @@ impl StackBuilder {
         Self {
             protocol,
             catalog,
-            socialtube: options.socialtube.clone(),
-            nettube: options.nettube.clone(),
-            pavod: options.pavod.clone(),
+            config: options.socialtube.clone(),
         }
     }
 
@@ -102,25 +96,14 @@ impl StackBuilder {
 
     /// Shrinks every protocol timeout to real-time-deployment scale.
     fn compress_timeouts(mut self) -> Self {
-        self.socialtube = SocialTubeConfig {
+        self.config = SocialTubeConfig {
             search_phase_timeout: SimDuration::from_millis(400),
             probe_interval: SimDuration::from_secs(2),
             probe_timeout: SimDuration::from_millis(600),
             chunk_timeout: SimDuration::from_secs(3),
             prefetch_delay: SimDuration::from_millis(100),
-            ..self.socialtube
-        };
-        self.nettube = NetTubeConfig {
-            search_timeout: SimDuration::from_millis(400),
-            probe_interval: SimDuration::from_secs(2),
-            probe_timeout: SimDuration::from_millis(600),
-            chunk_timeout: SimDuration::from_secs(3),
-            prefetch_delay: SimDuration::from_millis(100),
-            ..self.nettube
-        };
-        self.pavod = PaVodConfig {
-            chunk_timeout: SimDuration::from_secs(3),
             lookup_timeout: SimDuration::from_millis(800),
+            ..self.config
         };
         self
     }
@@ -148,12 +131,15 @@ impl StackBuilder {
     ) -> (Vec<SimPeer>, Box<dyn VodServer + Send>) {
         let catalog = &self.catalog;
         let nodes = (0..trace.graph.user_count()).map(|u| NodeId::new(u as u32));
+        let mut config = self.config.clone();
+        if matches!(
+            self.protocol,
+            Protocol::SocialTubeNoPrefetch | Protocol::NetTubeNoPrefetch
+        ) {
+            config.prefetch_count = 0;
+        }
         match self.protocol {
             Protocol::SocialTube | Protocol::SocialTubeNoPrefetch => {
-                let config = SocialTubeConfig {
-                    prefetch: self.protocol == Protocol::SocialTube,
-                    ..self.socialtube.clone()
-                };
                 let peers = nodes.map(|node| {
                     let subs = trace
                         .graph
@@ -167,13 +153,9 @@ impl StackBuilder {
                 (peers.collect(), Box::new(server))
             }
             Protocol::NetTube | Protocol::NetTubeNoPrefetch => {
-                let config = NetTubeConfig {
-                    prefetch: self.protocol == Protocol::NetTube,
-                    ..self.nettube.clone()
-                };
                 let peers = nodes.map(|node| {
                     let rng = root.stream_indexed("nettube-peer", u64::from(node.as_u32()));
-                    let peer = NetTubePeer::new(node, Arc::clone(catalog), config.clone(), rng);
+                    let peer = NetTubePeer::new(node, Arc::clone(catalog), &config, rng);
                     SimPeer::NetTube(peer)
                 });
                 let server = NetTubeServer::new(Arc::clone(catalog), root.stream("server"));
@@ -181,7 +163,7 @@ impl StackBuilder {
             }
             Protocol::PaVod => {
                 let peers = nodes.map(|node| {
-                    let peer = PaVodPeer::new(node, Arc::clone(catalog), self.pavod.clone());
+                    let peer = PaVodPeer::new(node, Arc::clone(catalog), &config);
                     SimPeer::PaVod(peer)
                 });
                 let server = PaVodServer::new(Arc::clone(catalog), root.stream("server"));
@@ -267,7 +249,10 @@ impl VodPeer for SimPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socialtube::harness::{CommandInterpreter, ServerSubstrate};
+    use socialtube::{Command, Report, ServerOutbox};
     use socialtube_trace::{generate_shared, TraceConfig};
+    use std::collections::VecDeque;
 
     #[test]
     fn builds_one_peer_per_user_for_every_protocol() {
@@ -282,17 +267,91 @@ mod tests {
         }
     }
 
+    /// Whether `peer`, alone with `server`, arms a `PrefetchKick` while it
+    /// logs in and plays `video`. Messages between the two arrive at once,
+    /// before any timer; the search deadlines a lone peer waits out fire
+    /// next, and the other timers never do.
+    fn arms_prefetch_kick(
+        peer: &mut dyn VodPeer,
+        server: &mut dyn VodServer,
+        origin: &CommandInterpreter,
+        video: VideoId,
+    ) -> bool {
+        struct Inbox(VecDeque<Message>);
+        impl ServerSubstrate for Inbox {
+            fn server_control(&mut self, _to: NodeId, msg: Message) {
+                self.0.push_back(msg);
+            }
+            fn server_chunk(&mut self, _to: NodeId, _bits: u64, msg: Message) {
+                self.0.push_back(msg);
+            }
+        }
+        let (now, node) = (SimTime::ZERO, peer.node());
+        let (mut out, mut served) = (Outbox::new(), ServerOutbox::new());
+        let mut inbox = Inbox(VecDeque::new());
+        let mut deadlines = VecDeque::new();
+        let (mut started, mut armed) = (false, false);
+        peer.on_login(now, &mut out);
+        peer.watch(now, video, &mut out);
+        loop {
+            for command in out.drain() {
+                match command {
+                    Command::ToServer { msg } => server.on_message(now, node, msg, &mut served),
+                    Command::Timer { kind, .. } => match kind {
+                        TimerKind::PrefetchKick => armed = true,
+                        TimerKind::SearchDeadline { .. } => deadlines.push_back(kind),
+                        _ => {}
+                    },
+                    Command::Report(Report::PlaybackStarted { .. }) => started = true,
+                    _ => {}
+                }
+                origin.flush_server(&mut served, &mut inbox, |_, _| {});
+            }
+            if let Some(msg) = inbox.0.pop_front() {
+                peer.on_message(now, PeerAddr::Server, msg, &mut out);
+            } else if let Some(deadline) = deadlines.pop_front() {
+                peer.on_timer(now, deadline, &mut out);
+            } else {
+                break;
+            }
+        }
+        peer.on_logout(now, &mut out);
+        for command in out.drain() {
+            if let Command::ToServer { msg } = command {
+                server.on_message(now, node, msg, &mut served);
+            }
+        }
+        assert!(started, "node {} never started its playback", node.index());
+        armed
+    }
+
+    /// A variant prefetches exactly when it is a prefetching variant with a
+    /// budget `M` above 0: the builder's `*NoPrefetch` override and an
+    /// options-level `M = 0` both keep every peer's `PrefetchKick` unarmed.
     #[test]
-    fn prefetch_variants_flip_only_the_prefetch_flag() {
+    fn prefetch_kick_is_armed_exactly_when_the_variant_prefetches() {
         let shared = generate_shared(&TraceConfig::tiny(), 7);
-        // Both variants build from the same options; the builder owns the
-        // override. Indirect check: the no-prefetch run must arm no
-        // PrefetchKick timer — covered end-to-end by driver tests; here we
-        // just assert construction succeeds for both variants.
-        for protocol in [Protocol::SocialTube, Protocol::SocialTubeNoPrefetch] {
-            let stack = StackBuilder::new(protocol, shared.catalog().clone())
-                .build(&shared, &SimRng::seed(7));
-            assert_eq!(stack.peers.len(), shared.graph.user_count());
+        let catalog = shared.catalog().clone();
+        let origin = CommandInterpreter::new(Arc::clone(&catalog));
+        let mut off = ExperimentOptions::default();
+        off.socialtube.prefetch_count = 0;
+        let builders = Protocol::ALL
+            .into_iter()
+            .map(|p| StackBuilder::new(p, Arc::clone(&catalog)))
+            .chain([StackBuilder::from_options(
+                Protocol::SocialTube,
+                Arc::clone(&catalog),
+                &off,
+            )]);
+        for builder in builders {
+            let (protocol, m) = (builder.protocol, builder.config.prefetch_count);
+            let prefetches = matches!(protocol, Protocol::SocialTube | Protocol::NetTube) && m > 0;
+            let mut stack = builder.build(&shared, &SimRng::seed(7));
+            for (u, peer) in stack.peers.iter_mut().enumerate() {
+                let video = VideoId::new((u % catalog.video_count()) as u32);
+                let armed = arms_prefetch_kick(&mut **peer, &mut *stack.server, &origin, video);
+                assert_eq!(armed, prefetches, "{protocol} with M = {m}, node {u}");
+            }
         }
     }
 
@@ -309,21 +368,19 @@ mod tests {
         assert_eq!(size_of::<VideoCache>(), 64);
         assert_eq!(size_of::<SeenWindow>(), 104);
         assert_eq!(size_of::<Flood>(), 168);
-        assert_eq!(size_of::<SocialTubeConfig>(), 88);
-        assert_eq!(size_of::<NetTubeConfig>(), 72);
-        assert_eq!(size_of::<SocialTubePeer>(), 464);
-        assert_eq!(size_of::<NetTubePeer>(), 472);
+        assert_eq!(size_of::<SocialTubeConfig>(), 96);
+        assert_eq!(size_of::<SocialTubePeer>(), 472);
+        assert_eq!(size_of::<NetTubePeer>(), 448);
         assert_eq!(size_of::<PaVodPeer>(), 96);
-        assert_eq!(size_of::<SimPeer>(), size_of::<NetTubePeer>());
+        assert_eq!(size_of::<SimPeer>(), size_of::<SocialTubePeer>());
     }
 
     #[test]
     fn testbed_builder_compresses_timeouts() {
         let shared = generate_shared(&TraceConfig::tiny(), 7);
         let b = StackBuilder::for_testbed(Protocol::SocialTube, shared.catalog().clone());
-        assert_eq!(b.socialtube.probe_interval, SimDuration::from_secs(2));
-        assert_eq!(b.socialtube.chunk_timeout, SimDuration::from_secs(3));
-        assert_eq!(b.nettube.chunk_timeout, SimDuration::from_secs(3));
-        assert_eq!(b.pavod.lookup_timeout, SimDuration::from_millis(800));
+        assert_eq!(b.config.probe_interval, SimDuration::from_secs(2));
+        assert_eq!(b.config.chunk_timeout, SimDuration::from_secs(3));
+        assert_eq!(b.config.lookup_timeout, SimDuration::from_millis(800));
     }
 }
