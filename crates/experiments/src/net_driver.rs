@@ -84,9 +84,11 @@ impl NetExperimentOptions {
     }
 
     /// The paper's PlanetLab shape scaled to one machine: 60 peers,
-    /// 6 categories × 10 channels × 40 videos per the Section V layout
-    /// (peer count reduced from 250 — at ~6 OS threads per daemon a larger
-    /// deployment thrashes a laptop), 5 sessions of 5 videos.
+    /// 6 categories × 10 channels × 40 videos per the Section V layout,
+    /// 5 sessions of 5 videos. The peer count is reduced from 250: a daemon
+    /// runs 2 OS threads plus one reader per inbound connection, and
+    /// SocialTube's overlay links almost every pair, so this deployment
+    /// already peaks near 3,600 threads (NetTube ~350, PA-VoD ~260).
     pub fn planetlab_style() -> Self {
         let trace = TraceConfig {
             users: 60,
@@ -301,17 +303,25 @@ pub fn run_net_on(
 mod tests {
     use super::*;
 
+    /// Asserts that at least 70 % of the playbacks `options` plans (every
+    /// user, every session, every video) happened: slack for watch
+    /// timeouts under load.
+    fn assert_most_played(run: &NetRun, options: &NetExperimentOptions) {
+        let planned = options.trace.users as u64
+            * u64::from(options.workload.sessions_per_node)
+            * u64::from(options.workload.videos_per_session);
+        assert!(
+            run.metrics.playbacks as f64 >= planned as f64 * 0.7,
+            "playbacks {} of planned {planned}",
+            run.metrics.playbacks
+        );
+    }
+
     #[test]
     fn socialtube_testbed_run_produces_metrics() {
         let options = NetExperimentOptions::smoke_test();
         let run = run_net(Protocol::SocialTube, &options);
-        // 12 peers × 2 sessions × 3 videos = 72 expected playbacks; allow
-        // generous slack for watch timeouts under load.
-        assert!(
-            run.metrics.playbacks >= 50,
-            "playbacks {}",
-            run.metrics.playbacks
-        );
+        assert_most_played(&run, &options);
         assert!(run.metrics.total_server_bits + run.metrics.total_peer_bits > 0);
         assert!(!run.metrics.maintenance_curve.is_empty());
     }
@@ -320,11 +330,7 @@ mod tests {
     fn pavod_testbed_leans_on_server() {
         let options = NetExperimentOptions::smoke_test();
         let run = run_net(Protocol::PaVod, &options);
-        assert!(
-            run.metrics.playbacks >= 50,
-            "playbacks {}",
-            run.metrics.playbacks
-        );
+        assert_most_played(&run, &options);
         assert!(
             run.metrics.total_server_bits >= run.metrics.total_peer_bits,
             "PA-VoD should be server-heavy: server {} peer {}",

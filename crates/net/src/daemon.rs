@@ -1,12 +1,14 @@
 //! The daemon: OS threads wrapping one sans-IO state machine. A peer and
-//! the tracker/origin server run the same listener, readers, delay queue
-//! and event loop; the server is simply the daemon whose index is
-//! [`SERVER_INDEX`].
+//! the tracker/origin server run the same listener, readers and event
+//! loop; the server is simply the daemon whose index is [`SERVER_INDEX`].
+//! The event loop is the one thread that calls the actor, keeps the
+//! daemon's pending inputs and writes its outbound sockets.
 
+use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -17,7 +19,6 @@ use socialtube_model::{NodeId, VideoId};
 use socialtube_sim::{LatencyModel, SimDuration};
 
 use crate::clock::TestbedClock;
-use crate::delay::DelayQueue;
 use crate::testbed::NetEvent;
 use crate::transport::{read_frame, AddressBook, ConnectionPool, SERVER_INDEX};
 use crate::wire::Frame;
@@ -38,10 +39,12 @@ pub(crate) struct Fabric {
     pub(crate) events: Sender<NetEvent>,
 }
 
-/// Control and network inputs to a daemon's event loop. The user actions
-/// (`Login`, `Logout`, `Watch`) and timers address peers; a server daemon
-/// ignores them. An `abrupt` logout sends nothing the peer queued on its
-/// way out.
+/// Control and network inputs to a daemon's event loop. Those on its
+/// channel carry the instant they fall due: now for control, arrival plus
+/// the injected latency for a delivery; paced sends and timers never cross
+/// the channel, the loop queues them itself. The user actions (`Login`,
+/// `Logout`, `Watch`) and timers address peers; a server daemon ignores
+/// them. An `abrupt` logout sends nothing the peer queued on its way out.
 #[derive(Debug)]
 pub(crate) enum Input {
     Deliver { from: u32, msg: Message },
@@ -79,10 +82,55 @@ impl RealTimeLink {
     }
 }
 
+/// A daemon's pending inputs, fired in order of due time and, among equal
+/// due times, of insertion. What is still pending when the loop stops is
+/// dropped with it.
+#[derive(Debug)]
+struct DueQueue<T> {
+    pending: BTreeMap<(Instant, u64), T>,
+    next_seq: u64,
+}
+
+impl<T> DueQueue<T> {
+    fn new() -> Self {
+        Self {
+            pending: BTreeMap::new(),
+            next_seq: 0,
+        }
+    }
+
+    /// Queues `item` to fire at `due` (at once if that has passed).
+    fn push(&mut self, due: Instant, item: T) {
+        self.pending.insert((due, self.next_seq), item);
+        self.next_seq += 1;
+    }
+
+    /// Waits until the earliest pending item is due and returns it, moving
+    /// whatever arrives on `inputs` meanwhile into the queue first; `None`
+    /// once every sender is gone.
+    fn next(&mut self, inputs: &Receiver<(Instant, T)>) -> Option<T> {
+        loop {
+            let arrived = match self.pending.first_key_value() {
+                Some((&(due, _), _)) => {
+                    inputs.recv_timeout(due.saturating_duration_since(Instant::now()))
+                }
+                None => inputs.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match arrived {
+                Ok((due, item)) => self.push(due, item),
+                Err(RecvTimeoutError::Timeout) => {
+                    return self.pending.pop_first().map(|(_, item)| item)
+                }
+                Err(RecvTimeoutError::Disconnected) => return None,
+            }
+        }
+    }
+}
+
 /// Handle to a running daemon.
 #[derive(Debug)]
 pub(crate) struct Daemon {
-    inputs: Sender<Input>,
+    inputs: Sender<(Instant, Input)>,
     shutdown: Arc<AtomicBool>,
     addr: SocketAddr,
     threads: Vec<JoinHandle<()>>,
@@ -91,8 +139,8 @@ pub(crate) struct Daemon {
 impl Daemon {
     /// Spawns a daemon around `actor`, accepting on `listener` (the one the
     /// address book lists for the actor's index): the accept thread with a
-    /// reader per inbound connection, the delay queue, and the event loop,
-    /// whose upload link runs at `upload_bps`.
+    /// reader per inbound connection, and the event loop, whose upload link
+    /// runs at `upload_bps`.
     pub(crate) fn spawn(
         actor: Actor,
         listener: TcpListener,
@@ -107,15 +155,14 @@ impl Daemon {
             Actor::Server(..) => (SERVER_INDEX, "server".to_owned()),
         };
         let addr = listener.local_addr()?;
-        let (inputs, input_rx) = mpsc::channel::<Input>();
-        let delays = Arc::new(DelayQueue::spawn(inputs.clone()));
+        let (inputs, input_rx) = mpsc::channel();
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let reader = Reader {
             me,
             book: Arc::clone(&fabric.book),
             latency: fabric.latency,
-            delays: Arc::clone(&delays),
+            inputs: inputs.clone(),
         };
         let stop = Arc::clone(&shutdown);
         let accept = std::thread::Builder::new()
@@ -124,8 +171,8 @@ impl Daemon {
 
         let net = TcpSubstrate {
             pool: ConnectionPool::new(me, fabric.book),
-            delays,
             link: RealTimeLink::new(upload_bps),
+            due: DueQueue::new(),
         };
         let (clock, events) = (fabric.clock, fabric.events);
         let event_loop = std::thread::Builder::new()
@@ -140,9 +187,10 @@ impl Daemon {
         })
     }
 
-    /// Queues `input` for the event loop (a no-op once it has exited).
+    /// Queues `input` for the event loop, due now (a no-op once the loop
+    /// has exited).
     pub(crate) fn send(&self, input: Input) {
-        let _ = self.inputs.send(input);
+        let _ = self.inputs.send((Instant::now(), input));
     }
 
     /// Stops the daemon. Threads exit asynchronously.
@@ -169,7 +217,7 @@ struct Reader {
     me: u32,
     book: Arc<AddressBook>,
     latency: Arc<LatencyModel>,
-    delays: Arc<DelayQueue<Input>>,
+    inputs: Sender<(Instant, Input)>,
 }
 
 /// Accepts connections until shutdown, one reader thread per connection.
@@ -197,8 +245,9 @@ fn accept_loop(listener: &TcpListener, shutdown: &AtomicBool, reader: &Reader) {
 impl Reader {
     /// Reads one connection to its end. The first frame must be a `Hello`
     /// from another index of the address book; every later frame is a
-    /// message, delivered after the link's propagation delay (the PlanetLab
-    /// geography stand-in) without blocking the socket.
+    /// message, sent to the event loop due after the link's propagation
+    /// delay (the PlanetLab geography stand-in), so the socket never
+    /// waits on the loop. The reader ends early once the loop has exited.
     ///
     /// # Errors
     ///
@@ -226,8 +275,14 @@ impl Reader {
             let Frame::Msg(msg) = frame else {
                 return Err(invalid(format!("{frame:?} after the handshake")));
             };
-            self.delays
-                .schedule(Instant::now() + delay, Input::Deliver { from, msg });
+            let due = Instant::now() + delay;
+            if self
+                .inputs
+                .send((due, Input::Deliver { from, msg }))
+                .is_err()
+            {
+                break;
+            }
         }
         Ok(())
     }
@@ -236,21 +291,21 @@ impl Reader {
 /// The TCP implementation of [`PeerSubstrate`] and [`ServerSubstrate`]:
 /// control frames go straight to the connection pool; bulk frames (peer
 /// chunks, origin chunks) are paced through the daemon's real-time upload
-/// link first; timers ride the daemon's delay queue.
+/// link first; paced sends and timers wait in the loop's due queue.
 struct TcpSubstrate {
     pool: ConnectionPool,
-    delays: Arc<DelayQueue<Input>>,
     link: RealTimeLink,
+    due: DueQueue<Input>,
 }
 
 impl TcpSubstrate {
     fn control(&mut self, to: u32, msg: Message) {
-        self.pool.send(to, Frame::Msg(msg));
+        self.pool.send(to, &Frame::Msg(msg));
     }
 
     fn bulk(&mut self, to: u32, bits: u64, msg: Message) {
         let due = self.link.transfer(Instant::now(), bits);
-        self.delays.schedule(due, Input::Transmit { to, msg });
+        self.due.push(due, Input::Transmit { to, msg });
     }
 }
 
@@ -269,7 +324,7 @@ impl PeerSubstrate for TcpSubstrate {
 
     fn arm_timer(&mut self, _node: NodeId, delay: SimDuration, kind: TimerKind) {
         let due = Instant::now() + Duration::from_micros(delay.as_micros());
-        self.delays.schedule(due, Input::Timer(kind));
+        self.due.push(due, Input::Timer(kind));
     }
 }
 
@@ -283,17 +338,18 @@ impl ServerSubstrate for TcpSubstrate {
     }
 }
 
-/// Feeds inputs to the actor and drains what it queued, until `Shutdown`.
+/// Feeds inputs to the actor as they fall due and drains what it queued,
+/// until `Shutdown`; inputs still pending then are dropped.
 fn event_loop(
     mut actor: Actor,
-    inputs: Receiver<Input>,
+    inputs: Receiver<(Instant, Input)>,
     mut net: TcpSubstrate,
     clock: TestbedClock,
     events: &Sender<NetEvent>,
 ) {
     let mut out = Outbox::new();
     let mut server_out = ServerOutbox::new();
-    for input in inputs {
+    while let Some(input) = net.due.next(&inputs) {
         let now = clock.now();
         match (&mut actor, input) {
             (_, Input::Shutdown) => return,
@@ -373,6 +429,49 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_link_rejected() {
         RealTimeLink::new(0);
+    }
+
+    #[test]
+    fn due_queue_fires_in_due_order_and_not_before() {
+        let (tx, rx) = mpsc::channel();
+        let mut queue = DueQueue::new();
+        let now = Instant::now();
+        queue.push(now + Duration::from_millis(30), 3);
+        tx.send((now + Duration::from_millis(10), 1)).unwrap();
+        queue.push(now + Duration::from_millis(20), 2);
+        let fired: Vec<u32> = (0..3).map(|_| queue.next(&rx).unwrap()).collect();
+        assert_eq!(fired, [1, 2, 3]);
+        assert!(now.elapsed() >= Duration::from_millis(30), "fired early");
+    }
+
+    #[test]
+    fn due_queue_keeps_insertion_order_among_equal_due_times() {
+        let (tx, rx) = mpsc::channel();
+        let mut queue = DueQueue::new();
+        let now = Instant::now();
+        // Five due times, a hundred entries each, half pushed by the loop
+        // and half arriving on the channel.
+        for i in 0..500u32 {
+            let due = now + Duration::from_millis(u64::from(i / 100));
+            if i % 100 < 50 {
+                queue.push(due, i);
+            } else {
+                tx.send((due, i)).unwrap();
+            }
+        }
+        let fired: Vec<u32> = (0..500).map(|_| queue.next(&rx).unwrap()).collect();
+        assert_eq!(fired, (0..500).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn due_queue_fires_a_past_due_entry_at_once() {
+        let (_tx, rx) = mpsc::channel();
+        let mut queue = DueQueue::new();
+        let now = Instant::now();
+        queue.push(now + Duration::from_secs(60), "later");
+        queue.push(now - Duration::from_secs(1), "late");
+        assert_eq!(queue.next(&rx), Some("late"));
+        assert!(now.elapsed() < Duration::from_secs(1));
     }
 }
 
@@ -633,6 +732,32 @@ mod daemon_tests {
             reader.join().expect("reader ends at the hang-up");
         }
         (server.try_iter().collect(), neighbor.try_iter().collect())
+    }
+
+    /// A `Shutdown` stops the loop at once: a paced send due in a minute is
+    /// dropped, not sent.
+    #[test]
+    fn shutdown_drops_pending_inputs() {
+        let catalog = Arc::new(CatalogBuilder::new().build());
+        let peer = SocialTubePeer::new(NodeId::new(0), catalog, Vec::new(), Default::default());
+        let (book, mut listeners) = AddressBook::bind(1).expect("bind localhost");
+        let server = listeners.pop().expect("server listener");
+        let (pool, link) = (ConnectionPool::new(0, book), RealTimeLink::new(1_000_000));
+        let mut due = DueQueue::new();
+        let send = Input::Transmit {
+            to: SERVER_INDEX,
+            msg: Message::LogOff,
+        };
+        due.push(Instant::now() + Duration::from_secs(60), send);
+        let (inputs, input_rx) = mpsc::channel();
+        inputs.send((Instant::now(), Input::Shutdown)).unwrap();
+        let start = Instant::now();
+        let (net, clock) = (TcpSubstrate { pool, link, due }, TestbedClock::start());
+        let (actor, events) = (Actor::Peer(Box::new(peer)), mpsc::channel().0);
+        event_loop(actor, input_rx, net, clock, &events);
+        assert!(start.elapsed() < Duration::from_secs(1), "the loop waited");
+        server.set_nonblocking(true).unwrap();
+        assert!(server.accept().is_err(), "the pending send went out");
     }
 
     /// An abrupt logout is a crash: the server sees no `LogOff` and a

@@ -10,15 +10,15 @@
 //!   protocol [`Message`](socialtube::Message);
 //! * [`clock`] — maps wall-clock time onto the protocol's
 //!   [`SimTime`](socialtube_sim::SimTime) axis;
-//! * [`delay`] — a timer/delay queue thread used for protocol timers,
-//!   latency injection and bandwidth pacing;
 //! * [`transport`] — framed connections, the deployment's immutable
 //!   address book and each daemon's outgoing-connection cache;
 //! * `daemon` (private) — the one OS-thread-backed daemon every node runs,
 //!   the tracker/origin server being the daemon at the address book's
 //!   server index; it drains its actor's outbox through the shared
 //!   [`CommandInterpreter`](socialtube::harness::CommandInterpreter) over
-//!   one TCP substrate (connection pool + real-time pacing link);
+//!   one TCP substrate (connection pool + real-time pacing link), and its
+//!   event loop alone keeps the daemon's timers, injected delays and paced
+//!   sends in one due queue;
 //! * [`testbed`] — [`Deployment`]: binds every listener, spawns a whole
 //!   deployment in-process and surfaces protocol reports as
 //!   [`NetEvent`]s; the workload loop that drives it lives with the caller
@@ -33,7 +33,6 @@
 
 pub mod clock;
 mod daemon;
-pub mod delay;
 pub mod testbed;
 pub mod transport;
 pub mod wire;

@@ -10,6 +10,7 @@
 //! cross-platform equivalence tests); this crate takes only the platform's
 //! parameters.
 
+use std::io;
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -111,13 +112,22 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// Returns an error if sockets cannot be bound or threads not spawned.
+    /// Returns [`io::ErrorKind::InvalidInput`] before binding anything if
+    /// `config` has a zero link capacity or `latency_min > latency_max`,
+    /// and any error from binding sockets or spawning threads.
     pub fn spawn(
         catalog: Arc<Catalog>,
         peers: Vec<Box<dyn VodPeer + Send>>,
         server: Box<dyn VodServer + Send>,
         config: &TestbedConfig,
-    ) -> std::io::Result<Deployment> {
+    ) -> io::Result<Deployment> {
+        let invalid = |what| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+        if config.peer_upload_bps == 0 || config.server_bandwidth_bps == 0 {
+            return invalid("testbed link capacities must be positive");
+        }
+        if config.latency_min > config.latency_max {
+            return invalid("testbed latency_min must not exceed latency_max");
+        }
         let started = Instant::now();
         let (book, listeners) = AddressBook::bind(peers.len())?;
         let (events_tx, events) = mpsc::channel::<NetEvent>();
@@ -137,7 +147,7 @@ impl Deployment {
         let daemons = actors
             .zip(listeners)
             .map(|((actor, bps), listener)| Daemon::spawn(actor, listener, bps, fabric.clone()))
-            .collect::<std::io::Result<Vec<_>>>()?;
+            .collect::<io::Result<Vec<_>>>()?;
         Ok(Deployment {
             daemons,
             events,
@@ -210,6 +220,24 @@ mod tests {
             vids.push(v);
         }
         (Arc::new(b.build()), vids)
+    }
+
+    #[test]
+    fn invalid_configs_are_rejected_before_any_daemon_starts() {
+        let (catalog, _) = tiny_catalog();
+        let breaks: [fn(&mut TestbedConfig); 3] = [
+            |c| c.peer_upload_bps = 0,
+            |c| c.server_bandwidth_bps = 0,
+            |c| c.latency_min = c.latency_max + SimDuration::from_millis(1),
+        ];
+        for break_config in breaks {
+            let mut config = TestbedConfig::default();
+            break_config(&mut config);
+            let server = Box::new(SocialTubeServer::new(Arc::clone(&catalog), SimRng::seed(7)));
+            let err = Deployment::spawn(Arc::clone(&catalog), Vec::new(), server, &config)
+                .expect_err("a broken config must not deploy");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{config:?}: {err}");
+        }
     }
 
     /// Drives a five-peer deployment through a scripted two-video session

@@ -1,10 +1,9 @@
 //! Framed TCP transport: blocking frame IO, the deployment's address book,
-//! and an outgoing-connection pool with writer threads.
+//! and an outgoing-connection pool.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{self, SendError, Sender};
 use std::sync::Arc;
 
 use crate::wire::{decode_frame, encode_frame, Frame, MAX_FRAME_BYTES};
@@ -87,18 +86,19 @@ impl AddressBook {
     }
 }
 
-/// Outgoing-connection cache: one TCP connection (and writer thread) per
-/// destination, created on first use and replaced on error. Plain state
-/// of the one event-loop thread that sends through it.
+/// Outgoing-connection cache: one TCP connection per destination, created
+/// on first use and replaced on error. Plain state of the one event-loop
+/// thread that writes through it.
 ///
 /// Sends are fire-and-forget: if the destination is down (between
 /// sessions), the frame is silently lost — exactly the semantics the
-/// protocols expect from churn.
+/// protocols expect from churn. A write never waits on another daemon's
+/// event loop: every inbound connection is drained by its own reader.
 #[derive(Debug)]
 pub(crate) struct ConnectionPool {
     me: u32,
     book: Arc<AddressBook>,
-    conns: HashMap<u32, Sender<Frame>>,
+    conns: HashMap<u32, TcpStream>,
 }
 
 impl ConnectionPool {
@@ -111,19 +111,16 @@ impl ConnectionPool {
         }
     }
 
-    /// Sends `frame` to `to`, connecting first if needed. Returns `false`
-    /// if no route existed or the connection failed.
-    pub(crate) fn send(&mut self, to: u32, frame: Frame) -> bool {
-        // Fast path: an established writer. A writer that died hands the
-        // frame back for the reconnect.
-        let frame = match self.conns.get(&to) {
-            Some(tx) => match tx.send(frame) {
-                Ok(()) => return true,
-                Err(SendError(frame)) => frame,
-            },
-            None => frame,
-        };
-        self.conns.remove(&to);
+    /// Writes `frame` to `to`, connecting first if needed and reconnecting
+    /// once if the cached connection fails. Returns `false` if no route
+    /// existed or the connection failed.
+    pub(crate) fn send(&mut self, to: u32, frame: &Frame) -> bool {
+        if let Some(stream) = self.conns.get_mut(&to) {
+            if write_frame(stream, frame).is_ok() {
+                return true;
+            }
+            self.conns.remove(&to);
+        }
         let Some(addr) = self.book.lookup(to) else {
             return false;
         };
@@ -131,23 +128,11 @@ impl ConnectionPool {
             return false;
         };
         let _ = stream.set_nodelay(true);
-        if write_frame(&mut stream, &Frame::Hello { sender: self.me }).is_err() {
+        let hello = Frame::Hello { sender: self.me };
+        if write_frame(&mut stream, &hello).is_err() || write_frame(&mut stream, frame).is_err() {
             return false;
         }
-        let (tx, rx) = mpsc::channel::<Frame>();
-        let writer = std::thread::Builder::new()
-            .name(format!("conn-writer-{}-{to}", self.me))
-            .spawn(move || {
-                for f in rx {
-                    if write_frame(&mut stream, &f).is_err() {
-                        return;
-                    }
-                }
-            });
-        if writer.is_err() || tx.send(frame).is_err() {
-            return false;
-        }
-        self.conns.insert(to, tx);
+        self.conns.insert(to, stream);
         true
     }
 }
@@ -220,8 +205,8 @@ mod tests {
         });
 
         let mut pool = ConnectionPool::new(1, book);
-        assert!(pool.send(0, Frame::Msg(Message::LogOff)));
-        assert!(pool.send(0, Frame::Msg(Message::Leave)));
+        assert!(pool.send(0, &Frame::Msg(Message::LogOff)));
+        assert!(pool.send(0, &Frame::Msg(Message::Leave)));
         assert_eq!(
             reader.join().unwrap(),
             [
@@ -235,14 +220,14 @@ mod tests {
     #[test]
     fn send_to_unknown_destination_fails_quietly() {
         let mut pool = ConnectionPool::new(1, book_of(dead_addr()));
-        assert!(!pool.send(42, Frame::Msg(Message::Leave)));
+        assert!(!pool.send(42, &Frame::Msg(Message::Leave)));
     }
 
     #[test]
     fn send_to_dead_endpoint_fails_quietly() {
         let mut pool = ConnectionPool::new(1, book_of(dead_addr()));
         // May take one RTT to fail, but must not panic or hang.
-        let _ = pool.send(0, Frame::Msg(Message::Leave));
+        let _ = pool.send(0, &Frame::Msg(Message::Leave));
     }
 
     #[test]
