@@ -20,7 +20,8 @@
 //! completed cell of the parallel pass; `--trace-out` re-runs each
 //! protocol once at the base seed with timeline capture and writes a
 //! Chrome-trace file (one process per protocol) loadable in Perfetto or
-//! `chrome://tracing`. A malformed argument exits 2.
+//! `chrome://tracing`. A malformed argument, `--seeds 0` included, exits
+//! 2. A repeated protocol or seed runs once.
 
 use socialtube_bench::{usage_error, Scale};
 use socialtube_experiments::{
@@ -54,7 +55,12 @@ fn main() {
                     usage_error(format!("unknown scale {name} (use demo|figure|full)"))
                 });
             }
-            "--seeds" => seeds = integer(&arg, &value()),
+            "--seeds" => {
+                seeds = integer(&arg, &value());
+                if seeds == 0 {
+                    usage_error("--seeds needs at least 1");
+                }
+            }
             "--seed" => base_seed = integer(&arg, &value()),
             "--workers" => workers = integer(&arg, &value()),
             "--protocols" => {
@@ -80,7 +86,15 @@ fn main() {
         .protocols(&protocols)
         .replicates(seeds)
         .workers(workers);
-    let runs = campaign.plan().len();
+    let plan = campaign.plan();
+    let runs = plan.len();
+    // The campaign's own protocol list: a repeated `--protocols` entry is
+    // one cell.
+    let protocols: Vec<Protocol> = plan
+        .iter()
+        .filter(|p| p.sweep_index == 0)
+        .map(|p| p.protocol)
+        .collect();
     println!(
         "# campaign: {} protocols × {seeds} seeds = {runs} runs (scale {})",
         protocols.len(),

@@ -184,26 +184,26 @@ impl Campaign {
         self
     }
 
-    /// Restricts the sweep to `protocols`.
+    /// Restricts the sweep to `protocols`; a repeat is one cell, kept at
+    /// its first position.
     pub fn protocols(mut self, protocols: &[Protocol]) -> Self {
-        self.protocols = protocols.to_vec();
+        self.protocols = first_occurrences(protocols.iter().copied());
         self
     }
 
-    /// Sweeps exactly these seeds, one trace per seed.
+    /// Sweeps exactly these seeds, one trace per seed; a repeat is one
+    /// sweep point, kept at its first position.
     pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds = seeds.into_iter().collect();
+        self.seeds = first_occurrences(seeds);
         self
     }
 
     /// Sweeps `n` seeds derived from the base seed via
     /// [`SimRng::run_seed`]; replicate 0 is the base seed itself, so a
     /// one-replicate campaign reproduces the plain serial run.
-    pub fn replicates(mut self, n: usize) -> Self {
-        self.seeds = (0..n as u64)
-            .map(|i| SimRng::run_seed(self.base.seed, i))
-            .collect();
-        self
+    pub fn replicates(self, n: usize) -> Self {
+        let base = self.base.seed;
+        self.seeds((0..n as u64).map(|i| SimRng::run_seed(base, i)))
     }
 
     /// Sets the worker-thread count (clamped to at least 1).
@@ -453,14 +453,23 @@ impl CampaignReport {
 
     /// One aggregate row per protocol that ran, in first-seen order.
     pub fn summaries(&self) -> Vec<ProtocolSummary> {
-        let mut seen = Vec::new();
-        for cell in &self.cells {
-            if !seen.contains(&cell.plan.protocol) {
-                seen.push(cell.plan.protocol);
-            }
-        }
-        seen.into_iter().filter_map(|p| self.summary(p)).collect()
+        first_occurrences(self.cells.iter().map(|c| c.plan.protocol))
+            .into_iter()
+            .filter_map(|p| self.summary(p))
+            .collect()
     }
+}
+
+/// `items` without repeats, each kept where it first appears: a campaign
+/// cell is one sample, so a repeated protocol or seed must not count twice.
+fn first_occurrences<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut kept = Vec::new();
+    for item in items {
+        if !kept.contains(&item) {
+            kept.push(item);
+        }
+    }
+    kept
 }
 
 #[cfg(test)]
@@ -494,6 +503,26 @@ mod tests {
                 (1, 0, Protocol::SocialTube, 7),
                 (2, 1, Protocol::PaVod, 8),
                 (3, 1, Protocol::SocialTube, 8),
+            ]
+        );
+    }
+
+    #[test]
+    fn repeated_protocols_and_seeds_are_one_cell() {
+        let campaign = Campaign::new(tiny())
+            .protocols(&[Protocol::SocialTube, Protocol::PaVod, Protocol::SocialTube])
+            .seeds([7, 7, 9]);
+        assert_eq!(
+            campaign
+                .plan()
+                .iter()
+                .map(|p| (p.protocol, p.seed))
+                .collect::<Vec<_>>(),
+            vec![
+                (Protocol::SocialTube, 7),
+                (Protocol::PaVod, 7),
+                (Protocol::SocialTube, 9),
+                (Protocol::PaVod, 9),
             ]
         );
     }

@@ -156,35 +156,6 @@ impl Catalog {
         let v = self.video(video)?;
         Ok(self.channel(v.channel())?.primary_category())
     }
-
-    /// Computes summary statistics for reporting.
-    pub fn stats(&self) -> CatalogStats {
-        let videos_per_channel: Vec<usize> =
-            self.channels.iter().map(Channel::video_count).collect();
-        let total_views: u64 = self.videos.iter().map(Video::views).sum();
-        CatalogStats {
-            categories: self.category_count(),
-            channels: self.channel_count(),
-            videos: self.video_count(),
-            total_views,
-            max_videos_per_channel: videos_per_channel.iter().copied().max().unwrap_or(0),
-        }
-    }
-}
-
-/// Summary counts of a [`Catalog`], for reports and sanity checks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CatalogStats {
-    /// Number of interest categories.
-    pub categories: usize,
-    /// Number of channels.
-    pub channels: usize,
-    /// Number of videos.
-    pub videos: usize,
-    /// Sum of view counts over all videos.
-    pub total_views: u64,
-    /// Largest channel size.
-    pub max_videos_per_channel: usize,
 }
 
 /// Incremental builder for a [`Catalog`].
@@ -408,17 +379,6 @@ mod tests {
     fn video_category_routes_to_primary() {
         let (cat, _, v) = tiny();
         assert_eq!(cat.video_category(v[0]).unwrap(), Some(CategoryId::new(0)));
-    }
-
-    #[test]
-    fn stats_summarize_counts() {
-        let (cat, _, _) = tiny();
-        let s = cat.stats();
-        assert_eq!(s.categories, 1);
-        assert_eq!(s.channels, 1);
-        assert_eq!(s.videos, 3);
-        assert_eq!(s.total_views, 1110);
-        assert_eq!(s.max_videos_per_channel, 3);
     }
 
     #[test]

@@ -96,7 +96,8 @@ impl Channel {
         self.subscriber_count += 1;
     }
 
-    /// Sets the subscriber count directly (used when loading traces).
+    /// Sets the subscriber count directly (the generator records the
+    /// social graph's count once subscriptions are drawn).
     pub fn set_subscriber_count(&mut self, count: u64) {
         self.subscriber_count = count;
     }

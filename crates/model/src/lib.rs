@@ -40,7 +40,7 @@ mod ids;
 mod user;
 mod video;
 
-pub use catalog::{Catalog, CatalogBuilder, CatalogStats};
+pub use catalog::{Catalog, CatalogBuilder};
 pub use channel::Channel;
 pub use error::ModelError;
 pub use graph::{SharedSubscriberEdge, SocialGraph};

@@ -113,8 +113,9 @@ impl Deployment {
     /// # Errors
     ///
     /// Returns [`io::ErrorKind::InvalidInput`] before binding anything if
-    /// `config` has a zero link capacity or `latency_min > latency_max`,
-    /// and any error from binding sockets or spawning threads.
+    /// `config` has a zero link capacity or `latency_min > latency_max`, or
+    /// if `peers[i]` is not node `i`; and any error from binding sockets or
+    /// spawning threads.
     pub fn spawn(
         catalog: Arc<Catalog>,
         peers: Vec<Box<dyn VodPeer + Send>>,
@@ -127,6 +128,9 @@ impl Deployment {
         }
         if config.latency_min > config.latency_max {
             return invalid("testbed latency_min must not exceed latency_max");
+        }
+        if (0..).zip(&peers).any(|(i, p)| p.node() != NodeId::new(i)) {
+            return invalid("testbed peers must be nodes 0..n in order");
         }
         let started = Instant::now();
         let (book, listeners) = AddressBook::bind(peers.len())?;
@@ -225,16 +229,31 @@ mod tests {
     #[test]
     fn invalid_configs_are_rejected_before_any_daemon_starts() {
         let (catalog, _) = tiny_catalog();
-        let breaks: [fn(&mut TestbedConfig); 3] = [
-            |c| c.peer_upload_bps = 0,
-            |c| c.server_bandwidth_bps = 0,
-            |c| c.latency_min = c.latency_max + SimDuration::from_millis(1),
-        ];
-        for break_config in breaks {
+        let peer = |i| {
+            Box::new(SocialTubePeer::new(
+                NodeId::new(i),
+                Arc::clone(&catalog),
+                Vec::new(),
+                SocialTubeConfig::default(),
+            )) as Box<dyn VodPeer + Send>
+        };
+        let broken = |f: fn(&mut TestbedConfig)| {
             let mut config = TestbedConfig::default();
-            break_config(&mut config);
+            f(&mut config);
+            config
+        };
+        let cases = [
+            (broken(|c| c.peer_upload_bps = 0), Vec::new()),
+            (broken(|c| c.server_bandwidth_bps = 0), Vec::new()),
+            (
+                broken(|c| c.latency_min = c.latency_max + SimDuration::from_millis(1)),
+                Vec::new(),
+            ),
+            (TestbedConfig::default(), vec![peer(1), peer(0)]),
+        ];
+        for (config, peers) in cases {
             let server = Box::new(SocialTubeServer::new(Arc::clone(&catalog), SimRng::seed(7)));
-            let err = Deployment::spawn(Arc::clone(&catalog), Vec::new(), server, &config)
+            let err = Deployment::spawn(Arc::clone(&catalog), peers, server, &config)
                 .expect_err("a broken config must not deploy");
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{config:?}: {err}");
         }

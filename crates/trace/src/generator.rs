@@ -346,12 +346,18 @@ mod tests {
         let a = generate(&TraceConfig::tiny(), 9);
         let b = generate(&TraceConfig::tiny(), 9);
         assert_eq!(a.catalog.video_count(), b.catalog.video_count());
-        let va: Vec<u64> = a.catalog.videos().map(|v| v.views()).collect();
-        let vb: Vec<u64> = b.catalog.videos().map(|v| v.views()).collect();
-        assert_eq!(va, vb);
-        for ch in a.catalog.channels() {
-            assert_eq!(a.graph.subscribers(ch.id()), b.graph.subscribers(ch.id()));
+        assert!(a.catalog.videos().eq(b.catalog.videos()), "video mismatch");
+        assert_eq!(a.graph.user_count(), b.graph.user_count());
+        assert!(a.graph.users().eq(b.graph.users()), "user mismatch");
+        assert_eq!(a.catalog.channel_count(), b.catalog.channel_count());
+        for (x, y) in a.catalog.channels().zip(b.catalog.channels()) {
+            assert_eq!(x.name(), y.name());
+            assert_eq!(x.categories(), y.categories());
+            assert_eq!(x.subscriber_count(), y.subscriber_count());
+            assert_eq!(x.videos(), y.videos());
+            assert_eq!(a.graph.subscribers(x.id()), b.graph.subscribers(x.id()));
         }
+        assert_eq!(a.channel_owners, b.channel_owners);
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //!    function per figure — and [`stats`] provides the CDF/percentile/
 //!    correlation machinery they share.
 //!
+//! A trace is a pure function of `(TraceConfig, seed)`: every run, figure
+//! and test regenerates it rather than storing it, so there is no trace
+//! file format.
+//!
 //! # Examples
 //!
 //! ```
@@ -38,7 +42,6 @@ pub mod analysis;
 pub mod crawler;
 pub mod distributions;
 pub mod generator;
-pub mod io;
 pub mod shared;
 pub mod stats;
 
@@ -47,5 +50,4 @@ mod config;
 pub use config::TraceConfig;
 pub use crawler::{crawl, CrawlSample};
 pub use generator::{generate, Trace};
-pub use io::{load, save, TraceIoError};
 pub use shared::{generate_shared, SharedTrace};
