@@ -21,10 +21,10 @@
 
 use std::io;
 
-use socialtube::SocialTubeConfig;
 use socialtube_bench::{usage_error, write_table, Scale};
 use socialtube_experiments::figures::{self as xfig, Ablation, Claim, Platform, Table};
-use socialtube_experiments::{net_driver, Campaign, MetricsSummary, Protocol};
+use socialtube_experiments::net_driver::{self, NetExperimentOptions, NetRun};
+use socialtube_experiments::{Campaign, MetricsSummary, Protocol};
 use socialtube_trace::{generate, generate_shared, Trace, TraceConfig};
 
 const OUT_DIR: &str = "target/figures";
@@ -141,14 +141,15 @@ fn main() -> io::Result<()> {
         let claims = xfig::sim_claims(report, seed, &options.socialtube);
         (report.replicate(seed), claims)
     });
-    let net =
-        wants(|t| matches!(t, Target::Eval(Platform::Tcp, _))).then(|| run_net_all(scale, seed));
+    let testbed = scale.testbed_options(seed);
+    let net = wants(|t| matches!(t, Target::Eval(Platform::Tcp, _)))
+        .then(|| run_net_all(&testbed))
+        .transpose()?;
     let net = net.as_ref().map(|runs| {
         let replicate: Vec<(Protocol, &MetricsSummary)> =
             runs.iter().map(|(p, run)| (*p, &run.metrics)).collect();
-        // The testbed builds its stacks from the default link budgets and
-        // does not report the tracker's peak.
-        let claims = xfig::claims(&replicate, &SocialTubeConfig::default(), None);
+        // The testbed does not report the tracker's peak.
+        let claims = xfig::claims(&replicate, &testbed.experiment.socialtube, None);
         (replicate, claims)
     });
 
@@ -174,32 +175,23 @@ fn main() -> io::Result<()> {
     Ok(())
 }
 
-fn net_options(scale: Scale, seed: u64) -> net_driver::NetExperimentOptions {
-    let mut options = match scale {
-        Scale::Demo => net_driver::NetExperimentOptions::smoke_test(),
-        _ => net_driver::NetExperimentOptions::planetlab_style(),
-    };
-    options.testbed.seed = seed;
-    options
-}
-
-fn run_net_all(scale: Scale, seed: u64) -> Vec<(Protocol, net_driver::NetRun)> {
-    let options = net_options(scale, seed);
+fn run_net_all(options: &NetExperimentOptions) -> io::Result<Vec<(Protocol, NetRun)>> {
+    let experiment = &options.experiment;
     println!(
         "# deploying TCP testbed ({} peers, {} sessions × {} videos) for 5 protocol variants",
-        options.trace.users,
-        options.workload.sessions_per_node,
-        options.workload.videos_per_session
+        experiment.trace.users,
+        experiment.workload.sessions_per_node,
+        experiment.workload.videos_per_session
     );
     // One shared trace for all five variants (the paper's methodology);
     // each deployment borrows the same Arc'd catalog instead of
     // regenerating it.
-    let shared = generate_shared(&options.trace, seed);
+    let shared = generate_shared(&experiment.trace, experiment.seed);
     Protocol::ALL
         .iter()
         .map(|p| {
             println!("#   running {p} over real sockets ...");
-            (*p, net_driver::run_net_on(&shared, *p, &options))
+            Ok((*p, net_driver::run_net_on(&shared, *p, options)?))
         })
         .collect()
 }
@@ -212,7 +204,9 @@ mod tests {
     #[test]
     fn seed_reaches_the_testbed_latencies() {
         let delay = |seed| {
-            let latency = net_options(Scale::Demo, seed).testbed.latency_model();
+            let experiment = Scale::Demo.testbed_options(seed).experiment;
+            let root = socialtube_experiments::configs::root_rng(experiment.seed);
+            let latency = experiment.network.latency_model(&root);
             (latency.delay(0, 1), latency.server_delay(0))
         };
         assert_eq!(delay(7), delay(7));

@@ -21,6 +21,7 @@
 pub mod csv;
 
 pub use csv::write_table;
+use socialtube_experiments::net_driver::NetExperimentOptions;
 use socialtube_experiments::{configs, ExperimentOptions};
 
 /// The `--scale` both bins take.
@@ -62,6 +63,17 @@ impl Scale {
         options.seed = seed;
         options
     }
+
+    /// The TCP testbed options behind this scale, rooted at `seed`: the
+    /// 16-peer smoke deployment at `demo`, the PlanetLab-shaped one above.
+    pub fn testbed_options(self, seed: u64) -> NetExperimentOptions {
+        let mut options = match self {
+            Scale::Demo => NetExperimentOptions::smoke_test(),
+            Scale::Figure | Scale::Full => NetExperimentOptions::planetlab_style(),
+        };
+        options.experiment.seed = seed;
+        options
+    }
 }
 
 /// Reports a command-line mistake and exits 2, before any work starts.
@@ -81,6 +93,8 @@ mod tests {
         for scale in [Scale::Demo, Scale::Figure, Scale::Full] {
             for seed in [7, 42] {
                 assert_eq!(scale.sim_options(seed).seed, seed, "{}", scale.name());
+                let testbed = scale.testbed_options(seed).experiment;
+                assert_eq!(testbed.seed, seed, "{}", scale.name());
             }
         }
     }

@@ -1,48 +1,26 @@
-//! Experiment configurations: Table I, the PlanetLab-style scale-down, and
-//! test-sized variants.
+//! Experiment configurations: Table I, the PlanetLab-style scale-down,
+//! test-sized variants and the TCP testbed's base, plus the one RNG root.
 
 use socialtube::SocialTubeConfig;
-use socialtube_sim::SimDuration;
+pub use socialtube_sim::NetworkOptions;
+use socialtube_sim::{SimDuration, SimRng};
 use socialtube_trace::TraceConfig;
 
 use crate::workload::WorkloadConfig;
 
-/// Network model parameters shared by all protocols in a run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct NetworkOptions {
-    /// Server upload capacity in bits/second.
-    ///
-    /// Table I's value is garbled in the available text ("5 mbps"); at
-    /// 10,000 nodes the aggregate playback demand is ~3.2 Gbps, so the
-    /// server is provisioned at 1 Gbps — enough to keep a pure
-    /// client-server system alive but visibly overloaded, which is the
-    /// regime the paper evaluates.
-    pub server_bandwidth_bps: u64,
-    /// Per-peer upload capacity in bits/second (≈ 3× the 320 kbps bitrate,
-    /// the "typical" broadband of Section IV-B).
-    pub peer_upload_bps: u64,
-    /// Minimum one-way propagation delay.
-    pub latency_min: SimDuration,
-    /// Maximum one-way propagation delay.
-    pub latency_max: SimDuration,
+/// The root of every run's randomness on both platforms: the stack's
+/// protocol streams, the session director and the pairwise latencies all
+/// derive from it. The golden fixtures pin this salt.
+pub fn root_rng(seed: u64) -> SimRng {
+    SimRng::seed(seed ^ 0x50c1_a17b)
 }
 
-impl Default for NetworkOptions {
-    fn default() -> Self {
-        Self {
-            server_bandwidth_bps: 1_000_000_000,
-            peer_upload_bps: 1_000_000,
-            latency_min: SimDuration::from_millis(20),
-            latency_max: SimDuration::from_millis(200),
-        }
-    }
-}
-
-/// Everything one simulation run needs.
+/// Everything one run needs, on either platform.
 #[derive(Clone, Debug)]
 pub struct ExperimentOptions {
-    /// Root seed: trace, workload, latencies and protocol randomness all
-    /// derive from it, so a run is fully reproducible.
+    /// Root seed: the trace, and through [`root_rng`] the workload,
+    /// latencies and protocol randomness, derive from it, so a run is fully
+    /// reproducible.
     pub seed: u64,
     /// Synthetic trace parameters.
     pub trace: TraceConfig,
@@ -144,6 +122,31 @@ pub fn demo() -> ExperimentOptions {
     // Keep the Table I per-user server budget (100 kbps/user).
     o.network.server_bandwidth_bps = 30_000_000;
     o
+}
+
+/// The TCP testbed's base: the paper's minutes-scale protocol timers
+/// compressed to seconds-scale wall-clock sessions, over 10–60 ms of
+/// latency, 20 Mbps per peer and a 50 Mbps server. The scripted runs use it
+/// as is; the `net_driver` presets add a trace and a workload.
+pub fn testbed() -> ExperimentOptions {
+    ExperimentOptions {
+        network: NetworkOptions {
+            server_bandwidth_bps: 50_000_000,
+            peer_upload_bps: 20_000_000,
+            latency_min: SimDuration::from_millis(10),
+            latency_max: SimDuration::from_millis(60),
+        },
+        socialtube: SocialTubeConfig {
+            search_phase_timeout: SimDuration::from_millis(400),
+            probe_interval: SimDuration::from_secs(2),
+            probe_timeout: SimDuration::from_millis(600),
+            chunk_timeout: SimDuration::from_secs(3),
+            prefetch_delay: SimDuration::from_millis(100),
+            lookup_timeout: SimDuration::from_millis(800),
+            ..SocialTubeConfig::default()
+        },
+        ..ExperimentOptions::default()
+    }
 }
 
 /// A throughput-oriented configuration for the benchmark's `sim-scale`

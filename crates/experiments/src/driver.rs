@@ -34,11 +34,11 @@ use socialtube_obs::{
 };
 use socialtube_sim::{
     epoch_length, Delivery, Engine, EpochLog, EventScheduler, LatencyModel, MergeState,
-    PeriodicSampler, ServerQueue, ShardEngine, SimDuration, SimRng, SimTime, UploadScheduler,
+    PeriodicSampler, ServerQueue, ShardEngine, SimDuration, SimTime, UploadScheduler,
 };
 use socialtube_trace::{generate, SharedTrace, Trace};
 
-use crate::configs::ExperimentOptions;
+use crate::configs::{root_rng, ExperimentOptions};
 use crate::harness::{SessionDirector, SessionStep, SimEvent, SimPeer, SimSubstrate, StackBuilder};
 use crate::metrics::{MetricsCollector, MetricsSummary};
 use crate::recording::record_report_in;
@@ -679,17 +679,13 @@ fn run_with_catalog<R: Recorder>(
     seed: u64,
     rec: &mut R,
 ) -> SimOutcome {
-    let root = SimRng::seed(seed ^ 0x50c1_a17b);
+    let root = root_rng(seed);
     let users = trace.graph.user_count();
 
     let (peers, server) =
         StackBuilder::from_options(protocol, Arc::clone(&catalog), options).build_sim(trace, &root);
     let director = SessionDirector::new(users, options.workload.clone(), &root);
-    let latency = LatencyModel::new(
-        &root,
-        options.network.latency_min,
-        options.network.latency_max,
-    );
+    let latency = options.network.latency_model(&root);
     let interpreter = CommandInterpreter::new(Arc::clone(&catalog));
     let mut world = World {
         trace,
@@ -1048,7 +1044,7 @@ where
     });
     let epoch_us = epoch.as_micros();
 
-    let root = SimRng::seed(seed ^ 0x50c1_a17b);
+    let root = root_rng(seed);
     let users = trace.graph.user_count();
 
     // Identical construction to the serial path: every RNG consumer draws
@@ -1057,11 +1053,7 @@ where
     let (peers, server) =
         StackBuilder::from_options(protocol, Arc::clone(&catalog), options).build_sim(trace, &root);
     let director = SessionDirector::new(users, options.workload.clone(), &root);
-    let latency = LatencyModel::new(
-        &root,
-        options.network.latency_min,
-        options.network.latency_max,
-    );
+    let latency = options.network.latency_model(&root);
     let login_offsets: Vec<SimDuration> = (0..users)
         .map(|u| director.login_offset(NodeId::new(u as u32)))
         .collect();

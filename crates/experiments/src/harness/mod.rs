@@ -7,8 +7,8 @@
 //! re-implement separately lives here exactly once:
 //!
 //! * [`StackBuilder`] — the *single* `Protocol → peers/server` mapping,
-//!   with the run's one parameter set and RNG stream derivation. Adding a
-//!   fourth protocol or changing a config default is a one-file change.
+//!   built only from the run's [`ExperimentOptions`] (the testbed's
+//!   compressed timeouts are option values), with its RNG stream labels.
 //! * [`SessionDirector`] — the workload state machine from
 //!   [`crate::workload`]: login stagger, off periods, abrupt-departure
 //!   draws and video selection. Both platforms replay the identical
@@ -29,11 +29,12 @@
 //! | concern | owner |
 //! |---|---|
 //! | time | platform (engine clock vs wall clock) |
-//! | RNG streams | `StackBuilder` (protocol) + `SessionDirector` (workload) |
+//! | RNG streams | `configs::root_rng` → `StackBuilder` (protocol) + `SessionDirector` (workload) |
 //! | delivery, latency, bandwidth | substrate implementation |
 //! | command → effect translation | `CommandInterpreter` (core) |
 //! | session/churn/video selection | `SessionDirector` |
 //!
+//! [`ExperimentOptions`]: crate::ExperimentOptions
 //! [`PeerSubstrate`]: socialtube::harness::PeerSubstrate
 //! [`ServerSubstrate`]: socialtube::harness::ServerSubstrate
 

@@ -7,11 +7,13 @@
 //! stochastic [`SessionDirector`](super::SessionDirector) with explicit
 //! `Login`/`Watch`/`Logout` actions at fixed times, spaced far enough apart
 //! that every search, fallback and transfer completes before the next
-//! action fires. Both runners build their stack from the same
-//! [`StackBuilder::for_testbed`] root and the same pairwise
-//! [`TestbedConfig::latency_model`], so the protocol observes identical
-//! inputs in identical order — and must therefore emit the identical
-//! [`Report`] sequence, captured as [`ReportKey`]s.
+//! action fires. Both runners read one [`ExperimentOptions`] (in the tests,
+//! [`configs::testbed`](crate::configs::testbed)): the stack comes from
+//! [`StackBuilder::from_options`] and the pairwise delays from
+//! [`NetworkOptions::latency_model`](crate::NetworkOptions::latency_model),
+//! both under [`root_rng`], so the protocol observes identical inputs in
+//! identical order — and must therefore emit the identical [`Report`]
+//! sequence, captured as [`ReportKey`]s.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,12 +21,13 @@ use std::time::{Duration, Instant};
 use socialtube::harness::CommandInterpreter;
 use socialtube::{Message, Outbox, PeerAddr, Report, ServerOutbox, TimerKind, TransferKind};
 use socialtube_model::{Catalog, CatalogBuilder, NodeId, SocialGraph, VideoId};
-use socialtube_net::testbed::{Deployment, TestbedConfig};
+use socialtube_net::testbed::Deployment;
 use socialtube_obs::{NullRecorder, Recorder};
-use socialtube_sim::{Engine, ServerQueue, SimDuration, SimRng, SimTime, UploadScheduler};
+use socialtube_sim::{Engine, ServerQueue, SimDuration, SimTime, UploadScheduler};
 use socialtube_trace::{Trace, TraceConfig};
 
 use super::{SimEvent, SimSubstrate, StackBuilder};
+use crate::configs::{root_rng, ExperimentOptions};
 use crate::recording::record_report;
 use crate::Protocol;
 
@@ -165,12 +168,6 @@ pub fn demo_script(videos: &[VideoId]) -> Vec<ScriptStep> {
     ]
 }
 
-/// Both runners derive protocol randomness from the same root so RNG-bearing
-/// stacks (NetTube peers, all servers) draw identical streams.
-fn script_root(seed: u64) -> SimRng {
-    SimRng::seed(seed ^ 0x5c21_9700)
-}
-
 /// Engine events of the scripted simulation runner.
 #[derive(Debug)]
 enum Ev {
@@ -203,15 +200,16 @@ impl SimEvent for Ev {
 }
 
 /// Replays `script` under the discrete-event engine and returns the ordered
-/// report keys. Uses the identical stack root and latency model as
-/// [`run_script_tcp`].
+/// report keys. Reads the seed, network and protocol parameters of
+/// `options` as [`run_script_tcp`] does; the trace and the script stand in
+/// for its trace and workload.
 pub fn run_script_sim(
     protocol: Protocol,
     trace: &Trace,
     script: &[ScriptStep],
-    config: &TestbedConfig,
+    options: &ExperimentOptions,
 ) -> Vec<ReportKey> {
-    run_script_sim_recorded(protocol, trace, script, config, &mut NullRecorder)
+    run_script_sim_recorded(protocol, trace, script, options, &mut NullRecorder)
 }
 
 /// [`run_script_sim`] with a caller-owned [`Recorder`] attached. The key
@@ -221,20 +219,21 @@ pub fn run_script_sim_recorded<R: Recorder>(
     protocol: Protocol,
     trace: &Trace,
     script: &[ScriptStep],
-    config: &TestbedConfig,
+    options: &ExperimentOptions,
     rec: &mut R,
 ) -> Vec<ReportKey> {
     let catalog = Arc::new(trace.catalog.clone());
     let users = trace.graph.user_count();
-    let stack = StackBuilder::for_testbed(protocol, Arc::clone(&catalog))
-        .build(trace, &script_root(config.seed));
+    let root = root_rng(options.seed);
+    let stack =
+        StackBuilder::from_options(protocol, Arc::clone(&catalog), options).build(trace, &root);
     let mut peers = stack.peers;
     let mut server = stack.server;
     let interpreter = CommandInterpreter::new(Arc::clone(&catalog));
     // The very delays the Deployment injects.
-    let latency = config.latency_model();
-    let mut uploads = UploadScheduler::new(users, config.peer_upload_bps);
-    let mut server_queue = ServerQueue::new(config.server_bandwidth_bps);
+    let latency = options.network.latency_model(&root);
+    let mut uploads = UploadScheduler::new(users, options.network.peer_upload_bps);
+    let mut server_queue = ServerQueue::new(options.network.server_bandwidth_bps);
 
     let mut engine: Engine<Ev> = Engine::new();
     for (i, step) in script.iter().enumerate() {
@@ -282,43 +281,28 @@ pub fn run_script_sim_recorded<R: Recorder>(
                 peers[node.index()].on_timer(now, kind, &mut outbox);
             }
         }
+        let mut sub = SimSubstrate {
+            now,
+            engine: &mut engine,
+            latency: &latency,
+            uploads: &mut uploads,
+            server_queue: &mut server_queue,
+            recorder: &mut *rec,
+            delay_memo: None,
+        };
+        let mut on_report = |sub: &mut SimSubstrate<'_, Engine<Ev>, R>, report: Report| {
+            record_report(sub.recorder, now, &report);
+            // Diagnostic reports come from intermediate forwarders and probe
+            // races whose global order differs between virtual and
+            // wall-clock time; the equivalence keys exclude them.
+            if !report.is_diagnostic() {
+                keys.push(ReportKey::of(&report));
+            }
+        };
         if let Some(actor) = actor {
-            let mut sub = SimSubstrate {
-                now,
-                engine: &mut engine,
-                latency: &latency,
-                uploads: &mut uploads,
-                server_queue: &mut server_queue,
-                recorder: &mut *rec,
-                delay_memo: None,
-            };
-            CommandInterpreter::flush_peer(actor, &mut outbox, &mut sub, |sub, report| {
-                record_report(sub.recorder, now, &report);
-                // Diagnostic reports come from intermediate forwarders and
-                // probe races whose global order differs between virtual
-                // and wall-clock time; the equivalence keys exclude them.
-                if !report.is_diagnostic() {
-                    keys.push(ReportKey::of(&report));
-                }
-            });
+            CommandInterpreter::flush_peer(actor, &mut outbox, &mut sub, &mut on_report);
         }
-        {
-            let mut sub = SimSubstrate {
-                now,
-                engine: &mut engine,
-                latency: &latency,
-                uploads: &mut uploads,
-                server_queue: &mut server_queue,
-                recorder: &mut *rec,
-                delay_memo: None,
-            };
-            interpreter.flush_server(&mut server_outbox, &mut sub, |sub, report| {
-                record_report(sub.recorder, now, &report);
-                if !report.is_diagnostic() {
-                    keys.push(ReportKey::of(&report));
-                }
-            });
-        }
+        interpreter.flush_server(&mut server_outbox, &mut sub, &mut on_report);
     }
     keys
 }
@@ -328,17 +312,20 @@ pub fn run_script_sim_recorded<R: Recorder>(
 ///
 /// # Errors
 ///
-/// Returns an error if the deployment cannot bind localhost sockets.
+/// Returns any error [`Deployment::spawn`] returns: invalid network
+/// options, or localhost sockets that cannot be bound.
 pub fn run_script_tcp(
     protocol: Protocol,
     trace: &Trace,
     script: &[ScriptStep],
-    config: &TestbedConfig,
+    options: &ExperimentOptions,
 ) -> std::io::Result<Vec<ReportKey>> {
     let catalog: Arc<Catalog> = Arc::new(trace.catalog.clone());
-    let stack = StackBuilder::for_testbed(protocol, Arc::clone(&catalog))
-        .build(trace, &script_root(config.seed));
-    let deployment = Deployment::spawn(catalog, stack.peers, stack.server, config)?;
+    let root = root_rng(options.seed);
+    let stack =
+        StackBuilder::from_options(protocol, Arc::clone(&catalog), options).build(trace, &root);
+    let deployment =
+        Deployment::spawn(catalog, stack.peers, stack.server, &options.network, &root)?;
 
     let start = Instant::now();
     let mut events = Vec::new();
@@ -365,6 +352,7 @@ pub fn run_script_tcp(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::configs;
 
     #[test]
     fn four_peer_trace_is_well_formed() {
@@ -385,12 +373,7 @@ mod tests {
     fn scripted_sim_run_reaches_every_watch() {
         let (trace, vids) = four_peer_trace();
         let script = demo_script(&vids);
-        let keys = run_script_sim(
-            Protocol::SocialTube,
-            &trace,
-            &script,
-            &TestbedConfig::default(),
-        );
+        let keys = run_script_sim(Protocol::SocialTube, &trace, &script, &configs::testbed());
         let playbacks = keys.iter().filter(|k| k.kind == "playback").count();
         assert_eq!(playbacks, 6, "keys: {keys:?}");
         // The very first fetch cannot be a community hit.
@@ -405,12 +388,12 @@ mod tests {
     fn recorded_script_replay_matches_plain_replay() {
         let (trace, vids) = four_peer_trace();
         let script = demo_script(&vids);
-        let config = TestbedConfig::default();
+        let options = configs::testbed();
         for protocol in Protocol::ALL {
-            let plain = run_script_sim(protocol, &trace, &script, &config);
+            let plain = run_script_sim(protocol, &trace, &script, &options);
             let mut rec =
                 socialtube_obs::RunRecorder::new(socialtube_obs::RecorderConfig::metrics_only());
-            let recorded = run_script_sim_recorded(protocol, &trace, &script, &config, &mut rec);
+            let recorded = run_script_sim_recorded(protocol, &trace, &script, &options, &mut rec);
             assert_eq!(
                 plain, recorded,
                 "{protocol}: recorder changed the key stream"
@@ -422,10 +405,10 @@ mod tests {
     fn scripted_sim_runs_are_deterministic() {
         let (trace, vids) = four_peer_trace();
         let script = demo_script(&vids);
-        let config = TestbedConfig::default();
+        let options = configs::testbed();
         for protocol in Protocol::ALL {
-            let a = run_script_sim(protocol, &trace, &script, &config);
-            let b = run_script_sim(protocol, &trace, &script, &config);
+            let a = run_script_sim(protocol, &trace, &script, &options);
+            let b = run_script_sim(protocol, &trace, &script, &options);
             assert_eq!(a, b, "{protocol} script replay diverged");
         }
     }

@@ -8,7 +8,7 @@ use socialtube::{
 };
 use socialtube_baselines::{NetTubePeer, NetTubeServer, PaVodPeer, PaVodServer};
 use socialtube_model::{Catalog, NodeId, VideoId};
-use socialtube_sim::{SimDuration, SimRng, SimTime};
+use socialtube_sim::{SimRng, SimTime};
 use socialtube_trace::Trace;
 
 use crate::configs::ExperimentOptions;
@@ -47,13 +47,13 @@ impl std::fmt::Debug for ProtocolStack {
 ///
 /// ```
 /// use socialtube_experiments::harness::StackBuilder;
-/// use socialtube_experiments::Protocol;
-/// use socialtube_sim::SimRng;
+/// use socialtube_experiments::{configs, ExperimentOptions, Protocol};
 /// use socialtube_trace::generate_shared;
 ///
+/// let options = ExperimentOptions::default();
 /// let shared = generate_shared(&socialtube_trace::TraceConfig::tiny(), 7);
-/// let stack = StackBuilder::new(Protocol::SocialTube, shared.catalog().clone())
-///     .build(&shared, &SimRng::seed(7));
+/// let builder = StackBuilder::from_options(Protocol::SocialTube, shared.catalog().clone(), &options);
+/// let stack = builder.build(&shared, &configs::root_rng(7));
 /// assert_eq!(stack.peers.len(), shared.graph.user_count());
 /// ```
 #[derive(Clone, Debug)]
@@ -64,17 +64,8 @@ pub struct StackBuilder {
 }
 
 impl StackBuilder {
-    /// Starts a builder for `protocol` with the default parameters.
-    pub fn new(protocol: Protocol, catalog: Arc<Catalog>) -> Self {
-        Self {
-            protocol,
-            catalog,
-            config: SocialTubeConfig::default(),
-        }
-    }
-
-    /// A builder carrying the protocol parameters of `options` (the
-    /// simulation path).
+    /// A builder carrying the protocol parameters of `options`, on either
+    /// platform.
     pub fn from_options(
         protocol: Protocol,
         catalog: Arc<Catalog>,
@@ -85,27 +76,6 @@ impl StackBuilder {
             catalog,
             config: options.socialtube.clone(),
         }
-    }
-
-    /// A builder with protocol timeouts compressed to testbed latencies:
-    /// wall-clock deployments run seconds-scale sessions, so the paper's
-    /// minutes-scale probe and search timers shrink accordingly.
-    pub fn for_testbed(protocol: Protocol, catalog: Arc<Catalog>) -> Self {
-        Self::new(protocol, catalog).compress_timeouts()
-    }
-
-    /// Shrinks every protocol timeout to real-time-deployment scale.
-    fn compress_timeouts(mut self) -> Self {
-        self.config = SocialTubeConfig {
-            search_phase_timeout: SimDuration::from_millis(400),
-            probe_interval: SimDuration::from_secs(2),
-            probe_timeout: SimDuration::from_millis(600),
-            chunk_timeout: SimDuration::from_secs(3),
-            prefetch_delay: SimDuration::from_millis(100),
-            lookup_timeout: SimDuration::from_millis(800),
-            ..self.config
-        };
-        self
     }
 
     /// Builds the stack over `trace`, deriving protocol randomness from
@@ -251,14 +221,16 @@ mod tests {
     use super::*;
     use socialtube::harness::{CommandInterpreter, ServerSubstrate};
     use socialtube::{Command, Report, ServerOutbox};
+    use socialtube_sim::SimDuration;
     use socialtube_trace::{generate_shared, TraceConfig};
     use std::collections::VecDeque;
 
     #[test]
     fn builds_one_peer_per_user_for_every_protocol() {
         let shared = generate_shared(&TraceConfig::tiny(), 7);
+        let options = ExperimentOptions::default();
         for protocol in Protocol::ALL {
-            let stack = StackBuilder::new(protocol, shared.catalog().clone())
+            let stack = StackBuilder::from_options(protocol, shared.catalog().clone(), &options)
                 .build(&shared, &SimRng::seed(7));
             assert_eq!(stack.peers.len(), shared.graph.user_count(), "{protocol}");
             for (u, p) in stack.peers.iter().enumerate() {
@@ -333,11 +305,12 @@ mod tests {
         let shared = generate_shared(&TraceConfig::tiny(), 7);
         let catalog = shared.catalog().clone();
         let origin = CommandInterpreter::new(Arc::clone(&catalog));
-        let mut off = ExperimentOptions::default();
+        let on = ExperimentOptions::default();
+        let mut off = on.clone();
         off.socialtube.prefetch_count = 0;
         let builders = Protocol::ALL
             .into_iter()
-            .map(|p| StackBuilder::new(p, Arc::clone(&catalog)))
+            .map(|p| StackBuilder::from_options(p, Arc::clone(&catalog), &on))
             .chain([StackBuilder::from_options(
                 Protocol::SocialTube,
                 Arc::clone(&catalog),
@@ -375,12 +348,24 @@ mod tests {
         assert_eq!(size_of::<SimPeer>(), size_of::<SocialTubePeer>());
     }
 
+    /// Every testbed preset hands the builder the scripted runs' base
+    /// config, whose timeouts are compressed to wall-clock sessions.
     #[test]
     fn testbed_builder_compresses_timeouts() {
+        use crate::net_driver::NetExperimentOptions;
         let shared = generate_shared(&TraceConfig::tiny(), 7);
-        let b = StackBuilder::for_testbed(Protocol::SocialTube, shared.catalog().clone());
-        assert_eq!(b.config.probe_interval, SimDuration::from_secs(2));
-        assert_eq!(b.config.chunk_timeout, SimDuration::from_secs(3));
-        assert_eq!(b.config.lookup_timeout, SimDuration::from_millis(800));
+        let base = crate::configs::testbed().socialtube;
+        assert_eq!(base.probe_interval, SimDuration::from_secs(2));
+        assert_eq!(base.chunk_timeout, SimDuration::from_secs(3));
+        assert_eq!(base.lookup_timeout, SimDuration::from_millis(800));
+        let presets = [
+            NetExperimentOptions::smoke_test(),
+            NetExperimentOptions::planetlab_style(),
+        ];
+        for options in presets.map(|preset| preset.experiment) {
+            let catalog = shared.catalog().clone();
+            let b = StackBuilder::from_options(Protocol::SocialTube, catalog, &options);
+            assert_eq!(b.config, base);
+        }
     }
 }

@@ -22,8 +22,8 @@
 //!   mapping behind [`RunSpec::with_recorder`]: resolution split, search
 //!   hops, cache/prefetch hits and run timelines, captured without
 //!   perturbing the run.
-//! * [`configs`] — Table I parameters and the scaled-down
-//!   PlanetLab-style configuration.
+//! * [`configs`] — Table I parameters, its scaled-down variants, the TCP
+//!   testbed's base options and [`configs::root_rng`], both platforms' root.
 //! * [`figures`] — the evaluation layer: every table and figure is one
 //!   function returning a plain [`figures::Table`]; Figs 16–18 read a
 //!   replicate (`&[(Protocol, &MetricsSummary)]`) from either platform, and

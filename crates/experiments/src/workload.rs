@@ -388,7 +388,7 @@ mod tests {
     }
 
     fn director(users: usize, workload: WorkloadConfig) -> SessionDirector {
-        SessionDirector::new(users, workload, &SimRng::seed(42 ^ 0x50c1_a17b))
+        SessionDirector::new(users, workload, &crate::configs::root_rng(42))
     }
 
     /// A fresh node session whose video picks come from `SimRng::seed(seed)`.

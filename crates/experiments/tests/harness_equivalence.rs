@@ -13,17 +13,16 @@
 use socialtube_experiments::harness::script::{
     demo_script, four_peer_trace, run_script_sim, run_script_tcp,
 };
-use socialtube_experiments::Protocol;
-use socialtube_net::TestbedConfig;
+use socialtube_experiments::{configs, Protocol};
 
 fn assert_platforms_agree(protocol: Protocol) {
     let (trace, vids) = four_peer_trace();
     let script = demo_script(&vids);
-    let config = TestbedConfig::default();
+    let options = configs::testbed();
 
-    let sim_keys = run_script_sim(protocol, &trace, &script, &config);
+    let sim_keys = run_script_sim(protocol, &trace, &script, &options);
     let tcp_keys =
-        run_script_tcp(protocol, &trace, &script, &config).expect("testbed binds localhost");
+        run_script_tcp(protocol, &trace, &script, &options).expect("testbed binds localhost");
 
     assert!(
         !sim_keys.is_empty(),

@@ -37,5 +37,5 @@ pub mod testbed;
 pub mod transport;
 pub mod wire;
 
-pub use testbed::{Deployment, NetEvent, NetOutcome, TestbedConfig};
+pub use testbed::{Deployment, NetEvent, NetOutcome};
 pub use wire::{decode_frame, encode_frame, Frame, WireError};

@@ -7,8 +7,13 @@
 //! back as [`NetEvent`]s. *What* the nodes do — sessions, off times, video
 //! selection — is the caller's workload loop (the shared `SessionDirector`
 //! in `socialtube-experiments` for real runs, a fixed script for the
-//! cross-platform equivalence tests); this crate takes only the platform's
-//! parameters.
+//! cross-platform equivalence tests). The platform's parameters are the
+//! simulator's own [`NetworkOptions`], and the injected delays come from
+//! its latency model under the run's root RNG, so one experiment
+//! description gives both platforms the same links.
+//!
+//! Video *sizes* come from the catalog; keep them small (short lengths, low
+//! bitrate) so transfers complete at wall-clock speed.
 
 use std::io;
 use std::sync::mpsc::{self, Receiver};
@@ -18,52 +23,11 @@ use std::time::{Duration, Instant};
 use socialtube::harness::CommandInterpreter;
 use socialtube::{Report, VodPeer, VodServer};
 use socialtube_model::{Catalog, NodeId, VideoId};
-use socialtube_sim::{LatencyModel, SimDuration, SimRng, SimTime};
+use socialtube_sim::{NetworkOptions, SimRng, SimTime};
 
 use crate::clock::TestbedClock;
 use crate::daemon::{Actor, Daemon, Fabric, Input};
 use crate::transport::AddressBook;
-
-/// The platform parameters of a testbed run: link capacities and injected
-/// latencies. The workload is the caller's.
-///
-/// Video *sizes* come from the catalog; keep them small (short lengths, low
-/// bitrate) so transfers complete at wall-clock speed.
-#[derive(Clone, Debug)]
-pub struct TestbedConfig {
-    /// The experiment's one seed: pairwise latencies here, and whatever
-    /// the caller derives from it (trace, workload, protocol randomness).
-    pub seed: u64,
-    /// Per-peer upload capacity in bits/second.
-    pub peer_upload_bps: u64,
-    /// Server upload capacity in bits/second.
-    pub server_bandwidth_bps: u64,
-    /// Minimum one-way injected latency.
-    pub latency_min: SimDuration,
-    /// Maximum one-way injected latency.
-    pub latency_max: SimDuration,
-}
-
-impl Default for TestbedConfig {
-    fn default() -> Self {
-        Self {
-            seed: 42,
-            peer_upload_bps: 20_000_000,
-            server_bandwidth_bps: 50_000_000,
-            latency_min: SimDuration::from_millis(10),
-            latency_max: SimDuration::from_millis(60),
-        }
-    }
-}
-
-impl TestbedConfig {
-    /// The pairwise delays a deployment under this config injects. The
-    /// model hashes `(seed, pair)`, so a simulation built from the same
-    /// config sees the same delay on every link.
-    pub fn latency_model(&self) -> LatencyModel {
-        LatencyModel::new(&SimRng::seed(self.seed), self.latency_min, self.latency_max)
-    }
-}
 
 /// A protocol observation emitted by a daemon: the report, when it
 /// happened, and the emitting peer's link count at that moment (the Fig 18
@@ -85,8 +49,6 @@ pub struct NetOutcome {
     pub events: Vec<NetEvent>,
     /// Wall-clock duration of the run.
     pub wall_time: Duration,
-    /// Number of peers deployed.
-    pub peers: usize,
 }
 
 /// A running testbed deployment: one daemon per peer plus the server, all
@@ -106,47 +68,43 @@ pub struct Deployment {
 
 impl Deployment {
     /// Deploys `peers` (node ids must be dense `0..n`) and `server` as
-    /// socket daemons with latency and bandwidth from `config`. Every
-    /// listener is bound before the first daemon starts, so all of them
-    /// share one immutable address book.
+    /// socket daemons with the bandwidth of `network` and the latency it
+    /// gives under `root`. Every listener is bound before the first daemon
+    /// starts, so all of them share one immutable address book.
     ///
     /// # Errors
     ///
     /// Returns [`io::ErrorKind::InvalidInput`] before binding anything if
-    /// `config` has a zero link capacity or `latency_min > latency_max`, or
-    /// if `peers[i]` is not node `i`; and any error from binding sockets or
-    /// spawning threads.
+    /// [`NetworkOptions::validate`] refuses `network`, or if `peers[i]` is
+    /// not node `i`; and any error from binding sockets or spawning
+    /// threads.
     pub fn spawn(
         catalog: Arc<Catalog>,
         peers: Vec<Box<dyn VodPeer + Send>>,
         server: Box<dyn VodServer + Send>,
-        config: &TestbedConfig,
+        network: &NetworkOptions,
+        root: &SimRng,
     ) -> io::Result<Deployment> {
-        let invalid = |what| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
-        if config.peer_upload_bps == 0 || config.server_bandwidth_bps == 0 {
-            return invalid("testbed link capacities must be positive");
-        }
-        if config.latency_min > config.latency_max {
-            return invalid("testbed latency_min must not exceed latency_max");
-        }
+        let invalid = |what| io::Error::new(io::ErrorKind::InvalidInput, what);
+        network.validate().map_err(invalid)?;
         if (0..).zip(&peers).any(|(i, p)| p.node() != NodeId::new(i)) {
-            return invalid("testbed peers must be nodes 0..n in order");
+            return Err(invalid("testbed peers must be nodes 0..n in order"));
         }
         let started = Instant::now();
         let (book, listeners) = AddressBook::bind(peers.len())?;
         let (events_tx, events) = mpsc::channel::<NetEvent>();
         let fabric = Fabric {
             book,
-            latency: Arc::new(config.latency_model()),
+            latency: Arc::new(network.latency_model(root)),
             clock: TestbedClock::start(),
             events: events_tx,
         };
         let actors = peers
             .into_iter()
-            .map(|peer| (Actor::Peer(peer), config.peer_upload_bps))
+            .map(|peer| (Actor::Peer(peer), network.peer_upload_bps))
             .chain([(
                 Actor::Server(server, CommandInterpreter::new(catalog)),
-                config.server_bandwidth_bps,
+                network.server_bandwidth_bps,
             )]);
         let daemons = actors
             .zip(listeners)
@@ -195,14 +153,12 @@ impl Deployment {
         for d in &self.daemons {
             d.shutdown();
         }
-        let peers = self.daemons.len() - 1;
         for d in self.daemons {
             d.join();
         }
         NetOutcome {
             events,
             wall_time: self.started.elapsed(),
-            peers,
         }
     }
 }
@@ -212,6 +168,7 @@ mod tests {
     use super::*;
     use socialtube::{SocialTubeConfig, SocialTubePeer, SocialTubeServer};
     use socialtube_model::CatalogBuilder;
+    use socialtube_sim::SimDuration;
 
     fn tiny_catalog() -> (Arc<Catalog>, Vec<VideoId>) {
         let mut b = CatalogBuilder::new();
@@ -237,10 +194,10 @@ mod tests {
                 SocialTubeConfig::default(),
             )) as Box<dyn VodPeer + Send>
         };
-        let broken = |f: fn(&mut TestbedConfig)| {
-            let mut config = TestbedConfig::default();
-            f(&mut config);
-            config
+        let broken = |f: fn(&mut NetworkOptions)| {
+            let mut network = NetworkOptions::default();
+            f(&mut network);
+            network
         };
         let cases = [
             (broken(|c| c.peer_upload_bps = 0), Vec::new()),
@@ -249,11 +206,12 @@ mod tests {
                 broken(|c| c.latency_min = c.latency_max + SimDuration::from_millis(1)),
                 Vec::new(),
             ),
-            (TestbedConfig::default(), vec![peer(1), peer(0)]),
+            (NetworkOptions::default(), vec![peer(1), peer(0)]),
         ];
+        let root = SimRng::seed(7);
         for (config, peers) in cases {
             let server = Box::new(SocialTubeServer::new(Arc::clone(&catalog), SimRng::seed(7)));
-            let err = Deployment::spawn(Arc::clone(&catalog), peers, server, &config)
+            let err = Deployment::spawn(Arc::clone(&catalog), peers, server, &config, &root)
                 .expect_err("a broken config must not deploy");
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{config:?}: {err}");
         }
@@ -276,9 +234,15 @@ mod tests {
             })
             .collect();
         let server = Box::new(SocialTubeServer::new(Arc::clone(&catalog), SimRng::seed(7)));
-        let config = TestbedConfig::default();
+        let network = NetworkOptions {
+            server_bandwidth_bps: 50_000_000,
+            peer_upload_bps: 20_000_000,
+            latency_min: SimDuration::from_millis(10),
+            latency_max: SimDuration::from_millis(60),
+        };
+        let root = SimRng::seed(42);
         let deployment =
-            Deployment::spawn(Arc::clone(&catalog), peers, server, &config).expect("spawn");
+            Deployment::spawn(Arc::clone(&catalog), peers, server, &network, &root).expect("spawn");
 
         let mut events = Vec::new();
         for i in 0..5u32 {
@@ -321,6 +285,5 @@ mod tests {
             "only {playbacks} playbacks (events: {})",
             outcome.events.len()
         );
-        assert_eq!(outcome.peers, 5);
     }
 }

@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 
 use socialtube::{Report, SocialTubeConfig, SocialTubePeer, SocialTubeServer, VodPeer};
 use socialtube_model::{CatalogBuilder, NodeId};
-use socialtube_net::{Deployment, TestbedConfig};
-use socialtube_sim::SimRng;
+use socialtube_net::Deployment;
+use socialtube_sim::{NetworkOptions, SimDuration, SimRng};
 
 #[test]
 fn a_daemon_costs_two_threads_plus_one_per_inbound_connection() {
@@ -26,13 +26,15 @@ fn a_daemon_costs_two_threads_plus_one_per_inbound_connection() {
     };
     let server = Box::new(SocialTubeServer::new(Arc::clone(&catalog), SimRng::seed(7)));
     let peers = (0..PEERS).map(peer).collect();
-    let deployment = Deployment::spawn(
-        Arc::clone(&catalog),
-        peers,
-        server,
-        &TestbedConfig::default(),
-    )
-    .expect("spawn");
+    let network = NetworkOptions {
+        server_bandwidth_bps: 50_000_000,
+        peer_upload_bps: 20_000_000,
+        latency_min: SimDuration::from_millis(10),
+        latency_max: SimDuration::from_millis(60),
+    };
+    let root = SimRng::seed(42);
+    let deployment =
+        Deployment::spawn(Arc::clone(&catalog), peers, server, &network, &root).expect("spawn");
 
     // One after the other, every peer logs in and watches a video, so each
     // finds the earlier ones in its channel community.

@@ -12,7 +12,8 @@
 //! * a pairwise [`LatencyModel`] standing in for Internet propagation delays,
 //! * a [`ServerQueue`] modelling the origin server's bounded upload capacity
 //!   (the source of the server-overload delays the paper observes), and
-//!   an [`UploadScheduler`] modelling per-peer upload bandwidth.
+//!   an [`UploadScheduler`] modelling per-peer upload bandwidth, all three
+//!   built from one [`NetworkOptions`] on either platform.
 //!
 //! The engine is domain-agnostic: protocol crates define their own event
 //! payload type and drive the loop, and the experiment crate owns the
@@ -40,6 +41,7 @@
 mod bandwidth;
 mod engine;
 mod latency;
+mod network;
 mod queue;
 mod rng;
 mod sampler;
@@ -49,6 +51,7 @@ mod time;
 pub use bandwidth::{ServerQueue, UploadScheduler};
 pub use engine::Engine;
 pub use latency::LatencyModel;
+pub use network::NetworkOptions;
 pub use queue::{EventQueue, QueueOccupancy};
 pub use rng::SimRng;
 pub use sampler::PeriodicSampler;

@@ -11,16 +11,17 @@ use socialtube_experiments::Protocol;
 
 fn main() {
     let options = NetExperimentOptions::smoke_test();
+    let experiment = &options.experiment;
     println!(
         "Deploying {} peer daemons + tracker over localhost TCP ({} sessions × {} videos each) ...",
-        options.trace.users,
-        options.workload.sessions_per_node,
-        options.workload.videos_per_session
+        experiment.trace.users,
+        experiment.workload.sessions_per_node,
+        experiment.workload.videos_per_session
     );
 
     for protocol in [Protocol::SocialTube, Protocol::PaVod] {
         println!("\n--- {protocol} ---");
-        let run = run_net(protocol, &options);
+        let run = run_net(protocol, &options).expect("testbed binds localhost sockets");
         let m = &run.metrics;
         println!(
             "  wall time:                 {:.1} s",
