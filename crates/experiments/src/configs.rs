@@ -126,8 +126,9 @@ pub fn demo() -> ExperimentOptions {
 
 /// The TCP testbed's base: the paper's minutes-scale protocol timers
 /// compressed to seconds-scale wall-clock sessions, over 10–60 ms of
-/// latency, 20 Mbps per peer and a 50 Mbps server. The scripted runs use it
-/// as is; the `net_driver` presets add a trace and a workload.
+/// latency, 20 Mbps per peer and a 50 Mbps server. The equivalence suite
+/// adds a four-peer trace and a script and runs it on both platforms; the
+/// `net_driver` presets add a trace and a session workload.
 pub fn testbed() -> ExperimentOptions {
     ExperimentOptions {
         network: NetworkOptions {

@@ -2,7 +2,8 @@
 //!
 //! Owns the virtual clock and the event loop; everything else is the shared
 //! harness layer. Stack construction is [`StackBuilder`], session/churn/
-//! video-selection logic is [`SessionDirector`], and queued protocol
+//! video-selection logic is [`SessionDirector`] (or, for a scripted
+//! workload, the script's fixed steps), and queued protocol
 //! commands become engine events through the core
 //! [`CommandInterpreter`] over the [`SimSubstrate`]. Any
 //! [`VodPeer`]/[`VodServer`] pair runs unmodified under it.
@@ -42,6 +43,7 @@ use crate::configs::{root_rng, ExperimentOptions};
 use crate::harness::{SessionDirector, SessionStep, SimEvent, SimPeer, SimSubstrate, StackBuilder};
 use crate::metrics::{MetricsCollector, MetricsSummary};
 use crate::recording::record_report_in;
+use crate::workload::ScriptAction;
 use crate::{Execution, Protocol};
 
 /// Events the driver schedules on the engine.
@@ -65,6 +67,9 @@ enum Ev {
     ServerMsg { from: NodeId, msg: Message },
     /// A peer timer fires.
     PeerTimer { node: NodeId, kind: TimerKind },
+    /// A step of a scripted workload: the peer acts, the director is not
+    /// consulted.
+    Script(ScriptAction),
 }
 
 impl SimEvent for Ev {
@@ -177,6 +182,10 @@ pub struct SimOutcome {
     /// Wall-clock self-profile of the sharded executor; `None` for serial
     /// runs. Wall times never feed back into deterministic outputs.
     pub profile: Option<ExecutionProfile>,
+    /// Every report a scripted run surfaced, in order: the simulator's
+    /// counterpart of the testbed's `NetOutcome::events`. Empty for a
+    /// session run, which keeps only the metrics.
+    pub reports: Vec<Report>,
 }
 
 impl SimOutcome {
@@ -399,13 +408,18 @@ trait ReportSink {
     fn on_server_busy(&mut self, busy: SimTime);
 }
 
-/// The serial executor's sink: straight into the collector.
+/// The serial executor's sink: straight into the collector, and into the
+/// report stream when the run keeps one.
 struct SerialSink<'a> {
     metrics: &'a mut MetricsCollector,
+    reports: Option<&'a mut Vec<Report>>,
 }
 
 impl ReportSink for SerialSink<'_> {
     fn on_report(&mut self, now: SimTime, report: Report) {
+        if let Some(reports) = self.reports.as_deref_mut() {
+            reports.push(report);
+        }
         self.metrics.on_report(now, report);
     }
     fn on_link_sample(&mut self, watched: u32, links: usize) {
@@ -530,9 +544,9 @@ fn handle_event<S, R, K>(
 
     if R::ENABLED {
         rec.count(match &ev {
-            Ev::Login(_) => Counter::EvLogin,
-            Ev::Logout(_) => Counter::EvLogout,
-            Ev::NextVideo(_) => Counter::EvNextVideo,
+            Ev::Login(_) | Ev::Script(ScriptAction::Login(_)) => Counter::EvLogin,
+            Ev::Logout(_) | Ev::Script(ScriptAction::Logout(_)) => Counter::EvLogout,
+            Ev::NextVideo(_) | Ev::Script(ScriptAction::Watch(..)) => Counter::EvNextVideo,
             Ev::WatchEnd(_) => Counter::EvWatchEnd,
             Ev::PeerMsg { .. } => Counter::EvPeerMsg,
             Ev::ServerMsg { .. } => Counter::EvServerMsg,
@@ -610,6 +624,19 @@ fn handle_event<S, R, K>(
         Ev::PeerTimer { node, kind } => {
             actor = Some(node);
             peer(peers, node).on_timer(now, kind, outbox);
+        }
+
+        Ev::Script(ScriptAction::Login(node)) => {
+            actor = Some(node);
+            peer(peers, node).on_login(now, outbox);
+        }
+        Ev::Script(ScriptAction::Watch(node, video)) => {
+            actor = Some(node);
+            peer(peers, node).watch(now, video, outbox);
+        }
+        Ev::Script(ScriptAction::Logout(node)) => {
+            actor = Some(node);
+            peer(peers, node).on_logout(now, outbox);
         }
     }
 
@@ -706,14 +733,25 @@ fn run_with_catalog<R: Recorder>(
     let mut engine: Engine<Ev> = Engine::new();
     engine.set_event_budget(options.max_events);
 
-    // Staggered first logins, offsets drawn by the director.
-    for u in 0..users {
-        let node = NodeId::new(u as u32);
-        engine.schedule_at(
-            SimTime::ZERO + world.director.login_offset(node),
-            Ev::Login(node),
-        );
+    let script = &options.workload.script;
+    if script.is_empty() {
+        // Staggered first logins, offsets drawn by the director.
+        for u in 0..users {
+            let node = NodeId::new(u as u32);
+            engine.schedule_at(
+                SimTime::ZERO + world.director.login_offset(node),
+                Ev::Login(node),
+            );
+        }
+    } else {
+        // A script's steps, and nothing the director would draw. No
+        // horizon: once the script has logged every peer out, no timer
+        // re-arms and the queue drains.
+        for step in script {
+            engine.schedule_at(SimTime::ZERO + step.at, Ev::Script(step.action));
+        }
     }
+    let mut reports = Vec::new();
 
     let mut backlog_sampler = PeriodicSampler::new(SimDuration::from_mins(1));
     let mut server_backlog_timeline: Vec<(u64, SimDuration)> = Vec::new();
@@ -738,6 +776,7 @@ fn run_with_catalog<R: Recorder>(
         }
         let mut sink = SerialSink {
             metrics: &mut metrics,
+            reports: (!script.is_empty()).then_some(&mut reports),
         };
         handle_event(&mut world, &mut engine, rec, &mut sink, now, ev);
     }
@@ -767,6 +806,7 @@ fn run_with_catalog<R: Recorder>(
         truncated: engine.budget_exhausted(),
         recording: None,
         profile: None,
+        reports,
     }
 }
 
@@ -839,6 +879,7 @@ fn route_shard(ev: &Ev, shard_of: &[usize]) -> usize {
         Ev::Login(n) | Ev::Logout(n) | Ev::NextVideo(n) | Ev::WatchEnd(n) => shard_of[n.index()],
         Ev::PeerMsg { to, .. } => shard_of[to.index()],
         Ev::PeerTimer { node, .. } => shard_of[node.index()],
+        Ev::Script(_) => unreachable!("a sharded run refuses a script"),
     }
 }
 
@@ -1034,6 +1075,11 @@ where
     F: Fn(usize) -> R,
 {
     assert!(shards >= 1, "sharded execution needs at least one shard");
+    assert!(
+        options.workload.script.is_empty(),
+        "a scripted workload runs only under Execution::Serial; the sharded \
+         executor is pending deletion and takes no new workloads"
+    );
     let epoch = epoch_length(options.network.latency_min).unwrap_or_else(|| {
         panic!(
             "sharded execution needs latency_min >= {} us (the calendar bucket) \
@@ -1313,6 +1359,7 @@ where
         truncated,
         recording: None,
         profile: Some(profile),
+        reports: Vec::new(),
     };
     let recorders = finals.into_iter().map(|f| f.recorder).collect();
     (outcome, recorders)
@@ -1457,6 +1504,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "sharded executor is pending deletion")]
+    fn sharded_runs_refuse_a_script() {
+        let (trace, vids) = crate::harness::script::four_peer_trace();
+        let mut options = configs::testbed();
+        options.workload.script = crate::harness::script::demo_script(&vids);
+        RunSpec::new(Protocol::SocialTube)
+            .options(options)
+            .trace(SharedTrace::new(trace))
+            .execution(Execution::Sharded { workers: 2 })
+            .run();
+    }
+
+    #[test]
     fn shared_trace_run_matches_generated_trace_run() {
         let options = configs::smoke_test();
         let shared = socialtube_trace::generate_shared(&options.trace, options.seed);
@@ -1499,6 +1559,9 @@ mod tests {
             (expected as f64 * 0.9..=expected as f64 * 1.01).contains(&(got as f64)),
             "playbacks {got} vs expected {expected}"
         );
+        // A session run keeps only the metrics: no report stream, not even
+        // an allocated one.
+        assert_eq!(out.reports.capacity(), 0);
     }
 
     #[test]

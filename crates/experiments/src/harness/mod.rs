@@ -20,9 +20,13 @@
 //!   server's bounded queue, scheduling onto any [`SimEvent`] engine. The
 //!   TCP counterpart lives in `socialtube-net`'s daemons (real sockets,
 //!   real-time pacing).
-//! * [`script`] — a deterministic scripted workload that drives the *same*
-//!   stack through both substrates and extracts the ordered report
-//!   sequence, used to assert cross-platform equivalence.
+//! * [`script`] — the cross-platform equivalence fixture: a four-peer
+//!   trace, a fixed script over it (a [`WorkloadConfig::script`] that the
+//!   simulation driver and the testbed driver both run) and the
+//!   [`ReportKey`](script::ReportKey) fingerprint their report streams are
+//!   compared by.
+//!
+//! [`WorkloadConfig::script`]: crate::WorkloadConfig::script
 //!
 //! ## Who owns what
 //!
@@ -32,7 +36,7 @@
 //! | RNG streams | `configs::root_rng` → `StackBuilder` (protocol) + `SessionDirector` (workload) |
 //! | delivery, latency, bandwidth | substrate implementation |
 //! | command → effect translation | `CommandInterpreter` (core) |
-//! | session/churn/video selection | `SessionDirector` |
+//! | session/churn/video selection | `SessionDirector`, or a `WorkloadConfig::script` |
 //!
 //! [`ExperimentOptions`]: crate::ExperimentOptions
 //! [`PeerSubstrate`]: socialtube::harness::PeerSubstrate

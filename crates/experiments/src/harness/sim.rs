@@ -10,9 +10,9 @@ use socialtube_sim::{
 
 /// Constructors for the engine-event enum a simulation driver schedules.
 ///
-/// [`SimSubstrate`] is generic over the driver's own event type so the main
-/// driver and the scripted equivalence runner (each with extra workload
-/// events of their own) share one substrate implementation.
+/// [`SimSubstrate`] is generic over the driver's own event type, so the
+/// substrate schedules deliveries and timers without knowing the driver's
+/// workload events (session transitions and script steps).
 pub trait SimEvent: Sized {
     /// A message arriving at a peer.
     fn peer_msg(to: NodeId, from: PeerAddr, msg: Message) -> Self;

@@ -82,7 +82,7 @@ impl StackBuilder {
     /// `root` (streams `"server"` and, for NetTube, indexed
     /// `"nettube-peer"` — stable labels are what keep refactors
     /// bitwise-reproducible). Each peer is boxed: the testbed's daemons
-    /// and the scripted harness hold them as trait objects.
+    /// hold them as trait objects.
     pub fn build(&self, trace: &Trace, root: &SimRng) -> ProtocolStack {
         let (peers, server) = self.build_sim(trace, root);
         ProtocolStack {
@@ -348,8 +348,9 @@ mod tests {
         assert_eq!(size_of::<SimPeer>(), size_of::<SocialTubePeer>());
     }
 
-    /// Every testbed preset hands the builder the scripted runs' base
-    /// config, whose timeouts are compressed to wall-clock sessions.
+    /// Every testbed preset hands the builder the base config the
+    /// equivalence suite's scripted runs use, whose timeouts are compressed
+    /// to wall-clock sessions.
     #[test]
     fn testbed_builder_compresses_timeouts() {
         use crate::net_driver::NetExperimentOptions;

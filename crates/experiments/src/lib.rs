@@ -6,7 +6,8 @@
 //!   ([`WorkloadConfig`], [`harness::SessionDirector`]): each node runs a
 //!   fixed number of sessions of ten videos, with Poisson off-times; each
 //!   next video is picked 75% from the same channel, 15% from the same
-//!   category, 10% from a different category.
+//!   category, 10% from a different category. A workload can instead be a
+//!   fixed script of [`ScriptStep`]s, which both platforms also run.
 //! * [`harness`] — the shared protocol-harness layer: the single
 //!   `Protocol` → stack construction site ([`harness::StackBuilder`]), the
 //!   session director and the simulator's substrate, all reused verbatim
@@ -87,7 +88,7 @@ pub use net_driver::{run_net, NetExperimentOptions, NetRun};
 pub use socialtube_obs::{
     Dim, MetricsSnapshot, ProgressConfig, ProgressSink, RecorderConfig, RunRecording,
 };
-pub use workload::WorkloadConfig;
+pub use workload::{ScriptAction, ScriptStep, WorkloadConfig};
 
 /// Which protocol variant an experiment runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

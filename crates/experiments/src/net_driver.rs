@@ -7,7 +7,9 @@
 //! in the simulator. Sessions, off times, abrupt exits and video selection
 //! run through one state machine on both platforms; only the scheduling
 //! medium differs (a wall-clock action heap here, the virtual event queue
-//! there). One wall-clock second is one protocol second.
+//! there). One wall-clock second is one protocol second. A scripted
+//! workload ([`WorkloadConfig::script`]) pre-fills the action heap with its
+//! steps instead.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -24,8 +26,13 @@ use socialtube_trace::{generate_shared, SharedTrace, TraceConfig};
 use crate::configs::{self, ExperimentOptions};
 use crate::harness::{SessionDirector, SessionStep, StackBuilder};
 use crate::metrics::{MetricsCollector, MetricsSummary};
-use crate::workload::WorkloadConfig;
+use crate::workload::{ScriptAction, WorkloadConfig};
 use crate::Protocol;
+
+/// Quiet period after a script's last step during which a scripted run
+/// still collects reports. Every transfer chain the scripts trigger
+/// completes within a fraction of it.
+const SETTLE: Duration = Duration::from_millis(1500);
 
 /// One TCP-testbed experiment: the run's [`ExperimentOptions`], which the
 /// simulator would read the same way, plus the two wall-clock pacing
@@ -127,6 +134,11 @@ enum Action {
     /// Safety net if a playback never starts; the sequence number guards
     /// against a stale timeout abandoning a newer watch.
     WatchTimeout(u64),
+    /// A scripted step: only the deployment acts, the director is not
+    /// consulted.
+    Script(ScriptAction),
+    /// The settle window after a script's last step is over: the run ends.
+    Settled,
 }
 
 /// A director duration on the wall clock.
@@ -159,7 +171,9 @@ pub fn run_net(protocol: Protocol, options: &NetExperimentOptions) -> io::Result
 /// from the same [`SessionDirector`] the simulation replays, both rooted
 /// at [`configs::root_rng`] as in the simulator; this function owns only
 /// the wall-clock action heap that fires the director's transitions, as
-/// the sim driver's loop does.
+/// the sim driver's loop does. A scripted workload fires its steps instead
+/// and ends a 1.5 s settle window after the last one; `watch_dwell` and
+/// `watch_timeout` then go unused.
 ///
 /// # Errors
 ///
@@ -192,9 +206,19 @@ pub fn run_net_on(
         heap.push(Reverse((due, seq, i, action)));
     };
     let start = Instant::now();
-    for i in 0..users {
-        let offset = wall(director.login_offset(NodeId::new(i as u32)));
-        schedule(&mut heap, start + offset, i, Action::Login);
+    let script = &experiment.workload.script;
+    if let Some(last) = script.last() {
+        for step in script {
+            let due = start + wall(step.at);
+            schedule(&mut heap, due, 0, Action::Script(step.action));
+        }
+        let settled = start + wall(last.at) + SETTLE;
+        schedule(&mut heap, settled, 0, Action::Settled);
+    } else {
+        for i in 0..users {
+            let offset = wall(director.login_offset(NodeId::new(i as u32)));
+            schedule(&mut heap, start + offset, i, Action::Login);
+        }
     }
 
     let mut watch_seq = vec![0u64; users];
@@ -263,6 +287,10 @@ pub fn run_net_on(
                         remaining -= 1;
                     }
                 }
+                Action::Script(ScriptAction::Login(node)) => deployment.login(node),
+                Action::Script(ScriptAction::Watch(node, video)) => deployment.watch(node, video),
+                Action::Script(ScriptAction::Logout(node)) => deployment.logout(node, false),
+                Action::Settled => remaining = 0,
             }
         }
     }

@@ -8,6 +8,10 @@
 //! [`WorkloadConfig`] states its parameters and [`SessionDirector`] replays
 //! it; the simulator's event loop and the TCP testbed's wall-clock loop
 //! only decide *when* its transitions fire.
+//!
+//! A workload can instead be a script: [`WorkloadConfig::script`] lists
+//! explicit [`ScriptStep`]s at fixed times, which the same two loops fire
+//! in place of the session model.
 
 use rand_distr::{Distribution, Poisson};
 use socialtube_model::{ChannelId, NodeId, VideoId};
@@ -44,6 +48,14 @@ pub struct WorkloadConfig {
     /// discover the failure through probing (Section IV-A structure
     /// maintenance).
     pub abrupt_departure_prob: f64,
+    /// A scripted workload: these actions at these times, in place of the
+    /// session model, whose parameters above it then ignores. A scripted
+    /// login starts no browsing, a scripted watch gets no follow-up, and a
+    /// scripted logout is graceful and brings no re-login. The simulator
+    /// runs a script to drain, so it should log out every node it logs in:
+    /// an online peer's probe timers re-arm forever. Empty (the default)
+    /// runs the sessions.
+    pub script: Vec<ScriptStep>,
 }
 
 impl Default for WorkloadConfig {
@@ -55,8 +67,30 @@ impl Default for WorkloadConfig {
             browse_delay: SimDuration::from_secs(2),
             login_stagger: SimDuration::from_secs(500),
             abrupt_departure_prob: 0.0,
+            script: Vec::new(),
         }
     }
+}
+
+/// One user action in a scripted workload.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ScriptAction {
+    /// The node starts a session.
+    Login(NodeId),
+    /// The node selects a video to watch.
+    Watch(NodeId, VideoId),
+    /// The node ends its session gracefully.
+    Logout(NodeId),
+}
+
+/// A scripted action with its firing time: an offset from run start, which
+/// the testbed maps 1:1 onto wall-clock time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ScriptStep {
+    /// When the action fires, relative to run start.
+    pub at: SimDuration,
+    /// The action.
+    pub action: ScriptAction,
 }
 
 /// One node's session state and its own random streams.

@@ -1,8 +1,9 @@
 //! Cross-platform equivalence: one protocol stack, two substrates.
 //!
-//! Each test replays the same deterministic four-peer script through the
-//! discrete-event simulator and through the live TCP testbed (real sockets,
-//! injected latency), then asserts both platforms emitted the identical
+//! Each test runs the same deterministic four-peer script through the
+//! simulation driver ([`RunSpec`]) and the TCP testbed driver
+//! ([`run_net_on`]: real sockets, injected latency), the very loops that
+//! produce the figures, then asserts both platforms emitted the identical
 //! ordered sequence of report keys. This is the executable form of the
 //! sans-IO contract: the protocol cannot tell which platform it runs on.
 //!
@@ -10,19 +11,32 @@
 //! transfer chain resolves before the next action — the report order is
 //! then forced by protocol causality, not by scheduler timing.
 
-use socialtube_experiments::harness::script::{
-    demo_script, four_peer_trace, run_script_sim, run_script_tcp,
-};
-use socialtube_experiments::{configs, Protocol};
+use socialtube_experiments::harness::script::{demo_script, four_peer_trace, ReportKey};
+use socialtube_experiments::net_driver::run_net_on;
+use socialtube_experiments::{configs, NetExperimentOptions, Protocol, RunSpec};
+use socialtube_trace::SharedTrace;
 
 fn assert_platforms_agree(protocol: Protocol) {
     let (trace, vids) = four_peer_trace();
-    let script = demo_script(&vids);
-    let options = configs::testbed();
+    let shared = SharedTrace::new(trace);
+    let mut options = configs::testbed();
+    options.workload.script = demo_script(&vids);
 
-    let sim_keys = run_script_sim(protocol, &trace, &script, &options);
-    let tcp_keys =
-        run_script_tcp(protocol, &trace, &script, &options).expect("testbed binds localhost");
+    let sim = RunSpec::new(protocol)
+        .options(options.clone())
+        .trace(shared.clone())
+        .run();
+    let net = run_net_on(
+        &shared,
+        protocol,
+        &NetExperimentOptions {
+            experiment: options,
+            ..NetExperimentOptions::smoke_test()
+        },
+    )
+    .expect("testbed binds localhost");
+    let sim_keys = ReportKey::sequence(&sim.reports);
+    let tcp_keys = ReportKey::sequence(net.outcome.events.iter().map(|e| &e.report));
 
     assert!(
         !sim_keys.is_empty(),
