@@ -14,17 +14,20 @@
 //!   maintenance blow-up of Fig 15/18.
 //!
 //! Both reuse the sans-IO driver interface of the `socialtube` crate
-//! ([`VodPeer`](socialtube::VodPeer) / [`VodServer`](socialtube::VodServer)),
-//! so the simulator and the TCP testbed run all three protocols through the
-//! same machinery, and both are built from SocialTube's parameter set
+//! ([`VodPeer`](socialtube::VodPeer) / [`VodServer`](socialtube::VodServer))
+//! and are built from SocialTube's parameter set
 //! ([`SocialTubeConfig`](socialtube::SocialTubeConfig)), as Section V
-//! compares them.
+//! compares them. This is the lowest crate that sees all three protocols,
+//! so it also holds [`Peer`], the by-value enum of the three peers that
+//! the simulator and the TCP testbed both run.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod nettube;
 pub mod pavod;
+mod peer;
 
 pub use nettube::{NetTubePeer, NetTubeServer};
 pub use pavod::{PaVodPeer, PaVodServer};
+pub use peer::Peer;

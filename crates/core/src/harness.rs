@@ -13,7 +13,7 @@
 //! * the **simulator** schedules engine events with modelled latency and
 //!   fluid-approximation bandwidth;
 //! * the **TCP daemons** write frames to connection pools and pace bulk
-//!   data through real-time links.
+//!   data through the simulator's FIFO link on the wall clock.
 //!
 //! Reports are not a substrate effect: what to do with a report (metrics,
 //! session bookkeeping, channels) is driver policy, so both flush methods

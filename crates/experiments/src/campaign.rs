@@ -404,15 +404,6 @@ impl CampaignReport {
             .collect()
     }
 
-    /// Per-seed metric summaries of `protocol`, in sweep order.
-    pub fn metrics_for(&self, protocol: Protocol) -> Vec<&MetricsSummary> {
-        self.cells
-            .iter()
-            .filter(|c| c.plan.protocol == protocol)
-            .map(|c| &c.outcome.metrics)
-            .collect()
-    }
-
     /// Aggregates `protocol` across seeds, or `None` if it never ran.
     pub fn summary(&self, protocol: Protocol) -> Option<ProtocolSummary> {
         let cells: Vec<&CampaignCell> = self
@@ -601,7 +592,7 @@ mod tests {
         assert!(report.events_per_sec() > 0.0);
         let seed0 = report.cells[0].plan.seed;
         assert!(report.outcome(Protocol::PaVod, seed0).is_some());
-        assert_eq!(report.metrics_for(Protocol::SocialTube).len(), 2);
+        assert_eq!(report.replicate(seed0).len(), 5);
     }
 
     #[test]

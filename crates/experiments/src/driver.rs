@@ -28,6 +28,7 @@ use std::sync::Arc;
 
 use socialtube::harness::CommandInterpreter;
 use socialtube::{Message, Outbox, PeerAddr, Report, ServerOutbox, TimerKind, VodPeer, VodServer};
+use socialtube_baselines::Peer;
 use socialtube_model::{Catalog, NodeId};
 use socialtube_obs::{
     Counter, Dim, HistKind, NullRecorder, Recorder, RecorderConfig, RunRecorder, RunRecording,
@@ -40,7 +41,7 @@ use socialtube_sim::{
 use socialtube_trace::{generate, SharedTrace, Trace};
 
 use crate::configs::{root_rng, ExperimentOptions};
-use crate::harness::{SessionDirector, SessionStep, SimEvent, SimPeer, SimSubstrate, StackBuilder};
+use crate::harness::{SessionDirector, SessionStep, SimEvent, SimSubstrate, StackBuilder};
 use crate::metrics::{MetricsCollector, MetricsSummary};
 use crate::recording::record_report_in;
 use crate::workload::ScriptAction;
@@ -486,7 +487,7 @@ struct World<'a> {
     catalog: Arc<Catalog>,
     interpreter: CommandInterpreter,
     latency: LatencyModel,
-    peers: Vec<Option<SimPeer>>,
+    peers: Vec<Option<Peer>>,
     /// The origin server — present only on the serial executor and the
     /// server-owning shard 0.
     server: Option<Box<dyn VodServer + Send>>,
@@ -503,7 +504,7 @@ struct World<'a> {
 }
 
 /// Mutable access to an owned peer slot; panics on a routing bug.
-fn peer(peers: &mut [Option<SimPeer>], node: NodeId) -> &mut SimPeer {
+fn peer(peers: &mut [Option<Peer>], node: NodeId) -> &mut Peer {
     peers[node.index()]
         .as_mut()
         .expect("event routed to a node owned by another shard")
@@ -709,8 +710,8 @@ fn run_with_catalog<R: Recorder>(
     let root = root_rng(seed);
     let users = trace.graph.user_count();
 
-    let (peers, server) =
-        StackBuilder::from_options(protocol, Arc::clone(&catalog), options).build_sim(trace, &root);
+    let (peers, server) = StackBuilder::from_options(protocol, Arc::clone(&catalog), options)
+        .build_peers(trace, &root);
     let director = SessionDirector::new(users, options.workload.clone(), &root);
     let latency = options.network.latency_model(&root);
     let interpreter = CommandInterpreter::new(Arc::clone(&catalog));
@@ -1096,8 +1097,8 @@ where
     // Identical construction to the serial path: every RNG consumer draws
     // from an independent labelled stream off the root, so build order is
     // immaterial and both executors see the same randomness.
-    let (peers, server) =
-        StackBuilder::from_options(protocol, Arc::clone(&catalog), options).build_sim(trace, &root);
+    let (peers, server) = StackBuilder::from_options(protocol, Arc::clone(&catalog), options)
+        .build_peers(trace, &root);
     let director = SessionDirector::new(users, options.workload.clone(), &root);
     let latency = options.network.latency_model(&root);
     let login_offsets: Vec<SimDuration> = (0..users)
@@ -1109,7 +1110,7 @@ where
     let community_of = community_keys::<R>(trace);
 
     // Deal the stack's peers into per-shard full-length slot vectors.
-    let mut peer_slots: Vec<Vec<Option<SimPeer>>> = (0..shards)
+    let mut peer_slots: Vec<Vec<Option<Peer>>> = (0..shards)
         .map(|_| (0..users).map(|_| None).collect())
         .collect();
     for (u, p) in peers.into_iter().enumerate() {

@@ -9,6 +9,10 @@
 //! * [`StackBuilder`] — the *single* `Protocol → peers/server` mapping,
 //!   built only from the run's [`ExperimentOptions`] (the testbed's
 //!   compressed timeouts are option values), with its RNG stream labels.
+//!   Its one by-value method, [`StackBuilder::build_peers`], gives both
+//!   platforms the same [`Peer`](socialtube_baselines::Peer) values: the
+//!   simulator's slot vector and the testbed's daemons hold them alike.
+//!   [`ProtocolStack`] boxes them only for the benchmark under `perf/`.
 //! * [`SessionDirector`] — the workload state machine from
 //!   [`crate::workload`]: login stagger, off periods, abrupt-departure
 //!   draws and video selection. Both platforms replay the identical
@@ -18,8 +22,8 @@
 //!   [`PeerSubstrate`]/[`ServerSubstrate`] traits from
 //!   [`socialtube::harness`]: virtual latency, fluid upload links and the
 //!   server's bounded queue, scheduling onto any [`SimEvent`] engine. The
-//!   TCP counterpart lives in `socialtube-net`'s daemons (real sockets,
-//!   real-time pacing).
+//!   TCP counterpart lives in `socialtube-net`'s daemons: real sockets,
+//!   with bulk sends paced by the same FIFO link, on the wall clock.
 //! * [`script`] — the cross-platform equivalence fixture: a four-peer
 //!   trace, a fixed script over it (a [`WorkloadConfig::script`] that the
 //!   simulation driver and the testbed driver both run) and the
@@ -48,4 +52,4 @@ mod stack;
 
 pub use crate::workload::{SessionDirector, SessionStep};
 pub use sim::{SimEvent, SimSubstrate};
-pub use stack::{ProtocolStack, SimPeer, StackBuilder};
+pub use stack::{ProtocolStack, StackBuilder};

@@ -2,21 +2,21 @@
 
 use std::sync::Arc;
 
-use socialtube::{
-    Message, Outbox, PeerAddr, SocialTubeConfig, SocialTubePeer, SocialTubeServer, TimerKind,
-    VodPeer, VodServer,
-};
-use socialtube_baselines::{NetTubePeer, NetTubeServer, PaVodPeer, PaVodServer};
-use socialtube_model::{Catalog, NodeId, VideoId};
-use socialtube_sim::{SimRng, SimTime};
+use socialtube::{SocialTubeConfig, SocialTubePeer, SocialTubeServer, VodPeer, VodServer};
+use socialtube_baselines::{NetTubePeer, NetTubeServer, PaVodPeer, PaVodServer, Peer};
+use socialtube_model::{Catalog, NodeId};
+use socialtube_sim::SimRng;
 use socialtube_trace::Trace;
 
 use crate::configs::ExperimentOptions;
 use crate::Protocol;
 
-/// A built protocol deployment: one state machine per user plus the
-/// matching tracker/origin server. Runs unmodified under the simulator or
-/// the TCP testbed.
+/// A built deployment with every peer behind a trait object.
+///
+/// Only the benchmark under `perf/` uses it (through
+/// [`StackBuilder::build`]); no run does, since both platforms hold
+/// [`Peer`]s by value. It goes once the benchmark's probes switch to
+/// [`StackBuilder::build_peers`].
 pub struct ProtocolStack {
     /// Peer state machines, indexed by dense node id.
     pub peers: Vec<Box<dyn VodPeer + Send>>,
@@ -32,12 +32,11 @@ impl std::fmt::Debug for ProtocolStack {
     }
 }
 
-/// Builds [`ProtocolStack`]s: the only place in the workspace that matches
-/// on [`Protocol`] to construct peers and servers.
+/// Builds a protocol's peers and server: the only place in the workspace
+/// that matches on [`Protocol`] to construct them.
 ///
-/// Both drivers used to carry their own copy of this mapping (the sim's
-/// `build_peers`, the testbed's `build`); divergence between them silently
-/// broke the "one stack, two platforms" property. The builder owns the
+/// With one mapping, the two platforms cannot diverge in what they run:
+/// that is the "one stack, two platforms" property. The builder owns the
 /// run's one parameter set (every protocol's peers read the
 /// [`SocialTubeConfig`]), the prefetch-variant override (a `*NoPrefetch`
 /// variant runs with a prefetch budget of 0), and the RNG stream labels
@@ -53,8 +52,8 @@ impl std::fmt::Debug for ProtocolStack {
 /// let options = ExperimentOptions::default();
 /// let shared = generate_shared(&socialtube_trace::TraceConfig::tiny(), 7);
 /// let builder = StackBuilder::from_options(Protocol::SocialTube, shared.catalog().clone(), &options);
-/// let stack = builder.build(&shared, &configs::root_rng(7));
-/// assert_eq!(stack.peers.len(), shared.graph.user_count());
+/// let (peers, _server) = builder.build_peers(&shared, &configs::root_rng(7));
+/// assert_eq!(peers.len(), shared.graph.user_count());
 /// ```
 #[derive(Clone, Debug)]
 pub struct StackBuilder {
@@ -78,27 +77,28 @@ impl StackBuilder {
         }
     }
 
-    /// Builds the stack over `trace`, deriving protocol randomness from
-    /// `root` (streams `"server"` and, for NetTube, indexed
-    /// `"nettube-peer"` — stable labels are what keep refactors
-    /// bitwise-reproducible). Each peer is boxed: the testbed's daemons
-    /// hold them as trait objects.
+    /// [`build_peers`](Self::build_peers) with each [`Peer`] boxed whole
+    /// behind a trait object. The benchmark under `perf/` is its only
+    /// caller; it goes with [`ProtocolStack`].
     pub fn build(&self, trace: &Trace, root: &SimRng) -> ProtocolStack {
-        let (peers, server) = self.build_sim(trace, root);
+        let (peers, server) = self.build_peers(trace, root);
         ProtocolStack {
-            peers: peers.into_iter().map(SimPeer::boxed).collect(),
+            peers: peers.into_iter().map(|p| Box::new(p) as _).collect(),
             server,
         }
     }
 
-    /// [`build`](Self::build) with the peers held by value, for the
-    /// simulator's event loops: a delivery then reads the receiving peer
-    /// where the slot vector holds it, with no pointer to follow first.
-    pub fn build_sim(
+    /// Builds one [`Peer`] per user of `trace`, by dense node id, and the
+    /// matching tracker/origin server, deriving protocol randomness from
+    /// `root` (streams `"server"` and, for NetTube, indexed
+    /// `"nettube-peer"` — stable labels are what keep refactors
+    /// bitwise-reproducible). Both simulator executors and the TCP testbed
+    /// run what this returns.
+    pub fn build_peers(
         &self,
         trace: &Trace,
         root: &SimRng,
-    ) -> (Vec<SimPeer>, Box<dyn VodServer + Send>) {
+    ) -> (Vec<Peer>, Box<dyn VodServer + Send>) {
         let catalog = &self.catalog;
         let nodes = (0..trace.graph.user_count()).map(|u| NodeId::new(u as u32));
         let mut config = self.config.clone();
@@ -117,7 +117,7 @@ impl StackBuilder {
                         .map(|x| x.subscriptions().to_vec())
                         .unwrap_or_default();
                     let peer = SocialTubePeer::new(node, Arc::clone(catalog), subs, config.clone());
-                    SimPeer::SocialTube(peer)
+                    Peer::SocialTube(peer)
                 });
                 let server = SocialTubeServer::new(Arc::clone(catalog), root.stream("server"));
                 (peers.collect(), Box::new(server))
@@ -126,7 +126,7 @@ impl StackBuilder {
                 let peers = nodes.map(|node| {
                     let rng = root.stream_indexed("nettube-peer", u64::from(node.as_u32()));
                     let peer = NetTubePeer::new(node, Arc::clone(catalog), &config, rng);
-                    SimPeer::NetTube(peer)
+                    Peer::NetTube(peer)
                 });
                 let server = NetTubeServer::new(Arc::clone(catalog), root.stream("server"));
                 (peers.collect(), Box::new(server))
@@ -134,7 +134,7 @@ impl StackBuilder {
             Protocol::PaVod => {
                 let peers = nodes.map(|node| {
                     let peer = PaVodPeer::new(node, Arc::clone(catalog), &config);
-                    SimPeer::PaVod(peer)
+                    Peer::PaVod(peer)
                 });
                 let server = PaVodServer::new(Arc::clone(catalog), root.stream("server"));
                 (peers.collect(), Box::new(server))
@@ -143,85 +143,13 @@ impl StackBuilder {
     }
 }
 
-/// A peer of any of the three protocols, held by value.
-///
-/// The simulator keeps its whole population in one `Vec<SimPeer>`, so a
-/// delivery's first load is the receiving peer's own struct rather than a
-/// box pointer and then the struct. A PA-VoD peer pads to the size of the
-/// largest variant, about 120 KB over a 300-peer population.
-#[allow(clippy::large_enum_variant)] // by-value peers are the point
-#[derive(Debug)]
-pub enum SimPeer {
-    /// A SocialTube peer (with or without prefetch).
-    SocialTube(SocialTubePeer),
-    /// A NetTube peer (with or without prefetch).
-    NetTube(NetTubePeer),
-    /// A PA-VoD peer.
-    PaVod(PaVodPeer),
-}
-
-/// Runs `$body` with `$peer` bound to whichever protocol's peer `$sim` holds.
-macro_rules! with_peer {
-    ($sim:expr, $peer:ident => $body:expr) => {
-        match $sim {
-            SimPeer::SocialTube($peer) => $body,
-            SimPeer::NetTube($peer) => $body,
-            SimPeer::PaVod($peer) => $body,
-        }
-    };
-}
-
-impl SimPeer {
-    /// The peer itself behind a trait object, as [`ProtocolStack`] holds it.
-    fn boxed(self) -> Box<dyn VodPeer + Send> {
-        with_peer!(self, p => Box::new(p))
-    }
-}
-
-impl VodPeer for SimPeer {
-    fn node(&self) -> NodeId {
-        with_peer!(self, p => p.node())
-    }
-
-    fn on_login(&mut self, now: SimTime, out: &mut Outbox) {
-        with_peer!(self, p => p.on_login(now, out))
-    }
-
-    fn on_logout(&mut self, now: SimTime, out: &mut Outbox) {
-        with_peer!(self, p => p.on_logout(now, out))
-    }
-
-    fn watch(&mut self, now: SimTime, video: VideoId, out: &mut Outbox) {
-        with_peer!(self, p => p.watch(now, video, out))
-    }
-
-    fn on_message(&mut self, now: SimTime, from: PeerAddr, msg: Message, out: &mut Outbox) {
-        with_peer!(self, p => p.on_message(now, from, msg, out))
-    }
-
-    fn on_timer(&mut self, now: SimTime, timer: TimerKind, out: &mut Outbox) {
-        with_peer!(self, p => p.on_timer(now, timer, out))
-    }
-
-    fn link_count(&self) -> usize {
-        with_peer!(self, p => p.link_count())
-    }
-
-    fn is_online(&self) -> bool {
-        with_peer!(self, p => p.is_online())
-    }
-
-    fn has_cached(&self, video: VideoId) -> bool {
-        with_peer!(self, p => p.has_cached(video))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use socialtube::harness::{CommandInterpreter, ServerSubstrate};
-    use socialtube::{Command, Report, ServerOutbox};
-    use socialtube_sim::SimDuration;
+    use socialtube::{Command, Message, Outbox, PeerAddr, Report, ServerOutbox, TimerKind};
+    use socialtube_model::VideoId;
+    use socialtube_sim::{SimDuration, SimTime};
     use socialtube_trace::{generate_shared, TraceConfig};
     use std::collections::VecDeque;
 
@@ -230,10 +158,11 @@ mod tests {
         let shared = generate_shared(&TraceConfig::tiny(), 7);
         let options = ExperimentOptions::default();
         for protocol in Protocol::ALL {
-            let stack = StackBuilder::from_options(protocol, shared.catalog().clone(), &options)
-                .build(&shared, &SimRng::seed(7));
-            assert_eq!(stack.peers.len(), shared.graph.user_count(), "{protocol}");
-            for (u, p) in stack.peers.iter().enumerate() {
+            let (peers, _) =
+                StackBuilder::from_options(protocol, shared.catalog().clone(), &options)
+                    .build_peers(&shared, &SimRng::seed(7));
+            assert_eq!(peers.len(), shared.graph.user_count(), "{protocol}");
+            for (u, p) in peers.iter().enumerate() {
                 assert_eq!(p.node().index(), u, "{protocol} peers must be dense");
             }
         }
@@ -244,7 +173,7 @@ mod tests {
     /// before any timer; the search deadlines a lone peer waits out fire
     /// next, and the other timers never do.
     fn arms_prefetch_kick(
-        peer: &mut dyn VodPeer,
+        peer: &mut Peer,
         server: &mut dyn VodServer,
         origin: &CommandInterpreter,
         video: VideoId,
@@ -319,10 +248,10 @@ mod tests {
         for builder in builders {
             let (protocol, m) = (builder.protocol, builder.config.prefetch_count);
             let prefetches = matches!(protocol, Protocol::SocialTube | Protocol::NetTube) && m > 0;
-            let mut stack = builder.build(&shared, &SimRng::seed(7));
-            for (u, peer) in stack.peers.iter_mut().enumerate() {
+            let (mut peers, mut server) = builder.build_peers(&shared, &SimRng::seed(7));
+            for (u, peer) in peers.iter_mut().enumerate() {
                 let video = VideoId::new((u % catalog.video_count()) as u32);
-                let armed = arms_prefetch_kick(&mut **peer, &mut *stack.server, &origin, video);
+                let armed = arms_prefetch_kick(peer, &mut *server, &origin, video);
                 assert_eq!(armed, prefetches, "{protocol} with M = {m}, node {u}");
             }
         }
@@ -345,7 +274,7 @@ mod tests {
         assert_eq!(size_of::<SocialTubePeer>(), 472);
         assert_eq!(size_of::<NetTubePeer>(), 448);
         assert_eq!(size_of::<PaVodPeer>(), 96);
-        assert_eq!(size_of::<SimPeer>(), size_of::<SocialTubePeer>());
+        assert_eq!(size_of::<Peer>(), size_of::<SocialTubePeer>());
     }
 
     /// Every testbed preset hands the builder the base config the

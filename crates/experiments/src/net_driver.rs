@@ -187,13 +187,14 @@ pub fn run_net_on(
     let experiment = &options.experiment;
     let root = configs::root_rng(experiment.seed);
     let users = shared.graph.user_count();
-    let stack = StackBuilder::from_options(protocol, Arc::clone(shared.catalog()), experiment)
-        .build(shared.trace(), &root);
+    let (peers, server) =
+        StackBuilder::from_options(protocol, Arc::clone(shared.catalog()), experiment)
+            .build_peers(shared.trace(), &root);
     let mut director = SessionDirector::new(users, experiment.workload.clone(), &root);
     let deployment = Deployment::spawn(
         Arc::clone(shared.catalog()),
-        stack.peers,
-        stack.server,
+        peers,
+        server,
         &experiment.network,
         &root,
     )?;

@@ -405,11 +405,6 @@ impl SessionDirector {
         state.videos_left_in_session = state.videos_left_in_session.saturating_sub(1);
         Some(self.on_watch_end(node))
     }
-
-    /// Total videos `node` has watched across all sessions.
-    pub fn watched_total(&self, node: NodeId) -> u32 {
-        self.node(node).videos_watched_total
-    }
 }
 
 #[cfg(test)]
@@ -677,7 +672,10 @@ mod tests {
         let _ = d.next_video(&trace, node).expect("video picked");
         assert_eq!(d.abandon_watch(node), Some(SessionStep::EndSession));
         assert_eq!(d.abandon_watch(node), None, "second abandon is a no-op");
-        assert_eq!(d.watched_total(node), 0, "abandoned watches don't count");
+        d.on_login(node);
+        let video = d.next_video(&trace, node).expect("video picked");
+        let watched = d.on_playback_started(node, video);
+        assert_eq!(watched, Some(1), "abandoned watches don't count");
     }
 
     #[test]

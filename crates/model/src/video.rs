@@ -137,11 +137,6 @@ impl Video {
         self.chunks = chunks;
     }
 
-    /// Adds `count` views.
-    pub fn add_views(&mut self, count: u64) {
-        self.views = self.views.saturating_add(count);
-    }
-
     /// Total size of the encoded video in bits (`length × bitrate`).
     pub fn size_bits(&self) -> u64 {
         u64::from(self.length_secs) * u64::from(self.bitrate_kbps) * 1_000
@@ -201,14 +196,6 @@ mod tests {
         let mut v = sample();
         v.set_views(300);
         assert_eq!(v.view_frequency(0), 0.0);
-    }
-
-    #[test]
-    fn add_views_saturates() {
-        let mut v = sample();
-        v.set_views(u64::MAX - 1);
-        v.add_views(10);
-        assert_eq!(v.views(), u64::MAX);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Wall-clock → protocol-time mapping.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use socialtube_sim::SimTime;
 
@@ -35,6 +35,11 @@ impl TestbedClock {
     pub fn now(&self) -> SimTime {
         SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
+
+    /// The wall-clock instant of protocol time `t`.
+    pub fn instant(&self, t: SimTime) -> Instant {
+        self.epoch + Duration::from_micros(t.as_micros())
+    }
 }
 
 #[cfg(test)]
@@ -59,5 +64,14 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         let b = clock.now();
         assert!(b.as_micros() - a.as_micros() >= 9_000);
+    }
+
+    #[test]
+    fn instant_inverts_now() {
+        let clock = TestbedClock::start();
+        let t = SimTime::from_micros(2_500);
+        let zero = clock.instant(SimTime::ZERO);
+        assert_eq!(clock.instant(t) - zero, Duration::from_micros(2_500));
+        assert!(clock.instant(clock.now()) <= Instant::now());
     }
 }

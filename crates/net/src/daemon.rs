@@ -15,8 +15,9 @@ use std::time::{Duration, Instant};
 
 use socialtube::harness::{CommandInterpreter, PeerSubstrate, ServerSubstrate};
 use socialtube::{Message, Outbox, PeerAddr, ServerOutbox, TimerKind, VodPeer, VodServer};
+use socialtube_baselines::Peer;
 use socialtube_model::{NodeId, VideoId};
-use socialtube_sim::{LatencyModel, SimDuration};
+use socialtube_sim::{LatencyModel, ServerQueue, SimDuration};
 
 use crate::clock::TestbedClock;
 use crate::testbed::NetEvent;
@@ -24,8 +25,9 @@ use crate::transport::{read_frame, AddressBook, ConnectionPool, SERVER_INDEX};
 use crate::wire::Frame;
 
 /// The state machine a daemon runs.
+#[allow(clippy::large_enum_variant)] // one per daemon, moved once into its loop
 pub(crate) enum Actor {
-    Peer(Box<dyn VodPeer + Send>),
+    Peer(Peer),
     /// The interpreter expands the server's `ServeChunks` out of the catalog.
     Server(Box<dyn VodServer + Send>, CommandInterpreter),
 }
@@ -54,32 +56,6 @@ pub(crate) enum Input {
     Logout { abrupt: bool },
     Watch(VideoId),
     Shutdown,
-}
-
-/// Real-time FIFO link: the wall-clock analogue of the simulator's fluid
-/// bandwidth model, used to pace chunk sends.
-#[derive(Debug)]
-struct RealTimeLink {
-    capacity_bps: u64,
-    busy_until: Instant,
-}
-
-impl RealTimeLink {
-    fn new(capacity_bps: u64) -> Self {
-        assert!(capacity_bps > 0, "link capacity must be positive");
-        Self {
-            capacity_bps,
-            busy_until: Instant::now(),
-        }
-    }
-
-    /// Enqueues `bits`; returns when the transfer completes.
-    fn transfer(&mut self, now: Instant, bits: u64) -> Instant {
-        let start = self.busy_until.max(now);
-        let service = Duration::from_secs_f64(bits as f64 / self.capacity_bps as f64);
-        self.busy_until = start + service;
-        self.busy_until
-    }
 }
 
 /// A daemon's pending inputs, fired in order of due time and, among equal
@@ -171,13 +147,14 @@ impl Daemon {
 
         let net = TcpSubstrate {
             pool: ConnectionPool::new(me, fabric.book),
-            link: RealTimeLink::new(upload_bps),
+            link: ServerQueue::new(upload_bps),
             due: DueQueue::new(),
+            clock: fabric.clock,
         };
-        let (clock, events) = (fabric.clock, fabric.events);
+        let events = fabric.events;
         let event_loop = std::thread::Builder::new()
             .name(format!("{name}-loop"))
-            .spawn(move || event_loop(actor, input_rx, net, clock, &events))?;
+            .spawn(move || event_loop(actor, input_rx, net, &events))?;
 
         Ok(Daemon {
             inputs,
@@ -290,12 +267,14 @@ impl Reader {
 
 /// The TCP implementation of [`PeerSubstrate`] and [`ServerSubstrate`]:
 /// control frames go straight to the connection pool; bulk frames (peer
-/// chunks, origin chunks) are paced through the daemon's real-time upload
-/// link first; paced sends and timers wait in the loop's due queue.
+/// chunks, origin chunks) are paced first through the daemon's upload
+/// link, the simulator's FIFO pipe run on the testbed clock; paced sends
+/// and timers wait in the loop's due queue.
 struct TcpSubstrate {
     pool: ConnectionPool,
-    link: RealTimeLink,
+    link: ServerQueue,
     due: DueQueue<Input>,
+    clock: TestbedClock,
 }
 
 impl TcpSubstrate {
@@ -304,8 +283,9 @@ impl TcpSubstrate {
     }
 
     fn bulk(&mut self, to: u32, bits: u64, msg: Message) {
-        let due = self.link.transfer(Instant::now(), bits);
-        self.due.push(due, Input::Transmit { to, msg });
+        let done = self.link.serve(self.clock.now(), bits);
+        self.due
+            .push(self.clock.instant(done), Input::Transmit { to, msg });
     }
 }
 
@@ -344,9 +324,9 @@ fn event_loop(
     mut actor: Actor,
     inputs: Receiver<(Instant, Input)>,
     mut net: TcpSubstrate,
-    clock: TestbedClock,
     events: &Sender<NetEvent>,
 ) {
+    let clock = net.clock;
     let mut out = Outbox::new();
     let mut server_out = ServerOutbox::new();
     while let Some(input) = net.due.next(&inputs) {
@@ -403,32 +383,27 @@ fn event_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socialtube_sim::SimTime;
 
+    /// Bulk sends queue FIFO behind one another on the upload link, and
+    /// each falls due at its completion on the testbed clock.
     #[test]
-    fn real_time_link_paces_transfers() {
-        let mut link = RealTimeLink::new(1_000_000); // 1 Mbps
-        let now = Instant::now();
-        let first = link.transfer(now, 100_000); // 100 ms of service
-        let second = link.transfer(now, 100_000);
-        assert!(first >= now + Duration::from_millis(95));
-        assert!(second >= first + Duration::from_millis(95));
-    }
-
-    #[test]
-    fn idle_link_starts_immediately() {
-        let mut link = RealTimeLink::new(1_000_000);
-        let past = Instant::now();
-        std::thread::sleep(Duration::from_millis(5));
-        let now = Instant::now();
-        let done = link.transfer(now, 1_000);
-        assert!(done >= now);
-        assert!(done > past);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_link_rejected() {
-        RealTimeLink::new(0);
+    fn bulk_sends_are_paced_fifo_on_the_testbed_clock() {
+        let (book, _listeners) = AddressBook::bind(1).expect("bind localhost");
+        let clock = TestbedClock::start();
+        let mut net = TcpSubstrate {
+            pool: ConnectionPool::new(0, book),
+            link: ServerQueue::new(1_000_000), // 1 Mbps
+            due: DueQueue::new(),
+            clock,
+        };
+        for _ in 0..2 {
+            net.bulk(SERVER_INDEX, 100_000, Message::Leave); // 100 ms each
+        }
+        let due: Vec<Instant> = net.due.pending.keys().map(|&(due, _)| due).collect();
+        let start = clock.instant(SimTime::ZERO);
+        assert!(due[0] >= start + Duration::from_millis(100));
+        assert!(due[1] >= due[0] + Duration::from_millis(100));
     }
 
     #[test]
@@ -527,7 +502,7 @@ mod daemon_tests {
         )
         .expect("server spawns");
         let peer = Daemon::spawn(
-            Actor::Peer(Box::new(SocialTubePeer::new(
+            Actor::Peer(Peer::SocialTube(SocialTubePeer::new(
                 NodeId::new(0),
                 catalog,
                 vec![channel],
@@ -695,7 +670,7 @@ mod daemon_tests {
             events: mpsc::channel().0,
         };
         let peer = Daemon::spawn(
-            Actor::Peer(Box::new(SocialTubePeer::new(
+            Actor::Peer(Peer::SocialTube(SocialTubePeer::new(
                 NodeId::new(0),
                 catalog,
                 vec![channel],
@@ -742,7 +717,7 @@ mod daemon_tests {
         let peer = SocialTubePeer::new(NodeId::new(0), catalog, Vec::new(), Default::default());
         let (book, mut listeners) = AddressBook::bind(1).expect("bind localhost");
         let server = listeners.pop().expect("server listener");
-        let (pool, link) = (ConnectionPool::new(0, book), RealTimeLink::new(1_000_000));
+        let (pool, link) = (ConnectionPool::new(0, book), ServerQueue::new(1_000_000));
         let mut due = DueQueue::new();
         let send = Input::Transmit {
             to: SERVER_INDEX,
@@ -752,9 +727,15 @@ mod daemon_tests {
         let (inputs, input_rx) = mpsc::channel();
         inputs.send((Instant::now(), Input::Shutdown)).unwrap();
         let start = Instant::now();
-        let (net, clock) = (TcpSubstrate { pool, link, due }, TestbedClock::start());
-        let (actor, events) = (Actor::Peer(Box::new(peer)), mpsc::channel().0);
-        event_loop(actor, input_rx, net, clock, &events);
+        let clock = TestbedClock::start();
+        let net = TcpSubstrate {
+            pool,
+            link,
+            due,
+            clock,
+        };
+        let (actor, events) = (Actor::Peer(Peer::SocialTube(peer)), mpsc::channel().0);
+        event_loop(actor, input_rx, net, &events);
         assert!(start.elapsed() < Duration::from_secs(1), "the loop waited");
         server.set_nonblocking(true).unwrap();
         assert!(server.accept().is_err(), "the pending send went out");

@@ -13,10 +13,12 @@
 //! * [`transport`] — framed connections, the deployment's immutable
 //!   address book and each daemon's outgoing-connection cache;
 //! * `daemon` (private) — the one OS-thread-backed daemon every node runs,
-//!   the tracker/origin server being the daemon at the address book's
-//!   server index; it drains its actor's outbox through the shared
+//!   around one by-value [`Peer`](socialtube_baselines::Peer) or the
+//!   tracker/origin server, the daemon at the address book's server index;
+//!   it drains its actor's outbox through the shared
 //!   [`CommandInterpreter`](socialtube::harness::CommandInterpreter) over
-//!   one TCP substrate (connection pool + real-time pacing link), and its
+//!   one TCP substrate (connection pool + the simulator's FIFO upload link
+//!   on the testbed clock), and its
 //!   event loop alone keeps the daemon's timers, injected delays and paced
 //!   sends in one due queue;
 //! * [`testbed`] — [`Deployment`]: binds every listener, spawns a whole

@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 
 use socialtube::harness::CommandInterpreter;
 use socialtube::{Report, VodPeer, VodServer};
+use socialtube_baselines::Peer;
 use socialtube_model::{Catalog, NodeId, VideoId};
 use socialtube_sim::{NetworkOptions, SimRng, SimTime};
 
@@ -80,7 +81,7 @@ impl Deployment {
     /// threads.
     pub fn spawn(
         catalog: Arc<Catalog>,
-        peers: Vec<Box<dyn VodPeer + Send>>,
+        peers: Vec<Peer>,
         server: Box<dyn VodServer + Send>,
         network: &NetworkOptions,
         root: &SimRng,
@@ -187,12 +188,12 @@ mod tests {
     fn invalid_configs_are_rejected_before_any_daemon_starts() {
         let (catalog, _) = tiny_catalog();
         let peer = |i| {
-            Box::new(SocialTubePeer::new(
+            Peer::SocialTube(SocialTubePeer::new(
                 NodeId::new(i),
                 Arc::clone(&catalog),
                 Vec::new(),
                 SocialTubeConfig::default(),
-            )) as Box<dyn VodPeer + Send>
+            ))
         };
         let broken = |f: fn(&mut NetworkOptions)| {
             let mut network = NetworkOptions::default();
@@ -223,14 +224,14 @@ mod tests {
     fn five_peer_socialtube_deployment_completes() {
         let (catalog, vids) = tiny_catalog();
         let channel = catalog.channels().next().unwrap().id();
-        let peers: Vec<Box<dyn VodPeer + Send>> = (0..5)
+        let peers = (0..5)
             .map(|i| {
-                Box::new(SocialTubePeer::new(
+                Peer::SocialTube(SocialTubePeer::new(
                     NodeId::new(i),
                     Arc::clone(&catalog),
                     vec![channel],
                     SocialTubeConfig::default(),
-                )) as Box<dyn VodPeer + Send>
+                ))
             })
             .collect();
         let server = Box::new(SocialTubeServer::new(Arc::clone(&catalog), SimRng::seed(7)));

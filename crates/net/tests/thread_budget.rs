@@ -6,7 +6,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use socialtube::{Report, SocialTubeConfig, SocialTubePeer, SocialTubeServer, VodPeer};
+use socialtube::{Report, SocialTubeConfig, SocialTubePeer, SocialTubeServer};
+use socialtube_baselines::Peer;
 use socialtube_model::{CatalogBuilder, NodeId};
 use socialtube_net::Deployment;
 use socialtube_sim::{NetworkOptions, SimDuration, SimRng};
@@ -22,7 +23,7 @@ fn a_daemon_costs_two_threads_plus_one_per_inbound_connection() {
     let peer = |i| {
         let config = SocialTubeConfig::default();
         let peer = SocialTubePeer::new(NodeId::new(i), Arc::clone(&catalog), vec![channel], config);
-        Box::new(peer) as Box<dyn VodPeer + Send>
+        Peer::SocialTube(peer)
     };
     let server = Box::new(SocialTubeServer::new(Arc::clone(&catalog), SimRng::seed(7)));
     let peers = (0..PEERS).map(peer).collect();
