@@ -1,13 +1,14 @@
 //! The duplicate-suppression window for flooded queries.
 //!
-//! An id is stored in the ring and indexed by a 4-byte position: ≈ 19 B
-//! per id at `sim-scale`'s 201 ids per peer (8 B of ring plus its doubling
-//! slack, 4 B ÷ load of index) where a table of the ids cost ≈ 27 B. The
-//! newest four are stored a second time, inline, for 32 B per peer: a
-//! flood re-reaches a peer soon after it forwarded the query, so almost
-//! every duplicate is one of them and is refused without a load beyond
-//! the peer's own struct. Any other duplicate pays the index probe and
-//! one ring read.
+//! An id is stored in the ring and indexed by a 2-byte slot: ≈ 14 B per
+//! id at `sim-scale`'s mean fill of 201 ids per peer (218 ring places of
+//! 8 B, the ring growing a quarter at a time, and 512 index slots of 2 B:
+//! 2,768 B) where a doubling ring and a `u32` index cost ≈ 20 B (256
+//! places and 512 slots of 4 B: 4,096 B). The newest four are stored a
+//! second time, inline, for 32 B per peer: a flood re-reaches a peer soon
+//! after it forwarded the query, so almost every duplicate is one of them
+//! and is refused without a load beyond the peer's own struct. Any other
+//! duplicate pays the index probe and one ring read.
 
 use crate::messages::RequestId;
 
@@ -17,17 +18,24 @@ use crate::messages::RequestId;
 ///
 /// The newest four ids inline, then a ring of the ids in arrival order
 /// plus an open-addressed index of their ring positions for the
-/// membership test: one multiplicative hash
-/// and, at load ≤ 3/4, a probe that rarely leaves the first cache line.
-/// A slot is `fingerprint << pos_bits | (position + 1)`, `0` when vacant,
-/// and its home the leading bits of its own fingerprint, so growth and
-/// deletion never read the ring; a match is confirmed against
-/// `ring[position]`, so any two `u64`s are told apart. Both parts grow
+/// membership test. A slot is the 16 bits
+/// `fingerprint << pos_bits | (position + 1)`, `0` when vacant. One
+/// multiplicative hash of the id gives both its home (the leading bits)
+/// and its fingerprint (disjoint lower bits), and a match is confirmed
+/// against `ring[position]`, so any two `u64`s are told apart. An eviction
+/// overwrites the oldest ring place and leaves the evicted id's slot
+/// behind, stale: that slot's ring comparison fails from then on. Once
+/// live and stale slots pass 3/4 of the index, it is rebuilt from the
+/// ring, the one place homes are recomputed (a slot is too small to carry
+/// its own), at twice the size if the live ids alone fill more than 5/8
+/// of it. A rebuild in place thus costs at most 5 placements per
+/// eviction since the last one, 2 at the 512-id window. Both parts grow
 /// with the ids actually seen (a peer that never hears a flood allocates
-/// nothing) and stop at the window: the index at the power of two that
-/// keeps `window` slots under the load bound, the ring at exactly
-/// `window` ids. The window also bounds what crafted ids can cost: a
-/// probe never walks more than `window` occupied slots.
+/// nothing) and stop at the window: the ring at exactly `window` ids, a
+/// quarter at a time, the index at the power of two that keeps `window`
+/// slots under those bounds. The window also bounds what crafted ids can
+/// cost: a probe never walks more than 3/4 of an index sized for `window`
+/// ids.
 ///
 /// # Examples
 ///
@@ -52,17 +60,20 @@ pub struct SeenWindow {
     oldest: usize,
     /// Linear-probing index of the ring's positions; length 0 or a power
     /// of two, `0` in free slots.
-    table: Vec<u32>,
+    table: Vec<u16>,
     /// The low `pos_bits` of a slot, which hold `position + 1 ≤ window`.
-    pos_mask: u32,
+    pos_mask: u16,
+    /// Occupied slots whose ring place has been overwritten since the
+    /// last rebuild.
+    stale: u16,
     /// The last accepted ids, newest first; the first `min(len, 4)` are
     /// valid, and all of them are still inside the window.
     newest: [u64; 4],
 }
 
 impl SeenWindow {
-    /// Largest window. The index has up to `pos_bits + 1` address bits,
-    /// read from a fingerprint of `32 − pos_bits`: `2·pos_bits + 1 ≤ 32`.
+    /// Largest window: `position + 1` takes 15 of a slot's 16 bits, which
+    /// leaves one fingerprint bit.
     pub const MAX_WINDOW: usize = 32_767;
 
     /// Creates an empty window remembering up to `window` ids. A window
@@ -79,6 +90,7 @@ impl SeenWindow {
             oldest: 0,
             table: Vec::new(),
             pos_mask: (1 << (usize::BITS - window.leading_zeros())) - 1,
+            stale: 0,
             newest: [0; 4],
         }
     }
@@ -95,20 +107,25 @@ impl SeenWindow {
 
     /// Returns `true` if `id` is inside the window.
     pub fn contains(&self, id: RequestId) -> bool {
-        if self.newest[..self.ring.len().min(4)].contains(&id.0) {
-            return true;
-        }
+        self.newest[..self.ring.len().min(4)].contains(&id.0) || self.indexed(id.0)
+    }
+
+    /// Returns `true` if `id`'s probe meets a slot with its fingerprint
+    /// whose ring place holds `id`. A slot's position was written when the
+    /// ring already had that place, and the ring never shrinks, so
+    /// `ring[position - 1]` is in bounds.
+    fn indexed(&self, id: u64) -> bool {
         if self.table.is_empty() {
             return false;
         }
-        let (wanted, pos_mask) = (self.fingerprint(id.0), self.pos_mask);
-        let mut at = self.home(wanted);
+        let (mut at, wanted) = self.hash(id);
         loop {
             let slot = self.table[at];
             if slot == 0 {
                 return false;
             }
-            if slot & !pos_mask == wanted && self.ring[(slot & pos_mask) as usize - 1] == id.0 {
+            let position = usize::from(slot & self.pos_mask);
+            if slot & !self.pos_mask == wanted && self.ring[position - 1] == id {
                 return true;
             }
             at = (at + 1) & (self.table.len() - 1);
@@ -125,87 +142,67 @@ impl SeenWindow {
         if self.window == 0 {
             return true;
         }
-        // Evict first: the index's final size is computed for `window` slots.
         let full = self.ring.len() == self.window;
         let position = if full { self.oldest } else { self.ring.len() };
         if full {
-            let evicted = std::mem::replace(&mut self.ring[position], id.0);
+            self.ring[position] = id.0;
             self.oldest = (position + 1) % self.window;
-            self.table_remove(self.fingerprint(evicted) | (position as u32 + 1));
+            self.stale += 1;
         } else {
             if self.ring.len() == self.ring.capacity() {
-                // Double like `Vec` does, but never past the window.
-                let target = (self.ring.len() * 2).max(4).min(self.window);
+                // A quarter more, at least 4 ids, never past the window.
+                let target = (self.ring.len() + (self.ring.len() / 4).max(4)).min(self.window);
                 self.ring.reserve_exact(target - self.ring.len());
             }
             self.ring.push(id.0);
         }
-        // Load ≤ 3/4 with `id`, which the ring already holds.
-        if self.ring.len() * 4 > self.table.len() * 3 {
-            self.grow();
+        let (live, slots) = (self.ring.len(), self.table.len());
+        if (live + usize::from(self.stale)) * 4 > slots * 3 {
+            // The smallest index, 8 slots, holds up to 6 ids.
+            let doubled = live * 8 > slots * 5;
+            self.rebuild(if doubled { (slots * 2).max(8) } else { slots });
+        } else {
+            self.place(id.0, position);
         }
-        self.place(self.fingerprint(id.0) | (position as u32 + 1));
         self.newest.rotate_right(1);
         self.newest[0] = id.0;
         true
     }
 
-    /// The high bits of `id`'s slot: those of a Fibonacci multiplicative
-    /// hash, which spread ids that differ only in their low (counter) or
-    /// only in their high (origin) half.
-    fn fingerprint(&self, id: u64) -> u32 {
-        (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32 & !self.pos_mask
+    /// Where `id`'s probe starts and the fingerprint its slot carries,
+    /// from disjoint bits of a Fibonacci multiplicative hash, which
+    /// spreads ids that differ only in their low (counter) or only in
+    /// their high (origin) half: the home is the leading `log2(slots) ≤ 16`
+    /// bits, the fingerprint comes from bits 32–47. The index must be
+    /// non-empty.
+    fn hash(&self, id: u64) -> (usize, u16) {
+        let hash = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let home = (hash >> (64 - self.table.len().trailing_zeros())) as usize;
+        (home, (hash >> 32) as u16 & !self.pos_mask)
     }
 
-    /// Where `slot`'s probe starts: the leading bits of its fingerprint.
-    fn home(&self, slot: u32) -> usize {
-        (slot >> (32 - self.table.len().trailing_zeros())) as usize
-    }
-
-    /// Writes `slot` (known absent) into the first free place of its probe.
-    fn place(&mut self, slot: u32) {
-        let mask = self.table.len() - 1;
-        let mut at = self.home(slot);
+    /// Writes the slot of `id` at ring `position` into the first free
+    /// place of its probe.
+    fn place(&mut self, id: u64, position: usize) {
+        let (mut at, fingerprint) = self.hash(id);
         while self.table[at] != 0 {
-            at = (at + 1) & mask;
+            at = (at + 1) & (self.table.len() - 1);
         }
-        self.table[at] = slot;
+        // `position < window ≤ MAX_WINDOW`, so `position + 1` fits `pos_mask`.
+        self.table[at] = fingerprint | (position as u16 + 1);
     }
 
-    fn grow(&mut self) {
-        // The smallest index, 8 slots, holds up to 6 ids.
-        let slots = (self.table.len() * 2).max(8);
-        let old = std::mem::replace(&mut self.table, vec![0; slots]);
-        for slot in old.into_iter().filter(|slot| *slot != 0) {
-            self.place(slot);
+    /// Indexes the ring afresh in `slots` slots, dropping every stale one.
+    fn rebuild(&mut self, slots: usize) {
+        if slots == self.table.len() {
+            self.table.fill(0);
+        } else {
+            self.table = vec![0; slots];
         }
-    }
-
-    /// Removes `slot` (present, and unique by its position) and closes
-    /// the gap by shifting the rest of its cluster back, so no tombstones
-    /// accumulate however long the window slides.
-    fn table_remove(&mut self, slot: u32) {
-        let mask = self.table.len() - 1;
-        let mut hole = self.home(slot);
-        while self.table[hole] != slot {
-            hole = (hole + 1) & mask;
+        self.stale = 0;
+        for position in 0..self.ring.len() {
+            self.place(self.ring[position], position);
         }
-        let mut at = hole;
-        loop {
-            at = (at + 1) & mask;
-            let moving = self.table[at];
-            if moving == 0 {
-                break;
-            }
-            // `moving` may fill the hole only if the hole lies on its probe
-            // path, i.e. cyclically within [home, at).
-            let home = self.home(moving);
-            if (at.wrapping_sub(home) & mask) >= (at.wrapping_sub(hole) & mask) {
-                self.table[hole] = moving;
-                hole = at;
-            }
-        }
-        self.table[hole] = 0;
     }
 }
 
@@ -247,7 +244,8 @@ mod tests {
     }
 
     /// Offers `ids` to a fresh window and to the model: every answer must
-    /// agree, and at the end the index must mirror the ring exactly.
+    /// agree, and at the end the index must account for every slot and
+    /// lead to every ring id by itself.
     fn check_against_model(window: usize, ids: impl IntoIterator<Item = u64>) -> SeenWindow {
         let mut seen = SeenWindow::new(window);
         let mut model = Model::new(window);
@@ -255,7 +253,7 @@ mod tests {
             assert_eq!(seen.insert(RequestId(id)), model.insert(id), "id {id}");
             assert_eq!(seen.len(), model.order.len());
             assert_eq!(seen.contains(RequestId(id)), window > 0);
-            assert!(seen.len() * 4 <= seen.table.len() * 3);
+            assert!((seen.len() + usize::from(seen.stale)) * 4 <= seen.table.len() * 3);
         }
         assert_eq!(seen.len(), model.set.len());
         for id in &model.order {
@@ -263,18 +261,14 @@ mod tests {
         }
         let recent = model.order.iter().rev().take(4);
         assert!(recent.eq(&seen.newest[..seen.len().min(4)]));
-        // Each occupied slot carries the fingerprint of the id at its
-        // position, and each ring position has exactly one slot.
-        let occupied = seen.table.iter().filter(|slot| **slot != 0);
-        let mut positions: Vec<usize> = occupied
-            .map(|slot| {
-                let position = (slot & seen.pos_mask) as usize - 1;
-                assert_eq!(slot & !seen.pos_mask, seen.fingerprint(seen.ring[position]));
-                position
-            })
-            .collect();
-        positions.sort_unstable();
-        assert!(positions.into_iter().eq(0..seen.len()));
+        // One slot per ring id plus the stale ones, each naming a ring
+        // place, and every ring id found without the inline four.
+        let occupied: Vec<u16> = seen.table.iter().copied().filter(|s| *s != 0).collect();
+        assert_eq!(occupied.len(), seen.len() + usize::from(seen.stale));
+        assert!(occupied
+            .iter()
+            .all(|slot| usize::from(slot & seen.pos_mask) <= seen.len()));
+        assert!(seen.ring.iter().all(|id| seen.indexed(*id)));
         seen
     }
 
@@ -302,8 +296,8 @@ mod tests {
     }
 
     /// Ids whose hashes share their top 32 bits have one fingerprint and
-    /// one home whatever the window: only the ring comparison separates
-    /// them.
+    /// one home whatever the window and index size: only the ring
+    /// comparison separates them.
     #[test]
     fn ids_that_agree_in_every_stored_bit_are_still_told_apart() {
         const INVERSE: u64 = 0xF1DE_83E1_9937_733D;
@@ -311,8 +305,8 @@ mod tests {
         let id = |low: u64| (0xABCD_1234 << 32 | low).wrapping_mul(INVERSE);
 
         let mut seen = SeenWindow::new(4);
-        assert_eq!(seen.fingerprint(id(0)), seen.fingerprint(id(5)));
         assert!((0..4).all(|low| seen.insert(RequestId(id(low)))));
+        assert_eq!(seen.hash(id(0)), seen.hash(id(5)));
         assert!(
             (0..4).all(|low| !seen.insert(RequestId(id(low)))),
             "re-offer"
@@ -360,10 +354,15 @@ mod tests {
 
     /// What a window costs: 10,000 peers carry one each, and an index
     /// holding the ids themselves was 31 MB of `sim-scale`'s 88 MB peak
-    /// RSS.
+    /// RSS. At its mean fill of 201 ids a window holds at most 1 KB of
+    /// index and 2 KB of ring, and a full 512-id one 2 KB and 4 KB.
     #[test]
     fn allocates_no_more_than_the_hash_set_and_deque_did() {
-        for (ids, table_bytes) in [(150usize, 1 << 10), (512, 4 << 10)] {
+        for (ids, table_bytes, ring_bytes) in [
+            (150usize, 1 << 10, 2 << 10),
+            (201, 1 << 10, 2 << 10),
+            (512, 2 << 10, 4 << 10),
+        ] {
             let mut seen = SeenWindow::new(512);
             let mut model = Model::new(512);
             for id in 0..ids as u64 {
@@ -371,32 +370,54 @@ mod tests {
                 model.insert(id << 32);
             }
             assert_eq!(seen.len(), ids);
-            assert!(seen.table.capacity() * 4 <= table_bytes, "{ids} ids: table");
-            assert!(seen.ring.capacity() <= 512, "{ids} ids: ring");
+            assert!(seen.table.capacity() * 2 <= table_bytes, "{ids} ids: table");
+            assert!(seen.ring.capacity() * 8 <= ring_bytes, "{ids} ids: ring");
             // hashbrown keeps one control byte per 8-byte bucket at load
             // ≤ 7/8; the deque doubles.
             let set_bytes = model.set.capacity() * 8 / 7 * 9;
             let deque_bytes = model.order.capacity() * 8;
             assert!(
-                seen.table.capacity() * 4 + seen.ring.capacity() * 8 <= set_bytes + deque_bytes,
+                seen.table.capacity() * 2 + seen.ring.capacity() * 8 <= set_bytes + deque_bytes,
                 "{ids} ids: {} + {} slots against {set_bytes} + {deque_bytes} B",
                 seen.table.capacity(),
                 seen.ring.capacity(),
             );
         }
-        // A full ring is exactly the window, whatever `Vec` would round to.
-        for window in [150, 512] {
+        // A full ring is exactly the window, whatever `Vec` would round to,
+        // and evictions settle the index at the power of two the live ids
+        // fill at most 5/8 of (768 ids are past 5/8 of 1,024 slots).
+        for (window, slots) in [(150, 256), (512, 1_024), (768, 2_048)] {
             let mut seen = SeenWindow::new(window);
-            for id in 0..1_000 {
+            for id in 0..3_000 {
                 seen.insert(RequestId(id));
             }
             assert_eq!(seen.ring.capacity(), window);
-            assert_eq!(seen.table.capacity(), (window * 4 / 3).next_power_of_two());
+            assert_eq!(seen.table.capacity(), slots);
         }
         // A peer that never hears a flood allocates nothing.
         let seen = SeenWindow::new(512);
         assert!(!seen.contains(RequestId(7)));
         assert_eq!(seen.table.capacity() + seen.ring.capacity(), 0);
+    }
+
+    /// Every window up to 70, and those either side of a power-of-two
+    /// index's load bounds, answers as the model does over several
+    /// rebuilds.
+    #[test]
+    fn matches_hash_set_and_deque_at_every_small_window() {
+        for window in (0..=70).chain([95, 96, 97, 639, 640, 641, 767, 768, 769]) {
+            // Uniform picks from a pool of about twice the window, so
+            // about half the offers repeat an id still inside it.
+            let pool = window as u64 * 2 + 3;
+            let mut state = window as u64;
+            let ids = (0..window * 12 + 40).map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                (state >> 33) % pool
+            });
+            check_against_model(window, ids);
+        }
     }
 
     proptest! {
