@@ -11,12 +11,24 @@
 //! the simulation driver emits for the equivalence suite's scripted
 //! workload: the simulator's half of the sim≡TCP comparison.
 //!
+//! The `trace_*` fixtures pin the generated traces themselves, including
+//! the favorites and upload days no simulated run reads.
+//!
 //! To re-pin after an *intentional* behaviour change, run with
 //! `UPDATE_GOLDEN=1` and commit the rewritten fixtures.
 
 use socialtube_experiments::harness::script::{demo_script, four_peer_trace, ReportKey};
-use socialtube_experiments::{configs, Protocol, RecorderConfig, RunSpec};
-use socialtube_trace::SharedTrace;
+use socialtube_experiments::{configs, NetExperimentOptions, Protocol, RecorderConfig, RunSpec};
+use socialtube_trace::{generate, SharedTrace, TraceConfig};
+
+/// The fixture's content, first rewritten with `got` under `UPDATE_GOLDEN`.
+fn golden(fixture: &str, got: &str) -> String {
+    let path = format!("{}/tests/golden/{fixture}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, got).expect("write golden fixture");
+    }
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing golden fixture {path}: {e}"))
+}
 
 /// A session run's metrics and totals.
 fn render_metrics(spec: RunSpec) -> String {
@@ -44,14 +56,8 @@ fn render_keys(spec: RunSpec) -> String {
 /// must match the plain fixture byte for byte.
 fn check(spec: RunSpec, render: fn(RunSpec) -> String, fixture: &str) {
     let protocol = spec.protocol();
-    let path = format!("{}/tests/golden/{fixture}", env!("CARGO_MANIFEST_DIR"));
     let got = render(spec.clone());
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &got).expect("write golden fixture");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden fixture {path}: {e}"));
+    let want = golden(fixture, &got);
     assert_eq!(
         got, want,
         "{protocol} diverged from the golden file {fixture}"
@@ -103,5 +109,64 @@ fn scripted_keys_match_golden() {
             render_keys,
             &format!("script_keys_{}.txt", protocol.key()),
         );
+    }
+}
+
+/// A trace at seed 42, one line per video (channel, length, bitrate, views,
+/// favorites, upload day), per channel (categories, owner) and per user
+/// (interests, subscriptions).
+fn render_trace(config: &TraceConfig) -> String {
+    fn ids(ids: impl Iterator<Item = usize>) -> String {
+        ids.map(|i| i.to_string()).collect::<Vec<_>>().join(",")
+    }
+    let trace = generate(config, 42);
+    let mut out = String::new();
+    for v in trace.catalog.videos() {
+        out += &format!(
+            "video {} channel {} length {} bitrate {} views {} favorites {} day {}\n",
+            v.id().index(),
+            v.channel().index(),
+            v.length_secs(),
+            v.bitrate_kbps(),
+            v.views(),
+            v.favorites(),
+            v.upload_day(),
+        );
+    }
+    for ch in trace.catalog.channels() {
+        out += &format!(
+            "channel {} categories {} owner {}\n",
+            ch.id().index(),
+            ids(ch.categories().iter().map(|c| c.index())),
+            trace
+                .owner(ch.id())
+                .expect("every channel has an owner")
+                .index(),
+        );
+    }
+    for u in trace.graph.users() {
+        out += &format!(
+            "user {} interests {} subscriptions {}\n",
+            u.id().index(),
+            ids(u.interests().iter().map(|c| c.index())),
+            ids(u.subscriptions().iter().map(|c| c.index())),
+        );
+    }
+    out
+}
+
+/// Pins the traces of the `demo` scale and the testbed smoke deployment,
+/// item by item.
+#[test]
+fn trace_matches_golden() {
+    for (config, fixture) in [
+        (configs::demo().trace, "trace_demo_seed42.txt"),
+        (
+            NetExperimentOptions::smoke_test().experiment.trace,
+            "trace_net_smoke_seed42.txt",
+        ),
+    ] {
+        let got = render_trace(&config);
+        assert_eq!(got, golden(fixture, &got), "trace diverged from {fixture}");
     }
 }
