@@ -29,7 +29,7 @@ use std::sync::Arc;
 use socialtube::harness::CommandInterpreter;
 use socialtube::{Message, Outbox, PeerAddr, Report, ServerOutbox, TimerKind, VodPeer, VodServer};
 use socialtube_baselines::Peer;
-use socialtube_model::{Catalog, NodeId};
+use socialtube_model::NodeId;
 use socialtube_obs::{
     Counter, Dim, HistKind, NullRecorder, Recorder, RecorderConfig, RunRecorder, RunRecording,
     Track,
@@ -38,7 +38,7 @@ use socialtube_sim::{
     epoch_length, Delivery, Engine, EpochLog, EventScheduler, LatencyModel, MergeState,
     PeriodicSampler, ServerQueue, ShardEngine, SimDuration, SimTime, UploadScheduler,
 };
-use socialtube_trace::{generate, SharedTrace, Trace};
+use socialtube_trace::{generate_shared, SharedTrace, Trace};
 
 use crate::configs::{root_rng, ExperimentOptions};
 use crate::harness::{SessionDirector, SessionStep, SimEvent, SimSubstrate, StackBuilder};
@@ -323,72 +323,47 @@ impl RunSpec {
     /// `None` — the caller holds the recorder.
     pub fn run_recorded<R: Recorder>(&self, rec: &mut R) -> SimOutcome {
         let seed = self.effective_seed();
-        match &self.trace {
-            Some(shared) => run_with_catalog(
-                shared,
-                Arc::clone(shared.catalog()),
-                self.protocol,
-                &self.options,
-                seed,
-                rec,
-            ),
-            None => {
-                let shared = SharedTrace::new(generate(&self.options.trace, seed));
-                run_with_catalog(
-                    shared.trace(),
-                    Arc::clone(shared.catalog()),
-                    self.protocol,
-                    &self.options,
-                    seed,
-                    rec,
-                )
-            }
-        }
+        run_serial_with(
+            &self.resolve_trace(seed),
+            self.protocol,
+            &self.options,
+            seed,
+            rec,
+        )
+    }
+
+    /// The trace the run uses: the shared one when set, otherwise one
+    /// generated from the options at `seed`.
+    fn resolve_trace(&self, seed: u64) -> SharedTrace {
+        self.trace
+            .clone()
+            .unwrap_or_else(|| generate_shared(&self.options.trace, seed))
     }
 
     /// The sharded path of [`run`](RunSpec::run): resolves the trace, then
     /// fans one recorder per shard and folds them back into one recording.
     fn run_sharded(&self, workers: usize) -> SimOutcome {
         let seed = self.effective_seed();
-        let go = |trace: &Trace, catalog: Arc<Catalog>| -> SimOutcome {
-            if self.recorder.enabled() {
-                let config = self.recorder;
-                let (mut outcome, recs) = run_sharded_with(
-                    trace,
-                    catalog,
-                    self.protocol,
-                    &self.options,
-                    seed,
-                    workers,
-                    |_| RunRecorder::new(config),
-                );
-                outcome.recording = recs
-                    .into_iter()
-                    .map(RunRecorder::finish)
-                    .reduce(|mut a, b| {
-                        a.absorb(b);
-                        a
-                    });
-                outcome
-            } else {
-                run_sharded_with(
-                    trace,
-                    catalog,
-                    self.protocol,
-                    &self.options,
-                    seed,
-                    workers,
-                    |_| NullRecorder,
-                )
-                .0
-            }
-        };
-        match &self.trace {
-            Some(shared) => go(shared, Arc::clone(shared.catalog())),
-            None => {
-                let shared = SharedTrace::new(generate(&self.options.trace, seed));
-                go(shared.trace(), Arc::clone(shared.catalog()))
-            }
+        let trace = self.resolve_trace(seed);
+        if self.recorder.enabled() {
+            let config = self.recorder;
+            let (mut outcome, recs) =
+                run_sharded_with(&trace, self.protocol, &self.options, seed, workers, |_| {
+                    RunRecorder::new(config)
+                });
+            outcome.recording = recs
+                .into_iter()
+                .map(RunRecorder::finish)
+                .reduce(|mut a, b| {
+                    a.absorb(b);
+                    a
+                });
+            outcome
+        } else {
+            run_sharded_with(&trace, self.protocol, &self.options, seed, workers, |_| {
+                NullRecorder
+            })
+            .0
         }
     }
 }
@@ -484,7 +459,6 @@ impl ReportSink for ShardSink {
 /// `Some` only for the nodes it owns, and a misrouted event fails loudly.
 struct World<'a> {
     trace: &'a Trace,
-    catalog: Arc<Catalog>,
     interpreter: CommandInterpreter,
     latency: LatencyModel,
     peers: Vec<Option<Peer>>,
@@ -529,7 +503,6 @@ fn handle_event<S, R, K>(
 {
     let World {
         trace,
-        catalog,
         interpreter,
         latency,
         peers,
@@ -663,7 +636,8 @@ fn handle_event<S, R, K>(
                         .expect("playback on a node owned by another shard")
                         .link_count();
                     sink.on_link_sample(watched, links);
-                    let length = catalog
+                    let length = trace
+                        .catalog
                         .video(video)
                         .map(|v| SimDuration::from_secs(u64::from(v.length_secs())))
                         .unwrap_or(SimDuration::from_secs(60));
@@ -691,7 +665,7 @@ fn handle_event<S, R, K>(
 }
 
 /// The serial run loop: all serial entry points funnel here with an
-/// explicit root seed and a pre-built catalog handle.
+/// explicit root seed and a resolved trace.
 ///
 /// The loop itself owns only the virtual clock and event dispatch; the
 /// stack comes from [`StackBuilder`], session logic from
@@ -699,9 +673,8 @@ fn handle_event<S, R, K>(
 /// [`CommandInterpreter`] over the [`SimSubstrate`]. The recorder is
 /// monomorphized in: with [`NullRecorder`] every observation compiles to
 /// nothing (`R::ENABLED` is a constant `false`).
-fn run_with_catalog<R: Recorder>(
+fn run_serial_with<R: Recorder>(
     trace: &Trace,
-    catalog: Arc<Catalog>,
     protocol: Protocol,
     options: &ExperimentOptions,
     seed: u64,
@@ -710,14 +683,13 @@ fn run_with_catalog<R: Recorder>(
     let root = root_rng(seed);
     let users = trace.graph.user_count();
 
-    let (peers, server) = StackBuilder::from_options(protocol, Arc::clone(&catalog), options)
+    let (peers, server) = StackBuilder::from_options(protocol, Arc::clone(&trace.catalog), options)
         .build_peers(trace, &root);
     let director = SessionDirector::new(users, options.workload.clone(), &root);
     let latency = options.network.latency_model(&root);
-    let interpreter = CommandInterpreter::new(Arc::clone(&catalog));
+    let interpreter = CommandInterpreter::new(Arc::clone(&trace.catalog));
     let mut world = World {
         trace,
-        catalog,
         interpreter,
         latency,
         peers: peers.into_iter().map(Some).collect(),
@@ -1064,7 +1036,6 @@ fn shard_worker<R: Recorder>(
 /// calendar bucket (no conservative lookahead exists).
 fn run_sharded_with<R, F>(
     trace: &Trace,
-    catalog: Arc<Catalog>,
     protocol: Protocol,
     options: &ExperimentOptions,
     seed: u64,
@@ -1097,7 +1068,7 @@ where
     // Identical construction to the serial path: every RNG consumer draws
     // from an independent labelled stream off the root, so build order is
     // immaterial and both executors see the same randomness.
-    let (peers, server) = StackBuilder::from_options(protocol, Arc::clone(&catalog), options)
+    let (peers, server) = StackBuilder::from_options(protocol, Arc::clone(&trace.catalog), options)
         .build_peers(trace, &root);
     let director = SessionDirector::new(users, options.workload.clone(), &root);
     let latency = options.network.latency_model(&root);
@@ -1122,8 +1093,7 @@ where
     for (s, (slots, director)) in peer_slots.into_iter().zip(directors).enumerate() {
         worlds.push(World {
             trace,
-            catalog: Arc::clone(&catalog),
-            interpreter: CommandInterpreter::new(Arc::clone(&catalog)),
+            interpreter: CommandInterpreter::new(Arc::clone(&trace.catalog)),
             latency: latency.clone(),
             peers: slots,
             server: if s == 0 { server.take() } else { None },

@@ -14,10 +14,12 @@
 //! protocol observes identical inputs in identical order and must emit the
 //! identical [`Report`] sequence, compared as [`ReportKey`]s.
 
+use std::sync::Arc;
+
 use socialtube::{Report, TransferKind};
 use socialtube_model::{CatalogBuilder, NodeId, SocialGraph, VideoId};
 use socialtube_sim::SimDuration;
-use socialtube_trace::{Trace, TraceConfig};
+use socialtube_trace::Trace;
 
 use crate::workload::{ScriptAction, ScriptStep};
 
@@ -97,18 +99,10 @@ pub fn four_peer_trace() -> (Trace, Vec<VideoId>) {
     for u in 0..4u32 {
         graph.subscribe(NodeId::new(u), ch);
     }
-    let config = TraceConfig {
-        users: 4,
-        channels: 1,
-        categories: 1,
-        videos: 3,
-        ..TraceConfig::tiny()
-    };
     let trace = Trace {
-        catalog,
+        catalog: Arc::new(catalog),
         graph,
         channel_owners: vec![NodeId::new(0)],
-        config,
     };
     (trace, vids)
 }

@@ -8,6 +8,7 @@
 
 use socialtube_model::{ChannelId, SharedSubscriberEdge};
 
+use crate::generator::HISTORY_DAYS;
 use crate::stats::{fit_zipf_exponent, pearson, Ecdf};
 use crate::Trace;
 
@@ -16,7 +17,7 @@ use crate::Trace;
 /// Returns `(month_index, videos_added)` pairs; the increasing series is
 /// observation O1 (VoD demand outgrows server bandwidth).
 pub fn video_growth(trace: &Trace) -> Vec<(u32, usize)> {
-    let months = trace.config.history_days.div_ceil(30);
+    let months = HISTORY_DAYS.div_ceil(30);
     let mut counts = vec![0usize; months as usize];
     for v in trace.catalog.videos() {
         counts[(v.upload_day() / 30).min(months - 1) as usize] += 1;

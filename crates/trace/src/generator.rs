@@ -1,19 +1,24 @@
 //! Synthetic YouTube social-network generation.
 //!
-//! The generator reproduces, knob by knob, the distributional facts the
-//! paper's trace analysis establishes (Section III):
+//! The generator reproduces the distributional facts the paper's trace
+//! analysis establishes (Section III). Each calibration value is one named
+//! constant below, next to the figure it fits; [`TraceConfig`] holds only
+//! the scale and the values a preset or a sweep changes.
 //!
-//! | Paper fact | Mechanism here |
-//! |---|---|
-//! | O1 / Fig 2: upload volume accelerates | upload days with quadratic CDF |
-//! | Figs 3, 5, 7: heavy-tailed channel & video popularity | Pareto channel weight `w_c` |
-//! | Fig 9: within-channel views ≈ Zipf, s = 1 | video at rank `k` gets `view_scale · w_c / k^s` |
-//! | Fig 6: median 9 videos/channel, heavy tail | Pareto video counts, rescaled to the target total |
-//! | Fig 8: favorites strongly correlated with views | `favorites = views × jittered ratio` |
-//! | Fig 11: channels focus on few categories | 1 + geometric extra categories |
-//! | Fig 13: users have few interests (max 18) | geometric interest counts |
-//! | Figs 4, 12, O5: users subscribe within interests, popular channels gather subscribers | interest-biased, popularity-weighted subscription sampling |
-//! | Fig 10: channels cluster by shared subscribers | emerges from the interest bias |
+//! | Paper fact | Mechanism here | Constants |
+//! |---|---|---|
+//! | O1 / Fig 2: upload volume accelerates | upload days with quadratic CDF | `HISTORY_DAYS` |
+//! | Figs 3, 5, 7: heavy-tailed channel & video popularity | Pareto channel weight `w_c` | `CHANNEL_WEIGHT_SHAPE` |
+//! | Fig 9: within-channel views ≈ Zipf, s = 1 | video at rank `k` gets `VIEW_SCALE · w_c / k^s` | `VIEW_SCALE`, `WITHIN_CHANNEL_ZIPF` |
+//! | Fig 6: median 9 videos/channel, heavy tail | Pareto video counts, rescaled to the target total | `VIDEOS_PER_CHANNEL_MEDIAN`, `VIDEOS_PER_CHANNEL_SHAPE` |
+//! | Fig 8: favorites strongly correlated with views | `favorites = views × jittered ratio` | `FAVORITE_RATIO_MEAN`, `FAVORITE_RATIO_JITTER` |
+//! | Fig 11: channels focus on few categories | Zipf primary category + geometric extras | `CATEGORY_ZIPF`, `EXTRA_CATEGORY_PROB`, `MAX_CHANNEL_CATEGORIES` |
+//! | Fig 13: users have few interests (max 18) | geometric interest counts | `USER_INTEREST_CONTINUATION`, `MAX_USER_INTERESTS` |
+//! | Figs 4, 12, O5: users subscribe within interests, popular channels gather subscribers | interest-biased, popularity-weighted subscription sampling | `TraceConfig::subscription_interest_affinity` |
+//! | Fig 10: channels cluster by shared subscribers | emerges from the interest bias | — |
+//! | Short videos (median and cap in [`TraceConfig`]) | log-normal lengths under a cap | `VIDEO_LENGTH_SIGMA` |
+
+use std::sync::Arc;
 
 use socialtube_model::{
     Catalog, CatalogBuilder, CategoryId, ChannelId, NodeId, SocialGraph, VideoId,
@@ -28,25 +33,66 @@ use crate::distributions::{
 };
 use crate::TraceConfig;
 
+/// O1 / Fig 2: length of the upload history in days (the crawl spans
+/// ~2.7 years).
+pub(crate) const HISTORY_DAYS: u32 = 1_000;
+
+/// Figs 3, 5, 7: Pareto shape of channel popularity weights (smaller =
+/// heavier tail).
+const CHANNEL_WEIGHT_SHAPE: f64 = 0.9;
+
+/// Fig 6: median videos per channel.
+const VIDEOS_PER_CHANNEL_MEDIAN: f64 = 9.0;
+/// Fig 6: Pareto shape of videos per channel (smaller = heavier tail).
+const VIDEOS_PER_CHANNEL_SHAPE: f64 = 1.1;
+
+/// Fig 7: views of a weight-1 channel's top video (scales the view CDF).
+const VIEW_SCALE: f64 = 5_000.0;
+/// Fig 9: Zipf exponent of within-channel video popularity (s = 1).
+const WITHIN_CHANNEL_ZIPF: f64 = 1.0;
+
+/// Fig 8: mean favorites-per-view ratio.
+const FAVORITE_RATIO_MEAN: f64 = 0.02;
+/// Fig 8: relative jitter of the favorites ratio (keeps Pearson > 0.9).
+const FAVORITE_RATIO_JITTER: f64 = 0.15;
+
+/// Fig 11: Zipf exponent of category popularity, for a channel's primary
+/// category and a user's interests alike.
+const CATEGORY_ZIPF: f64 = 1.0;
+/// Fig 11: probability that a channel takes one more category
+/// (geometric).
+const EXTRA_CATEGORY_PROB: f64 = 0.35;
+/// Fig 11: channels focus on 1–4 categories.
+const MAX_CHANNEL_CATEGORIES: usize = 4;
+
+/// Fig 13: geometric continuation probability of a user's interest count
+/// (~60% of users have fewer than 10 interests).
+const USER_INTEREST_CONTINUATION: f64 = 0.72;
+/// Fig 13: the most interests the crawl observed on one user.
+const MAX_USER_INTERESTS: usize = 18;
+
+/// Log-normal sigma of video length around
+/// [`TraceConfig::video_length_median_secs`].
+const VIDEO_LENGTH_SIGMA: f64 = 0.6;
+
 /// A complete synthetic YouTube social network: the video catalog, the
 /// subscription graph, and channel ownership (needed by the BFS crawler).
 #[derive(Clone, Debug)]
 pub struct Trace {
-    /// All categories, channels and videos.
-    pub catalog: Catalog,
+    /// All categories, channels and videos, shared with every peer and
+    /// server that runs over the trace.
+    pub catalog: Arc<Catalog>,
     /// Users, their interests, and channel subscriptions.
     pub graph: SocialGraph,
     /// The user who owns each channel, indexed by `ChannelId`.
     pub channel_owners: Vec<NodeId>,
-    /// The configuration the trace was generated from.
-    pub config: TraceConfig,
 }
 
 impl Trace {
     /// The newest upload day in the trace — "today" for view-frequency
     /// computations (Fig 3).
     pub fn observation_day(&self) -> u32 {
-        self.config.history_days.saturating_sub(1)
+        HISTORY_DAYS - 1
     }
 
     /// The user owning `channel`, if the channel exists.
@@ -109,7 +155,7 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
     let categories: Vec<CategoryId> = (0..config.categories)
         .map(|i| builder.add_category(format!("Category{i}")))
         .collect();
-    let category_zipf = ZipfRanks::new(config.categories, 1.0);
+    let category_zipf = ZipfRanks::new(config.categories, CATEGORY_ZIPF);
 
     // --- Channels: category focus + Pareto popularity weight.
     let mut chan_rng = root.stream("channels");
@@ -120,8 +166,8 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
         // loop below cannot terminate.
         let n_cats = geometric_count(
             &mut chan_rng,
-            config.extra_category_prob,
-            4.min(config.categories),
+            EXTRA_CATEGORY_PROB,
+            MAX_CHANNEL_CATEGORIES.min(config.categories),
         );
         let mut cats: Vec<CategoryId> = Vec::with_capacity(n_cats);
         let primary = categories[category_zipf.sample(&mut chan_rng) - 1];
@@ -134,11 +180,7 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
         }
         let id = builder.add_channel(format!("channel{i}"), cats);
         channel_ids.push(id);
-        channel_weights.push(pareto_sample(
-            &mut chan_rng,
-            1.0,
-            config.channel_weight_shape,
-        ));
+        channel_weights.push(pareto_sample(&mut chan_rng, 1.0, CHANNEL_WEIGHT_SHAPE));
     }
 
     // --- Videos: Pareto counts rescaled to the target total, then uploaded
@@ -148,8 +190,8 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
         .map(|_| {
             videos_per_channel(
                 &mut vid_rng,
-                config.videos_per_channel_median,
-                config.videos_per_channel_shape,
+                VIDEOS_PER_CHANNEL_MEDIAN,
+                VIDEOS_PER_CHANNEL_SHAPE,
             )
         })
         .collect();
@@ -164,11 +206,11 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
     for (ch, count) in channel_ids.iter().zip(&raw_counts) {
         let mut vids = Vec::with_capacity(*count);
         for _ in 0..*count {
-            let day = upload_day(&mut vid_rng, config.history_days);
+            let day = upload_day(&mut vid_rng, HISTORY_DAYS);
             let len = video_length_secs(
                 &mut vid_rng,
                 config.video_length_median_secs,
-                config.video_length_sigma,
+                VIDEO_LENGTH_SIGMA,
                 config.video_length_cap_secs,
             );
             let v = builder.add_video(*ch, len, day);
@@ -191,11 +233,10 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
         }
         for (rank0, &slot) in order.iter().enumerate() {
             let rank = rank0 + 1;
-            let views = (config.view_scale * channel_weights[ci]
-                / (rank as f64).powf(config.within_channel_zipf))
-            .round() as u64;
-            let ratio = config.favorite_ratio_mean
-                * (1.0 + config.favorite_ratio_jitter * pop_rng.gen_range(-1.0..1.0));
+            let views = (VIEW_SCALE * channel_weights[ci] / (rank as f64).powf(WITHIN_CHANNEL_ZIPF))
+                .round() as u64;
+            let ratio =
+                FAVORITE_RATIO_MEAN * (1.0 + FAVORITE_RATIO_JITTER * pop_rng.gen_range(-1.0..1.0));
             let favorites = (views as f64 * ratio.max(0.0)).round() as u64;
             builder.set_views(vids[slot], views);
             builder.set_favorites(vids[slot], favorites);
@@ -232,8 +273,8 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
         let node = NodeId::new(u as u32);
         let n_interests = geometric_count(
             &mut user_rng,
-            config.user_interest_continuation,
-            config.max_user_interests.min(config.categories),
+            USER_INTEREST_CONTINUATION,
+            MAX_USER_INTERESTS.min(config.categories),
         );
         // Zipf-biased picks with a bounded retry budget; fall back to
         // uniform picks when collisions dominate (user wants more interests
@@ -311,13 +352,10 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
     for ch in &channel_ids {
         final_builder.set_subscriber_count(*ch, graph.subscriber_count(*ch) as u64);
     }
-    let catalog = final_builder.build();
-
     Trace {
-        catalog,
+        catalog: Arc::new(final_builder.build()),
         graph,
         channel_owners,
-        config: config.clone(),
     }
 }
 
@@ -375,7 +413,7 @@ mod tests {
         for ch in t.catalog.channels() {
             assert!(ch.video_count() >= 1, "{} empty", ch.id());
             assert!(!ch.categories().is_empty());
-            assert!(ch.categories().len() <= 4);
+            assert!(ch.categories().len() <= MAX_CHANNEL_CATEGORIES);
         }
     }
 
@@ -411,7 +449,7 @@ mod tests {
         let t = tiny_trace();
         for user in t.graph.users() {
             let n = user.interests().len();
-            assert!((1..=18).contains(&n));
+            assert!((1..=MAX_USER_INTERESTS).contains(&n));
             assert!(!user.subscriptions().is_empty());
         }
     }
@@ -462,6 +500,10 @@ mod tests {
     #[test]
     fn observation_day_is_end_of_history() {
         let t = tiny_trace();
-        assert_eq!(t.observation_day(), t.config.history_days - 1);
+        assert_eq!(t.observation_day(), HISTORY_DAYS - 1);
+        assert!(t
+            .catalog
+            .videos()
+            .all(|v| v.upload_day() <= t.observation_day()));
     }
 }

@@ -13,6 +13,9 @@
 //!    subscriber counts, channels focused on few categories, users with few
 //!    interests subscribing mostly within them, favorites strongly
 //!    correlated with views, and accelerating upload volume.
+//!    Each calibration value is one named constant there, beside the figure
+//!    it fits; [`TraceConfig`] sets only the scale and the few values a
+//!    preset changes.
 //! 2. [`crawler`] samples the synthetic network with a breadth-first search,
 //!    mirroring the paper's crawl methodology (Section III notes BFS
 //!    sampling preserves the metrics they study).
@@ -22,7 +25,8 @@
 //!
 //! A trace is a pure function of `(TraceConfig, seed)`: every run, figure
 //! and test regenerates it rather than storing it, so there is no trace
-//! file format.
+//! file format. [`SharedTrace`] hands one trace, and the one catalog inside
+//! it, to many runs at once.
 //!
 //! # Examples
 //!

@@ -18,21 +18,18 @@ use crate::{generate, Trace, TraceConfig};
 
 /// A trace packaged for concurrent, read-only reuse.
 ///
-/// Cloning is two `Arc` bumps. Dereferences to [`Trace`], so analysis and
+/// Cloning is one `Arc` bump. Dereferences to [`Trace`], so analysis and
 /// simulation code written against `&Trace` works unchanged.
 #[derive(Clone, Debug)]
 pub struct SharedTrace {
     trace: Arc<Trace>,
-    catalog: Arc<Catalog>,
 }
 
 impl SharedTrace {
-    /// Wraps an owned trace for sharing, extracting the catalog once.
+    /// Wraps an owned trace for sharing.
     pub fn new(trace: Trace) -> Self {
-        let catalog = Arc::new(trace.catalog.clone());
         Self {
             trace: Arc::new(trace),
-            catalog,
         }
     }
 
@@ -43,7 +40,7 @@ impl SharedTrace {
 
     /// The shared catalog handle (what peers and the server hold).
     pub fn catalog(&self) -> &Arc<Catalog> {
-        &self.catalog
+        &self.trace.catalog
     }
 }
 
@@ -78,6 +75,7 @@ mod tests {
         let other = shared.clone();
         assert!(Arc::ptr_eq(shared.trace(), other.trace()));
         assert!(Arc::ptr_eq(shared.catalog(), other.catalog()));
+        assert!(Arc::ptr_eq(shared.catalog(), &shared.trace().catalog));
     }
 
     #[test]
