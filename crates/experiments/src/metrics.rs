@@ -25,7 +25,8 @@ pub struct MetricsCollector {
     /// links-by-videos-watched samples: bucket → (sum of links, samples).
     link_samples: BTreeMap<u32, (u64, u64)>,
     playbacks: u64,
-    playbacks_by_source: BTreeMap<&'static str, u64>,
+    /// Playbacks started, indexed by `ChunkSource as usize`.
+    playbacks_by_source: [u64; 4],
     server_fallbacks: u64,
     origin_serves: u64,
     prefetch_bits: u64,
@@ -46,7 +47,7 @@ impl MetricsCollector {
             server_bits: vec![0; node_count],
             link_samples: BTreeMap::new(),
             playbacks: 0,
-            playbacks_by_source: BTreeMap::new(),
+            playbacks_by_source: [0; 4],
             server_fallbacks: 0,
             origin_serves: 0,
             prefetch_bits: 0,
@@ -78,13 +79,7 @@ impl MetricsCollector {
                 self.playbacks += 1;
                 let delay_ms = now.duration_since(requested_at).as_micros() as f64 / 1_000.0;
                 self.startup_delays_ms.push(delay_ms);
-                let key = match source {
-                    ChunkSource::Cache => "cache",
-                    ChunkSource::Prefetched => "prefetched",
-                    ChunkSource::Peer => "peer",
-                    ChunkSource::Server => "server",
-                };
-                *self.playbacks_by_source.entry(key).or_insert(0) += 1;
+                self.playbacks_by_source[source as usize] += 1;
             }
             Report::ChunkReceived {
                 node,
@@ -184,16 +179,12 @@ impl MetricsCollector {
             origin_serves: self.origin_serves,
             prefetch_bits: self.prefetch_bits,
             traffic_timeline: self.traffic_timeline(),
-            cache_hits: self.playbacks_of("cache"),
-            prefetch_hits: self.playbacks_of("prefetched"),
-            peer_starts: self.playbacks_of("peer"),
-            server_starts: self.playbacks_of("server"),
+            cache_hits: self.playbacks_by_source[ChunkSource::Cache as usize],
+            prefetch_hits: self.playbacks_by_source[ChunkSource::Prefetched as usize],
+            peer_starts: self.playbacks_by_source[ChunkSource::Peer as usize],
+            server_starts: self.playbacks_by_source[ChunkSource::Server as usize],
             maintenance_curve: self.maintenance_curve(),
         }
-    }
-
-    fn playbacks_of(&self, key: &str) -> u64 {
-        self.playbacks_by_source.get(key).copied().unwrap_or(0)
     }
 }
 

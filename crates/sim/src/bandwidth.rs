@@ -14,8 +14,6 @@ struct FifoLink {
     capacity_bps: u64,
     busy_until: SimTime,
     bits_served: u64,
-    transfers: u64,
-    queued_time: SimDuration,
 }
 
 impl FifoLink {
@@ -25,8 +23,6 @@ impl FifoLink {
             capacity_bps,
             busy_until: SimTime::ZERO,
             bits_served: 0,
-            transfers: 0,
-            queued_time: SimDuration::ZERO,
         }
     }
 
@@ -41,12 +37,9 @@ impl FifoLink {
         let start = now.max(self.busy_until);
         let service = SimDuration::from_secs_f64(bits as f64 / self.capacity_bps as f64);
         let done = start + service;
-        let waited = start.duration_since(now);
-        self.queued_time += waited;
         self.busy_until = done;
         self.bits_served += bits;
-        self.transfers += 1;
-        (done, waited)
+        (done, start.duration_since(now))
     }
 
     /// Queueing delay a transfer arriving at `now` would experience.
@@ -122,21 +115,6 @@ impl ServerQueue {
     pub fn bits_served(&self) -> u64 {
         self.link.bits_served
     }
-
-    /// Number of transfers served.
-    pub fn transfers(&self) -> u64 {
-        self.link.transfers
-    }
-
-    /// Sum of queueing delays imposed on requests.
-    pub fn total_queueing(&self) -> SimDuration {
-        self.link.queued_time
-    }
-
-    /// The configured capacity in bits/second.
-    pub fn capacity_bps(&self) -> u64 {
-        self.link.capacity_bps
-    }
 }
 
 /// Per-peer upload links.
@@ -148,7 +126,6 @@ impl ServerQueue {
 #[derive(Debug, Clone)]
 pub struct UploadScheduler {
     links: Vec<FifoLink>,
-    capacity_bps: u64,
 }
 
 impl UploadScheduler {
@@ -160,18 +137,7 @@ impl UploadScheduler {
     pub fn new(nodes: usize, capacity_bps: u64) -> Self {
         Self {
             links: vec![FifoLink::new(capacity_bps); nodes],
-            capacity_bps,
         }
-    }
-
-    /// Number of peers with links.
-    pub fn node_count(&self) -> usize {
-        self.links.len()
-    }
-
-    /// The per-peer upload capacity in bits/second.
-    pub fn capacity_bps(&self) -> u64 {
-        self.capacity_bps
     }
 
     /// Enqueues an upload of `bits` from `node` at `now`; returns completion.
@@ -222,17 +188,16 @@ mod tests {
         let done = s.serve(SimTime::ZERO, 1_000_000);
         assert_eq!(done.as_millis(), 500);
         assert_eq!(s.bits_served(), 1_000_000);
-        assert_eq!(s.transfers(), 1);
     }
 
     #[test]
     fn overlapping_requests_queue_fifo() {
         let mut s = ServerQueue::new(1_000_000);
         let d1 = s.serve(SimTime::ZERO, 1_000_000); // finishes at 1s
-        let d2 = s.serve(SimTime::ZERO, 1_000_000); // queues, finishes at 2s
+        let (d2, waited) = s.serve_timed(SimTime::ZERO, 1_000_000); // queues, finishes at 2s
         assert_eq!(d1.as_millis(), 1_000);
         assert_eq!(d2.as_millis(), 2_000);
-        assert_eq!(s.total_queueing(), SimDuration::from_secs(1));
+        assert_eq!(waited, SimDuration::from_secs(1));
     }
 
     #[test]
@@ -252,9 +217,9 @@ mod tests {
         let mut s = ServerQueue::new(1_000_000);
         s.serve(SimTime::ZERO, 1_000_000);
         // Next request arrives after the first completed: no queueing.
-        let done = s.serve(SimTime::from_micros(5_000_000), 1_000_000);
+        let (done, waited) = s.serve_timed(SimTime::from_micros(5_000_000), 1_000_000);
         assert_eq!(done.as_micros(), 6_000_000);
-        assert_eq!(s.total_queueing(), SimDuration::ZERO);
+        assert_eq!(waited, SimDuration::ZERO);
     }
 
     #[test]
@@ -266,7 +231,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(u.bits_uploaded(0), 1_000_000);
         assert_eq!(u.bits_uploaded(1), 1_000_000);
-        assert_eq!(u.node_count(), 2);
     }
 
     #[test]
