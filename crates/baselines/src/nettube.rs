@@ -469,8 +469,10 @@ impl VodPeer for NetTubePeer {
                         }
                     }
                 }
-                // The map iterates in hasher order, which varies between
-                // instances; sort so the RNG draws from a stable sequence.
+                // `neighbor_digests` iterates in node order, but each digest
+                // keeps its sender's cache order, so the pool is not yet in
+                // (node, video) order. The picks index into this order:
+                // dropping the sort would change every NetTube prefetch draw.
                 pool.sort_unstable();
                 let picks = self.rng.pick_distinct(&pool, self.prefetch_count);
                 for (neighbor, video) in picks {

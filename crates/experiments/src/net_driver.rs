@@ -34,9 +34,14 @@ use crate::Protocol;
 /// completes within a fraction of it.
 const SETTLE: Duration = Duration::from_millis(1500);
 
+/// How long a watch may wait for its playback to start before the node
+/// gives up and moves on: a safety net for a dead provider or a lost
+/// message, generous against the testbed's 10–60 ms injected latencies.
+const WATCH_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// One TCP-testbed experiment: the run's [`ExperimentOptions`], which the
-/// simulator would read the same way, plus the two wall-clock pacing
-/// durations the simulator has no counterpart for.
+/// simulator would read the same way, plus the wall-clock pacing the
+/// simulator has no counterpart for.
 #[derive(Clone, Debug)]
 pub struct NetExperimentOptions {
     /// The run's description: seed, trace, workload, network and protocol
@@ -46,9 +51,6 @@ pub struct NetExperimentOptions {
     /// Real time between a playback start and the next request (stands in
     /// for the playback duration).
     pub watch_dwell: Duration,
-    /// Give up waiting for a playback after this long (dead-provider or
-    /// lost-message safety net; generous relative to injected latencies).
-    pub watch_timeout: Duration,
 }
 
 impl NetExperimentOptions {
@@ -83,7 +85,6 @@ impl NetExperimentOptions {
         Self {
             experiment,
             watch_dwell: Duration::from_millis(120),
-            watch_timeout: Duration::from_secs(5),
         }
     }
 
@@ -93,7 +94,7 @@ impl NetExperimentOptions {
     /// runs 2 OS threads plus one reader per inbound connection, and
     /// SocialTube's overlay links almost every pair, so this deployment
     /// already peaks near 3,600 threads (NetTube ~350, PA-VoD ~260).
-    /// Its videos, off periods and watch timeout are [`Self::smoke_test`]'s.
+    /// Its videos and off periods are [`Self::smoke_test`]'s.
     pub fn planetlab_style() -> Self {
         let mut o = Self::smoke_test();
         let experiment = &mut o.experiment;
@@ -173,7 +174,9 @@ pub fn run_net(protocol: Protocol, options: &NetExperimentOptions) -> io::Result
 /// the wall-clock action heap that fires the director's transitions, as
 /// the sim driver's loop does. A scripted workload fires its steps instead
 /// and ends a 1.5 s settle window after the last one; `watch_dwell` and
-/// `watch_timeout` then go unused.
+/// the 5 s watch timeout then go unused. Otherwise a watch whose playback
+/// has not started 5 s after the request is abandoned and the node moves
+/// on.
 ///
 /// # Errors
 ///
@@ -261,7 +264,7 @@ pub fn run_net_on(
                     if let Some(video) = director.next_video(shared, node) {
                         watch_seq[i] += 1;
                         deployment.watch(node, video);
-                        let due = now + options.watch_timeout;
+                        let due = now + WATCH_TIMEOUT;
                         schedule(&mut heap, due, i, Action::WatchTimeout(watch_seq[i]));
                     }
                 }
