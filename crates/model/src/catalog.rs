@@ -56,18 +56,6 @@ impl Catalog {
         self.videos.len()
     }
 
-    /// Returns the display name of `category`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::UnknownCategory`] if out of range.
-    pub fn category_name(&self, category: CategoryId) -> Result<&str, ModelError> {
-        self.category_names
-            .get(category.index())
-            .map(String::as_str)
-            .ok_or(ModelError::UnknownCategory(category))
-    }
-
     /// Looks up a channel.
     ///
     /// # Errors
@@ -88,6 +76,16 @@ impl Catalog {
         self.videos
             .get(id.index())
             .ok_or(ModelError::UnknownVideo(id))
+    }
+
+    /// Records `channel`'s subscriber count, which no index depends on, so
+    /// it can be set once the subscribers are known.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` is not in the catalog.
+    pub fn set_subscriber_count(&mut self, channel: ChannelId, count: u64) {
+        self.channels[channel.index()].set_subscriber_count(count);
     }
 
     /// Iterates over all channels.
@@ -242,15 +240,6 @@ impl CatalogBuilder {
         self.videos[video.index()].set_favorites(favorites);
     }
 
-    /// Sets the subscriber count recorded on `channel`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` has not been registered.
-    pub fn set_subscriber_count(&mut self, channel: ChannelId, count: u64) {
-        self.channels[channel.index()].set_subscriber_count(count);
-    }
-
     /// Mutable access to a registered video (e.g. to adjust bitrate).
     ///
     /// # Panics
@@ -366,7 +355,6 @@ mod tests {
             cat.channel(ChannelId::new(999)),
             Err(ModelError::UnknownChannel(ChannelId::new(999)))
         );
-        assert!(cat.category_name(CategoryId::new(999)).is_err());
     }
 
     #[test]

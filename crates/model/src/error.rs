@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::{CategoryId, ChannelId, NodeId, VideoId};
+use crate::{ChannelId, NodeId, VideoId};
 
 /// Errors returned by model lookups and construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -13,8 +13,6 @@ pub enum ModelError {
     UnknownVideo(VideoId),
     /// The referenced channel does not exist in the catalog.
     UnknownChannel(ChannelId),
-    /// The referenced category does not exist in the catalog.
-    UnknownCategory(CategoryId),
     /// The referenced user does not exist in the social graph.
     UnknownUser(NodeId),
 }
@@ -24,7 +22,6 @@ impl fmt::Display for ModelError {
         match self {
             ModelError::UnknownVideo(v) => write!(f, "unknown video {v}"),
             ModelError::UnknownChannel(c) => write!(f, "unknown channel {c}"),
-            ModelError::UnknownCategory(k) => write!(f, "unknown category {k}"),
             ModelError::UnknownUser(n) => write!(f, "unknown user {n}"),
         }
     }

@@ -248,7 +248,7 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
     // read back from the built catalog.
     let mut graph = SocialGraph::new(config.users, config.channels);
     let mut category_members: Vec<Vec<(ChannelId, f64)>> = vec![Vec::new(); config.categories];
-    let catalog = builder.build();
+    let mut catalog = builder.build();
     for (i, ch) in channel_ids.iter().enumerate() {
         let channel = catalog.channel(*ch).expect("channel was inserted");
         for cat in channel.categories() {
@@ -328,32 +328,11 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
         .map(|_| NodeId::new(owner_rng.gen_range(0..config.users as u32)))
         .collect();
 
-    // Rebuild the catalog with subscriber counts recorded on channels.
-    let mut final_builder = CatalogBuilder::new();
-    for i in 0..catalog.category_count() {
-        let cat = CategoryId::new(i as u32);
-        final_builder.add_category(catalog.category_name(cat).expect("category exists"));
-    }
-    for ch in catalog.channels() {
-        let id = final_builder.add_channel(ch.name(), ch.categories().iter().copied());
-        debug_assert_eq!(id, ch.id());
-    }
-    // Videos must be re-inserted in id order to keep identifiers stable.
-    for v in catalog.videos() {
-        let id = final_builder.add_video(v.channel(), v.length_secs(), v.upload_day());
-        debug_assert_eq!(id, v.id());
-        final_builder
-            .video_mut(id)
-            .set_bitrate_kbps(v.bitrate_kbps());
-        final_builder.video_mut(id).set_chunk_count(v.chunk_count());
-        final_builder.set_views(id, v.views());
-        final_builder.set_favorites(id, v.favorites());
-    }
     for ch in &channel_ids {
-        final_builder.set_subscriber_count(*ch, graph.subscriber_count(*ch) as u64);
+        catalog.set_subscriber_count(*ch, graph.subscriber_count(*ch) as u64);
     }
     Trace {
-        catalog: Arc::new(final_builder.build()),
+        catalog: Arc::new(catalog),
         graph,
         channel_owners,
     }
