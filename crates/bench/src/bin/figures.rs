@@ -23,8 +23,8 @@ use std::io;
 
 use socialtube_bench::{usage_error, write_table, Scale};
 use socialtube_experiments::figures::{self as xfig, Ablation, Claim, Platform, Table};
-use socialtube_experiments::net_driver::{self, NetExperimentOptions, NetRun};
-use socialtube_experiments::{Campaign, MetricsSummary, Protocol};
+use socialtube_experiments::net_driver::{self, NetRun};
+use socialtube_experiments::{Campaign, ExperimentOptions, MetricsSummary, Protocol};
 use socialtube_trace::{generate, generate_shared, Trace, TraceConfig};
 
 const OUT_DIR: &str = "target/figures";
@@ -149,7 +149,7 @@ fn main() -> io::Result<()> {
         let replicate: Vec<(Protocol, &MetricsSummary)> =
             runs.iter().map(|(p, run)| (*p, &run.metrics)).collect();
         // The testbed does not report the tracker's peak.
-        let claims = xfig::claims(&replicate, &testbed.experiment.socialtube, None);
+        let claims = xfig::claims(&replicate, &testbed.socialtube, None);
         (replicate, claims)
     });
 
@@ -175,18 +175,17 @@ fn main() -> io::Result<()> {
     Ok(())
 }
 
-fn run_net_all(options: &NetExperimentOptions) -> io::Result<Vec<(Protocol, NetRun)>> {
-    let experiment = &options.experiment;
+fn run_net_all(options: &ExperimentOptions) -> io::Result<Vec<(Protocol, NetRun)>> {
     println!(
         "# deploying TCP testbed ({} peers, {} sessions × {} videos) for 5 protocol variants",
-        experiment.trace.users,
-        experiment.workload.sessions_per_node,
-        experiment.workload.videos_per_session
+        options.trace.users,
+        options.workload.sessions_per_node,
+        options.workload.videos_per_session
     );
     // One shared trace for all five variants (the paper's methodology);
     // each deployment borrows the same Arc'd catalog instead of
     // regenerating it.
-    let shared = generate_shared(&experiment.trace, experiment.seed);
+    let shared = generate_shared(&options.trace, options.seed);
     Protocol::ALL
         .iter()
         .map(|p| {
@@ -204,7 +203,7 @@ mod tests {
     #[test]
     fn seed_reaches_the_testbed_latencies() {
         let delay = |seed| {
-            let experiment = Scale::Demo.testbed_options(seed).experiment;
+            let experiment = Scale::Demo.testbed_options(seed);
             let root = socialtube_experiments::configs::root_rng(experiment.seed);
             let latency = experiment.network.latency_model(&root);
             (latency.delay(0, 1), latency.server_delay(0))

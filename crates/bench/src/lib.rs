@@ -21,7 +21,6 @@
 pub mod csv;
 
 pub use csv::write_table;
-use socialtube_experiments::net_driver::NetExperimentOptions;
 use socialtube_experiments::{configs, ExperimentOptions};
 
 /// The `--scale` both bins take.
@@ -66,12 +65,12 @@ impl Scale {
 
     /// The TCP testbed options behind this scale, rooted at `seed`: the
     /// 16-peer smoke deployment at `demo`, the PlanetLab-shaped one above.
-    pub fn testbed_options(self, seed: u64) -> NetExperimentOptions {
+    pub fn testbed_options(self, seed: u64) -> ExperimentOptions {
         let mut options = match self {
-            Scale::Demo => NetExperimentOptions::smoke_test(),
-            Scale::Figure | Scale::Full => NetExperimentOptions::planetlab_style(),
+            Scale::Demo => configs::testbed_smoke(),
+            Scale::Figure | Scale::Full => configs::testbed_planetlab(),
         };
-        options.experiment.seed = seed;
+        options.seed = seed;
         options
     }
 }
@@ -93,8 +92,7 @@ mod tests {
         for scale in [Scale::Demo, Scale::Figure, Scale::Full] {
             for seed in [7, 42] {
                 assert_eq!(scale.sim_options(seed).seed, seed, "{}", scale.name());
-                let testbed = scale.testbed_options(seed).experiment;
-                assert_eq!(testbed.seed, seed, "{}", scale.name());
+                assert_eq!(scale.testbed_options(seed).seed, seed, "{}", scale.name());
             }
         }
     }

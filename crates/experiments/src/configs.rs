@@ -1,12 +1,13 @@
 //! Experiment configurations: Table I, the PlanetLab-style scale-down,
-//! test-sized variants and the TCP testbed's base, plus the one RNG root.
+//! test-sized variants and the TCP testbed's presets, plus the one RNG
+//! root.
 
 use socialtube::SocialTubeConfig;
 pub use socialtube_sim::NetworkOptions;
 use socialtube_sim::{SimDuration, SimRng};
 use socialtube_trace::TraceConfig;
 
-use crate::workload::WorkloadConfig;
+use crate::workload::{WatchTime, WorkloadConfig};
 
 /// The root of every run's randomness on both platforms: the stack's
 /// protocol streams, the session director and the pairwise latencies all
@@ -127,8 +128,9 @@ pub fn demo() -> ExperimentOptions {
 /// The TCP testbed's base: the paper's minutes-scale protocol timers
 /// compressed to seconds-scale wall-clock sessions, over 10–60 ms of
 /// latency, 20 Mbps per peer and a 50 Mbps server. The equivalence suite
-/// adds a four-peer trace and a script and runs it on both platforms; the
-/// `net_driver` presets add a trace and a session workload.
+/// adds a four-peer trace and a script and runs it on both platforms;
+/// [`testbed_smoke`] and [`testbed_planetlab`] add a trace and a session
+/// workload.
 pub fn testbed() -> ExperimentOptions {
     ExperimentOptions {
         network: NetworkOptions {
@@ -148,6 +150,64 @@ pub fn testbed() -> ExperimentOptions {
         },
         ..ExperimentOptions::default()
     }
+}
+
+/// A seconds-scale deployment for tests and quick runs: 16 peers over a
+/// small, hot catalog (so caches overlap within a few sessions), 4-second
+/// 64 kbps videos, compressed session pacing, and a server pipe sized to be
+/// the bottleneck the P2P overlays relieve. Off periods are the 1 s minimum
+/// the Poisson draw allows, and a watch lasts a fixed 120 ms instead of the
+/// video's length, so a run takes seconds of wall clock. The simulator runs
+/// this workload the same way.
+pub fn testbed_smoke() -> ExperimentOptions {
+    let mut o = testbed();
+    o.trace = TraceConfig {
+        users: 16,
+        channels: 3,
+        categories: 2,
+        videos: 15,
+        video_length_median_secs: 4.0,
+        video_length_cap_secs: 8,
+        bitrate_kbps: 64,
+        subscriptions_mean: 2.0,
+        ..TraceConfig::default()
+    };
+    o.workload = WorkloadConfig {
+        sessions_per_node: 3,
+        videos_per_session: 4,
+        mean_off: SimDuration::from_secs(1),
+        browse_delay: SimDuration::from_millis(40),
+        login_stagger: SimDuration::from_millis(250),
+        watch: WatchTime::Fixed(SimDuration::from_millis(120)),
+        ..WorkloadConfig::default()
+    };
+    o.network.server_bandwidth_bps = 4_000_000;
+    o.network.peer_upload_bps = 8_000_000;
+    o
+}
+
+/// The paper's PlanetLab shape scaled to one machine: 60 peers,
+/// 6 categories × 10 channels × 40 videos per the Section V layout,
+/// 5 sessions of 5 videos and 150 ms watches. The peer count is reduced
+/// from 250: a testbed daemon runs 2 OS threads plus one reader per
+/// inbound connection, and SocialTube's overlay links almost every pair, so
+/// this deployment already peaks near 3,600 threads (NetTube ~350, PA-VoD
+/// ~260). Its videos and off periods are [`testbed_smoke`]'s.
+pub fn testbed_planetlab() -> ExperimentOptions {
+    let mut o = testbed_smoke();
+    o.trace.users = 60;
+    o.trace.channels = 60;
+    o.trace.categories = 6;
+    o.trace.videos = 2_400;
+    o.trace.subscriptions_mean = TraceConfig::default().subscriptions_mean;
+    o.workload.sessions_per_node = 5;
+    o.workload.videos_per_session = 5;
+    o.workload.browse_delay = SimDuration::from_millis(50);
+    o.workload.login_stagger = SimDuration::from_millis(400);
+    o.workload.watch = WatchTime::Fixed(SimDuration::from_millis(150));
+    o.network.server_bandwidth_bps = 8_000_000;
+    o.network.peer_upload_bps = 2_000_000;
+    o
 }
 
 /// A throughput-oriented configuration for the benchmark's `sim-scale`
@@ -234,6 +294,27 @@ mod tests {
         assert!(small.trace.channels >= 4);
         assert!(small.trace.categories >= 1);
         assert!(small.trace.videos >= small.trace.users);
+    }
+
+    /// The simulator presets watch each video to its end; only the testbed
+    /// presets, which run on the wall clock, shorten a watch.
+    #[test]
+    fn only_testbed_presets_fix_the_watch_time() {
+        let sim = [
+            table1(),
+            figure_scale(),
+            smoke_test(),
+            smoke_test_long(),
+            demo(),
+            testbed(),
+            scale_test(1_000),
+        ];
+        for o in &sim {
+            assert_eq!(o.workload.watch, WatchTime::VideoLength);
+        }
+        for o in [testbed_smoke(), testbed_planetlab()] {
+            assert!(matches!(o.workload.watch, WatchTime::Fixed(_)));
+        }
     }
 
     #[test]

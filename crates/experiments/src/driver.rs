@@ -636,12 +636,8 @@ fn handle_event<S, R, K>(
                         .expect("playback on a node owned by another shard")
                         .link_count();
                     sink.on_link_sample(watched, links);
-                    let length = trace
-                        .catalog
-                        .video(video)
-                        .map(|v| SimDuration::from_secs(u64::from(v.length_secs())))
-                        .unwrap_or(SimDuration::from_secs(60));
-                    sub.engine.schedule_in(length, Ev::WatchEnd(node));
+                    let watch = director.watch_time(trace, video);
+                    sub.engine.schedule_in(watch, Ev::WatchEnd(node));
                 }
             }
         });

@@ -282,17 +282,15 @@ mod tests {
     /// to wall-clock sessions.
     #[test]
     fn testbed_builder_compresses_timeouts() {
-        use crate::net_driver::NetExperimentOptions;
         let shared = generate_shared(&TraceConfig::tiny(), 7);
         let base = crate::configs::testbed().socialtube;
         assert_eq!(base.probe_interval, SimDuration::from_secs(2));
         assert_eq!(base.chunk_timeout, SimDuration::from_secs(3));
         assert_eq!(base.lookup_timeout, SimDuration::from_millis(800));
-        let presets = [
-            NetExperimentOptions::smoke_test(),
-            NetExperimentOptions::planetlab_style(),
-        ];
-        for options in presets.map(|preset| preset.experiment) {
+        for options in [
+            crate::configs::testbed_smoke(),
+            crate::configs::testbed_planetlab(),
+        ] {
             let catalog = shared.catalog().clone();
             let b = StackBuilder::from_options(Protocol::SocialTube, catalog, &options);
             assert_eq!(b.config, base);

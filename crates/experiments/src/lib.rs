@@ -6,8 +6,10 @@
 //!   ([`WorkloadConfig`], [`harness::SessionDirector`]): each node runs a
 //!   fixed number of sessions of ten videos, with Poisson off-times; each
 //!   next video is picked 75% from the same channel, 15% from the same
-//!   category, 10% from a different category. A workload can instead be a
-//!   fixed script of [`ScriptStep`]s, which both platforms also run.
+//!   category, 10% from a different category, and each watch lasts the
+//!   video's length or a fixed dwell ([`WatchTime`]). A workload can
+//!   instead be a fixed script of [`ScriptStep`]s, which both platforms
+//!   also run.
 //! * [`harness`] — the shared protocol-harness layer: the single
 //!   `Protocol` → stack construction site ([`harness::StackBuilder`]), the
 //!   session director and the simulator's substrate, all reused verbatim
@@ -24,7 +26,7 @@
 //!   hops, cache/prefetch hits and run timelines, captured without
 //!   perturbing the run.
 //! * [`configs`] — Table I parameters, its scaled-down variants, the TCP
-//!   testbed's base options and [`configs::root_rng`], both platforms' root.
+//!   testbed's presets and [`configs::root_rng`], both platforms' root.
 //! * [`figures`] — the evaluation layer: every table and figure is one
 //!   function returning a plain [`figures::Table`]; Figs 16–18 read a
 //!   replicate (`&[(Protocol, &MetricsSummary)]`) from either platform, and
@@ -84,11 +86,11 @@ pub use campaign::{
 pub use configs::{ExperimentOptions, NetworkOptions};
 pub use driver::{ExecutionProfile, RunSpec, ShardLoad, SimOutcome};
 pub use metrics::{MetricsCollector, MetricsSummary};
-pub use net_driver::{run_net, NetExperimentOptions, NetRun};
+pub use net_driver::{run_net, NetRun};
 pub use socialtube_obs::{
     Dim, MetricsSnapshot, ProgressConfig, ProgressSink, RecorderConfig, RunRecording,
 };
-pub use workload::{ScriptAction, ScriptStep, WorkloadConfig};
+pub use workload::{ScriptAction, ScriptStep, WatchTime, WorkloadConfig};
 
 /// Which protocol variant an experiment runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

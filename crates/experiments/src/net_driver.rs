@@ -5,11 +5,18 @@
 //! driver reads, rooted at the same [`configs::root_rng`]: the stack, the
 //! [`SessionDirector`] and the injected latencies draw what they would draw
 //! in the simulator. Sessions, off times, abrupt exits and video selection
-//! run through one state machine on both platforms; only the scheduling
-//! medium differs (a wall-clock action heap here, the virtual event queue
-//! there). One wall-clock second is one protocol second. A scripted
-//! workload ([`WorkloadConfig::script`]) pre-fills the action heap with its
-//! steps instead.
+//! run through one state machine on both platforms, and so does the end
+//! of a watch ([`WorkloadConfig::watch`]: the testbed presets
+//! [`configs::testbed_smoke`] and [`configs::testbed_planetlab`] fix it at
+//! 120 and 150 ms). Only the scheduling medium differs (a wall-clock action
+//! heap here, the virtual event queue there). One wall-clock second is one
+//! protocol second, so keep videos *small* (short, low bitrate) for
+//! transfers to complete at wall-clock speed; `max_events` has no meaning
+//! here. A scripted workload ([`WorkloadConfig::script`]) pre-fills the
+//! action heap with its steps instead.
+//!
+//! [`WorkloadConfig::watch`]: crate::WorkloadConfig::watch
+//! [`WorkloadConfig::script`]: crate::WorkloadConfig::script
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -21,12 +28,12 @@ use socialtube::Report;
 use socialtube_model::NodeId;
 use socialtube_net::testbed::{Deployment, NetOutcome};
 use socialtube_sim::SimDuration;
-use socialtube_trace::{generate_shared, SharedTrace, TraceConfig};
+use socialtube_trace::{generate_shared, SharedTrace};
 
 use crate::configs::{self, ExperimentOptions};
 use crate::harness::{SessionDirector, SessionStep, StackBuilder};
 use crate::metrics::{MetricsCollector, MetricsSummary};
-use crate::workload::{ScriptAction, WorkloadConfig};
+use crate::workload::ScriptAction;
 use crate::Protocol;
 
 /// Quiet period after a script's last step during which a scripted run
@@ -38,81 +45,6 @@ const SETTLE: Duration = Duration::from_millis(1500);
 /// gives up and moves on: a safety net for a dead provider or a lost
 /// message, generous against the testbed's 10–60 ms injected latencies.
 const WATCH_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// One TCP-testbed experiment: the run's [`ExperimentOptions`], which the
-/// simulator would read the same way, plus the wall-clock pacing the
-/// simulator has no counterpart for.
-#[derive(Clone, Debug)]
-pub struct NetExperimentOptions {
-    /// The run's description: seed, trace, workload, network and protocol
-    /// parameters. Keep videos *small* (short, low bitrate) so transfers
-    /// complete at wall-clock speed; `max_events` has no meaning here.
-    pub experiment: ExperimentOptions,
-    /// Real time between a playback start and the next request (stands in
-    /// for the playback duration).
-    pub watch_dwell: Duration,
-}
-
-impl NetExperimentOptions {
-    /// A seconds-scale deployment for tests and quick runs: 16 peers over a
-    /// small, hot catalog (so caches overlap within a few sessions),
-    /// 4-second 64 kbps videos, compressed session pacing, and a server
-    /// pipe sized to be the bottleneck the P2P overlays relieve. Off
-    /// periods are the 1 s minimum the Poisson draw allows.
-    pub fn smoke_test() -> Self {
-        let mut experiment = configs::testbed();
-        experiment.trace = TraceConfig {
-            users: 16,
-            channels: 3,
-            categories: 2,
-            videos: 15,
-            video_length_median_secs: 4.0,
-            video_length_cap_secs: 8,
-            bitrate_kbps: 64,
-            subscriptions_mean: 2.0,
-            ..TraceConfig::default()
-        };
-        experiment.workload = WorkloadConfig {
-            sessions_per_node: 3,
-            videos_per_session: 4,
-            mean_off: SimDuration::from_secs(1),
-            browse_delay: SimDuration::from_millis(40),
-            login_stagger: SimDuration::from_millis(250),
-            ..WorkloadConfig::default()
-        };
-        experiment.network.server_bandwidth_bps = 4_000_000;
-        experiment.network.peer_upload_bps = 8_000_000;
-        Self {
-            experiment,
-            watch_dwell: Duration::from_millis(120),
-        }
-    }
-
-    /// The paper's PlanetLab shape scaled to one machine: 60 peers,
-    /// 6 categories × 10 channels × 40 videos per the Section V layout,
-    /// 5 sessions of 5 videos. The peer count is reduced from 250: a daemon
-    /// runs 2 OS threads plus one reader per inbound connection, and
-    /// SocialTube's overlay links almost every pair, so this deployment
-    /// already peaks near 3,600 threads (NetTube ~350, PA-VoD ~260).
-    /// Its videos and off periods are [`Self::smoke_test`]'s.
-    pub fn planetlab_style() -> Self {
-        let mut o = Self::smoke_test();
-        let experiment = &mut o.experiment;
-        experiment.trace.users = 60;
-        experiment.trace.channels = 60;
-        experiment.trace.categories = 6;
-        experiment.trace.videos = 2_400;
-        experiment.trace.subscriptions_mean = TraceConfig::default().subscriptions_mean;
-        experiment.workload.sessions_per_node = 5;
-        experiment.workload.videos_per_session = 5;
-        experiment.workload.browse_delay = SimDuration::from_millis(50);
-        experiment.workload.login_stagger = SimDuration::from_millis(400);
-        experiment.network.server_bandwidth_bps = 8_000_000;
-        experiment.network.peer_upload_bps = 2_000_000;
-        o.watch_dwell = Duration::from_millis(150);
-        o
-    }
-}
 
 /// Outcome of one testbed run, reduced to the common metrics.
 #[derive(Debug)]
@@ -129,7 +61,7 @@ pub struct NetRun {
 enum Action {
     Login,
     NextVideo,
-    /// The dwell after a playback ended (stands in for watching the video).
+    /// The watch time after a playback started is over.
     WatchEnd,
     Logout,
     /// Safety net if a playback never starts; the sequence number guards
@@ -155,14 +87,13 @@ fn after(step: SessionStep) -> (Duration, Action) {
     }
 }
 
-/// [`run_net_on`] over the trace `options.experiment` describes.
+/// [`run_net_on`] over the trace `options` describes.
 ///
 /// # Errors
 ///
 /// As [`run_net_on`].
-pub fn run_net(protocol: Protocol, options: &NetExperimentOptions) -> io::Result<NetRun> {
-    let experiment = &options.experiment;
-    let shared = generate_shared(&experiment.trace, experiment.seed);
+pub fn run_net(protocol: Protocol, options: &ExperimentOptions) -> io::Result<NetRun> {
+    let shared = generate_shared(&options.trace, options.seed);
     run_net_on(&shared, protocol, options)
 }
 
@@ -172,11 +103,14 @@ pub fn run_net(protocol: Protocol, options: &NetExperimentOptions) -> io::Result
 /// from the same [`SessionDirector`] the simulation replays, both rooted
 /// at [`configs::root_rng`] as in the simulator; this function owns only
 /// the wall-clock action heap that fires the director's transitions, as
-/// the sim driver's loop does. A scripted workload fires its steps instead
-/// and ends a 1.5 s settle window after the last one; `watch_dwell` and
-/// the 5 s watch timeout then go unused. Otherwise a watch whose playback
-/// has not started 5 s after the request is abandoned and the node moves
-/// on.
+/// the sim driver's loop does. A watch ends
+/// [`SessionDirector::watch_time`] after its playback starts, as in the
+/// simulator. A watch whose playback has not started 5 s after the request
+/// is abandoned and the node moves on: a safety net for lost messages on
+/// live sockets, which the simulator needs no counterpart of, since every
+/// protocol there falls back to the server. A scripted workload fires its
+/// steps instead and ends a 1.5 s settle window after the last one; the
+/// watch time and the watch timeout then go unused.
 ///
 /// # Errors
 ///
@@ -185,20 +119,19 @@ pub fn run_net(protocol: Protocol, options: &NetExperimentOptions) -> io::Result
 pub fn run_net_on(
     shared: &SharedTrace,
     protocol: Protocol,
-    options: &NetExperimentOptions,
+    options: &ExperimentOptions,
 ) -> io::Result<NetRun> {
-    let experiment = &options.experiment;
-    let root = configs::root_rng(experiment.seed);
+    let root = configs::root_rng(options.seed);
     let users = shared.graph.user_count();
     let (peers, server) =
-        StackBuilder::from_options(protocol, Arc::clone(shared.catalog()), experiment)
+        StackBuilder::from_options(protocol, Arc::clone(shared.catalog()), options)
             .build_peers(shared.trace(), &root);
-    let mut director = SessionDirector::new(users, experiment.workload.clone(), &root);
+    let mut director = SessionDirector::new(users, options.workload.clone(), &root);
     let deployment = Deployment::spawn(
         Arc::clone(shared.catalog()),
         peers,
         server,
-        &experiment.network,
+        &options.network,
         &root,
     )?;
 
@@ -210,7 +143,7 @@ pub fn run_net_on(
         heap.push(Reverse((due, seq, i, action)));
     };
     let start = Instant::now();
-    let script = &experiment.workload.script;
+    let script = &options.workload.script;
     if let Some(last) = script.last() {
         for step in script {
             let due = start + wall(step.at);
@@ -238,7 +171,7 @@ pub fn run_net_on(
         if let Some(event) = deployment.recv_until(next_due) {
             if let Report::PlaybackStarted { node, video, .. } = event.report {
                 if node.index() < users && director.on_playback_started(node, video).is_some() {
-                    let due = Instant::now() + options.watch_dwell;
+                    let due = Instant::now() + wall(director.watch_time(shared, video));
                     schedule(&mut heap, due, node.index(), Action::WatchEnd);
                 }
             }
@@ -323,38 +256,16 @@ pub fn run_net_on(
 mod tests {
     use super::*;
 
-    #[test]
-    fn pavod_testbed_leans_on_server() {
-        let options = NetExperimentOptions::smoke_test();
-        let run = run_net(Protocol::PaVod, &options).expect("testbed binds localhost");
-        // At least 70 % of the planned playbacks: slack for watch timeouts.
-        let o = &options.experiment;
-        let per_user = o.workload.sessions_per_node * o.workload.videos_per_session;
-        let planned = o.trace.users as u64 * u64::from(per_user);
-        let played = run.metrics.playbacks;
-        assert!(
-            played * 10 >= planned * 7,
-            "playbacks {played} of planned {planned}"
-        );
-        assert!(
-            run.metrics.total_server_bits >= run.metrics.total_peer_bits,
-            "PA-VoD should be server-heavy: server {} peer {}",
-            run.metrics.total_server_bits,
-            run.metrics.total_peer_bits
-        );
-    }
-
     /// The testbed builds its peers from the run's protocol parameters: a
     /// link budget of one inner and one inter link holds on live sockets.
     #[test]
     fn testbed_peers_keep_the_configured_link_budget() {
-        let mut options = NetExperimentOptions::smoke_test();
-        let experiment = &mut options.experiment;
-        experiment.trace.users = 6;
-        experiment.workload.sessions_per_node = 1;
-        experiment.workload.videos_per_session = 2;
-        experiment.socialtube.inner_links = 1;
-        experiment.socialtube.inter_links = 1;
+        let mut options = configs::testbed_smoke();
+        options.trace.users = 6;
+        options.workload.sessions_per_node = 1;
+        options.workload.videos_per_session = 2;
+        options.socialtube.inner_links = 1;
+        options.socialtube.inter_links = 1;
         let run = run_net(Protocol::SocialTube, &options).expect("testbed binds localhost");
         assert!(run.metrics.playbacks > 0);
         assert!(!run.metrics.maintenance_curve.is_empty());

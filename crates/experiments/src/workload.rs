@@ -7,7 +7,9 @@
 //! same channel, 15% from the same category and 10% from a different one.
 //! [`WorkloadConfig`] states its parameters and [`SessionDirector`] replays
 //! it; the simulator's event loop and the TCP testbed's wall-clock loop
-//! only decide *when* its transitions fire.
+//! only decide *when* its transitions fire. That includes when a watch
+//! ends: [`WorkloadConfig::watch`] states it once for both platforms,
+//! the video's length by default and a fixed dwell in the testbed presets.
 //!
 //! A workload can instead be a script: [`WorkloadConfig::script`] lists
 //! explicit [`ScriptStep`]s at fixed times, which the same two loops fire
@@ -48,6 +50,8 @@ pub struct WorkloadConfig {
     /// discover the failure through probing (Section IV-A structure
     /// maintenance).
     pub abrupt_departure_prob: f64,
+    /// How long a started playback is watched before the node browses on.
+    pub watch: WatchTime,
     /// A scripted workload: these actions at these times, in place of the
     /// session model, whose parameters above it then ignores. A scripted
     /// login starts no browsing, a scripted watch gets no follow-up, and a
@@ -67,9 +71,20 @@ impl Default for WorkloadConfig {
             browse_delay: SimDuration::from_secs(2),
             login_stagger: SimDuration::from_secs(500),
             abrupt_departure_prob: 0.0,
+            watch: WatchTime::VideoLength,
             script: Vec::new(),
         }
     }
+}
+
+/// How long a watch lasts once its playback starts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WatchTime {
+    /// The whole video: the short-video viewing model of Cheng et al.
+    VideoLength,
+    /// A fixed dwell, whatever the video: the testbed presets use it to fit
+    /// many watches into a seconds-scale wall-clock run.
+    Fixed(SimDuration),
 }
 
 /// One user action in a scripted workload.
@@ -243,6 +258,9 @@ pub enum SessionStep {
 /// ([`next_video`](Self::next_video) →
 /// [`on_playback_started`](Self::on_playback_started) →
 /// [`on_watch_end`](Self::on_watch_end))* → [`on_logout`](Self::on_logout).
+/// A playback that `on_playback_started` accepts ends after
+/// [`watch_time`](Self::watch_time); the platform schedules `on_watch_end`
+/// that long after the start.
 #[derive(Debug)]
 pub struct SessionDirector {
     workload: WorkloadConfig,
@@ -382,8 +400,29 @@ impl SessionDirector {
         Some(state.videos_watched_total)
     }
 
-    /// The current watch concluded (the video played to its end): continue
-    /// browsing or end the session.
+    /// How long the watch of `video`, whose playback
+    /// [`on_playback_started`](Self::on_playback_started) accepted, lasts
+    /// ([`WorkloadConfig::watch`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `video` is not in `trace`'s catalog, which an accepted
+    /// playback always is: [`next_video`](Self::next_video) picked it there.
+    pub fn watch_time(&self, trace: &Trace, video: VideoId) -> SimDuration {
+        match self.workload.watch {
+            WatchTime::VideoLength => {
+                let video = trace
+                    .catalog
+                    .video(video)
+                    .expect("a picked video is in the catalog");
+                SimDuration::from_secs(u64::from(video.length_secs()))
+            }
+            WatchTime::Fixed(dwell) => dwell,
+        }
+    }
+
+    /// The current watch concluded (its [`watch_time`](Self::watch_time)
+    /// elapsed): continue browsing or end the session.
     pub fn on_watch_end(&self, node: NodeId) -> SessionStep {
         if self.node(node).videos_left_in_session > 0 {
             SessionStep::Continue(self.workload.browse_delay)

@@ -18,7 +18,7 @@
 //! `UPDATE_GOLDEN=1` and commit the rewritten fixtures.
 
 use socialtube_experiments::harness::script::{demo_script, four_peer_trace, ReportKey};
-use socialtube_experiments::{configs, NetExperimentOptions, Protocol, RecorderConfig, RunSpec};
+use socialtube_experiments::{configs, Protocol, RecorderConfig, RunSpec};
 use socialtube_trace::{generate, SharedTrace, TraceConfig};
 
 /// The fixture's content, first rewritten with `got` under `UPDATE_GOLDEN`.
@@ -161,10 +161,7 @@ fn render_trace(config: &TraceConfig) -> String {
 fn trace_matches_golden() {
     for (config, fixture) in [
         (configs::demo().trace, "trace_demo_seed42.txt"),
-        (
-            NetExperimentOptions::smoke_test().experiment.trace,
-            "trace_net_smoke_seed42.txt",
-        ),
+        (configs::testbed_smoke().trace, "trace_net_smoke_seed42.txt"),
     ] {
         let got = render_trace(&config);
         assert_eq!(got, golden(fixture, &got), "trace diverged from {fixture}");

@@ -13,7 +13,7 @@
 
 use socialtube_experiments::harness::script::{demo_script, four_peer_trace, ReportKey};
 use socialtube_experiments::net_driver::run_net_on;
-use socialtube_experiments::{configs, NetExperimentOptions, Protocol, RunSpec};
+use socialtube_experiments::{configs, Protocol, RunSpec};
 use socialtube_trace::SharedTrace;
 
 fn assert_platforms_agree(protocol: Protocol) {
@@ -26,15 +26,7 @@ fn assert_platforms_agree(protocol: Protocol) {
         .options(options.clone())
         .trace(shared.clone())
         .run();
-    let net = run_net_on(
-        &shared,
-        protocol,
-        &NetExperimentOptions {
-            experiment: options,
-            ..NetExperimentOptions::smoke_test()
-        },
-    )
-    .expect("testbed binds localhost");
+    let net = run_net_on(&shared, protocol, &options).expect("testbed binds localhost");
     let sim_keys = ReportKey::sequence(&sim.reports);
     let tcp_keys = ReportKey::sequence(net.outcome.events.iter().map(|e| &e.report));
 

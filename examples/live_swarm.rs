@@ -6,17 +6,15 @@
 //! cargo run --release --example live_swarm
 //! ```
 
-use socialtube_experiments::net_driver::{run_net, NetExperimentOptions};
-use socialtube_experiments::Protocol;
+use socialtube_experiments::{configs, run_net, Protocol};
 
 fn main() {
-    let options = NetExperimentOptions::smoke_test();
-    let experiment = &options.experiment;
+    let options = configs::testbed_smoke();
     println!(
         "Deploying {} peer daemons + tracker over localhost TCP ({} sessions × {} videos each) ...",
-        experiment.trace.users,
-        experiment.workload.sessions_per_node,
-        experiment.workload.videos_per_session
+        options.trace.users,
+        options.workload.sessions_per_node,
+        options.workload.videos_per_session
     );
 
     for protocol in [Protocol::SocialTube, Protocol::PaVod] {
