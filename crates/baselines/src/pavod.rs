@@ -275,7 +275,7 @@ mod tests {
 
     fn fixture() -> (Arc<Catalog>, VideoId) {
         let mut b = CatalogBuilder::new();
-        let cat = b.add_category("k");
+        let cat = b.add_category();
         let ch = b.add_channel("c", [cat]);
         let v = b.add_video(ch, 100, 0);
         (Arc::new(b.build()), v)
@@ -433,7 +433,7 @@ mod tests {
     #[test]
     fn late_finish_lingers_until_log_off_and_the_count_stays_exact() {
         let mut b = CatalogBuilder::new();
-        let cat = b.add_category("k");
+        let cat = b.add_category();
         let ch = b.add_channel("c", [cat]);
         let (a, later) = (b.add_video(ch, 100, 0), b.add_video(ch, 100, 1));
         let mut s = PaVodServer::new(Arc::new(b.build()), SimRng::seed(1));

@@ -37,7 +37,7 @@ const VARIANTS: u32 = 23;
 
 fn catalog() -> Arc<Catalog> {
     let mut b = CatalogBuilder::new();
-    let categories = [b.add_category("a"), b.add_category("b")];
+    let categories = [b.add_category(), b.add_category()];
     let channels = [
         b.add_channel("c0", [categories[0]]),
         b.add_channel("c1", [categories[0], categories[1]]),

@@ -40,7 +40,7 @@
 //! use socialtube_sim::SimTime;
 //!
 //! let mut b = CatalogBuilder::new();
-//! let cat = b.add_category("News");
+//! let cat = b.add_category();
 //! let ch = b.add_channel("reuters", [cat]);
 //! let video = b.add_video(ch, 120, 0);
 //! let catalog = Arc::new(b.build());

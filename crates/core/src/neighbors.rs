@@ -260,8 +260,8 @@ mod tests {
     fn shed_drops_out_of_category_links() {
         // Channels 0 and 1 share a category; channel 2 is elsewhere.
         let mut b = CatalogBuilder::new();
-        let shared = b.add_category("shared");
-        let other = b.add_category("other");
+        let shared = b.add_category();
+        let other = b.add_category();
         let c0 = b.add_channel("c0", [shared]);
         let c1 = b.add_channel("c1", [shared]);
         let c2 = b.add_channel("c2", [other]);
@@ -283,7 +283,7 @@ mod tests {
     #[test]
     fn shed_enforces_caps_after_switch() {
         let mut b = CatalogBuilder::new();
-        let cat = b.add_category("k");
+        let cat = b.add_category();
         let c0 = b.add_channel("c0", [cat]);
         let c1 = b.add_channel("c1", [cat]);
         let catalog = b.build();
@@ -370,7 +370,7 @@ mod tests {
                 switch_to in 0u32..6,
             ) {
                 let mut b = socialtube_model::CatalogBuilder::new();
-                let cats: Vec<_> = (0..3).map(|i| b.add_category(format!("k{i}"))).collect();
+                let cats: Vec<_> = (0..3).map(|_| b.add_category()).collect();
                 for i in 0..6u32 {
                     b.add_channel(format!("c{i}"), [cats[(i % 3) as usize]]);
                 }

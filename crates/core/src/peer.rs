@@ -537,8 +537,8 @@ mod tests {
     /// channel.
     fn fixture() -> (Arc<Catalog>, Vec<ChannelId>, Vec<VideoId>) {
         let mut b = CatalogBuilder::new();
-        let news = b.add_category("News");
-        let other = b.add_category("Other");
+        let news = b.add_category();
+        let other = b.add_category();
         let c0 = b.add_channel("c0", [news]);
         let c1 = b.add_channel("c1", [news]);
         let c2 = b.add_channel("c2", [other]);

@@ -204,7 +204,7 @@ mod tests {
 
     fn fixture() -> (Arc<Catalog>, Vec<ChannelId>, Vec<VideoId>) {
         let mut b = CatalogBuilder::new();
-        let news = b.add_category("News");
+        let news = b.add_category();
         let c0 = b.add_channel("c0", [news]);
         let c1 = b.add_channel("c1", [news]);
         let v0 = b.add_video(c0, 100, 0);
@@ -506,7 +506,7 @@ mod tests {
     #[test]
     fn category_contact_budget_is_respected() {
         let mut b = CatalogBuilder::new();
-        let cat = b.add_category("k");
+        let cat = b.add_category();
         let mut chans = Vec::new();
         let mut vids = Vec::new();
         for i in 0..20 {

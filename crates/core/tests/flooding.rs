@@ -13,7 +13,7 @@ use socialtube_sim::SimTime;
 /// A tiny single-channel world shared by all harness peers.
 fn world(videos: u32) -> (Arc<Catalog>, ChannelId, Vec<VideoId>) {
     let mut b = CatalogBuilder::new();
-    let cat = b.add_category("k");
+    let cat = b.add_category();
     let ch = b.add_channel("c", [cat]);
     let vids: Vec<VideoId> = (0..videos)
         .map(|i| {
@@ -278,7 +278,7 @@ fn community_links_stay_within_budget_after_flooding() {
 #[test]
 fn category_phase_finds_cross_channel_providers() {
     let mut b = CatalogBuilder::new();
-    let cat = b.add_category("News");
+    let cat = b.add_category();
     let ch_a = b.add_channel("a", [cat]);
     let ch_b = b.add_channel("b", [cat]);
     let video_a = b.add_video(ch_a, 60, 0);

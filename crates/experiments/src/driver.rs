@@ -1,12 +1,13 @@
 //! The discrete-event simulation driver (the PeerSim role).
 //!
 //! Owns the virtual clock and the event loop; everything else is the shared
-//! harness layer. Stack construction is [`StackBuilder`], session/churn/
-//! video-selection logic is [`SessionDirector`] (or, for a scripted
-//! workload, the script's fixed steps), and queued protocol
-//! commands become engine events through the core
-//! [`CommandInterpreter`] over the [`SimSubstrate`]. Any
-//! [`VodPeer`]/[`VodServer`] pair runs unmodified under it.
+//! harness layer. Stack construction is [`StackBuilder`]; which session
+//! event follows which, and what the user does at each, is
+//! [`SessionDirector::advance`] (or a script's fixed steps), and the loop
+//! performs that action as it performs a script step. Queued protocol
+//! commands become engine events through the core [`CommandInterpreter`]
+//! over the [`SimSubstrate`]. Any [`VodPeer`]/[`VodServer`] pair runs
+//! unmodified under it.
 //!
 //! Two executors share one event-handling core (`handle_event`, written
 //! against the [`EventScheduler`] trait):
@@ -41,23 +42,17 @@ use socialtube_sim::{
 use socialtube_trace::{generate_shared, SharedTrace, Trace};
 
 use crate::configs::{root_rng, ExperimentOptions};
-use crate::harness::{SessionDirector, SessionStep, SimEvent, SimSubstrate, StackBuilder};
+use crate::harness::{SessionDirector, SimEvent, SimSubstrate, StackBuilder};
 use crate::metrics::{MetricsCollector, MetricsSummary};
 use crate::recording::record_report_in;
-use crate::workload::ScriptAction;
+use crate::workload::{ScriptAction, SessionEvent};
 use crate::{Execution, Protocol};
 
 /// Events the driver schedules on the engine.
 #[derive(Debug)]
 enum Ev {
-    /// A node begins a session.
-    Login(NodeId),
-    /// A node's session ends.
-    Logout(NodeId),
-    /// A node selects its next video.
-    NextVideo(NodeId),
-    /// The current video finished playing.
-    WatchEnd(NodeId),
+    /// A transition of a node's session, which the director advances.
+    Session(NodeId, SessionEvent),
     /// A message arrives at a peer.
     PeerMsg {
         to: NodeId,
@@ -518,10 +513,13 @@ fn handle_event<S, R, K>(
 
     if R::ENABLED {
         rec.count(match &ev {
-            Ev::Login(_) | Ev::Script(ScriptAction::Login(_)) => Counter::EvLogin,
-            Ev::Logout(_) | Ev::Script(ScriptAction::Logout(_)) => Counter::EvLogout,
-            Ev::NextVideo(_) | Ev::Script(ScriptAction::Watch(..)) => Counter::EvNextVideo,
-            Ev::WatchEnd(_) => Counter::EvWatchEnd,
+            Ev::Session(_, SessionEvent::Login) => Counter::EvLogin,
+            Ev::Session(_, SessionEvent::Logout) => Counter::EvLogout,
+            Ev::Session(_, SessionEvent::NextVideo) => Counter::EvNextVideo,
+            Ev::Session(..) => Counter::EvWatchEnd, // a watch end, or an abandoned one
+            Ev::Script(ScriptAction::Login(_)) => Counter::EvLogin,
+            Ev::Script(ScriptAction::Logout(..)) => Counter::EvLogout,
+            Ev::Script(ScriptAction::Watch(..)) => Counter::EvNextVideo,
             Ev::PeerMsg { .. } => Counter::EvPeerMsg,
             Ev::ServerMsg { .. } => Counter::EvServerMsg,
             Ev::PeerTimer { .. } => Counter::EvPeerTimer,
@@ -529,24 +527,64 @@ fn handle_event<S, R, K>(
     }
     // The peer whose commands the outbox will carry after this event.
     let mut actor: Option<NodeId> = None;
-    match ev {
-        Ev::Login(node) => {
+    let action = match ev {
+        // A logged-off peer neither browses nor ends a watch; the check
+        // comes before the director draws a pick.
+        Ev::Session(node, SessionEvent::NextVideo | SessionEvent::WatchEnd)
+            if !peer(peers, node).is_online() =>
+        {
+            None
+        }
+        Ev::Session(node, event) => {
+            // The next session event is queued before the outbox flushes.
+            let (action, next) = director.advance(trace, node, event);
+            if let Some((delay, next)) = next {
+                engine.schedule_in(delay, Ev::Session(node, next));
+            }
+            action
+        }
+        Ev::Script(action) => Some(action),
+        Ev::PeerMsg { to, from, msg } => {
+            actor = Some(to);
+            // Offline peers drop messages themselves (`VodPeer::on_message`).
+            peer(peers, to).on_message(now, from, msg, outbox);
+            None
+        }
+        Ev::ServerMsg { from, msg } => {
+            let server = server
+                .as_mut()
+                .expect("server event routed off the server-owning shard");
+            server.on_message(now, from, msg, server_outbox);
+            *tracked_peak = (*tracked_peak).max(server.tracked_entries());
+            None
+        }
+        Ev::PeerTimer { node, kind } => {
             actor = Some(node);
-            director.on_login(node);
+            peer(peers, node).on_timer(now, kind, outbox);
+            None
+        }
+    };
+
+    // The user's action, a session's or a script's.
+    match action {
+        Some(ScriptAction::Login(node)) => {
+            actor = Some(node);
             peer(peers, node).on_login(now, outbox);
-            engine.schedule_in(director.workload().browse_delay, Ev::NextVideo(node));
             if R::ENABLED {
                 rec.span_begin(Track::Peer(node.as_u32()), "session", now.as_micros());
             }
         }
-
-        Ev::Logout(node) => {
+        Some(ScriptAction::Watch(node, video)) => {
+            actor = Some(node);
+            peer(peers, node).watch(now, video, outbox);
+        }
+        Some(ScriptAction::Logout(node, abrupt)) => {
             actor = Some(node);
             if R::ENABLED {
                 rec.span_end(Track::Peer(node.as_u32()), now.as_micros());
             }
             peer(peers, node).on_logout(now, outbox);
-            if director.is_abrupt_exit(node) {
+            if abrupt {
                 // Abrupt failure: the process died before any goodbye
                 // could leave the machine. Dropping the outbox models
                 // exactly that — neighbors and the server only learn of
@@ -554,64 +592,8 @@ fn handle_event<S, R, K>(
                 outbox.drain();
                 actor = None;
             }
-            if let Some(off) = director.on_logout(node) {
-                engine.schedule_in(off, Ev::Login(node));
-            }
         }
-
-        Ev::NextVideo(node) => {
-            actor = Some(node);
-            if peer(peers, node).is_online() {
-                if let Some(video) = director.next_video(trace, node) {
-                    peer(peers, node).watch(now, video, outbox);
-                }
-            }
-        }
-
-        Ev::WatchEnd(node) => {
-            if peer(peers, node).is_online() {
-                match director.on_watch_end(node) {
-                    SessionStep::Continue(browse) => {
-                        engine.schedule_in(browse, Ev::NextVideo(node));
-                    }
-                    SessionStep::EndSession => {
-                        engine.schedule_at(now, Ev::Logout(node));
-                    }
-                }
-            }
-        }
-
-        Ev::PeerMsg { to, from, msg } => {
-            actor = Some(to);
-            // Offline peers drop messages themselves (`VodPeer::on_message`).
-            peer(peers, to).on_message(now, from, msg, outbox);
-        }
-
-        Ev::ServerMsg { from, msg } => {
-            let server = server
-                .as_mut()
-                .expect("server event routed off the server-owning shard");
-            server.on_message(now, from, msg, server_outbox);
-            *tracked_peak = (*tracked_peak).max(server.tracked_entries());
-        }
-
-        Ev::PeerTimer { node, kind } => {
-            actor = Some(node);
-            peer(peers, node).on_timer(now, kind, outbox);
-        }
-
-        Ev::Script(ScriptAction::Login(node)) => {
-            actor = Some(node);
-            peer(peers, node).on_login(now, outbox);
-        }
-        Ev::Script(ScriptAction::Watch(node, video)) => {
-            actor = Some(node);
-            peer(peers, node).watch(now, video, outbox);
-        }
-        Ev::Script(ScriptAction::Logout(node)) => {
-            actor = Some(node);
-            peer(peers, node).on_logout(now, outbox);
-        }
+        None => {}
     }
 
     if let Some(actor) = actor {
@@ -628,7 +610,7 @@ fn handle_event<S, R, K>(
             sink.on_report(now, report);
             record_report_in(sub.recorder, now, community_of, &report);
             if let Report::PlaybackStarted { node, video, .. } = report {
-                if let Some(watched) = director.on_playback_started(node, video) {
+                if let Some((watched, watch)) = director.accept_playback(trace, node, video) {
                     // A real playback: sample maintenance overhead and
                     // schedule the end of the watch.
                     let links = peers[node.index()]
@@ -636,8 +618,8 @@ fn handle_event<S, R, K>(
                         .expect("playback on a node owned by another shard")
                         .link_count();
                     sink.on_link_sample(watched, links);
-                    let watch = director.watch_time(trace, video);
-                    sub.engine.schedule_in(watch, Ev::WatchEnd(node));
+                    sub.engine
+                        .schedule_in(watch, Ev::Session(node, SessionEvent::WatchEnd));
                 }
             }
         });
@@ -709,7 +691,7 @@ fn run_serial_with<R: Recorder>(
             let node = NodeId::new(u as u32);
             engine.schedule_at(
                 SimTime::ZERO + world.director.login_offset(node),
-                Ev::Login(node),
+                Ev::Session(node, SessionEvent::Login),
             );
         }
     } else {
@@ -845,7 +827,7 @@ fn partition_by_interest(trace: &Trace, shards: usize) -> Vec<usize> {
 fn route_shard(ev: &Ev, shard_of: &[usize]) -> usize {
     match ev {
         Ev::ServerMsg { .. } => 0,
-        Ev::Login(n) | Ev::Logout(n) | Ev::NextVideo(n) | Ev::WatchEnd(n) => shard_of[n.index()],
+        Ev::Session(n, _) => shard_of[n.index()],
         Ev::PeerMsg { to, .. } => shard_of[to.index()],
         Ev::PeerTimer { node, .. } => shard_of[node.index()],
         Ev::Script(_) => unreachable!("a sharded run refuses a script"),
@@ -1068,11 +1050,18 @@ where
         .build_peers(trace, &root);
     let director = SessionDirector::new(users, options.workload.clone(), &root);
     let latency = options.network.latency_model(&root);
-    let login_offsets: Vec<SimDuration> = (0..users)
-        .map(|u| director.login_offset(NodeId::new(u as u32)))
-        .collect();
-
     let shard_of = partition_by_interest(trace, shards);
+    let mut engines: Vec<ShardEngine<Ev>> = (0..shards).map(|_| ShardEngine::new()).collect();
+    // The initial logins occupy canonical sequence numbers 0..users, in
+    // node order — exactly the serial engine's assignment.
+    for u in 0..users {
+        let node = NodeId::new(u as u32);
+        let (at, login) = (
+            director.login_offset(node),
+            Ev::Session(node, SessionEvent::Login),
+        );
+        engines[shard_of[u]].deliver(SimTime::ZERO + at, u as u64, login);
+    }
     let directors = director.partition(&shard_of, shards);
     let community_of = community_keys::<R>(trace);
 
@@ -1101,14 +1090,6 @@ where
             tracked_peak: 0,
             community_of: Arc::clone(&community_of),
         });
-    }
-
-    let mut engines: Vec<ShardEngine<Ev>> = (0..shards).map(|_| ShardEngine::new()).collect();
-    // The initial logins occupy canonical sequence numbers 0..users, in
-    // node order — exactly the serial engine's assignment.
-    for u in 0..users {
-        let node = NodeId::new(u as u32);
-        engines[shard_of[u]].deliver(SimTime::ZERO + login_offsets[u], u as u64, Ev::Login(node));
     }
 
     let mut merge = MergeState::new(shards, users as u64);

@@ -15,9 +15,9 @@
 //!   [`ProtocolStack`] boxes them only for the benchmark under `perf/`.
 //! * [`SessionDirector`] — the workload state machine from
 //!   [`crate::workload`]: login stagger, off periods, abrupt-departure
-//!   draws and video selection. Both platforms replay the identical
-//!   session logic; only *when* its transitions fire differs (virtual vs
-//!   wall-clock time).
+//!   draws, video selection and, in [`advance`](SessionDirector::advance),
+//!   which call follows which session event. Both platforms replay it; only
+//!   *when* its events fire differs (virtual vs wall-clock time).
 //! * [`SimSubstrate`] — the simulator's implementation of the
 //!   [`PeerSubstrate`]/[`ServerSubstrate`] traits from
 //!   [`socialtube::harness`]: virtual latency, fluid upload links and the
@@ -40,7 +40,7 @@
 //! | RNG streams | `configs::root_rng` → `StackBuilder` (protocol) + `SessionDirector` (workload) |
 //! | delivery, latency, bandwidth | substrate implementation |
 //! | command → effect translation | `CommandInterpreter` (core) |
-//! | session/churn/video selection | `SessionDirector`, or a `WorkloadConfig::script` |
+//! | session/churn/video selection, which call follows which event | `SessionDirector::advance` (or a `WorkloadConfig::script`); the platform performs the action |
 //!
 //! [`ExperimentOptions`]: crate::ExperimentOptions
 //! [`PeerSubstrate`]: socialtube::harness::PeerSubstrate

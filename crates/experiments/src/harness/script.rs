@@ -86,7 +86,7 @@ impl ReportKey {
 /// video ids in catalog order.
 pub fn four_peer_trace() -> (Trace, Vec<VideoId>) {
     let mut b = CatalogBuilder::new();
-    let cat = b.add_category("interest");
+    let cat = b.add_category();
     let ch = b.add_channel("channel", [cat]);
     let mut vids = Vec::new();
     for i in 0..3u32 {
@@ -130,10 +130,10 @@ pub fn demo_script(videos: &[VideoId]) -> Vec<ScriptStep> {
         at(9_500, ScriptAction::Watch(n(3), videos[1])),
         at(11_500, ScriptAction::Watch(n(1), videos[2])),
         at(13_500, ScriptAction::Watch(n(0), videos[2])),
-        at(15_500, ScriptAction::Logout(n(0))),
-        at(16_000, ScriptAction::Logout(n(1))),
-        at(16_500, ScriptAction::Logout(n(2))),
-        at(17_000, ScriptAction::Logout(n(3))),
+        at(15_500, ScriptAction::Logout(n(0), false)),
+        at(16_000, ScriptAction::Logout(n(1), false)),
+        at(16_500, ScriptAction::Logout(n(2), false)),
+        at(17_000, ScriptAction::Logout(n(3), false)),
     ]
 }
 

@@ -8,12 +8,13 @@
 //! run through one state machine on both platforms, and so does the end
 //! of a watch ([`WorkloadConfig::watch`]: the testbed presets
 //! [`configs::testbed_smoke`] and [`configs::testbed_planetlab`] fix it at
-//! 120 and 150 ms). Only the scheduling medium differs (a wall-clock action
-//! heap here, the virtual event queue there). One wall-clock second is one
-//! protocol second, so keep videos *small* (short, low bitrate) for
-//! transfers to complete at wall-clock speed; `max_events` has no meaning
-//! here. A scripted workload ([`WorkloadConfig::script`]) pre-fills the
-//! action heap with its steps instead.
+//! 120 and 150 ms), and so does the order of its calls
+//! ([`SessionDirector::advance`]). Only the scheduling medium differs (a
+//! wall-clock action heap here, the virtual event queue there). One
+//! wall-clock second is one protocol second, so keep videos *small* (short,
+//! low bitrate) for transfers to complete at wall-clock speed; `max_events`
+//! has no meaning here. A scripted workload ([`WorkloadConfig::script`])
+//! pre-fills the action heap with its steps instead.
 //!
 //! [`WorkloadConfig::watch`]: crate::WorkloadConfig::watch
 //! [`WorkloadConfig::script`]: crate::WorkloadConfig::script
@@ -31,9 +32,9 @@ use socialtube_sim::SimDuration;
 use socialtube_trace::{generate_shared, SharedTrace};
 
 use crate::configs::{self, ExperimentOptions};
-use crate::harness::{SessionDirector, SessionStep, StackBuilder};
+use crate::harness::{SessionDirector, StackBuilder};
 use crate::metrics::{MetricsCollector, MetricsSummary};
-use crate::workload::ScriptAction;
+use crate::workload::{ScriptAction, SessionEvent};
 use crate::Protocol;
 
 /// Quiet period after a script's last step during which a scripted run
@@ -55,21 +56,18 @@ pub struct NetRun {
     pub outcome: NetOutcome,
 }
 
-/// Wall-clock actions on the real-time heap, each for one node: the
-/// testbed analogues of the sim driver's workload events.
+/// Wall-clock actions on the real-time heap: the testbed analogues of the
+/// sim driver's workload events.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Action {
-    Login,
-    NextVideo,
-    /// The watch time after a playback started is over.
-    WatchEnd,
-    Logout,
-    /// Safety net if a playback never starts; the sequence number guards
-    /// against a stale timeout abandoning a newer watch.
-    WatchTimeout(u64),
+    /// A transition of a node's session, which the director advances.
+    Session(NodeId, SessionEvent),
     /// A scripted step: only the deployment acts, the director is not
     /// consulted.
     Script(ScriptAction),
+    /// Safety net if a playback never starts; the sequence number guards
+    /// against a stale timeout abandoning a newer watch.
+    WatchTimeout(NodeId, u64),
     /// The settle window after a script's last step is over: the run ends.
     Settled,
 }
@@ -77,14 +75,6 @@ enum Action {
 /// A director duration on the wall clock.
 fn wall(d: SimDuration) -> Duration {
     Duration::from_micros(d.as_micros())
-}
-
-/// What a concluded watch leads to, and after how long.
-fn after(step: SessionStep) -> (Duration, Action) {
-    match step {
-        SessionStep::Continue(browse) => (wall(browse), Action::NextVideo),
-        SessionStep::EndSession => (Duration::ZERO, Action::Logout),
-    }
 }
 
 /// [`run_net_on`] over the trace `options` describes.
@@ -102,15 +92,18 @@ pub fn run_net(protocol: Protocol, options: &ExperimentOptions) -> io::Result<Ne
 /// The stack comes from [`StackBuilder::from_options`] and the workload
 /// from the same [`SessionDirector`] the simulation replays, both rooted
 /// at [`configs::root_rng`] as in the simulator; this function owns only
-/// the wall-clock action heap that fires the director's transitions, as
-/// the sim driver's loop does. A watch ends
-/// [`SessionDirector::watch_time`] after its playback starts, as in the
-/// simulator. A watch whose playback has not started 5 s after the request
-/// is abandoned and the node moves on: a safety net for lost messages on
-/// live sockets, which the simulator needs no counterpart of, since every
-/// protocol there falls back to the server. A scripted workload fires its
-/// steps instead and ends a 1.5 s settle window after the last one; the
-/// watch time and the watch timeout then go unused.
+/// the wall-clock action heap that fires the session events
+/// [`SessionDirector::advance`] returns, and performs their user actions
+/// on the [`Deployment`], as the sim driver's loop does on its peers. As
+/// in the simulator, a watch ends its
+/// [`WorkloadConfig::watch`](crate::WorkloadConfig::watch) time after a
+/// playback the director accepts, and only such a playback samples the
+/// links for Fig 18. A watch whose playback has not started 5 s after the
+/// request is abandoned and the node moves on: a safety net for lost
+/// messages on live sockets, which the simulator needs no counterpart of,
+/// since every protocol there falls back to the server. A scripted
+/// workload fires its steps instead and ends a 1.5 s settle window after
+/// the last one; the director then accepts no playback.
 ///
 /// # Errors
 ///
@@ -135,31 +128,32 @@ pub fn run_net_on(
         &root,
     )?;
 
-    // Due time first, then insertion order; node and action never decide.
-    let mut heap: BinaryHeap<Reverse<(Instant, u64, usize, Action)>> = BinaryHeap::new();
+    // Due time first, then insertion order; the action never decides.
+    let mut heap: BinaryHeap<Reverse<(Instant, u64, Action)>> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut schedule = |heap: &mut BinaryHeap<_>, due: Instant, i: usize, action| {
+    let mut schedule = |heap: &mut BinaryHeap<_>, due: Instant, action| {
         seq += 1;
-        heap.push(Reverse((due, seq, i, action)));
+        heap.push(Reverse((due, seq, action)));
     };
     let start = Instant::now();
     let script = &options.workload.script;
     if let Some(last) = script.last() {
         for step in script {
             let due = start + wall(step.at);
-            schedule(&mut heap, due, 0, Action::Script(step.action));
+            schedule(&mut heap, due, Action::Script(step.action));
         }
         let settled = start + wall(last.at) + SETTLE;
-        schedule(&mut heap, settled, 0, Action::Settled);
+        schedule(&mut heap, settled, Action::Settled);
     } else {
         for i in 0..users {
-            let offset = wall(director.login_offset(NodeId::new(i as u32)));
-            schedule(&mut heap, start + offset, i, Action::Login);
+            let node = NodeId::new(i as u32);
+            let due = start + wall(director.login_offset(node));
+            schedule(&mut heap, due, Action::Session(node, SessionEvent::Login));
         }
     }
 
+    let mut collector = MetricsCollector::new(users);
     let mut watch_seq = vec![0u64; users];
-    let mut done = vec![false; users];
     let mut remaining = users;
     let mut events = Vec::new();
     while remaining > 0 {
@@ -170,9 +164,10 @@ pub fn run_net_on(
         };
         if let Some(event) = deployment.recv_until(next_due) {
             if let Report::PlaybackStarted { node, video, .. } = event.report {
-                if node.index() < users && director.on_playback_started(node, video).is_some() {
-                    let due = Instant::now() + wall(director.watch_time(shared, video));
-                    schedule(&mut heap, due, node.index(), Action::WatchEnd);
+                if let Some((watched, watch)) = director.accept_playback(shared, node, video) {
+                    collector.sample_links(watched, event.links);
+                    let end = Action::Session(node, SessionEvent::WatchEnd);
+                    schedule(&mut heap, Instant::now() + wall(watch), end);
                 }
             }
             events.push(event);
@@ -181,70 +176,51 @@ pub fn run_net_on(
         // Execute every due action.
         let now = Instant::now();
         while matches!(heap.peek(), Some(Reverse((due, ..))) if *due <= now) {
-            let Reverse((_, _, i, action)) = heap.pop().expect("peeked entry");
-            if done[i] {
-                continue;
-            }
-            let node = NodeId::new(i as u32);
+            let Reverse((_, _, action)) = heap.pop().expect("peeked entry");
+            let mut advance = |node, event| {
+                let (action, next) = director.advance(shared, node, event);
+                match next {
+                    Some((delay, next)) => {
+                        schedule(&mut heap, now + wall(delay), Action::Session(node, next));
+                    }
+                    // The node's last session is over.
+                    None if event == SessionEvent::Logout => remaining -= 1,
+                    None => {}
+                }
+                action
+            };
+            let action = match action {
+                Action::Session(node, event) => advance(node, event),
+                // Playback never started: move on rather than hang.
+                Action::WatchTimeout(node, at) if watch_seq[node.index()] == at => {
+                    advance(node, SessionEvent::AbandonWatch)
+                }
+                Action::WatchTimeout(..) => None,
+                Action::Script(action) => Some(action),
+                Action::Settled => {
+                    remaining = 0;
+                    None
+                }
+            };
+            // The user's action, a session's or a script's.
             match action {
-                Action::Login => {
-                    director.on_login(node);
-                    deployment.login(node);
-                    let browse = wall(director.workload().browse_delay);
-                    schedule(&mut heap, now + browse, i, Action::NextVideo);
+                Some(ScriptAction::Login(node)) => deployment.login(node),
+                Some(ScriptAction::Watch(node, video)) => {
+                    watch_seq[node.index()] += 1;
+                    let timeout = Action::WatchTimeout(node, watch_seq[node.index()]);
+                    schedule(&mut heap, now + WATCH_TIMEOUT, timeout);
+                    deployment.watch(node, video);
                 }
-                Action::NextVideo => {
-                    if let Some(video) = director.next_video(shared, node) {
-                        watch_seq[i] += 1;
-                        deployment.watch(node, video);
-                        let due = now + WATCH_TIMEOUT;
-                        schedule(&mut heap, due, i, Action::WatchTimeout(watch_seq[i]));
-                    }
-                }
-                Action::WatchEnd => {
-                    let (delay, next) = after(director.on_watch_end(node));
-                    schedule(&mut heap, now + delay, i, next);
-                }
-                Action::WatchTimeout(at_seq) => {
-                    // Playback never started: move on rather than hang.
-                    if watch_seq[i] == at_seq {
-                        if let Some(step) = director.abandon_watch(node) {
-                            let (delay, next) = after(step);
-                            schedule(&mut heap, now + delay, i, next);
-                        }
-                    }
-                }
-                Action::Logout => {
-                    // An abrupt exit sends no goodbyes, as in the sim loop.
-                    deployment.logout(node, director.is_abrupt_exit(node));
-                    if let Some(off) = director.on_logout(node) {
-                        schedule(&mut heap, now + wall(off), i, Action::Login);
-                    } else {
-                        done[i] = true;
-                        remaining -= 1;
-                    }
-                }
-                Action::Script(ScriptAction::Login(node)) => deployment.login(node),
-                Action::Script(ScriptAction::Watch(node, video)) => deployment.watch(node, video),
-                Action::Script(ScriptAction::Logout(node)) => deployment.logout(node, false),
-                Action::Settled => remaining = 0,
+                Some(ScriptAction::Logout(node, abrupt)) => deployment.logout(node, abrupt),
+                None => {}
             }
         }
     }
     let outcome = deployment.finish(events, Duration::from_millis(300));
 
     // Reduce events to the common metrics.
-    let mut collector = MetricsCollector::new(users);
-    let mut watched = vec![0u32; users];
     for event in &outcome.events {
         collector.on_report(event.time, event.report);
-        if let Report::PlaybackStarted { node, .. } = event.report {
-            let i = node.index();
-            if i < users {
-                watched[i] += 1;
-                collector.sample_links(watched[i], event.links);
-            }
-        }
     }
     Ok(NetRun {
         metrics: collector.summary(),

@@ -18,7 +18,7 @@ use crate::{CategoryId, Channel, ChannelId, ModelError, Video, VideoId};
 /// use socialtube_model::CatalogBuilder;
 ///
 /// let mut b = CatalogBuilder::new();
-/// let music = b.add_category("Music");
+/// let music = b.add_category();
 /// let ch = b.add_channel("piano-covers", [music]);
 /// let v0 = b.add_video(ch, 100, 0);
 /// let v1 = b.add_video(ch, 200, 1);
@@ -31,10 +31,10 @@ use crate::{CategoryId, Channel, ChannelId, ModelError, Video, VideoId};
 /// ```
 #[derive(Clone, Debug)]
 pub struct Catalog {
-    category_names: Vec<String>,
     channels: Vec<Channel>,
     videos: Vec<Video>,
-    /// Channels in each category, indexed by `CategoryId`.
+    /// Channels in each category, indexed by `CategoryId`: one entry per
+    /// category.
     channels_by_category: Vec<Vec<ChannelId>>,
     /// Per-channel video lists sorted by descending view count.
     popularity_rank: Vec<Vec<VideoId>>,
@@ -43,7 +43,7 @@ pub struct Catalog {
 impl Catalog {
     /// Number of interest categories.
     pub fn category_count(&self) -> usize {
-        self.category_names.len()
+        self.channels_by_category.len()
     }
 
     /// Number of channels.
@@ -100,7 +100,7 @@ impl Catalog {
 
     /// Iterates over all category identifiers.
     pub fn categories(&self) -> impl Iterator<Item = CategoryId> {
-        (0..self.category_names.len() as u32).map(CategoryId::new)
+        (0..self.category_count() as u32).map(CategoryId::new)
     }
 
     /// Returns the channels classified under `category`.
@@ -164,7 +164,7 @@ impl Catalog {
 /// [`build`]: CatalogBuilder::build
 #[derive(Debug, Default)]
 pub struct CatalogBuilder {
-    category_names: Vec<String>,
+    categories: u32,
     channels: Vec<Channel>,
     videos: Vec<Video>,
 }
@@ -176,9 +176,9 @@ impl CatalogBuilder {
     }
 
     /// Registers a new interest category and returns its identifier.
-    pub fn add_category(&mut self, name: impl Into<String>) -> CategoryId {
-        let id = CategoryId::new(self.category_names.len() as u32);
-        self.category_names.push(name.into());
+    pub fn add_category(&mut self) -> CategoryId {
+        let id = CategoryId::new(self.categories);
+        self.categories += 1;
         id
     }
 
@@ -194,10 +194,7 @@ impl CatalogBuilder {
     ) -> ChannelId {
         let categories: Vec<CategoryId> = categories.into_iter().collect();
         for c in &categories {
-            assert!(
-                c.index() < self.category_names.len(),
-                "category {c} not registered"
-            );
+            assert!(c.as_u32() < self.categories, "category {c} not registered");
         }
         let id = ChannelId::new(self.channels.len() as u32);
         self.channels.push(Channel::new(id, name, categories));
@@ -257,7 +254,7 @@ impl CatalogBuilder {
     /// Finalizes the catalog, computing all indices.
     pub fn build(self) -> Catalog {
         let mut channels_by_category: Vec<Vec<ChannelId>> =
-            vec![Vec::new(); self.category_names.len()];
+            vec![Vec::new(); self.categories as usize];
         for channel in &self.channels {
             for category in channel.categories() {
                 channels_by_category[category.index()].push(channel.id());
@@ -273,7 +270,6 @@ impl CatalogBuilder {
             popularity_rank.push(ranked);
         }
         Catalog {
-            category_names: self.category_names,
             channels: self.channels,
             videos: self.videos,
             channels_by_category,
@@ -298,7 +294,7 @@ mod tests {
 
     fn tiny() -> (Catalog, ChannelId, Vec<VideoId>) {
         let mut b = CatalogBuilder::new();
-        let cat = b.add_category("Gaming");
+        let cat = b.add_category();
         let ch = b.add_channel("speedruns", [cat]);
         let vids = vec![
             b.add_video(ch, 60, 0),
@@ -321,7 +317,7 @@ mod tests {
     #[test]
     fn ranking_ties_break_by_id_for_determinism() {
         let mut b = CatalogBuilder::new();
-        let cat = b.add_category("x");
+        let cat = b.add_category();
         let ch = b.add_channel("ch", [cat]);
         let v0 = b.add_video(ch, 60, 0);
         let v1 = b.add_video(ch, 60, 0);
@@ -334,8 +330,8 @@ mod tests {
     #[test]
     fn category_index_lists_member_channels() {
         let mut b = CatalogBuilder::new();
-        let gaming = b.add_category("Gaming");
-        let music = b.add_category("Music");
+        let gaming = b.add_category();
+        let music = b.add_category();
         let ch1 = b.add_channel("a", [gaming]);
         let ch2 = b.add_channel("b", [gaming, music]);
         let cat = b.build();
@@ -379,7 +375,7 @@ mod tests {
     #[test]
     fn extend_adds_videos() {
         let mut b = CatalogBuilder::new();
-        let cat = b.add_category("x");
+        let cat = b.add_category();
         let ch = b.add_channel("ch", [cat]);
         b.extend([(ch, 30, 0), (ch, 40, 1)]);
         assert_eq!(b.video_count(), 2);

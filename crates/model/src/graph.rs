@@ -237,8 +237,8 @@ mod tests {
     #[test]
     fn subscribed_categories_resolve_through_catalog() {
         let mut b = CatalogBuilder::new();
-        let gaming = b.add_category("Gaming");
-        let music = b.add_category("Music");
+        let gaming = b.add_category();
+        let music = b.add_category();
         b.add_channel("a", [gaming]);
         b.add_channel("b", [gaming, music]);
         b.add_channel("c", [music]);

@@ -20,7 +20,7 @@
 //! use socialtube_model::{Catalog, CatalogBuilder, CategoryId, ChannelId, VideoId};
 //!
 //! let mut builder = CatalogBuilder::new();
-//! let news = builder.add_category("News");
+//! let news = builder.add_category();
 //! let reuters = builder.add_channel("ReutersVideo", [news]);
 //! let clip = builder.add_video(reuters, 90, 0);
 //! let catalog: Catalog = builder.build();

@@ -173,7 +173,7 @@ mod tests {
 
     fn tiny_catalog() -> (Arc<Catalog>, Vec<VideoId>) {
         let mut b = CatalogBuilder::new();
-        let cat = b.add_category("k");
+        let cat = b.add_category();
         let ch = b.add_channel("c", [cat]);
         let mut vids = Vec::new();
         for i in 0..4 {

@@ -16,7 +16,7 @@ use socialtube_sim::{NetworkOptions, SimDuration, SimRng};
 fn a_daemon_costs_two_threads_plus_one_per_inbound_connection() {
     const PEERS: u32 = 8;
     let mut b = CatalogBuilder::new();
-    let category = b.add_category("k");
+    let category = b.add_category();
     let channel = b.add_channel("c", [category]);
     let videos: Vec<_> = (0..4).map(|i| b.add_video(channel, 4, i)).collect();
     let catalog = Arc::new(b.build());

@@ -153,7 +153,7 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
 
     // --- Categories, with Zipf popularity weights for interest sampling.
     let categories: Vec<CategoryId> = (0..config.categories)
-        .map(|i| builder.add_category(format!("Category{i}")))
+        .map(|_| builder.add_category())
         .collect();
     let category_zipf = ZipfRanks::new(config.categories, CATEGORY_ZIPF);
 

@@ -18,7 +18,7 @@ fn main() {
     // 1. The sans-IO peer: a pure state machine you can poke directly.
     // ------------------------------------------------------------------
     let mut builder = CatalogBuilder::new();
-    let news = builder.add_category("News");
+    let news = builder.add_category();
     let reuters = builder.add_channel("ReutersVideo", [news]);
     let clip = builder.add_video(reuters, 90, 0);
     builder.set_views(clip, 12_000);

@@ -41,6 +41,15 @@ fn assert_testbed_matches_sim(protocol: Protocol, tolerance: &Tolerance) -> Metr
         tcp.playbacks
     );
     assert_eq!(sim.playbacks, tcp.playbacks, "{protocol}: playbacks");
+    // Fig 18b's x-axis counts the playbacks the director accepts, as Fig
+    // 18a's does: no node watches more videos than its sessions hold.
+    let per_node = workload.sessions_per_node * workload.videos_per_session;
+    let most_watched = tcp.maintenance_curve.iter().map(|(watched, _)| *watched);
+    assert!(
+        most_watched.max() <= Some(per_node),
+        "{protocol}: maintenance curve {:?} runs past {per_node} videos",
+        tcp.maintenance_curve
+    );
     for (name, sim, tcp, bound) in [
         (
             "server fallbacks",
