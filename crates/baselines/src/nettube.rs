@@ -575,7 +575,7 @@ mod tests {
     fn fixture() -> (Arc<Catalog>, Vec<VideoId>) {
         let mut b = CatalogBuilder::new();
         let cat = b.add_category();
-        let ch = b.add_channel("c", [cat]);
+        let ch = b.add_channel([cat]);
         let vids: Vec<VideoId> = (0..3).map(|i| b.add_video(ch, 100, i)).collect();
         (Arc::new(b.build()), vids)
     }

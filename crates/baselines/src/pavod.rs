@@ -276,7 +276,7 @@ mod tests {
     fn fixture() -> (Arc<Catalog>, VideoId) {
         let mut b = CatalogBuilder::new();
         let cat = b.add_category();
-        let ch = b.add_channel("c", [cat]);
+        let ch = b.add_channel([cat]);
         let v = b.add_video(ch, 100, 0);
         (Arc::new(b.build()), v)
     }
@@ -434,7 +434,7 @@ mod tests {
     fn late_finish_lingers_until_log_off_and_the_count_stays_exact() {
         let mut b = CatalogBuilder::new();
         let cat = b.add_category();
-        let ch = b.add_channel("c", [cat]);
+        let ch = b.add_channel([cat]);
         let (a, later) = (b.add_video(ch, 100, 0), b.add_video(ch, 100, 1));
         let mut s = PaVodServer::new(Arc::new(b.build()), SimRng::seed(1));
         let mut reference: Vec<Vec<NodeId>> = vec![Vec::new(); 2];

@@ -39,9 +39,9 @@ fn catalog() -> Arc<Catalog> {
     let mut b = CatalogBuilder::new();
     let categories = [b.add_category(), b.add_category()];
     let channels = [
-        b.add_channel("c0", [categories[0]]),
-        b.add_channel("c1", [categories[0], categories[1]]),
-        b.add_channel("c2", [categories[1]]),
+        b.add_channel([categories[0]]),
+        b.add_channel([categories[0], categories[1]]),
+        b.add_channel([categories[1]]),
     ];
     for i in 0..VIDEOS {
         let v = b.add_video(channels[i as usize % channels.len()], 4, i);

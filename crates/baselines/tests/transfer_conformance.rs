@@ -39,7 +39,7 @@ const BITS: u64 = 10;
 fn catalog() -> Arc<Catalog> {
     let mut b = CatalogBuilder::new();
     let category = b.add_category();
-    assert_eq!(b.add_channel("c", [category]), CHANNEL);
+    assert_eq!(b.add_channel([category]), CHANNEL);
     assert_eq!(b.add_video(CHANNEL, 100, 0), VIDEO);
     assert_eq!(b.add_video(CHANNEL, 100, 1), OTHER);
     Arc::new(b.build())

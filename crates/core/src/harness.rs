@@ -238,7 +238,7 @@ mod tests {
     fn catalog_with_video() -> (Arc<Catalog>, VideoId) {
         let mut b = CatalogBuilder::new();
         let cat = b.add_category();
-        let ch = b.add_channel("c", [cat]);
+        let ch = b.add_channel([cat]);
         let video = b.add_video(ch, 2, 0); // 2 s × 320 kbps = 8 chunks
         (Arc::new(b.build()), video)
     }

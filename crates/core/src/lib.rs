@@ -41,7 +41,7 @@
 //!
 //! let mut b = CatalogBuilder::new();
 //! let cat = b.add_category();
-//! let ch = b.add_channel("reuters", [cat]);
+//! let ch = b.add_channel([cat]);
 //! let video = b.add_video(ch, 120, 0);
 //! let catalog = Arc::new(b.build());
 //!

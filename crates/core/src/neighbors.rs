@@ -262,9 +262,9 @@ mod tests {
         let mut b = CatalogBuilder::new();
         let shared = b.add_category();
         let other = b.add_category();
-        let c0 = b.add_channel("c0", [shared]);
-        let c1 = b.add_channel("c1", [shared]);
-        let c2 = b.add_channel("c2", [other]);
+        let c0 = b.add_channel([shared]);
+        let c1 = b.add_channel([shared]);
+        let c2 = b.add_channel([other]);
         let catalog = b.build();
 
         let mut t = NeighborTable::new(2, 3);
@@ -284,8 +284,8 @@ mod tests {
     fn shed_enforces_caps_after_switch() {
         let mut b = CatalogBuilder::new();
         let cat = b.add_category();
-        let c0 = b.add_channel("c0", [cat]);
-        let c1 = b.add_channel("c1", [cat]);
+        let c0 = b.add_channel([cat]);
+        let c1 = b.add_channel([cat]);
         let catalog = b.build();
 
         let mut t = NeighborTable::new(2, 1);
@@ -372,7 +372,7 @@ mod tests {
                 let mut b = socialtube_model::CatalogBuilder::new();
                 let cats: Vec<_> = (0..3).map(|_| b.add_category()).collect();
                 for i in 0..6u32 {
-                    b.add_channel(format!("c{i}"), [cats[(i % 3) as usize]]);
+                    b.add_channel([cats[(i % 3) as usize]]);
                 }
                 let catalog = b.build();
                 let mut t = NeighborTable::new(3, 5);

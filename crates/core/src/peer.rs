@@ -539,9 +539,9 @@ mod tests {
         let mut b = CatalogBuilder::new();
         let news = b.add_category();
         let other = b.add_category();
-        let c0 = b.add_channel("c0", [news]);
-        let c1 = b.add_channel("c1", [news]);
-        let c2 = b.add_channel("c2", [other]);
+        let c0 = b.add_channel([news]);
+        let c1 = b.add_channel([news]);
+        let c2 = b.add_channel([other]);
         let mut vids = Vec::new();
         for ch in [c0, c1, c2] {
             for i in 0..2 {

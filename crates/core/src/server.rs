@@ -205,8 +205,8 @@ mod tests {
     fn fixture() -> (Arc<Catalog>, Vec<ChannelId>, Vec<VideoId>) {
         let mut b = CatalogBuilder::new();
         let news = b.add_category();
-        let c0 = b.add_channel("c0", [news]);
-        let c1 = b.add_channel("c1", [news]);
+        let c0 = b.add_channel([news]);
+        let c1 = b.add_channel([news]);
         let v0 = b.add_video(c0, 100, 0);
         let v1 = b.add_video(c1, 100, 0);
         b.set_views(v0, 100);
@@ -509,8 +509,8 @@ mod tests {
         let cat = b.add_category();
         let mut chans = Vec::new();
         let mut vids = Vec::new();
-        for i in 0..20 {
-            let c = b.add_channel(format!("c{i}"), [cat]);
+        for _ in 0..20 {
+            let c = b.add_channel([cat]);
             vids.push(b.add_video(c, 100, 0));
             chans.push(c);
         }

@@ -356,7 +356,7 @@ mod tests {
     fn transfers() -> Transfers {
         let mut b = CatalogBuilder::new();
         let category = b.add_category();
-        let channel = b.add_channel("c", [category]);
+        let channel = b.add_channel([category]);
         assert_eq!(b.add_video(channel, 100, 0), VIDEO);
         Transfers::new(ME, Arc::new(b.build()))
     }

@@ -14,7 +14,7 @@ use socialtube_sim::SimTime;
 fn world(videos: u32) -> (Arc<Catalog>, ChannelId, Vec<VideoId>) {
     let mut b = CatalogBuilder::new();
     let cat = b.add_category();
-    let ch = b.add_channel("c", [cat]);
+    let ch = b.add_channel([cat]);
     let vids: Vec<VideoId> = (0..videos)
         .map(|i| {
             let v = b.add_video(ch, 60, i);
@@ -279,8 +279,8 @@ fn community_links_stay_within_budget_after_flooding() {
 fn category_phase_finds_cross_channel_providers() {
     let mut b = CatalogBuilder::new();
     let cat = b.add_category();
-    let ch_a = b.add_channel("a", [cat]);
-    let ch_b = b.add_channel("b", [cat]);
+    let ch_a = b.add_channel([cat]);
+    let ch_b = b.add_channel([cat]);
     let video_a = b.add_video(ch_a, 60, 0);
     let video_b = b.add_video(ch_b, 60, 0);
     let catalog = Arc::new(b.build());

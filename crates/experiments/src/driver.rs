@@ -145,6 +145,11 @@ impl ExecutionProfile {
 }
 
 /// Result of one simulation run.
+///
+/// Time series live in the [`recording`](SimOutcome::recording), not here:
+/// a recorded serial run samples the engine's queue depth and the server's
+/// upload backlog once per simulated minute (`queue_depth` on
+/// [`Track::Engine`], `backlog_ms` on [`Track::Server`]).
 #[derive(Debug)]
 pub struct SimOutcome {
     /// The evaluation metrics.
@@ -158,14 +163,6 @@ pub struct SimOutcome {
     /// Peak number of entries the server tracked (SocialTube: channel
     /// memberships; NetTube: per-video overlay entries).
     pub server_tracked_peak: usize,
-    /// Jain's fairness index over per-peer upload contribution (`None`
-    /// when no peer uploaded anything). Closer to 1 means the serving
-    /// burden spreads evenly across the community.
-    pub upload_fairness: Option<f64>,
-    /// Server upload-queue backlog sampled once per simulated minute
-    /// (`(minute, backlog)`): the server-overload signal behind the
-    /// paper's long PA-VoD startup delays.
-    pub server_backlog_timeline: Vec<(u64, SimDuration)>,
     /// Per-shard load figures, in shard order. A serial run reports one
     /// shard owning every peer; a sharded run reports one entry per
     /// worker. Event totals sum to [`events`](SimOutcome::events).
@@ -297,34 +294,20 @@ impl RunSpec {
     pub fn run(&self) -> SimOutcome {
         match self.execution {
             Execution::Serial => {
+                let seed = self.effective_seed();
+                let trace = self.resolve_trace(seed);
+                let (protocol, options) = (self.protocol, &self.options);
                 if self.recorder.enabled() {
                     let mut rec = RunRecorder::new(self.recorder);
-                    let mut outcome = self.run_recorded(&mut rec);
+                    let mut outcome = run_serial_with(&trace, protocol, options, seed, &mut rec);
                     outcome.recording = Some(rec.finish());
                     outcome
                 } else {
-                    self.run_recorded(&mut NullRecorder)
+                    run_serial_with(&trace, protocol, options, seed, &mut NullRecorder)
                 }
             }
             Execution::Sharded { workers } => self.run_sharded(workers),
         }
-    }
-
-    /// Executes the run against a caller-owned [`Recorder`]. This is the
-    /// escape hatch for custom recorder implementations; most callers want
-    /// [`run`](RunSpec::run) plus [`with_recorder`](RunSpec::with_recorder).
-    /// Always executes serially (a sharded run needs one recorder per
-    /// worker — see [`run`](RunSpec::run)); the outcome's `recording` is
-    /// `None` — the caller holds the recorder.
-    pub fn run_recorded<R: Recorder>(&self, rec: &mut R) -> SimOutcome {
-        let seed = self.effective_seed();
-        run_serial_with(
-            &self.resolve_trace(seed),
-            self.protocol,
-            &self.options,
-            seed,
-            rec,
-        )
     }
 
     /// The trace the run uses: the shared one when set, otherwise one
@@ -374,9 +357,6 @@ trait ReportSink {
     fn on_report(&mut self, now: SimTime, report: Report);
     /// A maintenance-overhead sample taken at a real playback start.
     fn on_link_sample(&mut self, watched: u32, links: usize);
-    /// The server pipe's busy-until watermark after this event (how the
-    /// coordinator replays backlog samples without owning the queue).
-    fn on_server_busy(&mut self, busy: SimTime);
 }
 
 /// The serial executor's sink: straight into the collector, and into the
@@ -396,9 +376,6 @@ impl ReportSink for SerialSink<'_> {
     fn on_link_sample(&mut self, watched: u32, links: usize) {
         self.metrics.sample_links(watched, links);
     }
-    fn on_server_busy(&mut self, _busy: SimTime) {
-        // The serial loop reads the queue directly when sampling.
-    }
 }
 
 /// One order-sensitive side effect a shard queued during phase 1, replayed
@@ -409,27 +386,13 @@ enum MetricNote {
     Report(Report),
     /// [`MetricsCollector::sample_links`] input.
     LinkSample { watched: u32, links: usize },
-    /// The server pipe's busy-until watermark changed (only the
-    /// server-owning shard ever emits these; the watermark is monotone).
-    BusyUntil(SimTime),
 }
 
 /// A shard's sink: every observation becomes a [`MetricNote`], bucketed
 /// per processed event by the epoch loop (`note_ends`).
+#[derive(Default)]
 struct ShardSink {
     notes: Vec<MetricNote>,
-    last_busy: SimTime,
-}
-
-impl ShardSink {
-    fn new() -> Self {
-        Self {
-            notes: Vec::new(),
-            // ServerQueue::busy_until starts at ZERO, so shards that never
-            // touch the server (every shard but 0) note nothing.
-            last_busy: SimTime::ZERO,
-        }
-    }
 }
 
 impl ReportSink for ShardSink {
@@ -438,13 +401,6 @@ impl ReportSink for ShardSink {
     }
     fn on_link_sample(&mut self, watched: u32, links: usize) {
         self.notes.push(MetricNote::LinkSample { watched, links });
-    }
-    fn on_server_busy(&mut self, busy: SimTime) {
-        // The watermark is monotone non-decreasing; only changes matter.
-        if busy != self.last_busy {
-            self.last_busy = busy;
-            self.notes.push(MetricNote::BusyUntil(busy));
-        }
     }
 }
 
@@ -639,7 +595,6 @@ fn handle_event<S, R, K>(
             record_report_in(sub.recorder, now, community_of, &report);
         });
     }
-    sink.on_server_busy(server_queue.busy_until());
 }
 
 /// The serial run loop: all serial entry points funnel here with an
@@ -704,26 +659,20 @@ fn run_serial_with<R: Recorder>(
     }
     let mut reports = Vec::new();
 
-    let mut backlog_sampler = PeriodicSampler::new(SimDuration::from_mins(1));
-    let mut server_backlog_timeline: Vec<(u64, SimDuration)> = Vec::new();
+    let mut sampler = PeriodicSampler::new(SimDuration::from_mins(1));
 
     while let Some((now, ev)) = engine.next_event() {
-        if backlog_sampler.due(now) > 0 {
-            let minute = now.as_micros() / 60_000_000;
-            let backlog = world.server_queue.backlog(now);
-            server_backlog_timeline.push((minute, backlog));
-            if R::ENABLED {
-                let depth = engine.pending() as u64;
-                rec.observe(HistKind::QueueDepth, depth);
-                rec.sample(Track::Engine, "queue_depth", now.as_micros(), depth);
-                rec.sample(
-                    Track::Server,
-                    "backlog_ms",
-                    now.as_micros(),
-                    backlog.as_millis(),
-                );
-                rec.observe_dim(Dim::Shard(0), HistKind::QueueDepth, depth);
-            }
+        if R::ENABLED && sampler.due(now) > 0 {
+            let depth = engine.pending() as u64;
+            rec.observe(HistKind::QueueDepth, depth);
+            rec.sample(Track::Engine, "queue_depth", now.as_micros(), depth);
+            rec.sample(
+                Track::Server,
+                "backlog_ms",
+                now.as_micros(),
+                world.server_queue.backlog(now).as_millis(),
+            );
+            rec.observe_dim(Dim::Shard(0), HistKind::QueueDepth, depth);
         }
         let mut sink = SerialSink {
             metrics: &mut metrics,
@@ -737,17 +686,12 @@ fn run_serial_with<R: Recorder>(
         rec.observe(HistKind::QueueDepth, engine.peak_pending() as u64);
     }
 
-    let contributions: Vec<f64> = (0..users)
-        .map(|u| world.uploads.bits_uploaded(u) as f64)
-        .collect();
     SimOutcome {
         metrics: metrics.summary(),
         events: engine.processed(),
         sim_end: engine.now(),
         server_bits_served: world.server_queue.bits_served(),
         server_tracked_peak: world.tracked_peak,
-        upload_fairness: socialtube_trace::stats::jain_fairness(&contributions),
-        server_backlog_timeline,
         shards: vec![ShardLoad {
             shard: 0,
             events: engine.processed(),
@@ -869,8 +813,6 @@ struct ShardFinal<R> {
     /// Wall seconds this shard spent inside [`run_shard_epoch`], for the
     /// run's [`ExecutionProfile`].
     compute_s: f64,
-    /// `(node, bits)` for every owned node, for the fairness vector.
-    bits_uploaded: Vec<(usize, u64)>,
     server_bits_served: u64,
     tracked_peak: usize,
     recorder: R,
@@ -937,21 +879,13 @@ fn finish_shard<R: Recorder>(
     if R::ENABLED {
         rec.observe(HistKind::QueueDepth, engine.peak_pending() as u64);
     }
-    let bits_uploaded: Vec<(usize, u64)> = world
-        .peers
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.is_some())
-        .map(|(u, _)| (u, world.uploads.bits_uploaded(u)))
-        .collect();
     ShardFinal {
         shard,
-        peers: bits_uploaded.len(),
+        peers: world.peers.iter().flatten().count(),
         processed: engine.processed(),
         peak_pending: engine.peak_pending(),
         pending: engine.pending(),
         compute_s,
-        bits_uploaded,
         server_bits_served: world.server_queue.bits_served(),
         tracked_peak: world.tracked_peak,
         recorder: rec,
@@ -967,7 +901,7 @@ fn shard_worker<R: Recorder>(
     rx: mpsc::Receiver<ToWorker>,
     tx: mpsc::Sender<EpochOut>,
 ) -> ShardFinal<R> {
-    let mut sink = ShardSink::new();
+    let mut sink = ShardSink::default();
     let mut sampler = PeriodicSampler::new(SimDuration::from_mins(1));
     let mut compute_s = 0f64;
     while let Ok(msg) = rx.recv() {
@@ -1094,11 +1028,6 @@ where
 
     let mut merge = MergeState::new(shards, users as u64);
     let mut metrics = MetricsCollector::new(users);
-    let mut backlog_sampler = PeriodicSampler::new(SimDuration::from_mins(1));
-    let mut server_backlog_timeline: Vec<(u64, SimDuration)> = Vec::new();
-    // The server pipe's busy-until watermark in canonical order, tracked
-    // from BusyUntil notes so backlog samples replay without the queue.
-    let mut current_busy = SimTime::ZERO;
     let mut sim_end = SimTime::ZERO;
     let mut processed_total = 0u64;
     let budget = options.max_events;
@@ -1121,7 +1050,7 @@ where
     let mut world0 = worlds_iter.next().expect("shard 0 exists");
     let mut engine0 = engines_iter.next().expect("shard 0 exists");
     let mut rec0 = make_recorder(0);
-    let mut sink0 = ShardSink::new();
+    let mut sink0 = ShardSink::default();
     let mut sampler0 = PeriodicSampler::new(SimDuration::from_mins(1));
 
     let (finals, truncated) = std::thread::scope(|scope| {
@@ -1214,21 +1143,11 @@ where
 
             // Barrier: replay this epoch's events in canonical serial
             // order, folding each one's queued side effects into the
-            // collector and taking backlog samples exactly where the
-            // serial loop would (before the event's own effects land).
+            // collector.
             let mut entry_cursor = vec![0usize; shards];
             let mut note_cursor = vec![0usize; shards];
             let t_merge = std::time::Instant::now();
             let replay = merge.replay(logs, |s, time| {
-                if backlog_sampler.due(time) > 0 {
-                    let minute = time.as_micros() / 60_000_000;
-                    let backlog = if current_busy > time {
-                        current_busy.duration_since(time)
-                    } else {
-                        SimDuration::ZERO
-                    };
-                    server_backlog_timeline.push((minute, backlog));
-                }
                 let until = note_ends[s][entry_cursor[s]] as usize;
                 entry_cursor[s] += 1;
                 while note_cursor[s] < until {
@@ -1237,7 +1156,6 @@ where
                         MetricNote::LinkSample { watched, links } => {
                             metrics.sample_links(watched, links);
                         }
-                        MetricNote::BusyUntil(busy) => current_busy = busy,
                     }
                     note_cursor[s] += 1;
                 }
@@ -1274,12 +1192,6 @@ where
         (finals, truncated)
     });
 
-    let mut contributions = vec![0f64; users];
-    for f in &finals {
-        for &(u, bits) in &f.bits_uploaded {
-            contributions[u] = bits as f64;
-        }
-    }
     profile.epoch_compute_s = finals.iter().map(|f| f.compute_s).sum();
     profile.imbalance_mean = if imbalance_epochs > 0 {
         imbalance_sum / imbalance_epochs as f64
@@ -1301,8 +1213,6 @@ where
         sim_end,
         server_bits_served: finals[0].server_bits_served,
         server_tracked_peak: finals[0].tracked_peak,
-        upload_fairness: socialtube_trace::stats::jain_fairness(&contributions),
-        server_backlog_timeline,
         shards: shard_loads,
         truncated,
         recording: None,
@@ -1557,14 +1467,6 @@ mod tests {
                         serial.server_tracked_peak, sharded.server_tracked_peak,
                         "{tag}: tracked peak"
                     );
-                    assert_eq!(
-                        serial.upload_fairness, sharded.upload_fairness,
-                        "{tag}: fairness"
-                    );
-                    assert_eq!(
-                        serial.server_backlog_timeline, sharded.server_backlog_timeline,
-                        "{tag}: backlog timeline"
-                    );
                     assert_eq!(serial.truncated, sharded.truncated, "{tag}: truncated");
                     assert_eq!(sharded.shards.len(), workers, "{tag}: shard count");
                     assert_eq!(
@@ -1706,35 +1608,27 @@ mod tests {
     }
 
     #[test]
-    fn server_backlog_timeline_is_sampled_and_monotone_in_time() {
-        let out = run(Protocol::PaVod, &configs::smoke_test());
-        assert!(
-            !out.server_backlog_timeline.is_empty(),
-            "no backlog samples taken"
-        );
-        for w in out.server_backlog_timeline.windows(2) {
-            assert!(w[0].0 < w[1].0, "minutes must increase");
+    fn server_backlog_is_recorded_once_per_minute() {
+        let out = RunSpec::new(Protocol::PaVod)
+            .options(configs::smoke_test())
+            .with_recorder(socialtube_obs::RecorderConfig::full())
+            .run();
+        let timeline = out.recording.expect("recording requested").timeline;
+        let samples: Vec<_> = timeline
+            .expect("timeline requested")
+            .events()
+            .iter()
+            .filter(|e| e.track == Track::Server && e.name == "backlog_ms")
+            .map(|e| (e.ts_us / 60_000_000, e.value))
+            .collect();
+        assert!(!samples.is_empty(), "no backlog samples taken");
+        for w in samples.windows(2) {
+            assert!(w[0].0 < w[1].0, "two samples in one minute: {w:?}");
         }
         // PA-VoD stresses the server: some backlog must be visible.
-        let max = out
-            .server_backlog_timeline
-            .iter()
-            .map(|(_, b)| b.as_millis())
-            .max()
-            .unwrap_or(0);
-        assert!(max > 0, "PA-VoD never queued at the server");
-    }
-
-    #[test]
-    fn upload_burden_is_reasonably_fair_in_socialtube() {
-        let out = run(Protocol::SocialTube, &configs::smoke_test_long());
-        let fairness = out.upload_fairness.expect("peers uploaded");
-        // Zipf-skewed popularity concentrates serving on popular-video
-        // holders, but the community structure must keep a broad base of
-        // providers (index far above the one-super-seeder regime 1/n).
         assert!(
-            fairness > 0.2,
-            "upload burden collapsed onto few peers: {fairness}"
+            samples.iter().any(|&(_, ms)| ms > 0),
+            "PA-VoD never queued at the server"
         );
     }
 

@@ -87,7 +87,7 @@ impl ReportKey {
 pub fn four_peer_trace() -> (Trace, Vec<VideoId>) {
     let mut b = CatalogBuilder::new();
     let cat = b.add_category();
-    let ch = b.add_channel("channel", [cat]);
+    let ch = b.add_channel([cat]);
     let mut vids = Vec::new();
     for i in 0..3u32 {
         let v = b.add_video(ch, 2, i);

@@ -19,7 +19,7 @@ use crate::{CategoryId, Channel, ChannelId, ModelError, Video, VideoId};
 ///
 /// let mut b = CatalogBuilder::new();
 /// let music = b.add_category();
-/// let ch = b.add_channel("piano-covers", [music]);
+/// let ch = b.add_channel([music]);
 /// let v0 = b.add_video(ch, 100, 0);
 /// let v1 = b.add_video(ch, 200, 1);
 /// b.set_views(v0, 1_000);
@@ -76,16 +76,6 @@ impl Catalog {
         self.videos
             .get(id.index())
             .ok_or(ModelError::UnknownVideo(id))
-    }
-
-    /// Records `channel`'s subscriber count, which no index depends on, so
-    /// it can be set once the subscribers are known.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is not in the catalog.
-    pub fn set_subscriber_count(&mut self, channel: ChannelId, count: u64) {
-        self.channels[channel.index()].set_subscriber_count(count);
     }
 
     /// Iterates over all channels.
@@ -187,17 +177,13 @@ impl CatalogBuilder {
     /// # Panics
     ///
     /// Panics if any category has not been registered.
-    pub fn add_channel(
-        &mut self,
-        name: impl Into<String>,
-        categories: impl IntoIterator<Item = CategoryId>,
-    ) -> ChannelId {
+    pub fn add_channel(&mut self, categories: impl IntoIterator<Item = CategoryId>) -> ChannelId {
         let categories: Vec<CategoryId> = categories.into_iter().collect();
         for c in &categories {
             assert!(c.as_u32() < self.categories, "category {c} not registered");
         }
         let id = ChannelId::new(self.channels.len() as u32);
-        self.channels.push(Channel::new(id, name, categories));
+        self.channels.push(Channel::new(id, categories));
         id
     }
 
@@ -295,7 +281,7 @@ mod tests {
     fn tiny() -> (Catalog, ChannelId, Vec<VideoId>) {
         let mut b = CatalogBuilder::new();
         let cat = b.add_category();
-        let ch = b.add_channel("speedruns", [cat]);
+        let ch = b.add_channel([cat]);
         let vids = vec![
             b.add_video(ch, 60, 0),
             b.add_video(ch, 120, 1),
@@ -318,7 +304,7 @@ mod tests {
     fn ranking_ties_break_by_id_for_determinism() {
         let mut b = CatalogBuilder::new();
         let cat = b.add_category();
-        let ch = b.add_channel("ch", [cat]);
+        let ch = b.add_channel([cat]);
         let v0 = b.add_video(ch, 60, 0);
         let v1 = b.add_video(ch, 60, 0);
         b.set_views(v0, 5);
@@ -332,8 +318,8 @@ mod tests {
         let mut b = CatalogBuilder::new();
         let gaming = b.add_category();
         let music = b.add_category();
-        let ch1 = b.add_channel("a", [gaming]);
-        let ch2 = b.add_channel("b", [gaming, music]);
+        let ch1 = b.add_channel([gaming]);
+        let ch2 = b.add_channel([gaming, music]);
         let cat = b.build();
         assert_eq!(cat.channels_in_category(gaming), &[ch1, ch2]);
         assert_eq!(cat.channels_in_category(music), &[ch2]);
@@ -376,7 +362,7 @@ mod tests {
     fn extend_adds_videos() {
         let mut b = CatalogBuilder::new();
         let cat = b.add_category();
-        let ch = b.add_channel("ch", [cat]);
+        let ch = b.add_channel([cat]);
         b.extend([(ch, 30, 0), (ch, 40, 1)]);
         assert_eq!(b.video_count(), 2);
     }

@@ -15,24 +15,22 @@ use crate::{CategoryId, ChannelId, VideoId};
 /// ```
 /// use socialtube_model::{CategoryId, Channel, ChannelId};
 ///
-/// let mut channel = Channel::new(ChannelId::new(0), "ReutersVideo", vec![CategoryId::new(3)]);
-/// assert_eq!(channel.name(), "ReutersVideo");
+/// let channel = Channel::new(ChannelId::new(0), vec![CategoryId::new(3)]);
+/// assert_eq!(channel.primary_category(), Some(CategoryId::new(3)));
 /// assert!(channel.has_category(CategoryId::new(3)));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Channel {
     id: ChannelId,
-    name: String,
     categories: Vec<CategoryId>,
     videos: Vec<VideoId>,
-    subscriber_count: u64,
 }
 
 impl Channel {
     /// Creates an empty channel classified under `categories`.
     ///
     /// Duplicate categories are removed; order of first occurrence is kept.
-    pub fn new(id: ChannelId, name: impl Into<String>, mut categories: Vec<CategoryId>) -> Self {
+    pub fn new(id: ChannelId, mut categories: Vec<CategoryId>) -> Self {
         let mut seen = Vec::new();
         categories.retain(|c| {
             if seen.contains(c) {
@@ -44,21 +42,14 @@ impl Channel {
         });
         Self {
             id,
-            name: name.into(),
             categories,
             videos: Vec::new(),
-            subscriber_count: 0,
         }
     }
 
     /// Returns this channel's identifier.
     pub fn id(&self) -> ChannelId {
         self.id
-    }
-
-    /// Returns the channel's display name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Returns the interest categories this channel is classified under.
@@ -86,22 +77,6 @@ impl Channel {
         self.videos.len()
     }
 
-    /// Returns the recorded number of subscribers (Fig 4 statistic).
-    pub fn subscriber_count(&self) -> u64 {
-        self.subscriber_count
-    }
-
-    /// Records one more subscriber.
-    pub fn add_subscriber(&mut self) {
-        self.subscriber_count += 1;
-    }
-
-    /// Sets the subscriber count directly (the generator records the
-    /// social graph's count once subscriptions are drawn).
-    pub fn set_subscriber_count(&mut self, count: u64) {
-        self.subscriber_count = count;
-    }
-
     /// Appends a video to the channel (upload order preserved).
     pub(crate) fn push_video(&mut self, video: VideoId) {
         self.videos.push(video);
@@ -116,7 +91,6 @@ mod tests {
     fn duplicate_categories_are_dropped() {
         let c = Channel::new(
             ChannelId::new(0),
-            "c",
             vec![CategoryId::new(1), CategoryId::new(1), CategoryId::new(2)],
         );
         assert_eq!(c.categories(), &[CategoryId::new(1), CategoryId::new(2)]);
@@ -126,27 +100,16 @@ mod tests {
     fn primary_category_is_first() {
         let c = Channel::new(
             ChannelId::new(0),
-            "c",
             vec![CategoryId::new(9), CategoryId::new(2)],
         );
         assert_eq!(c.primary_category(), Some(CategoryId::new(9)));
-        let empty = Channel::new(ChannelId::new(1), "e", vec![]);
+        let empty = Channel::new(ChannelId::new(1), vec![]);
         assert_eq!(empty.primary_category(), None);
     }
 
     #[test]
-    fn subscriber_count_tracks_additions() {
-        let mut c = Channel::new(ChannelId::new(0), "c", vec![]);
-        c.add_subscriber();
-        c.add_subscriber();
-        assert_eq!(c.subscriber_count(), 2);
-        c.set_subscriber_count(10);
-        assert_eq!(c.subscriber_count(), 10);
-    }
-
-    #[test]
     fn videos_keep_upload_order() {
-        let mut c = Channel::new(ChannelId::new(0), "c", vec![]);
+        let mut c = Channel::new(ChannelId::new(0), vec![]);
         c.push_video(VideoId::new(5));
         c.push_video(VideoId::new(3));
         assert_eq!(c.videos(), &[VideoId::new(5), VideoId::new(3)]);

@@ -239,9 +239,9 @@ mod tests {
         let mut b = CatalogBuilder::new();
         let gaming = b.add_category();
         let music = b.add_category();
-        b.add_channel("a", [gaming]);
-        b.add_channel("b", [gaming, music]);
-        b.add_channel("c", [music]);
+        b.add_channel([gaming]);
+        b.add_channel([gaming, music]);
+        b.add_channel([music]);
         let catalog = b.build();
 
         let g = graph3();

@@ -21,7 +21,7 @@
 //!
 //! let mut builder = CatalogBuilder::new();
 //! let news = builder.add_category();
-//! let reuters = builder.add_channel("ReutersVideo", [news]);
+//! let reuters = builder.add_channel([news]);
 //! let clip = builder.add_video(reuters, 90, 0);
 //! let catalog: Catalog = builder.build();
 //!

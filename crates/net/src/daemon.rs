@@ -479,7 +479,7 @@ mod daemon_tests {
     fn origin_and_peer() -> OriginAndPeer {
         let mut b = CatalogBuilder::new();
         let cat = b.add_category();
-        let channel = b.add_channel("c", [cat]);
+        let channel = b.add_channel([cat]);
         let video = b.add_video(channel, 2, 0); // 2 s × 320 kbps
         let catalog = Arc::new(b.build());
 
@@ -657,7 +657,7 @@ mod daemon_tests {
     fn goodbyes(abrupt: bool) -> (Vec<Message>, Vec<Message>) {
         let mut b = CatalogBuilder::new();
         let cat = b.add_category();
-        let channel = b.add_channel("c", [cat]);
+        let channel = b.add_channel([cat]);
         let catalog = Arc::new(b.build());
         let (book, mut listeners) = AddressBook::bind(2).expect("bind localhost");
         let (server, server_reader) = sink(listeners.pop().expect("server listener"));

@@ -174,7 +174,7 @@ mod tests {
     fn tiny_catalog() -> (Arc<Catalog>, Vec<VideoId>) {
         let mut b = CatalogBuilder::new();
         let cat = b.add_category();
-        let ch = b.add_channel("c", [cat]);
+        let ch = b.add_channel([cat]);
         let mut vids = Vec::new();
         for i in 0..4 {
             let v = b.add_video(ch, 4, i); // 4 s × 320 kbps = 1.28 Mb

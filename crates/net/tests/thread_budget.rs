@@ -17,7 +17,7 @@ fn a_daemon_costs_two_threads_plus_one_per_inbound_connection() {
     const PEERS: u32 = 8;
     let mut b = CatalogBuilder::new();
     let category = b.add_category();
-    let channel = b.add_channel("c", [category]);
+    let channel = b.add_channel([category]);
     let videos: Vec<_> = (0..4).map(|i| b.add_video(channel, 4, i)).collect();
     let catalog = Arc::new(b.build());
     let peer = |i| {

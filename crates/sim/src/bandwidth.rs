@@ -13,7 +13,6 @@ use crate::{SimDuration, SimTime};
 struct FifoLink {
     capacity_bps: u64,
     busy_until: SimTime,
-    bits_served: u64,
 }
 
 impl FifoLink {
@@ -22,23 +21,16 @@ impl FifoLink {
         Self {
             capacity_bps,
             busy_until: SimTime::ZERO,
-            bits_served: 0,
         }
     }
 
-    /// Enqueues a transfer of `bits` at time `now`; returns completion time.
-    fn transfer(&mut self, now: SimTime, bits: u64) -> SimTime {
-        self.transfer_timed(now, bits).0
-    }
-
-    /// Like [`transfer`](FifoLink::transfer), also returning the queueing
-    /// delay this transfer waited behind earlier ones.
-    fn transfer_timed(&mut self, now: SimTime, bits: u64) -> (SimTime, SimDuration) {
+    /// Enqueues a transfer of `bits` at time `now`; returns its completion
+    /// time and the queueing delay it waited behind earlier ones.
+    fn transfer(&mut self, now: SimTime, bits: u64) -> (SimTime, SimDuration) {
         let start = now.max(self.busy_until);
         let service = SimDuration::from_secs_f64(bits as f64 / self.capacity_bps as f64);
         let done = start + service;
         self.busy_until = done;
-        self.bits_served += bits;
         (done, start.duration_since(now))
     }
 
@@ -57,7 +49,9 @@ impl FifoLink {
 /// Every video chunk the P2P overlay fails to locate is served from here;
 /// when the request rate exceeds capacity the FIFO backlog grows and startup
 /// delays balloon — exactly the scalability problem motivating SocialTube
-/// (observation O1).
+/// (observation O1). The server alone counts the bits it serves (the run's
+/// server bandwidth cost); a recorded run samples its
+/// [`backlog`](ServerQueue::backlog) once per simulated minute.
 ///
 /// # Examples
 ///
@@ -71,6 +65,7 @@ impl FifoLink {
 #[derive(Debug, Clone)]
 pub struct ServerQueue {
     link: FifoLink,
+    bits_served: u64,
 }
 
 impl ServerQueue {
@@ -82,20 +77,22 @@ impl ServerQueue {
     pub fn new(capacity_bps: u64) -> Self {
         Self {
             link: FifoLink::new(capacity_bps),
+            bits_served: 0,
         }
     }
 
     /// Serves `bits` starting no earlier than `now`; returns when the
     /// transfer completes (including any queueing behind earlier requests).
     pub fn serve(&mut self, now: SimTime, bits: u64) -> SimTime {
-        self.link.transfer(now, bits)
+        self.serve_timed(now, bits).0
     }
 
     /// Like [`serve`](ServerQueue::serve), also returning the queueing
     /// delay this transfer waited behind earlier ones (the per-chunk
     /// bandwidth-queue wait instrumentation observes).
     pub fn serve_timed(&mut self, now: SimTime, bits: u64) -> (SimTime, SimDuration) {
-        self.link.transfer_timed(now, bits)
+        self.bits_served += bits;
+        self.link.transfer(now, bits)
     }
 
     /// Current backlog a new request arriving at `now` would wait behind.
@@ -103,17 +100,9 @@ impl ServerQueue {
         self.link.backlog(now)
     }
 
-    /// The instant the link frees up ([`SimTime::ZERO`] when never used).
-    /// [`backlog`](ServerQueue::backlog) at any `now` is derivable from
-    /// this, which is how the sharded coordinator replays backlog samples
-    /// without owning the queue.
-    pub fn busy_until(&self) -> SimTime {
-        self.link.busy_until
-    }
-
     /// Total bits served so far (server bandwidth cost).
     pub fn bits_served(&self) -> u64 {
-        self.link.bits_served
+        self.bits_served
     }
 }
 
@@ -140,41 +129,14 @@ impl UploadScheduler {
         }
     }
 
-    /// Enqueues an upload of `bits` from `node` at `now`; returns completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn upload(&mut self, node: usize, now: SimTime, bits: u64) -> SimTime {
-        self.links[node].transfer(now, bits)
-    }
-
-    /// Like [`upload`](UploadScheduler::upload), also returning the
-    /// queueing delay this transfer waited on `node`'s link.
+    /// Enqueues an upload of `bits` from `node` at `now`; returns its
+    /// completion time and the queueing delay it waited on `node`'s link.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
     pub fn upload_timed(&mut self, node: usize, now: SimTime, bits: u64) -> (SimTime, SimDuration) {
-        self.links[node].transfer_timed(now, bits)
-    }
-
-    /// Backlog on `node`'s upload link at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn backlog(&self, node: usize, now: SimTime) -> SimDuration {
-        self.links[node].backlog(now)
-    }
-
-    /// Total bits uploaded by `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn bits_uploaded(&self, node: usize) -> u64 {
-        self.links[node].bits_served
+        self.links[node].transfer(now, bits)
     }
 }
 
@@ -198,6 +160,8 @@ mod tests {
         assert_eq!(d1.as_millis(), 1_000);
         assert_eq!(d2.as_millis(), 2_000);
         assert_eq!(waited, SimDuration::from_secs(1));
+        // Both paths count toward the server's bandwidth cost.
+        assert_eq!(s.bits_served(), 2_000_000);
     }
 
     #[test]
@@ -225,12 +189,18 @@ mod tests {
     #[test]
     fn uploads_are_per_node() {
         let mut u = UploadScheduler::new(2, 1_000_000);
-        let a = u.upload(0, SimTime::ZERO, 1_000_000);
-        let b = u.upload(1, SimTime::ZERO, 1_000_000);
-        // Independent links: both finish at 1s.
+        let a = u.upload_timed(0, SimTime::ZERO, 1_000_000);
+        let b = u.upload_timed(1, SimTime::ZERO, 1_000_000);
+        // Independent links: both finish at 1s without queueing.
         assert_eq!(a, b);
-        assert_eq!(u.bits_uploaded(0), 1_000_000);
-        assert_eq!(u.bits_uploaded(1), 1_000_000);
+        assert_eq!(a, (SimTime::from_micros(1_000_000), SimDuration::ZERO));
+    }
+
+    /// A peer uplink is its capacity and busy-until instant, nothing more:
+    /// the scheduler holds one per node.
+    #[test]
+    fn peer_uplink_is_two_words() {
+        assert_eq!(std::mem::size_of::<FifoLink>(), 16);
     }
 
     #[test]

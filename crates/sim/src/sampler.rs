@@ -26,7 +26,6 @@ use crate::{SimDuration, SimTime};
 pub struct PeriodicSampler {
     period: SimDuration,
     next_due: SimTime,
-    samples_taken: u64,
 }
 
 impl PeriodicSampler {
@@ -40,7 +39,6 @@ impl PeriodicSampler {
         Self {
             period,
             next_due: SimTime::ZERO,
-            samples_taken: 0,
         }
     }
 
@@ -53,18 +51,7 @@ impl PeriodicSampler {
             self.next_due += self.period;
             count += 1;
         }
-        self.samples_taken += count;
         count
-    }
-
-    /// The configured sampling period.
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
-    /// Total samples taken so far.
-    pub fn samples_taken(&self) -> u64 {
-        self.samples_taken
     }
 }
 
@@ -79,7 +66,6 @@ mod tests {
         assert_eq!(s.due(SimTime::from_micros(9_999_999)), 0);
         assert_eq!(s.due(SimTime::from_micros(10_000_000)), 1);
         assert_eq!(s.due(SimTime::from_micros(10_000_001)), 0);
-        assert_eq!(s.samples_taken(), 2);
     }
 
     #[test]
@@ -98,9 +84,8 @@ mod tests {
         for t in (0..10_000).step_by(13) {
             total += s.due(SimTime::from_micros(t * 1_000));
         }
-        // 10 s span at 7 ms period → ~1428 boundaries, each exactly once.
-        assert_eq!(total, s.samples_taken());
-        assert!((1400..=1440).contains(&total), "total={total}");
+        // Boundaries 0, 7, …, 9_996 ms, each exactly once.
+        assert_eq!(total, 1_429);
     }
 
     #[test]

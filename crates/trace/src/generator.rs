@@ -161,7 +161,7 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
     let mut chan_rng = root.stream("channels");
     let mut channel_weights: Vec<f64> = Vec::with_capacity(config.channels);
     let mut channel_ids: Vec<ChannelId> = Vec::with_capacity(config.channels);
-    for i in 0..config.channels {
+    for _ in 0..config.channels {
         // Never ask for more distinct categories than exist, or the dedup
         // loop below cannot terminate.
         let n_cats = geometric_count(
@@ -178,7 +178,7 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
                 cats.push(extra);
             }
         }
-        let id = builder.add_channel(format!("channel{i}"), cats);
+        let id = builder.add_channel(cats);
         channel_ids.push(id);
         channel_weights.push(pareto_sample(&mut chan_rng, 1.0, CHANNEL_WEIGHT_SHAPE));
     }
@@ -248,7 +248,7 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
     // read back from the built catalog.
     let mut graph = SocialGraph::new(config.users, config.channels);
     let mut category_members: Vec<Vec<(ChannelId, f64)>> = vec![Vec::new(); config.categories];
-    let mut catalog = builder.build();
+    let catalog = builder.build();
     for (i, ch) in channel_ids.iter().enumerate() {
         let channel = catalog.channel(*ch).expect("channel was inserted");
         for cat in channel.categories() {
@@ -322,15 +322,11 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
         }
     }
 
-    // --- Channel owners and recorded subscriber counts.
+    // --- Channel owners.
     let mut owner_rng = root.stream("owners");
     let channel_owners: Vec<NodeId> = (0..config.channels)
         .map(|_| NodeId::new(owner_rng.gen_range(0..config.users as u32)))
         .collect();
-
-    for ch in &channel_ids {
-        catalog.set_subscriber_count(*ch, graph.subscriber_count(*ch) as u64);
-    }
     Trace {
         catalog: Arc::new(catalog),
         graph,
@@ -368,9 +364,7 @@ mod tests {
         assert!(a.graph.users().eq(b.graph.users()), "user mismatch");
         assert_eq!(a.catalog.channel_count(), b.catalog.channel_count());
         for (x, y) in a.catalog.channels().zip(b.catalog.channels()) {
-            assert_eq!(x.name(), y.name());
             assert_eq!(x.categories(), y.categories());
-            assert_eq!(x.subscriber_count(), y.subscriber_count());
             assert_eq!(x.videos(), y.videos());
             assert_eq!(a.graph.subscribers(x.id()), b.graph.subscribers(x.id()));
         }
@@ -453,17 +447,6 @@ mod tests {
         }
         let frac = matching as f64 / total as f64;
         assert!(frac > 0.6, "interest match fraction {frac}");
-    }
-
-    #[test]
-    fn subscriber_counts_recorded_on_channels() {
-        let t = tiny_trace();
-        for ch in t.catalog.channels() {
-            assert_eq!(
-                ch.subscriber_count() as usize,
-                t.graph.subscriber_count(ch.id())
-            );
-        }
     }
 
     #[test]

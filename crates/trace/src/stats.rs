@@ -202,34 +202,6 @@ pub fn fit_zipf_exponent(rank_ordered: &[f64]) -> Option<f64> {
     Some(-(sxy / sxx))
 }
 
-/// Jain's fairness index over non-negative contributions:
-/// `(Σx)² / (n · Σx²)`, 1.0 when perfectly equal, → 1/n when one
-/// participant does all the work. Used to summarize how evenly the upload
-/// burden spreads across peers.
-///
-/// Returns `None` for an empty slice or all-zero contributions.
-///
-/// # Examples
-///
-/// ```
-/// use socialtube_trace::stats::jain_fairness;
-///
-/// assert_eq!(jain_fairness(&[5.0, 5.0, 5.0]), Some(1.0));
-/// let skewed = jain_fairness(&[30.0, 0.0, 0.0]).unwrap();
-/// assert!((skewed - 1.0 / 3.0).abs() < 1e-12);
-/// ```
-pub fn jain_fairness(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
-    let sum: f64 = xs.iter().sum();
-    let sum_sq: f64 = xs.iter().map(|x| x * x).sum();
-    if sum_sq == 0.0 {
-        return None;
-    }
-    Some(sum * sum / (xs.len() as f64 * sum_sq))
-}
-
 /// Summary percentiles used throughout the evaluation (1st, 50th, 99th —
 /// the whiskers of Figs 16a/16b).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -355,20 +327,6 @@ mod tests {
         assert_eq!(p.p1, 10.0);
         assert_eq!(p.p50, 500.0);
         assert_eq!(p.p99, 990.0);
-    }
-
-    #[test]
-    fn jain_fairness_brackets() {
-        assert_eq!(jain_fairness(&[]), None);
-        assert_eq!(jain_fairness(&[0.0, 0.0]), None);
-        assert_eq!(jain_fairness(&[7.0]), Some(1.0));
-        // Equal shares → 1; monotone decrease as skew grows.
-        let equal = jain_fairness(&[2.0; 10]).unwrap();
-        let mild = jain_fairness(&[4.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0]).unwrap();
-        let extreme = jain_fairness(&[20.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]).unwrap();
-        assert!((equal - 1.0).abs() < 1e-12);
-        assert!(mild < equal && extreme < mild);
-        assert!((extreme - 0.1).abs() < 1e-12);
     }
 
     #[test]

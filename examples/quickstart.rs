@@ -19,7 +19,7 @@ fn main() {
     // ------------------------------------------------------------------
     let mut builder = CatalogBuilder::new();
     let news = builder.add_category();
-    let reuters = builder.add_channel("ReutersVideo", [news]);
+    let reuters = builder.add_channel([news]);
     let clip = builder.add_video(reuters, 90, 0);
     builder.set_views(clip, 12_000);
     let catalog = Arc::new(builder.build());
