@@ -152,7 +152,9 @@ impl std::fmt::Display for Protocol {
 ///
 /// Both executors produce bitwise-identical outcomes for the same spec;
 /// sharding changes only how the event load is processed. The default is
-/// [`Execution::Serial`].
+/// [`Execution::Serial`]. A recording differs: only the serial loop
+/// samples the server's per-minute `backlog_ms` series, so a sharded
+/// recording has none (its shard tracks carry `queue_depth` and `events`).
 ///
 /// It is a library choice with two callers, the serial≡sharded differential
 /// tests and the benchmark's traced run (`perf/`); no CLI exposes it, and

@@ -15,12 +15,10 @@
 //! explicit [`ScriptStep`]s at fixed times, which the same two loops fire
 //! in place of the session model, performing each action as a session's.
 
-use rand_distr::{Distribution, Poisson};
 use socialtube_model::{ChannelId, NodeId, VideoId};
 use socialtube_sim::{SimDuration, SimRng};
+use socialtube_trace::distributions::poisson;
 use socialtube_trace::Trace;
-
-use rand::Rng;
 
 /// Chance that the next video stays in the current channel (Section V).
 const SAME_CHANNEL: f64 = 0.75;
@@ -139,8 +137,7 @@ impl NodeSession {
     /// seconds, never below 1 s.
     fn next_off_period(&mut self, mean_off: SimDuration) -> Option<SimDuration> {
         self.offs_left = self.offs_left.checked_sub(1)?;
-        let poisson = Poisson::new(mean_off.as_secs_f64().max(1.0)).expect("mean is at least 1 s");
-        let draw = poisson.sample(&mut self.churn).max(1.0);
+        let draw = poisson(&mut self.churn, mean_off.as_secs_f64().max(1.0)).max(1.0);
         Some(SimDuration::from_secs_f64(draw))
     }
 
@@ -151,7 +148,7 @@ impl NodeSession {
             return self.first_video(trace, node);
         };
         let prev_channel = trace.catalog.video(prev).ok()?.channel();
-        let roll: f64 = self.picks.gen();
+        let roll = self.picks.unit();
         if roll < SAME_CHANNEL {
             self.video_in_channel(trace, prev_channel)
         } else if roll < SAME_CHANNEL + SAME_CATEGORY {
@@ -191,7 +188,7 @@ impl NodeSession {
         let channel = if subs.is_empty() {
             self.random_channel(trace)?
         } else {
-            subs[self.picks.gen_range(0..subs.len())]
+            subs[self.picks.index(subs.len())]
         };
         self.video_in_channel(trace, channel)
     }
@@ -214,7 +211,7 @@ impl NodeSession {
             })
             .collect();
         let total: f64 = weights.iter().sum();
-        let mut draw = self.picks.gen::<f64>() * total;
+        let mut draw = self.picks.unit() * total;
         for (v, w) in videos.iter().zip(&weights) {
             draw -= w;
             if draw <= 0.0 {
@@ -229,7 +226,7 @@ impl NodeSession {
         if n == 0 {
             return None;
         }
-        Some(ChannelId::new(self.picks.gen_range(0..n as u32)))
+        Some(ChannelId::new(self.picks.index(n) as u32))
     }
 }
 
@@ -309,7 +306,7 @@ impl SessionDirector {
                 abrupt_next: false,
             }));
             stagger.push(SimDuration::from_micros(
-                stagger_rng.gen_range(0..=workload.login_stagger.as_micros().max(1)),
+                stagger_rng.below(workload.login_stagger.as_micros().max(1).wrapping_add(1)),
             ));
         }
         Self {

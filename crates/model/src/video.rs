@@ -48,12 +48,10 @@ pub struct Video {
     favorites: u64,
     /// Encoding bitrate in kbps.
     bitrate_kbps: u32,
-    /// Number of chunks the video is divided into for transfer.
-    chunks: u32,
 }
 
 impl Video {
-    /// Creates a video with default bitrate and chunking and zero popularity.
+    /// Creates a video with the default bitrate and zero popularity.
     pub fn new(id: VideoId, channel: ChannelId, length_secs: u32, upload_day: u32) -> Self {
         Self {
             id,
@@ -63,7 +61,6 @@ impl Video {
             views: 0,
             favorites: 0,
             bitrate_kbps: DEFAULT_BITRATE_KBPS,
-            chunks: DEFAULT_CHUNKS_PER_VIDEO,
         }
     }
 
@@ -102,9 +99,10 @@ impl Video {
         self.bitrate_kbps
     }
 
-    /// Returns the number of chunks the video is divided into.
+    /// Returns the number of chunks the video is divided into: every
+    /// video has [`DEFAULT_CHUNKS_PER_VIDEO`].
     pub fn chunk_count(&self) -> u32 {
-        self.chunks
+        DEFAULT_CHUNKS_PER_VIDEO
     }
 
     /// Sets the total view count.
@@ -127,16 +125,6 @@ impl Video {
         self.bitrate_kbps = bitrate_kbps;
     }
 
-    /// Sets the number of transfer chunks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunks` is zero.
-    pub fn set_chunk_count(&mut self, chunks: u32) {
-        assert!(chunks > 0, "a video has at least one chunk");
-        self.chunks = chunks;
-    }
-
     /// Total size of the encoded video in bits (`length × bitrate`).
     pub fn size_bits(&self) -> u64 {
         u64::from(self.length_secs) * u64::from(self.bitrate_kbps) * 1_000
@@ -146,7 +134,7 @@ impl Video {
     ///
     /// All chunks are equal-sized; the last chunk absorbs rounding.
     pub fn chunk_size_bits(&self) -> u64 {
-        self.size_bits() / u64::from(self.chunks.max(1))
+        self.size_bits() / u64::from(DEFAULT_CHUNKS_PER_VIDEO)
     }
 
     /// Average daily view frequency given the video has been online for
@@ -175,9 +163,7 @@ mod tests {
         let mut v = sample();
         v.set_bitrate_kbps(320);
         assert_eq!(v.size_bits(), 100 * 320 * 1000);
-        v.set_chunk_count(2);
-        assert_eq!(v.chunk_size_bits(), v.size_bits() / 2);
-        v.set_chunk_count(8);
+        assert_eq!(v.chunk_count(), DEFAULT_CHUNKS_PER_VIDEO);
         assert_eq!(v.chunk_size_bits(), v.size_bits() / 8);
     }
 
@@ -202,11 +188,5 @@ mod tests {
     #[should_panic(expected = "bitrate must be positive")]
     fn zero_bitrate_rejected() {
         sample().set_bitrate_kbps(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one chunk")]
-    fn zero_chunks_rejected() {
-        sample().set_chunk_count(0);
     }
 }

@@ -17,7 +17,7 @@ use socialtube::harness::{CommandInterpreter, PeerSubstrate, ServerSubstrate};
 use socialtube::{Message, Outbox, PeerAddr, ServerOutbox, TimerKind, VodPeer, VodServer};
 use socialtube_baselines::Peer;
 use socialtube_model::{NodeId, VideoId};
-use socialtube_sim::{LatencyModel, ServerQueue, SimDuration};
+use socialtube_sim::{LatencyModel, ServerQueue, SimDuration, SimTime};
 
 use crate::clock::TestbedClock;
 use crate::testbed::NetEvent;
@@ -42,15 +42,15 @@ pub(crate) struct Fabric {
 }
 
 /// Control and network inputs to a daemon's event loop. Those on its
-/// channel carry the instant they fall due: now for control, arrival plus
-/// the injected latency for a delivery; paced sends and timers never cross
-/// the channel, the loop queues them itself. The user actions (`Login`,
+/// channel carry the instant they fall due: now for control, and the
+/// injected latency after a delivery's arrival or, for a paced one, after
+/// its sender's link finished sending it; timers never cross the channel,
+/// the loop queues them itself. The user actions (`Login`,
 /// `Logout`, `Watch`) and timers address peers; a server daemon ignores
 /// them. An `abrupt` logout sends nothing the peer queued on its way out.
 #[derive(Debug)]
 pub(crate) enum Input {
     Deliver { from: u32, msg: Message },
-    Transmit { to: u32, msg: Message },
     Timer(TimerKind),
     Login,
     Logout { abrupt: bool },
@@ -138,6 +138,7 @@ impl Daemon {
             me,
             book: Arc::clone(&fabric.book),
             latency: fabric.latency,
+            clock: fabric.clock,
             inputs: inputs.clone(),
         };
         let stop = Arc::clone(&shutdown);
@@ -194,6 +195,7 @@ struct Reader {
     me: u32,
     book: Arc<AddressBook>,
     latency: Arc<LatencyModel>,
+    clock: TestbedClock,
     inputs: Sender<(Instant, Input)>,
 }
 
@@ -222,8 +224,9 @@ fn accept_loop(listener: &TcpListener, shutdown: &AtomicBool, reader: &Reader) {
 impl Reader {
     /// Reads one connection to its end. The first frame must be a `Hello`
     /// from another index of the address book; every later frame is a
-    /// message, sent to the event loop due after the link's propagation
-    /// delay (the PlanetLab geography stand-in), so the socket never
+    /// message, sent to the event loop due the link's propagation delay
+    /// (the PlanetLab geography stand-in) after it arrived or, if paced,
+    /// after the sender's link finished sending it, so the socket never
     /// waits on the loop. The reader ends early once the loop has exited.
     ///
     /// # Errors
@@ -249,10 +252,14 @@ impl Reader {
         // so one lookup covers peer↔peer and both directions of peer↔server.
         let delay = Duration::from_micros(self.latency.delay(self.me, from).as_micros());
         while let Some(frame) = read_frame(&mut stream)? {
-            let Frame::Msg(msg) = frame else {
-                return Err(invalid(format!("{frame:?} after the handshake")));
+            let (sent, msg) = match frame {
+                Frame::Msg(msg) => (Instant::now(), msg),
+                Frame::Paced { done, msg } => (self.clock.instant(SimTime::from_micros(done)), msg),
+                Frame::Hello { .. } => {
+                    return Err(invalid(format!("{frame:?} after the handshake")))
+                }
             };
-            let due = Instant::now() + delay;
+            let due = sent + delay;
             if self
                 .inputs
                 .send((due, Input::Deliver { from, msg }))
@@ -266,10 +273,13 @@ impl Reader {
 }
 
 /// The TCP implementation of [`PeerSubstrate`] and [`ServerSubstrate`]:
-/// control frames go straight to the connection pool; bulk frames (peer
-/// chunks, origin chunks) are paced first through the daemon's upload
-/// link, the simulator's FIFO pipe run on the testbed clock; paced sends
-/// and timers wait in the loop's due queue.
+/// every frame goes straight to the connection pool, and timers wait in
+/// the loop's due queue. A bulk frame (a peer or origin chunk) is first
+/// paced through the daemon's upload link, the simulator's FIFO pipe run
+/// on the testbed clock, and carries its completion time, so the receiver
+/// delivers it a propagation delay after the link would have finished
+/// sending it — wherever either loop's scheduling lag puts the socket
+/// write and read.
 struct TcpSubstrate {
     pool: ConnectionPool,
     link: ServerQueue,
@@ -283,9 +293,8 @@ impl TcpSubstrate {
     }
 
     fn bulk(&mut self, to: u32, bits: u64, msg: Message) {
-        let done = self.link.serve(self.clock.now(), bits);
-        self.due
-            .push(self.clock.instant(done), Input::Transmit { to, msg });
+        let done = self.link.serve(self.clock.now(), bits).as_micros();
+        self.pool.send(to, &Frame::Paced { done, msg });
     }
 }
 
@@ -333,10 +342,6 @@ fn event_loop(
         let now = clock.now();
         match (&mut actor, input) {
             (_, Input::Shutdown) => return,
-            (_, Input::Transmit { to, msg }) => {
-                net.control(to, msg);
-                continue;
-            }
             (Actor::Peer(peer), Input::Deliver { from, msg }) => {
                 let from = match from {
                     SERVER_INDEX => PeerAddr::Server,
@@ -383,27 +388,36 @@ fn event_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use socialtube_sim::SimTime;
 
-    /// Bulk sends queue FIFO behind one another on the upload link, and
-    /// each falls due at its completion on the testbed clock.
+    /// Bulk sends queue FIFO behind one another on the upload link, go out
+    /// at once, and each carries its completion on the testbed clock.
     #[test]
     fn bulk_sends_are_paced_fifo_on_the_testbed_clock() {
-        let (book, _listeners) = AddressBook::bind(1).expect("bind localhost");
-        let clock = TestbedClock::start();
+        let (book, mut listeners) = AddressBook::bind(1).expect("bind localhost");
+        let server = listeners.pop().expect("server listener");
         let mut net = TcpSubstrate {
             pool: ConnectionPool::new(0, book),
             link: ServerQueue::new(1_000_000), // 1 Mbps
             due: DueQueue::new(),
-            clock,
+            clock: TestbedClock::start(),
         };
         for _ in 0..2 {
             net.bulk(SERVER_INDEX, 100_000, Message::Leave); // 100 ms each
         }
-        let due: Vec<Instant> = net.due.pending.keys().map(|&(due, _)| due).collect();
-        let start = clock.instant(SimTime::ZERO);
-        assert!(due[0] >= start + Duration::from_millis(100));
-        assert!(due[1] >= due[0] + Duration::from_millis(100));
+        assert!(net.due.pending.is_empty(), "nothing waits at the sender");
+        let (mut stream, _) = server.accept().expect("the sends went out");
+        let mut frame = || read_frame(&mut stream).unwrap().expect("a frame");
+        assert_eq!(frame(), Frame::Hello { sender: 0 });
+        let mut done = || match frame() {
+            Frame::Paced {
+                done,
+                msg: Message::Leave,
+            } => done,
+            other => panic!("expected a paced Leave, got {other:?}"),
+        };
+        let first = done();
+        assert!(first >= 100_000);
+        assert!(done() >= first + 100_000);
     }
 
     #[test]
@@ -709,8 +723,8 @@ mod daemon_tests {
         (server.try_iter().collect(), neighbor.try_iter().collect())
     }
 
-    /// A `Shutdown` stops the loop at once: a paced send due in a minute is
-    /// dropped, not sent.
+    /// A `Shutdown` stops the loop at once: a login due in a minute is
+    /// dropped, and the subscription update it would send never leaves.
     #[test]
     fn shutdown_drops_pending_inputs() {
         let catalog = Arc::new(CatalogBuilder::new().build());
@@ -719,11 +733,7 @@ mod daemon_tests {
         let server = listeners.pop().expect("server listener");
         let (pool, link) = (ConnectionPool::new(0, book), ServerQueue::new(1_000_000));
         let mut due = DueQueue::new();
-        let send = Input::Transmit {
-            to: SERVER_INDEX,
-            msg: Message::LogOff,
-        };
-        due.push(Instant::now() + Duration::from_secs(60), send);
+        due.push(Instant::now() + Duration::from_secs(60), Input::Login);
         let (inputs, input_rx) = mpsc::channel();
         inputs.send((Instant::now(), Input::Shutdown)).unwrap();
         let start = Instant::now();

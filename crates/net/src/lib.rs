@@ -18,9 +18,9 @@
 //!   it drains its actor's outbox through the shared
 //!   [`CommandInterpreter`](socialtube::harness::CommandInterpreter) over
 //!   one TCP substrate (connection pool + the simulator's FIFO upload link
-//!   on the testbed clock), and its
-//!   event loop alone keeps the daemon's timers, injected delays and paced
-//!   sends in one due queue;
+//!   on the testbed clock, whose completion time a bulk frame carries), and
+//!   its event loop alone keeps the daemon's timers and injected delays in
+//!   one due queue;
 //! * [`testbed`] — [`Deployment`]: binds every listener, spawns a whole
 //!   deployment in-process and surfaces protocol reports as
 //!   [`NetEvent`]s; the workload loop that drives it lives with the caller

@@ -21,6 +21,16 @@ pub enum Frame {
     },
     /// A protocol message.
     Msg(Message),
+    /// A bulk message (a chunk) and the time its sender's upload link
+    /// finishes sending it, in microseconds on the deployment's shared
+    /// testbed clock. It crosses the socket at once; the receiver delivers
+    /// it the link's injected delay after `done`.
+    Paced {
+        /// Completion time on the sender's upload link, in microseconds.
+        done: u64,
+        /// The message.
+        msg: Message,
+    },
 }
 
 /// Codec failures.
@@ -207,6 +217,11 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             out.put_u8(1);
             encode_message(msg, &mut out);
         }
+        Frame::Paced { done, msg } => {
+            out.put_u8(2);
+            out.put_u64(*done);
+            encode_message(msg, &mut out);
+        }
     }
     let len = (out.len() - 4) as u32;
     out[..4].copy_from_slice(&len.to_be_bytes());
@@ -223,6 +238,10 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, WireError> {
     match r.u8()? {
         0 => Ok(Frame::Hello { sender: r.u32()? }),
         1 => Ok(Frame::Msg(decode_message(&mut r)?)),
+        2 => Ok(Frame::Paced {
+            done: r.u64()?,
+            msg: decode_message(&mut r)?,
+        }),
         t => Err(WireError::UnknownTag(t)),
     }
 }
@@ -631,9 +650,15 @@ mod tests {
                 ranked: vec![VideoId::new(3), VideoId::new(1)].into(),
             },
         ];
-        for msg in samples {
-            let f = Frame::Msg(msg.clone());
-            assert_eq!(round_trip(&f), f, "variant {}", msg.tag());
+        for (i, msg) in (0u64..).zip(samples) {
+            let tag = msg.tag();
+            let paced = Frame::Paced {
+                done: u64::MAX - i,
+                msg: msg.clone(),
+            };
+            for f in [Frame::Msg(msg), paced] {
+                assert_eq!(round_trip(&f), f, "variant {tag}");
+            }
         }
     }
 

@@ -88,7 +88,7 @@ impl LatencyModel {
     }
 }
 
-/// `SimRng::seed(key).gen_range(0..=span)` without building the
+/// `SimRng::seed(key).below(span + 1)` without building the
 /// generator. SplitMix64 seeding makes state word `k` `splitmix(key + (k +
 /// 1) · γ)`, and xoshiro256++'s first output reads words 0 and 3 only. The
 /// all-zero-state nudge cannot fire: it needs both `key + γ` and `key + 4γ`
@@ -98,7 +98,7 @@ fn first_draw(key: u64, span: u64) -> u64 {
     let s3 = splitmix(key.wrapping_add(GOLDEN_GAMMA.wrapping_mul(4)));
     let x = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
     match span.checked_add(1) {
-        // Multiply-shift into `0..=span`, as `gen_range` bounds a draw.
+        // Multiply-shift into `0..=span`, as `SimRng::below` bounds a draw.
         Some(n) => ((u128::from(x) * u128::from(n)) >> 64) as u64,
         None => x,
     }
@@ -107,7 +107,6 @@ fn first_draw(key: u64, span: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     /// The 20–200 ms wide-area spread the struct docs describe.
     fn wide_area() -> LatencyModel {
@@ -168,7 +167,7 @@ mod tests {
         let mut rng = SimRng::seed(
             model.seed ^ (u64::from(lo) << 32 | u64::from(hi)).wrapping_mul(0x2545_F491_4F6C_DD1D),
         );
-        SimDuration::from_micros(model.min.as_micros() + rng.gen_range(0..=span))
+        SimDuration::from_micros(model.min.as_micros() + rng.below(span.wrapping_add(1)))
     }
 
     #[test]

@@ -1,8 +1,5 @@
 //! Seeded, stream-splittable randomness.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
-
 /// Deterministic random source for simulations.
 ///
 /// A single `u64` seed reproduces an entire run. [`stream`](SimRng::stream)
@@ -15,25 +12,76 @@ use rand::{Rng, RngCore, SeedableRng};
 ///
 /// ```
 /// use socialtube_sim::SimRng;
-/// use rand::Rng;
 ///
 /// let mut a = SimRng::seed(42).stream("workload");
 /// let mut b = SimRng::seed(42).stream("workload");
-/// assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+/// assert_eq!(a.next_u64(), b.next_u64());
+/// let i = a.index(10);
+/// assert!(i < 10);
+/// assert_eq!(i, b.index(10));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimRng {
-    inner: SmallRng,
+    /// xoshiro256++ state.
+    s: [u64; 4],
     seed: u64,
 }
 
 impl SimRng {
-    /// Creates a generator from a root seed.
+    /// Creates a generator from a root seed: the xoshiro256++ state is
+    /// SplitMix64's first four outputs from `seed`.
     pub fn seed(seed: u64) -> Self {
-        Self {
-            inner: SmallRng::seed_from_u64(seed),
-            seed,
+        let mut s: [u64; 4] = std::array::from_fn(|k| {
+            splitmix(seed.wrapping_add(GOLDEN_GAMMA.wrapping_mul(k as u64 + 1)))
+        });
+        // An all-zero state is a fixed point of xoshiro; nudge it.
+        if s == [0; 4] {
+            s = [GOLDEN_GAMMA, 1, 2, 3];
         }
+        Self { s, seed }
+    }
+
+    /// The next 64 random bits (xoshiro256++).
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// A uniform draw from `[0, 1)`: the high 53 bits of one
+    /// [`next_u64`](SimRng::next_u64).
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// A uniform draw from `0..n` by multiply-shift (Lemire's method
+    /// without its rejection step: the bias is at most `n / 2⁶⁴`), from one
+    /// [`next_u64`](SimRng::next_u64). `n == 0` stands for the full 2⁶⁴
+    /// domain and returns the draw itself.
+    pub fn below(&mut self, n: u64) -> u64 {
+        let x = self.next_u64();
+        if n == 0 {
+            x
+        } else {
+            ((u128::from(x) * u128::from(n)) >> 64) as u64
+        }
+    }
+
+    /// A uniform index into `0..len`: [`below`](SimRng::below)`(len)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero.
+    pub fn index(&mut self, len: usize) -> usize {
+        assert!(len > 0, "cannot draw an index into an empty range");
+        self.below(len as u64) as usize
     }
 
     /// Returns the root seed this generator was created from.
@@ -77,7 +125,7 @@ impl SimRng {
         } else if p >= 1.0 {
             true
         } else {
-            self.inner.gen::<f64>() < p
+            self.unit() < p
         }
     }
 
@@ -86,7 +134,7 @@ impl SimRng {
         if slice.is_empty() {
             None
         } else {
-            let i = self.inner.gen_range(0..slice.len());
+            let i = self.index(slice.len());
             Some(&slice[i])
         }
     }
@@ -101,7 +149,7 @@ impl SimRng {
         if len == 0 {
             return None;
         }
-        let i = self.inner.gen_range(0..len);
+        let i = self.index(len);
         Some(&slice[unskip(i, skip)])
     }
 
@@ -130,7 +178,7 @@ impl SimRng {
     }
 
     /// Hands `pick` the first `min(n, len)` indices of a Fisher–Yates
-    /// shuffle of `0..len`, in order, drawing one `gen_range(i..len)` per
+    /// shuffle of `0..len`, in order, drawing one `i + index(len - i)` per
     /// index like the dense shuffle does but remembering only the
     /// positions a swap moved — O(n²) over a handful of contacts instead
     /// of O(len) over a whole member list.
@@ -139,7 +187,7 @@ impl SimRng {
         // its own index.
         let mut moved: Vec<(usize, usize)> = Vec::new();
         for i in 0..n.min(len) {
-            let j = self.inner.gen_range(i..len);
+            let j = i + self.index(len - i);
             let at = |p: usize| moved.iter().find(|(q, _)| *q == p).map_or(p, |&(_, v)| v);
             let (front, drawn) = (at(i), at(j));
             pick(drawn);
@@ -178,24 +226,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x1000_0000_01b3);
     }
     hash
-}
-
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest);
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
-    }
 }
 
 #[cfg(test)]
@@ -245,6 +275,51 @@ mod tests {
     }
 
     #[test]
+    fn below_stays_in_range() {
+        let mut rng = SimRng::seed(1);
+        for _ in 0..10_000 {
+            assert!(rng.below(10) < 10);
+            assert_eq!(rng.below(1), 0);
+        }
+    }
+
+    #[test]
+    fn below_zero_is_the_full_domain() {
+        let (mut a, mut b) = (SimRng::seed(5), SimRng::seed(5));
+        for _ in 0..100 {
+            assert_eq!(a.below(0), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn index_is_calibrated() {
+        let mut rng = SimRng::seed(11);
+        let mut counts = [0usize; 10];
+        for _ in 0..100_000 {
+            counts[rng.index(10)] += 1;
+        }
+        for c in counts {
+            assert!((8_500..11_500).contains(&c), "bucket count {c}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn index_into_nothing_panics() {
+        SimRng::seed(1).index(0);
+    }
+
+    #[test]
+    fn unit_draws_are_uniform() {
+        let mut rng = SimRng::seed(3);
+        let n = 100_000;
+        let draws: Vec<f64> = (0..n).map(|_| rng.unit()).collect();
+        assert!(draws.iter().all(|u| (0.0..1.0).contains(u)));
+        let mean = draws.iter().sum::<f64>() / n as f64;
+        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
+    }
+
+    #[test]
     fn pick_none_on_empty() {
         let mut rng = SimRng::seed(7);
         let empty: [u8; 0] = [];
@@ -277,7 +352,7 @@ mod tests {
         let mut indices: Vec<usize> = (0..slice.len()).collect();
         let take = n.min(slice.len());
         for i in 0..take {
-            let j = rng.inner.gen_range(i..indices.len());
+            let j = i + rng.index(indices.len() - i);
             indices.swap(i, j);
         }
         indices[..take].iter().map(|&i| slice[i].clone()).collect()

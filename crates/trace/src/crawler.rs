@@ -59,14 +59,13 @@ pub fn crawl(trace: &Trace, max_users: usize, seed: u64) -> CrawlSample {
         owned[owner.index()].push(ChannelId::new(ci as u32));
     }
 
-    use rand::Rng;
     while users.len() < max_users.min(user_count) {
         if queue.is_empty() {
             // Seed (or re-seed) with a random unvisited user.
-            let mut candidate = NodeId::new(rng.gen_range(0..user_count as u32));
+            let mut candidate = NodeId::new(rng.index(user_count) as u32);
             let mut guard = 0;
             while visited_users.contains(&candidate) && guard < user_count * 2 {
-                candidate = NodeId::new(rng.gen_range(0..user_count as u32));
+                candidate = NodeId::new(rng.index(user_count) as u32);
                 guard += 1;
             }
             if visited_users.contains(&candidate) {

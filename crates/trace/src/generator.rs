@@ -25,11 +25,9 @@ use socialtube_model::{
 };
 use socialtube_sim::SimRng;
 
-use rand::Rng;
-use rand_distr::{Distribution, Poisson};
-
 use crate::distributions::{
-    geometric_count, pareto_sample, upload_day, video_length_secs, videos_per_channel, ZipfRanks,
+    geometric_count, pareto_sample, poisson, upload_day, video_length_secs, videos_per_channel,
+    ZipfRanks,
 };
 use crate::TraceConfig;
 
@@ -130,7 +128,7 @@ impl WeightedChannels {
         if total <= 0.0 {
             return None;
         }
-        let u: f64 = rng.gen::<f64>() * total;
+        let u = rng.unit() * total;
         let i = self.cumulative.partition_point(|c| *c < u);
         Some(self.channels[i.min(self.channels.len() - 1)])
     }
@@ -173,7 +171,7 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
         let primary = categories[category_zipf.sample(&mut chan_rng) - 1];
         cats.push(primary);
         while cats.len() < n_cats {
-            let extra = categories[chan_rng.gen_range(0..config.categories)];
+            let extra = categories[chan_rng.index(config.categories)];
             if !cats.contains(&extra) {
                 cats.push(extra);
             }
@@ -228,7 +226,7 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
         let mut order: Vec<usize> = (0..n).collect();
         // Random permutation: upload order is not popularity order.
         for i in (1..n).rev() {
-            let j = pop_rng.gen_range(0..=i);
+            let j = pop_rng.index(i + 1);
             order.swap(i, j);
         }
         for (rank0, &slot) in order.iter().enumerate() {
@@ -236,7 +234,7 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
             let views = (VIEW_SCALE * channel_weights[ci] / (rank as f64).powf(WITHIN_CHANNEL_ZIPF))
                 .round() as u64;
             let ratio =
-                FAVORITE_RATIO_MEAN * (1.0 + FAVORITE_RATIO_JITTER * pop_rng.gen_range(-1.0..1.0));
+                FAVORITE_RATIO_MEAN * (1.0 + FAVORITE_RATIO_JITTER * (2.0 * pop_rng.unit() - 1.0));
             let favorites = (views as f64 * ratio.max(0.0)).round() as u64;
             builder.set_views(vids[slot], views);
             builder.set_favorites(vids[slot], favorites);
@@ -267,8 +265,7 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
     );
 
     let mut user_rng = root.stream("users");
-    let sub_poisson = Poisson::new(config.subscriptions_mean.max(1.0) - 0.999)
-        .expect("positive subscription mean");
+    let sub_mean = config.subscriptions_mean.max(1.0) - 0.999;
     for u in 0..config.users {
         let node = NodeId::new(u as u32);
         let n_interests = geometric_count(
@@ -284,13 +281,13 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
             let cat = if retries < n_interests * 8 {
                 categories[category_zipf.sample(&mut user_rng) - 1]
             } else {
-                categories[user_rng.gen_range(0..config.categories)]
+                categories[user_rng.index(config.categories)]
             };
             retries += 1;
             graph.user_mut(node).expect("user exists").add_interest(cat);
         }
 
-        let n_subs = 1 + sub_poisson.sample(&mut user_rng) as usize;
+        let n_subs = 1 + poisson(&mut user_rng, sub_mean) as usize;
         let mut attempts = 0;
         while graph.user(node).expect("user exists").subscriptions().len() < n_subs
             && attempts < n_subs * 10
@@ -299,7 +296,7 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
             let interests = graph.user(node).expect("user exists").interests().to_vec();
             let within = user_rng.chance(config.subscription_interest_affinity);
             let choice = if within && !interests.is_empty() {
-                let cat = interests[user_rng.gen_range(0..interests.len())];
+                let cat = interests[user_rng.index(interests.len())];
                 per_category[cat.index()].sample(&mut user_rng)
             } else {
                 all_channels.sample(&mut user_rng)
@@ -325,7 +322,7 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
     // --- Channel owners.
     let mut owner_rng = root.stream("owners");
     let channel_owners: Vec<NodeId> = (0..config.channels)
-        .map(|_| NodeId::new(owner_rng.gen_range(0..config.users as u32)))
+        .map(|_| NodeId::new(owner_rng.index(config.users) as u32))
         .collect();
     Trace {
         catalog: Arc::new(catalog),
