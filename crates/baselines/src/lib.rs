@@ -1,12 +1,13 @@
 //! Baseline P2P VoD protocols the paper compares SocialTube against.
 //!
-//! * [`pavod`] — **PA-VoD** (Huang, Li, Ross — SIGCOMM'07): the server
-//!   directs a request to peers *currently watching* the same video; a peer
-//!   stops providing the moment it finishes watching. Since YouTube videos
-//!   are short, providers are scarce and most traffic falls back to the
-//!   server.
-//! * [`nettube`] — **NetTube** (Cheng & Liu — INFOCOM'09): viewers of the
-//!   same video form a per-video overlay and keep a cache of watched videos;
+//! * [`PaVodPeer`] / [`PaVodServer`] — **PA-VoD** (Huang, Li, Ross —
+//!   SIGCOMM'07): the server directs a request to peers *currently
+//!   watching* the same video; a peer stops providing the moment it
+//!   finishes watching. Since YouTube videos are short, providers are
+//!   scarce and most traffic falls back to the server.
+//! * [`NetTubePeer`] / [`NetTubeServer`] — **NetTube** (Cheng & Liu —
+//!   INFOCOM'09): viewers of the same video form a per-video overlay and
+//!   keep a cache of watched videos;
 //!   queries flood with TTL 2 through the union of a node's overlays,
 //!   reaching three hops (a receiver at TTL 0 still answers);
 //!   prefetching picks *random* videos from neighbors' caches. Watching many
@@ -22,10 +23,11 @@
 //! the simulator and the TCP testbed both run.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
-pub mod nettube;
-pub mod pavod;
+mod nettube;
+mod pavod;
 mod peer;
 
 pub use nettube::{NetTubePeer, NetTubeServer};

@@ -13,7 +13,7 @@ use socialtube_sim::{SimDuration, SimRng, SimTime};
 
 /// Links a peer keeps per video overlay, and contacts the server hands a
 /// joining peer (the paper's analysis uses `log u`).
-pub const LINKS_PER_VIDEO: usize = 5;
+pub(crate) const LINKS_PER_VIDEO: usize = 5;
 
 /// A NetTube peer.
 ///
@@ -96,16 +96,9 @@ impl NetTubePeer {
         }
     }
 
-    /// Distinct neighbor nodes across all per-video overlays, in order of
-    /// first link.
-    pub fn distinct_neighbors(&self) -> Vec<NodeId> {
-        let mut nodes = Vec::with_capacity(self.links.len());
-        first_occurrences(&self.links, &mut nodes);
-        nodes
-    }
-
-    /// Rebuilds `distinct_cache`, [`Self::distinct_neighbors`] without the
-    /// allocation, if link churn invalidated it.
+    /// Rebuilds `distinct_cache`, the distinct neighbor nodes across all
+    /// per-video overlays in order of first link, if link churn
+    /// invalidated it.
     fn refresh_distinct(&mut self) {
         if self.distinct_dirty {
             self.distinct_cache.clear();
@@ -520,11 +513,6 @@ impl NetTubeServer {
             rng,
         }
     }
-
-    /// Members of a video overlay (tests and diagnostics).
-    pub fn overlay_size(&self, video: VideoId) -> usize {
-        self.overlays.groups().members(video.index()).len()
-    }
 }
 
 impl VodServer for NetTubeServer {
@@ -729,7 +717,8 @@ mod tests {
             &mut out,
         );
         assert_eq!(p.link_count(), 2);
-        assert_eq!(p.distinct_neighbors(), vec![NodeId::new(9)]);
+        p.refresh_distinct();
+        assert_eq!(p.distinct_cache, vec![NodeId::new(9)]);
     }
 
     #[test]
@@ -919,7 +908,8 @@ mod tests {
             &mut out,
         );
         assert_eq!(p.link_count(), 1);
-        assert_eq!(p.distinct_neighbors(), vec![NodeId::new(2)]);
+        p.refresh_distinct();
+        assert_eq!(p.distinct_cache, vec![NodeId::new(2)]);
     }
 
     #[test]
@@ -939,7 +929,7 @@ mod tests {
             Message::WatchStarted { video: vids[0] },
             &mut out,
         );
-        assert_eq!(s.overlay_size(vids[0]), 2);
+        assert_eq!(s.overlays.groups().members(vids[0].index()).len(), 2);
         out.drain();
         s.on_message(
             SimTime::ZERO,
@@ -960,7 +950,7 @@ mod tests {
             .expect("contacts");
         assert_eq!(contacts.len(), 2);
         s.on_message(SimTime::ZERO, NodeId::new(1), Message::LogOff, &mut out);
-        assert_eq!(s.overlay_size(vids[0]), 1);
+        assert_eq!(s.overlays.groups().members(vids[0].index()).len(), 1);
     }
 
     #[test]
@@ -989,7 +979,7 @@ mod tests {
             let msg = Message::WatchStarted { video };
             s.on_message(SimTime::ZERO, NodeId::new(node), msg, &mut out);
             let videos = 0..s.catalog.video_count();
-            let total: usize = videos.map(|v| s.overlay_size(VideoId::new(v as u32))).sum();
+            let total: usize = videos.map(|v| s.overlays.groups().members(v).len()).sum();
             assert_eq!(s.tracked_entries(), total);
         };
         for node in 1..=3 {

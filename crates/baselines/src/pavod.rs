@@ -12,7 +12,7 @@ use socialtube_sim::{SimDuration, SimRng, SimTime};
 
 /// How many candidate providers the server returns per lookup, and the
 /// most a peer tries before asking the server itself.
-pub const PROVIDERS_PER_LOOKUP: usize = 5;
+pub(crate) const PROVIDERS_PER_LOOKUP: usize = 5;
 
 /// A PA-VoD peer.
 ///
@@ -218,11 +218,6 @@ impl PaVodServer {
             rng,
         }
     }
-
-    /// Current provider count for `video` (tests and diagnostics).
-    pub fn providers_of(&self, video: VideoId) -> usize {
-        self.watching.groups().members(video.index()).len()
-    }
 }
 
 impl VodServer for PaVodServer {
@@ -413,7 +408,7 @@ mod tests {
             Message::WatchStarted { video: v },
             &mut out,
         );
-        assert_eq!(s.providers_of(v), 2);
+        assert_eq!(s.watching.groups().members(v.index()).len(), 2);
         assert_eq!(s.tracked_entries(), 2);
         s.on_message(
             SimTime::ZERO,
@@ -421,9 +416,9 @@ mod tests {
             Message::WatchStopped { video: v },
             &mut out,
         );
-        assert_eq!(s.providers_of(v), 1);
+        assert_eq!(s.watching.groups().members(v.index()).len(), 1);
         s.on_message(SimTime::ZERO, NodeId::new(2), Message::LogOff, &mut out);
-        assert_eq!(s.providers_of(v), 0);
+        assert_eq!(s.watching.groups().members(v.index()).len(), 0);
     }
 
     /// A download that completes after its user moved on registers the old
@@ -471,7 +466,7 @@ mod tests {
             s.watching.groups().members(a.index()),
             [NodeId::new(2), NodeId::new(3)]
         );
-        assert_eq!(s.providers_of(later), 0);
+        assert_eq!(s.watching.groups().members(later.index()).len(), 0);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! Performance is measured by the benchmark package under `perf/`, not
 //! here.
 
+#![warn(unreachable_pub)]
+
 pub mod csv;
 
 pub use csv::write_table;

@@ -7,14 +7,14 @@ use socialtube_model::{ChunkIndex, VideoId};
 pub struct CacheEntry {
     /// Number of leading chunks present (`chunks == total` means the full
     /// video is cached and this node can act as a provider).
-    pub chunks: u32,
+    pub(crate) chunks: u32,
     /// Total chunks the video has.
-    pub total: u32,
+    pub(crate) total: u32,
 }
 
 impl CacheEntry {
     /// Whether every chunk is present.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.chunks >= self.total
     }
 }
@@ -31,16 +31,36 @@ impl CacheEntry {
 ///
 /// # Examples
 ///
-/// ```
-/// use socialtube::VideoCache;
-/// use socialtube_model::VideoId;
+/// A [`Flood`](crate::Flood) fills its cache from the chunks delivered to
+/// it: the first chunk makes a partial entry, the last one a full entry.
 ///
-/// let mut cache = VideoCache::unbounded();
-/// cache.insert_full(VideoId::new(1), 2, 0);
-/// assert!(cache.has_full(VideoId::new(1)));
-/// cache.insert_first_chunk(VideoId::new(2), 2, 1);
-/// assert!(cache.has_first_chunk(VideoId::new(2)));
-/// assert!(!cache.has_full(VideoId::new(2)));
+/// ```
+/// use std::sync::Arc;
+///
+/// use socialtube::{Flood, Message, Outbox, PeerAddr, RequestId, TransferKind, Transfers};
+/// use socialtube_model::{CatalogBuilder, NodeId};
+/// use socialtube_sim::SimTime;
+///
+/// let mut catalog = CatalogBuilder::new();
+/// let category = catalog.add_category();
+/// let channel = catalog.add_channel([category]);
+/// let video = catalog.add_video(channel, 60, 0);
+/// let me = NodeId::new(0);
+/// let mut transfers = Transfers::new(me, Arc::new(catalog.build()));
+/// let (mut flood, mut out) = (Flood::new(None), Outbox::new());
+/// let last = transfers.chunks_in(video) - 1;
+/// for chunk in [0, last] {
+///     let data = Message::ChunkData {
+///         id: RequestId::new(me, 0),
+///         video,
+///         chunk,
+///         bits: 1,
+///         kind: TransferKind::Playback,
+///     };
+///     flood.on_chunk(&mut transfers, SimTime::ZERO, PeerAddr::Server, data, &mut out);
+///     assert!(flood.cache().has_first_chunk(video));
+///     assert_eq!(flood.cache().has_full(video), chunk == last);
+/// }
 /// ```
 #[derive(Clone, Debug)]
 pub struct VideoCache {
@@ -68,7 +88,7 @@ fn filter_bit(video: VideoId) -> (usize, u64) {
 
 impl VideoCache {
     /// A cache without a capacity bound (the paper's setting).
-    pub fn unbounded() -> Self {
+    pub(crate) fn unbounded() -> Self {
         Self {
             entries: Vec::new(),
             full: [0; 2],
@@ -82,7 +102,7 @@ impl VideoCache {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         Self {
             entries: Vec::new(),
@@ -93,21 +113,11 @@ impl VideoCache {
     }
 
     /// Builds from an optional capacity (`None` = unbounded).
-    pub fn from_config(capacity: Option<usize>) -> Self {
+    pub(crate) fn from_config(capacity: Option<usize>) -> Self {
         match capacity {
             Some(c) => Self::with_capacity(c),
             None => Self::unbounded(),
         }
-    }
-
-    /// Number of cached videos (full or partial).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Whether the full video is cached. Most probes of a flood are for
@@ -161,34 +171,21 @@ impl VideoCache {
         }
     }
 
-    /// Inserts (or upgrades to) a fully cached video with `total` chunks,
-    /// marking it used at logical time `used_at`.
-    pub fn insert_full(&mut self, video: VideoId, total: u32, used_at: u64) {
-        self.touch_clock(used_at);
-        self.upsert(video, total, |e| {
-            e.chunks = total;
-            e.total = total;
-        });
-        self.evict_if_needed(video);
-    }
-
-    /// Records the first chunk of `video` (prefetch), unless more is
-    /// already cached.
-    pub fn insert_first_chunk(&mut self, video: VideoId, total: u32, used_at: u64) {
-        self.touch_clock(used_at);
-        self.upsert(video, total, |e| e.chunks = e.chunks.max(1));
-        self.evict_if_needed(video);
-    }
-
     /// Records that chunks `0..=chunk` of `video` are now present.
-    pub fn record_chunk(&mut self, video: VideoId, chunk: ChunkIndex, total: u32, used_at: u64) {
+    pub(crate) fn record_chunk(
+        &mut self,
+        video: VideoId,
+        chunk: ChunkIndex,
+        total: u32,
+        used_at: u64,
+    ) {
         self.touch_clock(used_at);
         self.upsert(video, total, |e| e.chunks = e.chunks.max(chunk + 1));
         self.evict_if_needed(video);
     }
 
     /// Marks `video` recently used (e.g. it was served to a peer).
-    pub fn touch(&mut self, video: VideoId, used_at: u64) {
+    pub(crate) fn touch(&mut self, video: VideoId, used_at: u64) {
         self.touch_clock(used_at);
         let clock = self.clock;
         if let Ok(at) = self.position(video) {
@@ -197,7 +194,7 @@ impl VideoCache {
     }
 
     /// Removes `video` from the cache. Returns `true` if it was present.
-    pub fn remove(&mut self, video: VideoId) -> bool {
+    pub(crate) fn remove(&mut self, video: VideoId) -> bool {
         match self.position(video) {
             Ok(at) => {
                 self.entries.remove(at);
@@ -257,10 +254,10 @@ mod tests {
     #[test]
     fn full_and_partial_are_distinguished() {
         let mut c = VideoCache::unbounded();
-        c.insert_first_chunk(VideoId::new(1), 2, 0);
+        c.record_chunk(VideoId::new(1), 0, 2, 0);
         assert!(c.has_first_chunk(VideoId::new(1)));
         assert!(!c.has_full(VideoId::new(1)));
-        c.insert_full(VideoId::new(1), 2, 1);
+        c.record_chunk(VideoId::new(1), 1, 2, 1);
         assert!(c.has_full(VideoId::new(1)));
         assert_eq!(c.chunks_of(VideoId::new(1)), 2);
     }
@@ -280,39 +277,39 @@ mod tests {
     #[test]
     fn first_chunk_never_downgrades_full_video() {
         let mut c = VideoCache::unbounded();
-        c.insert_full(VideoId::new(1), 2, 0);
-        c.insert_first_chunk(VideoId::new(1), 2, 1);
+        c.record_chunk(VideoId::new(1), 1, 2, 0);
+        c.record_chunk(VideoId::new(1), 0, 2, 1);
         assert!(c.has_full(VideoId::new(1)));
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = VideoCache::with_capacity(2);
-        c.insert_full(VideoId::new(1), 2, 1);
-        c.insert_full(VideoId::new(2), 2, 2);
+        c.record_chunk(VideoId::new(1), 1, 2, 1);
+        c.record_chunk(VideoId::new(2), 1, 2, 2);
         c.touch(VideoId::new(1), 3);
-        c.insert_full(VideoId::new(3), 2, 4);
+        c.record_chunk(VideoId::new(3), 1, 2, 4);
         // Video 2 was least recently used.
         assert!(c.has_full(VideoId::new(1)));
         assert!(!c.has_full(VideoId::new(2)));
         assert!(c.has_full(VideoId::new(3)));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
     }
 
     #[test]
     fn capacity_never_exceeded() {
         let mut c = VideoCache::with_capacity(3);
         for i in 0..20 {
-            c.insert_full(VideoId::new(i), 2, i as u64);
-            assert!(c.len() <= 3);
+            c.record_chunk(VideoId::new(i), 1, 2, i as u64);
+            assert!(c.entries.len() <= 3);
         }
     }
 
     #[test]
     fn newest_insert_survives_eviction() {
         let mut c = VideoCache::with_capacity(1);
-        c.insert_full(VideoId::new(1), 2, 1);
-        c.insert_full(VideoId::new(2), 2, 2);
+        c.record_chunk(VideoId::new(1), 1, 2, 1);
+        c.record_chunk(VideoId::new(2), 1, 2, 2);
         assert!(c.has_full(VideoId::new(2)));
         assert!(!c.has_full(VideoId::new(1)));
     }
@@ -320,8 +317,8 @@ mod tests {
     #[test]
     fn full_videos_lists_only_complete_entries() {
         let mut c = VideoCache::unbounded();
-        c.insert_full(VideoId::new(1), 2, 0);
-        c.insert_first_chunk(VideoId::new(2), 2, 1);
+        c.record_chunk(VideoId::new(1), 1, 2, 0);
+        c.record_chunk(VideoId::new(2), 0, 2, 1);
         let full: Vec<VideoId> = c.full_videos().collect();
         assert_eq!(full, vec![VideoId::new(1)]);
     }
@@ -329,10 +326,10 @@ mod tests {
     #[test]
     fn remove_reports_presence() {
         let mut c = VideoCache::unbounded();
-        c.insert_full(VideoId::new(1), 2, 0);
+        c.record_chunk(VideoId::new(1), 1, 2, 0);
         assert!(c.remove(VideoId::new(1)));
         assert!(!c.remove(VideoId::new(1)));
-        assert!(c.is_empty());
+        assert!(c.entries.is_empty());
     }
 
     #[test]
@@ -376,8 +373,8 @@ mod tests {
                 for (step, op) in ops.into_iter().enumerate() {
                     let t = step as u64;
                     match op {
-                        Op::Full(v) => cache.insert_full(VideoId::new(v), 8, t),
-                        Op::First(v) => cache.insert_first_chunk(VideoId::new(v), 8, t),
+                        Op::Full(v) => cache.record_chunk(VideoId::new(v), 7, 8, t),
+                        Op::First(v) => cache.record_chunk(VideoId::new(v), 0, 8, t),
                         Op::Chunk(v, c) => {
                             let before = cache.chunks_of(VideoId::new(v));
                             cache.record_chunk(VideoId::new(v), c, 8, t);
@@ -388,9 +385,9 @@ mod tests {
                             cache.remove(VideoId::new(v));
                         }
                     }
-                    prop_assert!(cache.len() <= cap, "capacity exceeded");
+                    prop_assert!(cache.entries.len() <= cap, "capacity exceeded");
                     // full_videos is a subset of cached videos.
-                    prop_assert!(cache.full_videos().count() <= cache.len());
+                    prop_assert!(cache.full_videos().count() <= cache.entries.len());
                 }
             }
 
@@ -421,11 +418,11 @@ mod tests {
                     };
                     let inserted = match op {
                         Op::Full(v) => {
-                            cache.insert_full(VideoId::new(pool[v as usize]), 8, t);
+                            cache.record_chunk(VideoId::new(pool[v as usize]), 7, 8, t);
                             upsert(pool[v as usize], &|_| 8)
                         }
                         Op::First(v) => {
-                            cache.insert_first_chunk(VideoId::new(pool[v as usize]), 8, t);
+                            cache.record_chunk(VideoId::new(pool[v as usize]), 0, 8, t);
                             upsert(pool[v as usize], &|k| k.max(1))
                         }
                         Op::Chunk(v, c) => {
@@ -465,7 +462,7 @@ mod tests {
             fn unbounded_keeps_everything(videos in proptest::collection::vec(0u32..1000, 0..100)) {
                 let mut cache = VideoCache::unbounded();
                 for (i, v) in videos.iter().enumerate() {
-                    cache.insert_full(VideoId::new(*v), 2, i as u64);
+                    cache.record_chunk(VideoId::new(*v), 1, 2, i as u64);
                 }
                 for v in &videos {
                     prop_assert!(cache.has_full(VideoId::new(*v)));
@@ -477,14 +474,14 @@ mod tests {
     #[test]
     fn from_config_selects_mode() {
         let mut bounded = VideoCache::from_config(Some(1));
-        bounded.insert_full(VideoId::new(1), 2, 0);
-        bounded.insert_full(VideoId::new(2), 2, 1);
-        assert_eq!(bounded.len(), 1);
+        bounded.record_chunk(VideoId::new(1), 1, 2, 0);
+        bounded.record_chunk(VideoId::new(2), 1, 2, 1);
+        assert_eq!(bounded.entries.len(), 1);
 
         let mut unbounded = VideoCache::from_config(None);
         for i in 0..100 {
-            unbounded.insert_full(VideoId::new(i), 2, i as u64);
+            unbounded.record_chunk(VideoId::new(i), 1, 2, i as u64);
         }
-        assert_eq!(unbounded.len(), 100);
+        assert_eq!(unbounded.entries.len(), 100);
     }
 }

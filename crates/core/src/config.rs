@@ -77,7 +77,7 @@ impl SocialTubeConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.inner_links == 0 {
             return Err("inner_links must be positive".into());
         }

@@ -108,11 +108,6 @@ impl CommandInterpreter {
         Self { catalog }
     }
 
-    /// The catalog origin chunks are expanded from.
-    pub fn catalog(&self) -> &Arc<Catalog> {
-        &self.catalog
-    }
-
     /// Drains `actor`'s outbox, routing each command to the substrate.
     ///
     /// Bulk messages (chunk payloads) go through
@@ -149,8 +144,9 @@ impl CommandInterpreter {
     /// Drains the server's outbox, expanding each
     /// [`ServerCommand::ServeChunks`] into per-chunk messages.
     ///
-    /// The chunks are the [`served_chunks`] a peer would answer the same
-    /// request with. Unknown videos are skipped.
+    /// The chunks are those a peer would answer the same request with: the
+    /// requested chunk for a prefetch, through the last chunk for
+    /// playback. Unknown videos are skipped.
     pub fn flush_server<S: ServerSubstrate>(
         &self,
         outbox: &mut ServerOutbox,

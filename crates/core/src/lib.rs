@@ -59,6 +59,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod analysis;
@@ -92,5 +93,5 @@ pub use traits::{
     ChunkSource, Command, Outbox, Report, SearchPhase, ServerCommand, ServerOutbox, TimerKind,
     TransferKind, VodPeer, VodServer,
 };
-pub use transfer::{served_chunks, Progress, Transfer, Transfers};
+pub use transfer::{Progress, Transfer, Transfers};
 pub use vecmap::VecMap;

@@ -22,7 +22,7 @@ impl RequestId {
     }
 
     /// The node that originated the request.
-    pub fn origin(self) -> NodeId {
+    pub(crate) fn origin(self) -> NodeId {
         NodeId::new((self.0 >> 32) as u32)
     }
 }
@@ -68,7 +68,7 @@ impl QueryScope {
     /// watching `channel` (Section IV-A): a channel query stays in its
     /// channel's overlay, a category query crosses the overlays of every
     /// channel in the category, a per-video query crosses every link.
-    pub fn admits(self, channel: Option<ChannelId>, catalog: &Catalog) -> bool {
+    pub(crate) fn admits(self, channel: Option<ChannelId>, catalog: &Catalog) -> bool {
         match self {
             QueryScope::Channel(c) => channel == Some(c),
             QueryScope::Category(cat) => {
@@ -252,7 +252,7 @@ impl Message {
 
     /// Returns `true` for bulk data transfers (everything else is
     /// signalling, whose bandwidth the paper treats as negligible).
-    pub fn is_bulk(&self) -> bool {
+    pub(crate) fn is_bulk(&self) -> bool {
         matches!(self, Message::ChunkData { .. })
     }
 }

@@ -8,11 +8,11 @@ use crate::messages::LinkKind;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Neighbor {
     /// The neighbor's node identifier.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// The channel the neighbor was last known to be watching (`None` until
     /// learned). Determines whether the link is inner or inter relative to
     /// our current channel.
-    pub channel: Option<ChannelId>,
+    pub(crate) channel: Option<ChannelId>,
 }
 
 /// Bounded table of overlay links (Section IV-A).
@@ -55,31 +55,25 @@ impl NeighborTable {
     }
 
     /// Sets the channel the node is currently watching. Does **not** shed
-    /// links; call [`shed_out_of_community`] afterwards with the catalog.
-    ///
-    /// [`shed_out_of_community`]: NeighborTable::shed_out_of_community
+    /// links; the peer calls `shed_out_of_community` afterwards with the
+    /// catalog.
     pub fn set_current_channel(&mut self, channel: Option<ChannelId>) {
         self.current_channel = channel;
     }
 
     /// Total links maintained (the maintenance-overhead metric).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.neighbors.len()
     }
 
-    /// Returns `true` if no links are maintained.
-    pub fn is_empty(&self) -> bool {
-        self.neighbors.is_empty()
-    }
-
     /// All neighbors.
-    pub fn iter(&self) -> impl Iterator<Item = &Neighbor> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Neighbor> {
         self.neighbors.iter()
     }
 
     /// Classifies the link to `neighbor_channel` relative to the current
     /// channel: same channel → inner, anything else → inter.
-    pub fn classify(&self, neighbor_channel: Option<ChannelId>) -> LinkKind {
+    pub(crate) fn classify(&self, neighbor_channel: Option<ChannelId>) -> LinkKind {
         match (self.current_channel, neighbor_channel) {
             (Some(mine), Some(theirs)) if mine == theirs => LinkKind::Inner,
             _ => LinkKind::Inter,
@@ -87,7 +81,7 @@ impl NeighborTable {
     }
 
     /// Returns `true` if `node` is a neighbor.
-    pub fn contains(&self, node: NodeId) -> bool {
+    pub(crate) fn contains(&self, node: NodeId) -> bool {
         self.neighbors.iter().any(|n| n.node == node)
     }
 
@@ -99,7 +93,7 @@ impl NeighborTable {
     }
 
     /// Whether a link of `kind` can still be added.
-    pub fn has_capacity(&self, kind: LinkKind) -> bool {
+    pub(crate) fn has_capacity(&self, kind: LinkKind) -> bool {
         let cap = match kind {
             LinkKind::Inner => self.inner_cap,
             LinkKind::Inter => self.inter_cap,
@@ -124,7 +118,7 @@ impl NeighborTable {
     }
 
     /// Removes the link to `node`. Returns `true` if it existed.
-    pub fn remove(&mut self, node: NodeId) -> bool {
+    pub(crate) fn remove(&mut self, node: NodeId) -> bool {
         let before = self.neighbors.len();
         self.neighbors.retain(|n| n.node != node);
         self.neighbors.len() != before
@@ -136,7 +130,7 @@ impl NeighborTable {
     /// channel's category cluster. Returns the dropped node ids (so the
     /// caller can send `Leave`). Links with unknown channel are kept (they
     /// will be reclassified when learned or cleaned by probing).
-    pub fn shed_out_of_community(
+    pub(crate) fn shed_out_of_community(
         &mut self,
         catalog: &Catalog,
         subscribed: &[ChannelId],
@@ -242,7 +236,7 @@ mod tests {
         assert!(t.contains(NodeId::new(1)));
         assert!(t.remove(NodeId::new(1)));
         assert!(!t.remove(NodeId::new(1)));
-        assert!(t.is_empty());
+        assert!(t.neighbors.is_empty());
     }
 
     #[test]

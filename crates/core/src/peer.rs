@@ -72,56 +72,9 @@ impl SocialTubePeer {
         }
     }
 
-    /// The channels this peer subscribes to.
-    pub fn subscriptions(&self) -> &[ChannelId] {
-        &self.subscriptions
-    }
-
-    /// The channel currently being watched, if any.
-    pub fn current_channel(&self) -> Option<ChannelId> {
-        self.current_channel
-    }
-
-    /// Read-only view of the neighbor table (tests and diagnostics).
-    pub fn neighbors(&self) -> &NeighborTable {
-        &self.neighbors
-    }
-
     /// Number of in-flight searches (tests and diagnostics).
     pub fn active_searches(&self) -> usize {
         self.transfers.iter().count()
-    }
-
-    /// Subscribes to `channel` and reports the change to the server
-    /// ("users should report their changes of subscribed channels",
-    /// Section IV-A). Idempotent; no-op while offline (the next login's
-    /// `SubscriptionUpdate` carries the new set anyway).
-    pub fn subscribe(&mut self, channel: ChannelId, out: &mut Outbox) {
-        if self.subscriptions.contains(&channel) {
-            return;
-        }
-        self.subscriptions.push(channel);
-        if self.online {
-            out.to_server(Message::SubscriptionUpdate {
-                subscribed: self.subscriptions.as_slice().into(),
-            });
-        }
-    }
-
-    /// Unsubscribes from `channel`, reports the change, and sheds links
-    /// that only the subscription justified keeping.
-    pub fn unsubscribe(&mut self, channel: ChannelId, out: &mut Outbox) {
-        let before = self.subscriptions.len();
-        self.subscriptions.retain(|c| *c != channel);
-        if self.subscriptions.len() == before {
-            return;
-        }
-        if self.online {
-            out.to_server(Message::SubscriptionUpdate {
-                subscribed: self.subscriptions.as_slice().into(),
-            });
-            self.shed_out_of_community(out);
-        }
     }
 
     // ------------------------------------------------------------ helpers
@@ -613,7 +566,7 @@ mod tests {
         assert!(p.is_online());
         assert!(matches!(
             sent_to_server(&out)[0],
-            Message::SubscriptionUpdate { subscribed } if subscribed.len() == 1
+            Message::SubscriptionUpdate { subscribed } if subscribed[..] == p.subscriptions[..]
         ));
         assert!(out.commands().iter().any(|c| matches!(
             c,
@@ -806,8 +759,8 @@ mod tests {
             let deadline = TimerKind::ProbeDeadline { neighbor, nonce };
             p.on_timer(SimTime::from_micros(1), deadline, &mut out);
         }
-        assert!(p.neighbors().contains(acking));
-        assert!(!p.neighbors().contains(silent));
+        assert!(p.neighbors.contains(acking));
+        assert!(!p.neighbors.contains(silent));
         let lost = Report::NeighborLost {
             node: NodeId::new(0),
             neighbor: silent,
@@ -909,7 +862,7 @@ mod tests {
         assert!(sent_to_peers(&out)
             .iter()
             .any(|(to, m)| *to == NodeId::new(6) && matches!(m, Message::Leave)));
-        assert!(!p.neighbors().contains(NodeId::new(6)));
+        assert!(!p.neighbors.contains(NodeId::new(6)));
     }
 
     #[test]
@@ -991,57 +944,6 @@ mod tests {
         assert!(sent_to_server(&out)
             .iter()
             .any(|m| matches!(m, Message::VideoRequest { .. })));
-    }
-
-    #[test]
-    fn subscription_changes_are_reported_and_shed_links() {
-        let (_, chans, vids) = fixture();
-        let mut p = peer(0);
-        let mut out = Outbox::new();
-        p.on_login(SimTime::ZERO, &mut out);
-        out.drain();
-
-        // Subscribe to a new channel: reported once, idempotent after.
-        p.subscribe(chans[2], &mut out);
-        assert!(matches!(
-            sent_to_server(&out)[0],
-            Message::SubscriptionUpdate { subscribed } if subscribed.len() == 2
-        ));
-        out.drain();
-        p.subscribe(chans[2], &mut out);
-        assert!(sent_to_server(&out).is_empty(), "idempotent subscribe");
-
-        // Watch in chans[0]'s category, keep a link to chans[2] (category
-        // Other) alive purely through the subscription...
-        p.watch(SimTime::ZERO, vids[0], &mut out);
-        p.neighbors.try_add(NodeId::new(6), Some(chans[2]));
-        out.drain();
-        // ...then unsubscribe: the link loses its justification and sheds.
-        p.unsubscribe(chans[2], &mut out);
-        assert!(sent_to_server(&out).iter().any(
-            |m| matches!(m, Message::SubscriptionUpdate { subscribed } if subscribed.len() == 1)
-        ));
-        assert!(sent_to_peers(&out)
-            .iter()
-            .any(|(to, m)| *to == NodeId::new(6) && matches!(m, Message::Leave)));
-        assert!(!p.neighbors().contains(NodeId::new(6)));
-    }
-
-    #[test]
-    fn offline_subscription_changes_are_silent() {
-        let (_, chans, _) = fixture();
-        let mut p = peer(0);
-        let mut out = Outbox::new();
-        p.subscribe(chans[1], &mut out);
-        p.unsubscribe(chans[0], &mut out);
-        assert!(out.commands().is_empty());
-        assert_eq!(p.subscriptions(), &[chans[1]]);
-        // The next login reports the final set.
-        p.on_login(SimTime::ZERO, &mut out);
-        assert!(matches!(
-            sent_to_server(&out)[0],
-            Message::SubscriptionUpdate { subscribed } if subscribed[..] == [chans[1]]
-        ));
     }
 
     #[test]

@@ -39,17 +39,31 @@ use crate::messages::RequestId;
 ///
 /// # Examples
 ///
-/// ```
-/// use socialtube::{RequestId, SeenWindow};
-/// use socialtube_model::NodeId;
+/// A [`Flood`](crate::Flood) forwards each query id once: a repeat inside
+/// its window is dropped.
 ///
-/// let id = |n| RequestId::new(NodeId::new(7), n);
-/// let mut seen = SeenWindow::new(2);
-/// assert!(seen.insert(id(0)));
-/// assert!(!seen.insert(id(0)), "a repeat inside the window is refused");
-/// assert!(seen.insert(id(1)));
-/// assert!(seen.insert(id(2)), "evicts id 0");
-/// assert!(seen.insert(id(0)), "an evicted id is fresh again");
+/// ```
+/// use std::sync::Arc;
+///
+/// use socialtube::{Flood, Message, Outbox, PeerAddr, QueryScope, RequestId, Transfers};
+/// use socialtube_model::{CatalogBuilder, NodeId, VideoId};
+/// use socialtube_sim::SimTime;
+///
+/// let transfers = Transfers::new(NodeId::new(0), Arc::new(CatalogBuilder::new().build()));
+/// let (mut flood, mut out) = (Flood::new(None), Outbox::new());
+/// let origin = NodeId::new(7);
+/// let query = Message::Query {
+///     id: RequestId::new(origin, 0),
+///     video: VideoId::new(3),
+///     ttl: 2,
+///     origin,
+///     scope: QueryScope::PerVideo,
+/// };
+/// for _ in 0..2 {
+///     let (from, forward) = (PeerAddr::Peer(origin), [NodeId::new(1)]);
+///     flood.on_query(&transfers, SimTime::ZERO, from, query.clone(), None, forward, &mut out);
+/// }
+/// assert_eq!(out.commands().len(), 1, "the repeat is not forwarded again");
 /// ```
 #[derive(Clone, Debug)]
 pub struct SeenWindow {
@@ -74,7 +88,7 @@ pub struct SeenWindow {
 impl SeenWindow {
     /// Largest window: `position + 1` takes 15 of a slot's 16 bits, which
     /// leaves one fingerprint bit.
-    pub const MAX_WINDOW: usize = 32_767;
+    pub(crate) const MAX_WINDOW: usize = 32_767;
 
     /// Creates an empty window remembering up to `window` ids. A window
     /// of 0 remembers nothing: every id is accepted.
@@ -82,7 +96,7 @@ impl SeenWindow {
     /// # Panics
     ///
     /// Panics if `window` exceeds [`SeenWindow::MAX_WINDOW`].
-    pub fn new(window: usize) -> Self {
+    pub(crate) fn new(window: usize) -> Self {
         assert!(window <= Self::MAX_WINDOW, "window exceeds MAX_WINDOW");
         Self {
             window,
@@ -95,18 +109,8 @@ impl SeenWindow {
         }
     }
 
-    /// Number of ids currently remembered.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Returns `true` if no id is remembered.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
     /// Returns `true` if `id` is inside the window.
-    pub fn contains(&self, id: RequestId) -> bool {
+    pub(crate) fn contains(&self, id: RequestId) -> bool {
         self.newest[..self.ring.len().min(4)].contains(&id.0) || self.indexed(id.0)
     }
 
@@ -135,7 +139,7 @@ impl SeenWindow {
     /// Records `id`. Returns `false`, changing nothing, if it is already
     /// inside the window; otherwise forgets the oldest id when the window
     /// is full, remembers `id` and returns `true`.
-    pub fn insert(&mut self, id: RequestId) -> bool {
+    pub(crate) fn insert(&mut self, id: RequestId) -> bool {
         if self.contains(id) {
             return false;
         }
@@ -251,23 +255,23 @@ mod tests {
         let mut model = Model::new(window);
         for id in ids {
             assert_eq!(seen.insert(RequestId(id)), model.insert(id), "id {id}");
-            assert_eq!(seen.len(), model.order.len());
+            assert_eq!(seen.ring.len(), model.order.len());
             assert_eq!(seen.contains(RequestId(id)), window > 0);
-            assert!((seen.len() + usize::from(seen.stale)) * 4 <= seen.table.len() * 3);
+            assert!((seen.ring.len() + usize::from(seen.stale)) * 4 <= seen.table.len() * 3);
         }
-        assert_eq!(seen.len(), model.set.len());
+        assert_eq!(seen.ring.len(), model.set.len());
         for id in &model.order {
             assert!(seen.contains(RequestId(*id)), "lost {id}");
         }
         let recent = model.order.iter().rev().take(4);
-        assert!(recent.eq(&seen.newest[..seen.len().min(4)]));
+        assert!(recent.eq(&seen.newest[..seen.ring.len().min(4)]));
         // One slot per ring id plus the stale ones, each naming a ring
         // place, and every ring id found without the inline four.
         let occupied: Vec<u16> = seen.table.iter().copied().filter(|s| *s != 0).collect();
-        assert_eq!(occupied.len(), seen.len() + usize::from(seen.stale));
+        assert_eq!(occupied.len(), seen.ring.len() + usize::from(seen.stale));
         assert!(occupied
             .iter()
-            .all(|slot| usize::from(slot & seen.pos_mask) <= seen.len()));
+            .all(|slot| usize::from(slot & seen.pos_mask) <= seen.ring.len()));
         assert!(seen.ring.iter().all(|id| seen.indexed(*id)));
         seen
     }
@@ -275,7 +279,7 @@ mod tests {
     #[test]
     fn zero_window_accepts_everything_and_keeps_nothing() {
         let seen = check_against_model(0, [3, 3, u64::MAX, u64::MAX]);
-        assert!(seen.is_empty());
+        assert!(seen.ring.is_empty());
         assert_eq!(seen.table.capacity() + seen.ring.capacity(), 0);
     }
 
@@ -369,7 +373,7 @@ mod tests {
                 seen.insert(RequestId(id << 32));
                 model.insert(id << 32);
             }
-            assert_eq!(seen.len(), ids);
+            assert_eq!(seen.ring.len(), ids);
             assert!(seen.table.capacity() * 2 <= table_bytes, "{ids} ids: table");
             assert!(seen.ring.capacity() * 8 <= ring_bytes, "{ids} ids: ring");
             // hashbrown keeps one control byte per 8-byte bucket at load

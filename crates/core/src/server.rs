@@ -25,8 +25,8 @@ const MAX_CATEGORY_CONTACTS: usize = 10;
 /// * **Tracker** — keeps per-channel membership of online subscribers so it
 ///   can hand joining nodes a random contact inside the channel overlay and
 ///   one contact per channel across the category cluster. Users report only
-///   *subscription changes*, so the server tracks far less state than
-///   NetTube's per-video watch reports.
+///   their subscribed channels (the login's `SubscriptionUpdate`), so the
+///   server tracks far less state than NetTube's per-video watch reports.
 /// * **Origin store** — serves any video the P2P overlays cannot, through a
 ///   bounded upload pipe (modelled by the driver), and publishes per-channel
 ///   popularity rankings that drive prefetching (Section IV-B).
@@ -63,11 +63,6 @@ impl SocialTubeServer {
             popularity: vec![None; channels],
             rng,
         }
-    }
-
-    /// Online members of `channel`'s overlay (tests and diagnostics).
-    pub fn channel_members(&self, channel: ChannelId) -> &[NodeId] {
-        self.members.members(channel.index())
     }
 
     /// Takes `node` out of every overlay it is in — by the invariant on
@@ -202,6 +197,11 @@ mod tests {
     use crate::traits::{Report, ServerCommand, TransferKind};
     use socialtube_model::CatalogBuilder;
 
+    /// Online members of `channel`'s overlay.
+    fn members(s: &SocialTubeServer, channel: ChannelId) -> &[NodeId] {
+        s.members.members(channel.index())
+    }
+
     fn fixture() -> (Arc<Catalog>, Vec<ChannelId>, Vec<VideoId>) {
         let mut b = CatalogBuilder::new();
         let news = b.add_category();
@@ -235,7 +235,7 @@ mod tests {
         let (mut s, chans, _) = server();
         let mut out = ServerOutbox::new();
         login(&mut s, 1, vec![chans[0]], &mut out);
-        assert_eq!(s.channel_members(chans[0]), &[NodeId::new(1)]);
+        assert_eq!(members(&s, chans[0]), &[NodeId::new(1)]);
         assert!(out.commands().iter().any(|c| matches!(
             c,
             ServerCommand::ToPeer {
@@ -250,8 +250,8 @@ mod tests {
         let (mut s, chans, _) = server();
         let mut out = ServerOutbox::new();
         login(&mut s, 1, vec![chans[0], ChannelId::new(999)], &mut out);
-        assert_eq!(s.channel_members(chans[0]), &[NodeId::new(1)]);
-        assert!(s.channel_members(ChannelId::new(999)).is_empty());
+        assert_eq!(members(&s, chans[0]), &[NodeId::new(1)]);
+        assert!(members(&s, ChannelId::new(999)).is_empty());
         assert_eq!(s.tracked_entries(), 1);
         let digests: Vec<ChannelId> = out
             .commands()
@@ -268,7 +268,7 @@ mod tests {
         // Re-homing and logging off leave through the recorded set, the
         // refused channel included.
         login(&mut s, 1, vec![ChannelId::new(999)], &mut out);
-        assert!(s.channel_members(chans[0]).is_empty());
+        assert!(members(&s, chans[0]).is_empty());
         s.on_message(SimTime::ZERO, NodeId::new(1), Message::LogOff, &mut out);
         assert_eq!(s.tracked_entries(), 0);
     }
@@ -330,7 +330,7 @@ mod tests {
             })
             .expect("join response");
         assert!(contact.is_empty());
-        assert!(s.channel_members(chans[0]).contains(&NodeId::new(1)));
+        assert!(members(&s, chans[0]).contains(&NodeId::new(1)));
     }
 
     #[test]
@@ -376,7 +376,7 @@ mod tests {
             Message::JoinRequest { video: vids[0] },
             &mut out,
         );
-        assert!(!s.channel_members(chans[0]).contains(&NodeId::new(1)));
+        assert!(!members(&s, chans[0]).contains(&NodeId::new(1)));
     }
 
     #[test]
@@ -441,8 +441,8 @@ mod tests {
         let mut out = ServerOutbox::new();
         login(&mut s, 1, vec![chans[0]], &mut out);
         login(&mut s, 1, vec![chans[1]], &mut out);
-        assert!(s.channel_members(chans[0]).is_empty());
-        assert_eq!(s.channel_members(chans[1]), &[NodeId::new(1)]);
+        assert!(members(&s, chans[0]).is_empty());
+        assert_eq!(members(&s, chans[1]), &[NodeId::new(1)]);
     }
 
     /// After every message of a login → join → re-login → log-off
@@ -479,17 +479,14 @@ mod tests {
         check(&s);
         join(&mut s, 1, vids[0]); // subscriber, already a member
         join(&mut s, 1, vids[1]); // non-subscriber: served, not admitted
-        assert_eq!(s.channel_members(chans[1]), &[NodeId::new(2)]);
+        assert_eq!(members(&s, chans[1]), &[NodeId::new(2)]);
         join(&mut s, 3, vids[0]); // never logged in
         assert_eq!(s.tracked_entries(), 3);
         // Re-login with a different set re-homes node 1.
         login(&mut s, 1, vec![chans[1]], &mut out);
         check(&s);
-        assert_eq!(s.channel_members(chans[0]), &[NodeId::new(2)]);
-        assert_eq!(
-            s.channel_members(chans[1]),
-            &[NodeId::new(2), NodeId::new(1)]
-        );
+        assert_eq!(members(&s, chans[0]), &[NodeId::new(2)]);
+        assert_eq!(members(&s, chans[1]), &[NodeId::new(2), NodeId::new(1)]);
         // A log-off empties the overlays but keeps the recorded set, so a
         // late join (in flight across the log-off) re-admits the node.
         s.on_message(SimTime::ZERO, NodeId::new(1), Message::LogOff, &mut out);

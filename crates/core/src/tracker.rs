@@ -24,7 +24,7 @@ pub struct Tracker {
 
 impl Tracker {
     /// `groups` empty groups.
-    pub fn new(groups: usize) -> Self {
+    pub(crate) fn new(groups: usize) -> Self {
         Self {
             groups: vec![Vec::new(); groups],
             tracked: 0,
@@ -43,7 +43,7 @@ impl Tracker {
 
     /// Adds `node` to `group`. Returns `false` if it already was a member
     /// or the group is unknown.
-    pub fn join(&mut self, group: usize, node: NodeId) -> bool {
+    pub(crate) fn join(&mut self, group: usize, node: NodeId) -> bool {
         match self.groups.get_mut(group) {
             Some(members) if !members.contains(&node) => {
                 members.push(node);
@@ -55,7 +55,7 @@ impl Tracker {
     }
 
     /// Takes `node` out of `group`, keeping the others' order.
-    pub fn leave(&mut self, group: usize, node: NodeId) {
+    pub(crate) fn leave(&mut self, group: usize, node: NodeId) {
         if let Some(members) = self.groups.get_mut(group) {
             let before = members.len();
             members.retain(|n| *n != node);

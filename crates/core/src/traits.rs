@@ -308,7 +308,7 @@ impl ServerOutbox {
     }
 
     /// Queues chunk service through the origin store.
-    pub fn serve_chunks(
+    pub(crate) fn serve_chunks(
         &mut self,
         to: NodeId,
         id: RequestId,
@@ -326,7 +326,7 @@ impl ServerOutbox {
     }
 
     /// Emits a report.
-    pub fn report(&mut self, report: Report) {
+    pub(crate) fn report(&mut self, report: Report) {
         self.commands.push(ServerCommand::Report(report));
     }
 

@@ -21,7 +21,11 @@ use crate::vecmap::VecMap;
 /// with `total` chunks: the one requested chunk for a prefetch, through
 /// the last chunk for playback; empty when `from_chunk` is past the end.
 /// Peers and the origin both serve exactly this range.
-pub fn served_chunks(from_chunk: ChunkIndex, total: u32, kind: TransferKind) -> Range<ChunkIndex> {
+pub(crate) fn served_chunks(
+    from_chunk: ChunkIndex,
+    total: u32,
+    kind: TransferKind,
+) -> Range<ChunkIndex> {
     let end = match kind {
         TransferKind::Prefetch => from_chunk.saturating_add(1).min(total),
         TransferKind::Playback => total,
@@ -38,9 +42,9 @@ pub struct Transfer {
     pub kind: TransferKind,
     /// The tier resolving the request; `Server` once the origin serves it.
     /// Protocols with a single peer tier stay at `Channel` until then.
-    pub phase: SearchPhase,
+    pub(crate) phase: SearchPhase,
     /// When the user selected the video.
-    pub requested_at: SimTime,
+    pub(crate) requested_at: SimTime,
     /// The peer currently asked for the chunks.
     pub provider: Option<NodeId>,
     /// First chunk of the current ask: set it to the next missing chunk
@@ -49,7 +53,7 @@ pub struct Transfer {
     /// Highest chunk index that arrived on this request, plus one.
     pub received: u32,
     /// Whether `PlaybackStarted` was already reported for the request.
-    pub playback_reported: bool,
+    pub(crate) playback_reported: bool,
 }
 
 impl Transfer {
@@ -100,7 +104,7 @@ impl Transfers {
     }
 
     /// The catalog chunk counts and sizes come from.
-    pub fn catalog(&self) -> &Arc<Catalog> {
+    pub(crate) fn catalog(&self) -> &Arc<Catalog> {
         &self.catalog
     }
 
@@ -251,9 +255,9 @@ impl Transfers {
         });
     }
 
-    /// Answers a `ChunkRequest`: the [`served_chunks`] when the whole video
-    /// is `held`, `ChunkUnavailable` otherwise. Returns whether chunks
-    /// were served.
+    /// Answers a `ChunkRequest`: the requested chunk for a prefetch, through
+    /// the last chunk for playback, when the whole video is `held`;
+    /// `ChunkUnavailable` otherwise. Returns whether chunks were served.
     #[allow(clippy::too_many_arguments)] // the message's fields and its sender
     pub fn serve(
         &self,

@@ -19,11 +19,15 @@
 /// ```
 /// use socialtube::VecMap;
 ///
-/// let mut m = VecMap::new();
-/// m.insert(7u32, "seven");
-/// m.insert(3, "three");
-/// assert_eq!(m.get(&7), Some(&"seven"));
-/// assert_eq!(m.iter().map(|(k, _)| *k).collect::<Vec<_>>(), vec![3, 7]);
+/// let mut a = VecMap::new();
+/// a.insert(7u32, "seven");
+/// a.insert(3, "three");
+/// let mut b = VecMap::new();
+/// b.insert(3u32, "three");
+/// assert_eq!(b.insert(7, "SEVEN"), None);
+/// assert_eq!(b.insert(7, "seven"), Some("SEVEN"));
+/// assert_eq!(a, b, "entries sit in key order, whatever the insert order");
+/// assert_eq!(a.remove(&3), Some("three"));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VecMap<K, V> {
@@ -42,23 +46,13 @@ impl<K: Ord, V> VecMap<K, V> {
         self.entries.binary_search_by(|(k, _)| k.cmp(key))
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// A reference to the value at `key`.
-    pub fn get(&self, key: &K) -> Option<&V> {
+    pub(crate) fn get(&self, key: &K) -> Option<&V> {
         self.position(key).ok().map(|at| &self.entries[at].1)
     }
 
     /// A mutable reference to the value at `key`.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+    pub(crate) fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         match self.position(key) {
             Ok(at) => Some(&mut self.entries[at].1),
             Err(_) => None,
@@ -85,23 +79,18 @@ impl<K: Ord, V> VecMap<K, V> {
     }
 
     /// Removes every entry (capacity kept).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
 
     /// Keeps only the entries for which `f` returns `true`.
-    pub fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
+    pub(crate) fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
         self.entries.retain_mut(|(k, v)| f(k, v));
     }
 
     /// Iterates entries in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.entries.iter().map(|(k, v)| (k, v))
-    }
-
-    /// Iterates values in ascending key order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.entries.iter().map(|(_, v)| v)
     }
 }
 
@@ -121,17 +110,17 @@ mod tests {
     #[test]
     fn insert_get_remove_roundtrip() {
         let mut m = VecMap::new();
-        assert!(m.is_empty());
+        assert!(m.entries.is_empty());
         assert_eq!(m.insert(2u64, 'b'), None);
         assert_eq!(m.insert(1, 'a'), None);
         assert_eq!(m.insert(3, 'c'), None);
-        assert_eq!(m.len(), 3);
+        assert_eq!(m.entries.len(), 3);
         assert_eq!(m.get(&2), Some(&'b'));
         assert_eq!(m.insert(2, 'B'), Some('b'));
         assert_eq!(m.remove(&2), Some('B'));
         assert_eq!(m.remove(&2), None);
         assert_eq!(m.get(&2), None);
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.entries.len(), 2);
     }
 
     #[test]
@@ -157,6 +146,6 @@ mod tests {
         let left: Vec<(u8, u32)> = m.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(left, vec![(0, 0), (2, 2)]);
         m.clear();
-        assert!(m.is_empty());
+        assert!(m.entries.is_empty());
     }
 }

@@ -61,7 +61,7 @@ pub struct Campaign {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlannedRun {
     /// Position in the flattened grid (seeds outer, protocols inner).
-    pub run_index: usize,
+    pub(crate) run_index: usize,
     /// Index of this run's seed in the campaign's seed list — runs with
     /// equal `sweep_index` share one generated trace.
     pub sweep_index: usize,
@@ -108,12 +108,12 @@ pub struct Aggregate {
     /// (`1.96 · s/√n`; 0 for fewer than two samples).
     pub ci95: f64,
     /// Number of samples.
-    pub n: usize,
+    pub(crate) n: usize,
 }
 
 impl Aggregate {
     /// Computes the aggregate of `samples` (must be non-empty).
-    pub fn from_samples(samples: &[f64]) -> Aggregate {
+    pub(crate) fn from_samples(samples: &[f64]) -> Aggregate {
         assert!(!samples.is_empty(), "aggregate of zero samples");
         let n = samples.len();
         let mean = samples.iter().sum::<f64>() / n as f64;
@@ -144,10 +144,6 @@ pub struct ProtocolSummary {
     pub startup_delay_ms: Aggregate,
     /// Mean normalized peer bandwidth across seeds.
     pub peer_bandwidth: Aggregate,
-    /// Completed playbacks across seeds.
-    pub playbacks: Aggregate,
-    /// Engine events per run across seeds.
-    pub events: Aggregate,
 }
 
 impl Campaign {
@@ -193,7 +189,7 @@ impl Campaign {
 
     /// Sweeps exactly these seeds, one trace per seed; a repeat is one
     /// sweep point, kept at its first position.
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
+    pub(crate) fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
         self.seeds = first_occurrences(seeds);
         self
     }
@@ -405,7 +401,7 @@ impl CampaignReport {
     }
 
     /// Aggregates `protocol` across seeds, or `None` if it never ran.
-    pub fn summary(&self, protocol: Protocol) -> Option<ProtocolSummary> {
+    pub(crate) fn summary(&self, protocol: Protocol) -> Option<ProtocolSummary> {
         let cells: Vec<&CampaignCell> = self
             .cells
             .iter()
@@ -421,8 +417,6 @@ impl CampaignReport {
             protocol,
             startup_delay_ms: collect(&|c| c.outcome.metrics.mean_startup_delay_ms),
             peer_bandwidth: collect(&|c| c.outcome.metrics.mean_peer_bandwidth),
-            playbacks: collect(&|c| c.outcome.metrics.playbacks as f64),
-            events: collect(&|c| c.outcome.events as f64),
         })
     }
 

@@ -86,14 +86,14 @@ impl SimEvent for Ev {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardLoad {
     /// Shard index (0 for the serial executor; the server lives on 0).
-    pub shard: usize,
+    pub(crate) shard: usize,
     /// Events this shard processed.
-    pub events: u64,
+    pub(crate) events: u64,
     /// High-water mark of this shard's pending-event queue — the working
     /// set its calendar queue had to hold at once.
-    pub queue_peak: usize,
+    pub(crate) queue_peak: usize,
     /// Number of peers this shard owned.
-    pub peers: usize,
+    pub(crate) peers: usize,
 }
 
 /// Wall-clock self-profile of one sharded execution, carried in
@@ -119,7 +119,7 @@ pub struct ExecutionProfile {
     /// handler ran on shard `from` and whose target lives on shard `to`.
     /// The diagonal is a shard's own cross-epoch traffic; off-diagonal
     /// entries are the true cross-shard message load.
-    pub cross_shard_msgs: Vec<Vec<u64>>,
+    pub(crate) cross_shard_msgs: Vec<Vec<u64>>,
     /// Mean over non-empty epochs of the per-epoch `max/mean` shard-event
     /// ratio: 1.0 is perfect balance, `shards` means one shard did all the
     /// work that epoch.
@@ -166,7 +166,7 @@ pub struct SimOutcome {
     /// Per-shard load figures, in shard order. A serial run reports one
     /// shard owning every peer; a sharded run reports one entry per
     /// worker. Event totals sum to [`events`](SimOutcome::events).
-    pub shards: Vec<ShardLoad>,
+    pub(crate) shards: Vec<ShardLoad>,
     /// True if the run hit the `max_events` safety valve.
     pub truncated: bool,
     /// Metrics snapshot and optional timeline, when the spec asked for
@@ -205,13 +205,13 @@ impl SimOutcome {
 /// ```
 /// use socialtube_experiments::{configs, Execution, Protocol, RunSpec};
 ///
-/// let outcome = RunSpec::new(Protocol::SocialTube)
-///     .options(configs::smoke_test())
-///     .seed(7)
-///     .execution(Execution::Sharded { workers: 2 })
-///     .run();
-/// assert!(outcome.metrics.playbacks > 0);
-/// assert_eq!(outcome.shards.len(), 2);
+/// let mut options = configs::smoke_test();
+/// options.seed = 7;
+/// let spec = RunSpec::new(Protocol::SocialTube).options(options);
+/// let serial = spec.clone().run();
+/// let sharded = spec.execution(Execution::Sharded { workers: 2 }).run();
+/// assert!(sharded.metrics.playbacks > 0);
+/// assert_eq!(sharded.events, serial.events);
 /// ```
 #[derive(Clone, Debug)]
 pub struct RunSpec {
@@ -246,7 +246,7 @@ impl RunSpec {
     /// Overrides the root seed (defaults to `options.seed`). Trace
     /// generation, workload, latencies and protocol randomness all derive
     /// from it.
-    pub fn seed(mut self, seed: u64) -> Self {
+    pub(crate) fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
         self
     }
@@ -283,7 +283,7 @@ impl RunSpec {
     }
 
     /// The seed the run will actually use.
-    pub fn effective_seed(&self) -> u64 {
+    pub(crate) fn effective_seed(&self) -> u64 {
         self.seed.unwrap_or(self.options.seed)
     }
 

@@ -515,12 +515,12 @@ pub fn timeline(replicate: &Replicate<'_>) -> Table {
 pub struct Claim {
     /// The figure the claim is reported under: 16, 17 or 18 (the
     /// Section IV-A tracker-state claim rides with Fig 18's overhead).
-    pub figure: u8,
+    pub(crate) figure: u8,
     /// The ordering the paper reports.
-    pub statement: &'static str,
+    pub(crate) statement: &'static str,
     /// Both sides' values in the statement's order; `None` when a variant
     /// did not run or the platform does not measure the quantity.
-    pub measured: Option<(f64, f64)>,
+    pub(crate) measured: Option<(f64, f64)>,
     /// Whether the ordering held; `None` when it was not evaluated.
     pub held: Option<bool>,
 }
@@ -803,15 +803,6 @@ pub struct CommunitySlice {
     pub origin_serves: u64,
 }
 
-impl CommunitySlice {
-    /// Share of this community's lookups the P2P tiers absorbed
-    /// (`None` when the community resolved nothing).
-    pub fn p2p_share(&self) -> Option<f64> {
-        let total = self.resolved_p2p + self.resolved_server;
-        (total > 0).then(|| self.resolved_p2p as f64 / total as f64)
-    }
-}
-
 /// Extracts one [`CommunitySlice`] per interest community from a recorded
 /// snapshot, ordered by descending playback count (ties by community id) —
 /// the "which communities carry the run" view the campaign bench reports.
@@ -1078,7 +1069,9 @@ mod tests {
         assert!((0.0..=1.0).contains(&top.prefetch_hit_rate));
         // SocialTube's point holds per community, not just globally: the
         // busiest community resolves most lookups inside the overlay.
-        let share = top.p2p_share().expect("top community searched");
+        let searched = top.resolved_p2p + top.resolved_server;
+        assert!(searched > 0, "top community searched");
+        let share = top.resolved_p2p as f64 / searched as f64;
         assert!(share > 0.5, "top community leaned on the server: {share}");
     }
 }

@@ -14,7 +14,7 @@
 //!   simulator's slot vector and the testbed's daemons hold them alike.
 //!   [`ProtocolStack`] boxes them only for the benchmark under `perf/`.
 //! * [`SessionDirector`] — the workload state machine from
-//!   [`crate::workload`]: login stagger, off periods, abrupt-departure
+//!   the `workload` module: login stagger, off periods, abrupt-departure
 //!   draws, video selection and, in [`advance`](SessionDirector::advance),
 //!   which call follows which session event. Both platforms replay it; only
 //!   *when* its events fire differs (virtual vs wall-clock time).
@@ -50,6 +50,6 @@ pub mod script;
 mod sim;
 mod stack;
 
-pub use crate::workload::{SessionDirector, SessionStep};
+pub use crate::workload::{SessionDirector, SessionEvent, SessionStep};
 pub use sim::{SimEvent, SimSubstrate};
 pub use stack::{ProtocolStack, StackBuilder};

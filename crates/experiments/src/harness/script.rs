@@ -38,7 +38,7 @@ pub struct ReportKey {
 
 impl ReportKey {
     /// The fingerprint of `report`.
-    pub fn of(report: &Report) -> Self {
+    pub(crate) fn of(report: &Report) -> Self {
         let (kind, node, video) = match *report {
             Report::PlaybackStarted { node, video, .. } => ("playback", node, video),
             Report::ChunkReceived {

@@ -2,7 +2,7 @@
 //!
 //! Reassembles the paper's Section V methodology:
 //!
-//! * [`workload`] — the session model both platforms replay
+//! * `workload` — the session model both platforms replay
 //!   ([`WorkloadConfig`], [`harness::SessionDirector`]): each node runs a
 //!   fixed number of sessions of ten videos, with Poisson off-times; each
 //!   next video is picked 75% from the same channel, 15% from the same
@@ -14,11 +14,11 @@
 //!   `Protocol` → stack construction site ([`harness::StackBuilder`]), the
 //!   session director and the simulator's substrate, all reused verbatim
 //!   by the TCP testbed driver.
-//! * [`driver`] — the discrete-event simulation driver (PeerSim role):
+//! * `driver` — the discrete-event simulation driver (PeerSim role):
 //!   binds any [`VodPeer`](socialtube::VodPeer)/[`VodServer`](socialtube::VodServer)
 //!   pair to the engine, modelling propagation latency, per-peer upload
 //!   links and the server's bounded pipe.
-//! * [`metrics`] — the three evaluation metrics: startup delay, normalized
+//! * `metrics` — the three evaluation metrics: startup delay, normalized
 //!   peer bandwidth (1st/50th/99th percentiles), and overlay maintenance
 //!   overhead versus videos watched.
 //! * [`recording`] — the report→[`Recorder`](socialtube_obs::Recorder)
@@ -68,17 +68,18 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod campaign;
 pub mod configs;
-pub mod driver;
+mod driver;
 pub mod figures;
 pub mod harness;
-pub mod metrics;
+mod metrics;
 pub mod net_driver;
 pub mod recording;
-pub mod workload;
+mod workload;
 
 pub use campaign::{
     Aggregate, Campaign, CampaignCell, CampaignReport, PlannedRun, ProtocolSummary,
@@ -118,7 +119,7 @@ impl Protocol {
     ];
 
     /// Display label used in figures.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Protocol::SocialTube => "SocialTube w/ PF",
             Protocol::SocialTubeNoPrefetch => "SocialTube w/o PF",
@@ -196,8 +197,7 @@ impl std::str::FromStr for Protocol {
     type Err = ParseProtocolError;
 
     /// Parses a [`key`](Protocol::key) (case-insensitive) or a figure
-    /// [`label`](Protocol::label), so both CLI arguments and report files
-    /// round-trip.
+    /// label, so both CLI arguments and report files round-trip.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let trimmed = s.trim();
         Protocol::ALL

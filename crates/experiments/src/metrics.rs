@@ -138,7 +138,7 @@ impl MetricsCollector {
 
     /// Per-node normalized peer bandwidth (nodes that received no bits are
     /// skipped — they never watched anything).
-    pub fn normalized_peer_bandwidth(&self) -> Vec<f64> {
+    pub(crate) fn normalized_peer_bandwidth(&self) -> Vec<f64> {
         self.peer_bits
             .iter()
             .zip(&self.server_bits)
@@ -150,12 +150,12 @@ impl MetricsCollector {
     /// Per-simulated-minute traffic series `(minute, peer_bits,
     /// server_bits)` — shows the P2P overlay relieving the origin as
     /// caches warm (an extension beyond the paper's aggregate Fig 16).
-    pub fn traffic_timeline(&self) -> Vec<(u64, u64, u64)> {
+    pub(crate) fn traffic_timeline(&self) -> Vec<(u64, u64, u64)> {
         self.timeline.clone()
     }
 
     /// Average maintained links per videos-watched bucket (Fig 18 series).
-    pub fn maintenance_curve(&self) -> Vec<(u32, f64)> {
+    pub(crate) fn maintenance_curve(&self) -> Vec<(u32, f64)> {
         self.link_samples
             .iter()
             .map(|(k, (sum, n))| (*k, *sum as f64 / *n as f64))
@@ -208,7 +208,7 @@ pub struct MetricsSummary {
     /// 1st/50th/99th percentile of per-node normalized peer bandwidth.
     pub peer_bandwidth_percentiles: Percentiles,
     /// Mean normalized peer bandwidth across nodes.
-    pub mean_peer_bandwidth: f64,
+    pub(crate) mean_peer_bandwidth: f64,
     /// Total bits received from peers.
     pub total_peer_bits: u64,
     /// Total bits received from the server.
@@ -216,11 +216,11 @@ pub struct MetricsSummary {
     /// Playback searches that fell back to the server.
     pub server_fallbacks: u64,
     /// Requests the server answered from the origin store.
-    pub origin_serves: u64,
+    pub(crate) origin_serves: u64,
     /// Bits moved by prefetch transfers.
-    pub prefetch_bits: u64,
+    pub(crate) prefetch_bits: u64,
     /// Per-simulated-minute `(minute, peer_bits, server_bits)` series.
-    pub traffic_timeline: Vec<(u64, u64, u64)>,
+    pub(crate) traffic_timeline: Vec<(u64, u64, u64)>,
     /// Playbacks started instantly from a fully cached video.
     pub cache_hits: u64,
     /// Playbacks started instantly from a prefetched first chunk.

@@ -6,7 +6,7 @@
 //! [`SessionDirector`] and the injected latencies draw what they would draw
 //! in the simulator. Sessions, off times, abrupt exits and video selection
 //! run through one state machine on both platforms, and so does the end
-//! of a watch ([`WorkloadConfig::watch`]: the testbed presets
+//! of a watch (the [`WorkloadConfig`] watch time: the testbed presets
 //! [`configs::testbed_smoke`] and [`configs::testbed_planetlab`] fix it at
 //! 120 and 150 ms), and so does the order of its calls
 //! ([`SessionDirector::advance`]). Only the scheduling medium differs (a
@@ -16,7 +16,7 @@
 //! has no meaning here. A scripted workload ([`WorkloadConfig::script`])
 //! pre-fills the action heap with its steps instead.
 //!
-//! [`WorkloadConfig::watch`]: crate::WorkloadConfig::watch
+//! [`WorkloadConfig`]: crate::WorkloadConfig
 //! [`WorkloadConfig::script`]: crate::WorkloadConfig::script
 
 use std::cmp::Reverse;
@@ -95,10 +95,9 @@ pub fn run_net(protocol: Protocol, options: &ExperimentOptions) -> io::Result<Ne
 /// the wall-clock action heap that fires the session events
 /// [`SessionDirector::advance`] returns, and performs their user actions
 /// on the [`Deployment`], as the sim driver's loop does on its peers. As
-/// in the simulator, a watch ends its
-/// [`WorkloadConfig::watch`](crate::WorkloadConfig::watch) time after a
-/// playback the director accepts, and only such a playback samples the
-/// links for Fig 18. A watch whose playback has not started 5 s after the
+/// in the simulator, a watch ends its [`WorkloadConfig`](crate::WorkloadConfig)
+/// watch time after a playback the director accepts, and only such a
+/// playback samples the links for Fig 18. A watch whose playback has not started 5 s after the
 /// request is abandoned and the node moves on: a safety net for lost
 /// messages on live sockets, which the simulator needs no counterpart of,
 /// since every protocol there falls back to the server. A scripted

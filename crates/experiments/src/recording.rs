@@ -11,7 +11,7 @@ use socialtube_sim::SimTime;
 
 /// Community key for nodes without a subscription: their reports are
 /// attributed to no community slice (the run-wide totals still count them).
-pub const NO_COMMUNITY: u32 = u32::MAX;
+pub(crate) const NO_COMMUNITY: u32 = u32::MAX;
 
 /// Feeds one report into `rec`'s run-wide totals: resolution-split and
 /// repair counters, the search-hop histogram, cache/prefetch hit
@@ -26,7 +26,7 @@ pub fn record_report<R: Recorder>(rec: &mut R, now: SimTime, report: &Report) {
 /// `community_of` maps node index to community key — the same
 /// first-subscription key the sharded executor partitions by — with
 /// [`NO_COMMUNITY`] (or a missing entry) meaning "unattributed".
-pub fn record_report_in<R: Recorder>(
+pub(crate) fn record_report_in<R: Recorder>(
     rec: &mut R,
     now: SimTime,
     community_of: &[u32],

@@ -37,19 +37,19 @@ pub struct WorkloadConfig {
     /// draw counts whole seconds and its mean is clamped to at least 1 s,
     /// so any mean below 1 s runs as 1 s, and no off period is shorter
     /// than 1 s.
-    pub mean_off: SimDuration,
+    pub(crate) mean_off: SimDuration,
     /// Think time between login (or a finished video) and the next request.
     pub browse_delay: SimDuration,
     /// Stagger window for initial logins (avoids a thundering herd at t=0).
-    pub login_stagger: SimDuration,
+    pub(crate) login_stagger: SimDuration,
     /// Probability that a session ends with an *abrupt failure* (browser
     /// crash, network drop) instead of a graceful logoff: the node vanishes
     /// without notifying neighbors or the server, leaving the overlay to
     /// discover the failure through probing (Section IV-A structure
     /// maintenance).
-    pub abrupt_departure_prob: f64,
+    pub(crate) abrupt_departure_prob: f64,
     /// How long a started playback is watched before the node browses on.
-    pub watch: WatchTime,
+    pub(crate) watch: WatchTime,
     /// A scripted workload: these actions at these times, in place of the
     /// session model, whose parameters above it then ignores. A scripted
     /// login starts no browsing, a scripted watch gets no follow-up, and a
@@ -101,9 +101,9 @@ pub enum ScriptAction {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScriptStep {
     /// When the action fires, relative to run start.
-    pub at: SimDuration,
+    pub(crate) at: SimDuration,
     /// The action.
-    pub action: ScriptAction,
+    pub(crate) action: ScriptAction,
 }
 
 /// One node's session state and its own random streams.
@@ -320,7 +320,7 @@ impl SessionDirector {
     /// new directors according to `shard_of` (one owning shard index per
     /// node). Every returned director keeps full-length tables so node ids
     /// index directly; only the owned slots are populated.
-    pub fn partition(self, shard_of: &[usize], shards: usize) -> Vec<SessionDirector> {
+    pub(crate) fn partition(self, shard_of: &[usize], shards: usize) -> Vec<SessionDirector> {
         assert_eq!(shard_of.len(), self.nodes.len(), "one shard per node");
         let mut parts: Vec<SessionDirector> = (0..shards)
             .map(|_| SessionDirector {
@@ -408,7 +408,7 @@ impl SessionDirector {
 
     /// [`on_playback_started`](Self::on_playback_started) for this start,
     /// paired for an accepted one with the delay of its
-    /// [`SessionEvent::WatchEnd`]: the [`WorkloadConfig::watch`] time.
+    /// [`SessionEvent::WatchEnd`]: the [`WorkloadConfig`]'s watch time.
     ///
     /// # Panics
     ///
@@ -434,7 +434,7 @@ impl SessionDirector {
         Some((watched, watch))
     }
 
-    /// The current watch concluded (its [`WorkloadConfig::watch`] time
+    /// The current watch concluded (the [`WorkloadConfig`]'s watch time
     /// elapsed): continue browsing or end the session.
     pub fn on_watch_end(&self, node: NodeId) -> SessionStep {
         if self.node(node).videos_left_in_session > 0 {

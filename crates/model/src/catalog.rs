@@ -88,11 +88,6 @@ impl Catalog {
         self.videos.iter()
     }
 
-    /// Iterates over all category identifiers.
-    pub fn categories(&self) -> impl Iterator<Item = CategoryId> {
-        (0..self.category_count() as u32).map(CategoryId::new)
-    }
-
     /// Returns the channels classified under `category`.
     ///
     /// Unknown categories yield an empty slice.
@@ -232,11 +227,6 @@ impl CatalogBuilder {
         &mut self.videos[video.index()]
     }
 
-    /// Number of videos registered so far.
-    pub fn video_count(&self) -> usize {
-        self.videos.len()
-    }
-
     /// Finalizes the catalog, computing all indices.
     pub fn build(self) -> Catalog {
         let mut channels_by_category: Vec<Vec<ChannelId>> =
@@ -364,6 +354,6 @@ mod tests {
         let cat = b.add_category();
         let ch = b.add_channel([cat]);
         b.extend([(ch, 30, 0), (ch, 40, 1)]);
-        assert_eq!(b.video_count(), 2);
+        assert_eq!(b.videos.len(), 2);
     }
 }

@@ -13,11 +13,15 @@ use crate::{CategoryId, ChannelId, VideoId};
 /// # Examples
 ///
 /// ```
-/// use socialtube_model::{CategoryId, Channel, ChannelId};
+/// use socialtube_model::CatalogBuilder;
 ///
-/// let channel = Channel::new(ChannelId::new(0), vec![CategoryId::new(3)]);
-/// assert_eq!(channel.primary_category(), Some(CategoryId::new(3)));
-/// assert!(channel.has_category(CategoryId::new(3)));
+/// let mut builder = CatalogBuilder::new();
+/// let (comedy, music) = (builder.add_category(), builder.add_category());
+/// let id = builder.add_channel([music]);
+/// let catalog = builder.build();
+/// let channel = catalog.channel(id).unwrap();
+/// assert_eq!(channel.primary_category(), Some(music));
+/// assert!(!channel.has_category(comedy));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Channel {
@@ -30,7 +34,7 @@ impl Channel {
     /// Creates an empty channel classified under `categories`.
     ///
     /// Duplicate categories are removed; order of first occurrence is kept.
-    pub fn new(id: ChannelId, mut categories: Vec<CategoryId>) -> Self {
+    pub(crate) fn new(id: ChannelId, mut categories: Vec<CategoryId>) -> Self {
         let mut seen = Vec::new();
         categories.retain(|c| {
             if seen.contains(c) {

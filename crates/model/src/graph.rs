@@ -46,11 +46,6 @@ impl SocialGraph {
         self.users.len()
     }
 
-    /// Number of channels the graph was sized for.
-    pub fn channel_count(&self) -> usize {
-        self.subscribers.len()
-    }
-
     /// Looks up a user.
     ///
     /// # Errors

@@ -30,6 +30,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 mod catalog;
@@ -46,4 +47,4 @@ pub use error::ModelError;
 pub use graph::{SharedSubscriberEdge, SocialGraph};
 pub use ids::{CategoryId, ChannelId, NodeId, VideoId};
 pub use user::User;
-pub use video::{ChunkIndex, Video, DEFAULT_BITRATE_KBPS, DEFAULT_CHUNKS_PER_VIDEO};
+pub use video::{ChunkIndex, Video, DEFAULT_CHUNKS_PER_VIDEO};

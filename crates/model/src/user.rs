@@ -12,11 +12,13 @@ use crate::{CategoryId, ChannelId, NodeId, VideoId};
 /// # Examples
 ///
 /// ```
-/// use socialtube_model::{CategoryId, ChannelId, NodeId, User};
+/// use socialtube_model::{CategoryId, ChannelId, NodeId, SocialGraph};
 ///
-/// let mut user = User::new(NodeId::new(0));
-/// user.add_interest(CategoryId::new(1));
-/// user.subscribe(ChannelId::new(7));
+/// let mut graph = SocialGraph::new(1, 8);
+/// let me = NodeId::new(0);
+/// graph.user_mut(me).unwrap().add_interest(CategoryId::new(1));
+/// graph.subscribe(me, ChannelId::new(7));
+/// let user = graph.user(me).unwrap();
 /// assert!(user.is_subscribed(ChannelId::new(7)));
 /// assert_eq!(user.interests(), &[CategoryId::new(1)]);
 /// ```
@@ -30,7 +32,7 @@ pub struct User {
 
 impl User {
     /// Creates a user with no interests or subscriptions.
-    pub fn new(id: NodeId) -> Self {
+    pub(crate) fn new(id: NodeId) -> Self {
         Self {
             id,
             interests: Vec::new(),
@@ -54,11 +56,6 @@ impl User {
         &self.subscriptions
     }
 
-    /// Returns the videos this user marked as favorites.
-    pub fn favorites(&self) -> &[VideoId] {
-        &self.favorites
-    }
-
     /// Adds an interest category (idempotent).
     pub fn add_interest(&mut self, category: CategoryId) {
         if !self.interests.contains(&category) {
@@ -67,23 +64,12 @@ impl User {
     }
 
     /// Subscribes to `channel` (idempotent). Returns `true` if newly added.
-    pub fn subscribe(&mut self, channel: ChannelId) -> bool {
+    pub(crate) fn subscribe(&mut self, channel: ChannelId) -> bool {
         if self.subscriptions.contains(&channel) {
             false
         } else {
             self.subscriptions.push(channel);
             true
-        }
-    }
-
-    /// Removes a subscription. Returns `true` if it was present.
-    pub fn unsubscribe(&mut self, channel: ChannelId) -> bool {
-        match self.subscriptions.iter().position(|c| *c == channel) {
-            Some(i) => {
-                self.subscriptions.remove(i);
-                true
-            }
-            None => false,
         }
     }
 
@@ -130,15 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn unsubscribe_reports_presence() {
-        let mut u = User::new(NodeId::new(0));
-        u.subscribe(ChannelId::new(1));
-        assert!(u.unsubscribe(ChannelId::new(1)));
-        assert!(!u.unsubscribe(ChannelId::new(1)));
-        assert!(!u.is_subscribed(ChannelId::new(1)));
-    }
-
-    #[test]
     fn interests_and_favorites_deduplicate() {
         let mut u = User::new(NodeId::new(0));
         u.add_interest(CategoryId::new(2));
@@ -146,7 +123,7 @@ mod tests {
         u.add_favorite(VideoId::new(9));
         u.add_favorite(VideoId::new(9));
         assert_eq!(u.interests().len(), 1);
-        assert_eq!(u.favorites().len(), 1);
+        assert_eq!(u.favorites.len(), 1);
     }
 
     #[test]

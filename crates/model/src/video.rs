@@ -4,7 +4,7 @@ use crate::{ChannelId, VideoId};
 
 /// Average bitrate of a YouTube video reported by Cheng et al. and used by
 /// the paper (Section IV-B), in kilobits per second.
-pub const DEFAULT_BITRATE_KBPS: u32 = 320;
+pub(crate) const DEFAULT_BITRATE_KBPS: u32 = 320;
 
 /// Number of chunks a video is divided into.
 ///
@@ -27,12 +27,16 @@ pub type ChunkIndex = u32;
 /// # Examples
 ///
 /// ```
-/// use socialtube_model::{ChannelId, Video, VideoId};
+/// use socialtube_model::CatalogBuilder;
 ///
-/// let video = Video::new(VideoId::new(0), ChannelId::new(0), 120, 10);
+/// let mut builder = CatalogBuilder::new();
+/// let category = builder.add_category();
+/// let channel = builder.add_channel([category]);
+/// let id = builder.add_video(channel, 120, 10);
+/// let catalog = builder.build();
+/// let video = catalog.video(id).unwrap();
 /// assert_eq!(video.length_secs(), 120);
 /// assert_eq!(video.chunk_count(), 8);
-/// assert!(video.size_bits() > 0);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Video {
@@ -52,7 +56,7 @@ pub struct Video {
 
 impl Video {
     /// Creates a video with the default bitrate and zero popularity.
-    pub fn new(id: VideoId, channel: ChannelId, length_secs: u32, upload_day: u32) -> Self {
+    pub(crate) fn new(id: VideoId, channel: ChannelId, length_secs: u32, upload_day: u32) -> Self {
         Self {
             id,
             channel,
@@ -106,12 +110,12 @@ impl Video {
     }
 
     /// Sets the total view count.
-    pub fn set_views(&mut self, views: u64) {
+    pub(crate) fn set_views(&mut self, views: u64) {
         self.views = views;
     }
 
     /// Sets the favorite count.
-    pub fn set_favorites(&mut self, favorites: u64) {
+    pub(crate) fn set_favorites(&mut self, favorites: u64) {
         self.favorites = favorites;
     }
 
@@ -126,7 +130,7 @@ impl Video {
     }
 
     /// Total size of the encoded video in bits (`length × bitrate`).
-    pub fn size_bits(&self) -> u64 {
+    pub(crate) fn size_bits(&self) -> u64 {
         u64::from(self.length_secs) * u64::from(self.bitrate_kbps) * 1_000
     }
 

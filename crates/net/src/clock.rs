@@ -37,7 +37,7 @@ impl TestbedClock {
     }
 
     /// The wall-clock instant of protocol time `t`.
-    pub fn instant(&self, t: SimTime) -> Instant {
+    pub(crate) fn instant(&self, t: SimTime) -> Instant {
         self.epoch + Duration::from_micros(t.as_micros())
     }
 }

@@ -6,8 +6,9 @@
 //! over **real TCP sockets on localhost**, with per-link artificial latency
 //! standing in for geographic spread:
 //!
-//! * [`wire`] — a hand-rolled length-prefixed binary codec for every
-//!   protocol [`Message`](socialtube::Message);
+//! * `wire` — a hand-rolled length-prefixed binary codec
+//!   ([`encode_frame`], [`decode_frame`]) for every protocol
+//!   [`Message`](socialtube::Message);
 //! * [`clock`] — maps wall-clock time onto the protocol's
 //!   [`SimTime`](socialtube_sim::SimTime) axis;
 //! * [`transport`] — framed connections, the deployment's immutable
@@ -31,13 +32,14 @@
 //! messages — while the latency model recreates the wide-area delay spread.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod clock;
 mod daemon;
 pub mod testbed;
 pub mod transport;
-pub mod wire;
+mod wire;
 
 pub use testbed::{Deployment, NetEvent, NetOutcome};
 pub use wire::{decode_frame, encode_frame, Frame, WireError};

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use crate::wire::{decode_frame, encode_frame, Frame, MAX_FRAME_BYTES};
 
 /// Pseudo node index addressing the server in the address book.
-pub const SERVER_INDEX: u32 = u32::MAX;
+pub(crate) const SERVER_INDEX: u32 = u32::MAX;
 
 /// Writes one length-prefixed frame.
 ///

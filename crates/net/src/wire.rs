@@ -58,7 +58,7 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Upper bound on an encoded frame; anything larger is a protocol error.
-pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
+pub(crate) const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
 // ---------------------------------------------------------------- helpers
 

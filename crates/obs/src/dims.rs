@@ -25,7 +25,7 @@ pub enum Dim {
 
 impl Dim {
     /// Stable serialization key, e.g. `"community:12"`, `"shard:3"`.
-    pub fn label(self) -> String {
+    pub(crate) fn label(self) -> String {
         match self {
             Dim::Community(c) => format!("community:{c}"),
             Dim::Shard(s) => format!("shard:{s}"),

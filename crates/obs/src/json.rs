@@ -179,7 +179,7 @@ fn write_seq<T>(
 /// — one item per line — but writes each item as `items` produces it, so
 /// an array too long to hold as one tree (a Chrome trace's events) never
 /// is one.
-pub fn render_streamed(key: &str, items: impl IntoIterator<Item = Value>) -> String {
+pub(crate) fn render_streamed(key: &str, items: impl IntoIterator<Item = Value>) -> String {
     let mut out = String::from("{\n");
     write_str(&mut out, key);
     out.push_str(": ");

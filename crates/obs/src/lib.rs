@@ -40,6 +40,7 @@
 //! reads back.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod dims;
 pub mod json;

@@ -23,7 +23,7 @@ use crate::json::Value;
 pub struct ProgressConfig {
     /// Appended to, and created if missing. Appending — rather than
     /// truncating — lets several campaigns share one flight-recorder log.
-    pub path: PathBuf,
+    pub(crate) path: PathBuf,
 }
 
 impl ProgressConfig {

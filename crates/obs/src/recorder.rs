@@ -79,7 +79,7 @@ impl Counter {
     pub const COUNT: usize = Self::ALL.len();
 
     /// Stable snake_case key used in serialized snapshots.
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             Counter::ResolvedChannel => "resolved_channel",
             Counter::ResolvedCategory => "resolved_category",
@@ -133,7 +133,7 @@ impl HistKind {
     pub const COUNT: usize = Self::ALL.len();
 
     /// Stable snake_case key used in serialized snapshots.
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             HistKind::SearchHops => "search_hops",
             HistKind::QueueDepth => "queue_depth",
@@ -165,10 +165,10 @@ pub struct Histogram {
 
 impl Histogram {
     /// Total bucket count (32 value buckets + overflow).
-    pub const BUCKETS: usize = 33;
+    pub(crate) const BUCKETS: usize = 33;
 
     /// An empty histogram of `kind`.
-    pub fn new(kind: HistKind) -> Self {
+    pub(crate) fn new(kind: HistKind) -> Self {
         Self {
             kind,
             buckets: [0; Self::BUCKETS],
@@ -179,7 +179,7 @@ impl Histogram {
     }
 
     /// The bucket index `value` falls into for `kind`.
-    pub fn bucket_index(kind: HistKind, value: u64) -> usize {
+    pub(crate) fn bucket_index(kind: HistKind, value: u64) -> usize {
         if kind.linear() {
             (value as usize).min(Self::BUCKETS - 1)
         } else if value == 0 {
@@ -190,7 +190,7 @@ impl Histogram {
     }
 
     /// Inclusive lower bound of bucket `i` for `kind`.
-    pub fn bucket_lower_bound(kind: HistKind, i: usize) -> u64 {
+    pub(crate) fn bucket_lower_bound(kind: HistKind, i: usize) -> u64 {
         if kind.linear() || i == 0 {
             i as u64
         } else {
@@ -199,7 +199,7 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         self.buckets[Self::bucket_index(self.kind, value)] += 1;
         self.count += 1;
         self.sum += value;
@@ -207,12 +207,12 @@ impl Histogram {
     }
 
     /// This histogram's kind.
-    pub fn kind(&self) -> HistKind {
+    pub(crate) fn kind(&self) -> HistKind {
         self.kind
     }
 
     /// Adds `other`'s observations (of the same kind) into this histogram.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         debug_assert_eq!(self.kind, other.kind);
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
             *mine += theirs;
@@ -378,9 +378,9 @@ pub struct RunRecording {
 
 impl RunRecording {
     /// Folds another recording into this one: snapshots merge, timelines
-    /// concatenate (see [`Timeline::absorb`]). This is how a sharded run's
-    /// per-shard recordings become the single recording its outcome
-    /// reports.
+    /// concatenate (each track keeps its own event order). This is how a
+    /// sharded run's per-shard recordings become the single recording its
+    /// outcome reports.
     pub fn absorb(&mut self, other: RunRecording) {
         self.snapshot.merge(&other.snapshot);
         match (&mut self.timeline, other.timeline) {

@@ -134,7 +134,7 @@ impl MetricsSnapshot {
     /// The snapshot as a JSON object: `counters` (the non-zero ones, in
     /// [`Counter::ALL`] order), `histograms` (count, sum, max, mean and
     /// non-empty buckets of each observed one) and `dims`, one such object
-    /// per slice keyed by [`Dim::label`].
+    /// per slice keyed by its label, e.g. `"community:12"`.
     pub fn to_value(&self) -> Value {
         let dims = self
             .dims

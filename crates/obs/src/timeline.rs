@@ -27,7 +27,7 @@ pub enum TracePhase {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TraceEvent {
     /// Event kind.
-    pub phase: TracePhase,
+    pub(crate) phase: TracePhase,
     /// The lane it belongs to.
     pub track: Track,
     /// Event name (empty for span ends).
@@ -50,14 +50,14 @@ pub struct Timeline {
 impl Timeline {
     /// An empty timeline with room for a typical smoke run, so early
     /// recording does not reallocate per event.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             events: Vec::with_capacity(4096),
         }
     }
 
     /// Appends one event.
-    pub fn push(
+    pub(crate) fn push(
         &mut self,
         phase: TracePhase,
         track: Track,
@@ -83,7 +83,7 @@ impl Timeline {
     /// into one run timeline: each track is written by exactly one shard,
     /// so per-track event order (what span nesting depends on) survives
     /// even though tracks interleave globally.
-    pub fn absorb(&mut self, other: Timeline) {
+    pub(crate) fn absorb(&mut self, other: Timeline) {
         self.events.extend(other.events);
     }
 }

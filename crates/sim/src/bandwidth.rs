@@ -56,11 +56,11 @@ impl FifoLink {
 /// # Examples
 ///
 /// ```
-/// use socialtube_sim::{ServerQueue, SimTime};
+/// use socialtube_sim::{ServerQueue, SimDuration, SimTime};
 ///
 /// let mut server = ServerQueue::new(1_000_000); // 1 Mbps
 /// let done = server.serve(SimTime::ZERO, 500_000); // 0.5 Mbit
-/// assert_eq!(done.as_millis(), 500);
+/// assert_eq!(done, SimTime::ZERO + SimDuration::from_millis(500));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServerQueue {
@@ -148,7 +148,7 @@ mod tests {
     fn service_time_is_bits_over_capacity() {
         let mut s = ServerQueue::new(2_000_000);
         let done = s.serve(SimTime::ZERO, 1_000_000);
-        assert_eq!(done.as_millis(), 500);
+        assert_eq!(done, SimTime::ZERO + SimDuration::from_millis(500));
         assert_eq!(s.bits_served(), 1_000_000);
     }
 
@@ -157,8 +157,8 @@ mod tests {
         let mut s = ServerQueue::new(1_000_000);
         let d1 = s.serve(SimTime::ZERO, 1_000_000); // finishes at 1s
         let (d2, waited) = s.serve_timed(SimTime::ZERO, 1_000_000); // queues, finishes at 2s
-        assert_eq!(d1.as_millis(), 1_000);
-        assert_eq!(d2.as_millis(), 2_000);
+        assert_eq!(d1, SimTime::ZERO + SimDuration::from_secs(1));
+        assert_eq!(d2, SimTime::ZERO + SimDuration::from_secs(2));
         assert_eq!(waited, SimDuration::from_secs(1));
         // Both paths count toward the server's bandwidth cost.
         assert_eq!(s.bits_served(), 2_000_000);

@@ -18,7 +18,7 @@ use crate::{EventQueue, SimDuration, SimTime};
 /// A tiny ping/pong between two "nodes":
 ///
 /// ```
-/// use socialtube_sim::{Engine, SimDuration};
+/// use socialtube_sim::{Engine, EventScheduler, SimDuration, SimTime};
 ///
 /// #[derive(Debug)]
 /// enum Ev { Ping(u32), Pong }
@@ -33,7 +33,7 @@ use crate::{EventQueue, SimDuration, SimTime};
 ///     }
 /// }
 /// assert_eq!(pongs, 1);
-/// assert_eq!(engine.now().as_millis(), 20);
+/// assert_eq!(engine.now(), SimTime::ZERO + SimDuration::from_millis(20));
 /// ```
 #[derive(Debug)]
 pub struct Engine<E> {
@@ -63,7 +63,7 @@ impl<E> Engine<E> {
     }
 
     /// Returns the current simulated time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
@@ -86,7 +86,7 @@ impl<E> Engine<E> {
 
     /// Returns true when no events remain to deliver — the run completed on
     /// its own rather than being cut short by a budget.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.pending() == 0
     }
 

@@ -76,16 +76,6 @@ impl LatencyModel {
     pub fn server_delay(&self, a: u32) -> SimDuration {
         self.delay(a, Self::SERVER)
     }
-
-    /// The configured minimum one-way delay.
-    pub fn min(&self) -> SimDuration {
-        self.min
-    }
-
-    /// The configured maximum one-way delay.
-    pub fn max(&self) -> SimDuration {
-        self.max
-    }
 }
 
 /// `SimRng::seed(key).below(span + 1)` without building the
@@ -146,7 +136,7 @@ mod tests {
         let m = LatencyModel::constant(SimDuration::from_millis(30));
         assert_eq!(m.delay(1, 2), SimDuration::from_millis(30));
         assert_eq!(m.delay(7, 8), SimDuration::from_millis(30));
-        assert_eq!(m.min(), m.max());
+        assert_eq!(m.min, m.max);
     }
 
     #[test]

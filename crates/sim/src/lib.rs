@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 mod bandwidth;
@@ -57,6 +58,6 @@ pub use rng::SimRng;
 pub use sampler::PeriodicSampler;
 pub use shard::{
     epoch_length, Delivery, EpochLog, EpochReplay, EventScheduler, MergeState, ShardEngine,
-    CASCADE_SEQ_BASE, EPOCH_ALIGN_US,
+    EPOCH_ALIGN_US,
 };
 pub use time::{SimDuration, SimTime};

@@ -25,14 +25,14 @@ const NIL: u32 = u32::MAX;
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct QueueOccupancy {
     /// Buckets of the near wheel currently holding at least one event.
-    pub occupied_buckets: usize,
+    pub(crate) occupied_buckets: usize,
     /// Events stored in near-wheel buckets (inside the current epoch).
     pub wheel_events: usize,
     /// Events parked beyond the current epoch: far wheel plus the
     /// past-horizon heap.
     pub overflow_events: usize,
     /// Events in the sorted working set of the current tick.
-    pub current_events: usize,
+    pub(crate) current_events: usize,
 }
 
 /// A time-ordered queue of pending events, laid out as a two-level timer
@@ -47,9 +47,8 @@ pub struct QueueOccupancy {
 /// # Ordering contract
 ///
 /// Every pushed event is stamped with a sequence number from a single
-/// monotonically increasing `u64` counter (never reset, not even by
-/// [`clear`](EventQueue::clear)), and delivery follows the strict total
-/// order `(time, seq)`. Two consequences:
+/// monotonically increasing `u64` counter (never reset), and delivery
+/// follows the strict total order `(time, seq)`. Two consequences:
 ///
 /// * same-time events pop in push order (FIFO ties), and
 /// * delivery order is a pure function of the push sequence — independent
@@ -218,7 +217,7 @@ impl<E> EventQueue<E> {
     /// the monotonicity debug-assertion on [`pop`](EventQueue::pop)).
     /// Mixing with plain [`push`](EventQueue::push) on the same queue is
     /// only sound if the caller keeps the two key ranges disjoint.
-    pub fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) {
+    pub(crate) fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) {
         let slot = self.alloc(Node {
             time,
             seq,
@@ -283,7 +282,7 @@ impl<E> EventQueue<E> {
     /// Like [`pop`](EventQueue::pop), also returning the entry's sequence
     /// number — the shard executor logs it so the epoch merge can
     /// reconstruct the canonical global order.
-    pub fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
+    pub(crate) fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
         if self.len == 0 {
             return None;
         }
@@ -381,7 +380,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Returns the timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         if let Some(&(time, ..)) = self.current.last() {
             return Some(time);
         }
@@ -404,22 +403,6 @@ impl<E> EventQueue<E> {
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Drops all pending events. The sequence counter is *not* reset, so
-    /// the FIFO tie-break contract holds across a clear.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free = NIL;
-        self.buckets.fill(NIL);
-        self.far.fill(NIL);
-        self.occupied = [0; WHEEL_BUCKETS / 64];
-        self.far_occupied = [0; FAR_BUCKETS / 64];
-        self.current.clear();
-        self.past_horizon.clear();
-        self.wheel_len = 0;
-        self.far_len = 0;
-        self.len = 0;
     }
 
     /// Current layout statistics: bucket occupancy and overflow pressure.
@@ -515,26 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_queue() {
-        let mut q: EventQueue<u8> = [(SimTime::from_micros(1), 1u8)].into_iter().collect();
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn fifo_holds_across_clear() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(1), 'x');
-        q.clear();
-        let t = SimTime::from_micros(9);
-        q.push(t, 'a');
-        q.push(t, 'b');
-        assert_eq!(q.pop(), Some((t, 'a')));
-        assert_eq!(q.pop(), Some((t, 'b')));
-    }
-
-    #[test]
     fn collects_from_iterator() {
         let q: EventQueue<u8> = (0..5u8)
             .map(|i| (SimTime::from_micros(i as u64), i))
@@ -616,40 +579,35 @@ mod tests {
             }
         }
 
-        pub struct HeapQueue<E> {
+        pub(super) struct HeapQueue<E> {
             heap: BinaryHeap<Reverse<Entry<E>>>,
             next_seq: u64,
         }
 
         impl<E> HeapQueue<E> {
-            pub fn new() -> Self {
+            pub(super) fn new() -> Self {
                 Self {
                     heap: BinaryHeap::new(),
                     next_seq: 0,
                 }
             }
 
-            pub fn push(&mut self, time: SimTime, event: E) {
+            pub(super) fn push(&mut self, time: SimTime, event: E) {
                 let seq = self.next_seq;
                 self.next_seq += 1;
                 self.heap.push(Reverse(Entry { time, seq, event }));
             }
 
-            pub fn pop(&mut self) -> Option<(SimTime, E)> {
+            pub(super) fn pop(&mut self) -> Option<(SimTime, E)> {
                 self.heap.pop().map(|Reverse(e)| (e.time, e.event))
             }
 
-            pub fn peek_time(&self) -> Option<SimTime> {
+            pub(super) fn peek_time(&self) -> Option<SimTime> {
                 self.heap.peek().map(|Reverse(e)| e.time)
             }
 
-            pub fn len(&self) -> usize {
+            pub(super) fn len(&self) -> usize {
                 self.heap.len()
-            }
-
-            /// Like the calendar queue's: the counter survives.
-            pub fn clear(&mut self) {
-                self.heap.clear();
             }
         }
     }
@@ -669,7 +627,6 @@ mod tests {
             /// Push `.1 - 1` µs off the boundary `.0` epochs ahead.
             Boundary(u64, u64),
             Pop,
-            Clear,
         }
 
         proptest! {
@@ -713,8 +670,7 @@ mod tests {
             /// spanning the working set, the near wheel, the far wheel and
             /// the past-horizon heap, timestamps exactly on and one µs
             /// either side of epoch boundaries, plus deliberate same-tick
-            /// ties, and the occasional `clear` with events pending at every
-            /// level — deliver identically from both implementations, and
+            /// ties — deliver identically from both implementations, and
             /// `peek_time` names the reference's minimum after every op.
             #[test]
             fn matches_heap_reference(
@@ -731,9 +687,7 @@ mod tests {
                         // On an epoch boundary, or one µs before / after it.
                         (1u64..1_500, 0u64..3).prop_map(|(e, d)| Op::Boundary(e, d)),
                         Just(Op::Pop),
-                        // Mostly pops; a rare clear, so the queues are
-                        // deep at every level when one lands.
-                        (0u64..12).prop_map(|r| if r == 0 { Op::Clear } else { Op::Pop }),
+                        Just(Op::Pop),
                     ],
                     1..400,
                 ),
@@ -755,11 +709,6 @@ mod tests {
                             if let Some((t, _)) = got {
                                 now = t.as_micros();
                             }
-                            None
-                        }
-                        Op::Clear => {
-                            calendar.clear();
-                            heap.clear();
                             None
                         }
                     };

@@ -85,7 +85,7 @@ impl SimRng {
     }
 
     /// Returns the root seed this generator was created from.
-    pub fn root_seed(&self) -> u64 {
+    pub(crate) fn root_seed(&self) -> u64 {
         self.seed
     }
 

@@ -40,7 +40,7 @@ use crate::{Engine, EventQueue, SimDuration, SimTime};
 /// event pops before every same-time intra-epoch cascade — matching the
 /// serial order, where a cascade's sequence number always exceeds those of
 /// the events that predate it.
-pub const CASCADE_SEQ_BASE: u64 = 1 << 63;
+pub(crate) const CASCADE_SEQ_BASE: u64 = 1 << 63;
 
 /// Epoch alignment unit in microseconds: the calendar queue's bucket
 /// width. Epoch boundaries are multiples of this so an epoch drains whole
@@ -210,11 +210,6 @@ impl<E> ShardEngine<E> {
         }
     }
 
-    /// The current simulated time (the last popped event's timestamp).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Events this shard has processed across all epochs.
     pub fn processed(&self) -> u64 {
         self.processed
@@ -236,8 +231,8 @@ impl<E> ShardEngine<E> {
     }
 
     /// Inserts a pre-stamped event — initial seeds and the coordinator's
-    /// cross-epoch [`Delivery`]s. Must carry a canonical (sub-
-    /// [`CASCADE_SEQ_BASE`]) sequence number.
+    /// cross-epoch [`Delivery`]s. Must carry a canonical sequence number
+    /// (below 2⁶³, where provisional cascade keys start).
     pub fn deliver(&mut self, at: SimTime, seq: u64, event: E) {
         debug_assert!(seq < CASCADE_SEQ_BASE, "delivery with a provisional key");
         self.queue.push_with_seq(at, seq, event);
@@ -345,11 +340,6 @@ impl MergeState {
             next_seq: first_seq,
             resolved: (0..shards).map(|_| Vec::new()).collect(),
         }
-    }
-
-    /// The next canonical sequence number to be assigned.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 
     /// Merges one epoch's shard logs back into the canonical serial order.
@@ -465,13 +455,13 @@ mod tests {
     mod toy {
         use super::*;
 
-        pub const LOOKAHEAD_US: u64 = 4 * EPOCH_ALIGN_US;
+        pub(super) const LOOKAHEAD_US: u64 = 4 * EPOCH_ALIGN_US;
 
         #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-        pub struct Toy {
-            pub node: u32,
-            pub hops: u32,
-            pub tag: u64,
+        pub(super) struct Toy {
+            pub(super) node: u32,
+            pub(super) hops: u32,
+            pub(super) tag: u64,
         }
 
         fn mix(x: u64) -> u64 {
@@ -484,7 +474,7 @@ mod tests {
         /// The handler: shared verbatim by the serial oracle and the
         /// sharded run. Logs its execution, then schedules follow-ups
         /// through whichever scheduler it was handed.
-        pub fn handle<S: EventScheduler<Event = Toy>>(
+        pub(super) fn handle<S: EventScheduler<Event = Toy>>(
             nodes: u32,
             sched: &mut S,
             now: SimTime,
@@ -527,7 +517,7 @@ mod tests {
         }
 
         /// Serial oracle: one engine, plain `(time, seq)` order.
-        pub fn run_serial(nodes: u32, seeds: &[Toy]) -> Vec<(SimTime, Toy)> {
+        pub(super) fn run_serial(nodes: u32, seeds: &[Toy]) -> Vec<(SimTime, Toy)> {
             let mut engine: Engine<Toy> = Engine::new();
             for (i, &s) in seeds.iter().enumerate() {
                 engine.schedule_at(SimTime::from_micros(i as u64 % 7), s);
@@ -542,7 +532,7 @@ mod tests {
         /// Sharded run: nodes dealt round-robin across `shards`, epochs of
         /// the full lookahead, canonical log rebuilt from per-shard note
         /// queues at each barrier — the driver's structure in miniature.
-        pub fn run_sharded(nodes: u32, seeds: &[Toy], shards: usize) -> Vec<(SimTime, Toy)> {
+        pub(super) fn run_sharded(nodes: u32, seeds: &[Toy], shards: usize) -> Vec<(SimTime, Toy)> {
             let shard_of = |node: u32| (node as usize) % shards;
             let epoch_us = epoch_length(SimDuration::from_micros(LOOKAHEAD_US))
                 .expect("lookahead covers a bucket")
@@ -587,7 +577,7 @@ mod tests {
             log
         }
 
-        pub fn seeds(nodes: u32, count: usize, salt: u64) -> Vec<Toy> {
+        pub(super) fn seeds(nodes: u32, count: usize, salt: u64) -> Vec<Toy> {
             (0..count)
                 .map(|i| Toy {
                     node: (mix(salt ^ i as u64) % u64::from(nodes)) as u32,

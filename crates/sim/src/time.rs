@@ -40,11 +40,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns the instant as milliseconds since the start (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Returns the instant as fractional seconds since the start.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
@@ -65,7 +60,7 @@ impl SimTime {
     }
 
     /// Returns the later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
             self
         } else {
@@ -120,11 +115,6 @@ impl SimDuration {
     /// Returns the duration in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Checked multiplication by an integer factor.
-    pub fn checked_mul(self, factor: u64) -> Option<SimDuration> {
-        self.0.checked_mul(factor).map(SimDuration)
     }
 }
 
@@ -185,7 +175,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimDuration::from_millis(3).as_micros(), 3_000);
         assert_eq!(SimDuration::from_mins(1).as_micros(), 60_000_000);
-        assert_eq!(SimTime::from_micros(1_500_000).as_millis(), 1_500);
     }
 
     #[test]
@@ -237,14 +226,5 @@ mod tests {
         let b = SimTime::from_micros(9);
         assert_eq!(a.max(b), b);
         assert_eq!(b.max(a), b);
-    }
-
-    #[test]
-    fn checked_mul_detects_overflow() {
-        assert_eq!(
-            SimDuration::from_micros(10).checked_mul(3),
-            Some(SimDuration::from_micros(30))
-        );
-        assert_eq!(SimDuration::from_micros(u64::MAX).checked_mul(2), None);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Each function recomputes the statistic behind one figure of the paper,
 //! over either a full [`Trace`] or (being purely catalog/graph driven) the
-//! portion discovered by a [`crate::crawler`] sample. The bench crate's
+//! portion discovered by a [`crawl`](crate::crawl) sample. The bench crate's
 //! `figures` binary renders these into the tables recorded in
 //! `EXPERIMENTS.md`.
 
@@ -296,7 +296,7 @@ mod tests {
     fn fig3_frequencies_are_heavy_tailed() {
         let t = trace();
         let cdf = channel_view_frequency(&t);
-        assert_eq!(cdf.len(), t.catalog.channel_count());
+        assert_eq!(cdf.sorted.len(), t.catalog.channel_count());
         assert!(cdf.quantile(0.99) > 5.0 * cdf.quantile(0.5));
     }
 
@@ -339,7 +339,7 @@ mod tests {
     fn fig8_favorites_track_views() {
         let t = trace();
         let (cdf, r) = favorites_distribution(&t);
-        assert_eq!(cdf.len(), t.catalog.video_count());
+        assert_eq!(cdf.sorted.len(), t.catalog.video_count());
         assert!(r.expect("correlation defined") > 0.9);
     }
 
@@ -388,7 +388,7 @@ mod tests {
     fn fig12_similarity_is_high() {
         let t = trace();
         let cdf = interest_similarity(&t);
-        assert!(!cdf.is_empty());
+        assert!(!cdf.sorted.is_empty());
         let median = cdf.quantile(0.5);
         assert!(median >= 0.5, "median similarity {median}");
         let (lo, hi) = cdf.range().expect("nonempty");

@@ -9,7 +9,7 @@
 ///
 /// Every other distribution parameter is fixed to the shapes reported in
 /// Section III and stated once, as a named constant of the
-/// [`generator`](crate::generator) module beside the figure it fits.
+/// generator module beside the figure it fits.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceConfig {
     /// Number of users (peer nodes).
@@ -62,7 +62,7 @@ impl TraceConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.users == 0 {
             return Err("users must be positive".into());
         }

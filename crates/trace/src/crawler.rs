@@ -24,8 +24,6 @@ pub struct CrawlSample {
     pub channels: Vec<ChannelId>,
     /// Videos of the discovered channels.
     pub videos: Vec<VideoId>,
-    /// Number of users that were still queued when the crawl stopped.
-    pub frontier_remaining: usize,
 }
 
 impl CrawlSample {
@@ -118,7 +116,6 @@ pub fn crawl(trace: &Trace, max_users: usize, seed: u64) -> CrawlSample {
         users,
         channels,
         videos,
-        frontier_remaining: queue.len(),
     }
 }
 

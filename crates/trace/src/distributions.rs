@@ -129,7 +129,7 @@ pub fn poisson(rng: &mut SimRng, lambda: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `shape` or `min` is not positive and finite.
-pub fn pareto_sample(rng: &mut SimRng, min: f64, shape: f64) -> f64 {
+pub(crate) fn pareto_sample(rng: &mut SimRng, min: f64, shape: f64) -> f64 {
     assert!(
         min > 0.0 && shape > 0.0 && min.is_finite() && shape.is_finite(),
         "Pareto scale and shape must be positive and finite"
@@ -152,7 +152,7 @@ fn log_normal(rng: &mut SimRng, mu: f64, sigma: f64) -> f64 {
 
 /// Samples a videos-per-channel count with the Fig 6 shape: median
 /// `median`, Pareto tail `shape`.
-pub fn videos_per_channel(rng: &mut SimRng, median: f64, shape: f64) -> usize {
+pub(crate) fn videos_per_channel(rng: &mut SimRng, median: f64, shape: f64) -> usize {
     // For Pareto(min, a), median = min * 2^(1/a): invert for min.
     let min = median / 2f64.powf(1.0 / shape);
     pareto_sample(rng, min.max(1.0), shape).round().max(1.0) as usize
@@ -160,7 +160,12 @@ pub fn videos_per_channel(rng: &mut SimRng, median: f64, shape: f64) -> usize {
 
 /// Samples a short-video length in seconds: log-normal with the given
 /// median and sigma, capped at `cap_secs` and at least 10 s.
-pub fn video_length_secs(rng: &mut SimRng, median_secs: f64, sigma: f64, cap_secs: u32) -> u32 {
+pub(crate) fn video_length_secs(
+    rng: &mut SimRng,
+    median_secs: f64,
+    sigma: f64,
+    cap_secs: u32,
+) -> u32 {
     let secs = log_normal(rng, median_secs.ln(), sigma);
     // Minimum 10 s unless the cap itself is shorter (tiny testbed videos).
     let floor = 10.min(cap_secs.max(1));
@@ -170,7 +175,7 @@ pub fn video_length_secs(rng: &mut SimRng, median_secs: f64, sigma: f64, cap_sec
 /// Samples an upload day in `[0, history_days)` with linearly increasing
 /// density, matching the accelerating upload volume of Fig 2
 /// (`P(day ≤ d) = (d / D)²` so density grows ∝ d).
-pub fn upload_day(rng: &mut SimRng, history_days: u32) -> u32 {
+pub(crate) fn upload_day(rng: &mut SimRng, history_days: u32) -> u32 {
     let d = (rng.unit().sqrt() * f64::from(history_days)).floor() as u32;
     d.min(history_days.saturating_sub(1))
 }
@@ -178,7 +183,7 @@ pub fn upload_day(rng: &mut SimRng, history_days: u32) -> u32 {
 /// Samples a geometric count: `1 + Geometric(1 - continuation)` capped at
 /// `max`, used for user interest counts (Fig 13) and extra channel
 /// categories (Fig 11).
-pub fn geometric_count(rng: &mut SimRng, continuation: f64, max: usize) -> usize {
+pub(crate) fn geometric_count(rng: &mut SimRng, continuation: f64, max: usize) -> usize {
     let mut count = 1;
     while count < max && rng.unit() < continuation {
         count += 1;

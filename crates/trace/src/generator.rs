@@ -89,7 +89,7 @@ pub struct Trace {
 impl Trace {
     /// The newest upload day in the trace — "today" for view-frequency
     /// computations (Fig 3).
-    pub fn observation_day(&self) -> u32 {
+    pub(crate) fn observation_day(&self) -> u32 {
         HISTORY_DAYS - 1
     }
 
@@ -140,7 +140,8 @@ impl WeightedChannels {
 ///
 /// # Panics
 ///
-/// Panics if `config` fails [`TraceConfig::validate`].
+/// Panics if `config` is inconsistent: a zero count, fewer videos than
+/// channels, or an affinity outside `[0, 1]`.
 pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
     config
         .validate()

@@ -7,7 +7,7 @@
 //! simulations (Section V). That crawl is not available, so this crate
 //! rebuilds the pipeline end to end:
 //!
-//! 1. [`generator`] synthesizes a YouTube-like social network whose marginal
+//! 1. [`generate`] synthesizes a YouTube-like social network whose marginal
 //!    distributions match the paper's reported statistics: Zipf
 //!    within-channel video popularity, heavy-tailed channel popularity and
 //!    subscriber counts, channels focused on few categories, users with few
@@ -16,7 +16,7 @@
 //!    Each calibration value is one named constant there, beside the figure
 //!    it fits; [`TraceConfig`] sets only the scale and the few values a
 //!    preset changes.
-//! 2. [`crawler`] samples the synthetic network with a breadth-first search,
+//! 2. [`crawl`] samples the synthetic network with a breadth-first search,
 //!    mirroring the paper's crawl methodology (Section III notes BFS
 //!    sampling preserves the metrics they study).
 //! 3. [`analysis`] recomputes every trace statistic of Section III — one
@@ -40,13 +40,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod analysis;
-pub mod crawler;
+mod crawler;
 pub mod distributions;
-pub mod generator;
-pub mod shared;
+mod generator;
+mod shared;
 pub mod stats;
 
 mod config;

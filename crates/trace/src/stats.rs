@@ -9,31 +9,22 @@
 /// ```
 /// use socialtube_trace::stats::Ecdf;
 ///
-/// let cdf = Ecdf::from_samples(vec![1.0, 2.0, 3.0, 4.0]);
+/// let cdf: Ecdf = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
 /// assert_eq!(cdf.quantile(0.5), 2.0);
 /// assert_eq!(cdf.fraction_at_or_below(2.5), 0.5);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Ecdf {
-    sorted: Vec<f64>,
+    /// The finite samples, ascending.
+    pub(crate) sorted: Vec<f64>,
 }
 
 impl Ecdf {
     /// Builds an ECDF, dropping non-finite samples.
-    pub fn from_samples(mut samples: Vec<f64>) -> Self {
+    pub(crate) fn from_samples(mut samples: Vec<f64>) -> Self {
         samples.retain(|x| x.is_finite());
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples compare"));
         Self { sorted: samples }
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Returns `true` if there are no samples.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
     }
 
     /// The `q`-quantile (`q` in `[0, 1]`) by the nearest-rank method.
@@ -62,33 +53,8 @@ impl Ecdf {
     }
 
     /// Smallest and largest samples.
-    pub fn range(&self) -> Option<(f64, f64)> {
+    pub(crate) fn range(&self) -> Option<(f64, f64)> {
         Some((*self.sorted.first()?, *self.sorted.last()?))
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
-    }
-
-    /// Evaluates the CDF at `points` evenly spaced values across the sample
-    /// range — the `(x, F(x))` series used to plot the figure.
-    pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        let Some((lo, hi)) = self.range() else {
-            return Vec::new();
-        };
-        if points <= 1 || lo == hi {
-            return vec![(hi, 1.0)];
-        }
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-                (x, self.fraction_at_or_below(x))
-            })
-            .collect()
     }
 
     /// Evaluates the CDF at `points` log-spaced values (heavy-tailed
@@ -181,7 +147,7 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
 /// the Zipf distribution" check).
 ///
 /// Returns `None` with fewer than two positive values.
-pub fn fit_zipf_exponent(rank_ordered: &[f64]) -> Option<f64> {
+pub(crate) fn fit_zipf_exponent(rank_ordered: &[f64]) -> Option<f64> {
     let points: Vec<(f64, f64)> = rank_ordered
         .iter()
         .enumerate()
@@ -243,18 +209,16 @@ mod tests {
     #[test]
     fn empty_cdf_is_safe() {
         let cdf = Ecdf::from_samples(vec![]);
-        assert!(cdf.is_empty());
+        assert!(cdf.sorted.is_empty());
         assert_eq!(cdf.quantile(0.5), 0.0);
         assert_eq!(cdf.fraction_at_or_below(1.0), 0.0);
         assert_eq!(cdf.range(), None);
-        assert!(cdf.curve(10).is_empty());
-        assert_eq!(cdf.mean(), 0.0);
     }
 
     #[test]
     fn non_finite_samples_are_dropped() {
         let cdf = Ecdf::from_samples(vec![1.0, f64::NAN, 2.0, f64::INFINITY]);
-        assert_eq!(cdf.len(), 2);
+        assert_eq!(cdf.sorted.len(), 2);
     }
 
     #[test]
@@ -263,17 +227,6 @@ mod tests {
         assert_eq!(cdf.fraction_at_or_below(2.0), 0.75);
         assert_eq!(cdf.fraction_at_or_below(0.5), 0.0);
         assert_eq!(cdf.fraction_at_or_below(9.0), 1.0);
-    }
-
-    #[test]
-    fn curve_is_monotone_and_ends_at_one() {
-        let cdf = Ecdf::from_samples((1..=50).map(f64::from).collect());
-        let curve = cdf.curve(20);
-        assert_eq!(curve.len(), 20);
-        for w in curve.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert_eq!(curve.last().unwrap().1, 1.0);
     }
 
     #[test]
@@ -327,11 +280,5 @@ mod tests {
         assert_eq!(p.p1, 10.0);
         assert_eq!(p.p50, 500.0);
         assert_eq!(p.p99, 990.0);
-    }
-
-    #[test]
-    fn mean_is_arithmetic() {
-        let cdf = Ecdf::from_samples(vec![1.0, 2.0, 3.0]);
-        assert!((cdf.mean() - 2.0).abs() < 1e-12);
     }
 }
