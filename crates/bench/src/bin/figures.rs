@@ -206,7 +206,8 @@ mod tests {
             let experiment = Scale::Demo.testbed_options(seed);
             let root = socialtube_experiments::configs::root_rng(experiment.seed);
             let latency = experiment.network.latency_model(&root);
-            (latency.delay(0, 1), latency.server_delay(0))
+            // `u32::MAX` is the server's index (`LatencyModel::SERVER`).
+            (latency.delay(0, 1), latency.delay(0, u32::MAX))
         };
         assert_eq!(delay(7), delay(7));
         assert_ne!(delay(7), delay(42));

@@ -83,7 +83,6 @@ pub use cache::{CacheEntry, VideoCache};
 pub use config::SocialTubeConfig;
 pub use flood::{Flood, SEEN_QUERY_WINDOW};
 pub use messages::{LinkKind, Message, PeerAddr, QueryScope, RequestId};
-pub use neighbors::{Neighbor, NeighborTable};
 pub use peer::SocialTubePeer;
 pub use probe::Prober;
 pub use seen::SeenWindow;

@@ -6,7 +6,7 @@ use crate::messages::LinkKind;
 
 /// One overlay neighbor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Neighbor {
+pub(crate) struct Neighbor {
     /// The neighbor's node identifier.
     pub(crate) node: NodeId,
     /// The channel the neighbor was last known to be watching (`None` until
@@ -23,20 +23,8 @@ pub struct Neighbor {
 /// current channel*: when the node switches channels, links re-classify, and
 /// links that fit neither bucket are shed (the paper: "u9 maintains no links
 /// to users outside of his/her channel or category").
-///
-/// # Examples
-///
-/// ```
-/// use socialtube::{LinkKind, NeighborTable};
-/// use socialtube_model::{ChannelId, NodeId};
-///
-/// let mut table = NeighborTable::new(2, 3);
-/// table.set_current_channel(Some(ChannelId::new(0)));
-/// assert!(table.try_add(NodeId::new(1), Some(ChannelId::new(0))));
-/// assert_eq!(table.of_kind(LinkKind::Inner).count(), 1);
-/// ```
 #[derive(Clone, Debug)]
-pub struct NeighborTable {
+pub(crate) struct NeighborTable {
     neighbors: Vec<Neighbor>,
     inner_cap: usize,
     inter_cap: usize,
@@ -45,7 +33,7 @@ pub struct NeighborTable {
 
 impl NeighborTable {
     /// Creates an empty table with the given capacities (`N_l`, `N_h`).
-    pub fn new(inner_cap: usize, inter_cap: usize) -> Self {
+    pub(crate) fn new(inner_cap: usize, inter_cap: usize) -> Self {
         Self {
             neighbors: Vec::new(),
             inner_cap,
@@ -57,7 +45,7 @@ impl NeighborTable {
     /// Sets the channel the node is currently watching. Does **not** shed
     /// links; the peer calls `shed_out_of_community` afterwards with the
     /// catalog.
-    pub fn set_current_channel(&mut self, channel: Option<ChannelId>) {
+    pub(crate) fn set_current_channel(&mut self, channel: Option<ChannelId>) {
         self.current_channel = channel;
     }
 
@@ -86,7 +74,7 @@ impl NeighborTable {
     }
 
     /// The links of `kind` relative to the current channel, in table order.
-    pub fn of_kind(&self, kind: LinkKind) -> impl Iterator<Item = &Neighbor> {
+    pub(crate) fn of_kind(&self, kind: LinkKind) -> impl Iterator<Item = &Neighbor> {
         self.neighbors
             .iter()
             .filter(move |n| self.classify(n.channel) == kind)
@@ -104,7 +92,7 @@ impl NeighborTable {
     /// Tries to add a link to `node` (last seen in `channel`). Returns
     /// `false` when the relevant bucket is full, the node is already a
     /// neighbor (updating its channel), or it would self-link.
-    pub fn try_add(&mut self, node: NodeId, channel: Option<ChannelId>) -> bool {
+    pub(crate) fn try_add(&mut self, node: NodeId, channel: Option<ChannelId>) -> bool {
         if let Some(existing) = self.neighbors.iter_mut().find(|n| n.node == node) {
             existing.channel = channel;
             return false;
@@ -199,6 +187,14 @@ mod tests {
 
     fn nodes_of(t: &NeighborTable, kind: LinkKind) -> Vec<NodeId> {
         t.of_kind(kind).map(|n| n.node).collect()
+    }
+
+    #[test]
+    fn a_same_channel_link_is_inner() {
+        let mut table = NeighborTable::new(2, 3);
+        table.set_current_channel(Some(ChannelId::new(0)));
+        assert!(table.try_add(NodeId::new(1), Some(ChannelId::new(0))));
+        assert_eq!(table.of_kind(LinkKind::Inner).count(), 1);
     }
 
     #[test]

@@ -72,11 +72,6 @@ impl SocialTubePeer {
         }
     }
 
-    /// Number of in-flight searches (tests and diagnostics).
-    pub fn active_searches(&self) -> usize {
-        self.transfers.iter().count()
-    }
-
     // ------------------------------------------------------------ helpers
 
     /// Drops, with a `Leave`, the links the current channel and the
@@ -811,7 +806,7 @@ mod tests {
         assert!(reports(&out)
             .iter()
             .all(|r| !matches!(r, Report::ServerFallback { .. })));
-        assert_eq!(p.active_searches(), 0);
+        assert_eq!(p.transfers.iter().count(), 0);
         out.drain();
         // With an inner neighbor, prefetch floods the channel overlay for
         // the top-M popular videos not yet cached.
@@ -843,7 +838,7 @@ mod tests {
             }
         )));
         // Remaining chunks are still fetched (search active).
-        assert_eq!(p.active_searches(), 1);
+        assert_eq!(p.transfers.iter().count(), 1);
     }
 
     #[test]

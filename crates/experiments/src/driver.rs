@@ -19,9 +19,11 @@
 //!   canonical serial order at every epoch barrier ([`MergeState`]).
 //!
 //! Which one runs is chosen through [`RunSpec::execution`] — the single
-//! selection point ([`Execution`]). Both produce bitwise-identical
-//! [`SimOutcome`]s; the differential tests at the bottom of this file pin
-//! that equivalence across protocols, seeds and shard counts.
+//! selection point ([`Execution`]) — for an unrecorded session run; a run
+//! that records or follows a script always takes the serial loop. Both
+//! produce bitwise-identical [`SimOutcome`]s; the differential tests at the
+//! bottom of this file pin that equivalence across protocols, seeds and
+//! shard counts.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc;
@@ -32,8 +34,7 @@ use socialtube::{Message, Outbox, PeerAddr, Report, ServerOutbox, TimerKind, Vod
 use socialtube_baselines::Peer;
 use socialtube_model::NodeId;
 use socialtube_obs::{
-    Counter, Dim, HistKind, NullRecorder, Recorder, RecorderConfig, RunRecorder, RunRecording,
-    Track,
+    Counter, HistKind, NullRecorder, Recorder, RecorderConfig, RunRecorder, RunRecording, Track,
 };
 use socialtube_sim::{
     epoch_length, Delivery, Engine, EpochLog, EventScheduler, LatencyModel, MergeState,
@@ -78,22 +79,6 @@ impl SimEvent for Ev {
     fn peer_timer(node: NodeId, kind: TimerKind) -> Self {
         Ev::PeerTimer { node, kind }
     }
-}
-
-/// What one shard of a run processed — the serial executor reports itself
-/// as a single shard, so consumers (the scale bench, JSON emitters) never
-/// branch on the executor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardLoad {
-    /// Shard index (0 for the serial executor; the server lives on 0).
-    pub(crate) shard: usize,
-    /// Events this shard processed.
-    pub(crate) events: u64,
-    /// High-water mark of this shard's pending-event queue — the working
-    /// set its calendar queue had to hold at once.
-    pub(crate) queue_peak: usize,
-    /// Number of peers this shard owned.
-    pub(crate) peers: usize,
 }
 
 /// Wall-clock self-profile of one sharded execution, carried in
@@ -163,17 +148,17 @@ pub struct SimOutcome {
     /// Peak number of entries the server tracked (SocialTube: channel
     /// memberships; NetTube: per-video overlay entries).
     pub server_tracked_peak: usize,
-    /// Per-shard load figures, in shard order. A serial run reports one
-    /// shard owning every peer; a sharded run reports one entry per
-    /// worker. Event totals sum to [`events`](SimOutcome::events).
-    pub(crate) shards: Vec<ShardLoad>,
+    /// High-water mark of the pending-event queue (the largest any shard
+    /// held, in a sharded run).
+    queue_peak: usize,
     /// True if the run hit the `max_events` safety valve.
     pub truncated: bool,
     /// Metrics snapshot and optional timeline, when the spec asked for
     /// recording ([`RunSpec::with_recorder`]); `None` otherwise.
     pub recording: Option<RunRecording>,
-    /// Wall-clock self-profile of the sharded executor; `None` for serial
-    /// runs. Wall times never feed back into deterministic outputs.
+    /// Wall-clock self-profile of the sharded executor; `None` for a run
+    /// that took the serial loop. Wall times never feed back into
+    /// deterministic outputs.
     pub profile: Option<ExecutionProfile>,
     /// Every report a scripted run surfaced, in order: the simulator's
     /// counterpart of the testbed's `NetOutcome::events`. Empty for a
@@ -185,7 +170,7 @@ impl SimOutcome {
     /// Largest pending-event queue any shard held — the run's
     /// memory-pressure signal (see `socialtube_sim::EventQueue`).
     pub fn queue_peak(&self) -> usize {
-        self.shards.iter().map(|s| s.queue_peak).max().unwrap_or(0)
+        self.queue_peak
     }
 }
 
@@ -203,15 +188,23 @@ impl SimOutcome {
 /// # Examples
 ///
 /// ```
-/// use socialtube_experiments::{configs, Execution, Protocol, RunSpec};
+/// use socialtube_experiments::{configs, Execution, Protocol, RecorderConfig, RunSpec};
 ///
 /// let mut options = configs::smoke_test();
 /// options.seed = 7;
 /// let spec = RunSpec::new(Protocol::SocialTube).options(options);
 /// let serial = spec.clone().run();
-/// let sharded = spec.execution(Execution::Sharded { workers: 2 }).run();
+/// let sharded = spec.clone().execution(Execution::Sharded { workers: 2 }).run();
 /// assert!(sharded.metrics.playbacks > 0);
 /// assert_eq!(sharded.events, serial.events);
+///
+/// // A spec that records takes the serial loop whatever its executor.
+/// let recorded = spec
+///     .execution(Execution::Sharded { workers: 2 })
+///     .with_recorder(RecorderConfig::metrics_only())
+///     .run();
+/// assert!(recorded.profile.is_none());
+/// assert_eq!(recorded.events, serial.events);
 /// ```
 #[derive(Clone, Debug)]
 pub struct RunSpec {
@@ -260,7 +253,8 @@ impl RunSpec {
 
     /// Selects the executor ([`Execution::Serial`] by default). Sharded
     /// execution partitions peers by interest community across worker
-    /// threads; the outcome is bitwise identical either way.
+    /// threads; the outcome is bitwise identical either way. A spec that
+    /// records or runs a script takes the serial loop regardless.
     pub fn execution(mut self, execution: Execution) -> Self {
         self.execution = execution;
         self
@@ -287,61 +281,30 @@ impl RunSpec {
         self.seed.unwrap_or(self.options.seed)
     }
 
-    /// Executes the run to completion under the selected [`Execution`].
-    /// When [`with_recorder`](RunSpec::with_recorder) asked for capture,
-    /// the outcome's `recording` is populated; otherwise the run goes
-    /// through the zero-cost [`NullRecorder`] path.
+    /// Executes the run to completion. A spec that records
+    /// ([`with_recorder`](RunSpec::with_recorder)) or runs a script takes
+    /// the serial loop whatever its [`Execution`]; only an unrecorded
+    /// session run is sharded, so an outcome differs between executors in
+    /// its `profile` alone. An unrecorded run goes through the zero-cost
+    /// [`NullRecorder`] path.
     pub fn run(&self) -> SimOutcome {
-        match self.execution {
-            Execution::Serial => {
-                let seed = self.effective_seed();
-                let trace = self.resolve_trace(seed);
-                let (protocol, options) = (self.protocol, &self.options);
-                if self.recorder.enabled() {
-                    let mut rec = RunRecorder::new(self.recorder);
-                    let mut outcome = run_serial_with(&trace, protocol, options, seed, &mut rec);
-                    outcome.recording = Some(rec.finish());
-                    outcome
-                } else {
-                    run_serial_with(&trace, protocol, options, seed, &mut NullRecorder)
-                }
-            }
-            Execution::Sharded { workers } => self.run_sharded(workers),
-        }
-    }
-
-    /// The trace the run uses: the shared one when set, otherwise one
-    /// generated from the options at `seed`.
-    fn resolve_trace(&self, seed: u64) -> SharedTrace {
-        self.trace
-            .clone()
-            .unwrap_or_else(|| generate_shared(&self.options.trace, seed))
-    }
-
-    /// The sharded path of [`run`](RunSpec::run): resolves the trace, then
-    /// fans one recorder per shard and folds them back into one recording.
-    fn run_sharded(&self, workers: usize) -> SimOutcome {
         let seed = self.effective_seed();
-        let trace = self.resolve_trace(seed);
+        let trace = self
+            .trace
+            .clone()
+            .unwrap_or_else(|| generate_shared(&self.options.trace, seed));
+        let (protocol, options) = (self.protocol, &self.options);
         if self.recorder.enabled() {
-            let config = self.recorder;
-            let (mut outcome, recs) =
-                run_sharded_with(&trace, self.protocol, &self.options, seed, workers, |_| {
-                    RunRecorder::new(config)
-                });
-            outcome.recording = recs
-                .into_iter()
-                .map(RunRecorder::finish)
-                .reduce(|mut a, b| {
-                    a.absorb(b);
-                    a
-                });
-            outcome
-        } else {
-            run_sharded_with(&trace, self.protocol, &self.options, seed, workers, |_| {
-                NullRecorder
-            })
-            .0
+            let mut rec = RunRecorder::new(self.recorder);
+            let mut outcome = run_serial_with(&trace, protocol, options, seed, &mut rec);
+            outcome.recording = Some(rec.finish());
+            return outcome;
+        }
+        match self.execution {
+            Execution::Sharded { workers } if options.workload.script.is_empty() => {
+                run_sharded_with(&trace, protocol, options, seed, workers)
+            }
+            _ => run_serial_with(&trace, protocol, options, seed, &mut NullRecorder),
         }
     }
 }
@@ -672,7 +635,6 @@ fn run_serial_with<R: Recorder>(
                 now.as_micros(),
                 world.server_queue.backlog(now).as_millis(),
             );
-            rec.observe_dim(Dim::Shard(0), HistKind::QueueDepth, depth);
         }
         let mut sink = SerialSink {
             metrics: &mut metrics,
@@ -692,12 +654,7 @@ fn run_serial_with<R: Recorder>(
         sim_end: engine.now(),
         server_bits_served: world.server_queue.bits_served(),
         server_tracked_peak: world.tracked_peak,
-        shards: vec![ShardLoad {
-            shard: 0,
-            events: engine.processed(),
-            queue_peak: engine.peak_pending(),
-            peers: users,
-        }],
+        queue_peak: engine.peak_pending(),
         truncated: engine.budget_exhausted(),
         recording: None,
         profile: None,
@@ -774,7 +731,7 @@ fn route_shard(ev: &Ev, shard_of: &[usize]) -> usize {
         Ev::Session(n, _) => shard_of[n.index()],
         Ev::PeerMsg { to, .. } => shard_of[to.index()],
         Ev::PeerTimer { node, .. } => shard_of[node.index()],
-        Ev::Script(_) => unreachable!("a sharded run refuses a script"),
+        Ev::Script(_) => unreachable!("a scripted run takes the serial loop"),
     }
 }
 
@@ -804,10 +761,8 @@ struct EpochOut {
 }
 
 /// A shard's final figures, returned when the run finishes.
-struct ShardFinal<R> {
+struct ShardFinal {
     shard: usize,
-    peers: usize,
-    processed: u64,
     peak_pending: usize,
     pending: usize,
     /// Wall seconds this shard spent inside [`run_shard_epoch`], for the
@@ -815,20 +770,15 @@ struct ShardFinal<R> {
     compute_s: f64,
     server_bits_served: u64,
     tracked_peak: usize,
-    recorder: R,
 }
 
-/// Runs one epoch on one shard: insert deliveries, drain the window
-/// (logging per-event note boundaries), then take a per-shard queue-depth
-/// sample at most once per simulated minute.
-#[allow(clippy::too_many_arguments)] // one call site; the args are the shard's whole state
-fn run_shard_epoch<R: Recorder>(
+/// Runs one epoch on one shard: insert deliveries, then drain the window,
+/// logging per-event note boundaries.
+fn run_shard_epoch(
     shard: usize,
     world: &mut World<'_>,
     engine: &mut ShardEngine<Ev>,
-    rec: &mut R,
     sink: &mut ShardSink,
-    sampler: &mut PeriodicSampler,
     end: SimTime,
     deliveries: Vec<Delivery<Ev>>,
 ) -> EpochOut {
@@ -838,27 +788,10 @@ fn run_shard_epoch<R: Recorder>(
     engine.begin_epoch(end);
     let mut note_ends: Vec<u32> = Vec::new();
     while let Some((now, ev)) = engine.pop_epoch_event() {
-        handle_event(world, engine, rec, sink, now, ev);
+        handle_event(world, engine, &mut NullRecorder, sink, now, ev);
         note_ends.push(u32::try_from(sink.notes.len()).expect("notes fit in u32"));
     }
     let log = engine.take_epoch_log();
-    if R::ENABLED && sampler.due(end) > 0 {
-        let depth = engine.pending() as u64;
-        rec.observe(HistKind::QueueDepth, depth);
-        rec.sample(
-            Track::Shard(shard as u32),
-            "queue_depth",
-            end.as_micros(),
-            depth,
-        );
-        rec.sample(
-            Track::Shard(shard as u32),
-            "events",
-            end.as_micros(),
-            engine.processed(),
-        );
-        rec.observe_dim(Dim::Shard(shard as u32), HistKind::QueueDepth, depth);
-    }
     EpochOut {
         shard,
         log,
@@ -869,55 +802,38 @@ fn run_shard_epoch<R: Recorder>(
 }
 
 /// Wraps up one shard at the end of the run.
-fn finish_shard<R: Recorder>(
+fn finish_shard(
     shard: usize,
     world: World<'_>,
     engine: ShardEngine<Ev>,
-    mut rec: R,
     compute_s: f64,
-) -> ShardFinal<R> {
-    if R::ENABLED {
-        rec.observe(HistKind::QueueDepth, engine.peak_pending() as u64);
-    }
+) -> ShardFinal {
     ShardFinal {
         shard,
-        peers: world.peers.iter().flatten().count(),
-        processed: engine.processed(),
         peak_pending: engine.peak_pending(),
         pending: engine.pending(),
         compute_s,
         server_bits_served: world.server_queue.bits_served(),
         tracked_peak: world.tracked_peak,
-        recorder: rec,
     }
 }
 
 /// A worker thread's whole life: drain epochs on request, then report.
-fn shard_worker<R: Recorder>(
+fn shard_worker(
     shard: usize,
     mut world: World<'_>,
     mut engine: ShardEngine<Ev>,
-    mut rec: R,
     rx: mpsc::Receiver<ToWorker>,
     tx: mpsc::Sender<EpochOut>,
-) -> ShardFinal<R> {
+) -> ShardFinal {
     let mut sink = ShardSink::default();
-    let mut sampler = PeriodicSampler::new(SimDuration::from_mins(1));
     let mut compute_s = 0f64;
     while let Ok(msg) = rx.recv() {
         match msg {
             ToWorker::Epoch { end, deliveries } => {
                 let t0 = std::time::Instant::now();
-                let out = run_shard_epoch(
-                    shard,
-                    &mut world,
-                    &mut engine,
-                    &mut rec,
-                    &mut sink,
-                    &mut sampler,
-                    end,
-                    deliveries,
-                );
+                let out =
+                    run_shard_epoch(shard, &mut world, &mut engine, &mut sink, end, deliveries);
                 compute_s += t0.elapsed().as_secs_f64();
                 if tx.send(out).is_err() {
                     break;
@@ -926,7 +842,7 @@ fn shard_worker<R: Recorder>(
             ToWorker::Finish => break,
         }
     }
-    finish_shard(shard, world, engine, rec, compute_s)
+    finish_shard(shard, world, engine, compute_s)
 }
 
 /// The sharded run loop: partitions the world by interest community,
@@ -940,30 +856,21 @@ fn shard_worker<R: Recorder>(
 /// sub-lookahead schedule the driver makes is same-node, hence same-shard,
 /// which is what makes the window safe.
 ///
-/// Returns the outcome plus each shard's recorder, in shard order.
+/// The shards run unrecorded: a spec that records, or runs a script, takes
+/// the serial loop instead ([`RunSpec::run`]).
 ///
 /// # Panics
 ///
 /// Panics if `shards` is 0 or the configured minimum latency is below one
 /// calendar bucket (no conservative lookahead exists).
-fn run_sharded_with<R, F>(
+fn run_sharded_with(
     trace: &Trace,
     protocol: Protocol,
     options: &ExperimentOptions,
     seed: u64,
     shards: usize,
-    make_recorder: F,
-) -> (SimOutcome, Vec<R>)
-where
-    R: Recorder + Send,
-    F: Fn(usize) -> R,
-{
+) -> SimOutcome {
     assert!(shards >= 1, "sharded execution needs at least one shard");
-    assert!(
-        options.workload.script.is_empty(),
-        "a scripted workload runs only under Execution::Serial; the sharded \
-         executor is pending deletion and takes no new workloads"
-    );
     let epoch = epoch_length(options.network.latency_min).unwrap_or_else(|| {
         panic!(
             "sharded execution needs latency_min >= {} us (the calendar bucket) \
@@ -997,7 +904,6 @@ where
         engines[shard_of[u]].deliver(SimTime::ZERO + at, u as u64, login);
     }
     let directors = director.partition(&shard_of, shards);
-    let community_of = community_keys::<R>(trace);
 
     // Deal the stack's peers into per-shard full-length slot vectors.
     let mut peer_slots: Vec<Vec<Option<Peer>>> = (0..shards)
@@ -1022,7 +928,7 @@ where
             outbox: Outbox::new(),
             server_outbox: ServerOutbox::new(),
             tracked_peak: 0,
-            community_of: Arc::clone(&community_of),
+            community_of: Arc::from([]),
         });
     }
 
@@ -1049,9 +955,7 @@ where
     let mut engines_iter = engines.into_iter();
     let mut world0 = worlds_iter.next().expect("shard 0 exists");
     let mut engine0 = engines_iter.next().expect("shard 0 exists");
-    let mut rec0 = make_recorder(0);
     let mut sink0 = ShardSink::default();
-    let mut sampler0 = PeriodicSampler::new(SimDuration::from_mins(1));
 
     let (finals, truncated) = std::thread::scope(|scope| {
         let (out_tx, out_rx) = mpsc::channel::<EpochOut>();
@@ -1061,9 +965,8 @@ where
             let shard = i + 1;
             let (tx, rx) = mpsc::channel::<ToWorker>();
             let out_tx = out_tx.clone();
-            let rec = make_recorder(shard);
             to_workers.push(tx);
-            handles.push(scope.spawn(move || shard_worker(shard, world, engine, rec, rx, out_tx)));
+            handles.push(scope.spawn(move || shard_worker(shard, world, engine, rx, out_tx)));
         }
 
         loop {
@@ -1101,9 +1004,7 @@ where
                 0,
                 &mut world0,
                 &mut engine0,
-                &mut rec0,
                 &mut sink0,
-                &mut sampler0,
                 end,
                 std::mem::take(&mut routed[0]),
             );
@@ -1181,8 +1082,8 @@ where
         for tx in &to_workers {
             let _ = tx.send(ToWorker::Finish);
         }
-        let mut finals: Vec<ShardFinal<R>> = Vec::with_capacity(shards);
-        finals.push(finish_shard(0, world0, engine0, rec0, compute0_s));
+        let mut finals: Vec<ShardFinal> = Vec::with_capacity(shards);
+        finals.push(finish_shard(0, world0, engine0, compute0_s));
         for h in handles {
             finals.push(h.join().expect("shard worker panicked"));
         }
@@ -1198,29 +1099,18 @@ where
     } else {
         0.0
     };
-    let shard_loads: Vec<ShardLoad> = finals
-        .iter()
-        .map(|f| ShardLoad {
-            shard: f.shard,
-            events: f.processed,
-            queue_peak: f.peak_pending,
-            peers: f.peers,
-        })
-        .collect();
-    let outcome = SimOutcome {
+    SimOutcome {
         metrics: metrics.summary(),
         events: processed_total,
         sim_end,
         server_bits_served: finals[0].server_bits_served,
         server_tracked_peak: finals[0].tracked_peak,
-        shards: shard_loads,
+        queue_peak: finals.iter().map(|f| f.peak_pending).max().unwrap_or(0),
         truncated,
         recording: None,
         profile: Some(profile),
         reports: Vec::new(),
-    };
-    let recorders = finals.into_iter().map(|f| f.recorder).collect();
-    (outcome, recorders)
+    }
 }
 
 #[cfg(test)]
@@ -1319,8 +1209,8 @@ mod tests {
 
     #[test]
     fn per_community_slices_agree_between_executors() {
-        // Community attribution rides the merge/absorb machinery in the
-        // sharded executor; the folded slices must equal the serial ones.
+        // A recorded sharded spec must report the same community slices
+        // as the serial run of the same options.
         let options = configs::smoke_test();
         let serial = RunSpec::new(Protocol::SocialTube)
             .options(options.clone())
@@ -1335,6 +1225,7 @@ mod tests {
         let hs = sharded.recording.expect("sharded recording").snapshot;
         let serial_slices: Vec<_> = ss.communities().collect();
         let sharded_slices: Vec<_> = hs.communities().collect();
+        assert!(!serial_slices.is_empty(), "no community slices");
         assert_eq!(serial_slices, sharded_slices, "community slices diverged");
     }
 
@@ -1362,16 +1253,41 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sharded executor is pending deletion")]
-    fn sharded_runs_refuse_a_script() {
-        let (trace, vids) = crate::harness::script::four_peer_trace();
+    fn recorded_sharded_specs_take_the_serial_loop() {
+        let spec = RunSpec::new(Protocol::SocialTube)
+            .options(configs::smoke_test())
+            .with_recorder(socialtube_obs::RecorderConfig::full());
+        let serial = spec.clone().run();
+        let sharded = spec.execution(Execution::Sharded { workers: 2 }).run();
+        assert_eq!(serial.metrics, sharded.metrics, "metrics");
+        assert_eq!(serial.events, sharded.events, "events");
+        assert_eq!(serial.sim_end, sharded.sim_end, "sim_end");
+        let serial = serial.recording.expect("recording requested");
+        let sharded = sharded.recording.expect("recording requested");
+        assert_eq!(serial.snapshot, sharded.snapshot, "snapshot");
+        let timeline = sharded.timeline.expect("timeline requested");
+        assert!(
+            timeline
+                .events()
+                .iter()
+                .any(|e| e.track == Track::Server && e.name == "backlog_ms"),
+            "no server backlog series"
+        );
+    }
+
+    #[test]
+    fn scripted_sharded_specs_take_the_serial_loop() {
+        use crate::harness::script::{demo_script, four_peer_trace, ReportKey};
+        let (trace, vids) = four_peer_trace();
         let mut options = configs::testbed();
-        options.workload.script = crate::harness::script::demo_script(&vids);
-        RunSpec::new(Protocol::SocialTube)
+        options.workload.script = demo_script(&vids);
+        let spec = RunSpec::new(Protocol::SocialTube)
             .options(options)
-            .trace(SharedTrace::new(trace))
-            .execution(Execution::Sharded { workers: 2 })
-            .run();
+            .trace(SharedTrace::new(trace));
+        let serial = ReportKey::sequence(&spec.clone().run().reports);
+        let sharded = spec.execution(Execution::Sharded { workers: 2 }).run();
+        assert!(!serial.is_empty(), "script produced no reports");
+        assert_eq!(serial, ReportKey::sequence(&sharded.reports));
     }
 
     #[test]
@@ -1468,17 +1384,6 @@ mod tests {
                         "{tag}: tracked peak"
                     );
                     assert_eq!(serial.truncated, sharded.truncated, "{tag}: truncated");
-                    assert_eq!(sharded.shards.len(), workers, "{tag}: shard count");
-                    assert_eq!(
-                        sharded.shards.iter().map(|s| s.events).sum::<u64>(),
-                        sharded.events,
-                        "{tag}: per-shard events sum"
-                    );
-                    assert_eq!(
-                        sharded.shards.iter().map(|s| s.peers).sum::<usize>(),
-                        serial.shards[0].peers,
-                        "{tag}: per-shard peers sum"
-                    );
                 }
             }
         }

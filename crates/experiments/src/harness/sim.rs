@@ -184,7 +184,11 @@ mod tests {
         fn new() -> Self {
             Self {
                 engine: Engine::new(),
-                latency: LatencyModel::constant(SimDuration::from_millis(10)),
+                latency: LatencyModel::new(
+                    &socialtube_sim::SimRng::seed(0),
+                    SimDuration::from_millis(10),
+                    SimDuration::from_millis(10),
+                ),
                 uploads: UploadScheduler::new(4, 1_000_000),
                 server_queue: ServerQueue::new(1_000_000),
                 recorder: NullRecorder,

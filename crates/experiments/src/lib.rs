@@ -85,7 +85,7 @@ pub use campaign::{
     Aggregate, Campaign, CampaignCell, CampaignReport, PlannedRun, ProtocolSummary,
 };
 pub use configs::{ExperimentOptions, NetworkOptions};
-pub use driver::{ExecutionProfile, RunSpec, ShardLoad, SimOutcome};
+pub use driver::{ExecutionProfile, RunSpec, SimOutcome};
 pub use metrics::{MetricsCollector, MetricsSummary};
 pub use net_driver::{run_net, NetRun};
 pub use socialtube_obs::{
@@ -153,9 +153,10 @@ impl std::fmt::Display for Protocol {
 ///
 /// Both executors produce bitwise-identical outcomes for the same spec;
 /// sharding changes only how the event load is processed. The default is
-/// [`Execution::Serial`]. A recording differs: only the serial loop
-/// samples the server's per-minute `backlog_ms` series, so a sharded
-/// recording has none (its shard tracks carry `queue_depth` and `events`).
+/// [`Execution::Serial`]. Only an unrecorded session run is sharded: a spec
+/// that records ([`RunSpec::with_recorder`]) or runs a script
+/// ([`WorkloadConfig::script`]) takes the serial loop whatever its
+/// `Execution`, so its outcome carries no [`SimOutcome::profile`].
 ///
 /// It is a library choice with two callers, the serial≡sharded differential
 /// tests and the benchmark's traced run (`perf/`); no CLI exposes it, and

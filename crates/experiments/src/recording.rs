@@ -145,7 +145,7 @@ mod tests {
         let hops = snap.histogram("search_hops").expect("hops observed");
         assert_eq!((hops.count(), hops.sum()), (2, 3));
         // Only node 0's own search reaches its community's slice.
-        let c7 = snap.dim(Dim::Community(7)).expect("community 7 slice");
+        let (_, c7) = snap.communities().next().expect("community 7 slice");
         let sliced = [
             "resolved_channel",
             "resolved_server",
@@ -171,7 +171,7 @@ mod tests {
             mk(ChunkSource::Peer),
             mk(ChunkSource::Server),
         ]);
-        let c7 = snap.dim(Dim::Community(7)).expect("community 7 slice");
+        let (_, c7) = snap.communities().next().expect("community 7 slice");
         for scope in [&snap, c7] {
             assert_eq!(scope.counter("cache_hit"), 1);
             assert_eq!(scope.counter("cache_miss"), 3);

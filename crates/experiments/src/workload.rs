@@ -543,7 +543,7 @@ mod tests {
             let user = t.graph.user(node).unwrap();
             if !user.subscriptions().is_empty() {
                 assert!(
-                    user.is_subscribed(channel),
+                    user.subscriptions().contains(&channel),
                     "first video must come from a subscribed channel"
                 );
             }

@@ -41,11 +41,6 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// Number of interest categories.
-    pub fn category_count(&self) -> usize {
-        self.channels_by_category.len()
-    }
-
     /// Number of channels.
     pub fn channel_count(&self) -> usize {
         self.channels.len()

@@ -204,7 +204,8 @@ mod tests {
         assert!(g
             .user(NodeId::new(0))
             .unwrap()
-            .is_subscribed(ChannelId::new(1)));
+            .subscriptions()
+            .contains(&ChannelId::new(1)));
     }
 
     #[test]
@@ -294,7 +295,10 @@ mod tests {
                 for c in 0..5u32 {
                     for n in g.subscribers(ChannelId::new(c)) {
                         prop_assert!(
-                            g.user(*n).expect("user exists").is_subscribed(ChannelId::new(c)),
+                            g.user(*n)
+                                .expect("user exists")
+                                .subscriptions()
+                                .contains(&ChannelId::new(c)),
                             "reverse edge without forward"
                         );
                     }

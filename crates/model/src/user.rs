@@ -19,7 +19,7 @@ use crate::{CategoryId, ChannelId, NodeId, VideoId};
 /// graph.user_mut(me).unwrap().add_interest(CategoryId::new(1));
 /// graph.subscribe(me, ChannelId::new(7));
 /// let user = graph.user(me).unwrap();
-/// assert!(user.is_subscribed(ChannelId::new(7)));
+/// assert_eq!(user.subscriptions(), &[ChannelId::new(7)]);
 /// assert_eq!(user.interests(), &[CategoryId::new(1)]);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -71,11 +71,6 @@ impl User {
             self.subscriptions.push(channel);
             true
         }
-    }
-
-    /// Returns `true` if the user subscribes to `channel`.
-    pub fn is_subscribed(&self, channel: ChannelId) -> bool {
-        self.subscriptions.contains(&channel)
     }
 
     /// Marks `video` as a favorite (idempotent).

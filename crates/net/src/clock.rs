@@ -7,32 +7,21 @@ use socialtube_sim::SimTime;
 /// Maps real elapsed time onto the [`SimTime`] axis the protocol state
 /// machines expect, so one peer implementation runs under both the
 /// simulator and the testbed.
-///
-/// # Examples
-///
-/// ```
-/// use socialtube_net::clock::TestbedClock;
-///
-/// let clock = TestbedClock::start();
-/// let a = clock.now();
-/// let b = clock.now();
-/// assert!(b >= a);
-/// ```
 #[derive(Debug, Clone, Copy)]
-pub struct TestbedClock {
+pub(crate) struct TestbedClock {
     epoch: Instant,
 }
 
 impl TestbedClock {
     /// Starts a clock at the current instant (time zero).
-    pub fn start() -> Self {
+    pub(crate) fn start() -> Self {
         Self {
             epoch: Instant::now(),
         }
     }
 
     /// Current protocol time: microseconds since the epoch.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
 
@@ -45,6 +34,14 @@ impl TestbedClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_later_reading_is_never_earlier() {
+        let clock = TestbedClock::start();
+        let a = clock.now();
+        let b = clock.now();
+        assert!(b >= a);
+    }
 
     #[test]
     fn clock_is_monotone() {

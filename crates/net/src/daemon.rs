@@ -478,6 +478,12 @@ mod daemon_tests {
 
     use crate::wire::encode_frame;
 
+    /// Every link, the server's included, takes 5 ms.
+    fn constant_latency() -> LatencyModel {
+        let d = SimDuration::from_millis(5);
+        LatencyModel::new(&SimRng::seed(0), d, d)
+    }
+
     /// An index the one-peer address book does not hold.
     const STRANGER: u32 = 7;
 
@@ -501,7 +507,7 @@ mod daemon_tests {
         let (events_tx, events) = mpsc::channel();
         let fabric = Fabric {
             book,
-            latency: Arc::new(LatencyModel::constant(SimDuration::from_millis(5))),
+            latency: Arc::new(constant_latency()),
             clock: TestbedClock::start(),
             events: events_tx,
         };
@@ -679,7 +685,7 @@ mod daemon_tests {
         let first = |end: &Receiver<Message>| end.recv_timeout(Duration::from_secs(5));
         let fabric = Fabric {
             book,
-            latency: Arc::new(LatencyModel::constant(SimDuration::from_millis(5))),
+            latency: Arc::new(constant_latency()),
             clock: TestbedClock::start(),
             events: mpsc::channel().0,
         };

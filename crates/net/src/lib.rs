@@ -9,7 +9,7 @@
 //! * `wire` — a hand-rolled length-prefixed binary codec
 //!   ([`encode_frame`], [`decode_frame`]) for every protocol
 //!   [`Message`](socialtube::Message);
-//! * [`clock`] — maps wall-clock time onto the protocol's
+//! * `clock` (private) — maps wall-clock time onto the protocol's
 //!   [`SimTime`](socialtube_sim::SimTime) axis;
 //! * [`transport`] — framed connections, the deployment's immutable
 //!   address book and each daemon's outgoing-connection cache;
@@ -35,7 +35,7 @@
 #![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
-pub mod clock;
+mod clock;
 mod daemon;
 pub mod testbed;
 pub mod transport;

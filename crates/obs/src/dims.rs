@@ -1,35 +1,30 @@
 //! Dimensional metric attribution.
 //!
-//! A [`Dim`] names one slice of a run — an interest community or a shard —
-//! so a [`MetricsSnapshot`](crate::MetricsSnapshot) can break cache hits,
+//! A [`Dim`] names one slice of a run — an interest community — so a
+//! [`MetricsSnapshot`](crate::MetricsSnapshot) can break cache hits,
 //! search hops or server offload down by the community that produced them
 //! instead of reporting only run-wide totals. Each slice is itself a
-//! `MetricsSnapshot`, kept in `Dim` order so merging per-shard snapshots is
-//! associative and independent of merge order; recording through the
+//! `MetricsSnapshot`, kept in `Dim` order so merging replicates' snapshots
+//! is associative and independent of merge order; recording through the
 //! [`Recorder`](crate::Recorder) dim methods compiles away entirely for
 //! [`NullRecorder`](crate::NullRecorder).
 
 /// One slice of a run that metrics can be attributed to.
 ///
-/// The ordering (used for canonical storage) is: all communities, then all
-/// shards, each ascending by id.
+/// The ordering (used for canonical storage) is ascending by community id.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Dim {
     /// An interest community, keyed by the defining channel's id (the same
     /// key the sharded executor partitions peers by: a node's first
     /// subscription channel).
     Community(u32),
-    /// One shard of a sharded execution (shard 0 for serial runs).
-    Shard(u32),
 }
 
 impl Dim {
-    /// Stable serialization key, e.g. `"community:12"`, `"shard:3"`.
+    /// Stable serialization key, e.g. `"community:12"`.
     pub(crate) fn label(self) -> String {
-        match self {
-            Dim::Community(c) => format!("community:{c}"),
-            Dim::Shard(s) => format!("shard:{s}"),
-        }
+        let Dim::Community(c) = self;
+        format!("community:{c}")
     }
 }
 
@@ -42,19 +37,19 @@ mod tests {
     #[test]
     fn dims_order_communities_then_shards() {
         let mut dims = vec![
-            Dim::Shard(0),
             Dim::Community(9),
+            Dim::Community(0),
             Dim::Community(2),
-            Dim::Shard(3),
+            Dim::Community(3),
         ];
         dims.sort();
         assert_eq!(
             dims,
             vec![
+                Dim::Community(0),
                 Dim::Community(2),
+                Dim::Community(3),
                 Dim::Community(9),
-                Dim::Shard(0),
-                Dim::Shard(3),
             ]
         );
     }
@@ -62,7 +57,6 @@ mod tests {
     #[test]
     fn labels_are_stable() {
         assert_eq!(Dim::Community(12).label(), "community:12");
-        assert_eq!(Dim::Shard(3).label(), "shard:3");
     }
 
     #[test]
@@ -70,20 +64,21 @@ mod tests {
         let mut a = RunRecorder::new(RecorderConfig::metrics_only());
         a.add_dim(Dim::Community(5), Counter::CacheHit, 2);
         a.add_dim(Dim::Community(1), Counter::CacheMiss, 1);
-        a.observe_dim(Dim::Shard(0), HistKind::SearchHops, 3);
+        a.observe_dim(Dim::Community(3), HistKind::SearchHops, 3);
 
         let mut b = RunRecorder::new(RecorderConfig::metrics_only());
-        b.observe_dim(Dim::Shard(0), HistKind::SearchHops, 3);
+        b.observe_dim(Dim::Community(3), HistKind::SearchHops, 3);
         b.add_dim(Dim::Community(1), Counter::CacheMiss, 1);
         b.add_dim(Dim::Community(5), Counter::CacheHit, 1);
         b.add_dim(Dim::Community(5), Counter::CacheHit, 1);
 
         let (a, b) = (a.finish().snapshot, b.finish().snapshot);
         assert_eq!(a, b);
-        let c5 = a.dim(Dim::Community(5)).expect("community 5 slice");
+        let ids: Vec<u32> = a.communities().map(|(c, _)| c).collect();
+        assert_eq!(ids, vec![1, 3, 5]);
+        let (_, c5) = a.communities().last().expect("community 5 slice");
         assert_eq!(c5.counter("cache_hit"), 2);
         assert_eq!(c5.counter("cache_miss"), 0);
-        assert!(a.dim(Dim::Shard(9)).is_none());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! Beyond run-wide totals, the crate records along three more axes:
 //!
 //! * **Dimensional attribution** ([`Dim`]): counters and histograms can be
-//!   sliced per interest community or shard, so a
+//!   sliced per interest community, so a
 //!   [`MetricsSnapshot`] can report cache-hit rates or search hops *by the
 //!   community that produced them* — the paper's per-community structure
 //!   made measurable. A slice is a `MetricsSnapshot` too.

@@ -76,7 +76,7 @@ impl Counter {
     ];
 
     /// Number of counters.
-    pub const COUNT: usize = Self::ALL.len();
+    pub(crate) const COUNT: usize = Self::ALL.len();
 
     /// Stable snake_case key used in serialized snapshots.
     pub(crate) fn key(self) -> &'static str {
@@ -128,9 +128,6 @@ impl HistKind {
         HistKind::PeerUploadWaitUs,
         HistKind::ServerQueueWaitUs,
     ];
-
-    /// Number of histogram kinds.
-    pub const COUNT: usize = Self::ALL.len();
 
     /// Stable snake_case key used in serialized snapshots.
     pub(crate) fn key(self) -> &'static str {
@@ -265,10 +262,6 @@ pub enum Track {
     Server,
     /// One peer, by node id.
     Peer(u32),
-    /// One shard's event loop in a sharded run (the serial executor is
-    /// [`Track::Engine`]; sharded executors annotate per-shard queue
-    /// series with the owning shard id instead).
-    Shard(u32),
 }
 
 /// The observation sink driver loops are generic over.
@@ -374,21 +367,6 @@ pub struct RunRecording {
     pub snapshot: MetricsSnapshot,
     /// The captured timeline, when timeline capture was on.
     pub timeline: Option<Timeline>,
-}
-
-impl RunRecording {
-    /// Folds another recording into this one: snapshots merge, timelines
-    /// concatenate (each track keeps its own event order). This is how a
-    /// sharded run's per-shard recordings become the single recording its
-    /// outcome reports.
-    pub fn absorb(&mut self, other: RunRecording) {
-        self.snapshot.merge(&other.snapshot);
-        match (&mut self.timeline, other.timeline) {
-            (Some(mine), Some(theirs)) => mine.absorb(theirs),
-            (mine @ None, theirs @ Some(_)) => *mine = theirs,
-            _ => {}
-        }
-    }
 }
 
 /// The per-run recorder: writes counters, histograms and per-[`Dim`]
@@ -534,14 +512,15 @@ mod tests {
         r.add_dim(Dim::Community(7), Counter::CacheHit, 1);
         r.add_dim(Dim::Community(7), Counter::CacheHit, 2);
         r.add_dim(Dim::Community(2), Counter::CacheMiss, 1);
-        r.observe_dim(Dim::Shard(1), HistKind::SearchHops, 4);
+        r.observe_dim(Dim::Community(2), HistKind::SearchHops, 4);
         let snap = r.finish().snapshot;
         assert_eq!(snap.communities().count(), 2);
-        let c7 = snap.dim(Dim::Community(7)).expect("community 7 slice");
+        let (_, c7) = snap.communities().last().expect("community 7 slice");
         assert_eq!(c7.counter("cache_hit"), 3);
         assert_eq!(c7.counter("cache_miss"), 0);
-        let s1 = snap.dim(Dim::Shard(1)).expect("shard 1 slice");
-        assert_eq!(s1.histogram("search_hops").map(Histogram::count), Some(1));
+        let (_, c2) = snap.communities().next().expect("community 2 slice");
+        assert_eq!(c2.histogram("search_hops").map(Histogram::count), Some(1));
+        assert_eq!(c7.histogram("search_hops"), None);
         // Run-wide totals are untouched by dim attribution.
         assert_eq!(snap.counter("cache_hit"), 0);
     }

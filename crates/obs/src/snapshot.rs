@@ -9,11 +9,10 @@ use crate::recorder::{Counter, HistKind, Histogram};
 /// slice list is empty).
 ///
 /// A [`RunRecorder`](crate::RunRecorder) writes into one and finishes into
-/// it; a sharded run folds its shards' snapshots and a campaign its
-/// replicates' with [`merge`](Self::merge). Storage is canonical —
-/// histograms in [`HistKind::ALL`] order and present once observed, slices
-/// in `Dim` order — so the same observations recorded or merged in any
-/// order give equal snapshots.
+/// it; a campaign folds its replicates' with [`merge`](Self::merge).
+/// Storage is canonical — histograms in [`HistKind::ALL`] order and present
+/// once observed, slices in `Dim` order — so the same observations recorded
+/// or merged in any order give equal snapshots.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct MetricsSnapshot {
     counters: [u64; Counter::COUNT],
@@ -73,20 +72,11 @@ impl MetricsSnapshot {
         self.histograms.iter().find(|h| h.kind().key() == key)
     }
 
-    /// The slice recorded for `dim`, if any observation hit it.
-    pub fn dim(&self, dim: Dim) -> Option<&MetricsSnapshot> {
-        self.dims
-            .binary_search_by_key(&dim, |(d, _)| *d)
-            .ok()
-            .map(|i| &self.dims[i].1)
-    }
-
     /// All per-community slices, ascending by community id.
     pub fn communities(&self) -> impl Iterator<Item = (u32, &MetricsSnapshot)> {
-        self.dims.iter().filter_map(|(d, slice)| match d {
-            Dim::Community(c) => Some((*c, slice)),
-            Dim::Shard(_) => None,
-        })
+        self.dims
+            .iter()
+            .map(|(Dim::Community(c), slice)| (*c, slice))
     }
 
     /// Adds `other`'s counts into this snapshot, slice by slice.
@@ -244,7 +234,7 @@ mod tests {
 
         let ids: Vec<u32> = ab.communities().map(|(c, _)| c).collect();
         assert_eq!(ids, vec![3, 5, 9], "merged dims stay in canonical order");
-        let c3 = ab.dim(Dim::Community(3)).expect("overlapping slice");
+        let (_, c3) = ab.communities().next().expect("overlapping slice");
         assert_eq!(c3.counter("cache_hit"), 7);
         assert_eq!(c3.histogram("search_hops").map(Histogram::count), Some(2));
         let hits: Vec<u64> = ab

@@ -78,14 +78,6 @@ impl Timeline {
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
-
-    /// Appends all of `other`'s events. Used to fold per-shard timelines
-    /// into one run timeline: each track is written by exactly one shard,
-    /// so per-track event order (what span nesting depends on) survives
-    /// even though tracks interleave globally.
-    pub(crate) fn absorb(&mut self, other: Timeline) {
-        self.events.extend(other.events);
-    }
 }
 
 /// Human label for a track (the Chrome trace's thread-name metadata).
@@ -94,7 +86,6 @@ fn track_label(track: Track) -> String {
         Track::Engine => "engine".into(),
         Track::Server => "server".into(),
         Track::Peer(n) => format!("peer-{n}"),
-        Track::Shard(n) => format!("shard-{n}"),
     }
 }
 
@@ -104,9 +95,6 @@ fn track_tid(track: Track) -> u64 {
         Track::Engine => 0,
         Track::Server => 1,
         Track::Peer(n) => 2 + u64::from(n),
-        // Shards live above the whole peer id space so they never collide
-        // with a peer lane.
-        Track::Shard(n) => 2 + (1 << 32) + u64::from(n),
     }
 }
 
@@ -116,7 +104,7 @@ fn track_tid(track: Track) -> u64 {
 const DEFAULT_PEER_TRACK_CAP: usize = 64;
 
 /// Thread id of the aggregate lane that folds all peers beyond the cap.
-/// Sits above the whole peer and shard tid ranges.
+/// Sits above the whole peer tid range.
 const AGGREGATE_PEER_TID: u64 = 2 + (1 << 33);
 
 /// Renders one or more timelines into a Chrome trace-event file: each

@@ -51,15 +51,6 @@ impl LatencyModel {
         }
     }
 
-    /// A constant-latency model (useful in tests).
-    pub fn constant(delay: SimDuration) -> Self {
-        Self {
-            seed: 0,
-            min: delay,
-            max: delay,
-        }
-    }
-
     /// One-way propagation delay between nodes `a` and `b` (symmetric).
     pub fn delay(&self, a: u32, b: u32) -> SimDuration {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
@@ -70,11 +61,6 @@ impl LatencyModel {
         let key =
             self.seed ^ (u64::from(lo) << 32 | u64::from(hi)).wrapping_mul(0x2545_F491_4F6C_DD1D);
         SimDuration::from_micros(self.min.as_micros() + first_draw(key, span))
-    }
-
-    /// One-way delay between node `a` and the server.
-    pub fn server_delay(&self, a: u32) -> SimDuration {
-        self.delay(a, Self::SERVER)
     }
 }
 
@@ -133,7 +119,8 @@ mod tests {
 
     #[test]
     fn constant_model_is_constant() {
-        let m = LatencyModel::constant(SimDuration::from_millis(30));
+        let d = SimDuration::from_millis(30);
+        let m = LatencyModel::new(&SimRng::seed(0), d, d);
         assert_eq!(m.delay(1, 2), SimDuration::from_millis(30));
         assert_eq!(m.delay(7, 8), SimDuration::from_millis(30));
         assert_eq!(m.min, m.max);
@@ -175,7 +162,8 @@ mod tests {
                 }
             }
         }
-        let constant = LatencyModel::constant(SimDuration::from_millis(30));
+        let d = SimDuration::from_millis(30);
+        let constant = LatencyModel::new(&SimRng::seed(0), d, d);
         let full = LatencyModel::new(
             &SimRng::seed(7),
             SimDuration::ZERO,
@@ -191,7 +179,9 @@ mod tests {
     #[test]
     fn server_delay_uses_sentinel() {
         let m = wide_area();
-        assert_eq!(m.server_delay(3), m.delay(3, LatencyModel::SERVER));
+        let d = m.delay(3, LatencyModel::SERVER);
+        assert_eq!(d, m.delay(LatencyModel::SERVER, 3));
+        assert!((20..=200).contains(&d.as_millis()), "server delay {d:?}");
     }
 
     #[test]

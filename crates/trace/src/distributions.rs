@@ -12,27 +12,14 @@
 //!
 //! Each draws from a [`SimRng`]. The Section IV-B prefetch accuracy, the
 //! top-`m` Zipf mass, is stated in closed form by the analysis module of
-//! the `socialtube` crate; [`ZipfRanks`] only samples.
+//! the `socialtube` crate; the trace generator's Zipf sampler only samples.
 
 use socialtube_sim::SimRng;
 
 /// Exact finite Zipf distribution over ranks `1..=n` with exponent `s`:
 /// `P(rank k) = (1/k^s) / H_{n,s}`.
-///
-/// # Examples
-///
-/// ```
-/// use socialtube_sim::SimRng;
-/// use socialtube_trace::distributions::ZipfRanks;
-///
-/// let zipf = ZipfRanks::new(25, 1.0);
-/// let mut rng = SimRng::seed(7);
-/// // Section IV-B: for a 25-video channel the top video holds ~26.2%.
-/// let top = (0..10_000).filter(|_| zipf.sample(&mut rng) == 1).count();
-/// assert!((2_400..2_850).contains(&top), "top={top}");
-/// ```
 #[derive(Debug, Clone)]
-pub struct ZipfRanks {
+pub(crate) struct ZipfRanks {
     cumulative: Vec<f64>,
 }
 
@@ -42,7 +29,7 @@ impl ZipfRanks {
     /// # Panics
     ///
     /// Panics if `n == 0` or `s <= 0`.
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(s > 0.0, "Zipf exponent must be positive");
         let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
@@ -63,7 +50,7 @@ impl ZipfRanks {
     }
 
     /// Samples a rank (1-based) by inverse-CDF lookup.
-    pub fn sample(&self, rng: &mut SimRng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> usize {
         let u = rng.unit();
         match self
             .cumulative
@@ -210,6 +197,15 @@ mod tests {
                 p
             })
             .collect()
+    }
+
+    #[test]
+    fn zipf_top_rank_draws_match_section_iv_b() {
+        let zipf = ZipfRanks::new(25, 1.0);
+        let mut rng = SimRng::seed(7);
+        // Section IV-B: for a 25-video channel the top video holds ~26.2%.
+        let top = (0..10_000).filter(|_| zipf.sample(&mut rng) == 1).count();
+        assert!((2_400..2_850).contains(&top), "top={top}");
     }
 
     #[test]

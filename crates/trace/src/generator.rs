@@ -345,7 +345,12 @@ mod tests {
         let t = tiny_trace();
         assert_eq!(t.graph.user_count(), 200);
         assert_eq!(t.catalog.channel_count(), 40);
-        assert_eq!(t.catalog.category_count(), 6);
+        let categories: std::collections::BTreeSet<_> = t
+            .catalog
+            .channels()
+            .flat_map(|c| c.categories().iter().copied())
+            .collect();
+        assert_eq!(categories.len(), 6);
         // Video total is approximately the target (rescaling rounds).
         let v = t.catalog.video_count() as f64;
         assert!((300.0..520.0).contains(&v), "videos={v}");

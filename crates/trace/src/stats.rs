@@ -102,19 +102,10 @@ impl FromIterator<f64> for Ecdf {
 /// Returns `None` when fewer than two pairs remain after dropping
 /// non-finite values, or when either variance is zero.
 ///
-/// # Examples
-///
-/// ```
-/// use socialtube_trace::stats::pearson;
-///
-/// let r = pearson(&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0]).unwrap();
-/// assert!((r - 1.0).abs() < 1e-12);
-/// ```
-///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
+pub(crate) fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
     assert_eq!(xs.len(), ys.len(), "paired samples must align");
     let pairs: Vec<(f64, f64)> = xs
         .iter()
@@ -236,6 +227,12 @@ mod tests {
         assert_eq!(curve.len(), 10);
         assert!(curve[0].0 >= 1.0);
         assert_eq!(curve.last().unwrap().1, 1.0);
+    }
+
+    #[test]
+    fn pearson_of_a_scaled_series_is_one() {
+        let r = pearson(&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0]).unwrap();
+        assert!((r - 1.0).abs() < 1e-12);
     }
 
     #[test]
