@@ -89,7 +89,7 @@ pub use driver::{ExecutionProfile, RunSpec, SimOutcome};
 pub use metrics::{MetricsCollector, MetricsSummary};
 pub use net_driver::{run_net, NetRun};
 pub use socialtube_obs::{
-    Dim, MetricsSnapshot, ProgressConfig, ProgressSink, RecorderConfig, RunRecording,
+    MetricsSnapshot, ProgressConfig, ProgressSink, RecorderConfig, RunRecording,
 };
 pub use workload::{ScriptAction, ScriptStep, WatchTime, WorkloadConfig};
 

@@ -9,12 +9,14 @@
 //! of a watch (the [`WorkloadConfig`] watch time: the testbed presets
 //! [`configs::testbed_smoke`] and [`configs::testbed_planetlab`] fix it at
 //! 120 and 150 ms), and so does the order of its calls
-//! ([`SessionDirector::advance`]). Only the scheduling medium differs (a
-//! wall-clock action heap here, the virtual event queue there). One
-//! wall-clock second is one protocol second, so keep videos *small* (short,
-//! low bitrate) for transfers to complete at wall-clock speed; `max_events`
-//! has no meaning here. A scripted workload ([`WorkloadConfig::script`])
-//! pre-fills the action heap with its steps instead.
+//! ([`SessionDirector::advance`]). Only the scheduling medium differs (an
+//! action heap on the deployment's clock here, the virtual event queue
+//! there); each action carries its protocol time to the daemon, which
+//! handles it then. One wall-clock second is one protocol second, so keep
+//! videos *small* (short, low bitrate) for transfers to complete at
+//! wall-clock speed; `max_events` has no meaning here. A scripted workload
+//! ([`WorkloadConfig::script`]) pre-fills the action heap with its steps
+//! instead.
 //!
 //! [`WorkloadConfig`]: crate::WorkloadConfig
 //! [`WorkloadConfig::script`]: crate::WorkloadConfig::script
@@ -23,12 +25,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use socialtube::Report;
 use socialtube_model::NodeId;
 use socialtube_net::testbed::{Deployment, NetOutcome};
-use socialtube_sim::SimDuration;
+use socialtube_sim::{SimDuration, SimTime};
 use socialtube_trace::{generate_shared, SharedTrace};
 
 use crate::configs::{self, ExperimentOptions};
@@ -40,12 +41,12 @@ use crate::Protocol;
 /// Quiet period after a script's last step during which a scripted run
 /// still collects reports. Every transfer chain the scripts trigger
 /// completes within a fraction of it.
-const SETTLE: Duration = Duration::from_millis(1500);
+const SETTLE: SimDuration = SimDuration::from_millis(1500);
 
 /// How long a watch may wait for its playback to start before the node
 /// gives up and moves on: a safety net for a dead provider or a lost
 /// message, generous against the testbed's 10–60 ms injected latencies.
-const WATCH_TIMEOUT: Duration = Duration::from_secs(5);
+const WATCH_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
 /// Outcome of one testbed run, reduced to the common metrics.
 #[derive(Debug)]
@@ -56,8 +57,8 @@ pub struct NetRun {
     pub outcome: NetOutcome,
 }
 
-/// Wall-clock actions on the real-time heap: the testbed analogues of the
-/// sim driver's workload events.
+/// Actions on the driver's heap, keyed by protocol time: the testbed
+/// analogues of the sim driver's workload events.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Action {
     /// A transition of a node's session, which the director advances.
@@ -70,11 +71,6 @@ enum Action {
     WatchTimeout(NodeId, u64),
     /// The settle window after a script's last step is over: the run ends.
     Settled,
-}
-
-/// A director duration on the wall clock.
-fn wall(d: SimDuration) -> Duration {
-    Duration::from_micros(d.as_micros())
 }
 
 /// [`run_net_on`] over the trace `options` describes.
@@ -92,12 +88,13 @@ pub fn run_net(protocol: Protocol, options: &ExperimentOptions) -> io::Result<Ne
 /// The stack comes from [`StackBuilder::from_options`] and the workload
 /// from the same [`SessionDirector`] the simulation replays, both rooted
 /// at [`configs::root_rng`] as in the simulator; this function owns only
-/// the wall-clock action heap that fires the session events
+/// the action heap that fires the session events
 /// [`SessionDirector::advance`] returns, and performs their user actions
-/// on the [`Deployment`], as the sim driver's loop does on its peers. As
-/// in the simulator, a watch ends its [`WorkloadConfig`](crate::WorkloadConfig)
-/// watch time after a playback the director accepts, and only such a
-/// playback samples the links for Fig 18. A watch whose playback has not started 5 s after the
+/// on the [`Deployment`] at their protocol times, as the sim driver's loop
+/// does on its peers. As in the simulator, a watch ends its
+/// [`WorkloadConfig`](crate::WorkloadConfig) watch time after the report
+/// of a playback the director accepts, and only such a playback samples
+/// the links for Fig 18. A watch whose playback has not started 5 s after the
 /// request is abandoned and the node moves on: a safety net for lost
 /// messages on live sockets, which the simulator needs no counterpart of,
 /// since every protocol there falls back to the server. A scripted
@@ -128,25 +125,24 @@ pub fn run_net_on(
     )?;
 
     // Due time first, then insertion order; the action never decides.
-    let mut heap: BinaryHeap<Reverse<(Instant, u64, Action)>> = BinaryHeap::new();
+    let mut heap: BinaryHeap<Reverse<(SimTime, u64, Action)>> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut schedule = |heap: &mut BinaryHeap<_>, due: Instant, action| {
+    let mut schedule = |heap: &mut BinaryHeap<_>, due: SimTime, action| {
         seq += 1;
         heap.push(Reverse((due, seq, action)));
     };
-    let start = Instant::now();
     let script = &options.workload.script;
     if let Some(last) = script.last() {
         for step in script {
-            let due = start + wall(step.at);
+            let due = SimTime::ZERO + step.at;
             schedule(&mut heap, due, Action::Script(step.action));
         }
-        let settled = start + wall(last.at) + SETTLE;
+        let settled = SimTime::ZERO + last.at + SETTLE;
         schedule(&mut heap, settled, Action::Settled);
     } else {
         for i in 0..users {
             let node = NodeId::new(i as u32);
-            let due = start + wall(director.login_offset(node));
+            let due = SimTime::ZERO + director.login_offset(node);
             schedule(&mut heap, due, Action::Session(node, SessionEvent::Login));
         }
     }
@@ -159,28 +155,28 @@ pub fn run_net_on(
         // Wait for either the next scheduled action or a report.
         let next_due = match heap.peek() {
             Some(Reverse((due, ..))) => *due,
-            None => Instant::now() + Duration::from_millis(50),
+            None => deployment.now() + SimDuration::from_millis(50),
         };
         if let Some(event) = deployment.recv_until(next_due) {
             if let Report::PlaybackStarted { node, video, .. } = event.report {
                 if let Some((watched, watch)) = director.accept_playback(shared, node, video) {
                     collector.sample_links(watched, event.links);
                     let end = Action::Session(node, SessionEvent::WatchEnd);
-                    schedule(&mut heap, Instant::now() + wall(watch), end);
+                    schedule(&mut heap, event.time + watch, end);
                 }
             }
             events.push(event);
             continue;
         }
-        // Execute every due action.
-        let now = Instant::now();
+        // Execute every due action at its protocol time.
+        let now = deployment.now();
         while matches!(heap.peek(), Some(Reverse((due, ..))) if *due <= now) {
-            let Reverse((_, _, action)) = heap.pop().expect("peeked entry");
+            let Reverse((due, _, action)) = heap.pop().expect("peeked entry");
             let mut advance = |node, event| {
                 let (action, next) = director.advance(shared, node, event);
                 match next {
                     Some((delay, next)) => {
-                        schedule(&mut heap, now + wall(delay), Action::Session(node, next));
+                        schedule(&mut heap, due + delay, Action::Session(node, next));
                     }
                     // The node's last session is over.
                     None if event == SessionEvent::Logout => remaining -= 1,
@@ -203,21 +199,21 @@ pub fn run_net_on(
             };
             // The user's action, a session's or a script's.
             match action {
-                Some(ScriptAction::Login(node)) => deployment.login(node),
+                Some(ScriptAction::Login(node)) => deployment.login(node, due),
                 Some(ScriptAction::Watch(node, video)) => {
                     watch_seq[node.index()] += 1;
                     let timeout = Action::WatchTimeout(node, watch_seq[node.index()]);
-                    schedule(&mut heap, now + WATCH_TIMEOUT, timeout);
-                    deployment.watch(node, video);
+                    schedule(&mut heap, due + WATCH_TIMEOUT, timeout);
+                    deployment.watch(node, video, due);
                 }
-                Some(ScriptAction::Logout(node, abrupt)) => deployment.logout(node, abrupt),
+                Some(ScriptAction::Logout(node, abrupt)) => deployment.logout(node, abrupt, due),
                 None => {}
             }
         }
     }
-    let outcome = deployment.finish(events, Duration::from_millis(300));
+    let outcome = deployment.finish(events, SimDuration::from_millis(300));
 
-    // Reduce events to the common metrics.
+    // Reduce events, in protocol-time order, to the common metrics.
     for event in &outcome.events {
         collector.on_report(event.time, event.report);
     }

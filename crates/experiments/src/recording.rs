@@ -6,7 +6,7 @@
 //! so attaching a recorder cannot perturb a run.
 
 use socialtube::{ChunkSource, Report, SearchPhase};
-use socialtube_obs::{Counter, Dim, HistKind, Recorder, Track};
+use socialtube_obs::{Counter, HistKind, Recorder, Track};
 use socialtube_sim::SimTime;
 
 /// Community key for nodes without a subscription: their reports are
@@ -22,7 +22,7 @@ pub fn record_report<R: Recorder>(rec: &mut R, now: SimTime, report: &Report) {
 }
 
 /// [`record_report`], plus the same counters and hops against the
-/// reporting node's interest-community slice ([`Dim::Community`]).
+/// reporting node's interest-community slice.
 /// `community_of` maps node index to community key — the same
 /// first-subscription key the sharded executor partitions by — with
 /// [`NO_COMMUNITY`] (or a missing entry) meaning "unattributed".
@@ -84,17 +84,17 @@ pub(crate) fn record_report_in<R: Recorder>(
     let community = community_of
         .get(node.index())
         .filter(|&&c| attributed && c != NO_COMMUNITY)
-        .map(|&c| Dim::Community(c));
+        .copied();
     for &counter in counters {
         rec.count(counter);
-        if let Some(dim) = community {
-            rec.add_dim(dim, counter, 1);
+        if let Some(c) = community {
+            rec.add_dim(c, counter, 1);
         }
     }
     if let Some(hops) = hops {
         rec.observe(HistKind::SearchHops, hops);
-        if let Some(dim) = community {
-            rec.observe_dim(dim, HistKind::SearchHops, hops);
+        if let Some(c) = community {
+            rec.observe_dim(c, HistKind::SearchHops, hops);
         }
     }
     if let Some(name) = instant {

@@ -1,4 +1,5 @@
-//! Wall-clock → protocol-time mapping.
+//! The testbed's one clock: protocol time, and the wall-clock sleep that
+//! brings it.
 
 use std::time::{Duration, Instant};
 
@@ -20,20 +21,32 @@ impl TestbedClock {
         }
     }
 
+    /// Wall-clock time since the epoch.
+    pub(crate) fn elapsed(&self) -> Duration {
+        self.epoch.elapsed()
+    }
+
     /// Current protocol time: microseconds since the epoch.
     pub(crate) fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
+        SimTime::from_micros(self.elapsed().as_micros() as u64)
     }
 
     /// The wall-clock instant of protocol time `t`.
-    pub(crate) fn instant(&self, t: SimTime) -> Instant {
+    fn instant(&self, t: SimTime) -> Instant {
         self.epoch + Duration::from_micros(t.as_micros())
+    }
+
+    /// How long a thread must sleep for protocol time `t` to come: zero
+    /// once it has.
+    pub(crate) fn until(&self, t: SimTime) -> Duration {
+        self.instant(t).saturating_duration_since(Instant::now())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socialtube_sim::SimDuration;
 
     #[test]
     fn a_later_reading_is_never_earlier() {
@@ -70,5 +83,8 @@ mod tests {
         let zero = clock.instant(SimTime::ZERO);
         assert_eq!(clock.instant(t) - zero, Duration::from_micros(2_500));
         assert!(clock.instant(clock.now()) <= Instant::now());
+        assert_eq!(clock.until(SimTime::ZERO), Duration::ZERO);
+        let ahead = clock.until(clock.now() + SimDuration::from_secs(60));
+        assert!(ahead > Duration::from_secs(59) && ahead <= Duration::from_secs(60));
     }
 }

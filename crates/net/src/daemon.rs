@@ -7,11 +7,10 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use socialtube::harness::{CommandInterpreter, PeerSubstrate, ServerSubstrate};
 use socialtube::{Message, Outbox, PeerAddr, ServerOutbox, TimerKind, VodPeer, VodServer};
@@ -39,15 +38,18 @@ pub(crate) struct Fabric {
     pub(crate) latency: Arc<LatencyModel>,
     pub(crate) clock: TestbedClock,
     pub(crate) events: Sender<NetEvent>,
+    /// Inputs that reached a loop after it had handled a later-due one.
+    pub(crate) late: Arc<AtomicU64>,
 }
 
-/// Control and network inputs to a daemon's event loop. Those on its
-/// channel carry the instant they fall due: now for control, and the
-/// injected latency after a delivery's arrival or, for a paced one, after
-/// its sender's link finished sending it; timers never cross the channel,
-/// the loop queues them itself. The user actions (`Login`,
-/// `Logout`, `Watch`) and timers address peers; a server daemon ignores
-/// them. An `abrupt` logout sends nothing the peer queued on its way out.
+/// Control and network inputs to a daemon's event loop, each due at a
+/// protocol time: a user action at the time its driver scheduled it, a
+/// delivery the injected latency after its sender's link finished sending
+/// it, a timer its delay after the handler that armed it. Timers never
+/// cross the channel; the loop queues them itself. The user actions
+/// (`Login`, `Logout`, `Watch`) and timers address peers; a server daemon
+/// ignores them. An `abrupt` logout sends nothing the peer queued on its
+/// way out. `Shutdown` is due when it is sent.
 #[derive(Debug)]
 pub(crate) enum Input {
     Deliver { from: u32, msg: Message },
@@ -63,7 +65,7 @@ pub(crate) enum Input {
 /// dropped with it.
 #[derive(Debug)]
 struct DueQueue<T> {
-    pending: BTreeMap<(Instant, u64), T>,
+    pending: BTreeMap<(SimTime, u64), T>,
     next_seq: u64,
 }
 
@@ -76,26 +78,28 @@ impl<T> DueQueue<T> {
     }
 
     /// Queues `item` to fire at `due` (at once if that has passed).
-    fn push(&mut self, due: Instant, item: T) {
+    fn push(&mut self, due: SimTime, item: T) {
         self.pending.insert((due, self.next_seq), item);
         self.next_seq += 1;
     }
 
-    /// Waits until the earliest pending item is due and returns it, moving
-    /// whatever arrives on `inputs` meanwhile into the queue first; `None`
-    /// once every sender is gone.
-    fn next(&mut self, inputs: &Receiver<(Instant, T)>) -> Option<T> {
+    /// Waits until `clock` reaches the earliest pending item's due time and
+    /// returns the item with it, moving whatever arrives on `inputs`
+    /// meanwhile into the queue first; `None` once every sender is gone.
+    fn next(
+        &mut self,
+        inputs: &Receiver<(SimTime, T)>,
+        clock: &TestbedClock,
+    ) -> Option<(SimTime, T)> {
         loop {
             let arrived = match self.pending.first_key_value() {
-                Some((&(due, _), _)) => {
-                    inputs.recv_timeout(due.saturating_duration_since(Instant::now()))
-                }
+                Some((&(due, _), _)) => inputs.recv_timeout(clock.until(due)),
                 None => inputs.recv().map_err(|_| RecvTimeoutError::Disconnected),
             };
             match arrived {
                 Ok((due, item)) => self.push(due, item),
                 Err(RecvTimeoutError::Timeout) => {
-                    return self.pending.pop_first().map(|(_, item)| item)
+                    return self.pending.pop_first().map(|((due, _), item)| (due, item))
                 }
                 Err(RecvTimeoutError::Disconnected) => return None,
             }
@@ -106,7 +110,8 @@ impl<T> DueQueue<T> {
 /// Handle to a running daemon.
 #[derive(Debug)]
 pub(crate) struct Daemon {
-    inputs: Sender<(Instant, Input)>,
+    inputs: Sender<(SimTime, Input)>,
+    clock: TestbedClock,
     shutdown: Arc<AtomicBool>,
     addr: SocketAddr,
     threads: Vec<JoinHandle<()>>,
@@ -137,8 +142,7 @@ impl Daemon {
         let reader = Reader {
             me,
             book: Arc::clone(&fabric.book),
-            latency: fabric.latency,
-            clock: fabric.clock,
+            latency: Arc::clone(&fabric.latency),
             inputs: inputs.clone(),
         };
         let stop = Arc::clone(&shutdown);
@@ -147,34 +151,36 @@ impl Daemon {
             .spawn(move || accept_loop(&listener, &stop, &reader))?;
 
         let net = TcpSubstrate {
-            pool: ConnectionPool::new(me, fabric.book),
+            pool: ConnectionPool::new(me, Arc::clone(&fabric.book)),
             link: ServerQueue::new(upload_bps),
             due: DueQueue::new(),
-            clock: fabric.clock,
+            now: SimTime::ZERO,
         };
-        let events = fabric.events;
+        let clock = fabric.clock;
         let event_loop = std::thread::Builder::new()
             .name(format!("{name}-loop"))
-            .spawn(move || event_loop(actor, input_rx, net, &events))?;
+            .spawn(move || event_loop(actor, input_rx, net, &fabric))?;
 
         Ok(Daemon {
             inputs,
+            clock,
             shutdown,
             addr,
             threads: vec![accept, event_loop],
         })
     }
 
-    /// Queues `input` for the event loop, due now (a no-op once the loop
-    /// has exited).
-    pub(crate) fn send(&self, input: Input) {
-        let _ = self.inputs.send((Instant::now(), input));
+    /// Queues `input` for the event loop, due at protocol time `due` (a
+    /// no-op once the loop has exited).
+    pub(crate) fn send(&self, due: SimTime, input: Input) {
+        let _ = self.inputs.send((due, input));
     }
 
-    /// Stops the daemon. Threads exit asynchronously.
+    /// Stops the daemon, once it has handled what is due by now. Threads
+    /// exit asynchronously.
     pub(crate) fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.send(Input::Shutdown);
+        self.send(self.clock.now(), Input::Shutdown);
         // Unblock the accept loop.
         let _ = TcpStream::connect(self.addr);
     }
@@ -195,8 +201,7 @@ struct Reader {
     me: u32,
     book: Arc<AddressBook>,
     latency: Arc<LatencyModel>,
-    clock: TestbedClock,
-    inputs: Sender<(Instant, Input)>,
+    inputs: Sender<(SimTime, Input)>,
 }
 
 /// Accepts connections until shutdown, one reader thread per connection.
@@ -223,16 +228,17 @@ fn accept_loop(listener: &TcpListener, shutdown: &AtomicBool, reader: &Reader) {
 
 impl Reader {
     /// Reads one connection to its end. The first frame must be a `Hello`
-    /// from another index of the address book; every later frame is a
-    /// message, sent to the event loop due the link's propagation delay
-    /// (the PlanetLab geography stand-in) after it arrived or, if paced,
-    /// after the sender's link finished sending it, so the socket never
-    /// waits on the loop. The reader ends early once the loop has exited.
+    /// from another index of the address book; every later frame must be
+    /// `Paced`, and its message goes to the event loop due the link's
+    /// propagation delay (the PlanetLab geography stand-in) after the
+    /// sender's link finished sending it, so the socket never waits on the
+    /// loop. The reader ends early once the loop has exited.
     ///
     /// # Errors
     ///
     /// Socket errors, malformed or truncated frames, a missing or
-    /// unacceptable `Hello`: each ends the connection.
+    /// unacceptable `Hello`, any later frame but `Paced`: each ends the
+    /// connection.
     fn run(&self, mut stream: TcpStream) -> io::Result<()> {
         let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
         let from = match read_frame(&mut stream)? {
@@ -250,16 +256,12 @@ impl Reader {
         };
         // `SERVER_INDEX == LatencyModel::SERVER` and delays are symmetric,
         // so one lookup covers peer↔peer and both directions of peer↔server.
-        let delay = Duration::from_micros(self.latency.delay(self.me, from).as_micros());
+        let delay = self.latency.delay(self.me, from);
         while let Some(frame) = read_frame(&mut stream)? {
-            let (sent, msg) = match frame {
-                Frame::Msg(msg) => (Instant::now(), msg),
-                Frame::Paced { done, msg } => (self.clock.instant(SimTime::from_micros(done)), msg),
-                Frame::Hello { .. } => {
-                    return Err(invalid(format!("{frame:?} after the handshake")))
-                }
+            let Frame::Paced { done, msg } = frame else {
+                return Err(invalid(format!("{frame:?} after the handshake")));
             };
-            let due = sent + delay;
+            let due = SimTime::from_micros(done) + delay;
             if self
                 .inputs
                 .send((due, Input::Deliver { from, msg }))
@@ -272,35 +274,37 @@ impl Reader {
     }
 }
 
-/// The TCP implementation of [`PeerSubstrate`] and [`ServerSubstrate`]:
-/// every frame goes straight to the connection pool, and timers wait in
-/// the loop's due queue. A bulk frame (a peer or origin chunk) is first
-/// paced through the daemon's upload link, the simulator's FIFO pipe run
-/// on the testbed clock, and carries its completion time, so the receiver
-/// delivers it a propagation delay after the link would have finished
-/// sending it — wherever either loop's scheduling lag puts the socket
-/// write and read.
+/// The TCP implementation of [`PeerSubstrate`] and [`ServerSubstrate`],
+/// at the protocol time `now` of the input being handled, as the
+/// simulator's substrate is: every frame goes straight to the connection
+/// pool, and timers wait in the loop's due queue, due `now` plus their
+/// delay. Each frame carries the time its sender finished sending it:
+/// `now` for a control message, and for a bulk one (a peer or origin
+/// chunk) its completion on the daemon's upload link, the simulator's
+/// FIFO pipe. The receiver delivers it a propagation delay after that —
+/// wherever either loop's scheduling lag puts the socket write and read.
 struct TcpSubstrate {
     pool: ConnectionPool,
     link: ServerQueue,
     due: DueQueue<Input>,
-    clock: TestbedClock,
+    now: SimTime,
 }
 
 impl TcpSubstrate {
-    fn control(&mut self, to: u32, msg: Message) {
-        self.pool.send(to, &Frame::Msg(msg));
+    fn send(&mut self, to: u32, done: SimTime, msg: Message) {
+        let done = done.as_micros();
+        self.pool.send(to, &Frame::Paced { done, msg });
     }
 
     fn bulk(&mut self, to: u32, bits: u64, msg: Message) {
-        let done = self.link.serve(self.clock.now(), bits).as_micros();
-        self.pool.send(to, &Frame::Paced { done, msg });
+        let done = self.link.serve(self.now, bits);
+        self.send(to, done, msg);
     }
 }
 
 impl PeerSubstrate for TcpSubstrate {
     fn peer_control(&mut self, _from: NodeId, to: NodeId, msg: Message) {
-        self.control(to.as_u32(), msg);
+        self.send(to.as_u32(), self.now, msg);
     }
 
     fn peer_bulk(&mut self, _from: NodeId, to: NodeId, bits: u64, msg: Message) {
@@ -308,18 +312,17 @@ impl PeerSubstrate for TcpSubstrate {
     }
 
     fn to_server(&mut self, _from: NodeId, msg: Message) {
-        self.control(SERVER_INDEX, msg);
+        self.send(SERVER_INDEX, self.now, msg);
     }
 
     fn arm_timer(&mut self, _node: NodeId, delay: SimDuration, kind: TimerKind) {
-        let due = Instant::now() + Duration::from_micros(delay.as_micros());
-        self.due.push(due, Input::Timer(kind));
+        self.due.push(self.now + delay, Input::Timer(kind));
     }
 }
 
 impl ServerSubstrate for TcpSubstrate {
     fn server_control(&mut self, to: NodeId, msg: Message) {
-        self.control(to.as_u32(), msg);
+        self.send(to.as_u32(), self.now, msg);
     }
 
     fn server_chunk(&mut self, to: NodeId, bits: u64, msg: Message) {
@@ -328,18 +331,24 @@ impl ServerSubstrate for TcpSubstrate {
 }
 
 /// Feeds inputs to the actor as they fall due and drains what it queued,
-/// until `Shutdown`; inputs still pending then are dropped.
+/// until `Shutdown`; inputs still pending then are dropped. Each input is
+/// handled at its due time, or at the last one handled if that is later:
+/// the daemon's protocol clock never runs backwards, and such a late input
+/// is counted.
 fn event_loop(
     mut actor: Actor,
-    inputs: Receiver<(Instant, Input)>,
+    inputs: Receiver<(SimTime, Input)>,
     mut net: TcpSubstrate,
-    events: &Sender<NetEvent>,
+    fabric: &Fabric,
 ) {
-    let clock = net.clock;
     let mut out = Outbox::new();
     let mut server_out = ServerOutbox::new();
-    while let Some(input) = net.due.next(&inputs) {
-        let now = clock.now();
+    while let Some((due, input)) = net.due.next(&inputs, &fabric.clock) {
+        if due < net.now && !matches!(input, Input::Shutdown) {
+            fabric.late.fetch_add(1, Ordering::Relaxed);
+        }
+        net.now = std::cmp::max(net.now, due);
+        let now = net.now;
         match (&mut actor, input) {
             (_, Input::Shutdown) => return,
             (Actor::Peer(peer), Input::Deliver { from, msg }) => {
@@ -366,8 +375,8 @@ fn event_loop(
             (Actor::Server(..), _) => continue,
         }
         let emit = |report, links| {
-            let _ = events.send(NetEvent {
-                time: clock.now(),
+            let _ = fabric.events.send(NetEvent {
+                time: now,
                 report,
                 links,
             });
@@ -388,9 +397,10 @@ fn event_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     /// Bulk sends queue FIFO behind one another on the upload link, go out
-    /// at once, and each carries its completion on the testbed clock.
+    /// at once, and each carries its completion in protocol time.
     #[test]
     fn bulk_sends_are_paced_fifo_on_the_testbed_clock() {
         let (book, mut listeners) = AddressBook::bind(1).expect("bind localhost");
@@ -399,7 +409,7 @@ mod tests {
             pool: ConnectionPool::new(0, book),
             link: ServerQueue::new(1_000_000), // 1 Mbps
             due: DueQueue::new(),
-            clock: TestbedClock::start(),
+            now: SimTime::ZERO,
         };
         for _ in 0..2 {
             net.bulk(SERVER_INDEX, 100_000, Message::Leave); // 100 ms each
@@ -424,31 +434,36 @@ mod tests {
     fn due_queue_fires_in_due_order_and_not_before() {
         let (tx, rx) = mpsc::channel();
         let mut queue = DueQueue::new();
-        let now = Instant::now();
-        queue.push(now + Duration::from_millis(30), 3);
-        tx.send((now + Duration::from_millis(10), 1)).unwrap();
-        queue.push(now + Duration::from_millis(20), 2);
-        let fired: Vec<u32> = (0..3).map(|_| queue.next(&rx).unwrap()).collect();
-        assert_eq!(fired, [1, 2, 3]);
-        assert!(now.elapsed() >= Duration::from_millis(30), "fired early");
+        let clock = TestbedClock::start();
+        let now = clock.now();
+        let at = |ms| now + SimDuration::from_millis(ms);
+        queue.push(at(30), 3);
+        tx.send((at(10), 1)).unwrap();
+        queue.push(at(20), 2);
+        let fired: Vec<_> = (0..3).map(|_| queue.next(&rx, &clock).unwrap()).collect();
+        assert_eq!(fired, [(at(10), 1), (at(20), 2), (at(30), 3)]);
+        assert!(clock.now() >= at(30), "fired early");
     }
 
     #[test]
     fn due_queue_keeps_insertion_order_among_equal_due_times() {
         let (tx, rx) = mpsc::channel();
         let mut queue = DueQueue::new();
-        let now = Instant::now();
+        let clock = TestbedClock::start();
+        let now = clock.now();
         // Five due times, a hundred entries each, half pushed by the loop
         // and half arriving on the channel.
         for i in 0..500u32 {
-            let due = now + Duration::from_millis(u64::from(i / 100));
+            let due = now + SimDuration::from_millis(u64::from(i / 100));
             if i % 100 < 50 {
                 queue.push(due, i);
             } else {
                 tx.send((due, i)).unwrap();
             }
         }
-        let fired: Vec<u32> = (0..500).map(|_| queue.next(&rx).unwrap()).collect();
+        let fired: Vec<u32> = (0..500)
+            .map(|_| queue.next(&rx, &clock).unwrap().1)
+            .collect();
         assert_eq!(fired, (0..500).collect::<Vec<_>>());
     }
 
@@ -456,11 +471,13 @@ mod tests {
     fn due_queue_fires_a_past_due_entry_at_once() {
         let (_tx, rx) = mpsc::channel();
         let mut queue = DueQueue::new();
-        let now = Instant::now();
-        queue.push(now + Duration::from_secs(60), "later");
-        queue.push(now - Duration::from_secs(1), "late");
-        assert_eq!(queue.next(&rx), Some("late"));
-        assert!(now.elapsed() < Duration::from_secs(1));
+        let clock = TestbedClock::start();
+        std::thread::sleep(Duration::from_millis(2));
+        let now = clock.now();
+        queue.push(now + SimDuration::from_secs(60), "later");
+        queue.push(SimTime::ZERO, "late");
+        assert_eq!(queue.next(&rx, &clock), Some((SimTime::ZERO, "late")));
+        assert!(clock.now() < now + SimDuration::from_secs(1));
     }
 }
 
@@ -468,6 +485,7 @@ mod tests {
 mod daemon_tests {
     use super::*;
     use std::io::Write;
+    use std::time::{Duration, Instant};
 
     use socialtube::{
         LinkKind, Report, RequestId, SocialTubeConfig, SocialTubePeer, SocialTubeServer,
@@ -487,11 +505,29 @@ mod daemon_tests {
     /// An index the one-peer address book does not hold.
     const STRANGER: u32 = 7;
 
+    impl Daemon {
+        /// Queues `input` due at the current protocol time.
+        fn send_now(&self, input: Input) {
+            self.send(self.clock.now(), input);
+        }
+    }
+
+    fn fabric(book: Arc<AddressBook>, events: Sender<NetEvent>) -> Fabric {
+        Fabric {
+            book,
+            latency: Arc::new(constant_latency()),
+            clock: TestbedClock::start(),
+            events,
+            late: Arc::default(),
+        }
+    }
+
     /// One peer + the server over real sockets, 5 ms apart.
     struct OriginAndPeer {
         server: Daemon,
         peer: Daemon,
         events: Receiver<NetEvent>,
+        late: Arc<AtomicU64>,
         video: VideoId,
         channel: ChannelId,
     }
@@ -505,12 +541,8 @@ mod daemon_tests {
 
         let (book, mut listeners) = AddressBook::bind(1).expect("bind localhost");
         let (events_tx, events) = mpsc::channel();
-        let fabric = Fabric {
-            book,
-            latency: Arc::new(constant_latency()),
-            clock: TestbedClock::start(),
-            events: events_tx,
-        };
+        let fabric = fabric(book, events_tx);
+        let late = Arc::clone(&fabric.late);
         let server = Daemon::spawn(
             Actor::Server(
                 Box::new(SocialTubeServer::new(Arc::clone(&catalog), SimRng::seed(1))),
@@ -540,6 +572,7 @@ mod daemon_tests {
             server,
             peer,
             events,
+            late,
             video,
             channel,
         }
@@ -550,7 +583,7 @@ mod daemon_tests {
         /// report fed entirely by origin chunks, each arriving exactly once.
         /// Tears both daemons down and returns every event seen.
         fn fetch_and_join(self) -> Vec<NetEvent> {
-            self.peer.send(Input::Watch(self.video));
+            self.peer.send_now(Input::Watch(self.video));
             let deadline = Instant::now() + Duration::from_secs(10);
             let mut seen = Vec::new();
             let (mut playback, mut chunks) = (None, 0);
@@ -568,7 +601,7 @@ mod daemon_tests {
             }
             // A duplicate chunk would trail the eighth.
             seen.extend(self.events.recv_timeout(Duration::from_millis(200)));
-            self.peer.send(Input::Logout { abrupt: false });
+            self.peer.send_now(Input::Logout { abrupt: false });
             self.peer.join();
             self.server.join();
 
@@ -589,22 +622,58 @@ mod daemon_tests {
     #[test]
     fn single_peer_fetches_from_origin_over_tcp() {
         let net = origin_and_peer();
-        net.peer.send(Input::Login);
+        net.peer.send_now(Input::Login);
         net.fetch_and_join();
     }
 
+    /// An input whose due time has passed is handled at that due time, not
+    /// when the loop gets to it; one due before an input already handled
+    /// is handled at that input's time instead, and counted late.
+    #[test]
+    fn a_past_due_input_is_handled_at_its_due_time() {
+        let net = origin_and_peer();
+        std::thread::sleep(Duration::from_millis(20));
+        let served_at = |due_ms, request| {
+            let msg = Message::VideoRequest {
+                id: RequestId::new(NodeId::new(0), request),
+                video: net.video,
+                from_chunk: 0,
+                kind: TransferKind::Playback,
+            };
+            let due = SimTime::ZERO + SimDuration::from_millis(due_ms);
+            net.server.send(due, Input::Deliver { from: 0, msg });
+            let mut events =
+                std::iter::from_fn(|| net.events.recv_timeout(Duration::from_secs(5)).ok());
+            let served = events.find(|e| matches!(e.report, Report::ServedFromOrigin { .. }));
+            served.expect("the server reports the serve").time
+        };
+        let first = SimTime::ZERO + SimDuration::from_millis(3);
+        assert_eq!(served_at(3, 0), first);
+        assert_eq!(net.late.load(Ordering::Relaxed), 0);
+        assert_eq!(served_at(1, 1), first, "the server's clock ran backwards");
+        assert_eq!(net.late.load(Ordering::Relaxed), 1);
+        net.peer.join();
+        net.server.join();
+    }
+
     /// What a socket can carry that a daemon must not act on: each blob goes
-    /// over its own connection to `target`, and the last one is a
-    /// well-formed `message` behind a `Hello` from [`STRANGER`].
-    fn abuse(target: SocketAddr, message: Message) {
-        let hello = encode_frame(&Frame::Hello { sender: 0 });
+    /// over its own connection to `target`. The last two are a well-formed
+    /// `message`: unpaced behind a `Hello` from `known`, an index of the
+    /// address book, and paced behind one from [`STRANGER`].
+    fn abuse(target: SocketAddr, known: u32, message: Message) {
+        let hello = encode_frame(&Frame::Hello { sender: known });
+        let paced = encode_frame(&Frame::Paced {
+            done: 0,
+            msg: message.clone(),
+        });
         let msg = encode_frame(&Frame::Msg(message));
-        let blobs: [Vec<u8>; 5] = [
+        let blobs: [Vec<u8>; 6] = [
             vec![0, 0, 0, 3, 0xff, 0xff, 0xff], // garbage payload
             hello[..hello.len() - 1].to_vec(),  // truncated frame
             u32::MAX.to_be_bytes().to_vec(),    // absurd length prefix
             msg.clone(),                        // message before any Hello
-            [encode_frame(&Frame::Hello { sender: STRANGER }), msg].concat(),
+            [hello, msg].concat(),              // unpaced message
+            [encode_frame(&Frame::Hello { sender: STRANGER }), paced].concat(),
         ];
         for blob in blobs {
             let mut stream = TcpStream::connect(target).expect("daemon accepts");
@@ -614,30 +683,31 @@ mod daemon_tests {
 
     /// The read-loop counterpart of the codec's arbitrary-bytes proptest,
     /// against a peer-role and a server-role daemon: malformed input costs
-    /// the connection it arrived on and nothing else, and a message from an
-    /// index outside the address book is never delivered.
+    /// the connection it arrived on and nothing else, and neither an
+    /// unpaced message nor one from an index outside the address book is
+    /// ever delivered.
     #[test]
     fn malformed_and_unknown_sender_input_is_dropped_by_both_roles() {
         // Peer role: delivered, the stranger's ConnectRequest would be
         // accepted and show as a link in every later event of the peer.
         let net = origin_and_peer();
-        net.peer.send(Input::Login);
+        net.peer.send_now(Input::Login);
         let request = Message::ConnectRequest {
             kind: LinkKind::Inner,
             channel: Some(net.channel),
             video: None,
         };
-        abuse(net.peer.addr, request);
+        abuse(net.peer.addr, SERVER_INDEX, request);
         let events = net.fetch_and_join();
         assert!(
             events.iter().all(|e| e.links == 0),
             "the peer linked to an index outside the address book"
         );
 
-        // Server role: delivered, the stranger's VideoRequest would be
-        // served and reported under the stranger's node id.
+        // Server role: delivered, either VideoRequest would be served and
+        // reported, under the stranger's node id or peer 0's.
         let net = origin_and_peer();
-        net.peer.send(Input::Login);
+        net.peer.send_now(Input::Login);
         let stranger = NodeId::new(STRANGER);
         let request = Message::VideoRequest {
             id: RequestId::new(stranger, 0),
@@ -645,14 +715,23 @@ mod daemon_tests {
             from_chunk: 0,
             kind: TransferKind::Playback,
         };
-        abuse(net.server.addr, request);
+        abuse(net.server.addr, 0, request);
         let events = net.fetch_and_join();
-        assert!(
-            !events.iter().any(|e| matches!(
-                e.report,
-                Report::ServedFromOrigin { node, .. } if node == stranger
-            )),
+        let served = |n| {
+            let served = events
+                .iter()
+                .filter(|e| matches!(e.report, Report::ServedFromOrigin { node, .. } if node == n));
+            served.count()
+        };
+        assert_eq!(
+            served(stranger),
+            0,
             "the server served an index outside the address book"
+        );
+        assert_eq!(
+            served(NodeId::new(0)),
+            1,
+            "the server served an unpaced request"
         );
     }
 
@@ -663,7 +742,7 @@ mod daemon_tests {
         let reader = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("the peer connects");
             while let Ok(Some(frame)) = read_frame(&mut stream) {
-                if let Frame::Msg(msg) = frame {
+                if let Frame::Paced { msg, .. } = frame {
                     let _ = tx.send(msg);
                 }
             }
@@ -683,12 +762,7 @@ mod daemon_tests {
         let (server, server_reader) = sink(listeners.pop().expect("server listener"));
         let (neighbor, neighbor_reader) = sink(listeners.pop().expect("neighbor listener"));
         let first = |end: &Receiver<Message>| end.recv_timeout(Duration::from_secs(5));
-        let fabric = Fabric {
-            book,
-            latency: Arc::new(constant_latency()),
-            clock: TestbedClock::start(),
-            events: mpsc::channel().0,
-        };
+        let fabric = fabric(book, mpsc::channel().0);
         let peer = Daemon::spawn(
             Actor::Peer(Peer::SocialTube(SocialTubePeer::new(
                 NodeId::new(0),
@@ -701,7 +775,7 @@ mod daemon_tests {
             fabric,
         )
         .expect("peer spawns");
-        peer.send(Input::Login);
+        peer.send_now(Input::Login);
         assert!(
             matches!(first(&server), Ok(Message::SubscriptionUpdate { .. })),
             "the login never reached the server"
@@ -712,14 +786,18 @@ mod daemon_tests {
             channel: Some(channel),
             video: None,
         };
-        for frame in [Frame::Hello { sender: 1 }, Frame::Msg(request)] {
+        let request = Frame::Paced {
+            done: 0,
+            msg: request,
+        };
+        for frame in [Frame::Hello { sender: 1 }, request] {
             link.write_all(&encode_frame(&frame)).expect("peer reads");
         }
         assert!(
             matches!(first(&neighbor), Ok(Message::ConnectAccept { .. })),
             "the peer never accepted the link"
         );
-        peer.send(Input::Logout { abrupt });
+        peer.send_now(Input::Logout { abrupt });
         // The stopped daemon closes both connections, so each reader ends
         // once it has read everything the logout sent.
         peer.join();
@@ -737,21 +815,20 @@ mod daemon_tests {
         let peer = SocialTubePeer::new(NodeId::new(0), catalog, Vec::new(), Default::default());
         let (book, mut listeners) = AddressBook::bind(1).expect("bind localhost");
         let server = listeners.pop().expect("server listener");
-        let (pool, link) = (ConnectionPool::new(0, book), ServerQueue::new(1_000_000));
+        let fabric = fabric(book, mpsc::channel().0);
+        let pool = ConnectionPool::new(0, Arc::clone(&fabric.book));
         let mut due = DueQueue::new();
-        due.push(Instant::now() + Duration::from_secs(60), Input::Login);
+        due.push(SimTime::ZERO + SimDuration::from_secs(60), Input::Login);
         let (inputs, input_rx) = mpsc::channel();
-        inputs.send((Instant::now(), Input::Shutdown)).unwrap();
+        inputs.send((fabric.clock.now(), Input::Shutdown)).unwrap();
         let start = Instant::now();
-        let clock = TestbedClock::start();
         let net = TcpSubstrate {
             pool,
-            link,
+            link: ServerQueue::new(1_000_000),
             due,
-            clock,
+            now: SimTime::ZERO,
         };
-        let (actor, events) = (Actor::Peer(Peer::SocialTube(peer)), mpsc::channel().0);
-        event_loop(actor, input_rx, net, &events);
+        event_loop(Actor::Peer(Peer::SocialTube(peer)), input_rx, net, &fabric);
         assert!(start.elapsed() < Duration::from_secs(1), "the loop waited");
         server.set_nonblocking(true).unwrap();
         assert!(server.accept().is_err(), "the pending send went out");

@@ -9,19 +9,23 @@
 //! * `wire` — a hand-rolled length-prefixed binary codec
 //!   ([`encode_frame`], [`decode_frame`]) for every protocol
 //!   [`Message`](socialtube::Message);
-//! * `clock` (private) — maps wall-clock time onto the protocol's
-//!   [`SimTime`](socialtube_sim::SimTime) axis;
+//! * `clock` (private) — the deployment's one clock: every user action,
+//!   delivery, timer and report is keyed by protocol time
+//!   ([`SimTime`](socialtube_sim::SimTime) since the spawn), and the wall
+//!   clock only says how long a thread sleeps until that time comes;
 //! * [`transport`] — framed connections, the deployment's immutable
 //!   address book and each daemon's outgoing-connection cache;
 //! * `daemon` (private) — the one OS-thread-backed daemon every node runs,
 //!   around one by-value [`Peer`](socialtube_baselines::Peer) or the
 //!   tracker/origin server, the daemon at the address book's server index;
-//!   it drains its actor's outbox through the shared
+//!   it handles each input at its due time, drains its actor's outbox
+//!   through the shared
 //!   [`CommandInterpreter`](socialtube::harness::CommandInterpreter) over
-//!   one TCP substrate (connection pool + the simulator's FIFO upload link
-//!   on the testbed clock, whose completion time a bulk frame carries), and
-//!   its event loop alone keeps the daemon's timers and injected delays in
-//!   one due queue;
+//!   one TCP substrate (connection pool + the simulator's FIFO upload link)
+//!   at that time, as the simulator's substrate does, and sends every
+//!   message in one paced frame that carries the time its sender finished
+//!   sending it; its event loop alone keeps the daemon's timers and
+//!   injected delays in one due queue;
 //! * [`testbed`] — [`Deployment`]: binds every listener, spawns a whole
 //!   deployment in-process and surfaces protocol reports as
 //!   [`NetEvent`]s; the workload loop that drives it lives with the caller

@@ -4,7 +4,8 @@
 //! [`Deployment`] owns only the platform half of an experiment: it spawns
 //! one daemon per peer plus the server daemon, wires them through the
 //! localhost transport with injected latency, and hands protocol reports
-//! back as [`NetEvent`]s. *What* the nodes do — sessions, off times, video
+//! back as [`NetEvent`]s, every action and report on one protocol-time
+//! axis. *What* the nodes do — sessions, off times, video
 //! selection — is the caller's workload loop: `net_driver` in
 //! `socialtube-experiments`, which fires either the shared
 //! `SessionDirector`'s transitions or a fixed script's steps. The
@@ -16,15 +17,16 @@
 //! bitrate) so transfers complete at wall-clock speed.
 
 use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use socialtube::harness::CommandInterpreter;
 use socialtube::{Report, VodPeer, VodServer};
 use socialtube_baselines::Peer;
 use socialtube_model::{Catalog, NodeId, VideoId};
-use socialtube_sim::{NetworkOptions, SimRng, SimTime};
+use socialtube_sim::{NetworkOptions, SimDuration, SimRng, SimTime};
 
 use crate::clock::TestbedClock;
 use crate::daemon::{Actor, Daemon, Fabric, Input};
@@ -46,10 +48,13 @@ pub struct NetEvent {
 /// Everything a testbed run produced.
 #[derive(Debug)]
 pub struct NetOutcome {
-    /// Protocol reports with timestamps and link samples, in arrival order.
+    /// Protocol reports with timestamps and link samples, in time order.
     pub events: Vec<NetEvent>,
     /// Wall-clock duration of the run.
     pub wall_time: Duration,
+    /// Inputs that reached a daemon after it had handled a later-due one,
+    /// and so ran at that one's time instead of their own.
+    pub late_inputs: u64,
 }
 
 /// A running testbed deployment: one daemon per peer plus the server, all
@@ -64,7 +69,8 @@ pub struct Deployment {
     /// Peer daemons by node index, then the server's.
     daemons: Vec<Daemon>,
     events: Receiver<NetEvent>,
-    started: Instant,
+    clock: TestbedClock,
+    late: Arc<AtomicU64>,
 }
 
 impl Deployment {
@@ -91,15 +97,17 @@ impl Deployment {
         if (0..).zip(&peers).any(|(i, p)| p.node() != NodeId::new(i)) {
             return Err(invalid("testbed peers must be nodes 0..n in order"));
         }
-        let started = Instant::now();
+        let clock = TestbedClock::start();
         let (book, listeners) = AddressBook::bind(peers.len())?;
         let (events_tx, events) = mpsc::channel::<NetEvent>();
         let fabric = Fabric {
             book,
             latency: Arc::new(network.latency_model(root)),
-            clock: TestbedClock::start(),
+            clock,
             events: events_tx,
+            late: Arc::default(),
         };
+        let late = Arc::clone(&fabric.late);
         let actors = peers
             .into_iter()
             .map(|peer| (Actor::Peer(peer), network.peer_upload_bps))
@@ -114,39 +122,45 @@ impl Deployment {
         Ok(Deployment {
             daemons,
             events,
-            started,
+            clock,
+            late,
         })
     }
 
-    /// Starts a session at `node`.
-    pub fn login(&self, node: NodeId) {
-        self.daemons[node.index()].send(Input::Login);
+    /// The current protocol time.
+    pub fn now(&self) -> SimTime {
+        self.clock.now()
     }
 
-    /// Ends `node`'s session. An `abrupt` end is a crash: nothing the
-    /// logout queues leaves the machine, so neighbors and the server learn
-    /// of it only through probe timeouts.
-    pub fn logout(&self, node: NodeId, abrupt: bool) {
-        self.daemons[node.index()].send(Input::Logout { abrupt });
+    /// Starts a session at `node` at protocol time `at`.
+    pub fn login(&self, node: NodeId, at: SimTime) {
+        self.daemons[node.index()].send(at, Input::Login);
     }
 
-    /// The user at `node` selects `video`.
-    pub fn watch(&self, node: NodeId, video: VideoId) {
-        self.daemons[node.index()].send(Input::Watch(video));
+    /// Ends `node`'s session at protocol time `at`. An `abrupt` end is a
+    /// crash: nothing the logout queues leaves the machine, so neighbors
+    /// and the server learn of it only through probe timeouts.
+    pub fn logout(&self, node: NodeId, abrupt: bool, at: SimTime) {
+        self.daemons[node.index()].send(at, Input::Logout { abrupt });
     }
 
-    /// Waits until `deadline` for the next protocol report; `None` once it
-    /// passed (or if every daemon already exited).
-    pub fn recv_until(&self, deadline: Instant) -> Option<NetEvent> {
-        let left = deadline.saturating_duration_since(Instant::now());
-        self.events.recv_timeout(left).ok()
+    /// The user at `node` selects `video` at protocol time `at`.
+    pub fn watch(&self, node: NodeId, video: VideoId, at: SimTime) {
+        self.daemons[node.index()].send(at, Input::Watch(video));
+    }
+
+    /// Waits until protocol time `deadline` for the next protocol report;
+    /// `None` once it passed (or if every daemon already exited).
+    pub fn recv_until(&self, deadline: SimTime) -> Option<NetEvent> {
+        self.events.recv_timeout(self.clock.until(deadline)).ok()
     }
 
     /// Drains straggling reports for `settle`, tears every daemon down, and
-    /// packages the outcome. `events` is whatever the caller's workload
-    /// loop collected so far.
-    pub fn finish(self, mut events: Vec<NetEvent>, settle: Duration) -> NetOutcome {
-        let drain_deadline = Instant::now() + settle;
+    /// packages the outcome, its events in time order (stable among equal
+    /// times). `events` is whatever the caller's workload loop collected so
+    /// far.
+    pub fn finish(self, mut events: Vec<NetEvent>, settle: SimDuration) -> NetOutcome {
+        let drain_deadline = self.now() + settle;
         while let Some(event) = self.recv_until(drain_deadline) {
             events.push(event);
         }
@@ -157,9 +171,11 @@ impl Deployment {
         for d in self.daemons {
             d.join();
         }
+        events.sort_by_key(|e| e.time);
         NetOutcome {
             events,
-            wall_time: self.started.elapsed(),
+            wall_time: self.clock.elapsed(),
+            late_inputs: self.late.load(Ordering::Relaxed),
         }
     }
 }
@@ -169,7 +185,6 @@ mod tests {
     use super::*;
     use socialtube::{SocialTubeConfig, SocialTubePeer, SocialTubeServer};
     use socialtube_model::CatalogBuilder;
-    use socialtube_sim::SimDuration;
 
     fn tiny_catalog() -> (Arc<Catalog>, Vec<VideoId>) {
         let mut b = CatalogBuilder::new();
@@ -247,7 +262,7 @@ mod tests {
 
         let mut events = Vec::new();
         for i in 0..5u32 {
-            deployment.login(NodeId::new(i));
+            deployment.login(NodeId::new(i), deployment.now());
         }
         // Two watches per peer, round-robin, each bounded by the watch
         // timeout so a lost playback cannot hang the test.
@@ -255,8 +270,9 @@ mod tests {
             for i in 0..5usize {
                 let node = NodeId::new(i as u32);
                 let video = vids[(round * 5 + i) % vids.len()];
-                deployment.watch(node, video);
-                let deadline = Instant::now() + Duration::from_secs(5);
+                let now = deployment.now();
+                deployment.watch(node, video, now);
+                let deadline = now + SimDuration::from_secs(5);
                 while let Some(event) = deployment.recv_until(deadline) {
                     let started = matches!(
                         event.report,
@@ -271,9 +287,9 @@ mod tests {
             }
         }
         for i in 0..5u32 {
-            deployment.logout(NodeId::new(i), false);
+            deployment.logout(NodeId::new(i), false, deployment.now());
         }
-        let outcome = deployment.finish(events, Duration::from_millis(300));
+        let outcome = deployment.finish(events, SimDuration::from_millis(300));
 
         // 5 peers × 2 videos = 10 playbacks expected.
         let playbacks = outcome

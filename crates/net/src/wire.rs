@@ -19,14 +19,17 @@ pub enum Frame {
         /// Sending node (or `u32::MAX` for the server).
         sender: u32,
     },
-    /// A protocol message.
+    /// A protocol message with no send time. No daemon sends or accepts
+    /// one; the codec keeps it for the wire benchmark.
     Msg(Message),
-    /// A bulk message (a chunk) and the time its sender's upload link
-    /// finishes sending it, in microseconds on the deployment's shared
-    /// testbed clock. It crosses the socket at once; the receiver delivers
-    /// it the link's injected delay after `done`.
+    /// A protocol message and the protocol time, in microseconds on the
+    /// deployment's clock, its sender finished sending it: the send time
+    /// of a control message, the upload link's completion of a bulk one (a
+    /// chunk). It crosses the socket at once; the receiver delivers it the
+    /// link's injected delay after `done`. Every message a daemon sends is
+    /// one.
     Paced {
-        /// Completion time on the sender's upload link, in microseconds.
+        /// When the sender finished sending the message, in microseconds.
         done: u64,
         /// The message.
         msg: Message,

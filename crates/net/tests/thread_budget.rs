@@ -4,7 +4,6 @@
 #![cfg(target_os = "linux")]
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use socialtube::{Report, SocialTubeConfig, SocialTubePeer, SocialTubeServer};
 use socialtube_baselines::Peer;
@@ -42,9 +41,10 @@ fn a_daemon_costs_two_threads_plus_one_per_inbound_connection() {
     let mut events = Vec::new();
     for (i, &video) in (0..PEERS).zip(videos.iter().cycle()) {
         let node = NodeId::new(i);
-        deployment.login(node);
-        deployment.watch(node, video);
-        let deadline = Instant::now() + Duration::from_secs(5);
+        let now = deployment.now();
+        deployment.login(node, now);
+        deployment.watch(node, video, now);
+        let deadline = now + SimDuration::from_secs(5);
         while let Some(event) = deployment.recv_until(deadline) {
             events.push(event);
             if matches!(event.report, Report::PlaybackStarted { node: n, .. } if n == node) {
@@ -59,7 +59,7 @@ fn a_daemon_costs_two_threads_plus_one_per_inbound_connection() {
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
         .collect();
     let readers = names.iter().filter(|n| n.starts_with("reader-")).count();
-    let outcome = deployment.finish(events, Duration::from_millis(100));
+    let outcome = deployment.finish(events, SimDuration::from_millis(100));
 
     let playbacks = outcome.events.iter();
     let playbacks = playbacks.filter(|e| matches!(e.report, Report::PlaybackStarted { .. }));

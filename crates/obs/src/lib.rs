@@ -17,13 +17,13 @@
 //!    be gated on `R::ENABLED` where it is not already free.
 //! 3. **No allocation on the hot path.** A [`RunRecorder`] writes into the
 //!    [`MetricsSnapshot`] it finishes into, allocating a histogram or a
-//!    [`Dim`] slice only on first use; [`Timeline`] is a pre-sized vector
+//!    community slice only on first use; [`Timeline`] is a pre-sized vector
 //!    of plain-old-data events. Export happens after the run.
 //!
 //! Beyond run-wide totals, the crate records along three more axes:
 //!
-//! * **Dimensional attribution** ([`Dim`]): counters and histograms can be
-//!   sliced per interest community, so a
+//! * **Dimensional attribution** ([`Recorder::add_dim`]): counters and
+//!   histograms can be sliced per interest community, so a
 //!   [`MetricsSnapshot`] can report cache-hit rates or search hops *by the
 //!   community that produced them* — the paper's per-community structure
 //!   made measurable. A slice is a `MetricsSnapshot` too.
@@ -42,14 +42,12 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-mod dims;
 pub mod json;
 mod progress;
 mod recorder;
 mod snapshot;
 mod timeline;
 
-pub use dims::Dim;
 pub use progress::{current_rss_bytes, ProgressConfig, ProgressSink};
 pub use recorder::{
     Counter, HistKind, Histogram, NullRecorder, Recorder, RecorderConfig, RunRecorder,

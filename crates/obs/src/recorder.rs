@@ -1,6 +1,5 @@
 //! The [`Recorder`] trait and its implementations.
 
-use crate::dims::Dim;
 use crate::snapshot::MetricsSnapshot;
 use crate::timeline::{Timeline, TracePhase};
 
@@ -290,14 +289,15 @@ pub trait Recorder {
         let _ = (kind, value);
     }
 
-    /// Bumps `counter` by `n` within `dim`'s slice (see [`Dim`]).
-    fn add_dim(&mut self, dim: Dim, counter: Counter, n: u64) {
-        let _ = (dim, counter, n);
+    /// Bumps `counter` by `n` within the slice of interest community
+    /// `community` (keyed by its defining channel's id).
+    fn add_dim(&mut self, community: u32, counter: Counter, n: u64) {
+        let _ = (community, counter, n);
     }
 
-    /// Records `value` into `dim`'s `kind` histogram.
-    fn observe_dim(&mut self, dim: Dim, kind: HistKind, value: u64) {
-        let _ = (dim, kind, value);
+    /// Records `value` into `community`'s `kind` histogram.
+    fn observe_dim(&mut self, community: u32, kind: HistKind, value: u64) {
+        let _ = (community, kind, value);
     }
 
     /// Opens a named span on `track` at virtual time `ts_us`.
@@ -336,7 +336,7 @@ pub enum RecorderConfig {
     /// Nothing: the run takes the zero-cost [`NullRecorder`] path.
     #[default]
     Off,
-    /// Counters, histograms and per-[`Dim`] slices (the metrics snapshot).
+    /// Counters, histograms and per-community slices (the metrics snapshot).
     Metrics,
     /// The metrics plus the per-run timeline (spans, instants, counter
     /// series).
@@ -363,13 +363,13 @@ impl RecorderConfig {
 /// Everything a recorded run produced.
 #[derive(Clone, Debug)]
 pub struct RunRecording {
-    /// Final counters, histograms and per-[`Dim`] slices.
+    /// Final counters, histograms and per-community slices.
     pub snapshot: MetricsSnapshot,
     /// The captured timeline, when timeline capture was on.
     pub timeline: Option<Timeline>,
 }
 
-/// The per-run recorder: writes counters, histograms and per-[`Dim`]
+/// The per-run recorder: writes counters, histograms and per-community
 /// slices straight into the [`MetricsSnapshot`] it finishes into, and
 /// events into a [`Timeline`] when the config asks for one.
 #[derive(Clone, Debug)]
@@ -406,12 +406,12 @@ impl Recorder for RunRecorder {
         self.snapshot.observe(kind, value);
     }
 
-    fn add_dim(&mut self, dim: Dim, counter: Counter, n: u64) {
-        self.snapshot.slice_mut(dim).add(counter, n);
+    fn add_dim(&mut self, community: u32, counter: Counter, n: u64) {
+        self.snapshot.slice_mut(community).add(counter, n);
     }
 
-    fn observe_dim(&mut self, dim: Dim, kind: HistKind, value: u64) {
-        self.snapshot.slice_mut(dim).observe(kind, value);
+    fn observe_dim(&mut self, community: u32, kind: HistKind, value: u64) {
+        self.snapshot.slice_mut(community).observe(kind, value);
     }
 
     fn span_begin(&mut self, track: Track, name: &'static str, ts_us: u64) {
@@ -509,10 +509,10 @@ mod tests {
     #[test]
     fn run_recorder_attributes_dims() {
         let mut r = RunRecorder::new(RecorderConfig::metrics_only());
-        r.add_dim(Dim::Community(7), Counter::CacheHit, 1);
-        r.add_dim(Dim::Community(7), Counter::CacheHit, 2);
-        r.add_dim(Dim::Community(2), Counter::CacheMiss, 1);
-        r.observe_dim(Dim::Community(2), HistKind::SearchHops, 4);
+        r.add_dim(7, Counter::CacheHit, 1);
+        r.add_dim(7, Counter::CacheHit, 2);
+        r.add_dim(2, Counter::CacheMiss, 1);
+        r.observe_dim(2, HistKind::SearchHops, 4);
         let snap = r.finish().snapshot;
         assert_eq!(snap.communities().count(), 2);
         let (_, c7) = snap.communities().last().expect("community 7 slice");

@@ -1,23 +1,23 @@
 //! The one form recorded metrics take, and its JSON form.
 
-use crate::dims::Dim;
 use crate::json::Value;
 use crate::recorder::{Counter, HistKind, Histogram};
 
-/// Counters and histograms of one scope — a whole run, or one [`Dim`]
-/// slice of it — and, at run scope, the per-`Dim` slices (a slice's own
-/// slice list is empty).
+/// Counters and histograms of one scope — a whole run, or one interest
+/// community's slice of it — and, at run scope, the per-community slices
+/// (a slice's own slice list is empty). A community is keyed by its
+/// defining channel's id: a node's first subscription channel.
 ///
 /// A [`RunRecorder`](crate::RunRecorder) writes into one and finishes into
 /// it; a campaign folds its replicates' with [`merge`](Self::merge).
 /// Storage is canonical — histograms in [`HistKind::ALL`] order and present
-/// once observed, slices in `Dim` order — so the same observations recorded
+/// once observed, slices ascending by community id — so the same observations recorded
 /// or merged in any order give equal snapshots.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct MetricsSnapshot {
     counters: [u64; Counter::COUNT],
     histograms: Vec<Histogram>,
-    dims: Vec<(Dim, MetricsSnapshot)>,
+    dims: Vec<(u32, MetricsSnapshot)>,
 }
 
 /// The element of `items` (sorted by `key_of`) keyed `key`, inserted from
@@ -53,9 +53,10 @@ impl MetricsSnapshot {
         })
     }
 
-    /// `dim`'s slice, created empty on first use.
-    pub(crate) fn slice_mut(&mut self, dim: Dim) -> &mut MetricsSnapshot {
-        let (_, slice) = entry(&mut self.dims, dim, |(d, _)| *d, || (dim, Self::default()));
+    /// `community`'s slice, created empty on first use.
+    pub(crate) fn slice_mut(&mut self, community: u32) -> &mut MetricsSnapshot {
+        let new = || (community, Self::default());
+        let (_, slice) = entry(&mut self.dims, community, |(c, _)| *c, new);
         slice
     }
 
@@ -74,9 +75,7 @@ impl MetricsSnapshot {
 
     /// All per-community slices, ascending by community id.
     pub fn communities(&self) -> impl Iterator<Item = (u32, &MetricsSnapshot)> {
-        self.dims
-            .iter()
-            .map(|(Dim::Community(c), slice)| (*c, slice))
+        self.dims.iter().map(|(c, slice)| (*c, slice))
     }
 
     /// Adds `other`'s counts into this snapshot, slice by slice.
@@ -87,8 +86,8 @@ impl MetricsSnapshot {
         for h in &other.histograms {
             self.histogram_mut(h.kind()).merge(h);
         }
-        for (dim, slice) in &other.dims {
-            self.slice_mut(*dim).merge(slice);
+        for (community, slice) in &other.dims {
+            self.slice_mut(*community).merge(slice);
         }
     }
 
@@ -129,7 +128,7 @@ impl MetricsSnapshot {
         let dims = self
             .dims
             .iter()
-            .map(|(dim, slice)| (dim.label(), Value::obj(slice.scope_members())));
+            .map(|(c, slice)| (format!("community:{c}"), Value::obj(slice.scope_members())));
         Value::obj(
             self.scope_members()
                 .into_iter()
@@ -172,6 +171,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
     use crate::{Recorder, RecorderConfig, RunRecorder};
 
     fn sample_snapshot() -> MetricsSnapshot {
@@ -186,8 +186,8 @@ mod tests {
 
     fn dim_snapshot(community: u32, hits: u64, hops: u64) -> MetricsSnapshot {
         let mut r = RunRecorder::new(RecorderConfig::metrics_only());
-        r.add_dim(Dim::Community(community), Counter::CacheHit, hits);
-        r.observe_dim(Dim::Community(community), HistKind::SearchHops, hops);
+        r.add_dim(community, Counter::CacheHit, hits);
+        r.observe_dim(community, HistKind::SearchHops, hops);
         r.finish().snapshot
     }
 
@@ -287,5 +287,64 @@ mod tests {
             Some(1)
         );
         assert!(c12.get("dims").is_none(), "slices carry no slices");
+    }
+
+    #[test]
+    fn slices_order_by_community_id() {
+        let mut r = RunRecorder::new(RecorderConfig::metrics_only());
+        for community in [9, 0, 2, 3] {
+            r.add_dim(community, Counter::CacheHit, 1);
+        }
+        let ids: Vec<u32> = r.finish().snapshot.communities().map(|(c, _)| c).collect();
+        assert_eq!(ids, vec![0, 2, 3, 9]);
+    }
+
+    #[test]
+    fn labels_are_stable() {
+        let v = dim_snapshot(12, 1, 1).to_value();
+        let Some(Value::Obj(dims)) = v.get("dims") else {
+            panic!("dims object missing: {v}");
+        };
+        let labels: Vec<&str> = dims.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(labels, vec!["community:12"]);
+    }
+
+    #[test]
+    fn store_is_canonical_regardless_of_insertion_order() {
+        let mut a = RunRecorder::new(RecorderConfig::metrics_only());
+        a.add_dim(5, Counter::CacheHit, 2);
+        a.add_dim(1, Counter::CacheMiss, 1);
+        a.observe_dim(3, HistKind::SearchHops, 3);
+
+        let mut b = RunRecorder::new(RecorderConfig::metrics_only());
+        b.observe_dim(3, HistKind::SearchHops, 3);
+        b.add_dim(1, Counter::CacheMiss, 1);
+        b.add_dim(5, Counter::CacheHit, 1);
+        b.add_dim(5, Counter::CacheHit, 1);
+
+        let (a, b) = (a.finish().snapshot, b.finish().snapshot);
+        assert_eq!(a, b);
+        let ids: Vec<u32> = a.communities().map(|(c, _)| c).collect();
+        assert_eq!(ids, vec![1, 3, 5]);
+        let (_, c5) = a.communities().last().expect("community 5 slice");
+        assert_eq!(c5.counter("cache_hit"), 2);
+        assert_eq!(c5.counter("cache_miss"), 0);
+    }
+
+    #[test]
+    fn snapshot_orders_counters_by_declaration() {
+        let mut r = RunRecorder::new(RecorderConfig::metrics_only());
+        r.add_dim(0, Counter::OriginServe, 1);
+        r.add_dim(0, Counter::ResolvedChannel, 1);
+        let json = crate::json::parse(&r.finish().snapshot.to_json(0)).expect("valid json");
+        let counters = json
+            .get("dims")
+            .and_then(|d| d.get("community:0"))
+            .and_then(|c| c.get("counters"));
+        let Some(Value::Obj(counters)) = counters else {
+            panic!("community:0 counters missing: {json}");
+        };
+        let keys: Vec<&str> = counters.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, vec!["resolved_channel", "origin_serve"]);
     }
 }

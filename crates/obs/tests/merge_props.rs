@@ -6,8 +6,7 @@
 
 use proptest::prelude::*;
 use socialtube_obs::{
-    Counter, Dim, HistKind, MetricsSnapshot, Recorder, RecorderConfig, RunRecorder, RunRecording,
-    Track,
+    Counter, HistKind, MetricsSnapshot, Recorder, RecorderConfig, RunRecorder, RunRecording, Track,
 };
 
 /// splitmix64: a tiny deterministic stream for deriving op sequences from
@@ -23,7 +22,7 @@ fn mix(state: &mut u64) -> u64 {
 /// Applies one random observation. Dims are drawn from a small pool so
 /// that independently salted recorders overlap on dimensional keys.
 fn apply_op<R: Recorder>(r: &mut R, state: &mut u64) {
-    let dim = Dim::Community((mix(state) % 4) as u32);
+    let dim = (mix(state) % 4) as u32;
     let counter = Counter::ALL[(mix(state) as usize) % Counter::ALL.len()];
     let kind = HistKind::ALL[(mix(state) as usize) % HistKind::ALL.len()];
     match mix(state) % 4 {

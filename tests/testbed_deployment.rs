@@ -1,7 +1,8 @@
 //! Integration tests of the real-TCP testbed (the PlanetLab substitute):
 //! the same protocol binaries that run under the simulator must complete a
 //! live deployment, and at the testbed's own workload
-//! ([`configs::testbed_smoke`]) they must reach the simulator's outcome.
+//! ([`configs::testbed_smoke`]) they must reach the simulator's outcome:
+//! exactly, when no input reached a daemon late.
 
 use socialtube_experiments::{configs, run_net, MetricsSummary, Protocol, RunSpec};
 
@@ -9,7 +10,8 @@ use socialtube_experiments::{configs, run_net, MetricsSummary, Protocol, RunSpec
 /// metrics fence compares, as absolute differences. Each bound is twice the
 /// largest difference seen in 15 debug-build runs on two cores, 5 of them
 /// with both cores kept busy (the runs are listed in CHANGES.md); where
-/// every run matched exactly, the bound is 2 starts.
+/// every run matched exactly, the bound is 2 starts and 128 kbit of server
+/// traffic.
 struct Tolerance {
     fallbacks: u64,
     peer_starts: u64,
@@ -21,26 +23,30 @@ struct Tolerance {
 /// [`configs::testbed_smoke`], seed 42, through [`RunSpec`] and
 /// [`run_net`], asserts the two agree on playbacks exactly and on server
 /// fallbacks, peer starts, server starts and server bits within
-/// `tolerance`, and returns the testbed's metrics.
+/// `tolerance`, and on every metric exactly if no daemon handled an input
+/// late (after a later-due one), and returns the testbed's metrics.
 fn assert_testbed_matches_sim(protocol: Protocol, tolerance: &Tolerance) -> MetricsSummary {
     let options = configs::testbed_smoke();
     let sim = RunSpec::new(protocol)
         .options(options.clone())
         .run()
         .metrics;
-    let tcp = run_net(protocol, &options)
-        .expect("testbed binds localhost")
-        .metrics;
+    let run = run_net(protocol, &options).expect("testbed binds localhost");
+    let (tcp, late) = (run.metrics, run.outcome.late_inputs);
+    println!("{protocol}: {late} late inputs");
     // At least 70 % of the planned playbacks: slack for watch timeouts.
     let workload = &options.workload;
     let planned = options.trace.users as u64
         * u64::from(workload.sessions_per_node * workload.videos_per_session);
     assert!(
         tcp.playbacks * 10 >= planned * 7,
-        "{protocol}: playbacks {} of planned {planned}",
+        "{protocol}: playbacks {} of planned {planned}, {late} late inputs",
         tcp.playbacks
     );
-    assert_eq!(sim.playbacks, tcp.playbacks, "{protocol}: playbacks");
+    assert_eq!(
+        sim.playbacks, tcp.playbacks,
+        "{protocol}: playbacks, {late} late inputs"
+    );
     // Fig 18b's x-axis counts the playbacks the director accepts, as Fig
     // 18a's does: no node watches more videos than its sessions hold.
     let per_node = workload.sessions_per_node * workload.videos_per_session;
@@ -78,7 +84,13 @@ fn assert_testbed_matches_sim(protocol: Protocol, tolerance: &Tolerance) -> Metr
     ] {
         assert!(
             sim.abs_diff(tcp) <= bound,
-            "{protocol}: {name} sim {sim} vs TCP {tcp}, tolerance {bound}"
+            "{protocol}: {name} sim {sim} vs TCP {tcp}, tolerance {bound}, {late} late inputs"
+        );
+    }
+    if late == 0 {
+        assert_eq!(
+            sim, tcp,
+            "{protocol}: no input ran late, yet the platforms differ"
         );
     }
     tcp
@@ -123,6 +135,36 @@ fn nettube_testbed_matches_the_simulator() {
         },
     );
     assert!(tcp.total_peer_bits + tcp.total_server_bits > 0);
+}
+
+#[test]
+fn socialtube_no_prefetch_testbed_matches_the_simulator() {
+    let tcp = assert_testbed_matches_sim(
+        Protocol::SocialTubeNoPrefetch,
+        &Tolerance {
+            fallbacks: 4,
+            peer_starts: 4,
+            server_starts: 4,
+            server_bits: 2_048_000,
+        },
+    );
+    assert_eq!(tcp.prefetch_hits, 0, "a prefetch hit with prefetching off");
+    assert!(tcp.peer_starts > 0, "the community served no start");
+}
+
+#[test]
+fn nettube_no_prefetch_testbed_matches_the_simulator() {
+    let tcp = assert_testbed_matches_sim(
+        Protocol::NetTubeNoPrefetch,
+        &Tolerance {
+            fallbacks: 2,
+            peer_starts: 2,
+            server_starts: 2,
+            server_bits: 128_000,
+        },
+    );
+    assert_eq!(tcp.prefetch_hits, 0, "a prefetch hit with prefetching off");
+    assert!(tcp.total_peer_bits > 0, "no overlay traffic");
 }
 
 #[test]
