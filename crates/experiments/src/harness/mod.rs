@@ -17,7 +17,9 @@
 //!   the `workload` module: login stagger, off periods, abrupt-departure
 //!   draws, video selection and, in [`advance`](SessionDirector::advance),
 //!   which call follows which session event. Both platforms replay it; only
-//!   *when* its events fire differs (virtual vs wall-clock time).
+//!   *when* they ask for its events differs (as each falls due in the
+//!   virtual event queue, or ahead of time on the testbed, whose daemons
+//!   hold each action until its protocol time).
 //! * [`SimSubstrate`] — the simulator's implementation of the
 //!   [`PeerSubstrate`]/[`ServerSubstrate`] traits from
 //!   [`socialtube::harness`]: virtual latency, fluid upload links and the

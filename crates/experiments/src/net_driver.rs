@@ -9,20 +9,18 @@
 //! of a watch (the [`WorkloadConfig`] watch time: the testbed presets
 //! [`configs::testbed_smoke`] and [`configs::testbed_planetlab`] fix it at
 //! 120 and 150 ms), and so does the order of its calls
-//! ([`SessionDirector::advance`]). Only the scheduling medium differs (an
-//! action heap on the deployment's clock here, the virtual event queue
-//! there); each action carries its protocol time to the daemon, which
-//! handles it then. One wall-clock second is one protocol second, so keep
-//! videos *small* (short, low bitrate) for transfers to complete at
-//! wall-clock speed; `max_events` has no meaning here. A scripted workload
-//! ([`WorkloadConfig::script`]) pre-fills the action heap with its steps
-//! instead.
+//! ([`SessionDirector::advance`]). This driver schedules nothing: each user
+//! action goes to its daemon as soon as the director decides it, stamped
+//! with its protocol time, and waits in the daemon's due queue as a
+//! simulator event waits in the virtual event queue. One wall-clock second
+//! is one protocol second, so keep videos *small* (short, low bitrate) for
+//! transfers to complete at wall-clock speed; `max_events` has no meaning
+//! here. A scripted workload ([`WorkloadConfig::script`]) hands every step
+//! to its daemon before the run starts instead.
 //!
 //! [`WorkloadConfig`]: crate::WorkloadConfig
 //! [`WorkloadConfig::script`]: crate::WorkloadConfig::script
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::io;
 use std::sync::Arc;
 
@@ -57,22 +55,6 @@ pub struct NetRun {
     pub outcome: NetOutcome,
 }
 
-/// Actions on the driver's heap, keyed by protocol time: the testbed
-/// analogues of the sim driver's workload events.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Action {
-    /// A transition of a node's session, which the director advances.
-    Session(NodeId, SessionEvent),
-    /// A scripted step: only the deployment acts, the director is not
-    /// consulted.
-    Script(ScriptAction),
-    /// Safety net if a playback never starts; the sequence number guards
-    /// against a stale timeout abandoning a newer watch.
-    WatchTimeout(NodeId, u64),
-    /// The settle window after a script's last step is over: the run ends.
-    Settled,
-}
-
 /// [`run_net_on`] over the trace `options` describes.
 ///
 /// # Errors
@@ -87,19 +69,20 @@ pub fn run_net(protocol: Protocol, options: &ExperimentOptions) -> io::Result<Ne
 ///
 /// The stack comes from [`StackBuilder::from_options`] and the workload
 /// from the same [`SessionDirector`] the simulation replays, both rooted
-/// at [`configs::root_rng`] as in the simulator; this function owns only
-/// the action heap that fires the session events
-/// [`SessionDirector::advance`] returns, and performs their user actions
-/// on the [`Deployment`] at their protocol times, as the sim driver's loop
-/// does on its peers. As in the simulator, a watch ends its
-/// [`WorkloadConfig`](crate::WorkloadConfig) watch time after the report
-/// of a playback the director accepts, and only such a playback samples
-/// the links for Fig 18. A watch whose playback has not started 5 s after the
-/// request is abandoned and the node moves on: a safety net for lost
-/// messages on live sockets, which the simulator needs no counterpart of,
-/// since every protocol there falls back to the server. A scripted
-/// workload fires its steps instead and ends a 1.5 s settle window after
-/// the last one; the director then accepts no playback.
+/// at [`configs::root_rng`] as in the simulator. This function advances
+/// each node's session with [`SessionDirector::advance`] through every
+/// event that does not wait for a playback, and hands each user action to
+/// the [`Deployment`] at once, stamped with its protocol time, as the sim
+/// driver's loop performs it on its peers at that time. As in the
+/// simulator, a watch ends its [`WorkloadConfig`](crate::WorkloadConfig)
+/// watch time after the report of a playback the director accepts, and
+/// only such a playback samples the links for Fig 18. A watch whose
+/// playback has not started 5 s after the request is abandoned and the node
+/// moves on: a safety net for lost messages on live sockets, which the
+/// simulator needs no counterpart of, since every protocol there falls
+/// back to the server. A scripted workload hands its steps over instead
+/// and ends a 1.5 s settle window after the last one; the director then
+/// accepts no playback.
 ///
 /// # Errors
 ///
@@ -123,93 +106,74 @@ pub fn run_net_on(
         &options.network,
         &root,
     )?;
-
-    // Due time first, then insertion order; the action never decides.
-    let mut heap: BinaryHeap<Reverse<(SimTime, u64, Action)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut schedule = |heap: &mut BinaryHeap<_>, due: SimTime, action| {
-        seq += 1;
-        heap.push(Reverse((due, seq, action)));
+    // The user's action at protocol time `at`, a session's or a script's.
+    let perform = |action, at| match action {
+        ScriptAction::Login(node) => deployment.login(node, at),
+        ScriptAction::Watch(node, video) => deployment.watch(node, video, at),
+        ScriptAction::Logout(node, abrupt) => deployment.logout(node, abrupt, at),
     };
+
+    // Session events to fire, each with its due time; the latest due time
+    // of any action handed over; per node, when its requested watch is
+    // given up if no accepted playback started.
+    let mut fire = Vec::new();
+    let mut end = SimTime::ZERO;
+    let mut deadline: Vec<Option<SimTime>> = vec![None; users];
     let script = &options.workload.script;
     if let Some(last) = script.last() {
         for step in script {
-            let due = SimTime::ZERO + step.at;
-            schedule(&mut heap, due, Action::Script(step.action));
+            perform(step.action, SimTime::ZERO + step.at);
         }
-        let settled = SimTime::ZERO + last.at + SETTLE;
-        schedule(&mut heap, settled, Action::Settled);
+        end = SimTime::ZERO + last.at + SETTLE;
     } else {
         for i in 0..users {
             let node = NodeId::new(i as u32);
-            let due = SimTime::ZERO + director.login_offset(node);
-            schedule(&mut heap, due, Action::Session(node, SessionEvent::Login));
+            let at = SimTime::ZERO + director.login_offset(node);
+            fire.push((node, SessionEvent::Login, at));
         }
     }
 
     let mut collector = MetricsCollector::new(users);
-    let mut watch_seq = vec![0u64; users];
-    let mut remaining = users;
     let mut events = Vec::new();
-    while remaining > 0 {
-        // Wait for either the next scheduled action or a report.
-        let next_due = match heap.peek() {
-            Some(Reverse((due, ..))) => *due,
-            None => deployment.now() + SimDuration::from_millis(50),
+    loop {
+        // Run each session up to its next watch, or to its end.
+        while let Some((node, event, at)) = fire.pop() {
+            let (action, next) = director.advance(shared, node, event);
+            if let Some(action) = action {
+                if let ScriptAction::Watch(..) = action {
+                    deadline[node.index()] = Some(at + WATCH_TIMEOUT);
+                }
+                perform(action, at);
+                end = end.max(at);
+            }
+            if let Some((delay, next)) = next {
+                fire.push((node, next, at + delay));
+            }
+        }
+        // Wait for a playback, or for the earliest watch to time out.
+        let pending = deadline.iter().enumerate();
+        let Some((due, i)) = pending.filter_map(|(i, due)| due.map(|due| (due, i))).min() else {
+            break;
         };
-        if let Some(event) = deployment.recv_until(next_due) {
-            if let Report::PlaybackStarted { node, video, .. } = event.report {
-                if let Some((watched, watch)) = director.accept_playback(shared, node, video) {
-                    collector.sample_links(watched, event.links);
-                    let end = Action::Session(node, SessionEvent::WatchEnd);
-                    schedule(&mut heap, event.time + watch, end);
-                }
-            }
-            events.push(event);
+        let Some(event) = deployment.recv_until(due) else {
+            // Playback never started: move on rather than hang.
+            deadline[i] = None;
+            fire.push((NodeId::new(i as u32), SessionEvent::AbandonWatch, due));
             continue;
-        }
-        // Execute every due action at its protocol time.
-        let now = deployment.now();
-        while matches!(heap.peek(), Some(Reverse((due, ..))) if *due <= now) {
-            let Reverse((due, _, action)) = heap.pop().expect("peeked entry");
-            let mut advance = |node, event| {
-                let (action, next) = director.advance(shared, node, event);
-                match next {
-                    Some((delay, next)) => {
-                        schedule(&mut heap, due + delay, Action::Session(node, next));
-                    }
-                    // The node's last session is over.
-                    None if event == SessionEvent::Logout => remaining -= 1,
-                    None => {}
-                }
-                action
-            };
-            let action = match action {
-                Action::Session(node, event) => advance(node, event),
-                // Playback never started: move on rather than hang.
-                Action::WatchTimeout(node, at) if watch_seq[node.index()] == at => {
-                    advance(node, SessionEvent::AbandonWatch)
-                }
-                Action::WatchTimeout(..) => None,
-                Action::Script(action) => Some(action),
-                Action::Settled => {
-                    remaining = 0;
-                    None
-                }
-            };
-            // The user's action, a session's or a script's.
-            match action {
-                Some(ScriptAction::Login(node)) => deployment.login(node, due),
-                Some(ScriptAction::Watch(node, video)) => {
-                    watch_seq[node.index()] += 1;
-                    let timeout = Action::WatchTimeout(node, watch_seq[node.index()]);
-                    schedule(&mut heap, due + WATCH_TIMEOUT, timeout);
-                    deployment.watch(node, video, due);
-                }
-                Some(ScriptAction::Logout(node, abrupt)) => deployment.logout(node, abrupt, due),
-                None => {}
+        };
+        if let Report::PlaybackStarted { node, video, .. } = event.report {
+            if let Some((watched, watch)) = director.accept_playback(shared, node, video) {
+                collector.sample_links(watched, event.links);
+                deadline[node.index()] = None;
+                fire.push((node, SessionEvent::WatchEnd, event.time + watch));
             }
         }
+        events.push(event);
+    }
+    // Collect until the last handed action is due: daemons drop what is
+    // still pending when they stop.
+    while let Some(event) = deployment.recv_until(end) {
+        events.push(event);
     }
     let outcome = deployment.finish(events, SimDuration::from_millis(300));
 
@@ -226,6 +190,7 @@ pub fn run_net_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     /// The testbed builds its peers from the run's protocol parameters: a
     /// link budget of one inner and one inter link holds on live sockets.
@@ -243,5 +208,26 @@ mod tests {
         for (_, links) in &run.metrics.maintenance_curve {
             assert!(*links <= 2.0 + 1e-9, "link budget 2 exceeded: {links}");
         }
+    }
+
+    /// A watch whose playback never starts is given up after
+    /// `WATCH_TIMEOUT`, and the node moves on: with a server link of
+    /// 1 bit/s no chunk arrives, so each of a node's two watches times out
+    /// and the run still ends.
+    #[test]
+    fn watches_that_never_start_time_out() {
+        let mut options = configs::testbed_smoke();
+        options.trace.users = 6;
+        options.workload.sessions_per_node = 1;
+        options.workload.videos_per_session = 2;
+        options.network.server_bandwidth_bps = 1;
+        let run = run_net(Protocol::PaVod, &options).expect("testbed binds localhost");
+        assert_eq!(run.metrics.playbacks, 0);
+        let two_timeouts = Duration::from_micros(2 * WATCH_TIMEOUT.as_micros());
+        assert!(
+            run.outcome.wall_time >= two_timeouts,
+            "run ended after {:?}",
+            run.outcome.wall_time
+        );
     }
 }

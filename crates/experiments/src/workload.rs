@@ -86,7 +86,7 @@ pub enum WatchTime {
 }
 
 /// One user action, a script's step or a session's ([`SessionDirector::advance`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScriptAction {
     /// The node starts a session.
     Login(NodeId),
@@ -96,8 +96,8 @@ pub enum ScriptAction {
     Logout(NodeId, bool),
 }
 
-/// A scripted action with its firing time: an offset from run start, which
-/// the testbed maps 1:1 onto wall-clock time.
+/// A scripted action with its firing time: an offset from run start, the
+/// protocol time at which either platform performs it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScriptStep {
     /// When the action fires, relative to run start.
@@ -240,7 +240,7 @@ pub enum SessionStep {
 }
 
 /// A transition of one node's session ([`SessionDirector::advance`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SessionEvent {
     /// A session begins.
     Login,
@@ -258,8 +258,10 @@ pub enum SessionEvent {
 /// off periods between sessions, abrupt-departure draws and video
 /// selection.
 ///
-/// The platform only decides when session events fire (virtual vs
-/// wall-clock time) and performs the user actions (calling into peers).
+/// The platform only asks for each session event at its due time, or
+/// ahead of it (the simulator pops it from its event queue, the testbed
+/// runs each session up to its next watch at once), and performs the user
+/// actions at their protocol times (calling into peers).
 /// All workload randomness is derived from the driver's root RNG under the
 /// stable stream labels `"stagger"` and *per-node indexed* `"workload"`,
 /// `"failures"` and `"churn"`; those labels and the order of draws within

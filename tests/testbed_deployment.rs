@@ -2,7 +2,10 @@
 //! the same protocol binaries that run under the simulator must complete a
 //! live deployment, and at the testbed's own workload
 //! ([`configs::testbed_smoke`]) they must reach the simulator's outcome:
-//! exactly, when no input reached a daemon late.
+//! exactly, when no input reached a daemon late. The driver hands every
+//! user action to its daemon before it falls due, so only a delivery
+//! whose sender or reader stalled past its injected delay can be late;
+//! each run prints its `NetOutcome::late_inputs` under `-- --nocapture`.
 
 use socialtube_experiments::{configs, run_net, MetricsSummary, Protocol, RunSpec};
 
