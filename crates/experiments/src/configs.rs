@@ -126,7 +126,7 @@ pub fn demo() -> ExperimentOptions {
 }
 
 /// The TCP testbed's base: the paper's minutes-scale protocol timers
-/// compressed to seconds-scale wall-clock sessions, over 10–60 ms of
+/// compressed to seconds-scale sessions, over 10–60 ms of
 /// latency, 20 Mbps per peer and a 50 Mbps server. The equivalence suite
 /// adds a four-peer trace and a script and runs it on both platforms;
 /// [`testbed_smoke`] and [`testbed_planetlab`] add a trace and a session
@@ -157,8 +157,11 @@ pub fn testbed() -> ExperimentOptions {
 /// 64 kbps videos, compressed session pacing, and a server pipe sized to be
 /// the bottleneck the P2P overlays relieve. Off periods are the 1 s minimum
 /// the Poisson draw allows, and a watch lasts a fixed 120 ms instead of the
-/// video's length, so a run takes seconds of wall clock. The simulator runs
-/// this workload the same way.
+/// video's length, so a run spans 12–25 s of protocol time (SocialTube
+/// and PA-VoD at seed 42). A
+/// testbed watch must last at least `latency_min`, here 10 ms, the length
+/// of the deployment's windows. The simulator runs this workload the same
+/// way.
 pub fn testbed_smoke() -> ExperimentOptions {
     let mut o = testbed();
     o.trace = TraceConfig {
@@ -188,7 +191,8 @@ pub fn testbed_smoke() -> ExperimentOptions {
 
 /// The paper's PlanetLab shape scaled to one machine: 60 peers,
 /// 6 categories × 10 channels × 40 videos per the Section V layout,
-/// 5 sessions of 5 videos and 150 ms watches. The peer count is reduced
+/// 5 sessions of 5 videos and 150 ms watches, 58–96 s of protocol time
+/// (seed 42). The peer count is reduced
 /// from 250: a testbed daemon runs 2 OS threads plus one reader per
 /// inbound connection, and SocialTube's overlay links almost every pair, so
 /// this deployment already peaks near 3,600 threads (NetTube ~350, PA-VoD
@@ -297,7 +301,7 @@ mod tests {
     }
 
     /// The simulator presets watch each video to its end; only the testbed
-    /// presets, which run on the wall clock, shorten a watch.
+    /// presets shorten a watch.
     #[test]
     fn only_testbed_presets_fix_the_watch_time() {
         let sim = [

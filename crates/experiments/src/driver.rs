@@ -447,13 +447,6 @@ fn handle_event<S, R, K>(
     // The peer whose commands the outbox will carry after this event.
     let mut actor: Option<NodeId> = None;
     let action = match ev {
-        // A logged-off peer neither browses nor ends a watch; the check
-        // comes before the director draws a pick.
-        Ev::Session(node, SessionEvent::NextVideo | SessionEvent::WatchEnd)
-            if !peer(peers, node).is_online() =>
-        {
-            None
-        }
         Ev::Session(node, event) => {
             // The next session event is queued before the outbox flushes.
             let (action, next) = director.advance(trace, node, event);

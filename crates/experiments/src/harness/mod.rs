@@ -25,7 +25,7 @@
 //!   [`socialtube::harness`]: virtual latency, fluid upload links and the
 //!   server's bounded queue, scheduling onto any [`SimEvent`] engine. The
 //!   TCP counterpart lives in `socialtube-net`'s daemons: real sockets,
-//!   with bulk sends paced by the same FIFO link, on the wall clock.
+//!   with bulk sends paced by the same FIFO link, in protocol time.
 //! * [`script`] — the cross-platform equivalence fixture: a four-peer
 //!   trace, a fixed script over it (a [`WorkloadConfig::script`] that the
 //!   simulation driver and the testbed driver both run) and the
@@ -38,7 +38,7 @@
 //!
 //! | concern | owner |
 //! |---|---|
-//! | time | platform (engine clock vs wall clock) |
+//! | time | platform (engine clock vs the deployment's windows) |
 //! | RNG streams | `configs::root_rng` → `StackBuilder` (protocol) + `SessionDirector` (workload) |
 //! | delivery, latency, bandwidth | substrate implementation |
 //! | command → effect translation | `CommandInterpreter` (core) |

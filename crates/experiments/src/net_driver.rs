@@ -12,11 +12,11 @@
 //! ([`SessionDirector::advance`]). This driver schedules nothing: each user
 //! action goes to its daemon as soon as the director decides it, stamped
 //! with its protocol time, and waits in the daemon's due queue as a
-//! simulator event waits in the virtual event queue. One wall-clock second
-//! is one protocol second, so keep videos *small* (short, low bitrate) for
-//! transfers to complete at wall-clock speed; `max_events` has no meaning
-//! here. A scripted workload ([`WorkloadConfig::script`]) hands every step
-//! to its daemon before the run starts instead.
+//! simulator event waits in the virtual event queue; `max_events` has no
+//! meaning here. A watch must last at least `latency_min`, the length of
+//! the [`Deployment`]'s windows of protocol time. A scripted workload
+//! ([`WorkloadConfig::script`]) hands every step to its daemon before the
+//! run starts instead.
 //!
 //! [`WorkloadConfig`]: crate::WorkloadConfig
 //! [`WorkloadConfig::script`]: crate::WorkloadConfig::script
@@ -35,11 +35,6 @@ use crate::harness::{SessionDirector, StackBuilder};
 use crate::metrics::{MetricsCollector, MetricsSummary};
 use crate::workload::{ScriptAction, SessionEvent};
 use crate::Protocol;
-
-/// Quiet period after a script's last step during which a scripted run
-/// still collects reports. Every transfer chain the scripts trigger
-/// completes within a fraction of it.
-const SETTLE: SimDuration = SimDuration::from_millis(1500);
 
 /// How long a watch may wait for its playback to start before the node
 /// gives up and moves on: a safety net for a dead provider or a lost
@@ -77,12 +72,12 @@ pub fn run_net(protocol: Protocol, options: &ExperimentOptions) -> io::Result<Ne
 /// simulator, a watch ends its [`WorkloadConfig`](crate::WorkloadConfig)
 /// watch time after the report of a playback the director accepts, and
 /// only such a playback samples the links for Fig 18. A watch whose
-/// playback has not started 5 s after the request is abandoned and the node
-/// moves on: a safety net for lost messages on live sockets, which the
-/// simulator needs no counterpart of, since every protocol there falls
-/// back to the server. A scripted workload hands its steps over instead
-/// and ends a 1.5 s settle window after the last one; the director then
-/// accepts no playback.
+/// playback has not started 5 s of protocol time after the request is
+/// abandoned and the node moves on: a safety net for lost messages on live
+/// sockets, which the simulator needs no counterpart of, since every
+/// protocol there falls back to the server. A scripted workload hands its
+/// steps over instead, and the director then accepts no playback. Either
+/// run ends when nothing is pending anywhere.
 ///
 /// # Errors
 ///
@@ -113,19 +108,15 @@ pub fn run_net_on(
         ScriptAction::Logout(node, abrupt) => deployment.logout(node, abrupt, at),
     };
 
-    // Session events to fire, each with its due time; the latest due time
-    // of any action handed over; per node, when its requested watch is
-    // given up if no accepted playback started.
+    // Session events to fire, each with its due time; per node, when its
+    // requested watch is given up if no accepted playback started.
     let mut fire = Vec::new();
-    let mut end = SimTime::ZERO;
     let mut deadline: Vec<Option<SimTime>> = vec![None; users];
     let script = &options.workload.script;
-    if let Some(last) = script.last() {
-        for step in script {
-            perform(step.action, SimTime::ZERO + step.at);
-        }
-        end = SimTime::ZERO + last.at + SETTLE;
-    } else {
+    for step in script {
+        perform(step.action, SimTime::ZERO + step.at);
+    }
+    if script.is_empty() {
         for i in 0..users {
             let node = NodeId::new(i as u32);
             let at = SimTime::ZERO + director.login_offset(node);
@@ -144,18 +135,18 @@ pub fn run_net_on(
                     deadline[node.index()] = Some(at + WATCH_TIMEOUT);
                 }
                 perform(action, at);
-                end = end.max(at);
             }
             if let Some((delay, next)) = next {
                 fire.push((node, next, at + delay));
             }
         }
-        // Wait for a playback, or for the earliest watch to time out.
+        // Wait for a playback, for the earliest watch to time out, or for
+        // nothing to be pending anywhere.
         let pending = deadline.iter().enumerate();
-        let Some((due, i)) = pending.filter_map(|(i, due)| due.map(|due| (due, i))).min() else {
-            break;
-        };
-        let Some(event) = deployment.recv_until(due) else {
+        let first = pending.filter_map(|(i, due)| due.map(|due| (due, i))).min();
+        let until = first.map_or(SimTime::from_micros(u64::MAX), |(due, _)| due);
+        let Some(event) = deployment.recv_until(until) else {
+            let Some((due, i)) = first else { break };
             // Playback never started: move on rather than hang.
             deadline[i] = None;
             fire.push((NodeId::new(i as u32), SessionEvent::AbandonWatch, due));
@@ -170,12 +161,7 @@ pub fn run_net_on(
         }
         events.push(event);
     }
-    // Collect until the last handed action is due: daemons drop what is
-    // still pending when they stop.
-    while let Some(event) = deployment.recv_until(end) {
-        events.push(event);
-    }
-    let outcome = deployment.finish(events, SimDuration::from_millis(300));
+    let outcome = deployment.finish(events, SimDuration::ZERO);
 
     // Reduce events, in protocol-time order, to the common metrics.
     for event in &outcome.events {
@@ -190,7 +176,6 @@ pub fn run_net_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     /// The testbed builds its peers from the run's protocol parameters: a
     /// link budget of one inner and one inter link holds on live sockets.
@@ -210,10 +195,12 @@ mod tests {
         }
     }
 
-    /// A watch whose playback never starts is given up after
-    /// `WATCH_TIMEOUT`, and the node moves on: with a server link of
-    /// 1 bit/s no chunk arrives, so each of a node's two watches times out
-    /// and the run still ends.
+    /// A watch whose playback never starts is given up `WATCH_TIMEOUT` of
+    /// protocol time after its request, and the node moves on: with a
+    /// server link of 1 bit/s no chunk arrives, so each of a node's two
+    /// watches times out, its second request fell back to the server
+    /// exactly the timeout plus the browse delay after its first, and the
+    /// run still ends.
     #[test]
     fn watches_that_never_start_time_out() {
         let mut options = configs::testbed_smoke();
@@ -223,11 +210,14 @@ mod tests {
         options.network.server_bandwidth_bps = 1;
         let run = run_net(Protocol::PaVod, &options).expect("testbed binds localhost");
         assert_eq!(run.metrics.playbacks, 0);
-        let two_timeouts = Duration::from_micros(2 * WATCH_TIMEOUT.as_micros());
-        assert!(
-            run.outcome.wall_time >= two_timeouts,
-            "run ended after {:?}",
-            run.outcome.wall_time
-        );
+        let gap = WATCH_TIMEOUT + options.workload.browse_delay;
+        for i in 0..6 {
+            let fallbacks: Vec<SimTime> = (run.outcome.events.iter())
+                .filter(|e| matches!(e.report, Report::ServerFallback { node, .. } if node.index() == i))
+                .map(|e| e.time)
+                .collect();
+            assert_eq!(fallbacks.len(), 2, "node {i}: {fallbacks:?}");
+            assert_eq!(fallbacks[1], fallbacks[0] + gap, "node {i}");
+        }
     }
 }

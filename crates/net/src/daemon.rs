@@ -2,13 +2,17 @@
 //! the tracker/origin server run the same listener, readers and event
 //! loop; the server is simply the daemon whose index is [`SERVER_INDEX`].
 //! The event loop is the one thread that calls the actor, keeps the
-//! daemon's pending inputs and writes its outbound sockets.
+//! daemon's pending inputs and writes its outbound sockets. It handles
+//! inputs only inside the windows of protocol time the deployment opens,
+//! and then exactly those due in the window (see [`crate::testbed`]).
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -18,7 +22,6 @@ use socialtube_baselines::Peer;
 use socialtube_model::{NodeId, VideoId};
 use socialtube_sim::{LatencyModel, ServerQueue, SimDuration, SimTime};
 
-use crate::clock::TestbedClock;
 use crate::testbed::NetEvent;
 use crate::transport::{read_frame, AddressBook, ConnectionPool, SERVER_INDEX};
 use crate::wire::Frame;
@@ -36,10 +39,7 @@ pub(crate) enum Actor {
 pub(crate) struct Fabric {
     pub(crate) book: Arc<AddressBook>,
     pub(crate) latency: Arc<LatencyModel>,
-    pub(crate) clock: TestbedClock,
-    pub(crate) events: Sender<NetEvent>,
-    /// Inputs that reached a loop after it had handled a later-due one.
-    pub(crate) late: Arc<AtomicU64>,
+    pub(crate) notes: Sender<Note>,
 }
 
 /// Control and network inputs to a daemon's event loop, each due at a
@@ -49,7 +49,7 @@ pub(crate) struct Fabric {
 /// cross the channel; the loop queues them itself. The user actions
 /// (`Login`, `Logout`, `Watch`) and timers address peers; a server daemon
 /// ignores them. An `abrupt` logout sends nothing the peer queued on its
-/// way out. `Shutdown` is due when it is sent.
+/// way out.
 #[derive(Debug)]
 pub(crate) enum Input {
     Deliver { from: u32, msg: Message },
@@ -57,7 +57,36 @@ pub(crate) enum Input {
     Login,
     Logout { abrupt: bool },
     Watch(VideoId),
+}
+
+/// What a daemon's event loop is told, in the order it is told it.
+#[derive(Debug)]
+pub(crate) enum Command {
+    /// Queue an input, due at a protocol time.
+    Queue(SimTime, Input),
+    /// Handle every queued input due before this time, then report
+    /// [`Note::Done`].
+    Window(SimTime),
+    /// Stop, dropping whatever is still queued.
     Shutdown,
+}
+
+/// What a daemon's threads tell the deployment.
+#[derive(Debug)]
+pub(crate) enum Note {
+    /// A reader queued a delivery at daemon `daemon`, due at `due`.
+    Landed { daemon: usize, due: SimTime },
+    /// Daemon `daemon` handled every input of a window: the reports it
+    /// made, in order, the frames it sent, and when its earliest input
+    /// still queued falls due.
+    Done {
+        daemon: usize,
+        reports: Vec<NetEvent>,
+        sent: i64,
+        next: Option<SimTime>,
+    },
+    /// A daemon's event loop panicked with this payload.
+    Panicked(Box<dyn Any + Send>),
 }
 
 /// A daemon's pending inputs, fired in order of due time and, among equal
@@ -77,53 +106,44 @@ impl<T> DueQueue<T> {
         }
     }
 
-    /// Queues `item` to fire at `due` (at once if that has passed).
+    /// Queues `item` to fire at `due`.
     fn push(&mut self, due: SimTime, item: T) {
         self.pending.insert((due, self.next_seq), item);
         self.next_seq += 1;
     }
 
-    /// Waits until `clock` reaches the earliest pending item's due time and
-    /// returns the item with it, moving whatever arrives on `inputs`
-    /// meanwhile into the queue first; `None` once every sender is gone.
-    fn next(
-        &mut self,
-        inputs: &Receiver<(SimTime, T)>,
-        clock: &TestbedClock,
-    ) -> Option<(SimTime, T)> {
-        loop {
-            let arrived = match self.pending.first_key_value() {
-                Some((&(due, _), _)) => inputs.recv_timeout(clock.until(due)),
-                None => inputs.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            };
-            match arrived {
-                Ok((due, item)) => self.push(due, item),
-                Err(RecvTimeoutError::Timeout) => {
-                    return self.pending.pop_first().map(|((due, _), item)| (due, item))
-                }
-                Err(RecvTimeoutError::Disconnected) => return None,
-            }
-        }
+    /// Removes and returns the earliest pending item with its due time, if
+    /// that is before `end`.
+    fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, T)> {
+        let first = self.pending.first_entry().filter(|e| e.key().0 < end)?;
+        let ((due, _), item) = first.remove_entry();
+        Some((due, item))
+    }
+
+    /// When the earliest pending item falls due.
+    fn first_due(&self) -> Option<SimTime> {
+        self.pending.first_key_value().map(|(&(due, _), _)| due)
     }
 }
 
 /// Handle to a running daemon.
 #[derive(Debug)]
 pub(crate) struct Daemon {
-    inputs: Sender<(SimTime, Input)>,
-    clock: TestbedClock,
+    commands: Sender<Command>,
     shutdown: Arc<AtomicBool>,
     addr: SocketAddr,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl Daemon {
-    /// Spawns a daemon around `actor`, accepting on `listener` (the one the
-    /// address book lists for the actor's index): the accept thread with a
-    /// reader per inbound connection, and the event loop, whose upload link
-    /// runs at `upload_bps`.
+    /// Spawns a daemon around `actor`, the deployment's daemon number
+    /// `slot`, accepting on `listener` (the one the address book lists for
+    /// the actor's index): the accept thread with a reader per inbound
+    /// connection, and the event loop, whose upload link runs at
+    /// `upload_bps`.
     pub(crate) fn spawn(
         actor: Actor,
+        slot: usize,
         listener: TcpListener,
         upload_bps: u64,
         fabric: Fabric,
@@ -136,14 +156,16 @@ impl Daemon {
             Actor::Server(..) => (SERVER_INDEX, "server".to_owned()),
         };
         let addr = listener.local_addr()?;
-        let (inputs, input_rx) = mpsc::channel();
+        let (commands, command_rx) = mpsc::channel();
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let reader = Reader {
             me,
+            slot,
             book: Arc::clone(&fabric.book),
             latency: Arc::clone(&fabric.latency),
-            inputs: inputs.clone(),
+            commands: commands.clone(),
+            notes: fabric.notes.clone(),
         };
         let stop = Arc::clone(&shutdown);
         let accept = std::thread::Builder::new()
@@ -155,32 +177,37 @@ impl Daemon {
             link: ServerQueue::new(upload_bps),
             due: DueQueue::new(),
             now: SimTime::ZERO,
+            sent: 0,
         };
-        let clock = fabric.clock;
         let event_loop = std::thread::Builder::new()
             .name(format!("{name}-loop"))
-            .spawn(move || event_loop(actor, input_rx, net, &fabric))?;
+            .spawn(move || {
+                let run = || event_loop(actor, slot, &command_rx, net, &fabric);
+                // A deployment waits on every daemon it runs: tell it.
+                if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(run)) {
+                    let _ = fabric.notes.send(Note::Panicked(payload));
+                }
+            })?;
 
         Ok(Daemon {
-            inputs,
-            clock,
+            commands,
             shutdown,
             addr,
             threads: vec![accept, event_loop],
         })
     }
 
-    /// Queues `input` for the event loop, due at protocol time `due` (a
-    /// no-op once the loop has exited).
-    pub(crate) fn send(&self, due: SimTime, input: Input) {
-        let _ = self.inputs.send((due, input));
+    /// Hands `command` to the event loop (a no-op once the loop has
+    /// exited).
+    pub(crate) fn send(&self, command: Command) {
+        let _ = self.commands.send(command);
     }
 
-    /// Stops the daemon, once it has handled what is due by now. Threads
-    /// exit asynchronously.
+    /// Stops the daemon; what is still queued is dropped. Threads exit
+    /// asynchronously.
     pub(crate) fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.send(self.clock.now(), Input::Shutdown);
+        self.send(Command::Shutdown);
         // Unblock the accept loop.
         let _ = TcpStream::connect(self.addr);
     }
@@ -199,11 +226,12 @@ impl Daemon {
 #[derive(Clone)]
 struct Reader {
     me: u32,
+    slot: usize,
     book: Arc<AddressBook>,
     latency: Arc<LatencyModel>,
-    inputs: Sender<(SimTime, Input)>,
+    commands: Sender<Command>,
+    notes: Sender<Note>,
 }
-
 /// Accepts connections until shutdown, one reader thread per connection.
 fn accept_loop(listener: &TcpListener, shutdown: &AtomicBool, reader: &Reader) {
     for stream in listener.incoming() {
@@ -229,10 +257,11 @@ fn accept_loop(listener: &TcpListener, shutdown: &AtomicBool, reader: &Reader) {
 impl Reader {
     /// Reads one connection to its end. The first frame must be a `Hello`
     /// from another index of the address book; every later frame must be
-    /// `Paced`, and its message goes to the event loop due the link's
+    /// `Paced`, and its message is queued at the event loop due the link's
     /// propagation delay (the PlanetLab geography stand-in) after the
-    /// sender's link finished sending it, so the socket never waits on the
-    /// loop. The reader ends early once the loop has exited.
+    /// sender's link finished sending it, and the deployment is told it
+    /// landed; so the socket never waits on the loop. The reader ends early
+    /// once the loop has exited.
     ///
     /// # Errors
     ///
@@ -262,13 +291,12 @@ impl Reader {
                 return Err(invalid(format!("{frame:?} after the handshake")));
             };
             let due = SimTime::from_micros(done) + delay;
-            if self
-                .inputs
-                .send((due, Input::Deliver { from, msg }))
-                .is_err()
-            {
+            let input = Input::Deliver { from, msg };
+            if self.commands.send(Command::Queue(due, input)).is_err() {
                 break;
             }
+            let daemon = self.slot;
+            let _ = self.notes.send(Note::Landed { daemon, due });
         }
         Ok(())
     }
@@ -281,19 +309,21 @@ impl Reader {
 /// delay. Each frame carries the time its sender finished sending it:
 /// `now` for a control message, and for a bulk one (a peer or origin
 /// chunk) its completion on the daemon's upload link, the simulator's
-/// FIFO pipe. The receiver delivers it a propagation delay after that —
-/// wherever either loop's scheduling lag puts the socket write and read.
+/// FIFO pipe. The receiver delivers it a propagation delay after that, so
+/// no frame falls due sooner than `latency_min` after `now`. `sent` counts
+/// the frames handed to a socket since the last window's report.
 struct TcpSubstrate {
     pool: ConnectionPool,
     link: ServerQueue,
     due: DueQueue<Input>,
     now: SimTime,
+    sent: i64,
 }
 
 impl TcpSubstrate {
     fn send(&mut self, to: u32, done: SimTime, msg: Message) {
         let done = done.as_micros();
-        self.pool.send(to, &Frame::Paced { done, msg });
+        self.sent += i64::from(self.pool.send(to, &Frame::Paced { done, msg }));
     }
 
     fn bulk(&mut self, to: u32, bits: u64, msg: Message) {
@@ -330,66 +360,93 @@ impl ServerSubstrate for TcpSubstrate {
     }
 }
 
-/// Feeds inputs to the actor as they fall due and drains what it queued,
-/// until `Shutdown`; inputs still pending then are dropped. Each input is
-/// handled at its due time, or at the last one handled if that is later:
-/// the daemon's protocol clock never runs backwards, and such a late input
-/// is counted.
+/// Queues inputs as they come and, for each window, feeds the actor every
+/// input due in it, in due order and each at its due time, and drains
+/// what it queued; then tells the deployment, as daemon `slot`, what the
+/// window made. Stops at `Shutdown`, dropping what is still queued.
+///
+/// # Panics
+///
+/// If an input arrives due before the last one handled: the deployment
+/// opens a window only once nothing due in it can still arrive, so such an
+/// input is a bug, not lag.
 fn event_loop(
     mut actor: Actor,
-    inputs: Receiver<(SimTime, Input)>,
+    slot: usize,
+    commands: &Receiver<Command>,
     mut net: TcpSubstrate,
     fabric: &Fabric,
 ) {
     let mut out = Outbox::new();
     let mut server_out = ServerOutbox::new();
-    while let Some((due, input)) = net.due.next(&inputs, &fabric.clock) {
-        if due < net.now && !matches!(input, Input::Shutdown) {
-            fabric.late.fetch_add(1, Ordering::Relaxed);
-        }
-        net.now = std::cmp::max(net.now, due);
-        let now = net.now;
-        match (&mut actor, input) {
-            (_, Input::Shutdown) => return,
-            (Actor::Peer(peer), Input::Deliver { from, msg }) => {
-                let from = match from {
-                    SERVER_INDEX => PeerAddr::Server,
-                    index => PeerAddr::Peer(NodeId::new(index)),
-                };
-                peer.on_message(now, from, msg, &mut out);
+    let mut reports = Vec::new();
+    for command in commands {
+        let end = match command {
+            Command::Queue(due, input) => {
+                assert!(
+                    due >= net.now,
+                    "an input due at {due} reached daemon {slot}, whose clock reads {}",
+                    net.now
+                );
+                net.due.push(due, input);
+                continue;
             }
-            (Actor::Peer(peer), Input::Timer(kind)) => peer.on_timer(now, kind, &mut out),
-            (Actor::Peer(peer), Input::Login) => peer.on_login(now, &mut out),
-            (Actor::Peer(peer), Input::Logout { abrupt }) => {
-                peer.on_logout(now, &mut out);
-                if abrupt {
-                    // The process died before any goodbye left the machine.
-                    out.drain();
-                    continue;
+            Command::Window(end) => end,
+            Command::Shutdown => return,
+        };
+        while let Some((now, input)) = net.due.pop_before(end) {
+            net.now = now;
+            match (&mut actor, input) {
+                (Actor::Peer(peer), Input::Deliver { from, msg }) => {
+                    let from = match from {
+                        SERVER_INDEX => PeerAddr::Server,
+                        index => PeerAddr::Peer(NodeId::new(index)),
+                    };
+                    peer.on_message(now, from, msg, &mut out);
+                }
+                (Actor::Peer(peer), Input::Timer(kind)) => peer.on_timer(now, kind, &mut out),
+                (Actor::Peer(peer), Input::Login) => peer.on_login(now, &mut out),
+                (Actor::Peer(peer), Input::Logout { abrupt }) => {
+                    peer.on_logout(now, &mut out);
+                    if abrupt {
+                        // The process died before any goodbye left the machine.
+                        out.drain();
+                        continue;
+                    }
+                }
+                (Actor::Peer(peer), Input::Watch(video)) => peer.watch(now, video, &mut out),
+                (Actor::Server(server, _), Input::Deliver { from, msg }) => {
+                    server.on_message(now, NodeId::new(from), msg, &mut server_out);
+                }
+                (Actor::Server(..), _) => continue,
+            }
+            let mut emit = |report, links| {
+                reports.push(NetEvent {
+                    time: now,
+                    report,
+                    links,
+                });
+            };
+            match &actor {
+                Actor::Peer(peer) => {
+                    CommandInterpreter::flush_peer(peer.node(), &mut out, &mut net, |_, report| {
+                        emit(report, peer.link_count());
+                    });
+                }
+                Actor::Server(_, interpreter) => {
+                    interpreter
+                        .flush_server(&mut server_out, &mut net, |_, report| emit(report, 0));
                 }
             }
-            (Actor::Peer(peer), Input::Watch(video)) => peer.watch(now, video, &mut out),
-            (Actor::Server(server, _), Input::Deliver { from, msg }) => {
-                server.on_message(now, NodeId::new(from), msg, &mut server_out);
-            }
-            (Actor::Server(..), _) => continue,
         }
-        let emit = |report, links| {
-            let _ = fabric.events.send(NetEvent {
-                time: now,
-                report,
-                links,
-            });
+        let done = Note::Done {
+            daemon: slot,
+            reports: std::mem::take(&mut reports),
+            sent: std::mem::take(&mut net.sent),
+            next: net.due.first_due(),
         };
-        match &actor {
-            Actor::Peer(peer) => {
-                CommandInterpreter::flush_peer(peer.node(), &mut out, &mut net, |_, report| {
-                    emit(report, peer.link_count());
-                });
-            }
-            Actor::Server(_, interpreter) => {
-                interpreter.flush_server(&mut server_out, &mut net, |_, report| emit(report, 0));
-            }
+        if fabric.notes.send(done).is_err() {
+            return;
         }
     }
 }
@@ -397,7 +454,6 @@ fn event_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     /// Bulk sends queue FIFO behind one another on the upload link, go out
     /// at once, and each carries its completion in protocol time.
@@ -410,11 +466,13 @@ mod tests {
             link: ServerQueue::new(1_000_000), // 1 Mbps
             due: DueQueue::new(),
             now: SimTime::ZERO,
+            sent: 0,
         };
         for _ in 0..2 {
             net.bulk(SERVER_INDEX, 100_000, Message::Leave); // 100 ms each
         }
         assert!(net.due.pending.is_empty(), "nothing waits at the sender");
+        assert_eq!(net.sent, 2, "both frames counted as sent");
         let (mut stream, _) = server.accept().expect("the sends went out");
         let mut frame = || read_frame(&mut stream).unwrap().expect("a frame");
         assert_eq!(frame(), Frame::Hello { sender: 0 });
@@ -426,58 +484,50 @@ mod tests {
             other => panic!("expected a paced Leave, got {other:?}"),
         };
         let first = done();
-        assert!(first >= 100_000);
-        assert!(done() >= first + 100_000);
+        assert_eq!(first, 100_000);
+        assert_eq!(done(), first + 100_000);
     }
 
+    fn at(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    /// A window fires what is due in it, in due order, and nothing due at
+    /// or after its end.
     #[test]
     fn due_queue_fires_in_due_order_and_not_before() {
-        let (tx, rx) = mpsc::channel();
         let mut queue = DueQueue::new();
-        let clock = TestbedClock::start();
-        let now = clock.now();
-        let at = |ms| now + SimDuration::from_millis(ms);
         queue.push(at(30), 3);
-        tx.send((at(10), 1)).unwrap();
+        queue.push(at(10), 1);
         queue.push(at(20), 2);
-        let fired: Vec<_> = (0..3).map(|_| queue.next(&rx, &clock).unwrap()).collect();
-        assert_eq!(fired, [(at(10), 1), (at(20), 2), (at(30), 3)]);
-        assert!(clock.now() >= at(30), "fired early");
+        let mut window = |end| std::iter::from_fn(|| queue.pop_before(end)).collect::<Vec<_>>();
+        assert_eq!(window(at(30)), [(at(10), 1), (at(20), 2)]);
+        assert_eq!(window(at(30)), [], "fired early");
+        assert_eq!(window(at(30) + SimDuration::from_micros(1)), [(at(30), 3)]);
+        assert_eq!(queue.first_due(), None);
     }
 
     #[test]
     fn due_queue_keeps_insertion_order_among_equal_due_times() {
-        let (tx, rx) = mpsc::channel();
         let mut queue = DueQueue::new();
-        let clock = TestbedClock::start();
-        let now = clock.now();
-        // Five due times, a hundred entries each, half pushed by the loop
-        // and half arriving on the channel.
+        // Five due times, a hundred entries each.
         for i in 0..500u32 {
-            let due = now + SimDuration::from_millis(u64::from(i / 100));
-            if i % 100 < 50 {
-                queue.push(due, i);
-            } else {
-                tx.send((due, i)).unwrap();
-            }
+            queue.push(at(u64::from(i / 100)), i);
         }
-        let fired: Vec<u32> = (0..500)
-            .map(|_| queue.next(&rx, &clock).unwrap().1)
+        let fired: Vec<u32> = std::iter::from_fn(|| queue.pop_before(at(5)))
+            .map(|(_, i)| i)
             .collect();
         assert_eq!(fired, (0..500).collect::<Vec<_>>());
     }
 
+    /// An entry queued after a later-due one fires first.
     #[test]
     fn due_queue_fires_a_past_due_entry_at_once() {
-        let (_tx, rx) = mpsc::channel();
         let mut queue = DueQueue::new();
-        let clock = TestbedClock::start();
-        std::thread::sleep(Duration::from_millis(2));
-        let now = clock.now();
-        queue.push(now + SimDuration::from_secs(60), "later");
+        queue.push(at(60_000), "later");
         queue.push(SimTime::ZERO, "late");
-        assert_eq!(queue.next(&rx, &clock), Some((SimTime::ZERO, "late")));
-        assert!(clock.now() < now + SimDuration::from_secs(1));
+        assert_eq!(queue.pop_before(at(1)), Some((SimTime::ZERO, "late")));
+        assert_eq!(queue.pop_before(at(1)), None);
     }
 }
 
@@ -485,49 +535,31 @@ mod tests {
 mod daemon_tests {
     use super::*;
     use std::io::Write;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     use socialtube::{
         LinkKind, Report, RequestId, SocialTubeConfig, SocialTubePeer, SocialTubeServer,
         TransferKind,
     };
     use socialtube_model::{CatalogBuilder, ChannelId};
-    use socialtube_sim::SimRng;
+    use socialtube_sim::{NetworkOptions, SimRng};
 
+    use crate::testbed::Deployment;
     use crate::wire::encode_frame;
-
-    /// Every link, the server's included, takes 5 ms.
-    fn constant_latency() -> LatencyModel {
-        let d = SimDuration::from_millis(5);
-        LatencyModel::new(&SimRng::seed(0), d, d)
-    }
 
     /// An index the one-peer address book does not hold.
     const STRANGER: u32 = 7;
 
-    impl Daemon {
-        /// Queues `input` due at the current protocol time.
-        fn send_now(&self, input: Input) {
-            self.send(self.clock.now(), input);
-        }
-    }
+    /// The server's daemon in a one-peer deployment.
+    const SERVER: usize = 1;
 
-    fn fabric(book: Arc<AddressBook>, events: Sender<NetEvent>) -> Fabric {
-        Fabric {
-            book,
-            latency: Arc::new(constant_latency()),
-            clock: TestbedClock::start(),
-            events,
-            late: Arc::default(),
-        }
+    fn at(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
     /// One peer + the server over real sockets, 5 ms apart.
     struct OriginAndPeer {
-        server: Daemon,
-        peer: Daemon,
-        events: Receiver<NetEvent>,
-        late: Arc<AtomicU64>,
+        deployment: Deployment,
         video: VideoId,
         channel: ChannelId,
     }
@@ -538,73 +570,56 @@ mod daemon_tests {
         let channel = b.add_channel([cat]);
         let video = b.add_video(channel, 2, 0); // 2 s × 320 kbps
         let catalog = Arc::new(b.build());
-
-        let (book, mut listeners) = AddressBook::bind(1).expect("bind localhost");
-        let (events_tx, events) = mpsc::channel();
-        let fabric = fabric(book, events_tx);
-        let late = Arc::clone(&fabric.late);
-        let server = Daemon::spawn(
-            Actor::Server(
-                Box::new(SocialTubeServer::new(Arc::clone(&catalog), SimRng::seed(1))),
-                CommandInterpreter::new(Arc::clone(&catalog)),
-            ),
-            listeners.pop().expect("server listener"),
-            10_000_000,
-            fabric.clone(),
-        )
-        .expect("server spawns");
-        let peer = Daemon::spawn(
-            Actor::Peer(Peer::SocialTube(SocialTubePeer::new(
-                NodeId::new(0),
-                catalog,
-                vec![channel],
-                SocialTubeConfig {
-                    search_phase_timeout: SimDuration::from_millis(100),
-                    ..SocialTubeConfig::default()
-                },
-            ))),
-            listeners.pop().expect("peer listener"),
-            10_000_000,
-            fabric,
-        )
-        .expect("peer spawns");
+        let server = SocialTubeServer::new(Arc::clone(&catalog), SimRng::seed(1));
+        let peer = Peer::SocialTube(SocialTubePeer::new(
+            NodeId::new(0),
+            Arc::clone(&catalog),
+            vec![channel],
+            SocialTubeConfig {
+                search_phase_timeout: SimDuration::from_millis(100),
+                ..SocialTubeConfig::default()
+            },
+        ));
+        let five = SimDuration::from_millis(5);
+        let network = NetworkOptions {
+            server_bandwidth_bps: 10_000_000,
+            peer_upload_bps: 10_000_000,
+            latency_min: five,
+            latency_max: five,
+        };
+        let root = SimRng::seed(0);
+        let deployment = Deployment::spawn(catalog, vec![peer], Box::new(server), &network, &root)
+            .expect("spawn");
         OriginAndPeer {
-            server,
-            peer,
-            events,
-            late,
+            deployment,
             video,
             channel,
         }
     }
 
     impl OriginAndPeer {
+        fn addr(&self, daemon: usize) -> SocketAddr {
+            self.deployment.daemons[daemon].addr
+        }
+
         /// The peer watches the video: it must produce a PlaybackStarted
         /// report fed entirely by origin chunks, each arriving exactly once.
-        /// Tears both daemons down and returns every event seen.
+        /// Runs ten protocol seconds, logs the peer out, tears both daemons
+        /// down and returns every event of the run.
         fn fetch_and_join(self) -> Vec<NetEvent> {
-            self.peer.send_now(Input::Watch(self.video));
-            let deadline = Instant::now() + Duration::from_secs(10);
-            let mut seen = Vec::new();
-            let (mut playback, mut chunks) = (None, 0);
-            while playback.is_none() || chunks < 8 {
-                let left = deadline.saturating_duration_since(Instant::now());
-                let Ok(event) = self.events.recv_timeout(left) else {
-                    break;
-                };
-                match event.report {
-                    Report::PlaybackStarted { video, .. } => playback = Some(video),
-                    Report::ChunkReceived { .. } => chunks += 1,
-                    _ => {}
-                }
-                seen.push(event);
-            }
-            // A duplicate chunk would trail the eighth.
-            seen.extend(self.events.recv_timeout(Duration::from_millis(200)));
-            self.peer.send_now(Input::Logout { abrupt: false });
-            self.peer.join();
-            self.server.join();
+            let node = NodeId::new(0);
+            let deployment = self.deployment;
+            let start = deployment.now();
+            deployment.watch(node, self.video, start);
+            let end = start + SimDuration::from_secs(10);
+            let seen = std::iter::from_fn(|| deployment.recv_until(end)).collect();
+            deployment.logout(node, false, end);
+            let seen = deployment.finish(seen, SimDuration::from_secs(1)).events;
 
+            let playback = seen.iter().find_map(|e| match e.report {
+                Report::PlaybackStarted { video, .. } => Some(video),
+                _ => None,
+            });
             assert_eq!(
                 playback,
                 Some(self.video),
@@ -622,38 +637,27 @@ mod daemon_tests {
     #[test]
     fn single_peer_fetches_from_origin_over_tcp() {
         let net = origin_and_peer();
-        net.peer.send_now(Input::Login);
+        net.deployment.login(NodeId::new(0), SimTime::ZERO);
         net.fetch_and_join();
     }
 
-    /// An input whose due time has passed is handled at that due time, not
-    /// when the loop gets to it; one due before an input already handled
-    /// is handled at that input's time instead, and counted late.
+    /// An input is handled at its due time exactly: the server's report of
+    /// a request due at 3 ms carries 3 ms.
     #[test]
     fn a_past_due_input_is_handled_at_its_due_time() {
         let net = origin_and_peer();
-        std::thread::sleep(Duration::from_millis(20));
-        let served_at = |due_ms, request| {
-            let msg = Message::VideoRequest {
-                id: RequestId::new(NodeId::new(0), request),
-                video: net.video,
-                from_chunk: 0,
-                kind: TransferKind::Playback,
-            };
-            let due = SimTime::ZERO + SimDuration::from_millis(due_ms);
-            net.server.send(due, Input::Deliver { from: 0, msg });
-            let mut events =
-                std::iter::from_fn(|| net.events.recv_timeout(Duration::from_secs(5)).ok());
-            let served = events.find(|e| matches!(e.report, Report::ServedFromOrigin { .. }));
-            served.expect("the server reports the serve").time
+        let msg = Message::VideoRequest {
+            id: RequestId::new(NodeId::new(0), 0),
+            video: net.video,
+            from_chunk: 0,
+            kind: TransferKind::Playback,
         };
-        let first = SimTime::ZERO + SimDuration::from_millis(3);
-        assert_eq!(served_at(3, 0), first);
-        assert_eq!(net.late.load(Ordering::Relaxed), 0);
-        assert_eq!(served_at(1, 1), first, "the server's clock ran backwards");
-        assert_eq!(net.late.load(Ordering::Relaxed), 1);
-        net.peer.join();
-        net.server.join();
+        let deployment = net.deployment;
+        deployment.queue(SERVER, at(3), Input::Deliver { from: 0, msg });
+        let mut events = std::iter::from_fn(|| deployment.recv_until(at(1_000)));
+        let served = events.find(|e| matches!(e.report, Report::ServedFromOrigin { .. }));
+        assert_eq!(served.expect("the server reports the serve").time, at(3));
+        deployment.finish(Vec::new(), SimDuration::ZERO);
     }
 
     /// What a socket can carry that a daemon must not act on: each blob goes
@@ -691,13 +695,13 @@ mod daemon_tests {
         // Peer role: delivered, the stranger's ConnectRequest would be
         // accepted and show as a link in every later event of the peer.
         let net = origin_and_peer();
-        net.peer.send_now(Input::Login);
+        net.deployment.login(NodeId::new(0), SimTime::ZERO);
         let request = Message::ConnectRequest {
             kind: LinkKind::Inner,
             channel: Some(net.channel),
             video: None,
         };
-        abuse(net.peer.addr, SERVER_INDEX, request);
+        abuse(net.addr(0), SERVER_INDEX, request);
         let events = net.fetch_and_join();
         assert!(
             events.iter().all(|e| e.links == 0),
@@ -707,7 +711,7 @@ mod daemon_tests {
         // Server role: delivered, either VideoRequest would be served and
         // reported, under the stranger's node id or peer 0's.
         let net = origin_and_peer();
-        net.peer.send_now(Input::Login);
+        net.deployment.login(NodeId::new(0), SimTime::ZERO);
         let stranger = NodeId::new(STRANGER);
         let request = Message::VideoRequest {
             id: RequestId::new(stranger, 0),
@@ -715,7 +719,7 @@ mod daemon_tests {
             from_chunk: 0,
             kind: TransferKind::Playback,
         };
-        abuse(net.server.addr, 0, request);
+        abuse(net.addr(SERVER), 0, request);
         let events = net.fetch_and_join();
         let served = |n| {
             let served = events
@@ -750,8 +754,19 @@ mod daemon_tests {
         (rx, reader)
     }
 
+    /// Every link, the server's included, takes 5 ms.
+    fn fabric(book: Arc<AddressBook>, notes: Sender<Note>) -> Fabric {
+        let d = SimDuration::from_millis(5);
+        Fabric {
+            book,
+            latency: Arc::new(LatencyModel::new(&SimRng::seed(0), d, d)),
+            notes,
+        }
+    }
+
     /// Peer 0 logs in, accepts a link from neighbor 1 and logs out,
-    /// `abrupt`ly or not. Returns everything the server and the neighbor
+    /// `abrupt`ly or not, each step in a window of its own, run as a
+    /// deployment runs one. Returns everything the server and the neighbor
     /// received after that login and link.
     fn goodbyes(abrupt: bool) -> (Vec<Message>, Vec<Message>) {
         let mut b = CatalogBuilder::new();
@@ -762,7 +777,7 @@ mod daemon_tests {
         let (server, server_reader) = sink(listeners.pop().expect("server listener"));
         let (neighbor, neighbor_reader) = sink(listeners.pop().expect("neighbor listener"));
         let first = |end: &Receiver<Message>| end.recv_timeout(Duration::from_secs(5));
-        let fabric = fabric(book, mpsc::channel().0);
+        let (notes_tx, notes) = mpsc::channel();
         let peer = Daemon::spawn(
             Actor::Peer(Peer::SocialTube(SocialTubePeer::new(
                 NodeId::new(0),
@@ -770,12 +785,19 @@ mod daemon_tests {
                 vec![channel],
                 SocialTubeConfig::default(),
             ))),
+            0,
             listeners.pop().expect("peer listener"),
             10_000_000,
-            fabric,
+            fabric(book, notes_tx),
         )
         .expect("peer spawns");
-        peer.send_now(Input::Login);
+        let window = |end| {
+            peer.send(Command::Window(end));
+            let done = notes.recv().expect("the peer reports");
+            assert!(matches!(done, Note::Done { .. }), "{done:?}");
+        };
+        peer.send(Command::Queue(SimTime::ZERO, Input::Login));
+        window(at(1));
         assert!(
             matches!(first(&server), Ok(Message::SubscriptionUpdate { .. })),
             "the login never reached the server"
@@ -787,17 +809,24 @@ mod daemon_tests {
             video: None,
         };
         let request = Frame::Paced {
-            done: 0,
+            done: at(1).as_micros(),
             msg: request,
         };
         for frame in [Frame::Hello { sender: 1 }, request] {
             link.write_all(&encode_frame(&frame)).expect("peer reads");
         }
+        let landed = notes.recv().expect("the request lands");
+        assert!(
+            matches!(landed, Note::Landed { daemon: 0, due } if due == at(6)),
+            "{landed:?}"
+        );
+        window(at(7));
         assert!(
             matches!(first(&neighbor), Ok(Message::ConnectAccept { .. })),
             "the peer never accepted the link"
         );
-        peer.send_now(Input::Logout { abrupt });
+        peer.send(Command::Queue(at(7), Input::Logout { abrupt }));
+        window(at(8));
         // The stopped daemon closes both connections, so each reader ends
         // once it has read everything the logout sent.
         peer.join();
@@ -807,8 +836,9 @@ mod daemon_tests {
         (server.try_iter().collect(), neighbor.try_iter().collect())
     }
 
-    /// A `Shutdown` stops the loop at once: a login due in a minute is
-    /// dropped, and the subscription update it would send never leaves.
+    /// A `Shutdown` stops the loop at once: a login already due but reached
+    /// by no window is dropped, and the subscription update it would send
+    /// never leaves.
     #[test]
     fn shutdown_drops_pending_inputs() {
         let catalog = Arc::new(CatalogBuilder::new().build());
@@ -816,20 +846,25 @@ mod daemon_tests {
         let (book, mut listeners) = AddressBook::bind(1).expect("bind localhost");
         let server = listeners.pop().expect("server listener");
         let fabric = fabric(book, mpsc::channel().0);
-        let pool = ConnectionPool::new(0, Arc::clone(&fabric.book));
-        let mut due = DueQueue::new();
-        due.push(SimTime::ZERO + SimDuration::from_secs(60), Input::Login);
-        let (inputs, input_rx) = mpsc::channel();
-        inputs.send((fabric.clock.now(), Input::Shutdown)).unwrap();
-        let start = Instant::now();
+        let (commands, command_rx) = mpsc::channel();
+        commands
+            .send(Command::Queue(SimTime::ZERO, Input::Login))
+            .unwrap();
+        commands.send(Command::Shutdown).unwrap();
         let net = TcpSubstrate {
-            pool,
+            pool: ConnectionPool::new(0, Arc::clone(&fabric.book)),
             link: ServerQueue::new(1_000_000),
-            due,
+            due: DueQueue::new(),
             now: SimTime::ZERO,
+            sent: 0,
         };
-        event_loop(Actor::Peer(Peer::SocialTube(peer)), input_rx, net, &fabric);
-        assert!(start.elapsed() < Duration::from_secs(1), "the loop waited");
+        event_loop(
+            Actor::Peer(Peer::SocialTube(peer)),
+            0,
+            &command_rx,
+            net,
+            &fabric,
+        );
         server.set_nonblocking(true).unwrap();
         assert!(server.accept().is_err(), "the pending send went out");
     }

@@ -9,16 +9,13 @@
 //! * `wire` — a hand-rolled length-prefixed binary codec
 //!   ([`encode_frame`], [`decode_frame`]) for every protocol
 //!   [`Message`](socialtube::Message);
-//! * `clock` (private) — the deployment's one clock: every user action,
-//!   delivery, timer and report is keyed by protocol time
-//!   ([`SimTime`](socialtube_sim::SimTime) since the spawn), and the wall
-//!   clock only says how long a thread sleeps until that time comes;
 //! * [`transport`] — framed connections, the deployment's immutable
 //!   address book and each daemon's outgoing-connection cache;
 //! * `daemon` (private) — the one OS-thread-backed daemon every node runs,
 //!   around one by-value [`Peer`](socialtube_baselines::Peer) or the
 //!   tracker/origin server, the daemon at the address book's server index;
-//!   it handles each input at its due time, drains its actor's outbox
+//!   in each window of protocol time the deployment opens, it handles the
+//!   inputs due in it, each at its due time, and drains its actor's outbox
 //!   through the shared
 //!   [`CommandInterpreter`](socialtube::harness::CommandInterpreter) over
 //!   one TCP substrate (connection pool + the simulator's FIFO upload link)
@@ -27,19 +24,22 @@
 //!   sending it; its event loop alone keeps the daemon's timers and
 //!   injected delays in one due queue;
 //! * [`testbed`] — [`Deployment`]: binds every listener, spawns a whole
-//!   deployment in-process and surfaces protocol reports as
-//!   [`NetEvent`]s; the workload loop that drives it lives with the caller
-//!   (the shared `SessionDirector` in `socialtube-experiments`).
+//!   deployment in-process, runs its protocol time
+//!   ([`SimTime`](socialtube_sim::SimTime) since the spawn) in
+//!   conservative windows no wall clock paces, and surfaces protocol
+//!   reports as [`NetEvent`]s; the workload loop that drives it lives with
+//!   the caller (the shared `SessionDirector` in `socialtube-experiments`).
 //!
-//! Real sockets keep what the paper went to PlanetLab for — actual
-//! transmission and connection failures, head-of-line queueing, racing
-//! messages — while the latency model recreates the wide-area delay spread.
+//! Real sockets keep what the paper went to PlanetLab for — every message
+//! crosses a real connection through the codec, between daemons that run
+//! concurrently — while the latency model recreates the wide-area delay
+//! spread, and protocol time, not the machine's load, orders what each
+//! daemon handles.
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
-mod clock;
 mod daemon;
 pub mod testbed;
 pub mod transport;

@@ -30,8 +30,7 @@ pub struct TraceConfig {
     /// Maximum video length in seconds (short-video cap).
     pub video_length_cap_secs: u32,
     /// Encoding bitrate in kbps applied to every video (the paper's
-    /// average: 320 kbps). The real-time TCP testbed lowers this so
-    /// transfers complete at wall-clock speeds.
+    /// average: 320 kbps). The TCP testbed presets lower this to 64 kbps.
     pub bitrate_kbps: u32,
 }
 
