@@ -4,20 +4,13 @@
 /// Links a SocialTube node maintains: `log(u_c) + log(u_t)`, where `u_c` is
 /// the channel population and `u_t` the category population (Section IV-C's
 /// optimal-tradeoff setting `N_l = log u_c`, `N_h = log u_t`).
-///
-/// # Examples
-///
-/// ```
-/// let links = socialtube::analysis::socialtube_overhead(500.0, 25_000.0);
-/// assert!((links - (500f64.log2() + 25_000f64.log2())).abs() < 1e-9);
-/// ```
-pub fn socialtube_overhead(channel_users: f64, category_users: f64) -> f64 {
+pub(crate) fn socialtube_overhead(channel_users: f64, category_users: f64) -> f64 {
     channel_users.max(1.0).log2() + category_users.max(1.0).log2()
 }
 
 /// Links a NetTube node maintains after watching `videos_watched` videos:
 /// `m · log(u)`, one overlay of `u` viewers per video (Section IV-C).
-pub fn nettube_overhead(videos_watched: f64, viewers_per_video: f64) -> f64 {
+pub(crate) fn nettube_overhead(videos_watched: f64, viewers_per_video: f64) -> f64 {
     videos_watched * viewers_per_video.max(1.0).log2()
 }
 
@@ -34,6 +27,15 @@ pub struct OverheadPoint {
 
 /// Regenerates Fig 15 with the paper's parameters by default:
 /// `u = 500`, `u_c = 5_000`, `u_t = 25_000`, `m = 1..=max_videos`.
+///
+/// # Examples
+///
+/// ```
+/// let series = socialtube::analysis::fig15_series(2, 500.0, 500.0, 25_000.0);
+/// let links = 500f64.log2() + 25_000f64.log2();
+/// assert!((series[0].socialtube - links).abs() < 1e-9);
+/// assert!((series[1].nettube - 2.0 * 500f64.log2()).abs() < 1e-9);
+/// ```
 pub fn fig15_series(
     max_videos: u32,
     viewers_per_video: f64,
@@ -95,6 +97,9 @@ mod tests {
         // NetTube at m=10, u=500: 10*log2(500) ≈ 89.7.
         let nt = nettube_overhead(10.0, 500.0);
         assert!((85.0..95.0).contains(&nt), "nt={nt}");
+        // Fig 15's crossover falls within a session's worth of videos.
+        assert!(nettube_overhead(1.0, 500.0) < st, "NetTube cheaper at m=1");
+        assert!(nt > st, "NetTube dearer at m=10");
     }
 
     #[test]

@@ -215,11 +215,10 @@ impl Report {
     /// of the playback path.
     ///
     /// Playback-path reports are strictly ordered by the request they
-    /// belong to and therefore arrive in the same global order on every
-    /// platform; diagnostics can be emitted by *intermediate* nodes
-    /// (forwarders, probers), whose activations interleave differently
-    /// under wall-clock scheduling. Cross-platform equivalence checks
-    /// compare only the non-diagnostic sequence.
+    /// belong to; diagnostics are emitted by *intermediate* nodes
+    /// (forwarders, probers). The scripted report-key sequence that the
+    /// `script_keys_*` goldens pin, and that the cross-platform
+    /// equivalence suite compares, leaves diagnostics out.
     pub fn is_diagnostic(&self) -> bool {
         matches!(
             self,

@@ -383,7 +383,7 @@ impl CampaignReport {
     }
 
     /// The metrics of the cell at (`protocol`, `seed`), if it ran.
-    pub fn outcome(&self, protocol: Protocol, seed: u64) -> Option<&SimOutcome> {
+    pub(crate) fn outcome(&self, protocol: Protocol, seed: u64) -> Option<&SimOutcome> {
         self.cells
             .iter()
             .find(|c| c.plan.protocol == protocol && c.plan.seed == seed)

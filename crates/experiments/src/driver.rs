@@ -271,11 +271,6 @@ impl RunSpec {
         self
     }
 
-    /// The protocol this spec runs.
-    pub fn protocol(&self) -> Protocol {
-        self.protocol
-    }
-
     /// The seed the run will actually use.
     pub(crate) fn effective_seed(&self) -> u64 {
         self.seed.unwrap_or(self.options.seed)
@@ -1306,7 +1301,6 @@ mod tests {
             .options(options.clone())
             .seed(7);
         assert_eq!(spec.effective_seed(), 7);
-        assert_eq!(spec.protocol(), Protocol::PaVod);
         options.seed = 7;
         let via_override = spec.run();
         let via_options = RunSpec::new(Protocol::PaVod).options(options).run();

@@ -545,7 +545,7 @@ impl Claim {
     }
 
     /// The claim as one verdict line.
-    pub fn line(&self) -> String {
+    pub(crate) fn line(&self) -> String {
         let round = |x: f64| (x * 1000.0).round() / 1000.0;
         match (self.measured, self.held) {
             (Some((left, right)), Some(held)) => format!(
@@ -964,6 +964,24 @@ mod tests {
         let claims = super::claims(&replicate, &rows.config, None);
         let evaluated: Vec<usize> = (0..8).filter(|&i| claims[i].held.is_some()).collect();
         assert_eq!(evaluated, [6], "only SocialTube's own bound is left");
+    }
+
+    /// Section V: the comparative evaluation's qualitative results under
+    /// churn. One shared trace and workload, five protocol variants — the
+    /// paper's methodology at test scale. This is the eight orderings'
+    /// one tier-1 home.
+    #[test]
+    fn evaluation_reproduces_section_5_orderings() {
+        let options = configs::smoke_test_long();
+        let report = Campaign::new(options.clone()).run();
+        let claims = sim_claims(&report, options.seed, &options.socialtube);
+        assert_eq!(claims.len(), 8);
+        for claim in &claims {
+            assert_eq!(claim.held, Some(true), "{}", claim.line());
+        }
+        // The prefetch claim is not vacuous: prefetched first chunks were used.
+        let socialtube = report.outcome(Protocol::SocialTube, options.seed);
+        assert!(socialtube.expect("ran").metrics.prefetch_hits > 0);
     }
 
     /// A result table prints its header and rows aligned, non-integers at

@@ -25,7 +25,8 @@ use crate::workload::{ScriptAction, ScriptStep};
 
 /// A platform-independent fingerprint of one [`Report`]: what happened, to
 /// whom, about which video — stripped of timestamps, byte counts and
-/// sources, which legitimately differ between virtual and wall-clock runs.
+/// sources, so a sequence of keys states the protocol's causal order and
+/// nothing else.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReportKey {
     /// Report kind (plus playback/prefetch for chunk arrivals).
@@ -69,8 +70,8 @@ impl ReportKey {
     }
 
     /// The fingerprints of `reports`, in order, leaving out diagnostic
-    /// reports: those come from intermediate forwarders and probe races
-    /// whose global order differs between virtual and wall-clock time.
+    /// reports ([`Report::is_diagnostic`]), as the `script_keys_*` goldens
+    /// were captured.
     pub fn sequence<'a>(reports: impl IntoIterator<Item = &'a Report>) -> Vec<Self> {
         reports
             .into_iter()
@@ -81,8 +82,8 @@ impl ReportKey {
 }
 
 /// A hand-built four-peer trace: one category, one channel everyone
-/// subscribes to, three two-second videos (small enough that wall-clock
-/// transfers finish in tens of milliseconds). Returns the trace and the
+/// subscribes to, three two-second videos (small enough that transfers
+/// finish in tens of protocol milliseconds). Returns the trace and the
 /// video ids in catalog order.
 pub fn four_peer_trace() -> (Trace, Vec<VideoId>) {
     let mut b = CatalogBuilder::new();

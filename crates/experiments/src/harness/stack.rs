@@ -279,7 +279,7 @@ mod tests {
 
     /// Every testbed preset hands the builder the base config the
     /// equivalence suite's scripted runs use, whose timeouts are compressed
-    /// to wall-clock sessions.
+    /// to seconds-scale sessions.
     #[test]
     fn testbed_builder_compresses_timeouts() {
         let shared = generate_shared(&TraceConfig::tiny(), 7);

@@ -214,7 +214,7 @@ pub struct MetricsSummary {
     /// Total bits received from the server.
     pub total_server_bits: u64,
     /// Playback searches that fell back to the server.
-    pub server_fallbacks: u64,
+    pub(crate) server_fallbacks: u64,
     /// Requests the server answered from the origin store.
     pub(crate) origin_serves: u64,
     /// Bits moved by prefetch transfers.
@@ -228,7 +228,7 @@ pub struct MetricsSummary {
     /// Playbacks whose first chunk came from a peer.
     pub peer_starts: u64,
     /// Playbacks whose first chunk came from the server.
-    pub server_starts: u64,
+    pub(crate) server_starts: u64,
     /// Average maintained links per videos-watched count.
     pub maintenance_curve: Vec<(u32, f64)>,
 }

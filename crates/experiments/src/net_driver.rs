@@ -161,7 +161,7 @@ pub fn run_net_on(
         }
         events.push(event);
     }
-    let outcome = deployment.finish(events, SimDuration::ZERO);
+    let outcome = deployment.finish(events);
 
     // Reduce events, in protocol-time order, to the common metrics.
     for event in &outcome.events {

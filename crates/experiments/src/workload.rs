@@ -81,7 +81,7 @@ pub enum WatchTime {
     /// The whole video: the short-video viewing model of Cheng et al.
     VideoLength,
     /// A fixed dwell, whatever the video: the testbed presets use it to fit
-    /// many watches into a seconds-scale wall-clock run.
+    /// many watches into a few protocol seconds.
     Fixed(SimDuration),
 }
 

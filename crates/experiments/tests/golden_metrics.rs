@@ -54,8 +54,7 @@ fn render_keys(spec: RunSpec) -> String {
 /// Holds `render(spec)` to `fixture`, then the same rendering with full
 /// instrumentation attached: the recorder observes, never mutates, so it
 /// must match the plain fixture byte for byte.
-fn check(spec: RunSpec, render: fn(RunSpec) -> String, fixture: &str) {
-    let protocol = spec.protocol();
+fn check(protocol: Protocol, spec: RunSpec, render: fn(RunSpec) -> String, fixture: &str) {
     let got = render(spec.clone());
     let want = golden(fixture, &got);
     assert_eq!(
@@ -70,26 +69,25 @@ fn check(spec: RunSpec, render: fn(RunSpec) -> String, fixture: &str) {
     );
 }
 
-fn smoke(protocol: Protocol) -> RunSpec {
-    RunSpec::new(protocol).options(configs::smoke_test())
+/// Holds a smoke-test session run of `protocol` to `fixture`.
+fn check_smoke(protocol: Protocol, fixture: &str) {
+    let spec = RunSpec::new(protocol).options(configs::smoke_test());
+    check(protocol, spec, render_metrics, fixture);
 }
 
 #[test]
 fn socialtube_matches_pre_refactor_golden() {
-    let spec = smoke(Protocol::SocialTube);
-    check(spec, render_metrics, "smoke_socialtube_seed42.txt");
+    check_smoke(Protocol::SocialTube, "smoke_socialtube_seed42.txt");
 }
 
 #[test]
 fn nettube_matches_pre_refactor_golden() {
-    let spec = smoke(Protocol::NetTube);
-    check(spec, render_metrics, "smoke_nettube_seed42.txt");
+    check_smoke(Protocol::NetTube, "smoke_nettube_seed42.txt");
 }
 
 #[test]
 fn pavod_matches_pre_refactor_golden() {
-    let spec = smoke(Protocol::PaVod);
-    check(spec, render_metrics, "smoke_pavod_seed42.txt");
+    check_smoke(Protocol::PaVod, "smoke_pavod_seed42.txt");
 }
 
 /// Pins the simulator's side of the sim≡TCP comparison: each protocol's
@@ -105,6 +103,7 @@ fn scripted_keys_match_golden() {
             .options(options)
             .trace(SharedTrace::new(trace));
         check(
+            protocol,
             spec,
             render_keys,
             &format!("script_keys_{}.txt", protocol.key()),

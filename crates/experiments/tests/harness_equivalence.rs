@@ -7,9 +7,9 @@
 //! ordered sequence of report keys. This is the executable form of the
 //! sans-IO contract: the protocol cannot tell which platform it runs on.
 //!
+//! Both platforms run in protocol time, so no scheduler decides the order.
 //! The script spaces actions two seconds apart so every search timeout and
-//! transfer chain resolves before the next action — the report order is
-//! then forced by protocol causality, not by scheduler timing.
+//! transfer chain resolves before the next action.
 
 use socialtube_experiments::harness::script::{demo_script, four_peer_trace, ReportKey};
 use socialtube_experiments::net_driver::run_net_on;

@@ -604,17 +604,18 @@ mod daemon_tests {
 
         /// The peer watches the video: it must produce a PlaybackStarted
         /// report fed entirely by origin chunks, each arriving exactly once.
-        /// Runs ten protocol seconds, logs the peer out, tears both daemons
-        /// down and returns every event of the run.
+        /// Watches at time zero, logs the peer out at ten protocol seconds,
+        /// runs one more, tears both daemons down and returns every event
+        /// of the run.
         fn fetch_and_join(self) -> Vec<NetEvent> {
             let node = NodeId::new(0);
             let deployment = self.deployment;
-            let start = deployment.now();
-            deployment.watch(node, self.video, start);
-            let end = start + SimDuration::from_secs(10);
-            let seen = std::iter::from_fn(|| deployment.recv_until(end)).collect();
+            let end = SimTime::ZERO + SimDuration::from_secs(10);
+            deployment.watch(node, self.video, SimTime::ZERO);
             deployment.logout(node, false, end);
-            let seen = deployment.finish(seen, SimDuration::from_secs(1)).events;
+            let until = end + SimDuration::from_secs(1);
+            let seen = std::iter::from_fn(|| deployment.recv_until(until)).collect();
+            let seen = deployment.finish(seen).events;
 
             let playback = seen.iter().find_map(|e| match e.report {
                 Report::PlaybackStarted { video, .. } => Some(video),
@@ -657,7 +658,7 @@ mod daemon_tests {
         let mut events = std::iter::from_fn(|| deployment.recv_until(at(1_000)));
         let served = events.find(|e| matches!(e.report, Report::ServedFromOrigin { .. }));
         assert_eq!(served.expect("the server reports the serve").time, at(3));
-        deployment.finish(Vec::new(), SimDuration::ZERO);
+        deployment.finish(Vec::new());
     }
 
     /// What a socket can carry that a daemon must not act on: each blob goes

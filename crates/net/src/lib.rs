@@ -23,12 +23,15 @@
 //!   message in one paced frame that carries the time its sender finished
 //!   sending it; its event loop alone keeps the daemon's timers and
 //!   injected delays in one due queue;
-//! * [`testbed`] — [`Deployment`]: binds every listener, spawns a whole
-//!   deployment in-process, runs its protocol time
-//!   ([`SimTime`](socialtube_sim::SimTime) since the spawn) in
+//! * [`testbed`] — [`Deployment`](testbed::Deployment): binds every
+//!   listener, spawns a whole deployment in-process, runs its protocol
+//!   time ([`SimTime`](socialtube_sim::SimTime) since the spawn) in
 //!   conservative windows no wall clock paces, and surfaces protocol
-//!   reports as [`NetEvent`]s; the workload loop that drives it lives with
-//!   the caller (the shared `SessionDirector` in `socialtube-experiments`).
+//!   reports as [`NetEvent`](testbed::NetEvent)s; the workload loop that
+//!   drives it lives with the caller (the shared `SessionDirector` in
+//!   `socialtube-experiments`), which stamps each action with its
+//!   protocol time and takes the reports in time order, so tearing the
+//!   deployment down only joins its threads.
 //!
 //! Real sockets keep what the paper went to PlanetLab for — every message
 //! crosses a real connection through the codec, between daemons that run
@@ -45,5 +48,4 @@ pub mod testbed;
 pub mod transport;
 mod wire;
 
-pub use testbed::{Deployment, NetEvent, NetOutcome};
 pub use wire::{decode_frame, encode_frame, Frame, WireError};

@@ -21,6 +21,12 @@
 //! queued anywhere, and each daemon handles its inputs in it, concurrently.
 //! None can still arrive: a frame falls due at least `latency_min` after
 //! its sender's time, `m` at the earliest.
+//!
+//! The deployment shows no clock: the caller stamps each action with its
+//! own protocol time, never one a window has already run, and takes every
+//! report from `recv_until`, which yields them in time order (each
+//! window's come sorted, and windows do not overlap). So
+//! [`Deployment::finish`] only tears the daemons down.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -67,9 +73,9 @@ pub struct NetOutcome {
 /// The deployment is pure platform — it delivers user actions to daemons,
 /// runs protocol time and surfaces protocol reports; the caller owns the
 /// workload loop. Each action is stamped with a protocol time, which must
-/// not be before [`now`](Deployment::now), or the call panics. Tear down
-/// with [`finish`](Deployment::finish), which drains straggling reports
-/// and joins every thread.
+/// not fall in a window [`recv_until`](Deployment::recv_until) has
+/// already run, or the call panics. Tear down with
+/// [`finish`](Deployment::finish), which joins every thread.
 #[derive(Debug)]
 pub struct Deployment {
     /// Peer daemons by node index, then the server's.
@@ -212,17 +218,12 @@ impl Deployment {
         })
     }
 
-    /// Where the next window opens at the earliest: every input due before
-    /// it has been handled, and an action may be handed for it or later.
-    pub fn now(&self) -> SimTime {
-        self.windows.borrow().now
-    }
-
     /// Queues `input` at daemon `daemon`, due at `at`.
     ///
     /// # Panics
     ///
-    /// If `at` is before [`now`](Self::now): that time has been run.
+    /// If `at` is before the end of the last window run: that time has
+    /// been run.
     pub(crate) fn queue(&self, daemon: usize, at: SimTime, input: Input) {
         let mut windows = self.windows.borrow_mut();
         let now = windows.now;
@@ -264,13 +265,10 @@ impl Deployment {
         windows.ready.pop_front()
     }
 
-    /// Collects the reports due within `settle` of protocol time past
-    /// [`now`](Self::now), tears every daemon down, and packages the
-    /// outcome, its events in time order (stable among equal times).
-    /// `events` is whatever the caller's workload loop collected so far.
-    pub fn finish(self, mut events: Vec<NetEvent>, settle: SimDuration) -> NetOutcome {
-        let until = self.now() + settle;
-        events.extend(std::iter::from_fn(|| self.recv_until(until)));
+    /// Tears every daemon down and packages the outcome. `events` is what
+    /// the caller's workload loop took from
+    /// [`recv_until`](Self::recv_until), so already in time order.
+    pub fn finish(self, events: Vec<NetEvent>) -> NetOutcome {
         // Stop them all before joining any: shutdowns run in parallel.
         for d in &self.daemons {
             d.shutdown();
@@ -278,7 +276,6 @@ impl Deployment {
         for d in self.daemons {
             d.join();
         }
-        events.sort_by_key(|e| e.time);
         NetOutcome {
             events,
             wall_time: self.started.elapsed(),
@@ -357,8 +354,31 @@ mod tests {
         // The login's window ends `latency_min` later.
         let end = SimTime::ZERO + network.latency_min;
         while deployment.recv_until(end).is_some() {}
-        assert_eq!(deployment.now(), end);
+        assert_eq!(deployment.windows.borrow().now, end);
         deployment.watch(node, vids[0], SimTime::ZERO);
+    }
+
+    /// A daemon's panic reaches the caller of the window it breaks, rather
+    /// than leaving it waiting for a daemon that will never report.
+    #[test]
+    #[should_panic(expected = "whose clock reads")]
+    fn a_daemon_panic_reaches_the_caller() {
+        let (catalog, vids) = tiny_catalog();
+        let node = NodeId::new(0);
+        let peer = SocialTubePeer::new(node, Arc::clone(&catalog), Vec::new(), Default::default());
+        let server = Box::new(SocialTubeServer::new(Arc::clone(&catalog), SimRng::seed(7)));
+        let network = NetworkOptions::default();
+        let root = SimRng::seed(7);
+        let peers = vec![Peer::SocialTube(peer)];
+        let deployment = Deployment::spawn(catalog, peers, server, &network, &root).expect("spawn");
+        let login = SimTime::ZERO + network.latency_min;
+        deployment.login(node, login);
+        let end = login + network.latency_min;
+        while deployment.recv_until(end).is_some() {}
+        // Bypass `queue`'s check: the daemon's clock now reads `login`.
+        deployment.daemons[0].send(Command::Queue(SimTime::ZERO, Input::Login));
+        deployment.watch(node, vids[0], end);
+        deployment.recv_until(end + network.latency_min);
     }
 
     /// Drives a five-peer deployment through a scripted two-video session
@@ -388,20 +408,20 @@ mod tests {
         let deployment =
             Deployment::spawn(Arc::clone(&catalog), peers, server, &network, &root).expect("spawn");
 
+        // Logins at zero, then one watch per 5 s step, round-robin, each
+        // bounded by the next step so a lost playback cannot hang the test.
+        let step = |k: u64| SimTime::ZERO + SimDuration::from_secs(5 * k);
         let mut events = Vec::new();
         for i in 0..5u32 {
-            deployment.login(NodeId::new(i), deployment.now());
+            deployment.login(NodeId::new(i), step(0));
         }
-        // Two watches per peer, round-robin, each bounded by the watch
-        // timeout so a lost playback cannot hang the test.
         for round in 0..2usize {
             for i in 0..5usize {
                 let node = NodeId::new(i as u32);
                 let video = vids[(round * 5 + i) % vids.len()];
-                let now = deployment.now();
-                deployment.watch(node, video, now);
-                let deadline = now + SimDuration::from_secs(5);
-                while let Some(event) = deployment.recv_until(deadline) {
+                let k = (round * 5 + i) as u64;
+                deployment.watch(node, video, step(k));
+                while let Some(event) = deployment.recv_until(step(k + 1)) {
                     let started = matches!(
                         event.report,
                         Report::PlaybackStarted { node: n, video: v, .. }
@@ -415,9 +435,9 @@ mod tests {
             }
         }
         for i in 0..5u32 {
-            deployment.logout(NodeId::new(i), false, deployment.now());
+            deployment.logout(NodeId::new(i), false, step(10));
         }
-        let outcome = deployment.finish(events, SimDuration::from_millis(300));
+        let outcome = deployment.finish(events);
 
         // 5 peers × 2 videos = 10 playbacks expected.
         let playbacks = outcome

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use socialtube::{Report, SocialTubeConfig, SocialTubePeer, SocialTubeServer};
 use socialtube_baselines::Peer;
 use socialtube_model::{CatalogBuilder, NodeId};
-use socialtube_net::Deployment;
-use socialtube_sim::{NetworkOptions, SimDuration, SimRng};
+use socialtube_net::testbed::Deployment;
+use socialtube_sim::{NetworkOptions, SimDuration, SimRng, SimTime};
 
 #[test]
 fn a_daemon_costs_two_threads_plus_one_per_inbound_connection() {
@@ -36,16 +36,15 @@ fn a_daemon_costs_two_threads_plus_one_per_inbound_connection() {
     let deployment =
         Deployment::spawn(Arc::clone(&catalog), peers, server, &network, &root).expect("spawn");
 
-    // One after the other, every peer logs in and watches a video, so each
-    // finds the earlier ones in its channel community.
+    // One after the other, 5 s apart, every peer logs in and watches a
+    // video, so each finds the earlier ones in its channel community.
+    let step = |i: u32| SimTime::ZERO + SimDuration::from_secs(5 * u64::from(i));
     let mut events = Vec::new();
     for (i, &video) in (0..PEERS).zip(videos.iter().cycle()) {
         let node = NodeId::new(i);
-        let now = deployment.now();
-        deployment.login(node, now);
-        deployment.watch(node, video, now);
-        let deadline = now + SimDuration::from_secs(5);
-        while let Some(event) = deployment.recv_until(deadline) {
+        deployment.login(node, step(i));
+        deployment.watch(node, video, step(i));
+        while let Some(event) = deployment.recv_until(step(i + 1)) {
             events.push(event);
             if matches!(event.report, Report::PlaybackStarted { node: n, .. } if n == node) {
                 break;
@@ -59,7 +58,7 @@ fn a_daemon_costs_two_threads_plus_one_per_inbound_connection() {
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
         .collect();
     let readers = names.iter().filter(|n| n.starts_with("reader-")).count();
-    let outcome = deployment.finish(events, SimDuration::from_millis(100));
+    let outcome = deployment.finish(events);
 
     let playbacks = outcome.events.iter();
     let playbacks = playbacks.filter(|e| matches!(e.report, Report::PlaybackStarted { .. }));

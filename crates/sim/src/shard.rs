@@ -190,7 +190,6 @@ pub struct ShardEngine<E> {
     open: Option<(SimTime, u64)>,
     entries: Vec<EpochEntry>,
     calls: Vec<ShardCall<E>>,
-    processed: u64,
     peak_pending: usize,
 }
 
@@ -205,14 +204,8 @@ impl<E> ShardEngine<E> {
             open: None,
             entries: Vec::new(),
             calls: Vec::new(),
-            processed: 0,
             peak_pending: 0,
         }
-    }
-
-    /// Events this shard has processed across all epochs.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 
     /// Pending events in this shard's queue.
@@ -257,7 +250,6 @@ impl<E> ShardEngine<E> {
                 let (time, key, event) = self.queue.pop_with_seq().expect("peeked event vanished");
                 debug_assert!(time >= self.now, "shard queue yielded a past event");
                 self.now = time;
-                self.processed += 1;
                 self.open = Some((time, key));
                 Some((time, event))
             }

@@ -397,9 +397,10 @@ mod tests {
 
     #[test]
     fn fig13_interest_counts_bounded() {
-        let t = trace();
-        let cdf = user_interest_count(&t);
-        assert!(cdf.quantile(1.0) <= 18.0);
-        assert!(cdf.fraction_at_or_below(9.9) > 0.5);
+        for t in [trace(), generate(&TraceConfig::default(), 42)] {
+            let cdf = user_interest_count(&t);
+            assert!(cdf.quantile(1.0) <= 18.0);
+            assert!(cdf.fraction_at_or_below(9.9) > 0.5);
+        }
     }
 }

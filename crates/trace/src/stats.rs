@@ -11,7 +11,6 @@
 ///
 /// let cdf: Ecdf = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
 /// assert_eq!(cdf.quantile(0.5), 2.0);
-/// assert_eq!(cdf.fraction_at_or_below(2.5), 0.5);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Ecdf {
@@ -44,7 +43,7 @@ impl Ecdf {
     }
 
     /// Fraction of samples `≤ x`.
-    pub fn fraction_at_or_below(&self, x: f64) -> f64 {
+    pub(crate) fn fraction_at_or_below(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
             return 0.0;
         }
@@ -218,6 +217,8 @@ mod tests {
         assert_eq!(cdf.fraction_at_or_below(2.0), 0.75);
         assert_eq!(cdf.fraction_at_or_below(0.5), 0.0);
         assert_eq!(cdf.fraction_at_or_below(9.0), 1.0);
+        let cdf: Ecdf = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
+        assert_eq!(cdf.fraction_at_or_below(2.5), 0.5);
     }
 
     #[test]
